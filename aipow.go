@@ -22,9 +22,11 @@ type RequestContext = core.RequestContext
 // challenge.
 type Decision = core.Decision
 
-// Scorer is the AI-model seam: map per-client attributes to a reputation
-// score in [0, 10], where higher means less trustworthy.
-type Scorer = core.Scorer
+// Scorer is the AI-model seam: publish an AttributeSchema and map vectors
+// laid out by it to a reputation score in [0, 10], where higher means less
+// trustworthy. ReputationModel, KNNScorer and RedemptionScorer implement
+// it; wrap a map-shaped scoring function with NewMapScorer.
+type Scorer = features.VectorScorer
 
 // Hook observes decisions for logging and experiment accounting.
 type Hook = core.Hook
@@ -104,13 +106,15 @@ func WithEvidenceBuffer(size int, interval time.Duration) Option {
 	return core.WithEvidenceBuffer(size, interval)
 }
 
-// AttributeSource yields the attribute map used to score an IP.
-type AttributeSource = features.Source
+// AttributeSource fills the scorer's attribute vector for an IP, reporting
+// which slots it covered. MapStore, Tracker and combined sources implement
+// it; wrap a map-shaped lookup with SourceFromMap.
+type AttributeSource = features.VectorSource
 
 // AttributeSchema is an immutable, interned attribute layout: attribute
 // names pinned to vector slots. Scorers publish one; sources fill flat
-// []float64 vectors laid out by it, which is what lets the Decide hot
-// path run without allocating per request.
+// []float64 vectors laid out by it, which is what lets Decide run without
+// allocating per request.
 type AttributeSchema = features.Schema
 
 // NewAttributeSchema interns the given attribute names, in order.
@@ -118,24 +122,37 @@ func NewAttributeSchema(names ...string) (*AttributeSchema, error) {
 	return features.NewSchema(names...)
 }
 
-// VectorSource is the allocation-free fast path of AttributeSource.
-// Sources that implement it (MapStore, Tracker, combined sources) are
-// consulted through interned vectors on the hot path.
-type VectorSource = features.VectorSource
+// NewMapScorer adapts a map-shaped scoring function to Scorer. attrs
+// declares the attribute names score reads; they become the scorer's
+// schema, so a client whose source lacks one fails closed by name. The
+// adapter builds one map per scored request — the price of the map shape,
+// paid at the edge.
+func NewMapScorer(score func(attrs map[string]float64) (float64, error), attrs ...string) (Scorer, error) {
+	return features.NewMapScorer(score, attrs...)
+}
 
-// VectorScorer is the allocation-free fast path of Scorer. Scorers that
-// implement it (the reputation model, the kNN scorer) are fed interned
-// vectors instead of maps on the hot path.
-type VectorScorer = features.VectorScorer
+// MapSource is the map-shaped input of SourceFromMap.
+type MapSource = features.MapSource
+
+// SourceFromMap adapts a source that describes clients as attribute maps
+// to AttributeSource.
+func SourceFromMap(src MapSource) AttributeSource { return features.SourceFromMap(src) }
+
+// ScoreAttributes scores one attribute map through s's schema — the
+// offline entry point (evaluation, spot checks) to the scoring the serving
+// path runs. A schema attribute absent from attrs is an error naming it.
+func ScoreAttributes(s Scorer, attrs map[string]float64) (float64, error) {
+	return features.ScoreAttrs(s, attrs)
+}
 
 // Verdict is a calibrated scoring outcome: the reputation score plus the
 // scorer's confidence in it, in [0, 1].
 type Verdict = features.Verdict
 
-// VerdictScorer is the confidence-carrying fast path of Scorer. Scorers
-// that implement it (the reputation model, the kNN scorer, the redemption
-// wrapper) report calibrated verdicts; the framework threads the
-// confidence through to confidence-aware policies (NewConfidenceShapedPolicy).
+// VerdictScorer is the optional confidence-carrying form of Scorer.
+// Scorers that implement it (the reputation model, the kNN scorer, the
+// redemption wrapper) report calibrated verdicts; the framework consults
+// it only under confidence-aware policies (NewConfidenceShapedPolicy).
 type VerdictScorer = features.VerdictScorer
 
 // MapStore is a static attribute source (a feed snapshot) with a fallback

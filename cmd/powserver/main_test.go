@@ -6,14 +6,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"aipow"
 )
 
-// stubScorer gives every client the same mid-scale score.
-type stubScorer struct{}
-
-func (stubScorer) Score(map[string]float64) (float64, error) { return 5, nil }
+// stubScore gives every client the same mid-scale score.
+func stubScore(map[string]float64) (float64, error) { return 5, nil }
 
 const adminTestSpec = `
 pipeline web
@@ -34,7 +33,7 @@ func newTestAdmin(t *testing.T, token string) (*http.ServeMux, *aipow.Gatekeeper
 		t.Fatal(err)
 	}
 	if err := reg.RegisterScorer("stub", func(map[string]float64) (aipow.Scorer, error) {
-		return stubScorer{}, nil
+		return aipow.NewMapScorer(stubScore)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func TestAdminPprofMount(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := reg.RegisterScorer("stub", func(map[string]float64) (aipow.Scorer, error) {
-		return stubScorer{}, nil
+		return aipow.NewMapScorer(stubScore)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -205,5 +204,56 @@ func TestAdminPprofMount(t *testing.T) {
 	}
 	if rec := get(t, bare, "/debug/pprof/", ""); rec.Code != http.StatusNotFound {
 		t.Fatalf("GET /debug/pprof/ without -pprof = %d, want 404", rec.Code)
+	}
+}
+
+// TestRateScorerPipelineDecidesWithoutAllocating pins that the spec's
+// `scorer rate(saturation=…)` rides the same allocation-free decide path
+// as the trained model: it publishes a one-slot schema over the live
+// request rate, which `source combined` fills from the tracker.
+func TestRateScorerPipelineDecidesWithoutAllocating(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	store, err := aipow.NewMapStore(map[string]float64{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := buildRegistry([]byte("0123456789abcdef0123456789abcdef"), nil, store, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := aipow.ParseDeployment("pipeline web\n  scorer rate(saturation=5)\n  source combined\n  policy policy2\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gk, err := aipow.NewGatekeeper(reg, dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gk.Close() })
+	p, _ := gk.Pipeline("web")
+	fw := p.Framework()
+
+	const ip = "203.0.113.7"
+	now := time.Now()
+	for i := range 50 {
+		if err := fw.Observe(aipow.RequestInfo{IP: ip, Path: "/", At: now.Add(-time.Duration(i) * time.Millisecond)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dec, err := fw.Decide(aipow.RequestContext{IP: ip})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.ScoreErr != nil || dec.Score <= 0 {
+		t.Fatalf("rate-scored decision = score %v err %v, want a positive rate score", dec.Score, dec.ScoreErr)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := fw.Decide(aipow.RequestContext{IP: ip}); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Decide through scorer rate + source combined: %v allocs/op, want 0", allocs)
 	}
 }

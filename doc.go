@@ -155,9 +155,8 @@
 //     malicious and benign training regions — false positives live in
 //     the overlap, where the margin collapses) and decision-boundary
 //     separation; the kNN scorer uses neighbourhood unanimity. Plain
-//     scorers, the map compatibility path, and fail-closed
-//     substitutions all score at confidence 1 — exactly the pre-verdict
-//     behavior.
+//     scorers and fail-closed substitutions score at confidence 1 —
+//     exactly the pre-verdict behavior.
 //
 //   - Shaping. NewConfidenceShapedPolicy (spec form
 //     "shape(inner=policy2, anchor=5, floor=0.5)", usable anywhere a
@@ -237,21 +236,25 @@
 // The serving hot path (Decide and Verify) is allocation-free and
 // lock-striped, sized for millions of concurrent clients:
 //
-//   - Vector fast path. Scorers that implement VectorScorer publish an
-//     AttributeSchema (their attribute names interned to vector slots);
-//     sources that implement VectorSource fill flat []float64 vectors in
-//     that layout instead of building a map per request. The framework
-//     wires the fast path automatically at New time when both sides
-//     support it, pooling the scratch vectors; a source that cannot cover
-//     the full schema for a request makes that request fall back to the
-//     map-based path, which reports the missing attribute (and the
-//     framework fails closed). The map-based Scorer/AttributeSource
-//     interfaces remain fully supported as the compatibility path.
+//   - One interned-vector contract. A Scorer publishes an
+//     AttributeSchema (its attribute names interned to vector slots) and
+//     scores flat []float64 vectors in that layout; an AttributeSource
+//     fills such a vector and reports which slots it covered. That is
+//     the only shape the framework speaks: New pools the scratch rows,
+//     Decide and DecideBatch run every row through one kernel, and a row
+//     the source could not fully cover is never scored — the decision
+//     fails closed with an error naming the missing attributes. A scorer
+//     without a schema (more than 64 attributes) is refused by New.
+//     Map-shaped code enters at the edge through two adapters,
+//     NewMapScorer (declared attribute names + a func over a map) and
+//     SourceFromMap (anything with Attributes(ip, now) map); they build
+//     their map per request, and nothing downstream knows. Offline
+//     callers score a map through any Scorer with ScoreAttributes.
 //   - Sharded tracker. The behavior tracker stripes its per-IP state
 //     across power-of-two shards (FNV-1a on the IP), each with its own
-//     mutex, entries map, and LRU list, so concurrent Observe/Attributes
-//     calls do not serialize on one lock. WithTrackerShards overrides the
-//     auto-sizing.
+//     mutex, entries map, and LRU list, so concurrent Observe and
+//     attribute-fill calls do not serialize on one lock.
+//     WithTrackerShards overrides the auto-sizing.
 //   - Pooled crypto state. Challenge issuance and verification reuse
 //     keyed HMAC instances and encode buffers from pools: zero
 //     allocations per Issue and per Verify in steady state. The replay
@@ -449,7 +452,7 @@
 // near-zero compute while attackers pay super-linearly. internal/sim pins
 // that claim down empirically with a deterministic adversarial scenario
 // engine that drives a real Framework — concurrently, over the sharded
-// vector fast path — with declaratively-defined traffic mixes:
+// tracker — with declaratively-defined traffic mixes:
 //
 //	sim.Scenario{
 //	    Phases: []sim.Phase{            // a timeline of named windows

@@ -23,10 +23,9 @@ import (
 	"aipow"
 )
 
-// demoScorer scores the "threat" attribute directly.
-type demoScorer struct{}
-
-func (demoScorer) Score(attrs map[string]float64) (float64, error) {
+// demoScore scores the "threat" attribute directly — a map-shaped scoring
+// function, registered through aipow.NewMapScorer.
+func demoScore(attrs map[string]float64) (float64, error) {
 	return attrs["threat"], nil
 }
 
@@ -42,7 +41,7 @@ func newNode(origin, spec string) *aipow.Gatekeeper {
 		log.Fatal(err)
 	}
 	if err := registry.RegisterScorer("demo", func(map[string]float64) (aipow.Scorer, error) {
-		return demoScorer{}, nil
+		return aipow.NewMapScorer(demoScore, "threat")
 	}); err != nil {
 		log.Fatal(err)
 	}

@@ -38,10 +38,9 @@ route /api/  api
 tenant gold  api
 `
 
-// demoScorer scores the "threat" attribute directly.
-type demoScorer struct{}
-
-func (demoScorer) Score(attrs map[string]float64) (float64, error) {
+// demoScore scores the "threat" attribute directly — a map-shaped scoring
+// function, registered through aipow.NewMapScorer.
+func demoScore(attrs map[string]float64) (float64, error) {
 	return attrs["threat"], nil
 }
 
@@ -56,7 +55,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if err := registry.RegisterScorer("demo", func(params map[string]float64) (aipow.Scorer, error) {
-		return demoScorer{}, nil
+		return aipow.NewMapScorer(demoScore, "threat")
 	}); err != nil {
 		log.Fatal(err)
 	}

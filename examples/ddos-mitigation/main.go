@@ -77,11 +77,11 @@ func main() {
 	}
 
 	// Show what each class will be asked to solve.
-	benScore, err := model.Score(store.Attributes(benignIPs[0], time.Now()))
+	benScore, err := aipow.ScoreAttributes(model, store.Attributes(benignIPs[0], time.Now()))
 	if err != nil {
 		log.Fatalf("score: %v", err)
 	}
-	botScore, err := model.Score(store.Attributes(botIPs[0], time.Now()))
+	botScore, err := aipow.ScoreAttributes(model, store.Attributes(botIPs[0], time.Now()))
 	if err != nil {
 		log.Fatalf("score: %v", err)
 	}

@@ -39,12 +39,11 @@ pipeline web
   observe trace(sample=1024, ring=256)
 `
 
-// demoScorer distrusts clients with request history (the default
-// tracker source feeds it live behavioral attributes), so the trace
-// shows a spread of scores and difficulties.
-type demoScorer struct{}
-
-func (demoScorer) Score(attrs map[string]float64) (float64, error) {
+// demoScore distrusts clients with request history (the default tracker
+// source feeds it live behavioral attributes), so the trace shows a
+// spread of scores and difficulties. It is a map-shaped scoring function,
+// registered through aipow.NewMapScorer.
+func demoScore(attrs map[string]float64) (float64, error) {
 	return min(2+attrs["live_total_requests"], 10), nil
 }
 
@@ -64,7 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if err := registry.RegisterScorer("demo", func(params map[string]float64) (aipow.Scorer, error) {
-		return demoScorer{}, nil
+		return aipow.NewMapScorer(demoScore, "live_total_requests")
 	}); err != nil {
 		log.Fatal(err)
 	}

@@ -40,10 +40,9 @@ route /        web
 route /signup  signup
 `
 
-// demoScorer scores the "threat" attribute directly.
-type demoScorer struct{}
-
-func (demoScorer) Score(attrs map[string]float64) (float64, error) {
+// demoScore scores the "threat" attribute directly — a map-shaped scoring
+// function, registered through aipow.NewMapScorer.
+func demoScore(attrs map[string]float64) (float64, error) {
 	return attrs["threat"], nil
 }
 
@@ -55,7 +54,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if err := registry.RegisterScorer("demo", func(params map[string]float64) (aipow.Scorer, error) {
-		return demoScorer{}, nil
+		return aipow.NewMapScorer(demoScore, "threat")
 	}); err != nil {
 		log.Fatal(err)
 	}

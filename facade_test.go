@@ -96,9 +96,13 @@ func TestPublicSimulatedClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	trustAll, err := aipow.NewMapScorer(func(map[string]float64) (float64, error) { return 0, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
 	fw, err := aipow.New(
 		aipow.WithKey(testKey),
-		aipow.WithScorer(scorerFunc(func(map[string]float64) (float64, error) { return 0, nil })),
+		aipow.WithScorer(trustAll),
 		aipow.WithPolicy(aipow.Policy1()),
 		aipow.WithSource(store),
 		aipow.WithClock(clock.Now),
@@ -132,11 +136,6 @@ func TestPublicSimulatedClock(t *testing.T) {
 		t.Fatal("verify after simulated TTL expiry should fail")
 	}
 }
-
-// scorerFunc adapts a function to aipow.Scorer.
-type scorerFunc func(map[string]float64) (float64, error)
-
-func (f scorerFunc) Score(attrs map[string]float64) (float64, error) { return f(attrs) }
 
 // TestPublicSolverNonceLimit exercises bounded-work solving through the
 // facade (the rational-attacker knob).

@@ -13,11 +13,9 @@ import (
 var testKey = []byte("0123456789abcdef0123456789abcdef")
 
 // threatScorer reads the "threat" attribute as the score.
-type threatScorer struct{}
-
-func (threatScorer) Score(attrs map[string]float64) (float64, error) {
+var threatScorer, _ = features.NewMapScorer(func(attrs map[string]float64) (float64, error) {
 	return attrs["threat"], nil
-}
+}, "threat")
 
 // buildFramework wires a framework whose store marks the given scenario's
 // bot populations with high threat and benign ones with low threat.
@@ -38,7 +36,7 @@ func buildFramework(t *testing.T, sc Scenario, pol policy.Policy, opts ...core.O
 	}
 	base := []core.Option{
 		core.WithKey(testKey),
-		core.WithScorer(threatScorer{}),
+		core.WithScorer(threatScorer),
 		core.WithPolicy(pol),
 		core.WithSource(store),
 		core.WithReplayCacheSize(0), // sim models verify; skip cache growth

@@ -22,12 +22,27 @@ import (
 	"aipow/internal/policy"
 )
 
+// The scorers' layouts: trustAllScorer reads nothing, RateScorer reads the
+// tracker's live request rate.
+var (
+	noAttrs    = mustSchema()
+	rateSchema = mustSchema(features.AttrRequestRate)
+)
+
+func mustSchema(names ...string) *features.Schema {
+	s, err := features.NewSchema(names...)
+	if err != nil {
+		panic(err) // static names: only a bug can fail this
+	}
+	return s
+}
+
 // trustAllScorer scores everything 0: used by NoPoW (with full bypass) and
 // FixedPoW (where the policy ignores the score anyway).
 type trustAllScorer struct{}
 
-// Score implements core.Scorer.
-func (trustAllScorer) Score(map[string]float64) (float64, error) { return 0, nil }
+func (trustAllScorer) Schema() *features.Schema               { return noAttrs }
+func (trustAllScorer) ScoreVector([]float64) (float64, error) { return 0, nil }
 
 // RateScorer maps a client's live request rate to a reputation score:
 // score = 10 · min(1, rate/SaturationRate). It is the kaPoW-style
@@ -39,7 +54,7 @@ type RateScorer struct {
 	SaturationRate float64
 }
 
-var _ core.Scorer = RateScorer{}
+var _ features.VectorScorer = RateScorer{}
 
 // NewRateScorer validates and constructs a RateScorer.
 func NewRateScorer(saturationRate float64) (RateScorer, error) {
@@ -49,12 +64,20 @@ func NewRateScorer(saturationRate float64) (RateScorer, error) {
 	return RateScorer{SaturationRate: saturationRate}, nil
 }
 
-// Score implements core.Scorer using the tracker's live request rate.
-func (r RateScorer) Score(attrs map[string]float64) (float64, error) {
-	rate, ok := attrs[features.AttrRequestRate]
-	if !ok {
-		return 0, fmt.Errorf("baseline: attribute %q missing (is a Tracker attached?)", features.AttrRequestRate)
+// Schema implements features.VectorScorer: one slot, the live request rate
+// (features.AttrRequestRate) — so the source must carry a Tracker.
+func (RateScorer) Schema() *features.Schema { return rateSchema }
+
+// ScoreVector implements features.VectorScorer over the rate slot.
+func (r RateScorer) ScoreVector(v []float64) (float64, error) {
+	if len(v) != 1 {
+		return 0, fmt.Errorf("baseline: vector has %d dims, rate scorer wants 1", len(v))
 	}
+	return r.ScoreRate(v[0]), nil
+}
+
+// ScoreRate maps a request rate (requests/s) to the score.
+func (r RateScorer) ScoreRate(rate float64) float64 {
 	frac := rate / r.SaturationRate
 	if frac > 1 {
 		frac = 1
@@ -62,12 +85,12 @@ func (r RateScorer) Score(attrs map[string]float64) (float64, error) {
 	if frac < 0 {
 		frac = 0
 	}
-	return policy.MaxScore * frac, nil
+	return policy.MaxScore * frac
 }
 
 // NewNoPoW builds the undefended baseline: every request bypasses the
 // puzzle entirely.
-func NewNoPoW(key []byte, source features.Source, opts ...core.Option) (*core.Framework, error) {
+func NewNoPoW(key []byte, source features.VectorSource, opts ...core.Option) (*core.Framework, error) {
 	base := []core.Option{
 		core.WithKey(key),
 		core.WithScorer(trustAllScorer{}),
@@ -80,7 +103,7 @@ func NewNoPoW(key []byte, source features.Source, opts ...core.Option) (*core.Fr
 
 // NewFixedPoW builds the classic non-adaptive baseline: every client gets
 // difficulty d regardless of reputation.
-func NewFixedPoW(key []byte, source features.Source, d int, opts ...core.Option) (*core.Framework, error) {
+func NewFixedPoW(key []byte, source features.VectorSource, d int, opts ...core.Option) (*core.Framework, error) {
 	fixed, err := policy.NewFixed(d)
 	if err != nil {
 		return nil, err
@@ -99,7 +122,7 @@ func NewFixedPoW(key []byte, source features.Source, d int, opts ...core.Option)
 // pass the same policy as the AI framework for an apples-to-apples
 // comparison of the *detection* mechanisms. The tracker must be wired into
 // the source (features.NewCombined) so the rate attribute is present.
-func NewKaPoW(key []byte, source features.Source, tracker *features.Tracker,
+func NewKaPoW(key []byte, source features.VectorSource, tracker *features.Tracker,
 	saturationRate float64, pol policy.Policy, opts ...core.Option) (*core.Framework, error) {
 	scorer, err := NewRateScorer(saturationRate)
 	if err != nil {

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -64,8 +65,8 @@ func TestRateScorerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Score(map[string]float64{}); err == nil {
-		t.Fatal("missing rate attribute accepted")
+	if _, err := features.ScoreAttrs(s, map[string]float64{}); !errors.Is(err, features.ErrMissingAttr) {
+		t.Fatalf("score without the rate attribute = %v, want ErrMissingAttr", err)
 	}
 }
 
@@ -81,7 +82,7 @@ func TestRateScorerMapping(t *testing.T) {
 		{0, 0}, {5, 5}, {10, 10}, {100, 10}, {-1, 0},
 	}
 	for _, tt := range tests {
-		got, err := s.Score(map[string]float64{features.AttrRequestRate: tt.rate})
+		got, err := features.ScoreAttrs(s, map[string]float64{features.AttrRequestRate: tt.rate})
 		if err != nil {
 			t.Fatal(err)
 		}

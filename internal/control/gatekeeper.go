@@ -112,9 +112,9 @@ func (gk *Gatekeeper) build(dep *DeploymentSpec, prev *gkState) (*gkState, error
 	type pendingSwap struct {
 		p      *Pipeline
 		ps     PipelineSpec
-		scorer core.Scorer
+		scorer features.VectorScorer
 		pol    policy.Policy
-		source features.Source
+		source features.VectorSource
 		ctrl   *feedback.Controller
 	}
 	var pending []pendingSwap

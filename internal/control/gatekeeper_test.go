@@ -17,14 +17,10 @@ import (
 var testKey = []byte("0123456789abcdef0123456789abcdef")
 
 // threatScorer scores the "threat" attribute, offset by a spec parameter.
-type threatScorer struct{ offset float64 }
-
-func (s threatScorer) Score(attrs map[string]float64) (float64, error) {
-	v, ok := attrs["threat"]
-	if !ok {
-		return 0, errors.New("no threat attribute")
-	}
-	return v + s.offset, nil
+func threatScorer(offset float64) (features.VectorScorer, error) {
+	return features.NewMapScorer(func(attrs map[string]float64) (float64, error) {
+		return attrs["threat"] + offset, nil
+	}, "threat")
 }
 
 // newTestRegistry builds a registry with a "threat" scorer and a "store"
@@ -35,13 +31,13 @@ func newTestRegistry(t *testing.T) *Registry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.RegisterScorer("threat", func(params map[string]float64) (core.Scorer, error) {
+	if err := reg.RegisterScorer("threat", func(params map[string]float64) (features.VectorScorer, error) {
 		for k := range params {
 			if k != "offset" {
 				return nil, errors.New("threat takes only offset=<n>")
 			}
 		}
-		return threatScorer{offset: params["offset"]}, nil
+		return threatScorer(params["offset"])
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +47,7 @@ func newTestRegistry(t *testing.T) *Registry {
 	}
 	store.Put("10.0.0.1", map[string]float64{"threat": 0})
 	store.Put("10.0.0.9", map[string]float64{"threat": 10})
-	if err := reg.RegisterSource("store", func(params map[string]float64, _ *features.Tracker) (features.Source, error) {
+	if err := reg.RegisterSource("store", func(params map[string]float64, _ *features.Tracker) (features.VectorSource, error) {
 		if len(params) != 0 {
 			return nil, errors.New("store takes no parameters")
 		}

@@ -243,7 +243,7 @@ func (p *Pipeline) Apply(ps PipelineSpec) error {
 // installLocked swaps pre-resolved components in under p.mu. Split from
 // Apply so Gatekeeper.Apply can resolve every pipeline's components
 // before installing any of them (no half-applied deployments).
-func (p *Pipeline) installLocked(ps PipelineSpec, scorer core.Scorer, pol policy.Policy, source features.Source, ctrl *feedback.Controller) error {
+func (p *Pipeline) installLocked(ps PipelineSpec, scorer features.VectorScorer, pol policy.Policy, source features.VectorSource, ctrl *feedback.Controller) error {
 	failClosed := policy.MaxScore
 	if ps.FailClosedScore != nil {
 		failClosed = *ps.FailClosedScore
@@ -284,7 +284,7 @@ func (p *Pipeline) upToDate(ps PipelineSpec) bool {
 }
 
 // applyResolved is installLocked behind the spec mutex.
-func (p *Pipeline) applyResolved(ps PipelineSpec, scorer core.Scorer, pol policy.Policy, source features.Source, ctrl *feedback.Controller) error {
+func (p *Pipeline) applyResolved(ps PipelineSpec, scorer features.VectorScorer, pol policy.Policy, source features.VectorSource, ctrl *feedback.Controller) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.installLocked(ps, scorer, pol, source, ctrl)

@@ -10,8 +10,8 @@ import (
 	"aipow/internal/features"
 )
 
-// vecScorer is a minimal VectorScorer over the tracker's request rate, so
-// redeem sections — which require the vector fast path — can compile.
+// vecScorer is a minimal scorer over the tracker's request count. The zero
+// value publishes no schema.
 type vecScorer struct{ schema *features.Schema }
 
 func newVecScorer(t *testing.T) vecScorer {
@@ -23,23 +23,25 @@ func newVecScorer(t *testing.T) vecScorer {
 	return vecScorer{schema: sch}
 }
 
-func (s vecScorer) Score(attrs map[string]float64) (float64, error) {
-	return min(10, attrs[features.AttrTotalRequests]), nil
-}
-
 func (s vecScorer) Schema() *features.Schema { return s.schema }
 
 func (s vecScorer) ScoreVector(v []float64) (float64, error) {
 	return min(10, v[0]), nil
 }
 
-// redeemRegistry is newTestRegistry plus a vector-capable scorer.
+// redeemRegistry is newTestRegistry plus the tracker-reading scorer and a
+// schema-less one.
 func redeemRegistry(t *testing.T) *Registry {
 	t.Helper()
 	reg := newTestRegistry(t)
 	vs := newVecScorer(t)
-	if err := reg.RegisterScorer("vec", func(params map[string]float64) (core.Scorer, error) {
+	if err := reg.RegisterScorer("vec", func(params map[string]float64) (features.VectorScorer, error) {
 		return vs, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.RegisterScorer("noschema", func(params map[string]float64) (features.VectorScorer, error) {
+		return vecScorer{}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -171,18 +173,22 @@ func TestRedeemBuildAndSwap(t *testing.T) {
 	}
 }
 
-// TestRedeemRequiresVectorScorer pins the compile-time guard: redemption
-// wraps the vector fast path, so a map-only scorer is a build error, not
-// a silent degradation.
-func TestRedeemRequiresVectorScorer(t *testing.T) {
+// TestSchemalessScorerIsBuildError pins the construction-time guard: a
+// scorer that publishes no schema cannot serve, bare or under redemption,
+// and says so at Build rather than failing every request closed.
+func TestSchemalessScorerIsBuildError(t *testing.T) {
 	reg := redeemRegistry(t)
-	d, err := ParseDeployment("pipeline p\n scorer threat\n policy policy2\n source store\n redeem\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Build(d.Pipelines[0]); err == nil ||
-		!strings.Contains(err.Error(), "vector fast path") {
-		t.Fatalf("map-only scorer accepted for redemption: %v", err)
+	for _, spec := range []string{
+		"pipeline p\n scorer noschema\n policy policy2\n",
+		"pipeline p\n scorer noschema\n policy policy2\n redeem\n",
+	} {
+		d, err := ParseDeployment(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.Build(d.Pipelines[0]); err == nil || !strings.Contains(err.Error(), "no schema") {
+			t.Fatalf("schema-less scorer built (%q): %v", spec, err)
+		}
 	}
 }
 

@@ -21,13 +21,13 @@ import (
 
 // ScorerFactory builds an AI model from a component spec's numeric
 // parameters. Factories must reject unknown parameter names.
-type ScorerFactory func(params map[string]float64) (core.Scorer, error)
+type ScorerFactory func(params map[string]float64) (features.VectorScorer, error)
 
 // SourceFactory builds a per-request attribute source. It receives the
 // registry's shared behavior tracker so deployment-specific sources
 // (feed stores, combined static+live sources) can layer onto the same
 // live behavioral state every pipeline observes into.
-type SourceFactory func(params map[string]float64, tracker *features.Tracker) (features.Source, error)
+type SourceFactory func(params map[string]float64, tracker *features.Tracker) (features.VectorSource, error)
 
 // Registry resolves component names in pipeline specs and owns the shared
 // long-lived state every pipeline it builds rides on: one root HMAC key,
@@ -160,7 +160,7 @@ func NewRegistry(key []byte, opts ...RegistryOption) (*Registry, error) {
 		}
 		r.tracker = t
 	}
-	if err := r.RegisterSource("tracker", func(params map[string]float64, tracker *features.Tracker) (features.Source, error) {
+	if err := r.RegisterSource("tracker", func(params map[string]float64, tracker *features.Tracker) (features.VectorSource, error) {
 		if err := policy.RejectUnknownParams(params); err != nil {
 			return nil, err
 		}
@@ -311,7 +311,7 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // newScorer resolves a scorer component spec.
-func (r *Registry) newScorer(spec string) (core.Scorer, error) {
+func (r *Registry) newScorer(spec string) (features.VectorScorer, error) {
 	name, params, err := policy.ParseSpec(spec)
 	if err != nil {
 		return nil, fmt.Errorf("control: scorer spec: %w", err)
@@ -335,7 +335,7 @@ func (r *Registry) newScorer(spec string) (core.Scorer, error) {
 
 // newSource resolves a source component spec ("" defaults to "tracker")
 // over the pipeline's behavior tracker.
-func (r *Registry) newSource(spec string, tracker *features.Tracker) (features.Source, error) {
+func (r *Registry) newSource(spec string, tracker *features.Tracker) (features.VectorSource, error) {
 	if spec == "" {
 		spec = "tracker"
 	}
@@ -439,12 +439,7 @@ func (r *Registry) newController(ps PipelineSpec, base policy.Policy, load polic
 // redeemScorer wraps a resolved scorer with the spec's behavioral
 // redemption. The half-life parameter is absent here deliberately: it is
 // tracker state, applied by trackerFor.
-func (r *Registry) redeemScorer(ps PipelineSpec, scorer core.Scorer) (core.Scorer, error) {
-	vs, ok := scorer.(features.VectorScorer)
-	if !ok {
-		return nil, fmt.Errorf("control: pipeline %q redeem: scorer %q does not support the vector fast path",
-			ps.Name, ps.Scorer)
-	}
+func (r *Registry) redeemScorer(ps PipelineSpec, scorer features.VectorScorer) (features.VectorScorer, error) {
 	var opts []reputation.DecayOption
 	if ps.Redeem.Max > 0 {
 		opts = append(opts, reputation.WithMaxRedemption(ps.Redeem.Max))
@@ -452,7 +447,7 @@ func (r *Registry) redeemScorer(ps PipelineSpec, scorer core.Scorer) (core.Score
 	if ps.Redeem.HalfCredit > 0 {
 		opts = append(opts, reputation.WithHalfCredit(ps.Redeem.HalfCredit))
 	}
-	dec, err := reputation.NewDecay(vs, opts...)
+	dec, err := reputation.NewDecay(scorer, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("control: pipeline %q redeem: %w", ps.Name, err)
 	}
@@ -514,7 +509,7 @@ func newTraceRing(o *ObserveSpec) *obs.TraceRing {
 // an adapt section. load feeds load-shifted policies and must outlive
 // controller rebuilds (pipelines pass their stable load indirection);
 // events is the controller's transition sink (Pipeline.adaptEvents).
-func (r *Registry) components(ps PipelineSpec, load policy.LoadFunc, tracker *features.Tracker, events obs.Sink) (core.Scorer, policy.Policy, features.Source, *feedback.Controller, error) {
+func (r *Registry) components(ps PipelineSpec, load policy.LoadFunc, tracker *features.Tracker, events obs.Sink) (features.VectorScorer, policy.Policy, features.VectorSource, *feedback.Controller, error) {
 	scorer, err := r.newScorer(ps.Scorer)
 	if err != nil {
 		return nil, nil, nil, nil, err

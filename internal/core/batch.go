@@ -12,8 +12,8 @@ import (
 // Batch front door. Proxies and ingestion pipelines that already hold many
 // requests (an accept loop draining a socket, a load balancer shard, the
 // simulation engine's per-tick event runs) decide them through DecideBatch
-// instead of a Decide loop. The per-decision pipeline is identical — same
-// scoring, same policy, same issuance, same hooks — but the fixed costs
+// instead of a Decide loop. The per-decision pipeline is identical — the
+// same decideRow kernel, same issuance, same hooks — but the fixed costs
 // are paid once per batch instead of once per request: one snapshot load,
 // one clock read, one scratch checkout, one vector-layout resolution, and
 // (through features.VectorBatchSource and puzzle.IssueBatch) shard-grouped
@@ -103,9 +103,9 @@ func (f *Framework) DecideBatch(reqs []RequestContext, dst []Decision) ([]Decisi
 	return dst, nil
 }
 
-// decideChunk decides one chunk: a whole-chunk vector fill and score pass,
-// then one IssueBatch over the non-bypassed slots, then batched counter
-// updates and in-order hook firing.
+// decideChunk decides one chunk: a whole-chunk vector fill, the decideRow
+// kernel per row, then one IssueBatch over the non-bypassed slots and
+// in-order hook firing.
 func (f *Framework) decideChunk(snap *snapshot, now time.Time, reqs []RequestContext, dst []Decision, sc *decideScratch) error {
 	n := len(reqs)
 	sc.ips = grow(sc.ips, n)
@@ -113,58 +113,30 @@ func (f *Framework) decideChunk(snap *snapshot, now time.Time, reqs []RequestCon
 		sc.ips[i] = reqs[i].IP
 	}
 
-	// Whole-chunk vector fill: one shard-grouped tracker pass instead of n
-	// independent lookups. Rows with partial coverage fall back to the
-	// per-item path below, exactly like Decide's map fallback.
-	batched := snap.vecBatch != nil
-	stride := 0
-	var full uint64
-	if batched {
-		stride = snap.schema.Len()
-		full = snap.schema.FullMask()
-		sc.vec = grow(sc.vec, n*stride)
-		clear(sc.vec)
-		sc.masks = grow(sc.masks, n)
-		clear(sc.masks)
-		snap.vecBatch.AttributesVectorBatch(sc.vec, stride, snap.schema, sc.ips, sc.masks, now)
+	// One shard-grouped tracker pass instead of n independent lookups when
+	// the source can batch; the same rows filled one by one when it cannot.
+	stride := snap.schema.Len()
+	sc.vec = grow(sc.vec, n*stride)
+	clear(sc.vec)
+	sc.masks = grow(sc.masks, n)
+	clear(sc.masks)
+	if snap.batch != nil {
+		snap.batch.AttributesVectorBatch(sc.vec, stride, snap.schema, sc.ips, sc.masks, now)
+	} else {
+		for i, ip := range sc.ips {
+			sc.masks[i] = snap.source.AttributesVector(sc.vec[i*stride:(i+1)*stride], snap.schema, ip, now)
+		}
 	}
 
 	sc.diffs = grow(sc.diffs, n)
-	var nBypassed, nScoreErrs, nIssued uint64
+	var nIssued uint64
 	for i := range reqs {
 		dec := &dst[i]
 		*dec = Decision{IP: reqs[i].IP}
-		var score, conf float64
-		var err error
-		if batched && sc.masks[i] == full {
-			row := sc.vec[i*stride : (i+1)*stride]
-			if snap.verdictScorer != nil {
-				var ver features.Verdict
-				ver, err = snap.verdictScorer.VerdictVector(row)
-				score, conf = ver.Score, ver.Confidence
-			} else {
-				score, err = snap.vecScorer.ScoreVector(row)
-				conf = 1
-			}
-		} else {
-			score, conf, err = snap.score(reqs[i].IP, now)
-		}
-		if err != nil {
-			dec.ScoreErr = err
-			score, conf = snap.failClosedScore, 1
-			nScoreErrs++
-		}
-		dec.Score, dec.Confidence = score, conf
-		if snap.bypassBelow >= 0 && score < snap.bypassBelow {
-			dec.Bypassed = true
-			nBypassed++
+		f.decideRow(snap, dec, sc.vec[i*stride:(i+1)*stride], sc.masks[i])
+		if dec.Bypassed {
 			sc.diffs[i] = -1 // IssueBatch's "no challenge" sentinel
 			continue
-		}
-		if snap.confPol != nil {
-			dec.Difficulty = snap.confPol.ConfidentDifficulty(score, conf)
-		} else {
-			dec.Difficulty = snap.pol.Difficulty(score)
 		}
 		sc.diffs[i] = dec.Difficulty
 		nIssued++
@@ -181,14 +153,6 @@ func (f *Framework) decideChunk(snap *snapshot, now time.Time, reqs []RequestCon
 				f.diffIssued[sc.diffs[i]].Add(1)
 			}
 		}
-	}
-	if nScoreErrs > 0 {
-		f.cScoreErrs.Add(nScoreErrs)
-	}
-	if nBypassed > 0 {
-		f.cBypassed.Add(nBypassed)
-	}
-	if nIssued > 0 {
 		f.cIssued.Add(nIssued)
 	}
 	if len(f.hooks) > 0 {
@@ -226,13 +190,13 @@ func (f *Framework) ObserveBatch(reqs []features.RequestInfo) error {
 }
 
 // VerifyBatch verifies sols[i] as presented by bindings[i], returning one
-// verdict per solution in order (nil = serve the resource), with the
-// per-solution semantics of Verify: same checks against one clock reading,
-// same counters, same evidence write-back. The evidence for the whole
-// batch is folded into the tracker with one lock acquisition per touched
-// shard. When dst has capacity for the verdicts it is reused. The error
-// return reports only batch-shape problems; per-solution failures live in
-// the verdict slice.
+// verdict per solution in order (nil = serve the resource). Each solution
+// goes through the same verifyOne as Verify, against one clock reading;
+// only the evidence write differs: folded into the tracker with one lock
+// acquisition per touched shard, or appended to the write-back buffers
+// when those are on. When dst has capacity for the verdicts it is reused.
+// The error return reports only batch-shape problems; per-solution
+// failures live in the verdict slice.
 func (f *Framework) VerifyBatch(sols []puzzle.Solution, bindings []string, dst []error) ([]error, error) {
 	if len(sols) != len(bindings) {
 		return nil, fmt.Errorf("core: batch shape mismatch: %d solutions, %d bindings",
@@ -242,9 +206,9 @@ func (f *Framework) VerifyBatch(sols []puzzle.Solution, bindings []string, dst [
 	if len(sols) == 0 {
 		return dst, nil
 	}
+	t0 := time.Now()
 	now := f.hotNow()
-	buffered := f.buffered()
-	grouped := f.tracker != nil && !buffered
+	grouped := f.tracker != nil && !f.buffered()
 	var sc *verifyScratch
 	if grouped {
 		sc = verifyPool.Get().(*verifyScratch)
@@ -252,39 +216,31 @@ func (f *Framework) VerifyBatch(sols []puzzle.Solution, bindings []string, dst [
 		sc.diffs = grow(sc.diffs, len(sols))
 		sc.oks = grow(sc.oks, len(sols))
 	}
-	var nVerified, nRejected uint64
 	for i := range sols {
-		err := f.verifier.VerifyAt(&sols[i], bindings[i], now)
+		d, err := f.verifyOne(&sols[i], bindings[i], now)
 		dst[i] = err
-		d := 0
-		if err == nil {
-			nVerified++
-			d = sols[i].Challenge.Difficulty
-			if d >= 0 && d < len(f.diffVerified) {
-				f.diffVerified[d].Add(1)
-			}
-		} else {
-			nRejected++
-		}
-		switch {
-		case grouped:
+		if grouped {
 			// RecordVerifyBatch skips empty IPs, so empty bindings need no
 			// special case — but every slot must be written, the scratch is
 			// pooled and may hold a previous batch's entries.
 			sc.ips[i], sc.diffs[i], sc.oks[i] = bindings[i], d, err == nil
-		case buffered && bindings[i] != "":
-			f.tracker.RecordVerifyBuffered(bindings[i], d, err == nil, now, f.wbSize)
+		} else {
+			f.recordVerify(bindings[i], d, err == nil, now)
 		}
 	}
 	if grouped {
 		f.tracker.RecordVerifyBatch(sc.ips, sc.diffs, sc.oks, now)
 		verifyPool.Put(sc)
 	}
-	if nVerified > 0 {
-		f.cVerified.Add(nVerified)
-	}
-	if nRejected > 0 {
-		f.cRejected.Add(nRejected)
+	f.lat[latStageBatch].ObserveDuration(time.Since(t0))
+	if t := f.snap.Load().trace; t != nil {
+		// Per-item sampling draws at the request-at-a-time rate; like
+		// DecideBatch, the batch-amortized time is not attributed per item.
+		for i := range sols {
+			if t.Sampled() {
+				f.traceVerify(t, now, &sols[i], bindings[i], dst[i], 0)
+			}
+		}
 	}
 	return dst, nil
 }

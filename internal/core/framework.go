@@ -7,7 +7,8 @@
 // The request path follows Figure 1 of the paper:
 //
 //	(1) a client request arrives              → Decide(RequestContext)
-//	(2) the AI model scores its features      → Scorer.Score(Source.Attributes(ip))
+//	(2) the AI model scores its features      → scorer.ScoreVector(row), the row
+//	    filled by source.AttributesVector in the scorer's schema
 //	(3) the policy maps score to difficulty   → Policy.Difficulty(score)
 //	(4) the generator issues the puzzle       → Issuer.Issue(ip, d)
 //	(5,6) the solved puzzle is verified       → Verify(solution, ip)
@@ -16,7 +17,11 @@
 // Every component is injected, satisfying the paper's modularity claim:
 // swap the scorer (DAbR, kNN, behavioral), the policy (Policies 1–3, DSL
 // rules, adaptive wrappers), or the feature source without touching the
-// pipeline.
+// pipeline. The seam speaks one contract — a features.VectorScorer
+// publishing a schema, a features.VectorSource filling rows in it — and
+// Decide and DecideBatch run every row through one kernel (decideRow);
+// map-shaped scorers and sources enter through features.NewMapScorer and
+// features.SourceFromMap at the edge.
 //
 // # Runtime reconfiguration
 //
@@ -44,13 +49,6 @@ import (
 	"aipow/internal/policy"
 	"aipow/internal/puzzle"
 )
-
-// Scorer is the AI-model seam: anything that maps attribute vectors to a
-// reputation score in [0, 10] (higher = less trustworthy). reputation.Model
-// and reputation.KNN satisfy it.
-type Scorer interface {
-	Score(attrs map[string]float64) (float64, error)
-}
 
 // RequestContext identifies one incoming request.
 type RequestContext struct {
@@ -100,37 +98,29 @@ type Hook func(Decision)
 // whole set, so a swap can never be observed torn — a request runs either
 // entirely on the old configuration or entirely on the new one.
 type snapshot struct {
-	scorer Scorer
+	scorer features.VectorScorer
 	pol    policy.Policy
-	source features.Source
+	source features.VectorSource
 
 	failClosedScore float64
 	bypassBelow     float64 // < 0 disables bypass
 
-	// Vector fast path, wired when both the scorer and the source support
-	// interned vectors (features.VectorScorer / features.VectorSource).
-	// When schema is nil the snapshot uses the map-based compatibility
-	// path. The scratch pool belongs to the snapshot because its vector
-	// length is schema-dependent.
-	schema    *features.Schema
-	vecScorer features.VectorScorer
-	vecSource features.VectorSource
-	vecPool   *sync.Pool // *[]float64, len == schema.Len()
+	// schema is scorer.Schema(), never nil (buildSnapshot refuses a scorer
+	// without one). The scratch pool belongs to the snapshot because its
+	// row length is the schema's.
+	schema  *features.Schema
+	vecPool *sync.Pool // *[]float64, len == schema.Len()
 
-	// Verdict wiring, resolved once per snapshot so Decide pays no
-	// per-request type assertions: verdictScorer is non-nil only when the
-	// vector scorer carries confidence AND the policy (confPol) consumes
-	// it — a verdict nobody reads would cost every plain deployment the
-	// confidence computation for nothing. Either side missing degrades to
-	// the plain score path at an implied confidence of 1.
-	verdictScorer features.VerdictScorer
-	confPol       policy.ConfidenceAware
-
-	// Batch wiring: vecBatch is the source's whole-batch vector fill
-	// (features.VectorBatchSource), resolved once per snapshot so
-	// DecideBatch pays no per-batch type assertion. Nil when the source
-	// only supports per-IP fills; DecideBatch then scores per item.
-	vecBatch features.VectorBatchSource
+	// Optional accelerators, resolved once per snapshot so the request
+	// path pays no type assertions. verdict is the scorer's confidence
+	// path, non-nil only when the policy (confPol) consumes confidence —
+	// a verdict nobody reads would cost every plain deployment the
+	// confidence computation for nothing, so a plain policy scores through
+	// ScoreVector at an implied confidence of 1. batch is the source's
+	// whole-chunk fill; without it DecideBatch fills row by row.
+	verdict features.VerdictScorer
+	confPol policy.ConfidenceAware
+	batch   features.VectorBatchSource
 
 	// trace is the sampled decision-trace ring, nil when tracing is off.
 	// It lives in the snapshot so the `observe trace(...)` spec line
@@ -230,9 +220,9 @@ type Framework struct {
 type config struct {
 	key         []byte
 	backend     puzzle.Backend
-	scorer      Scorer
+	scorer      features.VectorScorer
 	pol         policy.Policy
-	source      features.Source
+	source      features.VectorSource
 	tracker     *features.Tracker
 	now         func() time.Time
 	ttl         time.Duration
@@ -268,14 +258,14 @@ func WithPuzzleBackend(b puzzle.Backend) Option {
 	return func(c *config) { c.backend = b }
 }
 
-// WithScorer sets the AI model. Required.
-func WithScorer(s Scorer) Option { return func(c *config) { c.scorer = s } }
+// WithScorer sets the AI model. Required; its Schema must be non-nil.
+func WithScorer(s features.VectorScorer) Option { return func(c *config) { c.scorer = s } }
 
 // WithPolicy sets the score→difficulty policy. Required.
 func WithPolicy(p policy.Policy) Option { return func(c *config) { c.pol = p } }
 
 // WithSource sets the attribute source consulted per request. Required.
-func WithSource(s features.Source) Option { return func(c *config) { c.source = s } }
+func WithSource(s features.VectorSource) Option { return func(c *config) { c.source = s } }
 
 // WithTracker attaches a behavior tracker; Observe forwards to it. The
 // tracker is typically also wrapped into the Source via features.Combined.
@@ -367,9 +357,8 @@ func WithCloser(fn func() error) Option {
 }
 
 // buildSnapshot validates the swappable configuration and assembles an
-// immutable snapshot from it, wiring the vector fast path when both sides
-// support it.
-func buildSnapshot(scorer Scorer, pol policy.Policy, source features.Source, failClosed, bypassBelow float64) (*snapshot, error) {
+// immutable snapshot from it, resolving the optional accelerators.
+func buildSnapshot(scorer features.VectorScorer, pol policy.Policy, source features.VectorSource, failClosed, bypassBelow float64) (*snapshot, error) {
 	switch {
 	case scorer == nil:
 		return nil, errors.New("core: a Scorer is required (WithScorer)")
@@ -382,34 +371,31 @@ func buildSnapshot(scorer Scorer, pol policy.Policy, source features.Source, fai
 		return nil, fmt.Errorf("core: fail-closed score %v outside [%v, %v]",
 			failClosed, policy.MinScore, policy.MaxScore)
 	}
+	schema := scorer.Schema()
+	if schema == nil {
+		return nil, fmt.Errorf("core: scorer publishes no schema (a model may carry at most %d attributes)",
+			features.MaxSchemaAttrs)
+	}
 	s := &snapshot{
 		scorer:          scorer,
 		pol:             pol,
 		source:          source,
 		failClosedScore: failClosed,
 		bypassBelow:     bypassBelow,
-	}
-	if vs, ok := scorer.(features.VectorScorer); ok {
-		if vsrc, ok := source.(features.VectorSource); ok {
-			if sch := vs.Schema(); sch != nil {
-				s.schema, s.vecScorer, s.vecSource = sch, vs, vsrc
-				s.vecPool = &sync.Pool{New: func() any {
-					v := make([]float64, sch.Len())
-					return &v
-				}}
-			}
-		}
+		schema:          schema,
+		vecPool: &sync.Pool{New: func() any {
+			v := schema.NewVector()
+			return &v
+		}},
+		creditIdx: -1,
 	}
 	s.confPol, _ = pol.(policy.ConfidenceAware)
-	if s.vecScorer != nil && policy.ConsumesConfidence(pol) {
-		s.verdictScorer, _ = s.vecScorer.(features.VerdictScorer)
+	if policy.ConsumesConfidence(pol) {
+		s.verdict, _ = scorer.(features.VerdictScorer)
 	}
-	s.creditIdx = -1
-	if s.schema != nil {
-		s.vecBatch, _ = s.vecSource.(features.VectorBatchSource)
-		if idx, ok := s.schema.Index(features.AttrSolveCredit); ok {
-			s.creditIdx = idx
-		}
+	s.batch, _ = source.(features.VectorBatchSource)
+	if idx, ok := schema.Index(features.AttrSolveCredit); ok {
+		s.creditIdx = idx
 	}
 	return s, nil
 }
@@ -617,11 +603,11 @@ type SwapOption func(*swapConfig)
 // The set flags distinguish "replace with nil" (rejected by validation)
 // from "keep current".
 type swapConfig struct {
-	scorer      Scorer
+	scorer      features.VectorScorer
 	scorerSet   bool
 	pol         policy.Policy
 	polSet      bool
-	source      features.Source
+	source      features.VectorSource
 	sourceSet   bool
 	failClosed  *float64
 	bypassBelow *float64
@@ -630,7 +616,7 @@ type swapConfig struct {
 }
 
 // SetScorer replaces the AI model.
-func SetScorer(s Scorer) SwapOption {
+func SetScorer(s features.VectorScorer) SwapOption {
 	return func(c *swapConfig) { c.scorer, c.scorerSet = s, true }
 }
 
@@ -640,7 +626,7 @@ func SetPolicy(p policy.Policy) SwapOption {
 }
 
 // SetSource replaces the per-request attribute source.
-func SetSource(s features.Source) SwapOption {
+func SetSource(s features.VectorSource) SwapOption {
 	return func(c *swapConfig) { c.source, c.sourceSet = s, true }
 }
 
@@ -662,8 +648,8 @@ func SetBypassBelow(v float64) SwapOption {
 // TTL, max difficulty, replay cache), clock, hooks, and counters are
 // shared long-lived state and persist across swaps.
 //
-// A failed Swap (nil component, fail-closed score out of range) leaves the
-// current configuration untouched.
+// A failed Swap (nil component, scorer without a schema, fail-closed score
+// out of range) leaves the current configuration untouched.
 func (f *Framework) Swap(changes ...SwapOption) error {
 	if len(changes) == 0 {
 		return errors.New("core: swap without changes")
@@ -698,7 +684,7 @@ func (f *Framework) Swap(changes ...SwapOption) error {
 	}
 	// Reuse the current scratch pool when the schema is unchanged: warm
 	// *[]float64 buffers stay warm across policy-only swaps.
-	if next.schema != nil && next.schema == cur.schema {
+	if next.schema == cur.schema {
 		next.vecPool = cur.vecPool
 	}
 	// The trace ring persists across unrelated swaps; SetTrace replaces it.
@@ -716,9 +702,9 @@ func (f *Framework) Swap(changes ...SwapOption) error {
 func (f *Framework) SwapPolicy(p policy.Policy) error { return f.Swap(SetPolicy(p)) }
 
 // SwapScorer atomically replaces just the AI model (e.g. installing a
-// freshly retrained reputation model). Vector fast-path wiring is rebuilt
-// against the new scorer's schema.
-func (f *Framework) SwapScorer(s Scorer) error { return f.Swap(SetScorer(s)) }
+// freshly retrained reputation model). The snapshot is rebuilt against the
+// new scorer's schema.
+func (f *Framework) SwapScorer(s features.VectorScorer) error { return f.Swap(SetScorer(s)) }
 
 // Decide runs steps 2–4 of the protocol for one request: score the
 // client's features, map the score to a difficulty, and issue a bound
@@ -736,7 +722,53 @@ func (f *Framework) Decide(req RequestContext) (Decision, error) {
 	snap := f.snap.Load()
 	dec := Decision{IP: req.IP}
 
-	score, conf, err := snap.score(req.IP, f.hotNow())
+	vp := snap.vecPool.Get().(*[]float64)
+	row := *vp
+	clear(row)
+	mask := snap.source.AttributesVector(row, snap.schema, req.IP, f.hotNow())
+	f.decideRow(snap, &dec, row, mask)
+	snap.vecPool.Put(vp)
+
+	t1 := time.Now()
+	t2 := t1
+	if !dec.Bypassed {
+		ch, err := f.issuer.Issue(req.IP, dec.Difficulty)
+		if err != nil {
+			return Decision{}, fmt.Errorf("core: issue challenge: %w", err)
+		}
+		dec.Challenge = ch
+		f.cIssued.Inc()
+		f.diffIssued[dec.Difficulty].Add(1) // issuer validated the range
+		t2 = time.Now()
+		f.lat[latStageIssue].ObserveDuration(t2.Sub(t1))
+	}
+	f.lat[latStageDecide].ObserveDuration(t2.Sub(t0))
+	if snap.trace != nil && snap.trace.Sampled() {
+		f.traceDecide(snap, &dec, t0, t1, t2)
+	}
+	f.fire(dec)
+	return dec, nil
+}
+
+// decideRow is the per-item decision kernel Decide and DecideBatch share:
+// it maps one filled attribute row and its coverage mask to dec's score,
+// confidence, bypass flag, and difficulty, leaving only issuance to the
+// caller. row is consumed (scorers use it as scratch).
+func (f *Framework) decideRow(snap *snapshot, dec *Decision, row []float64, mask uint64) {
+	score, conf := 0.0, 1.0
+	var err error
+	switch {
+	case mask != snap.schema.FullMask():
+		// A zero-filled slot is not an attribute value: refuse to score a
+		// row the source could not cover, and say which slots were short.
+		err = snap.schema.Missing(mask)
+	case snap.verdict != nil:
+		var ver features.Verdict
+		ver, err = snap.verdict.VerdictVector(row)
+		score, conf = ver.Score, ver.Confidence
+	default:
+		score, err = snap.scorer.ScoreVector(row)
+	}
 	if err != nil {
 		// Fail closed: an unscorable client is treated as configured,
 		// default maximally suspicious — at full confidence, so a
@@ -747,68 +779,16 @@ func (f *Framework) Decide(req RequestContext) (Decision, error) {
 		f.cScoreErrs.Inc()
 	}
 	dec.Score, dec.Confidence = score, conf
-
 	if snap.bypassBelow >= 0 && score < snap.bypassBelow {
 		dec.Bypassed = true
 		f.cBypassed.Inc()
-		t1 := time.Now()
-		f.lat[latStageDecide].ObserveDuration(t1.Sub(t0))
-		if snap.trace != nil && snap.trace.Sampled() {
-			f.traceDecide(snap, &dec, t0, t1, t1)
-		}
-		f.fire(dec)
-		return dec, nil
+		return
 	}
-
 	if snap.confPol != nil {
 		dec.Difficulty = snap.confPol.ConfidentDifficulty(score, conf)
 	} else {
 		dec.Difficulty = snap.pol.Difficulty(score)
 	}
-	t1 := time.Now()
-	ch, err := f.issuer.Issue(req.IP, dec.Difficulty)
-	if err != nil {
-		return Decision{}, fmt.Errorf("core: issue challenge: %w", err)
-	}
-	dec.Challenge = ch
-	f.cIssued.Inc()
-	f.diffIssued[dec.Difficulty].Add(1) // issuer validated the range
-	t2 := time.Now()
-	f.lat[latStageDecide].ObserveDuration(t2.Sub(t0))
-	f.lat[latStageIssue].ObserveDuration(t2.Sub(t1))
-	if snap.trace != nil && snap.trace.Sampled() {
-		f.traceDecide(snap, &dec, t0, t1, t2)
-	}
-	f.fire(dec)
-	return dec, nil
-}
-
-// score runs the AI model over the client's attributes, preferring the
-// interned vector fast path (no map, no allocations) and falling back to
-// the map-based Source/Scorer pair when the fast path is unavailable or a
-// source could not cover the full schema — the map path then reports
-// exactly which attribute was missing, and Decide fails closed. Scorers
-// with a verdict path additionally report their calibrated confidence;
-// everything else scores at confidence 1 (enforce at face value).
-func (s *snapshot) score(ip string, now time.Time) (float64, float64, error) {
-	if s.schema != nil {
-		vp := s.vecPool.Get().(*[]float64)
-		v := *vp
-		clear(v)
-		if mask := s.vecSource.AttributesVector(v, s.schema, ip, now); mask == s.schema.FullMask() {
-			if s.verdictScorer != nil {
-				ver, err := s.verdictScorer.VerdictVector(v)
-				s.vecPool.Put(vp)
-				return ver.Score, ver.Confidence, err
-			}
-			score, err := s.vecScorer.ScoreVector(v)
-			s.vecPool.Put(vp)
-			return score, 1, err
-		}
-		s.vecPool.Put(vp)
-	}
-	score, err := s.scorer.Score(s.source.Attributes(ip, now))
-	return score, 1, err
 }
 
 // Verify runs steps 5–6: check the solution presented by binding. A nil
@@ -824,28 +804,34 @@ func (s *snapshot) score(ip string, now time.Time) (float64, float64, error) {
 func (f *Framework) Verify(sol puzzle.Solution, binding string) error {
 	t0 := time.Now()
 	// One clock read serves both the cryptographic freshness checks and the
-	// evidence timestamp — the second time.Now this path used to pay was
-	// pure evidence-side overhead.
+	// evidence timestamp.
 	now := f.hotNow()
-	err := f.verifier.VerifyAt(&sol, binding, now)
-	if err != nil {
-		f.cRejected.Inc()
-		f.recordVerify(binding, 0, false, now)
-	} else {
-		f.cVerified.Inc()
-		d := sol.Challenge.Difficulty
-		if d >= 0 && d < len(f.diffVerified) {
-			f.diffVerified[d].Add(1)
-		}
-		f.recordVerify(binding, d, true, now)
-	}
+	d, err := f.verifyOne(&sol, binding, now)
+	f.recordVerify(binding, d, err == nil, now)
 	el := time.Since(t0)
 	f.lat[latStageVerify].ObserveDuration(el)
 	if t := f.snap.Load().trace; t != nil && t.Sampled() {
-		t.RecordVerify(now, obs.HashClient(binding), puzzle.TraceOutcome(err),
-			int32(sol.Challenge.Difficulty), f.traceRung.Load(), el.Nanoseconds())
+		f.traceVerify(t, now, &sol, binding, err, el)
 	}
 	return err
+}
+
+// verifyOne is the per-solution function Verify and VerifyBatch share: the
+// cryptographic check against one clock reading, the verified/rejected
+// counters, and the per-difficulty profile. It returns the evidence
+// difficulty (0 for a rejection); how the evidence reaches the tracker is
+// the caller's business.
+func (f *Framework) verifyOne(sol *puzzle.Solution, binding string, now time.Time) (int, error) {
+	if err := f.verifier.VerifyAt(sol, binding, now); err != nil {
+		f.cRejected.Inc()
+		return 0, err
+	}
+	f.cVerified.Inc()
+	d := sol.Challenge.Difficulty
+	if d >= 0 && d < len(f.diffVerified) {
+		f.diffVerified[d].Add(1)
+	}
+	return d, nil
 }
 
 // RecordVerifyEvidence feeds one externally-adjudicated verification

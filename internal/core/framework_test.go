@@ -14,16 +14,27 @@ import (
 
 var testKey = []byte("0123456789abcdef0123456789abcdef")
 
-// mapScorer scores IPs by their "threat" attribute directly.
-type mapScorer struct{}
-
-func (mapScorer) Score(attrs map[string]float64) (float64, error) {
+// threatScore scores IPs by their "threat" attribute directly: the
+// map-shaped scoring function these fixtures were born with.
+func threatScore(attrs map[string]float64) (float64, error) {
 	v, ok := attrs["threat"]
 	if !ok {
 		return 0, errors.New("no threat attribute")
 	}
 	return v, nil
 }
+
+// mapScorer is threatScore behind the map adapter. Every fixture below
+// prices through it, so the score/difficulty/fail-closed assertions in
+// this file double as the adapter's round-trip test: they are the values
+// the pre-adapter map scorer produced.
+var mapScorer = func() features.VectorScorer {
+	s, err := features.NewMapScorer(threatScore, "threat")
+	if err != nil {
+		panic(err)
+	}
+	return s
+}()
 
 // newTestSource maps two fixed IPs to low/high threat.
 func newTestSource(t *testing.T) *features.MapStore {
@@ -41,7 +52,7 @@ func newTestFramework(t *testing.T, opts ...Option) *Framework {
 	t.Helper()
 	base := []Option{
 		WithKey(testKey),
-		WithScorer(mapScorer{}),
+		WithScorer(mapScorer),
 		WithPolicy(policy.Policy2()),
 		WithSource(newTestSource(t)),
 	}
@@ -59,11 +70,12 @@ func TestNewRequiresComponents(t *testing.T) {
 		opts []Option
 	}{
 		{"no_scorer", []Option{WithKey(testKey), WithPolicy(policy.Policy1()), WithSource(src)}},
-		{"no_policy", []Option{WithKey(testKey), WithScorer(mapScorer{}), WithSource(src)}},
-		{"no_source", []Option{WithKey(testKey), WithScorer(mapScorer{}), WithPolicy(policy.Policy1())}},
-		{"no_key", []Option{WithScorer(mapScorer{}), WithPolicy(policy.Policy1()), WithSource(src)}},
-		{"short_key", []Option{WithKey([]byte("x")), WithScorer(mapScorer{}), WithPolicy(policy.Policy1()), WithSource(src)}},
-		{"bad_fail_closed", []Option{WithKey(testKey), WithScorer(mapScorer{}), WithPolicy(policy.Policy1()), WithSource(src), WithFailClosedScore(11)}},
+		{"no_policy", []Option{WithKey(testKey), WithScorer(mapScorer), WithSource(src)}},
+		{"no_source", []Option{WithKey(testKey), WithScorer(mapScorer), WithPolicy(policy.Policy1())}},
+		{"no_key", []Option{WithScorer(mapScorer), WithPolicy(policy.Policy1()), WithSource(src)}},
+		{"short_key", []Option{WithKey([]byte("x")), WithScorer(mapScorer), WithPolicy(policy.Policy1()), WithSource(src)}},
+		{"bad_fail_closed", []Option{WithKey(testKey), WithScorer(mapScorer), WithPolicy(policy.Policy1()), WithSource(src), WithFailClosedScore(11)}},
+		{"no_schema", []Option{WithKey(testKey), WithScorer(&vecScorer{}), WithPolicy(policy.Policy1()), WithSource(src)}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -109,12 +121,12 @@ func TestDecideRequiresIP(t *testing.T) {
 }
 
 func TestDecideFailClosed(t *testing.T) {
-	// The fallback store returns no "threat" attribute → scorer errors.
+	// The fallback profile carries no "threat" attribute → fails closed.
 	s, err := features.NewMapStore(map[string]float64{"other": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(WithKey(testKey), WithScorer(mapScorer{}),
+	f, err := New(WithKey(testKey), WithScorer(mapScorer),
 		WithPolicy(policy.Policy1()), WithSource(s))
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +135,8 @@ func TestDecideFailClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.ScoreErr == nil {
-		t.Fatal("scorer error not recorded")
+	if !errors.Is(dec.ScoreErr, features.ErrMissingAttr) {
+		t.Fatalf("ScoreErr = %v, want ErrMissingAttr", dec.ScoreErr)
 	}
 	if dec.Score != policy.MaxScore {
 		t.Fatalf("fail-closed score = %v, want %v", dec.Score, policy.MaxScore)
@@ -142,7 +154,7 @@ func TestDecideFailOpenConfigurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(WithKey(testKey), WithScorer(mapScorer{}),
+	f, err := New(WithKey(testKey), WithScorer(mapScorer),
 		WithPolicy(policy.Policy1()), WithSource(s), WithFailClosedScore(0))
 	if err != nil {
 		t.Fatal(err)

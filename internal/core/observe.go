@@ -5,6 +5,7 @@ import (
 
 	"aipow/internal/metrics"
 	"aipow/internal/obs"
+	"aipow/internal/puzzle"
 )
 
 // Serving-path latency histogram stages. The histograms are always on —
@@ -99,7 +100,7 @@ func (f *Framework) traceDecide(snap *snapshot, dec *Decision, t0, t1, t2 time.T
 		vp := snap.vecPool.Get().(*[]float64)
 		v := *vp
 		clear(v)
-		snap.vecSource.AttributesVector(v, snap.schema, dec.IP, f.hotNow())
+		snap.source.AttributesVector(v, snap.schema, dec.IP, f.hotNow())
 		credit = v[snap.creditIdx]
 		snap.vecPool.Put(vp)
 	}
@@ -110,4 +111,11 @@ func (f *Framework) traceDecide(snap *snapshot, dec *Decision, t0, t1, t2 time.T
 	snap.trace.RecordDecide(t2, obs.HashClient(dec.IP), dec.Score, dec.Confidence, credit,
 		diff, f.traceRung.Load(),
 		t1.Sub(t0).Nanoseconds(), t2.Sub(t1).Nanoseconds(), t2.Sub(t0).Nanoseconds())
+}
+
+// traceVerify records one sampled verification (Verify and VerifyBatch
+// draw the sample; el is zero for batch items).
+func (f *Framework) traceVerify(t *obs.TraceRing, at time.Time, sol *puzzle.Solution, binding string, err error, el time.Duration) {
+	t.RecordVerify(at, obs.HashClient(binding), puzzle.TraceOutcome(err),
+		int32(sol.Challenge.Difficulty), f.traceRung.Load(), el.Nanoseconds())
 }

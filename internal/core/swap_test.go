@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"aipow/internal/features"
 	"aipow/internal/policy"
 	"aipow/internal/puzzle"
 )
@@ -15,7 +16,8 @@ import (
 // errScorer always fails, driving the fail-closed path.
 type errScorer struct{}
 
-func (errScorer) Score(map[string]float64) (float64, error) {
+func (errScorer) Schema() *features.Schema { return mapScorer.Schema() }
+func (errScorer) ScoreVector([]float64) (float64, error) {
 	return 0, errors.New("model offline")
 }
 
@@ -100,37 +102,45 @@ func TestSwapValidation(t *testing.T) {
 	}
 }
 
-func TestSwapScorerRewiresVectorPath(t *testing.T) {
-	// Swapping scorers must rebuild the vector wiring (and scratch pool)
-	// against each scorer's own schema: a map-only scorer disables the
-	// fast path; swapping a vector scorer back re-enables it.
+func TestSwapScorerRebuildsSchemaWiring(t *testing.T) {
+	// Swapping scorers must rebuild the snapshot (schema, scratch pool)
+	// against each scorer's own layout, and refuse a scorer without one.
 	vs := newVecScorer(t)
 	f := newTestFramework(t, WithScorer(vs))
 	if _, err := f.Decide(RequestContext{IP: "10.0.0.9"}); err != nil {
 		t.Fatal(err)
 	}
-	if vs.vecHits.Load() != 1 || vs.mapHits.Load() != 0 {
-		t.Fatalf("vector scorer not on fast path: vec=%d map=%d", vs.vecHits.Load(), vs.mapHits.Load())
-	}
-	if err := f.SwapScorer(mapScorer{}); err != nil {
+	wide, err := features.NewMapScorer(func(attrs map[string]float64) (float64, error) {
+		return attrs["threat"] / 2, nil
+	}, "threat", features.AttrRequestRate)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := f.SwapScorer(wide); err != nil {
+		t.Fatal(err)
+	}
+	// The test source has no tracker: the wider schema is short one slot.
 	dec, err := f.Decide(RequestContext{IP: "10.0.0.9"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Score != 10 || dec.ScoreErr != nil {
-		t.Fatalf("map scorer after swap: score %v err %v, want 10", dec.Score, dec.ScoreErr)
+	if !errors.Is(dec.ScoreErr, features.ErrMissingAttr) || dec.Score != policy.MaxScore {
+		t.Fatalf("wider schema over the old source: score %v err %v, want fail-closed", dec.Score, dec.ScoreErr)
+	}
+	if err := f.SwapScorer(&vecScorer{}); err == nil {
+		t.Fatal("scorer without a schema accepted")
 	}
 	vs2 := newVecScorer(t)
 	if err := f.SwapScorer(vs2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Decide(RequestContext{IP: "10.0.0.9"}); err != nil {
+	dec, err = f.Decide(RequestContext{IP: "10.0.0.9"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if vs2.vecHits.Load() != 1 {
-		t.Fatalf("fast path not rewired for swapped-in vector scorer: vec=%d", vs2.vecHits.Load())
+	if dec.Score != 10 || dec.ScoreErr != nil || vs.hits.Load() != 1 || vs2.hits.Load() != 1 {
+		t.Fatalf("swapped-in scorer: score %v err %v hits %d/%d, want 10, nil, 1/1",
+			dec.Score, dec.ScoreErr, vs.hits.Load(), vs2.hits.Load())
 	}
 }
 
@@ -161,7 +171,7 @@ func TestSwapHammer(t *testing.T) {
 
 	// Start in config A so every decision the workers see comes from one
 	// of the two hammer configurations.
-	if err := f.Swap(SetScorer(mapScorer{}), SetPolicy(polLow), SetFailClosedScore(10), SetBypassBelow(0.5)); err != nil {
+	if err := f.Swap(SetScorer(mapScorer), SetPolicy(polLow), SetFailClosedScore(10), SetBypassBelow(0.5)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,7 +197,7 @@ func TestSwapHammer(t *testing.T) {
 			if i%2 == 0 {
 				err = f.Swap(SetScorer(errScorer{}), SetPolicy(polHigh), SetFailClosedScore(10), SetBypassBelow(-1))
 			} else {
-				err = f.Swap(SetScorer(mapScorer{}), SetPolicy(polLow), SetFailClosedScore(10), SetBypassBelow(0.5))
+				err = f.Swap(SetScorer(mapScorer), SetPolicy(polLow), SetFailClosedScore(10), SetBypassBelow(0.5))
 			}
 			if err != nil {
 				t.Errorf("swap: %v", err)

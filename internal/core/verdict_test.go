@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -123,13 +122,6 @@ func TestDecideShapedThroughClamp(t *testing.T) {
 	}
 }
 
-// failingScorer always errors, driving the fail-closed path.
-type failingScorer struct{}
-
-func (failingScorer) Score(map[string]float64) (float64, error) {
-	return 0, errors.New("model offline")
-}
-
 // TestFailClosedConfidenceIsFull pins that a fail-closed substitution is
 // enforced at confidence 1 — a confidence-shaped policy must not soften
 // the fail-closed price.
@@ -140,7 +132,7 @@ func TestFailClosedConfidenceIsFull(t *testing.T) {
 	}
 	f, err := New(
 		WithKey(testKey),
-		WithScorer(failingScorer{}),
+		WithScorer(errScorer{}),
 		WithPolicy(shaped),
 		WithSource(newTestSource(t)),
 	)
@@ -191,8 +183,17 @@ func TestVerifyWritesEvidence(t *testing.T) {
 	if err := f.Verify(sol, ip); err != nil {
 		t.Fatal(err)
 	}
-	attrs := tracker.Attributes(ip, now)
-	if got := attrs[features.AttrSolveCredit]; got != float64(dec.Difficulty) {
+	// evidence reads the tracker's credit and fail-streak slots.
+	evSchema, err := features.NewSchema(features.AttrSolveCredit, features.AttrFailStreak)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evidence := func() (credit, failStreak float64) {
+		v := evSchema.NewVector()
+		tracker.AttributesVector(v, evSchema, ip, now)
+		return v[0], v[1]
+	}
+	if got, _ := evidence(); got != float64(dec.Difficulty) {
 		t.Errorf("solve credit = %v, want %d", got, dec.Difficulty)
 	}
 
@@ -202,18 +203,18 @@ func TestVerifyWritesEvidence(t *testing.T) {
 	if err := f.Verify(bad, ip); err == nil {
 		t.Fatal("tampered solution verified")
 	}
-	if got := tracker.Attributes(ip, now)[features.AttrFailStreak]; got != 1 {
+	if _, got := evidence(); got != 1 {
 		t.Errorf("fail streak = %v, want 1", got)
 	}
 
 	// RecordVerifyEvidence is the modeled-verification twin.
 	f.RecordVerifyEvidence(ip, 9, true)
-	attrs = tracker.Attributes(ip, now)
-	if got := attrs[features.AttrFailStreak]; got != 0 {
-		t.Errorf("fail streak after modeled solve = %v, want 0", got)
+	credit, streak := evidence()
+	if streak != 0 {
+		t.Errorf("fail streak after modeled solve = %v, want 0", streak)
 	}
-	if got := attrs[features.AttrSolveCredit]; got != float64(dec.Difficulty)+9 {
-		t.Errorf("credit after modeled solve = %v, want %v", got, float64(dec.Difficulty)+9)
+	if credit != float64(dec.Difficulty)+9 {
+		t.Errorf("credit after modeled solve = %v, want %v", credit, float64(dec.Difficulty)+9)
 	}
 }
 

@@ -173,19 +173,13 @@ func (s *MapStore) AttributesVectorBatch(dst []float64, stride int, schema *Sche
 }
 
 // AttributesVectorBatch implements VectorBatchSource: static rows first,
-// behavioral overlay second, each side batched when it can be. A static
-// source without vector support leaves masks untouched (zero coverage),
-// making the caller fall back to the map path per item — the same contract
-// as the single-IP AttributesVector.
+// behavioral overlay second, the static side batched when it can be.
 func (c *Combined) AttributesVectorBatch(dst []float64, stride int, schema *Schema, ips []string, masks []uint64, now time.Time) {
-	if c.staticVec == nil {
-		return
-	}
-	if sb, ok := c.staticVec.(VectorBatchSource); ok {
+	if sb, ok := c.static.(VectorBatchSource); ok {
 		sb.AttributesVectorBatch(dst, stride, schema, ips, masks, now)
 	} else {
 		for i, ip := range ips {
-			masks[i] |= c.staticVec.AttributesVector(dst[i*stride:i*stride+schema.Len()], schema, ip, now)
+			masks[i] |= c.static.AttributesVector(dst[i*stride:i*stride+schema.Len()], schema, ip, now)
 		}
 	}
 	c.tracker.AttributesVectorBatch(dst, stride, schema, ips, masks, now)

@@ -24,24 +24,6 @@ func BenchmarkTrackerObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkTrackerAttributes(b *testing.B) {
-	tr, err := NewTracker()
-	if err != nil {
-		b.Fatal(err)
-	}
-	start := time.Unix(0, 0)
-	for i := 0; i < 1000; i++ {
-		_ = tr.Observe(RequestInfo{IP: "10.0.0.1", Path: fmt.Sprintf("/p%d", i%8),
-			At: start.Add(time.Duration(i) * time.Millisecond)})
-	}
-	at := start.Add(time.Second)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tr.Attributes("10.0.0.1", at)
-	}
-}
-
 // BenchmarkTrackerObserveParallel hammers Observe from all Ps with
 // per-goroutine IP ranges; with lock striping the shards absorb the
 // contention that a single mutex would serialize.
@@ -84,20 +66,24 @@ func BenchmarkTrackerAttributesParallel(b *testing.B) {
 				At: start.Add(time.Duration(j) * time.Millisecond)})
 		}
 	}
+	schema, err := NewSchema(behaviorAttrNames[:]...)
+	if err != nil {
+		b.Fatal(err)
+	}
 	at := start.Add(time.Second)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		dst := schema.NewVector()
 		i := 0
 		for pb.Next() {
-			_ = tr.Attributes(ips[i%len(ips)], at)
+			_ = tr.AttributesVector(dst, schema, ips[i%len(ips)], at)
 			i++
 		}
 	})
 }
 
-// BenchmarkTrackerAttributesVector measures the interned fast path: same
-// summary, no map.
+// BenchmarkTrackerAttributesVector measures one summary fill.
 func BenchmarkTrackerAttributesVector(b *testing.B) {
 	tr, err := NewTracker()
 	if err != nil {

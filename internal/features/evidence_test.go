@@ -20,7 +20,7 @@ func TestRecordVerifyAccruesSolveCredit(t *testing.T) {
 	const ip = "198.51.100.7"
 	tr.RecordVerify(ip, 13, true, at(0))
 	tr.RecordVerify(ip, 9, true, at(1))
-	attrs := tr.Attributes(ip, at(1))
+	attrs := attrsOf(tr, ip, at(1))
 	if got := attrs[AttrSolveCredit]; math.Abs(got-(13*math.Exp2(-1.0/300)+9)) > 1e-9 {
 		t.Errorf("solve credit = %v, want decayed 13 + 9", got)
 	}
@@ -34,19 +34,19 @@ func TestRecordVerifyHalfLifeDecay(t *testing.T) {
 	const ip = "a"
 	tr.RecordVerify(ip, 16, true, at(0))
 	// One half-life later the credit has halved; two later, quartered.
-	if got := tr.Attributes(ip, at(10))[AttrSolveCredit]; math.Abs(got-8) > 1e-9 {
+	if got := attrsOf(tr, ip, at(10))[AttrSolveCredit]; math.Abs(got-8) > 1e-9 {
 		t.Errorf("credit after one half-life = %v, want 8", got)
 	}
-	if got := tr.Attributes(ip, at(20))[AttrSolveCredit]; math.Abs(got-4) > 1e-9 {
+	if got := attrsOf(tr, ip, at(20))[AttrSolveCredit]; math.Abs(got-4) > 1e-9 {
 		t.Errorf("credit after two half-lives = %v, want 4", got)
 	}
 	// Reading must not consume the credit: the entry itself decays from
 	// its own reference time, not from the last read.
-	if got := tr.Attributes(ip, at(10))[AttrSolveCredit]; math.Abs(got-8) > 1e-9 {
+	if got := attrsOf(tr, ip, at(10))[AttrSolveCredit]; math.Abs(got-8) > 1e-9 {
 		t.Errorf("re-read credit = %v, want 8 (reads must not mutate)", got)
 	}
 	// A non-monotonic clock must not inflate credit.
-	if got := tr.Attributes(ip, at(0).Add(-time.Hour))[AttrSolveCredit]; got > 16 {
+	if got := attrsOf(tr, ip, at(0).Add(-time.Hour))[AttrSolveCredit]; got > 16 {
 		t.Errorf("credit inflated to %v on clock regression", got)
 	}
 }
@@ -56,12 +56,12 @@ func TestRecordVerifyFailStreak(t *testing.T) {
 	const ip = "b"
 	tr.RecordVerify(ip, 0, false, at(0))
 	tr.RecordVerify(ip, 0, false, at(1))
-	if got := tr.Attributes(ip, at(1))[AttrFailStreak]; got != 2 {
+	if got := attrsOf(tr, ip, at(1))[AttrFailStreak]; got != 2 {
 		t.Errorf("fail streak = %v, want 2", got)
 	}
 	// A successful solve clears the streak.
 	tr.RecordVerify(ip, 8, true, at(2))
-	attrs := tr.Attributes(ip, at(2))
+	attrs := attrsOf(tr, ip, at(2))
 	if got := attrs[AttrFailStreak]; got != 0 {
 		t.Errorf("fail streak after success = %v, want 0", got)
 	}
@@ -79,10 +79,10 @@ func TestRecordVerifyCreatesEntryAndRespectsCapacity(t *testing.T) {
 		t.Errorf("tracked = %d, want capacity 4", got)
 	}
 	// The oldest entries were LRU-evicted; their evidence is gone.
-	if got := tr.Attributes("a", at(10))[AttrSolveCredit]; got != 0 {
+	if got := attrsOf(tr, "a", at(10))[AttrSolveCredit]; got != 0 {
 		t.Errorf("evicted IP kept credit %v", got)
 	}
-	if got := tr.Attributes("f", at(10))[AttrSolveCredit]; got == 0 {
+	if got := attrsOf(tr, "f", at(10))[AttrSolveCredit]; got == 0 {
 		t.Error("fresh IP lost its credit")
 	}
 }
@@ -96,7 +96,7 @@ func TestLifetimeFailRatio(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	attrs := tr.Attributes(ip, at(8*30))
+	attrs := attrsOf(tr, ip, at(8*30))
 	if got := attrs[AttrFailRatioTotal]; math.Abs(got-0.25) > 1e-9 {
 		t.Errorf("lifetime fail ratio = %v, want 0.25", got)
 	}
@@ -131,7 +131,7 @@ func TestEvidenceOnVectorPath(t *testing.T) {
 	if mask != schema.FullMask() {
 		t.Fatalf("mask %b, want full coverage", mask)
 	}
-	attrs := tr.Attributes(ip, at(1))
+	attrs := attrsOf(tr, ip, at(1))
 	for j := 0; j < schema.Len(); j++ {
 		if v[j] != attrs[schema.Name(j)] {
 			t.Errorf("slot %q = %v, want %v", schema.Name(j), v[j], attrs[schema.Name(j)])

@@ -1,14 +1,16 @@
 package features
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
 
 func TestNewSchemaValidation(t *testing.T) {
-	if _, err := NewSchema(); err == nil {
-		t.Error("empty schema accepted")
+	if s, err := NewSchema(); err != nil || s.Len() != 0 || s.FullMask() != 0 {
+		t.Errorf("empty schema (a scorer reading no attributes) = %v, %v", s, err)
 	}
 	if _, err := NewSchema("a", ""); err == nil {
 		t.Error("empty attribute name accepted")
@@ -155,42 +157,73 @@ func TestCombinedAttributesVector(t *testing.T) {
 	if mask != schema.FullMask() {
 		t.Fatalf("combined mask = %b, want full %b", mask, schema.FullMask())
 	}
-	attrs := combined.Attributes("9.9.9.9", at(4))
-	for name, want := range attrs {
-		j, ok := schema.Index(name)
-		if !ok {
-			t.Fatalf("schema missing %q", name)
-		}
-		if dst[j] != want {
-			t.Errorf("vector[%q] = %v, map path %v", name, dst[j], want)
+	for name, want := range map[string]float64{"web_reputation": 15, AttrTotalRequests: 4, AttrFailRatio: 1} {
+		if j, _ := schema.Index(name); dst[j] != want {
+			t.Errorf("vector[%q] = %v, want %v", name, dst[j], want)
 		}
 	}
 }
 
-// staticOnlySource is a Source without vector support, to verify Combined
-// degrades to zero coverage (map-path fallback) instead of mis-reporting.
+// staticOnlySource is a map-shaped source, entering through SourceFromMap.
 type staticOnlySource struct{}
 
 func (staticOnlySource) Attributes(string, time.Time) map[string]float64 {
 	return map[string]float64{"s": 1}
 }
 
-func TestCombinedWithoutVectorStatic(t *testing.T) {
+// TestSourceFromMap pins the source adapter: the map's attributes land in
+// their schema slots with exactly their coverage, composable under
+// Combined, and a schema attribute the map lacks stays uncovered.
+func TestSourceFromMap(t *testing.T) {
 	tr, err := NewTracker()
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, err := NewCombined(staticOnlySource{}, tr)
+	combined, err := NewCombined(SourceFromMap(staticOnlySource{}), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	schema, err := NewSchema("s", AttrRequestRate)
+	schema, err := NewSchema("s", AttrRequestRate, "absent")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := schema.NewVector()
-	if mask := combined.AttributesVector(dst, schema, "1.1.1.1", at(0)); mask != 0 {
-		t.Fatalf("mask = %b, want 0 (map-path fallback)", mask)
+	mask := combined.AttributesVector(dst, schema, "1.1.1.1", at(0))
+	if mask != 0b011 || dst[0] != 1 {
+		t.Fatalf("mask = %03b, dst = %v; want s and the live rate covered, absent not", mask, dst)
+	}
+	if err := schema.Missing(mask); !errors.Is(err, ErrMissingAttr) || !strings.Contains(err.Error(), `"absent"`) {
+		t.Errorf("Missing(%03b) = %v, want ErrMissingAttr naming \"absent\"", mask, err)
+	}
+}
+
+// TestMapScorerAndScoreAttrs pins the scorer adapter and the offline
+// helper: the function sees exactly the declared attributes by name, and
+// ScoreAttrs refuses a map lacking one, by name.
+func TestMapScorerAndScoreAttrs(t *testing.T) {
+	s, err := NewMapScorer(func(attrs map[string]float64) (float64, error) {
+		if len(attrs) != 2 {
+			return 0, fmt.Errorf("saw %v", attrs)
+		}
+		return attrs["a"] + 10*attrs["b"], nil
+	}, "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.ScoreVector([]float64{1, 2}); err != nil || got != 21 {
+		t.Errorf("ScoreVector = %v, %v; want 21", got, err)
+	}
+	if got, err := ScoreAttrs(s, map[string]float64{"a": 3, "b": 0.5, "extra": 9}); err != nil || got != 8 {
+		t.Errorf("ScoreAttrs = %v, %v; want 8", got, err)
+	}
+	if _, err := ScoreAttrs(s, map[string]float64{"a": 3}); !errors.Is(err, ErrMissingAttr) || !strings.Contains(err.Error(), `"b"`) {
+		t.Errorf("ScoreAttrs without b = %v, want ErrMissingAttr naming it", err)
+	}
+	if _, err := NewMapScorer(nil, "a"); err == nil {
+		t.Error("nil scoring function accepted")
+	}
+	if _, err := NewMapScorer(func(map[string]float64) (float64, error) { return 0, nil }, "a", "a"); err == nil {
+		t.Error("duplicate declared attribute accepted")
 	}
 }
 

@@ -6,20 +6,6 @@ import (
 	"time"
 )
 
-// Source yields the attribute map for an IP at a point in time. It is the
-// seam between the framework and whatever intelligence feeds a deployment
-// has: static feed lookups, live behavior, or both.
-//
-// Sources may return shared, read-only state (e.g. one fallback profile
-// for all unknown IPs); callers must not mutate the returned map. Sources
-// that can fill interned vectors additionally implement VectorSource,
-// which the framework prefers on the request hot path.
-type Source interface {
-	// Attributes returns the attribute map used to score ip. The returned
-	// map is read-only from the caller's perspective.
-	Attributes(ip string, now time.Time) map[string]float64
-}
-
 // MapStore is a static attribute source backed by an in-memory map — the
 // shape of a Talos-style feed snapshot. IPs absent from the feed fall back
 // to a configurable default profile.
@@ -48,10 +34,7 @@ type MapStore struct {
 // retains. A live schema evicted by churn simply rebuilds on next use.
 const maxSchemaCaches = 4
 
-var (
-	_ Source       = (*MapStore)(nil)
-	_ VectorSource = (*MapStore)(nil)
-)
+var _ VectorSource = (*MapStore)(nil)
 
 // storeVectors is the interned form of the store's maps for one schema:
 // every profile pre-resolved to a flat vector plus its coverage mask, so
@@ -92,9 +75,10 @@ func (s *MapStore) Put(ip string, attrs map[string]float64) {
 	}
 }
 
-// Attributes implements Source. Known IPs get a private copy; unknown IPs
-// share the store's immutable fallback profile, so a flood of cold traffic
-// does not allocate one clone per request.
+// Attributes looks up the attribute map registered for ip (the offline
+// view of the store; serving reads go through AttributesVector). Known IPs
+// get a private copy; unknown IPs share the store's immutable fallback
+// profile, which callers must not mutate.
 func (s *MapStore) Attributes(ip string, _ time.Time) map[string]float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -159,13 +143,21 @@ func (s *MapStore) buildVectors(schema *Schema) *storeVectors {
 // profile covers.
 func vectorize(attrs map[string]float64, schema *Schema) storeVec {
 	e := storeVec{v: make([]float64, len(schema.names))}
+	e.mask = fillFromMap(e.v, attrs, schema)
+	return e
+}
+
+// fillFromMap writes the schema attributes attrs carries into dst and
+// returns their coverage mask.
+func fillFromMap(dst []float64, attrs map[string]float64, schema *Schema) uint64 {
+	var mask uint64
 	for j, name := range schema.names {
 		if val, ok := attrs[name]; ok {
-			e.v[j] = val
-			e.mask |= 1 << uint(j)
+			dst[j] = val
+			mask |= 1 << uint(j)
 		}
 	}
-	return e
+	return mask
 }
 
 // Known reports whether ip has explicit attributes (vs. the fallback).
@@ -188,51 +180,25 @@ func (s *MapStore) Len() int {
 // names are "live_"-prefixed, so the two never collide in practice; on a
 // genuine key collision the behavioral value wins, being fresher).
 type Combined struct {
-	static    Source
-	staticVec VectorSource // nil when the static source lacks vector support
-	tracker   *Tracker
+	static  VectorSource
+	tracker *Tracker
 }
 
-var (
-	_ Source       = (*Combined)(nil)
-	_ VectorSource = (*Combined)(nil)
-)
+var _ VectorSource = (*Combined)(nil)
 
 // NewCombined builds the merged source. Both parts are required; use the
 // parts directly when only one is wanted.
-func NewCombined(static Source, tracker *Tracker) (*Combined, error) {
+func NewCombined(static VectorSource, tracker *Tracker) (*Combined, error) {
 	if static == nil || tracker == nil {
 		return nil, fmt.Errorf("features: combined source requires static source and tracker")
 	}
-	c := &Combined{static: static, tracker: tracker}
-	c.staticVec, _ = static.(VectorSource)
-	return c, nil
-}
-
-// Attributes implements Source. The merge happens in a fresh map: the
-// static source's result may be shared state and is never mutated.
-func (c *Combined) Attributes(ip string, now time.Time) map[string]float64 {
-	static := c.static.Attributes(ip, now)
-	out := make(map[string]float64, len(static)+behaviorAttrCount)
-	for k, v := range static {
-		out[k] = v
-	}
-	for k, v := range c.tracker.Attributes(ip, now) {
-		out[k] = v
-	}
-	return out
+	return &Combined{static: static, tracker: tracker}, nil
 }
 
 // AttributesVector implements VectorSource: the static source fills first,
-// then the tracker overlays its behavioral slots (so on a key collision
-// the behavioral value wins, matching Attributes). A static source without
-// vector support yields zero coverage, which makes the caller fall back to
-// the map path.
+// then the tracker overlays its behavioral slots.
 func (c *Combined) AttributesVector(dst []float64, schema *Schema, ip string, now time.Time) uint64 {
-	if c.staticVec == nil {
-		return 0
-	}
-	mask := c.staticVec.AttributesVector(dst, schema, ip, now)
+	mask := c.static.AttributesVector(dst, schema, ip, now)
 	return mask | c.tracker.AttributesVector(dst, schema, ip, now)
 }
 

@@ -86,7 +86,7 @@ func TestCombinedMergesStaticAndLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attrs := combined.Attributes("9.9.9.9", at(4))
+	attrs := attrsOf(combined, "9.9.9.9", at(4), "web_reputation")
 	if attrs["web_reputation"] != 15 {
 		t.Errorf("static attr lost: %v", attrs["web_reputation"])
 	}
@@ -101,7 +101,7 @@ func TestCombinedMergesStaticAndLive(t *testing.T) {
 // TestMapStoreFallbackSharedAndUnmutated is the ROADMAP's audit pin on the
 // documented contract change: Attributes returns one shared read-only
 // fallback map for every unknown IP (no per-request clone), and no
-// framework path — the Combined merge, scoring — mutates it. A future
+// framework path — the Combined fill — mutates it. A future
 // caller writing into the returned map would corrupt every unknown
 // client's profile at once; this test fails the moment the shared
 // fallback's contents drift.
@@ -144,8 +144,9 @@ func TestMapStoreFallbackSharedAndUnmutated(t *testing.T) {
 	if err := tr.Observe(RequestInfo{IP: "203.0.113.9", Path: "/p", At: at(0)}); err != nil {
 		t.Fatal(err)
 	}
-	merged := combined.Attributes("203.0.113.9", at(1))
-	merged["x"] = -5 // mutating the *merged* map must not reach the fallback
+	if got := attrsOf(combined, "203.0.113.9", at(1), "x", "y"); got["x"] != 1 || got["y"] != 2 {
+		t.Errorf("combined fill of an unknown IP = %v, want the fallback profile", got)
+	}
 	after := s.Attributes("203.0.113.4", at(1))
 	if len(after) != len(snapshot) {
 		t.Fatalf("fallback gained/lost keys: %v vs %v", after, snapshot)

@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// Behavioral attribute names produced by Tracker.Attributes. They carry a
+// Behavioral attribute names produced by Tracker.AttributesVector. They carry a
 // "live_" prefix so they never collide with static feed attributes when
 // merged.
 const (
@@ -45,7 +45,7 @@ const (
 )
 
 // behaviorAttrCount is the number of behavioral attributes the tracker
-// produces; behaviorAttrNames fixes their order for the vector fast path.
+// produces; behaviorAttrNames fixes their order in a behaviorSummary.
 const behaviorAttrCount = 9
 
 var behaviorAttrNames = [behaviorAttrCount]string{
@@ -109,7 +109,7 @@ const (
 //
 // State is lock-striped across a power-of-two number of shards, each with
 // its own mutex, index map, and slab arena; an IP's shard is chosen by
-// FNV-1a hash, so concurrent Observe/Attributes calls for different
+// FNV-1a hash, so concurrent Observe/AttributesVector calls for different
 // clients do not serialize on one lock. The capacity bound is exact:
 // capacity is distributed across the shards (per-shard quotas differ by at
 // most one entry) and each shard LRU-evicts beyond its own quota, so the
@@ -154,8 +154,8 @@ type Tracker struct {
 	// stripe, same index as shards), used by the *Buffered record paths.
 	wb []wbShard
 
-	// layouts caches the behavioral attrs' slots per schema seen on the
-	// vector fast path (keyed by schema pointer identity). The slice is
+	// layouts caches the behavioral attrs' slots per schema seen (keyed
+	// by schema pointer identity). The slice is
 	// immutable once published — lookups are one atomic load plus a scan
 	// of at most maxTrackerLayouts entries — and layoutMu serializes the
 	// copy-on-write slow path that appends a newly resolved schema. This
@@ -803,18 +803,17 @@ func decayCreditNS(credit float64, fromNS, nowNS int64, halfLife time.Duration) 
 // behaviorAttrNames order.
 type behaviorSummary [behaviorAttrCount]float64
 
-// summarize computes an IP's behavioral attributes under its shard lock.
-// Unknown IPs report ok=false (all-zero behavior).
-func (t *Tracker) summarize(ip string, now time.Time) (behaviorSummary, bool) {
-	var s behaviorSummary
+// summarize computes an IP's behavioral attributes under its shard lock
+// (all-zero for an unknown IP).
+func (t *Tracker) summarize(ip string, now time.Time) behaviorSummary {
 	sh := t.shard(ip)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	idx, ok := sh.index[ip]
 	if !ok {
-		return s, false
+		return behaviorSummary{}
 	}
-	return t.summarizeLocked(&sh.slots[idx], now), true
+	return t.summarizeLocked(&sh.slots[idx], now)
 }
 
 // summarizeLocked computes (or, within the staleness bound, serves the
@@ -850,27 +849,16 @@ func (t *Tracker) summarizeLocked(e *entrySlot, now time.Time) behaviorSummary {
 	return s
 }
 
-// Attributes summarizes the IP's tracked behavior at time now. Unknown IPs
-// return all-zero attributes: no observed behavior, no suspicion from this
-// source.
-func (t *Tracker) Attributes(ip string, now time.Time) map[string]float64 {
-	s, _ := t.summarize(ip, now)
-	attrs := make(map[string]float64, behaviorAttrCount)
-	for i, name := range behaviorAttrNames {
-		attrs[name] = s[i]
-	}
-	return attrs
-}
-
-// AttributesVector implements VectorSource: the behavioral values are
-// written at their schema slots (zeros for unknown IPs, matching
-// Attributes) without allocating.
+// AttributesVector implements VectorSource: the behavioral values at time
+// now are written at their schema slots without allocating. Unknown IPs
+// read all-zero — no observed behavior, no suspicion from this source —
+// at full behavioral coverage.
 func (t *Tracker) AttributesVector(dst []float64, schema *Schema, ip string, now time.Time) uint64 {
 	l := t.layoutFor(schema)
 	if l.mask == 0 {
 		return 0
 	}
-	s, _ := t.summarize(ip, now)
+	s := t.summarize(ip, now)
 	for i, j := range l.idx {
 		if j >= 0 {
 			dst[j] = s[i]

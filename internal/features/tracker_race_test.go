@@ -47,7 +47,7 @@ func TestTrackerShardedConcurrent(t *testing.T) {
 					Failed: i%7 == 0,
 				})
 				if i%3 == 0 {
-					_ = tr.Attributes(ip, at(i))
+					_ = attrsOf(tr, ip, at(i))
 				} else {
 					clear(dst)
 					if mask := tr.AttributesVector(dst, schema, ip, at(i)); mask != schema.FullMask() {
@@ -117,7 +117,7 @@ func TestTrackerVectorMatchesAttributes(t *testing.T) {
 	dst := schema.NewVector()
 	mask := tr.AttributesVector(dst, schema, ip, now)
 
-	attrs := tr.Attributes(ip, now)
+	attrs := attrsOf(tr, ip, now)
 	for name, want := range attrs {
 		j, ok := schema.Index(name)
 		if !ok {

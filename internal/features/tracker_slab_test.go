@@ -138,7 +138,7 @@ func TestTrackerSlabHammer(t *testing.T) {
 				case 0:
 					tr.RecordVerify(ip, rng.Intn(20)+1, rng.Intn(2) == 0, at)
 				case 1:
-					_ = tr.Attributes(ip, at)
+					_ = attrsOf(tr, ip, at)
 				case 2:
 					rows, since, _ = tr.ExportEvidenceSince(rows[:0], 0, since)
 				case 3:
@@ -339,7 +339,7 @@ func TestTrackerSlabTraceEquivalence(t *testing.T) {
 	}
 	compare := func(step int, ip string, at time.Time) {
 		t.Helper()
-		got := tr.Attributes(ip, at)
+		got := attrsOf(tr, ip, at)
 		want := model.summarize(ip, at)
 		for i, name := range behaviorAttrNames {
 			if got[name] != want[i] {

@@ -7,6 +7,25 @@ import (
 	"time"
 )
 
+// attrsOf reads src's attributes for ip as a map, through the one path the
+// framework uses: a vector fill over the behavioral attributes (preceded
+// by any extra names), keeping the slots the source covered.
+func attrsOf(src VectorSource, ip string, now time.Time, extra ...string) map[string]float64 {
+	schema, err := NewSchema(append(extra, behaviorAttrNames[:]...)...)
+	if err != nil {
+		panic(err)
+	}
+	v := schema.NewVector()
+	mask := src.AttributesVector(v, schema, ip, now)
+	attrs := make(map[string]float64, len(v))
+	for j, x := range v {
+		if mask&(1<<uint(j)) != 0 {
+			attrs[schema.Name(j)] = x
+		}
+	}
+	return attrs
+}
+
 func TestNewTrackerValidation(t *testing.T) {
 	if _, err := NewTracker(WithCapacity(0)); err == nil {
 		t.Error("zero capacity accepted")
@@ -37,7 +56,7 @@ func TestTrackerUnknownIPZeroAttributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attrs := tr.Attributes("198.51.100.1", at(0))
+	attrs := attrsOf(tr, "198.51.100.1", at(0))
 	for name, v := range attrs {
 		if v != 0 {
 			t.Errorf("attr %q = %v for unknown IP, want 0", name, v)
@@ -59,7 +78,7 @@ func TestTrackerPathEntropy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := tr.Attributes("a", at(16))[AttrPathEntropy]; got != 0 {
+	if got := attrsOf(tr, "a", at(16))[AttrPathEntropy]; got != 0 {
 		t.Errorf("single-path entropy = %v, want 0", got)
 	}
 	// Uniform over 4 paths: entropy 2 bits.
@@ -69,7 +88,7 @@ func TestTrackerPathEntropy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := tr.Attributes("b", at(16))[AttrPathEntropy]; got < 1.99 || got > 2.01 {
+	if got := attrsOf(tr, "b", at(16))[AttrPathEntropy]; got < 1.99 || got > 2.01 {
 		t.Errorf("uniform-4 entropy = %v, want 2", got)
 	}
 }
@@ -86,7 +105,7 @@ func TestTrackerPathEntropyOverflowPooled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := tr.Attributes("c", at(100))[AttrPathEntropy]
+	got := attrsOf(tr, "c", at(100))[AttrPathEntropy]
 	if got <= 0.1 {
 		t.Errorf("capped-crawler entropy = %v, want > 0 (overflow pooled)", got)
 	}
@@ -111,7 +130,7 @@ func TestTrackerBehavioralAttributes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	attrs := tr.Attributes(ip, at(50))
+	attrs := attrsOf(tr, ip, at(50))
 	if got := attrs[AttrTotalRequests]; got != 6 {
 		t.Errorf("%s = %v, want 6", AttrTotalRequests, got)
 	}
@@ -142,12 +161,12 @@ func TestTrackerInterArrivalEWMAFavorsRecent(t *testing.T) {
 		_ = tr.Observe(RequestInfo{IP: ip, Path: "/", At: now})
 		now = now.Add(10 * time.Second)
 	}
-	slow := tr.Attributes(ip, now)[AttrInterArrival]
+	slow := attrsOf(tr, ip, now)[AttrInterArrival]
 	for i := 0; i < 30; i++ {
 		_ = tr.Observe(RequestInfo{IP: ip, Path: "/", At: now})
 		now = now.Add(10 * time.Millisecond)
 	}
-	fast := tr.Attributes(ip, now)[AttrInterArrival]
+	fast := attrsOf(tr, ip, now)[AttrInterArrival]
 	if fast >= slow/10 {
 		t.Fatalf("EWMA did not adapt: slow=%v fast=%v", slow, fast)
 	}
@@ -168,10 +187,10 @@ func TestTrackerLRUEviction(t *testing.T) {
 		t.Fatalf("Tracked() = %d, want 3", got)
 	}
 	// Oldest two (10.0.0.0, 10.0.0.1) must be gone: zero attributes.
-	if tr.Attributes("10.0.0.0", at(10))[AttrTotalRequests] != 0 {
+	if attrsOf(tr, "10.0.0.0", at(10))[AttrTotalRequests] != 0 {
 		t.Fatal("evicted IP still has state")
 	}
-	if tr.Attributes("10.0.0.4", at(10))[AttrTotalRequests] != 1 {
+	if attrsOf(tr, "10.0.0.4", at(10))[AttrTotalRequests] != 1 {
 		t.Fatal("recent IP lost state")
 	}
 }
@@ -185,10 +204,10 @@ func TestTrackerLRUTouchOnObserve(t *testing.T) {
 	_ = tr.Observe(RequestInfo{IP: "b", Path: "/", At: at(1)})
 	_ = tr.Observe(RequestInfo{IP: "a", Path: "/", At: at(2)}) // touch a
 	_ = tr.Observe(RequestInfo{IP: "c", Path: "/", At: at(3)}) // evicts b
-	if tr.Attributes("a", at(4))[AttrTotalRequests] != 2 {
+	if attrsOf(tr, "a", at(4))[AttrTotalRequests] != 2 {
 		t.Fatal("recently-touched IP evicted")
 	}
-	if tr.Attributes("b", at(4))[AttrTotalRequests] != 0 {
+	if attrsOf(tr, "b", at(4))[AttrTotalRequests] != 0 {
 		t.Fatal("least-recently-used IP not evicted")
 	}
 }
@@ -201,7 +220,7 @@ func TestTrackerPathCap(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		_ = tr.Observe(RequestInfo{IP: "a", Path: fmt.Sprintf("/p%d", i), At: at(i)})
 	}
-	if got := tr.Attributes("a", at(100))[AttrDistinctPaths]; got != 4 {
+	if got := attrsOf(tr, "a", at(100))[AttrDistinctPaths]; got != 4 {
 		t.Fatalf("%s = %v, want cap 4", AttrDistinctPaths, got)
 	}
 }
@@ -219,7 +238,7 @@ func TestTrackerConcurrent(t *testing.T) {
 			ip := fmt.Sprintf("172.16.0.%d", w)
 			for i := 0; i < 200; i++ {
 				_ = tr.Observe(RequestInfo{IP: ip, Path: "/", At: at(i)})
-				_ = tr.Attributes(ip, at(i))
+				_ = attrsOf(tr, ip, at(i))
 			}
 		}(w)
 	}

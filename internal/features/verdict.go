@@ -18,12 +18,12 @@ type Verdict struct {
 	Confidence float64
 }
 
-// VerdictScorer is the confidence-carrying fast path of a scorer: in
+// VerdictScorer is the optional confidence-carrying form of a scorer: in
 // addition to the plain vector score it reports how certain the model is.
-// The core framework prefers this path when the scorer provides it and
-// threads the confidence through to confidence-aware policies
-// (policy.ConfidenceAware); plain VectorScorers are scored at an implied
-// confidence of 1, preserving their exact pre-verdict behavior.
+// The core framework consults it only when the active policy consumes
+// confidence (policy.ConfidenceAware), threading the confidence through;
+// otherwise, and for plain VectorScorers, rows are scored through
+// ScoreVector at an implied confidence of 1.
 type VerdictScorer interface {
 	VectorScorer
 

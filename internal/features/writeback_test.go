@@ -100,8 +100,8 @@ func TestWriteBackEquivalence(t *testing.T) {
 			}
 			now := base.Add(40 * time.Second)
 			for _, ip := range ips {
-				want := sync.Attributes(ip, now)
-				got := buf.Attributes(ip, now)
+				want := attrsOf(sync, ip, now)
+				got := attrsOf(buf, ip, now)
 				if len(got) != len(want) {
 					t.Errorf("ip %s: buffered state %v, synchronous state %v", ip, got, want)
 					continue
@@ -165,7 +165,7 @@ func TestWriteBackDegradesToSynchronous(t *testing.T) {
 	if pending := tr.PendingWriteBack(); pending != 0 {
 		t.Fatalf("%d events pending; degenerate limits must apply synchronously", pending)
 	}
-	if got := tr.Attributes("198.51.100.8", at(2))[AttrRequestRate]; got == 0 {
+	if got := attrsOf(tr, "198.51.100.8", at(2))[AttrRequestRate]; got == 0 {
 		t.Error("synchronous fallback did not reach the entry")
 	}
 }

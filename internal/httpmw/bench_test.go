@@ -19,7 +19,7 @@ func BenchmarkMiddlewareChallenge(b *testing.B) {
 	}
 	fw, err := core.New(
 		core.WithKey(testKey),
-		core.WithScorer(attrScorer{}),
+		core.WithScorer(attrScorer),
 		core.WithPolicy(policy.Policy2()),
 		core.WithSource(store),
 	)

@@ -20,11 +20,9 @@ import (
 var testKey = []byte("0123456789abcdef0123456789abcdef")
 
 // attrScorer reads the score straight from a "threat" attribute.
-type attrScorer struct{}
-
-func (attrScorer) Score(attrs map[string]float64) (float64, error) {
+var attrScorer, _ = features.NewMapScorer(func(attrs map[string]float64) (float64, error) {
 	return attrs["threat"], nil
-}
+}, "threat")
 
 // newTestFramework builds a framework whose fallback threat is the given
 // score (httptest clients come from 127.0.0.1, which stays unknown).
@@ -36,7 +34,7 @@ func newTestFramework(t *testing.T, fallbackThreat float64, opts ...core.Option)
 	}
 	base := []core.Option{
 		core.WithKey(testKey),
-		core.WithScorer(attrScorer{}),
+		core.WithScorer(attrScorer),
 		core.WithPolicy(policy.Policy1()),
 		core.WithSource(store),
 	}

@@ -17,15 +17,9 @@ import (
 
 // raceScorer maps one tracked attribute so the concurrent path crosses the
 // tracker on every decision.
-type raceScorer struct{}
-
-func (raceScorer) Score(attrs map[string]float64) (float64, error) {
-	rate := attrs[features.AttrRequestRate]
-	if rate > 5 {
-		return 5, nil
-	}
-	return rate, nil
-}
+var raceScorer, _ = features.NewMapScorer(func(attrs map[string]float64) (float64, error) {
+	return min(attrs[features.AttrRequestRate], 5), nil
+}, features.AttrRequestRate)
 
 // TestMiddlewareTransportConcurrentClients drives the full HTTP protocol —
 // challenge, client-side solve via the Transport, redemption, behavior
@@ -53,7 +47,7 @@ func TestMiddlewareTransportConcurrentClients(t *testing.T) {
 	}
 	fw, err := core.New(
 		core.WithKey(key),
-		core.WithScorer(raceScorer{}),
+		core.WithScorer(raceScorer),
 		core.WithPolicy(pol),
 		core.WithSource(combined),
 		core.WithTracker(tracker),

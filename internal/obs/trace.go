@@ -193,8 +193,9 @@ func (t *TraceRing) Cap() int { return len(t.slots) }
 // Seen reports how many sampling decisions the ring has made.
 func (t *TraceRing) Seen() uint64 { return t.counter.Load() }
 
-// Recorded reports how many records were ever written (recent Cap() of
-// them are retained).
+// Recorded reports how many slot claims were ever made (recent Cap() of
+// them are retained; a claim that lands on a slot still mid-write is
+// dropped).
 func (t *TraceRing) Recorded() uint64 { return t.widx.Load() }
 
 // Sampled reports whether the current request should be traced: one
@@ -203,10 +204,17 @@ func (t *TraceRing) Sampled() bool {
 	return t.counter.Add(1)&t.sampleMask == 0
 }
 
-// begin claims the next slot and marks it mid-write.
+// begin claims the next slot and marks it mid-write (odd: readers skip).
+// The claim is a CAS even→odd, so a slot has one writer at a time: a
+// writer that laps onto a slot another is still filling gets nil and drops
+// its sample rather than interleaving stores with the owner's (two blind
+// increments would leave seq even with both mid-write).
 func (t *TraceRing) begin() *traceRecord {
 	r := &t.slots[(t.widx.Add(1)-1)&t.slotMask]
-	r.seq.Add(1) // odd: readers skip
+	s := r.seq.Load()
+	if s&1 == 1 || !r.seq.CompareAndSwap(s, s+1) {
+		return nil
+	}
 	return r
 }
 
@@ -214,6 +222,9 @@ func (t *TraceRing) begin() *traceRecord {
 // no allocation.
 func (t *TraceRing) RecordDecide(at time.Time, client uint64, score, conf, credit float64, difficulty, rung int32, scoreNs, issueNs, totalNs int64) {
 	r := t.begin()
+	if r == nil {
+		return
+	}
 	r.at.Store(at.UnixNano())
 	r.client.Store(client)
 	r.kind.Store(TraceDecide)
@@ -232,6 +243,9 @@ func (t *TraceRing) RecordDecide(at time.Time, client uint64, score, conf, credi
 // RecordVerify writes one sampled verification trace.
 func (t *TraceRing) RecordVerify(at time.Time, client uint64, outcome VerifyOutcome, difficulty, rung int32, totalNs int64) {
 	r := t.begin()
+	if r == nil {
+		return
+	}
 	r.at.Store(at.UnixNano())
 	r.client.Store(client)
 	r.kind.Store(TraceVerify)

@@ -86,14 +86,12 @@ const (
 // verification fail streak is at or beyond MaxFailStreak.
 //
 // Decay publishes the inner scorer's schema extended with the evidence
-// attributes, implements the verdict fast path (confidence passes through
+// attributes, implements features.VerdictScorer (confidence passes through
 // from the inner scorer), and is safe for concurrent use if its inner
 // scorer is.
 type Decay struct {
-	scorer  Scorer                 // inner map path
-	vec     features.VectorScorer  // inner vector path
+	vec     features.VectorScorer  // inner scorer
 	verdict features.VerdictScorer // nil: inner verdicts at confidence 1
-	attrVer AttrVerdictScorer      // nil: map-path verdicts at confidence 1
 
 	schema    *features.Schema
 	innerLen  int
@@ -180,12 +178,7 @@ func (m *innerMemo) lookup(v []float64) (features.Verdict, *atomic.Pointer[memoE
 	return e.ver, slot, true
 }
 
-var (
-	_ Scorer                 = (*Decay)(nil)
-	_ features.VectorScorer  = (*Decay)(nil)
-	_ features.VerdictScorer = (*Decay)(nil)
-	_ AttrVerdictScorer      = (*Decay)(nil)
-)
+var _ features.VerdictScorer = (*Decay)(nil)
 
 // DecayOption customizes NewDecay.
 type DecayOption func(*Decay)
@@ -226,20 +219,15 @@ func WithInterArrivalTolerance(ms float64) DecayOption {
 }
 
 // NewDecay wraps inner with behavioral redemption. The inner scorer must
-// support the vector fast path with a non-nil schema — redemption reads
-// the tracker's evidence attributes through schema slots — and must also
-// implement the map-path Scorer interface for the compatibility path.
+// publish a schema: redemption reads the tracker's evidence attributes
+// through slots appended to it.
 func NewDecay(inner features.VectorScorer, opts ...DecayOption) (*Decay, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("reputation: decay requires an inner scorer")
 	}
-	scorer, ok := inner.(Scorer)
-	if !ok {
-		return nil, fmt.Errorf("reputation: decay inner scorer must also implement the map-path Score")
-	}
 	is := inner.Schema()
 	if is == nil {
-		return nil, fmt.Errorf("reputation: decay inner scorer publishes no schema (vector fast path required)")
+		return nil, fmt.Errorf("reputation: decay inner scorer publishes no schema")
 	}
 	names := append(is.Names(),
 		features.AttrSolveCredit, features.AttrFailStreak, features.AttrFailRatioTotal,
@@ -249,7 +237,6 @@ func NewDecay(inner features.VectorScorer, opts ...DecayOption) (*Decay, error) 
 		return nil, fmt.Errorf("reputation: decay schema: %w", err)
 	}
 	d := &Decay{
-		scorer:        scorer,
 		vec:           inner,
 		schema:        schema,
 		innerLen:      is.Len(),
@@ -266,7 +253,6 @@ func NewDecay(inner features.VectorScorer, opts ...DecayOption) (*Decay, error) 
 		iaTolMS:       DefaultInterArrivalTolerance,
 	}
 	d.verdict, _ = inner.(features.VerdictScorer)
-	d.attrVer, _ = inner.(AttrVerdictScorer)
 	for _, opt := range opts {
 		opt(d)
 	}
@@ -402,36 +388,4 @@ func (d *Decay) innerVerdict(v []float64) (features.Verdict, error) {
 		slot.Store(e)
 	}
 	return ver, nil
-}
-
-// Score implements the map-path Scorer. Evidence attributes absent from
-// the map count as zero evidence (no redemption), matching the tracker's
-// unknown-IP contract.
-func (d *Decay) Score(attrs map[string]float64) (float64, error) {
-	ver, err := d.VerdictAttrs(attrs)
-	if err != nil {
-		return 0, err
-	}
-	return ver.Score, nil
-}
-
-// VerdictAttrs implements AttrVerdictScorer (the map compatibility path).
-func (d *Decay) VerdictAttrs(attrs map[string]float64) (features.Verdict, error) {
-	var ver features.Verdict
-	var err error
-	if d.attrVer != nil {
-		ver, err = d.attrVer.VerdictAttrs(attrs)
-	} else {
-		ver.Confidence = 1
-		ver.Score, err = d.scorer.Score(attrs)
-	}
-	if err != nil {
-		return features.Verdict{}, err
-	}
-	return d.apply(ver,
-		attrs[features.AttrSolveCredit],
-		attrs[features.AttrFailStreak],
-		attrs[features.AttrFailRatioTotal],
-		attrs[features.AttrRequestRate],
-		attrs[features.AttrInterArrival]), nil
 }

@@ -22,13 +22,9 @@ func newStubScorer(t *testing.T, score, conf float64) *stubScorer {
 	return &stubScorer{schema: schema, ver: features.Verdict{Score: score, Confidence: conf}}
 }
 
-func (s *stubScorer) Score(map[string]float64) (float64, error)         { return s.ver.Score, nil }
 func (s *stubScorer) Schema() *features.Schema                          { return s.schema }
 func (s *stubScorer) ScoreVector([]float64) (float64, error)            { return s.ver.Score, nil }
 func (s *stubScorer) VerdictVector([]float64) (features.Verdict, error) { return s.ver, nil }
-func (s *stubScorer) VerdictAttrs(map[string]float64) (features.Verdict, error) {
-	return s.ver, nil
-}
 
 // evidenceVec builds a Decay-schema vector with the given evidence.
 func evidenceVec(t *testing.T, d *Decay, credit, failStreak, failRatio, rate, interArrival float64) []float64 {
@@ -160,40 +156,6 @@ func TestDecayKneeGates(t *testing.T) {
 	}
 }
 
-func TestDecayMapPathMatchesVector(t *testing.T) {
-	d, err := NewDecay(newStubScorer(t, 9, 0.8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	attrs := map[string]float64{
-		"static_x":                  1,
-		features.AttrSolveCredit:    40,
-		features.AttrFailStreak:     0,
-		features.AttrFailRatioTotal: 0,
-		features.AttrRequestRate:    0.2,
-		features.AttrInterArrival:   5000,
-	}
-	mv, err := d.VerdictAttrs(attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vv, err := d.VerdictVector(evidenceVec(t, d, 40, 0, 0, 0.2, 5000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mv != vv {
-		t.Fatalf("map verdict %+v != vector verdict %+v", mv, vv)
-	}
-	// Missing evidence attributes mean zero evidence: no redemption.
-	bare, err := d.Score(map[string]float64{"static_x": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare != 9 {
-		t.Errorf("score without evidence attrs = %v, want 9", bare)
-	}
-}
-
 func TestDecayScoreNeverNegative(t *testing.T) {
 	d, err := NewDecay(newStubScorer(t, 1, 1), WithMaxRedemption(10))
 	if err != nil {
@@ -245,7 +207,7 @@ func TestDecayOverModel(t *testing.T) {
 	}
 	var tail map[string]float64
 	for _, s := range samples {
-		if ver, _ := m.VerdictAttrs(s.Attrs); ver.Score > 8 {
+		if verdictOf(t, m, s.Attrs).Score > 8 {
 			tail = s.Attrs
 			break
 		}
@@ -262,11 +224,8 @@ func TestDecayOverModel(t *testing.T) {
 	attrs[features.AttrFailRatioTotal] = 0
 	attrs[features.AttrRequestRate] = 0.3
 	attrs[features.AttrInterArrival] = 3300
-	redeemed, err := d.VerdictAttrs(attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := m.VerdictAttrs(tail)
+	redeemed := verdictOf(t, d, attrs)
+	raw := verdictOf(t, m, tail)
 	if redeemed.Score >= raw.Score-3 {
 		t.Errorf("redeemed score %v vs raw %v: evidence barely moved it", redeemed.Score, raw.Score)
 	}

@@ -2,6 +2,8 @@ package reputation
 
 import (
 	"fmt"
+
+	"aipow/internal/features"
 )
 
 // Evaluation is a binary-classification confusion matrix at a score
@@ -59,10 +61,10 @@ func (e Evaluation) String() string {
 
 // Evaluate classifies each sample with the scorer (malicious iff score ≥
 // threshold) and tallies the confusion matrix against ground truth.
-func Evaluate(s Scorer, samples []Sample, threshold float64) (Evaluation, error) {
+func Evaluate(s features.VectorScorer, samples []Sample, threshold float64) (Evaluation, error) {
 	ev := Evaluation{Threshold: threshold}
 	for i, sample := range samples {
-		score, err := s.Score(sample.Attrs)
+		score, err := features.ScoreAttrs(s, sample.Attrs)
 		if err != nil {
 			return Evaluation{}, fmt.Errorf("reputation: score sample %d: %w", i, err)
 		}

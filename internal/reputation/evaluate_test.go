@@ -7,17 +7,23 @@ import (
 	"testing"
 
 	"aipow/internal/dataset"
+	"aipow/internal/features"
 )
+
+// noAttrs is the schema of the stub scorers below: they read nothing.
+var noAttrs, _ = features.NewSchema()
 
 // constScorer always returns a fixed score.
 type constScorer float64
 
-func (c constScorer) Score(map[string]float64) (float64, error) { return float64(c), nil }
+func (constScorer) Schema() *features.Schema                 { return noAttrs }
+func (c constScorer) ScoreVector([]float64) (float64, error) { return float64(c), nil }
 
 // errScorer always fails.
 type errScorer struct{}
 
-func (errScorer) Score(map[string]float64) (float64, error) {
+func (errScorer) Schema() *features.Schema { return noAttrs }
+func (errScorer) ScoreVector([]float64) (float64, error) {
 	return 0, errors.New("boom")
 }
 

@@ -27,17 +27,11 @@ type KNN struct {
 	scratch   sync.Pool // *knnScratch
 }
 
-var (
-	_ Scorer                 = (*KNN)(nil)
-	_ features.VectorScorer  = (*KNN)(nil)
-	_ features.VerdictScorer = (*KNN)(nil)
-	_ AttrVerdictScorer      = (*KNN)(nil)
-)
+var _ features.VerdictScorer = (*KNN)(nil)
 
-// knnScratch is the reusable per-call state of a Score/ScoreVector call:
-// the query vector (map path only) and the running k-best arrays.
+// knnScratch is the reusable per-call state of a ScoreVector call: the
+// running k-best arrays.
 type knnScratch struct {
-	q   []float64
 	d   []float64
 	mal []bool
 }
@@ -111,21 +105,9 @@ func NewKNN(samples []Sample, k int) (*KNN, error) {
 }
 
 // Score maps an attribute map to [0, MaxScore] by majority mass of the k
-// nearest neighbours.
+// nearest neighbours — the offline form of ScoreVector.
 func (knn *KNN) Score(attrs map[string]float64) (float64, error) {
-	sp := knn.getScratch()
-	for j, name := range knn.attrNames {
-		val, ok := attrs[name]
-		if !ok {
-			knn.scratch.Put(sp)
-			return 0, fmt.Errorf("%w: %q", ErrMissingAttr, name)
-		}
-		sp.q[j] = val
-	}
-	knn.normalizeInPlace(sp.q)
-	score := knn.scoreNormalized(sp.q, sp)
-	knn.scratch.Put(sp)
-	return score, nil
+	return features.ScoreAttrs(knn, attrs)
 }
 
 // Schema reports the interned layout ScoreVector expects.
@@ -156,15 +138,6 @@ func (knn *KNN) VerdictVector(v []float64) (features.Verdict, error) {
 	return knn.verdictOf(score), nil
 }
 
-// VerdictAttrs is the map-path form of VerdictVector (AttrVerdictScorer).
-func (knn *KNN) VerdictAttrs(attrs map[string]float64) (features.Verdict, error) {
-	score, err := knn.Score(attrs)
-	if err != nil {
-		return features.Verdict{}, err
-	}
-	return knn.verdictOf(score), nil
-}
-
 // verdictOf derives the unanimity confidence from a kNN score (the score
 // *is* MaxScore·malFrac, so no second neighbour pass is needed).
 func (knn *KNN) verdictOf(score float64) features.Verdict {
@@ -180,7 +153,6 @@ func (knn *KNN) getScratch() *knnScratch {
 	sp, _ := knn.scratch.Get().(*knnScratch)
 	if sp == nil {
 		sp = &knnScratch{
-			q:   make([]float64, len(knn.attrNames)),
 			d:   make([]float64, knn.k),
 			mal: make([]bool, knn.k),
 		}

@@ -3,6 +3,8 @@ package reputation
 import (
 	"errors"
 	"testing"
+
+	"aipow/internal/features"
 )
 
 func TestNewKNNValidation(t *testing.T) {
@@ -81,8 +83,8 @@ func TestKNNSatisfiesScorer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var s Scorer = knn
-	if _, err := s.Score(map[string]float64{"x": 1, "y": 1}); err != nil {
+	var s features.VectorScorer = knn
+	if _, err := features.ScoreAttrs(s, map[string]float64{"x": 1, "y": 1}); err != nil {
 		t.Fatal(err)
 	}
 }

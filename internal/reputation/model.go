@@ -23,7 +23,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"sync"
 
 	"aipow/internal/features"
 )
@@ -49,8 +48,9 @@ var (
 	// calibration needs both malicious and benign examples.
 	ErrOneClass = errors.New("reputation: training set must contain both classes")
 
-	// ErrMissingAttr reports a scoring request lacking a model attribute.
-	ErrMissingAttr = errors.New("reputation: missing attribute")
+	// ErrMissingAttr reports a training sample or scoring request lacking
+	// a model attribute (the features sentinel, under its historical name).
+	ErrMissingAttr = features.ErrMissingAttr
 )
 
 // Sample is one labeled training observation: a full attribute map plus the
@@ -60,31 +60,14 @@ type Sample struct {
 	Malicious bool
 }
 
-// Scorer is the minimal scoring interface shared by Model and KNN, and the
-// shape the core framework consumes.
-type Scorer interface {
-	// Score maps an attribute vector to a reputation score in [0, MaxScore],
-	// where higher means less trustworthy.
-	Score(attrs map[string]float64) (float64, error)
-}
-
-// AttrVerdictScorer is the map-path twin of features.VerdictScorer: a
-// scorer that can report a calibrated confidence alongside the score for a
-// plain attribute map. Model and KNN implement it; Decay uses it to weigh
-// redemption on the compatibility path.
-type AttrVerdictScorer interface {
-	VerdictAttrs(attrs map[string]float64) (features.Verdict, error)
-}
-
 // Model is a trained DAbR reputation scorer. Obtain one from Train or Load.
 // Model is immutable after training and safe for concurrent use.
 type Model struct {
 	attrNames []string         // canonical (sorted) attribute order
-	schema    *features.Schema // interned attrNames layout (nil: no fast path)
+	schema    *features.Schema // interned attrNames layout (nil: too wide to serve)
 	mins      []float64        // per-attribute normalization lower bound
 	ranges    []float64        // per-attribute (max-min); 0 marks a dead dimension
 	centroids [][]float64      // malicious centroids in normalized space
-	scratch   sync.Pool        // *[]float64 vectors for the map-based Score path
 
 	// Calibration anchors: the median nearest-centroid distance of the
 	// malicious (distMal) and benign (distBen) training points. Scoring
@@ -107,12 +90,7 @@ type Model struct {
 	marginCal       float64
 }
 
-var (
-	_ Scorer                 = (*Model)(nil)
-	_ features.VectorScorer  = (*Model)(nil)
-	_ features.VerdictScorer = (*Model)(nil)
-	_ AttrVerdictScorer      = (*Model)(nil)
-)
+var _ features.VerdictScorer = (*Model)(nil)
 
 // trainConfig collects Train options.
 type trainConfig struct {
@@ -270,33 +248,16 @@ func Train(samples []Sample, opts ...TrainOption) (*Model, error) {
 	return m, nil
 }
 
-// Score maps an attribute map to a reputation score in [0, MaxScore].
-// Unknown extra attributes are ignored; missing model attributes are an
-// error. The working vector comes from a pool, so the map path allocates
-// nothing in steady state.
+// Score maps an attribute map to a reputation score in [0, MaxScore] — the
+// offline form of ScoreVector. Unknown extra attributes are ignored;
+// missing model attributes are an ErrMissingAttr.
 func (m *Model) Score(attrs map[string]float64) (float64, error) {
-	vp, _ := m.scratch.Get().(*[]float64)
-	if vp == nil {
-		v := make([]float64, len(m.attrNames))
-		vp = &v
-	}
-	v := *vp
-	for j, name := range m.attrNames {
-		val, ok := attrs[name]
-		if !ok {
-			m.scratch.Put(vp)
-			return 0, fmt.Errorf("%w: %q", ErrMissingAttr, name)
-		}
-		v[j] = val
-	}
-	score := m.scoreInPlace(v)
-	m.scratch.Put(vp)
-	return score, nil
+	return features.ScoreAttrs(m, attrs)
 }
 
 // Schema reports the interned layout ScoreVector expects (AttributeNames
 // order). It is nil when the model's dimensionality exceeds what a schema
-// can hold, disabling the vector fast path.
+// can hold; core.New refuses such a model.
 func (m *Model) Schema() *features.Schema { return m.schema }
 
 // ScoreVector scores a raw-unit vector laid out in AttributeNames order.
@@ -316,27 +277,6 @@ func (m *Model) VerdictVector(v []float64) (features.Verdict, error) {
 		return features.Verdict{}, fmt.Errorf("reputation: vector has %d dims, model wants %d", len(v), len(m.attrNames))
 	}
 	return m.verdictInPlace(v), nil
-}
-
-// VerdictAttrs is the map-path form of VerdictVector (AttrVerdictScorer).
-func (m *Model) VerdictAttrs(attrs map[string]float64) (features.Verdict, error) {
-	vp, _ := m.scratch.Get().(*[]float64)
-	if vp == nil {
-		v := make([]float64, len(m.attrNames))
-		vp = &v
-	}
-	v := *vp
-	for j, name := range m.attrNames {
-		val, ok := attrs[name]
-		if !ok {
-			m.scratch.Put(vp)
-			return features.Verdict{}, fmt.Errorf("%w: %q", ErrMissingAttr, name)
-		}
-		v[j] = val
-	}
-	ver := m.verdictInPlace(v)
-	m.scratch.Put(vp)
-	return ver, nil
 }
 
 // scoreInPlace normalizes v in place and maps distance to score through
@@ -453,8 +393,7 @@ func (m *Model) normalizeInPlace(v []float64) {
 }
 
 // schemaFor interns names as a schema, or nil when they cannot form one
-// (e.g. more attributes than a coverage mask can track) — the model then
-// simply serves the map-based path only.
+// (more attributes than a coverage mask can track).
 func schemaFor(names []string) *features.Schema {
 	s, err := features.NewSchema(names...)
 	if err != nil {

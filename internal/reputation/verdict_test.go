@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"aipow/internal/dataset"
+	"aipow/internal/features"
 )
 
 // trainedModel builds the standard synthetic-feed model test fixture.
@@ -28,6 +29,21 @@ func trainedModel(t *testing.T) (*Model, []Sample) {
 	return m, samples
 }
 
+// verdictOf lays attrs out in s's schema (absent attributes read zero, the
+// tracker's unknown-IP contract) and returns the scorer's verdict.
+func verdictOf(t *testing.T, s features.VerdictScorer, attrs map[string]float64) features.Verdict {
+	t.Helper()
+	v := s.Schema().NewVector()
+	for j := range v {
+		v[j] = attrs[s.Schema().Name(j)]
+	}
+	ver, err := s.VerdictVector(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ver
+}
+
 func TestModelVerdictMatchesScore(t *testing.T) {
 	m, samples := trainedModel(t)
 	for _, s := range samples[:200] {
@@ -35,27 +51,12 @@ func TestModelVerdictMatchesScore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ver, err := m.VerdictAttrs(s.Attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ver := verdictOf(t, m, s.Attrs)
 		if ver.Score != score {
 			t.Fatalf("verdict score %v != Score %v", ver.Score, score)
 		}
 		if ver.Confidence < 0 || ver.Confidence > 1 {
 			t.Fatalf("confidence %v outside [0, 1]", ver.Confidence)
-		}
-		// Vector path agrees with the map path.
-		v := m.Schema().NewVector()
-		for j := 0; j < m.Schema().Len(); j++ {
-			v[j] = s.Attrs[m.Schema().Name(j)]
-		}
-		vv, err := m.VerdictVector(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vv != ver {
-			t.Fatalf("vector verdict %+v != map verdict %+v", vv, ver)
 		}
 	}
 }
@@ -73,10 +74,7 @@ func TestModelConfidenceCalibration(t *testing.T) {
 		if !s.Malicious {
 			continue
 		}
-		ver, err := m.VerdictAttrs(s.Attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ver := verdictOf(t, m, s.Attrs)
 		if ver.Score < 5 {
 			continue
 		}
@@ -119,18 +117,12 @@ func TestKNNVerdictUnanimity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unanimous malicious neighbourhood: score 10, confidence 1.
-	ver, err := knn.VerdictAttrs(map[string]float64{"x": 0.95})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ver := verdictOf(t, knn, map[string]float64{"x": 0.95})
 	if ver.Score != MaxScore || ver.Confidence != 1 {
 		t.Errorf("unanimous verdict = %+v, want score 10 conf 1", ver)
 	}
 	// Split neighbourhood: score 5, confidence 0.
-	ver, err = knn.VerdictAttrs(map[string]float64{"x": 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ver = verdictOf(t, knn, map[string]float64{"x": 0.5})
 	if ver.Score != MaxScore/2 || ver.Confidence != 0 {
 		t.Errorf("split verdict = %+v, want score 5 conf 0", ver)
 	}
@@ -149,14 +141,8 @@ func TestPersistRoundTripVerdict(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range samples[:100] {
-		want, err := m.VerdictAttrs(s.Attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := loaded.VerdictAttrs(s.Attrs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := verdictOf(t, m, s.Attrs)
+		got := verdictOf(t, loaded, s.Attrs)
 		if got != want {
 			t.Fatalf("verdict changed across save/load: %+v != %+v", got, want)
 		}
@@ -184,10 +170,7 @@ func TestLoadV1ModelScoresAtFullConfidence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load v1 model: %v", err)
 	}
-	ver, err := loaded.VerdictAttrs(samples[0].Attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ver := verdictOf(t, loaded, samples[0].Attrs)
 	if ver.Confidence != 1 {
 		t.Errorf("v1 model confidence = %v, want 1", ver.Confidence)
 	}

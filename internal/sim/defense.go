@@ -151,8 +151,7 @@ func (d Defense) withDefaults(scenarioSeed uint64) Defense {
 // BuildDefense assembles the scenario's framework factory from its Defense
 // config: generate the synthetic feed, train the model, register each
 // population's addresses per its Feed profile, and wire tracker + store
-// into a combined vector source so the engine exercises the allocation-free
-// fast path.
+// into a combined source, the production shape.
 func BuildDefense(sc Scenario) FrameworkFactory {
 	return func(now func() time.Time) (*core.Framework, error) {
 		fw, _, err := buildDefenseNode(sc, now)
@@ -238,7 +237,7 @@ func buildDefenseNode(sc Scenario, now func() time.Time, extra ...core.Option) (
 	// the *static* judgment only), optionally blended with the live
 	// rate score (layered outside redemption, so a currently-flooding
 	// client keeps its behavioral price regardless of earned credit).
-	var static vectorScorer = model
+	var static features.VectorScorer = model
 	if d.Redeem != nil {
 		var opts []reputation.DecayOption
 		if d.Redeem.MaxDrop > 0 {
@@ -253,7 +252,7 @@ func buildDefenseNode(sc Scenario, now func() time.Time, extra ...core.Option) (
 		}
 		static = decay
 	}
-	var scorer core.Scorer = static
+	scorer := static
 	if d.SaturationRate > 0 {
 		hybrid, err := newHybridScorer(static, d.SaturationRate)
 		if err != nil {
@@ -325,23 +324,14 @@ func medianAttrs(samples []dataset.Sample) map[string]float64 {
 	return out
 }
 
-// vectorScorer is the inner-scorer seam of the defense stack: the map
-// path plus the vector fast path. reputation.Model and reputation.Decay
-// both satisfy it.
-type vectorScorer interface {
-	core.Scorer
-	features.VectorScorer
-}
-
 // hybridScorer is the defense's AI seam when behavioral blending is on:
 // max(static score, kaPoW-style rate score). It publishes its own schema
 // — the inner scorer's attributes plus the tracker's live request rate —
-// so the whole blend runs on the vector fast path, and carries verdicts
-// through: when the rate score wins, the confidence is 1 (the evidence is
+// and carries verdicts through: when the rate score wins, the confidence is 1 (the evidence is
 // directly observed behavior, not a model inference); otherwise the inner
 // scorer's confidence passes through.
 type hybridScorer struct {
-	inner    vectorScorer
+	inner    features.VectorScorer
 	verdict  features.VerdictScorer // nil: inner verdicts at confidence 1
 	rate     baseline.RateScorer
 	schema   *features.Schema
@@ -349,14 +339,14 @@ type hybridScorer struct {
 	rateSlot int
 }
 
-func newHybridScorer(inner vectorScorer, saturation float64) (*hybridScorer, error) {
+func newHybridScorer(inner features.VectorScorer, saturation float64) (*hybridScorer, error) {
 	rs, err := baseline.NewRateScorer(saturation)
 	if err != nil {
 		return nil, err
 	}
 	is := inner.Schema()
 	if is == nil {
-		return nil, fmt.Errorf("sim: scorer schema too wide for the vector fast path")
+		return nil, fmt.Errorf("sim: inner scorer publishes no schema")
 	}
 	// The inner scorer may already consume the live request rate (the
 	// redemption wrapper reads it as a gate); reuse its slot rather than
@@ -383,33 +373,8 @@ func newHybridScorer(inner vectorScorer, saturation float64) (*hybridScorer, err
 	return h, nil
 }
 
-// Score implements core.Scorer (map compatibility path).
-func (h *hybridScorer) Score(attrs map[string]float64) (float64, error) {
-	static, err := h.inner.Score(attrs)
-	if err != nil {
-		return 0, err
-	}
-	behavioral, err := h.rate.Score(attrs)
-	if err != nil {
-		return 0, err
-	}
-	return max(static, behavioral), nil
-}
-
 // Schema implements features.VectorScorer.
 func (h *hybridScorer) Schema() *features.Schema { return h.schema }
-
-// behavioral maps the rate slot to the kaPoW-style score.
-func (h *hybridScorer) behavioral(v []float64) float64 {
-	frac := v[h.rateSlot] / h.rate.SaturationRate
-	if frac > 1 {
-		frac = 1
-	}
-	if frac < 0 {
-		frac = 0
-	}
-	return policy.MaxScore * frac
-}
 
 // ScoreVector implements features.VectorScorer. The rate slot is read
 // before the inner scorer runs, because it uses its subvector as scratch.
@@ -417,7 +382,7 @@ func (h *hybridScorer) ScoreVector(v []float64) (float64, error) {
 	if len(v) != h.schema.Len() {
 		return 0, fmt.Errorf("sim: vector has %d dims, hybrid scorer wants %d", len(v), h.schema.Len())
 	}
-	behavioral := h.behavioral(v)
+	behavioral := h.rate.ScoreRate(v[h.rateSlot])
 	static, err := h.inner.ScoreVector(v[:h.innerLen])
 	if err != nil {
 		return 0, err
@@ -430,7 +395,7 @@ func (h *hybridScorer) VerdictVector(v []float64) (features.Verdict, error) {
 	if len(v) != h.schema.Len() {
 		return features.Verdict{}, fmt.Errorf("sim: vector has %d dims, hybrid scorer wants %d", len(v), h.schema.Len())
 	}
-	behavioral := h.behavioral(v)
+	behavioral := h.rate.ScoreRate(v[h.rateSlot])
 	var ver features.Verdict
 	var err error
 	if h.verdict != nil {
@@ -449,7 +414,4 @@ func (h *hybridScorer) VerdictVector(v []float64) (features.Verdict, error) {
 	return ver, nil
 }
 
-var (
-	_ features.VectorScorer  = (*hybridScorer)(nil)
-	_ features.VerdictScorer = (*hybridScorer)(nil)
-)
+var _ features.VerdictScorer = (*hybridScorer)(nil)

@@ -1,8 +1,8 @@
 // Package sim is a deterministic adversarial scenario engine: it drives a
 // real core.Framework — the same scoring → policy → issuance pipeline that
-// serves production traffic, including the PR 1 vector fast path and
-// sharded tracker — with declaratively-defined mixed client populations
-// (steady legitimate traffic, flash crowds, pulsing attackers, rotating-IP
+// serves production traffic, sharded tracker included — with
+// declaratively-defined mixed client populations (steady legitimate
+// traffic, flash crowds, pulsing attackers, rotating-IP
 // botnets, slow-and-low probers, reputation-poisoning warmups) and scores
 // each run against declared economic-asymmetry invariants.
 //

@@ -48,9 +48,10 @@ type RedemptionScorer = reputation.Decay
 // RedemptionOption configures NewRedemptionScorer.
 type RedemptionOption = reputation.DecayOption
 
-// NewRedemptionScorer wraps inner (which must support the vector fast
-// path, e.g. a trained ReputationModel) with behavioral redemption.
-func NewRedemptionScorer(inner VectorScorer, opts ...RedemptionOption) (*RedemptionScorer, error) {
+// NewRedemptionScorer wraps inner (e.g. a trained ReputationModel) with
+// behavioral redemption; the evidence attributes are appended to inner's
+// schema.
+func NewRedemptionScorer(inner Scorer, opts ...RedemptionOption) (*RedemptionScorer, error) {
 	return reputation.NewDecay(inner, opts...)
 }
 
@@ -77,15 +78,7 @@ type Evaluation = reputation.Evaluation
 // EvaluateScorer classifies samples (malicious iff score ≥ threshold) and
 // tallies quality against ground truth.
 func EvaluateScorer(s Scorer, samples []ReputationSample, threshold float64) (Evaluation, error) {
-	return reputation.Evaluate(scorerAdapter{s}, samples, threshold)
-}
-
-// scorerAdapter bridges the public Scorer alias to the reputation
-// package's interface (identical shape).
-type scorerAdapter struct{ s Scorer }
-
-func (a scorerAdapter) Score(attrs map[string]float64) (float64, error) {
-	return a.s.Score(attrs)
+	return reputation.Evaluate(s, samples, threshold)
 }
 
 // DatasetConfig parameterizes the synthetic Talos-like IP attribute feed.
