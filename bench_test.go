@@ -1,17 +1,14 @@
 package aipow_test
 
-// Benchmarks, one per paper artifact plus the ablations DESIGN.md commits
-// to (regenerate everything with `go test -bench=. -benchmem`):
+// Micro-benchmarks of the real cryptographic work and the serving hot
+// path (run with `go test -bench=. -benchmem`):
 //
-//	BenchmarkFig2            E1  Figure 2 (full regeneration per iteration)
-//	BenchmarkSolveTime/d=N   E2  real SHA-256 solving per difficulty
-//	BenchmarkAccuracy        E3  dataset → train → evaluate cycle
-//	BenchmarkAttack          E4  DDoS comparison scenario
-//	BenchmarkEpsilonSweep    E5  Policy 3 ε sweep
-//	BenchmarkAsymmetry*      E6  server-side vs client-side cost per op
+//	BenchmarkSolveTime/d=N   real SHA-256 solving per difficulty
+//	BenchmarkAsymmetry*      server-side vs client-side cost per op
+//	BenchmarkDecide*         the decide path under tracing, swap, adapt
+//	                         and evidence write-back
 //
-// The CLI `powexp` prints the corresponding tables; these benches measure
-// the cost of producing them and (for E2/E6) the real cryptographic work.
+// The end-to-end serving benchmark is `go run ./bench`.
 
 import (
 	"context"
@@ -20,21 +17,10 @@ import (
 	"time"
 
 	"aipow"
-	"aipow/internal/experiments"
 )
 
-func BenchmarkFig2(b *testing.B) {
-	cfg := experiments.DefaultFig2Config()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig2(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSolveTime measures genuine SHA-256 puzzle solving on this host
-// per difficulty — the real-hardware check of E2's exponential shape.
+// per difficulty — the real-hardware check of the exponential shape.
 // ns/op should roughly double per difficulty step.
 func BenchmarkSolveTime(b *testing.B) {
 	issuer, err := aipow.NewIssuer(benchKey)
@@ -59,55 +45,6 @@ func BenchmarkSolveTime(b *testing.B) {
 			}
 			b.ReportMetric(float64(hashes)/float64(b.N), "hashes/op")
 		})
-	}
-}
-
-func BenchmarkAccuracy(b *testing.B) {
-	cfg := experiments.DefaultAccuracyConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunAccuracy(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAttack(b *testing.B) {
-	cfg := experiments.DefaultAttackConfig()
-	// Scale the scenario down so one iteration stays in benchmark range
-	// while preserving the 1:9 benign:bot ratio.
-	cfg.Scenario.Duration = 10 * time.Second
-	cfg.Scenario.Specs[0].Count = 20
-	cfg.Scenario.Specs[1].Count = 180
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunAttack(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEpsilonSweep(b *testing.B) {
-	cfg := experiments.DefaultEpsilonConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunEpsilon(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHashrateSweep(b *testing.B) {
-	cfg := experiments.DefaultHashrateConfig()
-	cfg.Scenario.Duration = 10 * time.Second
-	cfg.Scenario.Specs[0].Count = 10
-	cfg.Scenario.Specs[1].Count = 90
-	cfg.Multipliers = []float64{1, 100}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunHashrate(cfg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

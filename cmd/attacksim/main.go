@@ -11,9 +11,6 @@
 // The exit status is the CI gate: non-zero when any scenario invariant is
 // violated. Reports are deterministic — equal seeds produce byte-identical
 // SIM_scenarios.json files.
-//
-// For queueing-collapse comparisons across defenses (adaptive vs. fixed
-// vs. no-PoW on the netsim event loop), see `powexp attack`.
 package main
 
 import (

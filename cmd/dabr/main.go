@@ -15,28 +15,28 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math/rand/v2"
 	"os"
 
 	"aipow/internal/dataset"
-	"aipow/internal/experiments"
+	"aipow/internal/features"
+	"aipow/internal/metrics"
 	"aipow/internal/reputation"
 )
 
 func main() {
 	log.SetFlags(0)
-	if len(os.Args) < 2 {
-		runDefault()
-		return
-	}
 	var err error
-	switch os.Args[1] {
-	case "generate":
+	switch {
+	case len(os.Args) < 2:
+		err = runDefault()
+	case os.Args[1] == "generate":
 		err = runGenerate(os.Args[2:])
-	case "train":
+	case os.Args[1] == "train":
 		err = runTrain(os.Args[2:])
-	case "eval":
+	case os.Args[1] == "eval":
 		err = runEval(os.Args[2:])
-	case "score":
+	case os.Args[1] == "score":
 		err = runScore(os.Args[2:])
 	default:
 		err = fmt.Errorf("unknown subcommand %q (want generate, train, eval or score)", os.Args[1])
@@ -46,15 +46,42 @@ func main() {
 	}
 }
 
-// runDefault reproduces experiment E3 end to end.
-func runDefault() {
-	res, err := experiments.RunAccuracy(experiments.DefaultAccuracyConfig())
+// runDefault reproduces experiment E3 end to end: generate the calibrated
+// feed, split it 80/20, train the model and score the held-out set with it
+// and with a k=15 kNN comparator.
+func runDefault() error {
+	const seed, knnK = 3, 15
+	threshold := reputation.MaxScore / 2
+	raw, err := dataset.Generate(dataset.DefaultConfig())
 	if err != nil {
-		log.Fatalf("dabr: %v", err)
+		return err
 	}
-	if err := res.Table().Render(os.Stdout); err != nil {
-		log.Fatalf("dabr: render: %v", err)
+	trainRaw, testRaw := dataset.Split(raw, 0.8, rand.New(rand.NewPCG(seed, 0xACC)))
+	train, test := toSamples(trainRaw), toSamples(testRaw)
+	model, err := reputation.Train(train,
+		reputation.WithClusters(reputation.DefaultClusters), reputation.WithSeed(seed))
+	if err != nil {
+		return err
 	}
+	knn, err := reputation.NewKNN(train, knnK)
+	if err != nil {
+		return err
+	}
+	t := metrics.NewTable(
+		fmt.Sprintf("Reputation model quality (train=%d test=%d threshold=%.1f; DAbR reports 0.80 accuracy)",
+			len(train), len(test), threshold),
+		"scorer", "accuracy", "precision", "recall", "f1")
+	for _, sc := range []struct {
+		name   string
+		scorer features.VectorScorer
+	}{{"dabr_centroids", model}, {fmt.Sprintf("knn(k=%d)", knnK), knn}} {
+		ev, err := reputation.Evaluate(sc.scorer, test, threshold)
+		if err != nil {
+			return err
+		}
+		t.AddRow(sc.name, ev.Accuracy(), ev.Precision(), ev.Recall(), ev.F1())
+	}
+	return t.Render(os.Stdout)
 }
 
 func runGenerate(args []string) error {
@@ -72,12 +99,7 @@ func runGenerate(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := dataset.WriteCSV(f, samples); err != nil {
+	if err := writeFile(*out, func(f *os.File) error { return dataset.WriteCSV(f, samples) }); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d samples to %s\n", len(samples), *out)
@@ -102,12 +124,7 @@ func runTrain(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := model.Save(f); err != nil {
+	if err := writeFile(*out, func(f *os.File) error { return model.Save(f) }); err != nil {
 		return err
 	}
 	distMal, distBen := model.Calibration()
@@ -172,6 +189,20 @@ func runScore(args []string) error {
 	return fmt.Errorf("ip %s not found in %s", *ip, *data)
 }
 
+// writeFile creates path, fills it with write and closes it, reporting a
+// failed Close: a close error can mean the file was truncated.
+func writeFile(path string, write func(*os.File) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 func loadRaw(path string) ([]dataset.Sample, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -186,11 +217,16 @@ func loadSamples(path string) ([]reputation.Sample, error) {
 	if err != nil {
 		return nil, err
 	}
+	return toSamples(raw), nil
+}
+
+// toSamples adapts dataset samples to the scorer's input type.
+func toSamples(raw []dataset.Sample) []reputation.Sample {
 	out := make([]reputation.Sample, len(raw))
 	for i, s := range raw {
 		out[i] = reputation.Sample{Attrs: s.Attrs, Malicious: s.Malicious}
 	}
-	return out, nil
+	return out
 }
 
 func loadModel(path string) (*reputation.Model, error) {

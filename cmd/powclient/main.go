@@ -29,8 +29,8 @@ func main() {
 	}
 
 	var mu sync.Mutex
-	latency := metrics.NewSummary(*n)
-	solveMS := metrics.NewSummary(*n)
+	latency := metrics.NewLatencyHistogram()
+	solveMS := metrics.NewLatencyHistogram()
 	var attempts, solves, failures uint64
 
 	transport := aipow.NewHTTPTransport(
@@ -81,10 +81,10 @@ func main() {
 	fmt.Printf("requests: %d ok, %d failed\n", latency.Count(), failures)
 	if latency.Count() > 0 {
 		fmt.Printf("latency : median %.2f ms  p90 %.2f ms  mean %.2f ms\n",
-			latency.Median(), latency.Percentile(90), latency.Mean())
+			latency.Quantile(0.5), latency.Quantile(0.9), latency.Mean())
 	}
 	if solves > 0 {
 		fmt.Printf("solving : %d puzzles, %d total hashes, median solve %.3f ms\n",
-			solves, attempts, solveMS.Median())
+			solves, attempts, solveMS.Quantile(0.5))
 	}
 }

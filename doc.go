@@ -495,9 +495,5 @@
 // hash cost) plus every invariant's measured value and verdict; the
 // process exits non-zero on any violation, which is the CI gate. The same
 // suite runs in `go test ./internal/sim` as a scenario-table regression
-// test. For queueing-collapse comparisons across defenses (adaptive vs.
-// fixed vs. no-PoW), see `powexp attack` on the netsim event loop.
-//
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// reproduction of the paper's evaluation.
+// test.
 package aipow

@@ -1,48 +1,26 @@
-// Package baseline provides the comparators experiment E4 measures the
-// framework against:
-//
-//   - NoPoW: a pass-through server with no puzzles at all — the undefended
-//     baseline whose collapse under flood motivates the paper.
-//   - FixedPoW: classic one-difficulty-for-everyone PoW — the paper's
-//     "current state of the art is unable to differentiate between
-//     trustworthy and untrustworthy connections".
-//   - KaPoW: a kaPoW-style (Le, Dua, Feng 2012) behavioral comparator that
-//     derives difficulty from each client's recent request rate rather
-//     than an AI model over traffic features.
-//
-// All three are expressed as configurations of the same core.Framework,
-// which is itself the modularity point the paper claims.
+// Package baseline provides RateScorer, the kaPoW-style (Le, Dua, Feng
+// 2012) behavioral comparator: it derives a client's reputation score from
+// its recent request rate rather than from an AI model over traffic
+// features. powserver's spec scorer `rate(saturation=…)` and the sim's
+// rate-scored defenses plug it into the same core.Framework as the DAbR
+// model.
 package baseline
 
 import (
 	"fmt"
 
-	"aipow/internal/core"
 	"aipow/internal/features"
 	"aipow/internal/policy"
 )
 
-// The scorers' layouts: trustAllScorer reads nothing, RateScorer reads the
-// tracker's live request rate.
-var (
-	noAttrs    = mustSchema()
-	rateSchema = mustSchema(features.AttrRequestRate)
-)
-
-func mustSchema(names ...string) *features.Schema {
-	s, err := features.NewSchema(names...)
+// rateSchema is RateScorer's layout: the tracker's live request rate.
+var rateSchema = func() *features.Schema {
+	s, err := features.NewSchema(features.AttrRequestRate)
 	if err != nil {
-		panic(err) // static names: only a bug can fail this
+		panic(err) // static name: only a bug can fail this
 	}
 	return s
-}
-
-// trustAllScorer scores everything 0: used by NoPoW (with full bypass) and
-// FixedPoW (where the policy ignores the score anyway).
-type trustAllScorer struct{}
-
-func (trustAllScorer) Schema() *features.Schema               { return noAttrs }
-func (trustAllScorer) ScoreVector([]float64) (float64, error) { return 0, nil }
+}()
 
 // RateScorer maps a client's live request rate to a reputation score:
 // score = 10 · min(1, rate/SaturationRate). It is the kaPoW-style
@@ -86,60 +64,4 @@ func (r RateScorer) ScoreRate(rate float64) float64 {
 		frac = 0
 	}
 	return policy.MaxScore * frac
-}
-
-// NewNoPoW builds the undefended baseline: every request bypasses the
-// puzzle entirely.
-func NewNoPoW(key []byte, source features.VectorSource, opts ...core.Option) (*core.Framework, error) {
-	base := []core.Option{
-		core.WithKey(key),
-		core.WithScorer(trustAllScorer{}),
-		core.WithPolicy(policy.Policy1()),
-		core.WithSource(source),
-		core.WithBypassBelow(policy.MaxScore + 1), // everything bypasses
-	}
-	return core.New(append(base, opts...)...)
-}
-
-// NewFixedPoW builds the classic non-adaptive baseline: every client gets
-// difficulty d regardless of reputation.
-func NewFixedPoW(key []byte, source features.VectorSource, d int, opts ...core.Option) (*core.Framework, error) {
-	fixed, err := policy.NewFixed(d)
-	if err != nil {
-		return nil, err
-	}
-	base := []core.Option{
-		core.WithKey(key),
-		core.WithScorer(trustAllScorer{}),
-		core.WithPolicy(fixed),
-		core.WithSource(source),
-	}
-	return core.New(append(base, opts...)...)
-}
-
-// NewKaPoW builds the behavioral comparator: score is the client's recent
-// request rate (saturating at saturationRate req/s), mapped through pol —
-// pass the same policy as the AI framework for an apples-to-apples
-// comparison of the *detection* mechanisms. The tracker must be wired into
-// the source (features.NewCombined) so the rate attribute is present.
-func NewKaPoW(key []byte, source features.VectorSource, tracker *features.Tracker,
-	saturationRate float64, pol policy.Policy, opts ...core.Option) (*core.Framework, error) {
-	scorer, err := NewRateScorer(saturationRate)
-	if err != nil {
-		return nil, err
-	}
-	if tracker == nil {
-		return nil, fmt.Errorf("baseline: kaPoW requires a tracker")
-	}
-	if pol == nil {
-		pol = policy.Policy1()
-	}
-	base := []core.Option{
-		core.WithKey(key),
-		core.WithScorer(scorer),
-		core.WithPolicy(pol),
-		core.WithSource(source),
-		core.WithTracker(tracker),
-	}
-	return core.New(append(base, opts...)...)
 }

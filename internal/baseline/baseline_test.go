@@ -12,48 +12,50 @@ import (
 
 var testKey = []byte("0123456789abcdef0123456789abcdef")
 
-func testSource(t *testing.T) *features.MapStore {
+// newRateFramework wires RateScorer into a core.Framework the way
+// powserver's `rate(saturation=…)` scorer and the sim's rate-scored
+// defenses do: the tracker is both the source of the rate attribute and
+// the observer of every request.
+func newRateFramework(t *testing.T, pol policy.Policy, opts ...core.Option) *core.Framework {
 	t.Helper()
-	s, err := features.NewMapStore(map[string]float64{})
+	tracker, err := features.NewTracker(features.WithWindow(10*time.Second, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	static, err := features.NewMapStore(map[string]float64{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	combined, err := features.NewCombined(static, tracker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scorer, err := NewRateScorer(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := []core.Option{
+		core.WithKey(testKey),
+		core.WithScorer(scorer),
+		core.WithPolicy(pol),
+		core.WithSource(combined),
+		core.WithTracker(tracker),
+	}
+	f, err := core.New(append(base, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
-func TestNoPoWBypassesEverything(t *testing.T) {
-	f, err := NewNoPoW(testKey, testSource(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := f.Decide(core.RequestContext{IP: "6.6.6.6"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dec.Bypassed {
-		t.Fatalf("NoPoW issued a challenge: %+v", dec)
-	}
-}
-
-func TestFixedPoWUniformDifficulty(t *testing.T) {
-	f, err := NewFixedPoW(testKey, testSource(t), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ip := range []string{"1.1.1.1", "6.6.6.6"} {
-		dec, err := f.Decide(core.RequestContext{IP: ip})
-		if err != nil {
+// hammer records 200 requests from ip over 10 s starting at now: 20 req/s,
+// which saturates the test scorer at score 10.
+func hammer(t *testing.T, f *core.Framework, ip string, now time.Time) {
+	t.Helper()
+	for i := 0; i < 200; i++ {
+		if err := f.Observe(features.RequestInfo{IP: ip, Path: "/", At: now.Add(time.Duration(i) * 50 * time.Millisecond)}); err != nil {
 			t.Fatal(err)
 		}
-		if dec.Difficulty != 8 {
-			t.Fatalf("ip %s difficulty = %d, want 8", ip, dec.Difficulty)
-		}
-	}
-}
-
-func TestFixedPoWValidatesDifficulty(t *testing.T) {
-	if _, err := NewFixedPoW(testKey, testSource(t), 0); err == nil {
-		t.Fatal("difficulty 0 accepted")
 	}
 }
 
@@ -93,62 +95,25 @@ func TestRateScorerMapping(t *testing.T) {
 }
 
 func TestKaPoWEscalatesWithRate(t *testing.T) {
-	tracker, err := features.NewTracker(features.WithWindow(10*time.Second, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	static := testSource(t)
-	combined, err := features.NewCombined(static, tracker)
-	if err != nil {
-		t.Fatal(err)
-	}
 	now := time.Date(2022, 3, 21, 0, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now.Add(10 * time.Second) }
-	f, err := NewKaPoW(testKey, combined, tracker, 20, nil, core.WithClock(clock))
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newRateFramework(t, policy.Policy1(), core.WithClock(clock))
 	quiet, err := f.Decide(core.RequestContext{IP: "9.9.9.9"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hammer the tracker: 200 requests in 10 s → 20 req/s → score 10.
-	for i := 0; i < 200; i++ {
-		if err := f.Observe(features.RequestInfo{IP: "9.9.9.9", Path: "/", At: now.Add(time.Duration(i) * 50 * time.Millisecond)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The decision consults the tracker through the combined source; use a
-	// clock-free probe by scoring directly after observations.
+	hammer(t, f, "9.9.9.9", now)
 	loud, err := f.Decide(core.RequestContext{IP: "9.9.9.9"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = quiet
 	if loud.Difficulty <= quiet.Difficulty {
 		t.Fatalf("kaPoW did not escalate: quiet d=%d loud d=%d", quiet.Difficulty, loud.Difficulty)
 	}
 }
 
-func TestKaPoWRequiresTracker(t *testing.T) {
-	if _, err := NewKaPoW(testKey, testSource(t), nil, 10, nil); err == nil {
-		t.Fatal("nil tracker accepted")
-	}
-}
-
 func TestKaPoWCustomPolicy(t *testing.T) {
-	tracker, err := features.NewTracker()
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined, err := features.NewCombined(testSource(t), tracker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewKaPoW(testKey, combined, tracker, 20, policy.Policy2())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newRateFramework(t, policy.Policy2())
 	// Idle client: rate 0 → score 0 → policy2 floor of 5.
 	dec, err := f.Decide(core.RequestContext{IP: "1.2.3.4"})
 	if err != nil {
@@ -156,5 +121,33 @@ func TestKaPoWCustomPolicy(t *testing.T) {
 	}
 	if dec.Difficulty != 5 {
 		t.Fatalf("idle difficulty = %d, want policy2 floor 5", dec.Difficulty)
+	}
+}
+
+// The fixed-difficulty comparator (`fixed(difficulty=…)` in specs) gives
+// every client the same puzzle, whatever its score.
+func TestFixedPoWUniformDifficulty(t *testing.T) {
+	fixed, err := policy.NewFixed(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Date(2022, 3, 21, 0, 0, 0, 0, time.UTC)
+	clock := func() time.Time { return now.Add(10 * time.Second) }
+	f := newRateFramework(t, fixed, core.WithClock(clock))
+	hammer(t, f, "6.6.6.6", now)
+	for _, ip := range []string{"1.1.1.1", "6.6.6.6"} {
+		dec, err := f.Decide(core.RequestContext{IP: ip})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.Difficulty != 8 {
+			t.Fatalf("ip %s difficulty = %d, want 8", ip, dec.Difficulty)
+		}
+	}
+}
+
+func TestFixedPoWValidatesDifficulty(t *testing.T) {
+	if _, err := policy.NewFixed(0); err == nil {
+		t.Fatal("difficulty 0 accepted")
 	}
 }

@@ -1,31 +1,6 @@
 package metrics
 
-import (
-	"math/rand/v2"
-	"testing"
-)
-
-func BenchmarkSummaryObserve(b *testing.B) {
-	s := NewSummary(b.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Observe(float64(i))
-	}
-}
-
-func BenchmarkSummaryPercentile(b *testing.B) {
-	s := NewSummary(10000)
-	rng := rand.New(rand.NewPCG(1, 2))
-	for i := 0; i < 10000; i++ {
-		s.Observe(rng.Float64() * 1000)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Percentile(95)
-	}
-}
+import "testing"
 
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewLatencyHistogram()

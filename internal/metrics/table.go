@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"math"
@@ -14,8 +13,8 @@ import (
 func mathFloat64bits(f float64) uint64     { return math.Float64bits(f) }
 func mathFloat64frombits(b uint64) float64 { return math.Float64frombits(b) }
 
-// Table is a simple column-aligned results table. Experiments use it to
-// print the same rows the paper's tables and figures report.
+// Table is a simple column-aligned results table: sim reports and
+// `dabr` print their rows with it.
 // The zero value is not usable; construct with NewTable.
 type Table struct {
 	title   string
@@ -50,12 +49,6 @@ func (t *Table) AddRow(cells ...any) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// NumRows reports the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
-// Title reports the table's title.
-func (t *Table) Title() string { return t.title }
 
 // Render writes the table as aligned ASCII art.
 func (t *Table) Render(w io.Writer) error {
@@ -101,22 +94,4 @@ func (t *Table) String() string {
 	var b strings.Builder
 	_ = t.Render(&b)
 	return b.String()
-}
-
-// WriteCSV writes the table (headers first) as RFC 4180 CSV.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.headers); err != nil {
-		return fmt.Errorf("metrics: write csv header: %w", err)
-	}
-	for _, row := range t.rows {
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("metrics: write csv row: %w", err)
-		}
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return fmt.Errorf("metrics: flush csv: %w", err)
-	}
-	return nil
 }

@@ -31,28 +31,3 @@ func TestTableIntegerFloatsRenderCompact(t *testing.T) {
 		t.Fatalf("whole float should render as 31.0:\n%s", tb.String())
 	}
 }
-
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("t", "a", "b")
-	tb.AddRow("x", 1.5)
-	var b strings.Builder
-	if err := tb.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\nx,1.500\n"
-	if b.String() != want {
-		t.Fatalf("CSV = %q, want %q", b.String(), want)
-	}
-}
-
-func TestTableNumRowsAndTitle(t *testing.T) {
-	tb := NewTable("fig2", "a")
-	if tb.Title() != "fig2" {
-		t.Fatalf("Title() = %q", tb.Title())
-	}
-	tb.AddRow("r")
-	tb.AddRow("s")
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows() = %d, want 2", tb.NumRows())
-	}
-}

@@ -9,8 +9,7 @@ import (
 
 // DefaultEpsilon is the default scoring-error allowance for Policy 3. The
 // paper inherits ε from DAbR's reported scoring error; 2.5 reproduces the
-// figure's "between Policy 1 and Policy 2" growth (see experiment E5 for
-// the sweep across ε).
+// figure's "between Policy 1 and Policy 2" growth.
 const DefaultEpsilon = 2.5
 
 // ErrorRange is the paper's Policy 3: because the AI model's score sᵢ
@@ -41,7 +40,7 @@ func WithEpsilon(eps float64) ErrorRangeOption {
 }
 
 // WithSeed makes the difficulty draws deterministic, for reproducible
-// experiments.
+// simulations and tests.
 func WithSeed(seed uint64) ErrorRangeOption {
 	return func(p *ErrorRange) { p.rng = rand.New(rand.NewPCG(seed, 0xA5A5A5A55A5A5A5A)) }
 }

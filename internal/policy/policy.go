@@ -68,7 +68,8 @@ func clampDifficulty(d int) int {
 
 // Fixed is the classic non-adaptive PoW policy: every client gets the same
 // difficulty regardless of reputation. It is the paper's implicit baseline
-// (what "current state of the art" does) and experiment E4's comparator.
+// (what "current state of the art" does) and the sim's fixed(difficulty=d)
+// comparator.
 type Fixed struct {
 	// D is the difficulty issued to every request.
 	D int

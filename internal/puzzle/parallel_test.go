@@ -1,27 +1,18 @@
 package puzzle
 
+// Multi-worker solving: NewSolver(WithSolverWorkers(n)) scans disjoint
+// nonce strides and reports attempts summed across its workers.
+
 import (
 	"context"
 	"errors"
 	"testing"
 )
 
-func TestNewParallelSolverValidation(t *testing.T) {
-	if _, err := NewParallelSolver(WithWorkers(0)); err == nil {
-		t.Fatal("zero workers accepted")
-	}
-	if _, err := NewParallelSolver(WithWorkers(-2)); err == nil {
-		t.Fatal("negative workers accepted")
-	}
-}
-
 func TestParallelSolveFindsValidNonce(t *testing.T) {
 	iss := newTestIssuer(t)
 	ver := newTestVerifier(t)
-	ps, err := NewParallelSolver(WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := NewSolver(WithSolverWorkers(4))
 	for _, d := range []int{1, 6, 12} {
 		ch, err := iss.Issue("client", d)
 		if err != nil {
@@ -55,10 +46,7 @@ func TestParallelSolveAgreesWithSequentialVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := NewParallelSolver(WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := NewSolver(WithSolverWorkers(3))
 	par, _, err := ps.Solve(context.Background(), ch)
 	if err != nil {
 		t.Fatal(err)
@@ -76,11 +64,7 @@ func TestParallelSolveContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ps, err := NewParallelSolver(WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = ps.Solve(ctx, ch)
+	_, _, err = NewSolver(WithSolverWorkers(2)).Solve(ctx, ch)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -92,11 +76,8 @@ func TestParallelSolveNonceLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := NewParallelSolver(WithWorkers(2), WithParallelNonceLimit(2000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := ps.Solve(context.Background(), ch)
+	// The limit bounds attempts summed across workers, not per worker.
+	_, stats, err := NewSolver(WithSolverWorkers(2), WithNonceLimit(2000)).Solve(context.Background(), ch)
 	if !errors.Is(err, ErrNonceExhausted) {
 		t.Fatalf("err = %v, want ErrNonceExhausted", err)
 	}

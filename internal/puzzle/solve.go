@@ -20,8 +20,8 @@ const ctxCheckInterval = 4096
 // cancellation latency comparable.
 const balloonCheckInterval = 16
 
-// SolveStats describes the work one solve performed. The attack experiments
-// use it to account attacker-side cost.
+// SolveStats describes the work one solve performed, for client-side cost
+// accounting.
 type SolveStats struct {
 	// Attempts is the number of nonce evaluations performed, including
 	// the successful one. For memory-hard backends each attempt costs
@@ -69,8 +69,7 @@ func WithSolverNow(now func() time.Time) SolverOption {
 // WithNonceLimit caps the number of nonce attempts before the solver gives
 // up with ErrNonceExhausted. Zero (the default) means the full nonce space.
 // Rational attackers use this to bound the work they are willing to spend
-// on one request (see the attack strategies in internal/attack). With
-// multiple workers the limit bounds total attempts across all of them.
+// on one request. With multiple workers the limit bounds total attempts across all of them.
 func WithNonceLimit(limit uint64) SolverOption {
 	return func(s *Solver) { s.limit = limit }
 }
@@ -78,7 +77,7 @@ func WithNonceLimit(limit uint64) SolverOption {
 // WithSolverWorkers sets the number of goroutines searching the nonce
 // space (default 1, a sequential scan). Workers scan disjoint strides, so
 // the speedup is near-linear where hashing dominates; values below 1 are
-// treated as 1.
+// treated as 1 by design, not rejected: NewSolver has no error to return.
 func WithSolverWorkers(n int) SolverOption {
 	return func(s *Solver) { s.workers = n }
 }

@@ -56,6 +56,5 @@ func (c *Clock) Advance(d time.Duration) time.Time {
 }
 
 // Epoch is the canonical simulated-time origin scenarios start from: the
-// source paper's submission date, matching internal/netsim. Any fixed
-// instant works; fixing one keeps reports and golden files stable.
+// source paper's submission date. Any fixed instant works; fixing one keeps reports and golden files stable.
 func Epoch() time.Time { return time.Date(2022, 3, 21, 0, 0, 0, 0, time.UTC) }

@@ -20,11 +20,11 @@
 //     Two runs with the same seed produce byte-identical reports, which
 //     is what lets CI diff SIM_scenarios.json and gate on regressions.
 //
-// The engine deliberately has no server queueing model: internal/attack
-// (on the netsim event loop) measures overload collapse; this engine
-// measures the paper's central claim — who pays how much work for how much
-// service — under adversarial traffic mixes. Solving is modeled as the
-// same geometric process a real solver executes (netsim.SimSolver); with
+// The engine deliberately has no server queueing model (go run ./bench
+// measures the real server under load); it measures the paper's central
+// claim — who pays how much work for how much service — under adversarial
+// traffic mixes. Solving is modeled as the same geometric process a real
+// solver executes (geometricAttempts); with
 // Defense.RealSolve the engine additionally performs real nonce searches
 // and redeems them through Framework.Verify, exercising the cryptographic
 // path end to end at low difficulties.
@@ -47,7 +47,6 @@ import (
 	"aipow/internal/features"
 	"aipow/internal/feedback"
 	"aipow/internal/metrics"
-	"aipow/internal/netsim"
 	"aipow/internal/obs"
 	"aipow/internal/policy"
 	"aipow/internal/puzzle"
@@ -1039,7 +1038,7 @@ func (w *worker) finish(t int, a arrival, dec core.Decision) {
 	// fraction of hashcash's price but nearly full price for the
 	// memory-hard backend. Hashcash at speedup 1 makes this a multiply
 	// and divide by 1.0 — bit-identical to the pre-backend accounting.
-	attempts := netsim.SimSolver{HashRate: p.HashRate}.Attempts(dec.Difficulty, rng)
+	attempts := geometricAttempts(dec.Difficulty, rng)
 	effUnits := attempts * eng.attemptCost / p.speedupFor(eng.backendName)
 	o.solveAttempts += uint64(effUnits)
 	o.work.Observe(effUnits)
@@ -1163,6 +1162,18 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		return 0
 	}
 	return n
+}
+
+// geometricAttempts samples the hash evaluations a d-difficult puzzle
+// needs: a geometric draw with success probability 2^−d, sampled by
+// inversion (⌊ln U / ln(1−p)⌋ + 1), which is exact for all d ≥ 1.
+func geometricAttempts(d int, rng *rand.Rand) float64 {
+	p := math.Exp2(-float64(d))
+	u := rng.Float64()
+	for u == 0 { // ln(0) is −inf; redraw the measure-zero corner
+		u = rng.Float64()
+	}
+	return math.Floor(math.Log(u)/math.Log1p(-p)) + 1
 }
 
 // ceilPow2 rounds n up to the next power of two (minimum 1).

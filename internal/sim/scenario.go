@@ -288,9 +288,8 @@ func (ph Phase) validate(populations []Population) error {
 }
 
 // Network models the client↔server path and server-side service times.
-// The engine has no queueing model — internal/attack covers overload
-// collapse; this engine measures cost asymmetry — so these terms only
-// shape end-to-end latency.
+// The engine has no queueing model — it measures cost asymmetry, not
+// overload collapse — so these terms only shape end-to-end latency.
 type Network struct {
 	// OneWay is the one-way network delay per crossing (a full serve is
 	// four crossings: request, challenge, solution, response).

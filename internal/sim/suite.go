@@ -4,8 +4,8 @@ import (
 	"time"
 )
 
-// Simulation-wide calibration, matching internal/experiments: a
-// script-grade solver and the paper's ~31 ms four-crossing round trip.
+// Simulation-wide calibration, matching the Fig. 2 test in internal/policy:
+// a script-grade solver and the paper's ~31 ms four-crossing round trip.
 const (
 	suiteHashRate = 27000 // hashes/s
 	suiteOneWay   = 7750 * time.Microsecond

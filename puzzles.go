@@ -90,33 +90,9 @@ func WithNonceLimit(limit uint64) SolverOption { return puzzle.WithNonceLimit(li
 func WithExtendedNonce() SolverOption { return puzzle.WithExtendedNonce() }
 
 // WithSolverWorkers splits the nonce search across n goroutines for a
-// near-linear wall-clock speedup at high difficulties. n < 1 selects
-// runtime.NumCPU().
+// near-linear wall-clock speedup at high difficulties. n < 1 is treated
+// as 1 by design, not rejected: NewSolver has no error to return.
 func WithSolverWorkers(n int) SolverOption { return puzzle.WithSolverWorkers(n) }
-
-// ParallelSolver searches the nonce space with multiple goroutines.
-//
-// Deprecated: NewSolver with WithSolverWorkers covers the same ground
-// with one option set; ParallelSolver remains as a thin wrapper.
-type ParallelSolver = puzzle.ParallelSolver
-
-// ParallelOption configures NewParallelSolver.
-//
-// Deprecated: use SolverOption with NewSolver.
-type ParallelOption = puzzle.ParallelOption
-
-// NewParallelSolver returns a multi-goroutine solver (default
-// runtime.NumCPU() workers).
-//
-// Deprecated: use NewSolver(WithSolverWorkers(n)).
-func NewParallelSolver(opts ...ParallelOption) (*ParallelSolver, error) {
-	return puzzle.NewParallelSolver(opts...)
-}
-
-// WithWorkers sets the parallel solver's goroutine count.
-//
-// Deprecated: use WithSolverWorkers with NewSolver.
-func WithWorkers(n int) ParallelOption { return puzzle.WithWorkers(n) }
 
 // Standalone issuance/verification, for deployments that split the issuer
 // and verifier across processes. Most callers should use Framework, which
