@@ -223,9 +223,13 @@
 // never redeem across backends or routes — downgrade attacks fail
 // closed. One Solver serves both: it dispatches on the token's version
 // and backend ID (WithSolverWorkers parallelizes either search), so
-// clients follow a backend change with no configuration. The backend is
-// issuance state like ttl: changing it rebuilds the pipeline rather
-// than hot-swapping. The attacksim suite gates the economics — a
+// clients follow a backend change with no configuration. Verification
+// checks every backend in one cheapest-first order — version, MAC,
+// binding, freshness, then a read-only replay probe before the work
+// check — so a replayed balloon token costs a map lookup rather than a
+// balloon evaluation. The backend is issuance state like ttl: changing
+// it rebuilds the pipeline rather than hot-swapping. The attacksim suite
+// gates the economics — a
 // GPU-discounted botnet collapses the hashcash work asymmetry
 // (gpu-botnet-hashcash), the balloon backend restores it under the same
 // policy (gpu-botnet-balloon), and cross-backend-replay pins the

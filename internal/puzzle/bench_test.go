@@ -2,6 +2,7 @@ package puzzle
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -89,6 +90,43 @@ func BenchmarkVerifyBalloon(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := ver.Verify(sol, "203.0.113.9"); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVerifyBalloonReplay resubmits a redeemed balloon token: the
+// replay probe rejects it before the balloon evaluation, so it should cost
+// microseconds where BenchmarkVerifyBalloon costs hundreds of them.
+func BenchmarkVerifyBalloonReplay(b *testing.B) {
+	backend, err := NewBalloon(0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	iss, err := NewIssuer(testKey, WithIssuerBackend(backend))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ver, err := NewVerifier(testKey, WithVerifierBackend(backend),
+		WithReplayCache(NewReplayCache(1<<16, nil)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ch, err := iss.Issue("203.0.113.9", 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sol, _, err := NewSolver().Solve(context.Background(), ch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ver.Verify(sol, "203.0.113.9"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ver.Verify(sol, "203.0.113.9"); !errors.Is(err, ErrReplayed) {
+			b.Fatalf("replay = %v, want ErrReplayed", err)
 		}
 	}
 }

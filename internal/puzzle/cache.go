@@ -1,7 +1,6 @@
 package puzzle
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 )
@@ -58,7 +57,7 @@ func (c *ReplayCache) Remember(seed [SeedSize]byte, expires time.Time) bool {
 		c.evictSoonestLocked()
 	}
 	c.entries[seed] = expires
-	heap.Push(&c.order, expiryEntry{seed: seed, expires: expires})
+	c.order.push(expiryEntry{seed: seed, expires: expires})
 	return true
 }
 
@@ -86,7 +85,7 @@ const maxSweepPerOp = 8
 // expiry order.
 func (c *ReplayCache) sweepLocked(now time.Time, limit int) {
 	for n := 0; n < limit && len(c.order) > 0 && !c.order[0].expires.After(now); n++ {
-		e := heap.Pop(&c.order).(expiryEntry)
+		e := c.order.pop()
 		// Only delete if the map still holds this exact registration; a
 		// seed can be re-remembered with a later expiry after expiring.
 		if until, ok := c.entries[e.seed]; ok && until.Equal(e.expires) {
@@ -98,7 +97,7 @@ func (c *ReplayCache) sweepLocked(now time.Time, limit int) {
 // evictSoonestLocked removes the live entry closest to expiring.
 func (c *ReplayCache) evictSoonestLocked() {
 	for len(c.order) > 0 {
-		e := heap.Pop(&c.order).(expiryEntry)
+		e := c.order.pop()
 		if until, ok := c.entries[e.seed]; ok && until.Equal(e.expires) {
 			delete(c.entries, e.seed)
 			return
@@ -118,11 +117,50 @@ type expiryEntry struct {
 	expires time.Time
 }
 
-// expiryHeap is a min-heap on expiry time.
+// expiryHeap is a min-heap on expiry time. It is typed rather than driven
+// through container/heap, whose any-based Push and Pop box every entry
+// onto the heap: push and pop here allocate nothing once the backing
+// array has reached the cache's capacity.
 type expiryHeap []expiryEntry
 
-func (h expiryHeap) Len() int           { return len(h) }
-func (h expiryHeap) Less(i, j int) bool { return h[i].expires.Before(h[j].expires) }
-func (h expiryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *expiryHeap) Push(x any)        { *h = append(*h, x.(expiryEntry)) }
-func (h *expiryHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+func (h expiryHeap) less(i, j int) bool { return h[i].expires.Before(h[j].expires) }
+
+// push adds e and restores the heap order.
+func (h *expiryHeap) push(e expiryEntry) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the entry with the soonest expiry. The heap
+// must not be empty.
+func (h *expiryHeap) pop() expiryEntry {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < n && q.less(l, least) {
+			least = l
+		}
+		if r < n && q.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
+}

@@ -15,6 +15,23 @@
 // has at least d leading zero bits. The expected number of hash evaluations
 // is 2^d, which is what makes difficulty an adaptive cost dial: the policy
 // module chooses d per request from the client's reputation score.
+//
+// Verification runs its checks cheapest first, in one order for every
+// backend, and stops at the first failure:
+//
+//  1. wire version and backend, then the difficulty range;
+//  2. the HMAC tag (or an AuthCache hit);
+//  3. the client binding, then freshness (issue time and TTL);
+//  4. a read-only replay probe: the fleet tag filter, then the local
+//     replay cache;
+//  5. the work check (one SHA-256, or one balloon evaluation);
+//  6. the atomic claim of the seed in the replay cache;
+//  7. publication of the redeemed tag to the fleet.
+//
+// Replay state is consulted only for authentic, correctly bound, fresh
+// challenges, and a replayed token is rejected before any puzzle
+// evaluation. Nothing is written before step 6, so a failed attempt burns
+// nothing, and the claim is the single arbiter between racing redemptions.
 package puzzle
 
 import (
@@ -179,8 +196,14 @@ func (c Challenge) canonical() []byte {
 // Version1 keeps its original byte layout exactly, so pre-backend tokens
 // stay authentic; Version2 prepends the backend ID and cost parameters
 // under a distinct magic.
+//
+// The layout follows the backend field, not the version byte: the decoder
+// sets the backend from the magic and keeps the version byte as sent, so
+// this makes encoding the exact inverse of decoding, even for a token
+// whose version byte disagrees with its magic. Issued challenges carry a
+// backend exactly when they are Version2, so their bytes are unchanged.
 func (c *Challenge) appendCanonical(b []byte) []byte {
-	if c.Version >= Version2 {
+	if c.Backend != 0 {
 		b = append(b, magic2...)
 		b = append(b, c.Version)
 		b = append(b, byte(c.Backend))

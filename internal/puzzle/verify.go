@@ -80,7 +80,7 @@ func WithVerifierAuthCache(c *AuthCache) VerifierOption {
 // Tags pass by value ([TagSize]byte, one HMAC output) so the hot-path
 // call sites never force a challenge to escape to the heap; SeenTag must
 // therefore be cheap and allocation-free — it runs on the serving path of
-// every verification.
+// every authentic, fresh verification, ahead of the work check.
 type TagExchange interface {
 	// SeenTag reports whether the tag was already redeemed anywhere in
 	// the fleet as far as this node knows. It may err on the side of
@@ -98,10 +98,11 @@ type TagExchange interface {
 // WithTagExchange consults x on every verification: a solution whose
 // challenge tag the fleet has already seen fails closed with ErrReplayed,
 // exactly like a local replay-cache hit, and every successful redemption
-// is published back through x. The check sits at the same stage as the
-// local replay cache — after all authenticity, binding, freshness, and
-// solution checks — so a failed attempt never burns the tag either
-// locally or fleet-wide.
+// is published back through x. SeenTag is probed just before the local
+// replay cache — after authenticity, binding and freshness, before the
+// work check — so a replayed token never costs a puzzle evaluation.
+// RedeemedTag runs only after the work check and the local claim pass,
+// so a failed attempt never burns the tag either locally or fleet-wide.
 func WithTagExchange(x TagExchange) VerifierOption {
 	return func(v *Verifier) { v.tags = x }
 }
@@ -137,7 +138,8 @@ func (v *Verifier) Backend() Backend { return v.backend }
 // Verify checks that sol is an authentic, fresh, unredeemed, and correct
 // solution presented by the client identified by binding. An empty binding
 // skips the binding check (for callers that have already authenticated the
-// presenter). All failures wrap ErrVerify plus a specific sentinel.
+// presenter). All failures wrap ErrVerify plus a specific sentinel. The
+// checks run cheapest first, in the order the package comment lists.
 func (v *Verifier) Verify(sol Solution, binding string) error {
 	return v.VerifyAt(&sol, binding, v.now())
 }
@@ -191,11 +193,24 @@ func (v *Verifier) VerifyAt(sol *Solution, binding string, now time.Time) error 
 			ErrVerify, ErrExpired, now.Sub(ch.ExpiresAt()))
 	}
 
+	// Probe replay state before paying for the work check: a redeemed
+	// token costs a map lookup, not a balloon fill. The probe only reads,
+	// so a failed attempt burns nothing. The fleet filter goes first and
+	// rejects identically as far as errors.Is(ErrReplayed) goes;
+	// ErrFleetReplay only attributes the catch to the gossiped filter so
+	// traces can tell the two planes apart.
+	if v.tags != nil && v.tags.SeenTag(ch.Tag) {
+		return fmt.Errorf("%w: %w", ErrVerify, ErrFleetReplay)
+	}
+	if v.replay != nil && v.replay.Contains(ch.Seed) {
+		return fmt.Errorf("%w: %w", ErrVerify, ErrReplayed)
+	}
+
 	// Equivalent to ch.Meets(sol.Nonce), but re-using the canonical bytes
 	// already in s.buf instead of re-encoding them. The hashcash branch
-	// stays the pre-backend inline digest; only authenticated challenges
-	// reach the memory-hard branch, so its cost parameters are always
-	// ones this deployment's issuer signed.
+	// stays the pre-backend inline digest; only authenticated, fresh,
+	// unredeemed challenges reach the memory-hard branch, so its cost
+	// parameters are always ones this deployment's issuer signed.
 	s.buf = appendNonce(s.buf, sol.Nonce)
 	if v.wantBackend == BackendBalloon {
 		digest := balloonDigest(s.buf, ch.Space, ch.Rounds)
@@ -209,14 +224,9 @@ func (v *Verifier) VerifyAt(sol *Solution, binding string, now time.Time) error 
 		}
 	}
 
-	// Redeem last, so failed attempts do not burn the seed. The fleet
-	// filter is consulted at the same stage as the local replay cache and
-	// rejects identically as far as errors.Is(ErrReplayed) goes;
-	// ErrFleetReplay only attributes the catch to the gossiped filter so
-	// traces can tell the two planes apart.
-	if v.tags != nil && v.tags.SeenTag(ch.Tag) {
-		return fmt.Errorf("%w: %w", ErrVerify, ErrFleetReplay)
-	}
+	// Claim only after the work check passes, so failed attempts do not
+	// burn the seed. Remember is the single arbiter: of two redemptions
+	// racing past the probe, exactly one claims the seed.
 	if v.replay != nil && !v.replay.Remember(ch.Seed, ch.ExpiresAt().Add(v.skew)) {
 		return fmt.Errorf("%w: %w", ErrVerify, ErrReplayed)
 	}

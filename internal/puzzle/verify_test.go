@@ -2,6 +2,7 @@ package puzzle
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -183,6 +184,196 @@ func TestVerifyFailedAttemptDoesNotBurnSeed(t *testing.T) {
 	}
 	if err := ver.Verify(sol, "c"); err != nil {
 		t.Fatalf("correct solution rejected after failed attempt: %v", err)
+	}
+}
+
+// fakeTags is an exact, concurrency-safe TagExchange that counts
+// publications.
+type fakeTags struct {
+	mu        sync.Mutex
+	seen      map[[TagSize]byte]bool
+	published int
+}
+
+func newFakeTags() *fakeTags { return &fakeTags{seen: make(map[[TagSize]byte]bool)} }
+
+func (f *fakeTags) SeenTag(tag [TagSize]byte) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.seen[tag]
+}
+
+func (f *fakeTags) RedeemedTag(tag [TagSize]byte, _ time.Time) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.seen[tag] = true
+	f.published++
+}
+
+// forEachBackend runs fn under hashcash and under the production-sized
+// balloon backend, whose work check is the expensive one.
+func forEachBackend(t *testing.T, fn func(t *testing.T, b Backend)) {
+	balloon, err := NewBalloon(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []Backend{Hashcash(), balloon} {
+		t.Run(b.Name(), func(t *testing.T) { fn(t, b) })
+	}
+}
+
+// issueSolved issues a 2-difficult challenge bound to binding and solves it.
+func issueSolved(t *testing.T, iss *Issuer, binding string) Solution {
+	t.Helper()
+	ch, err := iss.Issue(binding, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return solveOrDie(t, ch)
+}
+
+// withWrongNonce returns sol with a nonce that does not solve its challenge.
+func withWrongNonce(sol Solution) Solution {
+	sol.Nonce++
+	for sol.Challenge.Meets(sol.Nonce) {
+		sol.Nonce++
+	}
+	return sol
+}
+
+// A redeemed token is rejected as a replay whatever its nonce: the probe
+// runs before the work check, so a replay never pays for an evaluation.
+func TestVerifyProbesReplayBeforeWork(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b Backend) {
+		iss := newTestIssuer(t, WithIssuerBackend(b))
+		ver := newTestVerifier(t, WithVerifierBackend(b), WithReplayCache(NewReplayCache(16, nil)))
+		sol := issueSolved(t, iss, "c")
+		if err := ver.Verify(sol, "c"); err != nil {
+			t.Fatalf("first redemption: %v", err)
+		}
+		err := ver.Verify(withWrongNonce(sol), "c")
+		if !errors.Is(err, ErrReplayed) || errors.Is(err, ErrFleetReplay) {
+			t.Fatalf("redeemed token with wrong nonce = %v, want local ErrReplayed", err)
+		}
+	})
+}
+
+// A tag the fleet has seen is rejected as a fleet replay before the work
+// check, and the local cache is left untouched.
+func TestVerifyProbesFleetBeforeWork(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b Backend) {
+		iss := newTestIssuer(t, WithIssuerBackend(b))
+		cache := NewReplayCache(16, nil)
+		tags := newFakeTags()
+		ver := newTestVerifier(t, WithVerifierBackend(b), WithReplayCache(cache), WithTagExchange(tags))
+		sol := issueSolved(t, iss, "c")
+		tags.seen[sol.Challenge.Tag] = true // redeemed on a peer
+		for _, s := range []Solution{withWrongNonce(sol), sol} {
+			if err := ver.Verify(s, "c"); !errors.Is(err, ErrFleetReplay) {
+				t.Fatalf("fleet-seen tag (nonce %d) = %v, want ErrFleetReplay", s.Nonce, err)
+			}
+		}
+		if cache.Contains(sol.Challenge.Seed) || tags.published != 0 {
+			t.Fatal("a rejected fleet replay wrote replay state")
+		}
+	})
+}
+
+// Replay state stays hidden behind authentication, binding and freshness:
+// a redeemed token that fails any of them reports that failure, not the
+// replay.
+func TestVerifyReplayStateHiddenBeforeAuthAndBinding(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b Backend) {
+		iss := newTestIssuer(t, WithIssuerBackend(b))
+		tags := newFakeTags()
+		ver := newTestVerifier(t, WithVerifierBackend(b),
+			WithReplayCache(NewReplayCache(16, nil)), WithTagExchange(tags))
+		sol := issueSolved(t, iss, "192.0.2.1")
+		if err := ver.Verify(sol, "192.0.2.1"); err != nil {
+			t.Fatalf("first redemption: %v", err)
+		}
+		flipped := sol
+		flipped.Challenge.Tag[0] ^= 1
+		if err := ver.Verify(flipped, "192.0.2.1"); !errors.Is(err, ErrBadTag) {
+			t.Fatalf("flipped tag on a redeemed seed = %v, want ErrBadTag", err)
+		}
+		if err := ver.Verify(sol, "203.0.113.5"); !errors.Is(err, ErrBindingMismatch) {
+			t.Fatalf("redeemed token from another IP = %v, want ErrBindingMismatch", err)
+		}
+		late := sol.Challenge.ExpiresAt().Add(time.Hour)
+		if err := ver.VerifyAt(&sol, "192.0.2.1", late); !errors.Is(err, ErrExpired) {
+			t.Fatalf("redeemed token after expiry = %v, want ErrExpired", err)
+		}
+	})
+}
+
+// A wrong nonce on a fresh token burns it neither locally nor fleet-wide.
+func TestVerifyWrongNonceDoesNotBurnToken(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b Backend) {
+		iss := newTestIssuer(t, WithIssuerBackend(b))
+		cache := NewReplayCache(16, nil)
+		tags := newFakeTags()
+		ver := newTestVerifier(t, WithVerifierBackend(b), WithReplayCache(cache), WithTagExchange(tags))
+		sol := issueSolved(t, iss, "c")
+		if err := ver.Verify(withWrongNonce(sol), "c"); !errors.Is(err, ErrWrongSolution) {
+			t.Fatalf("wrong nonce = %v, want ErrWrongSolution", err)
+		}
+		if cache.Contains(sol.Challenge.Seed) || tags.SeenTag(sol.Challenge.Tag) {
+			t.Fatal("a failed attempt burned the token")
+		}
+		if err := ver.Verify(sol, "c"); err != nil {
+			t.Fatalf("correct solution after a failed attempt: %v", err)
+		}
+		if tags.published != 1 {
+			t.Fatalf("published %d tags, want 1", tags.published)
+		}
+	})
+}
+
+// Racing redemptions of one token: every goroutine may pass the read-only
+// probe, but the claim admits exactly one.
+func TestVerifyRedemptionRace(t *testing.T) {
+	const goroutines, rounds = 16, 200
+	for _, b := range []Backend{Hashcash(), testBalloon(t)} {
+		for _, plane := range []string{"local", "fleet"} {
+			t.Run(b.Name()+"-"+plane, func(t *testing.T) {
+				opts := []VerifierOption{WithVerifierBackend(b), WithReplayCache(NewReplayCache(1024, nil))}
+				if plane == "fleet" {
+					opts = append(opts, WithTagExchange(newFakeTags()))
+				}
+				iss := newTestIssuer(t, WithIssuerBackend(b))
+				ver := newTestVerifier(t, opts...)
+				errs := make([]error, goroutines)
+				for r := 0; r < rounds; r++ {
+					sol := issueSolved(t, iss, "c")
+					now := time.Now()
+					start := make(chan struct{})
+					var wg sync.WaitGroup
+					for g := range errs {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							<-start
+							errs[g] = ver.VerifyAt(&sol, "c", now)
+						}()
+					}
+					close(start)
+					wg.Wait()
+					accepted := 0
+					for _, err := range errs {
+						switch {
+						case err == nil:
+							accepted++
+						case !errors.Is(err, ErrReplayed):
+							t.Fatalf("round %d: losing redemption = %v, want ErrReplayed", r, err)
+						}
+					}
+					if accepted != 1 {
+						t.Fatalf("round %d: %d of %d racing redemptions accepted, want 1", r, accepted, goroutines)
+					}
+				}
+			})
+		}
 	}
 }
 
