@@ -60,7 +60,13 @@
 //     onto pipelines. ParseDeployment compiles the document; a
 //     ComponentRegistry resolves the component names (register scorers
 //     and sources with RegisterScorer/RegisterSource) and owns the
-//     shared HMAC key and behavior tracker.
+//     shared HMAC key and behavior tracker. One table of statements
+//     declares the pipeline grammar — each statement's spelling, bound,
+//     whether changing it rebuilds the pipeline, and where it lives in
+//     the spec — and the text parser, validation, spec equality and the
+//     hot-swap check all read it. The canonical JSON that Marshal prints
+//     (and GET /spec serves) is the spec's printed form: it parses back
+//     to the same deployment.
 //
 //   - Atomic hot-swap. A Framework's swappable configuration — scorer,
 //     policy, source, fail-closed score, bypass threshold — lives in an

@@ -68,7 +68,7 @@ func TestParseDeploymentAdaptText(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-parse canonical JSON: %v", err)
 	}
-	if !dep2.Pipelines[0].Adapt.equal(a) {
+	if !specEqual(dep2.Pipelines[0], dep.Pipelines[0]) {
 		t.Fatalf("adapt section changed across the JSON round trip: %+v vs %+v", dep2.Pipelines[0].Adapt, a)
 	}
 }

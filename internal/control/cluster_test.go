@@ -65,6 +65,8 @@ pipeline api
 		"pipeline p\n scorer s\n policy policy2\n cluster peers(a) peers(b)\n", // duplicate group
 		"pipeline p\n scorer s\n policy policy2\n cluster\n cluster\n",         // duplicate statement
 		"pipeline p\n scorer s\n policy policy2\n cluster exchange(-1s)\n",
+		"pipeline p\n scorer s\n policy policy2\n cluster filter(bits=64, bits=128)\n", // duplicate parameter
+		"pipeline p\n scorer s\n policy policy2\n cluster delta(every=2, every=3)\n",
 	} {
 		if _, err := ParseDeployment(bad); err == nil {
 			t.Errorf("parsed %q", bad)

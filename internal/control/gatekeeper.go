@@ -2,6 +2,7 @@ package control
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -257,20 +258,7 @@ func (gk *Gatekeeper) record(dep *DeploymentSpec) {
 
 // depEqual reports semantic equality of two deployment documents.
 func depEqual(a, b *DeploymentSpec) bool {
-	if len(a.Pipelines) != len(b.Pipelines) || len(a.Routes) != len(b.Routes) {
-		return false
-	}
-	for i := range a.Pipelines {
-		if !specEqual(a.Pipelines[i], b.Pipelines[i]) {
-			return false
-		}
-	}
-	for i := range a.Routes {
-		if a.Routes[i] != b.Routes[i] {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a.Pipelines, b.Pipelines, specEqual) && slices.Equal(a.Routes, b.Routes)
 }
 
 // History returns a copy of the retained applied-spec log, oldest first.

@@ -39,7 +39,7 @@ pipeline web
 	if err != nil {
 		t.Fatalf("re-parse canonical JSON: %v", err)
 	}
-	if !dep2.Pipelines[0].Observe.equal(o) {
+	if !specEqual(dep2.Pipelines[0], dep.Pipelines[0]) {
 		t.Fatalf("observe section changed across the JSON round trip: %+v vs %+v", dep2.Pipelines[0].Observe, o)
 	}
 }
@@ -53,6 +53,7 @@ func TestParseDeploymentObserveErrors(t *testing.T) {
 		{"unclosed", "observe trace(sample=1", "unclosed group"},
 		{"duplicate group", "observe trace(sample=1) trace(ring=2)", "duplicate group"},
 		{"negative", "observe trace(sample=-1)", "negative trace sample"},
+		{"duplicate parameter", "observe trace(sample=1, sample=2)", "duplicate parameter"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,6 +127,42 @@ func TestObserveHotSwap(t *testing.T) {
 	}
 	if p.Framework().TraceRing() != nil {
 		t.Fatal("removing the observe section left tracing on")
+	}
+}
+
+// TestObserveEquivalentSpellingsAreNotAChange: observe sections that
+// resolve to the same sample rate and ring size — after zero→default
+// substitution and power-of-two rounding — are one spec, so applying one
+// over the other keeps the running ring (and, since the apply is a no-op,
+// an escalated adapt controller).
+func TestObserveEquivalentSpellingsAreNotAChange(t *testing.T) {
+	reg := newTestRegistry(t)
+	base := PipelineSpec{Name: "web", Scorer: "threat", Source: "store", Policy: "policy2", Observe: &ObserveSpec{}}
+	p, err := reg.Build(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := p.Framework().TraceRing()
+	for _, o := range []ObserveSpec{{TraceSample: 1024, TraceRing: 256}, {TraceSample: 1000, TraceRing: 200}} {
+		next := base
+		next.Observe = &o
+		if !specEqual(base, next) {
+			t.Fatalf("observe %+v differs from the defaults it resolves to", o)
+		}
+		if err := p.Apply(next); err != nil {
+			t.Fatal(err)
+		}
+		if p.Framework().TraceRing() != ring {
+			t.Fatalf("applying equivalent observe %+v replaced the trace ring", o)
+		}
+	}
+	changed := base
+	changed.Observe = &ObserveSpec{TraceSample: 1}
+	if err := p.Apply(changed); err != nil {
+		t.Fatal(err)
+	}
+	if p.Framework().TraceRing() == ring {
+		t.Fatal("a real sample-rate change kept the old ring")
 	}
 }
 

@@ -2,6 +2,7 @@ package control
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -262,7 +263,7 @@ func (p *Pipeline) installLocked(ps PipelineSpec, scorer features.VectorScorer, 
 	// The trace ring is rebuilt only when the observe section changed: an
 	// unrelated apply keeps the running ring (and its retained samples),
 	// and a removed section disables tracing with SetTrace(nil).
-	if !p.spec.Observe.equal(ps.Observe) {
+	if diff(p.spec, ps, func(r *stmt) bool { return strings.HasPrefix(r.name, "observe") }) != nil {
 		swaps = append(swaps, core.SetTrace(newTraceRing(ps.Observe)))
 	}
 	if err := p.fw.Swap(swaps...); err != nil {

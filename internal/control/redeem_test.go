@@ -115,6 +115,8 @@ func TestRedeemSpecErrors(t *testing.T) {
 		{"bad half-life", pipe("redeem(half-life=fast)"), "half-life"},
 		{"negative max", pipe("redeem(max=-2)"), "negative max"},
 		{"duplicate redeem", pipe("redeem\n redeem"), "duplicate redeem"},
+		{"duplicate parameter", pipe("redeem(max=6, max=7)"), "duplicate parameter"},
+		{"no parentheses", pipe("redeem max=6"), "redeem"},
 		{"buffer size below minimum", pipe("evidence-buffer 1 5ms"), "below minimum"},
 		{"buffer bad interval", pipe("evidence-buffer 64 soon"), "interval"},
 		{"buffer arity", pipe("evidence-buffer 64"), "evidence-buffer"},

@@ -183,9 +183,9 @@ func (r *Registry) Tracker() *features.Tracker { return r.tracker }
 // spec leaves zero) so the spec changes exactly the declared knobs
 // instead of silently resetting an operator's tuning to defaults.
 func (r *Registry) trackerFor(ps PipelineSpec) (*features.Tracker, error) {
-	key := trackerKey{
-		window:   time.Duration(ps.TrackerWindow),
-		halfLife: time.Duration(ps.Redeem.halfLife()),
+	key := trackerKey{window: time.Duration(ps.TrackerWindow)}
+	if ps.Redeem != nil {
+		key.halfLife = time.Duration(ps.Redeem.HalfLife)
 	}
 	if key == (trackerKey{}) {
 		return r.tracker, nil
@@ -489,19 +489,12 @@ func (r *Registry) pipelineEvents(name string) obs.Sink {
 }
 
 // newTraceRing compiles a spec's observe section into a trace ring (nil
-// without one), resolving zero parameters to the obs defaults.
+// without one).
 func newTraceRing(o *ObserveSpec) *obs.TraceRing {
 	if o == nil {
 		return nil
 	}
-	sample, ring := o.TraceSample, o.TraceRing
-	if sample == 0 {
-		sample = obs.DefaultTraceSample
-	}
-	if ring == 0 {
-		ring = obs.DefaultTraceRingSize
-	}
-	return obs.NewTraceRing(sample, ring)
+	return obs.NewTraceRing(traceGeometry(o))
 }
 
 // components compiles the hot-swappable component set of a spec over the

@@ -18,11 +18,13 @@ package control
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"aipow/internal/feedback"
+	"aipow/internal/policy"
 	"aipow/internal/puzzle"
 )
 
@@ -31,27 +33,23 @@ import (
 // when unmarshaling, so text and JSON spec forms stay interconvertible.
 type Duration time.Duration
 
+// String renders the duration like time.Duration: "30s".
+func (d Duration) String() string { return time.Duration(d).String() }
+
 // MarshalJSON renders the duration as its string form.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
+func (d Duration) MarshalJSON() ([]byte, error) { return json.Marshal(d.String()) }
 
 // UnmarshalJSON accepts "30s"-style strings or integer nanoseconds.
 func (d *Duration) UnmarshalJSON(data []byte) error {
 	var s string
-	if err := json.Unmarshal(data, &s); err == nil {
-		v, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("control: bad duration %q: %w", s, err)
-		}
-		*d = Duration(v)
-		return nil
+	if err := json.Unmarshal(data, &s); err != nil {
+		return json.Unmarshal(data, (*int64)(d))
 	}
-	var ns int64
-	if err := json.Unmarshal(data, &ns); err != nil {
-		return fmt.Errorf("control: duration must be a string like \"30s\" or integer nanoseconds")
+	v, err := time.ParseDuration(s)
+	if err != nil {
+		return fmt.Errorf("control: bad duration %q: %w", s, err)
 	}
-	*d = Duration(ns)
+	*d = Duration(v)
 	return nil
 }
 
@@ -197,61 +195,12 @@ type RedeemSpec struct {
 	HalfLife Duration `json:"half_life,omitempty"`
 }
 
-// validate rejects malformed redeem sections.
-func (r *RedeemSpec) validate(pipeline string) error {
-	switch {
-	case r.Max < 0:
-		return fmt.Errorf("control: pipeline %q redeem: negative max", pipeline)
-	case r.HalfCredit < 0:
-		return fmt.Errorf("control: pipeline %q redeem: negative half-credit", pipeline)
-	case r.HalfLife < 0:
-		return fmt.Errorf("control: pipeline %q redeem: negative half-life", pipeline)
-	}
-	return nil
-}
-
-// equal reports semantic equality of two redeem sections.
-func (r *RedeemSpec) equal(b *RedeemSpec) bool {
-	if (r == nil) != (b == nil) {
-		return false
-	}
-	return r == nil || *r == *b
-}
-
-// halfLife reports the section's half-life, tolerating a nil receiver.
-func (r *RedeemSpec) halfLife() Duration {
-	if r == nil {
-		return 0
-	}
-	return r.HalfLife
-}
-
 // BufferSpec is a pipeline's evidence write-back section: the per-shard
 // buffer size bound and the background flush interval. In the text DSL it
 // is an `evidence-buffer <size> <interval>` line.
 type BufferSpec struct {
 	Size     int      `json:"size"`
 	Interval Duration `json:"interval"`
-}
-
-// validate rejects malformed buffer sections (mirroring core.New's checks
-// so the error carries the pipeline name at parse time, not build time).
-func (b *BufferSpec) validate(pipeline string) error {
-	switch {
-	case b.Size < 2:
-		return fmt.Errorf("control: pipeline %q evidence-buffer: size %d below minimum 2", pipeline, b.Size)
-	case b.Interval <= 0:
-		return fmt.Errorf("control: pipeline %q evidence-buffer: non-positive interval %v", pipeline, time.Duration(b.Interval))
-	}
-	return nil
-}
-
-// equal reports semantic equality of two buffer sections.
-func (b *BufferSpec) equal(q *BufferSpec) bool {
-	if (b == nil) != (q == nil) {
-		return false
-	}
-	return b == nil || *b == *q
 }
 
 // ObserveSpec is a pipeline's observability section. In the text DSL it
@@ -271,25 +220,6 @@ type ObserveSpec struct {
 	// TraceRing is the trace ring capacity in records
 	// (0 = obs.DefaultTraceRingSize).
 	TraceRing int `json:"trace_ring,omitempty"`
-}
-
-// validate rejects malformed observe sections.
-func (o *ObserveSpec) validate(pipeline string) error {
-	switch {
-	case o.TraceSample < 0:
-		return fmt.Errorf("control: pipeline %q observe: negative trace sample", pipeline)
-	case o.TraceRing < 0:
-		return fmt.Errorf("control: pipeline %q observe: negative trace ring", pipeline)
-	}
-	return nil
-}
-
-// equal reports semantic equality of two observe sections.
-func (o *ObserveSpec) equal(b *ObserveSpec) bool {
-	if (o == nil) != (b == nil) {
-		return false
-	}
-	return o == nil || *o == *b
 }
 
 // ClusterSpec is a pipeline's distributed-defense section. In the text
@@ -312,47 +242,6 @@ type ClusterSpec struct {
 	FilterBits   int      `json:"filter_bits,omitempty"`
 	FilterHashes int      `json:"filter_hashes,omitempty"`
 	DeltaEvery   int      `json:"delta_every,omitempty"`
-}
-
-// validate rejects malformed cluster sections.
-func (c *ClusterSpec) validate(pipeline string) error {
-	switch {
-	case c.Exchange < 0:
-		return fmt.Errorf("control: pipeline %q cluster: negative exchange interval", pipeline)
-	case c.FilterBits != 0 && (c.FilterBits < 64 || c.FilterBits&(c.FilterBits-1) != 0):
-		return fmt.Errorf("control: pipeline %q cluster: filter bits %d must be a power of two ≥ 64", pipeline, c.FilterBits)
-	case c.FilterHashes < 0 || c.FilterHashes > 16:
-		return fmt.Errorf("control: pipeline %q cluster: filter hashes %d outside [0, 16]", pipeline, c.FilterHashes)
-	case c.DeltaEvery < 0:
-		return fmt.Errorf("control: pipeline %q cluster: negative delta interval %d", pipeline, c.DeltaEvery)
-	}
-	for _, p := range c.Peers {
-		if strings.TrimSpace(p) == "" {
-			return fmt.Errorf("control: pipeline %q cluster: empty peer URL", pipeline)
-		}
-	}
-	return nil
-}
-
-// equal reports semantic equality of two cluster sections.
-func (c *ClusterSpec) equal(b *ClusterSpec) bool {
-	if (c == nil) != (b == nil) {
-		return false
-	}
-	if c == nil {
-		return true
-	}
-	if c.Exchange != b.Exchange || c.FilterBits != b.FilterBits ||
-		c.FilterHashes != b.FilterHashes || c.DeltaEvery != b.DeltaEvery ||
-		len(c.Peers) != len(b.Peers) {
-		return false
-	}
-	for i := range c.Peers {
-		if c.Peers[i] != b.Peers[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // AdaptSpec is a pipeline's adaptive-defense section: the signal-plane
@@ -385,63 +274,6 @@ type AdaptSpec struct {
 	// Rules is the escalation ladder in level order:
 	// "escalate(when=<cond>, policy=<spec>[, hold=<dur>][, after=<n>][, unless=<cond>])".
 	Rules []string `json:"rules,omitempty"`
-}
-
-// validate rejects malformed adapt sections.
-func (a *AdaptSpec) validate(pipeline string) error {
-	switch {
-	case a.Interval < 0:
-		return fmt.Errorf("control: pipeline %q adapt: negative interval", pipeline)
-	case a.Capacity < 0:
-		return fmt.Errorf("control: pipeline %q adapt: negative capacity", pipeline)
-	case a.Hard < 0:
-		return fmt.Errorf("control: pipeline %q adapt: negative hard difficulty", pipeline)
-	case a.Window < 0:
-		return fmt.Errorf("control: pipeline %q adapt: negative window", pipeline)
-	case a.LoadShift < 0:
-		return fmt.Errorf("control: pipeline %q adapt: negative load-shift", pipeline)
-	case len(a.Rules) == 0 && a.LoadShift == 0:
-		return fmt.Errorf("control: pipeline %q adapt: declares neither escalate rules nor load-shift", pipeline)
-	}
-	// The load signal is rate/capacity; without a declared capacity it is
-	// pinned to 0, so a load-shift or load-conditioned rule would be
-	// silently inert — reject rather than deploy a defense that can never
-	// engage.
-	needsLoad := a.LoadShift > 0
-	for _, spec := range a.Rules {
-		rule, err := feedback.ParseRule(spec)
-		if err != nil {
-			return fmt.Errorf("control: pipeline %q adapt: %w", pipeline, err)
-		}
-		if rule.When.Signal == feedback.SignalLoad ||
-			(rule.Unless != nil && rule.Unless.Signal == feedback.SignalLoad) {
-			needsLoad = true
-		}
-	}
-	if needsLoad && a.Capacity <= 0 {
-		return fmt.Errorf("control: pipeline %q adapt: load-shift and load-conditioned rules require `adapt capacity <decisions/s>`", pipeline)
-	}
-	return nil
-}
-
-// equal reports semantic equality of two adapt sections.
-func (a *AdaptSpec) equal(b *AdaptSpec) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	if a.Interval != b.Interval || a.Capacity != b.Capacity || a.Hard != b.Hard ||
-		a.Window != b.Window || a.LoadShift != b.LoadShift || len(a.Rules) != len(b.Rules) {
-		return false
-	}
-	for i := range a.Rules {
-		if a.Rules[i] != b.Rules[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // RouteSpec maps one request class onto a pipeline. Exactly one of
@@ -503,7 +335,7 @@ func (d *DeploymentSpec) Validate() error {
 		return nil
 	}
 	catchAll := false
-	routed := make(map[string]bool, len(d.Routes))
+	routed := make(map[RouteSpec]bool, len(d.Routes))
 	for _, r := range d.Routes {
 		switch {
 		case r.PathPrefix == "" && r.Tenant == "":
@@ -516,17 +348,12 @@ func (d *DeploymentSpec) Validate() error {
 		if !seen[r.Pipeline] {
 			return fmt.Errorf("control: route %s targets unknown pipeline %q", routeLabel(r), r.Pipeline)
 		}
-		key := "path:" + r.PathPrefix
-		if r.Tenant != "" {
-			key = "tenant:" + r.Tenant
-		}
+		key := RouteSpec{PathPrefix: r.PathPrefix, Tenant: r.Tenant}
 		if routed[key] {
 			return fmt.Errorf("control: duplicate route %s", routeLabel(r))
 		}
 		routed[key] = true
-		if r.PathPrefix == "/" {
-			catchAll = true
-		}
+		catchAll = catchAll || r.PathPrefix == "/"
 	}
 	if !catchAll {
 		return fmt.Errorf("control: no catch-all route; add `route / <pipeline>`")
@@ -542,7 +369,8 @@ func routeLabel(r RouteSpec) string {
 	return fmt.Sprintf("path %q", r.PathPrefix)
 }
 
-// validate rejects malformed pipeline specs.
+// validate rejects malformed pipeline specs: the statement table's lower
+// bounds, then the rules that span fields.
 func (p *PipelineSpec) validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("control: pipeline without a name")
@@ -556,20 +384,23 @@ func (p *PipelineSpec) validate() error {
 	case p.Policy != "" && p.PolicyRules != "":
 		return fmt.Errorf("control: pipeline %q declares both a policy spec and inline rules; pick one", p.Name)
 	}
-	if p.TTL < 0 {
-		return fmt.Errorf("control: pipeline %q has negative ttl", p.Name)
-	}
-	if p.TrackerWindow < 0 {
-		return fmt.Errorf("control: pipeline %q has negative window", p.Name)
-	}
-	if p.MaxDifficulty < 0 {
-		return fmt.Errorf("control: pipeline %q has negative max-difficulty", p.Name)
-	}
-	if p.AuthCacheSlots < 0 {
-		return fmt.Errorf("control: pipeline %q has negative auth-cache", p.Name)
-	}
-	if p.ClockSkew < 0 {
-		return fmt.Errorf("control: pipeline %q has negative clock-skew", p.Name)
+	for i := range statements {
+		r := &statements[i]
+		if r.field == "" {
+			continue
+		}
+		if v, present := r.value(p, false); present {
+			section, param, nested := strings.Cut(r.name, ".")
+			if !nested {
+				section, param = "", section
+			} else {
+				section = " " + section
+			}
+			f := policy.Field{Name: strings.ReplaceAll(param, ".", " "), Min: r.min, Dst: v.Addr().Interface()}
+			if err := f.Check(); err != nil {
+				return fmt.Errorf("control: pipeline %q%s: %w", p.Name, section, err)
+			}
+		}
 	}
 	if _, err := puzzle.ParseBackendSpec(p.Puzzle); err != nil {
 		return fmt.Errorf("control: pipeline %q puzzle: %w", p.Name, err)
@@ -577,30 +408,48 @@ func (p *PipelineSpec) validate() error {
 	if p.FailClosedScore != nil && (*p.FailClosedScore < 0 || *p.FailClosedScore > 10) {
 		return fmt.Errorf("control: pipeline %q fail-closed score %v outside [0, 10]", p.Name, *p.FailClosedScore)
 	}
-	if p.Adapt != nil {
-		if err := p.Adapt.validate(p.Name); err != nil {
-			return err
+	if b := p.EvidenceBuffer; b != nil && b.Interval <= 0 {
+		return fmt.Errorf("control: pipeline %q evidence-buffer: non-positive interval %v", p.Name, time.Duration(b.Interval))
+	}
+	if c := p.Cluster; c != nil {
+		switch {
+		case c.FilterBits != 0 && (c.FilterBits < 64 || c.FilterBits&(c.FilterBits-1) != 0):
+			return fmt.Errorf("control: pipeline %q cluster: filter bits %d must be a power of two ≥ 64", p.Name, c.FilterBits)
+		case c.FilterHashes > 16:
+			return fmt.Errorf("control: pipeline %q cluster: filter hashes %d outside [0, 16]", p.Name, c.FilterHashes)
+		case slices.ContainsFunc(c.Peers, func(peer string) bool { return strings.TrimSpace(peer) == "" }):
+			return fmt.Errorf("control: pipeline %q cluster: empty peer URL", p.Name)
 		}
 	}
-	if p.Redeem != nil {
-		if err := p.Redeem.validate(p.Name); err != nil {
-			return err
+	if a := p.Adapt; a != nil {
+		return a.validate(p.Name)
+	}
+	return nil
+}
+
+// validate checks an adapt section's rules: it must escalate or shift, and
+// anything reading the load signal needs a declared capacity.
+func (a *AdaptSpec) validate(pipeline string) error {
+	if len(a.Rules) == 0 && a.LoadShift == 0 {
+		return fmt.Errorf("control: pipeline %q adapt: declares neither escalate rules nor load-shift", pipeline)
+	}
+	// The load signal is rate/capacity; without a declared capacity it is
+	// pinned to 0, so a load-shift or load-conditioned rule would be
+	// silently inert — reject rather than deploy a defense that can never
+	// engage.
+	needsLoad := a.LoadShift > 0
+	for _, spec := range a.Rules {
+		rule, err := feedback.ParseRule(spec)
+		if err != nil {
+			return fmt.Errorf("control: pipeline %q adapt: %w", pipeline, err)
+		}
+		if rule.When.Signal == feedback.SignalLoad ||
+			(rule.Unless != nil && rule.Unless.Signal == feedback.SignalLoad) {
+			needsLoad = true
 		}
 	}
-	if p.EvidenceBuffer != nil {
-		if err := p.EvidenceBuffer.validate(p.Name); err != nil {
-			return err
-		}
-	}
-	if p.Cluster != nil {
-		if err := p.Cluster.validate(p.Name); err != nil {
-			return err
-		}
-	}
-	if p.Observe != nil {
-		if err := p.Observe.validate(p.Name); err != nil {
-			return err
-		}
+	if needsLoad && a.Capacity <= 0 {
+		return fmt.Errorf("control: pipeline %q adapt: load-shift and load-conditioned rules require `adapt capacity <decisions/s>`", pipeline)
 	}
 	return nil
 }
@@ -622,101 +471,19 @@ func canonicalPuzzle(spec string) string {
 // touches one pipeline never resets another pipeline's stateful
 // components (e.g. a rate scorer's accumulated window).
 func specEqual(a, b PipelineSpec) bool {
-	eq := func(x, y *float64) bool {
-		if (x == nil) != (y == nil) {
-			return false
-		}
-		return x == nil || *x == *y
-	}
-	return a.Name == b.Name && a.Scorer == b.Scorer && a.Policy == b.Policy &&
-		a.PolicyRules == b.PolicyRules && a.Source == b.Source &&
-		a.TTL == b.TTL && a.MaxDifficulty == b.MaxDifficulty &&
-		a.ReplayCache == b.ReplayCache && a.AuthCacheSlots == b.AuthCacheSlots &&
-		a.ClockSkew == b.ClockSkew &&
-		a.TrackerWindow == b.TrackerWindow &&
-		canonicalPuzzle(a.Puzzle) == canonicalPuzzle(b.Puzzle) &&
-		eq(a.BypassBelow, b.BypassBelow) && eq(a.FailClosedScore, b.FailClosedScore) &&
-		a.Adapt.equal(b.Adapt) && a.Redeem.equal(b.Redeem) &&
-		a.EvidenceBuffer.equal(b.EvidenceBuffer) && a.Cluster.equal(b.Cluster) &&
-		a.Observe.equal(b.Observe)
+	return a.Name == b.Name && diff(a, b, func(*stmt) bool { return true }) == nil
 }
 
 // swappableEqual reports whether only hot-swappable fields differ between
 // the two specs — the condition under which Apply may proceed without a
 // restart.
 func (p PipelineSpec) swappableEqual(q PipelineSpec) error {
-	switch {
-	case p.TTL != q.TTL:
-		return fmt.Errorf("ttl %v → %v", time.Duration(p.TTL), time.Duration(q.TTL))
-	case p.MaxDifficulty != q.MaxDifficulty:
-		return fmt.Errorf("max-difficulty %d → %d", p.MaxDifficulty, q.MaxDifficulty)
-	case p.ReplayCache != q.ReplayCache:
-		return fmt.Errorf("replay-cache %d → %d", p.ReplayCache, q.ReplayCache)
-	case p.AuthCacheSlots != q.AuthCacheSlots:
-		return fmt.Errorf("auth-cache %d → %d", p.AuthCacheSlots, q.AuthCacheSlots)
-	case p.ClockSkew != q.ClockSkew:
-		return fmt.Errorf("clock-skew %v → %v", time.Duration(p.ClockSkew), time.Duration(q.ClockSkew))
-	case p.TrackerWindow != q.TrackerWindow:
-		return fmt.Errorf("window %v → %v", time.Duration(p.TrackerWindow), time.Duration(q.TrackerWindow))
-	case canonicalPuzzle(p.Puzzle) != canonicalPuzzle(q.Puzzle):
-		return fmt.Errorf("puzzle %s → %s", canonicalPuzzle(p.Puzzle), canonicalPuzzle(q.Puzzle))
-	case p.Redeem.halfLife() != q.Redeem.halfLife():
-		return fmt.Errorf("redeem half-life %v → %v",
-			time.Duration(p.Redeem.halfLife()), time.Duration(q.Redeem.halfLife()))
-	case !p.EvidenceBuffer.equal(q.EvidenceBuffer):
-		return fmt.Errorf("evidence-buffer changed")
-	case !p.Cluster.equal(q.Cluster):
-		return fmt.Errorf("cluster changed")
-	}
-	return nil
+	return diff(p, q, func(r *stmt) bool { return r.rebuild })
 }
 
 // ParseDeployment parses a deployment spec in either form: JSON (first
-// non-space byte '{') or the line-oriented text DSL. The text grammar, one
-// statement per line (with #-comments and blank lines skipped):
-//
-//	pipeline <name>            opens a pipeline block; the lines below
-//	                           configure it until the next top-level statement
-//	  scorer <spec>            e.g. dabr, hybrid(saturation=4)     (required)
-//	  policy <spec>            registry syntax, e.g. policy3(epsilon=2.5)
-//	  when score <op> <n> use <d>   inline policy rules (the policy DSL);
-//	  default <d>                   an alternative to `policy`
-//	  source <spec>            default: tracker
-//	  puzzle <spec>            puzzle backend: hashcash(bits=22) or
-//	                           balloon(space=256, time=2); default hashcash
-//	  ttl <duration>           e.g. 30s
-//	  max-difficulty <n>
-//	  bypass-below <score>
-//	  fail-closed <score>
-//	  replay-cache <n>         negative disables replay protection
-//	  auth-cache <slots>       authenticated-challenge cache size (default
-//	                           2048; rounded to a power of two)
-//	  clock-skew <duration>
-//	  window <duration>        per-pipeline behavior-tracker window (default:
-//	                           the registry's shared tracker)
-//	  adapt escalate(when=<cond>, policy=<spec>, …)   escalation ladder rung
-//	  adapt interval <duration>    controller step cadence (default 1s)
-//	  adapt capacity <rate>        decisions/s treated as full load
-//	  adapt hard <n>               hard-difficulty threshold for the FP proxy
-//	  adapt window <n>             signal window length in steps
-//	  adapt load-shift <n>         load-adaptive difficulty shift at full load
-//	  redeem(max=<drop>, half-credit=<credit>, half-life=<duration>)
-//	                           behavioral redemption over the scorer; every
-//	                           parameter optional (redeem alone = defaults)
-//	  evidence-buffer <size> <interval>   buffered evidence write-back,
-//	                           e.g. evidence-buffer 256 5ms
-//	  cluster peers(<url>, …) exchange(<duration>) filter(bits=<n>, hashes=<n>)
-//	                           distributed defense plane: pull-based peer
-//	                           exchange of replay filters, evidence digests,
-//	                           and fleet counters; every group optional
-//	  observe trace(sample=<n>, ring=<n>)
-//	                           sampled decision tracing: one trace record per
-//	                           <sample> decisions into a ring of <ring>
-//	                           records (both rounded up to powers of two;
-//	                           both optional, zero = defaults)
-//	route <prefix> <pipeline>  longest matching path prefix wins; "/" is
-//	                           the catch-all (required with >1 pipeline)
-//	tenant <key> <pipeline>    tenant routes win over path routes
+// non-space byte '{') or the line-oriented text DSL, whose grammar is the
+// statement table (statements.go) and is documented in SPEC.md.
 func ParseDeployment(src string) (*DeploymentSpec, error) {
 	trimmed := strings.TrimSpace(src)
 	if strings.HasPrefix(trimmed, "{") {
@@ -742,430 +509,39 @@ func ParseDeployment(src string) (*DeploymentSpec, error) {
 // parseDeploymentText compiles the text DSL form.
 func parseDeploymentText(src string) (*DeploymentSpec, error) {
 	d := &DeploymentSpec{}
-	var cur *PipelineSpec // open pipeline block, nil at top level
-	var rules []string    // accumulated inline when/default lines
-	var seen map[string]bool
-	closeBlock := func() {
-		if cur != nil {
-			cur.PolicyRules = strings.Join(rules, "\n")
-			d.Pipelines = append(d.Pipelines, *cur)
-			cur, rules, seen = nil, nil, nil
-		}
-	}
+	var seen map[string]bool // what the open pipeline block set; nil at top level
 	for lineNo, raw := range strings.Split(src, "\n") {
 		line := strings.TrimSpace(raw)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		fields := strings.Fields(line)
-		stmt, args := fields[0], fields[1:]
-		// The redeem statement's parameter list may attach directly to the
-		// keyword — redeem(max=6, …) — so the keyword needs splitting off
-		// before dispatch.
-		if stmt != "redeem" && strings.HasPrefix(stmt, "redeem(") {
-			args = append([]string{strings.TrimPrefix(stmt, "redeem")}, args...)
-			stmt = "redeem"
-		}
-		switch stmt {
-		case "pipeline":
-			closeBlock()
-			if len(args) != 1 {
-				return nil, fmt.Errorf("control: spec line %d: want 'pipeline <name>'", lineNo+1)
-			}
-			cur = &PipelineSpec{Name: args[0]}
-			seen = make(map[string]bool)
-		case "route", "tenant":
-			closeBlock()
-			if len(args) != 2 {
-				return nil, fmt.Errorf("control: spec line %d: want '%s <%s> <pipeline>'",
-					lineNo+1, stmt, map[string]string{"route": "prefix", "tenant": "key"}[stmt])
-			}
-			r := RouteSpec{Pipeline: args[1]}
-			if stmt == "route" {
-				r.PathPrefix = args[0]
-			} else {
-				r.Tenant = args[0]
-			}
-			d.Routes = append(d.Routes, r)
-		case "scorer", "policy", "source", "puzzle", "ttl", "max-difficulty",
-			"bypass-below", "fail-closed", "replay-cache", "auth-cache", "clock-skew", "window",
-			"when", "default", "adapt", "redeem", "evidence-buffer", "cluster", "observe":
-			if cur == nil {
-				return nil, fmt.Errorf("control: spec line %d: %q outside a pipeline block", lineNo+1, stmt)
-			}
-			if err := cur.applyStatement(stmt, args, line, &rules, seen); err != nil {
-				return nil, fmt.Errorf("control: spec line %d: %w", lineNo+1, err)
-			}
+		var err error
+		switch stmt, args := fields[0], fields[1:]; {
+		case !utf8.ValidString(line):
+			err = fmt.Errorf("invalid UTF-8")
+		case stmt == "pipeline" && len(args) == 1:
+			d.Pipelines, seen = append(d.Pipelines, PipelineSpec{Name: args[0]}), map[string]bool{}
+		case stmt == "route" && len(args) == 2:
+			d.Routes, seen = append(d.Routes, RouteSpec{PathPrefix: args[0], Pipeline: args[1]}), nil
+		case stmt == "tenant" && len(args) == 2:
+			d.Routes, seen = append(d.Routes, RouteSpec{Tenant: args[0], Pipeline: args[1]}), nil
+		case stmt == "pipeline" || stmt == "route" || stmt == "tenant":
+			err = fmt.Errorf("want '%s'", map[string]string{
+				"pipeline": "pipeline <name>", "route": "route <prefix> <pipeline>", "tenant": "tenant <key> <pipeline>"}[stmt])
+		case seen == nil:
+			err = fmt.Errorf("%q outside a pipeline block", stmt)
 		default:
-			return nil, fmt.Errorf("control: spec line %d: unknown statement %q", lineNo+1, stmt)
+			err = d.Pipelines[len(d.Pipelines)-1].set("", line, seen)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("control: spec line %d: %w", lineNo+1, err)
 		}
 	}
-	closeBlock()
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	return d, nil
-}
-
-// applyStatement folds one pipeline-block line into the spec. seen
-// tracks which scalar statements the block already set: every statement
-// except the when/default rule lines and adapt lines (which do their own
-// per-setting bookkeeping) errors on repetition, so a merge artifact like
-// two bypass-below lines fails loudly instead of last-wins.
-func (p *PipelineSpec) applyStatement(stmt string, args []string, line string, rules *[]string, seen map[string]bool) error {
-	if stmt != "when" && stmt != "default" && stmt != "adapt" {
-		if seen[stmt] {
-			return fmt.Errorf("duplicate %s", stmt)
-		}
-		seen[stmt] = true
-	}
-	if stmt == "adapt" {
-		return p.applyAdaptStatement(args, seen)
-	}
-	joined := strings.Join(args, " ") // component specs may contain spaces: policy3(epsilon=2.5, seed=1)
-	one := func(dst *string, what string) error {
-		if joined == "" {
-			return fmt.Errorf("want '%s <%s>'", stmt, what)
-		}
-		*dst = joined
-		return nil
-	}
-	switch stmt {
-	case "redeem":
-		rs, err := parseRedeem(joined)
-		if err != nil {
-			return err
-		}
-		p.Redeem = rs
-		return nil
-	case "cluster":
-		cs, err := parseCluster(joined)
-		if err != nil {
-			return err
-		}
-		p.Cluster = cs
-		return nil
-	case "observe":
-		os, err := parseObserve(joined)
-		if err != nil {
-			return err
-		}
-		p.Observe = os
-		return nil
-	case "evidence-buffer":
-		if len(args) != 2 {
-			return fmt.Errorf("want 'evidence-buffer <size> <interval>'")
-		}
-		size, err := strconv.Atoi(args[0])
-		if err != nil {
-			return fmt.Errorf("evidence-buffer size: %w", err)
-		}
-		iv, err := time.ParseDuration(args[1])
-		if err != nil {
-			return fmt.Errorf("evidence-buffer interval: %w", err)
-		}
-		p.EvidenceBuffer = &BufferSpec{Size: size, Interval: Duration(iv)}
-		return nil
-	case "scorer":
-		return one(&p.Scorer, "spec")
-	case "policy":
-		return one(&p.Policy, "spec")
-	case "source":
-		return one(&p.Source, "spec")
-	case "puzzle":
-		return one(&p.Puzzle, "spec")
-	case "when", "default":
-		*rules = append(*rules, line)
-		return nil
-	case "ttl", "clock-skew", "window":
-		if len(args) != 1 {
-			return fmt.Errorf("want '%s <duration>'", stmt)
-		}
-		v, err := time.ParseDuration(args[0])
-		if err != nil {
-			return fmt.Errorf("%s: %w", stmt, err)
-		}
-		switch stmt {
-		case "ttl":
-			p.TTL = Duration(v)
-		case "clock-skew":
-			p.ClockSkew = Duration(v)
-		case "window":
-			p.TrackerWindow = Duration(v)
-		}
-		return nil
-	case "max-difficulty", "replay-cache", "auth-cache":
-		if len(args) != 1 {
-			return fmt.Errorf("want '%s <n>'", stmt)
-		}
-		n, err := strconv.Atoi(args[0])
-		if err != nil {
-			return fmt.Errorf("%s: %w", stmt, err)
-		}
-		switch stmt {
-		case "max-difficulty":
-			p.MaxDifficulty = n
-		case "replay-cache":
-			p.ReplayCache = n
-		default:
-			p.AuthCacheSlots = n
-		}
-		return nil
-	case "bypass-below", "fail-closed":
-		if len(args) != 1 {
-			return fmt.Errorf("want '%s <score>'", stmt)
-		}
-		v, err := strconv.ParseFloat(args[0], 64)
-		if err != nil {
-			return fmt.Errorf("%s: %w", stmt, err)
-		}
-		if stmt == "bypass-below" {
-			p.BypassBelow = &v
-		} else {
-			p.FailClosedScore = &v
-		}
-		return nil
-	}
-	return fmt.Errorf("unknown statement %q", stmt) // unreachable: caller dispatched
-}
-
-// parseRedeem parses the redeem statement's parameter list: an optional
-// parenthesized, comma- or space-separated k=v list ("(max=6,
-// half-credit=26, half-life=5m)"). An empty list keeps every default.
-func parseRedeem(arg string) (*RedeemSpec, error) {
-	rs := &RedeemSpec{}
-	arg = strings.TrimSpace(arg)
-	if strings.HasPrefix(arg, "(") {
-		if !strings.HasSuffix(arg, ")") {
-			return nil, fmt.Errorf("redeem: unclosed parameter list %q", arg)
-		}
-		arg = arg[1 : len(arg)-1]
-	}
-	for _, tok := range strings.FieldsFunc(arg, func(r rune) bool { return r == ',' || r == ' ' }) {
-		k, v, ok := strings.Cut(tok, "=")
-		if !ok || v == "" {
-			return nil, fmt.Errorf("redeem: want k=v, got %q", tok)
-		}
-		switch k {
-		case "max", "half-credit":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return nil, fmt.Errorf("redeem %s: %w", k, err)
-			}
-			if k == "max" {
-				rs.Max = f
-			} else {
-				rs.HalfCredit = f
-			}
-		case "half-life":
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				return nil, fmt.Errorf("redeem half-life: %w", err)
-			}
-			rs.HalfLife = Duration(d)
-		default:
-			return nil, fmt.Errorf("redeem: unknown parameter %q (want max, half-credit, half-life)", k)
-		}
-	}
-	return rs, nil
-}
-
-// parseCluster parses the cluster statement's group list: zero or more
-// parenthesized groups — peers(<url>, …), exchange(<duration>),
-// filter(bits=<n>, hashes=<n>), delta(every=<k>) — in any order. A bare
-// `cluster` line enables the plane with every default (no peers: the
-// node only serves its own frame endpoint until peers pull from it).
-func parseCluster(arg string) (*ClusterSpec, error) {
-	cs := &ClusterSpec{}
-	rest := strings.TrimSpace(arg)
-	seen := map[string]bool{}
-	for rest != "" {
-		open := strings.IndexByte(rest, '(')
-		if open <= 0 {
-			return nil, fmt.Errorf("cluster: want '<group>(…)', got %q", rest)
-		}
-		name := strings.TrimSpace(rest[:open])
-		end := strings.IndexByte(rest, ')')
-		if end < open {
-			return nil, fmt.Errorf("cluster: unclosed group %q", name)
-		}
-		body := rest[open+1 : end]
-		rest = strings.TrimSpace(rest[end+1:])
-		if seen[name] {
-			return nil, fmt.Errorf("cluster: duplicate group %q", name)
-		}
-		seen[name] = true
-		switch name {
-		case "peers":
-			cs.Peers = append(cs.Peers, strings.FieldsFunc(body, func(r rune) bool { return r == ',' || r == ' ' })...)
-		case "exchange":
-			d, err := time.ParseDuration(strings.TrimSpace(body))
-			if err != nil {
-				return nil, fmt.Errorf("cluster exchange: %w", err)
-			}
-			cs.Exchange = Duration(d)
-		case "filter":
-			for _, tok := range strings.FieldsFunc(body, func(r rune) bool { return r == ',' || r == ' ' }) {
-				k, v, ok := strings.Cut(tok, "=")
-				if !ok || v == "" {
-					return nil, fmt.Errorf("cluster filter: want k=v, got %q", tok)
-				}
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					return nil, fmt.Errorf("cluster filter %s: %w", k, err)
-				}
-				switch k {
-				case "bits":
-					cs.FilterBits = n
-				case "hashes":
-					cs.FilterHashes = n
-				default:
-					return nil, fmt.Errorf("cluster filter: unknown parameter %q (want bits, hashes)", k)
-				}
-			}
-		case "delta":
-			for _, tok := range strings.FieldsFunc(body, func(r rune) bool { return r == ',' || r == ' ' }) {
-				k, v, ok := strings.Cut(tok, "=")
-				if !ok || v == "" {
-					return nil, fmt.Errorf("cluster delta: want k=v, got %q", tok)
-				}
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					return nil, fmt.Errorf("cluster delta %s: %w", k, err)
-				}
-				switch k {
-				case "every":
-					cs.DeltaEvery = n
-				default:
-					return nil, fmt.Errorf("cluster delta: unknown parameter %q (want every)", k)
-				}
-			}
-		default:
-			return nil, fmt.Errorf("cluster: unknown group %q (want peers, exchange, filter, delta)", name)
-		}
-	}
-	return cs, nil
-}
-
-// parseObserve parses the observe statement's group list: currently the
-// single group trace(sample=<n>, ring=<n>), both parameters optional
-// (zero keeps the obs package's default). A bare `observe trace` or
-// `observe trace()` enables tracing at the defaults.
-func parseObserve(arg string) (*ObserveSpec, error) {
-	os := &ObserveSpec{}
-	rest := strings.TrimSpace(arg)
-	if rest == "" {
-		return nil, fmt.Errorf("observe: want 'observe trace(sample=<n>, ring=<n>)'")
-	}
-	seen := map[string]bool{}
-	for rest != "" {
-		name := rest
-		body := ""
-		if open := strings.IndexByte(rest, '('); open >= 0 {
-			end := strings.IndexByte(rest, ')')
-			if end < open {
-				return nil, fmt.Errorf("observe: unclosed group %q", strings.TrimSpace(rest[:open]))
-			}
-			name = strings.TrimSpace(rest[:open])
-			body = rest[open+1 : end]
-			rest = strings.TrimSpace(rest[end+1:])
-		} else {
-			rest = ""
-		}
-		if name == "" {
-			return nil, fmt.Errorf("observe: want '<group>(…)'")
-		}
-		if seen[name] {
-			return nil, fmt.Errorf("observe: duplicate group %q", name)
-		}
-		seen[name] = true
-		switch name {
-		case "trace":
-			for _, tok := range strings.FieldsFunc(body, func(r rune) bool { return r == ',' || r == ' ' }) {
-				k, v, ok := strings.Cut(tok, "=")
-				if !ok || v == "" {
-					return nil, fmt.Errorf("observe trace: want k=v, got %q", tok)
-				}
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					return nil, fmt.Errorf("observe trace %s: %w", k, err)
-				}
-				switch k {
-				case "sample":
-					os.TraceSample = n
-				case "ring":
-					os.TraceRing = n
-				default:
-					return nil, fmt.Errorf("observe trace: unknown parameter %q (want sample, ring)", k)
-				}
-			}
-		default:
-			return nil, fmt.Errorf("observe: unknown group %q (want trace)", name)
-		}
-	}
-	return os, nil
-}
-
-// applyAdaptStatement folds one "adapt <setting>" line into the
-// pipeline's adapt section. Escalate rules append in declaration order
-// (that order is the ladder); scalar settings reject repetition via seen,
-// namespaced so they cannot collide with top-level statements.
-func (p *PipelineSpec) applyAdaptStatement(args []string, seen map[string]bool) error {
-	if len(args) == 0 {
-		return fmt.Errorf("want 'adapt <setting…>'")
-	}
-	if p.Adapt == nil {
-		p.Adapt = &AdaptSpec{}
-	}
-	joined := strings.Join(args, " ")
-	if strings.HasPrefix(joined, "escalate") {
-		// Validate eagerly so the error carries the spec line number.
-		if _, err := feedback.ParseRule(joined); err != nil {
-			return err
-		}
-		p.Adapt.Rules = append(p.Adapt.Rules, joined)
-		return nil
-	}
-	sub := args[0]
-	key := "adapt " + sub
-	if seen[key] {
-		return fmt.Errorf("duplicate %s", key)
-	}
-	seen[key] = true
-	if len(args) != 2 {
-		return fmt.Errorf("want 'adapt %s <value>'", sub)
-	}
-	val := args[1]
-	switch sub {
-	case "interval":
-		d, err := time.ParseDuration(val)
-		if err != nil {
-			return fmt.Errorf("adapt interval: %w", err)
-		}
-		p.Adapt.Interval = Duration(d)
-	case "capacity":
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return fmt.Errorf("adapt capacity: %w", err)
-		}
-		p.Adapt.Capacity = v
-	case "hard", "window", "load-shift":
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return fmt.Errorf("adapt %s: %w", sub, err)
-		}
-		switch sub {
-		case "hard":
-			p.Adapt.Hard = n
-		case "window":
-			p.Adapt.Window = n
-		case "load-shift":
-			p.Adapt.LoadShift = n
-		}
-	default:
-		return fmt.Errorf("unknown adapt setting %q (want escalate(…), interval, capacity, hard, window, load-shift)", sub)
-	}
-	return nil
 }
 
 // Marshal renders the deployment in canonical JSON (the form the admin

@@ -1,9 +1,16 @@
 package control
 
 import (
+	"bytes"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unicode"
+
+	"aipow/internal/policy"
 )
 
 // specText is a representative two-pipeline deployment in the text DSL,
@@ -116,6 +123,8 @@ func TestParseDeploymentErrors(t *testing.T) {
 		{"bad route arity", "pipeline p\n scorer s\n policy policy2\nroute /\n", "want 'route"},
 		{"bad json", `{"pipelines": [{"name": 3}]}`, "parse JSON spec"},
 		{"unknown json field", `{"pipelines": [{"name": "p", "scorer": "s", "policy": "policy2", "wat": 1}]}`, "parse JSON spec"},
+		{"invalid utf-8", "pipeline 0\nscorer 0\npolicy 0\x94", "line 3: invalid UTF-8"},
+		{"non-finite score", "pipeline p\n scorer s\n policy policy2\n fail-closed NaN\n", "finite"},
 		{"json bad duration", `{"pipelines": [{"name": "p", "scorer": "s", "policy": "policy2", "ttl": "soon"}]}`, "bad duration"},
 	}
 	for _, tc := range cases {
@@ -154,5 +163,190 @@ func TestSwappableEqual(t *testing.T) {
 		if err := base.swappableEqual(q); err == nil {
 			t.Fatalf("non-swappable diff accepted: %+v", q)
 		}
+	}
+}
+
+// everyStatementSpec uses every statement in the table at least once.
+const everyStatementSpec = `
+pipeline all
+  scorer threat
+  policy policy2
+  source store
+  puzzle balloon(space=8, time=1)
+  ttl 45s
+  max-difficulty 18
+  bypass-below 1.5
+  fail-closed 9
+  replay-cache 1024
+  auth-cache 8192
+  clock-skew 3s
+  window 10s
+  redeem(max=6, half-credit=26, half-life=2m)
+  evidence-buffer 64 5ms
+  cluster peers(http://n1:7000/cluster/all, http://n2:7000/cluster/all) exchange(250ms) filter(bits=16384, hashes=5) delta(every=4)
+  observe trace(sample=64, ring=128)
+  adapt capacity 100
+  adapt window 3
+  adapt interval 1s
+  adapt hard 12
+  adapt load-shift 2
+  adapt escalate(when=rate>50, policy=policy2, hold=5s)
+pipeline rules
+  scorer threat
+  when score >= 8 use 14
+  default 3
+route / all
+route /r rules
+tenant gold rules
+`
+
+// The deployments the CI e2e and obs jobs boot powserver from.
+const ciE2ESpec = `pipeline web
+  scorer dabr
+  policy fixed(difficulty=3)
+  source combined
+  adapt capacity 100
+  adapt window 4
+  adapt interval 500ms
+  adapt escalate(when=rate>5, policy=fixed(difficulty=14), hold=4s)
+pipeline api
+  scorer dabr
+  policy fixed(difficulty=5)
+  source combined
+route / web
+route /api api
+`
+
+const ciObsSpec = `pipeline web
+  scorer dabr
+  policy fixed(difficulty=3)
+  source combined
+  observe trace(sample=1, ring=256)
+`
+
+// specMD returns SPEC.md and the first fenced code block after heading.
+func specMD(t testing.TB, heading string) (doc, block string) {
+	t.Helper()
+	raw, err := os.ReadFile("../../SPEC.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, after, ok := strings.Cut(string(raw), heading)
+	if !ok {
+		t.Fatalf("SPEC.md has no %q", heading)
+	}
+	_, block, _ = strings.Cut(after, "```\n")
+	block, _, _ = strings.Cut(block, "```")
+	return string(raw), block
+}
+
+// FuzzParseDeployment: parsing never panics, and every accepted spec
+// prints (Marshal, the JSON GET /spec serves) to a document that parses
+// back to an equal deployment and prints to the same bytes.
+func FuzzParseDeployment(f *testing.F) {
+	_, example := specMD(f, "## Example")
+	for _, seed := range []string{specText, example, everyStatementSpec, ciE2ESpec, ciObsSpec} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		d, err := ParseDeployment(src)
+		if err != nil {
+			return
+		}
+		printed, err := d.Marshal()
+		if err != nil {
+			t.Fatalf("accepted spec does not print: %v", err)
+		}
+		back, err := ParseDeployment(string(printed))
+		if err != nil {
+			t.Fatalf("printed spec does not parse: %v\n%s", err, printed)
+		}
+		if !depEqual(d, back) {
+			t.Fatalf("printed spec parses to a different deployment:\n%s", printed)
+		}
+		if again, _ := back.Marshal(); !bytes.Equal(printed, again) {
+			t.Fatalf("second print differs:\n%s\n%s", printed, again)
+		}
+	})
+}
+
+// TestSpecMatchesStatementTable holds SPEC.md to the statement table:
+// every statement its grammar block spells is a row, every row is spelled
+// there, and its "Not hot-swappable" list names exactly the rows whose
+// change rebuilds a pipeline.
+func TestSpecMatchesStatementTable(t *testing.T) {
+	doc, grammar := specMD(t, "## Text grammar")
+	spelled := map[string]bool{}
+	for _, line := range strings.Split(grammar, "\n") {
+		text, _, _ := strings.Cut(strings.TrimSpace(line), "  ") // the description follows two spaces
+		if text == "" || strings.HasPrefix(line, "   ") {        // a description's continuation
+			continue
+		}
+		groups, err := policy.SplitTopLevel(text, unicode.IsSpace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, params, _ := policy.ParseSpecParams(groups[0])
+		r := lookup(head)
+		switch {
+		case head == "pipeline" || head == "route" || head == "tenant":
+			continue
+		case r == nil:
+			t.Errorf("SPEC.md statement %q is not in the table", text)
+			continue
+		case r.form == formSettings:
+			groups = groups[:2]
+		}
+		spelled[head] = true
+		for _, p := range params {
+			spelled[head+"."+p.Key] = true
+		}
+		for _, g := range groups[1:] {
+			name, params, _ := policy.ParseSpecParams(strings.Trim(g, "<>"))
+			switch r.form {
+			case formFields, formSettings:
+				spelled[head+"."+name] = true
+			case formGroups:
+				if lookup(head+"."+name) != nil {
+					spelled[head+"."+name] = true
+				}
+				for _, p := range params {
+					if p.Key != "" {
+						spelled[head+"."+name+"."+p.Key] = true
+					}
+				}
+			}
+		}
+	}
+	for name := range spelled {
+		if lookup(name) == nil {
+			t.Errorf("SPEC.md spells %q, which the statement table lacks", name)
+		}
+	}
+	var rebuilds []string
+	for _, r := range statements {
+		covered := false
+		for name := range spelled {
+			covered = covered || name == r.name || strings.HasPrefix(name, r.name+".")
+		}
+		if !covered {
+			t.Errorf("table row %q is missing from SPEC.md's grammar", r.name)
+		}
+		parent, _, _ := strings.Cut(r.name, ".")
+		if r.rebuild && (parent == r.name || !lookup(parent).rebuild) {
+			rebuilds = append(rebuilds, r.name)
+		}
+	}
+
+	_, list, _ := strings.Cut(doc, "**Not hot-swappable**")
+	list, _, _ = strings.Cut(list, "`Pipeline.Apply`")
+	var listed []string
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(list, -1) {
+		listed = append(listed, strings.ReplaceAll(m[1], " ", "."))
+	}
+	slices.Sort(listed)
+	slices.Sort(rebuilds)
+	if !slices.Equal(listed, rebuilds) {
+		t.Errorf("SPEC.md's Not hot-swappable list = %v, the table rebuilds on %v", listed, rebuilds)
 	}
 }

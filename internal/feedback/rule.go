@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -121,44 +122,28 @@ func ParseRule(spec string) (Rule, error) {
 		return Rule{}, fmt.Errorf("feedback: rule %q: unknown statement %q (want escalate)", spec, name)
 	}
 	r := Rule{Hold: DefaultHold, After: 1}
-	var haveWhen bool
-	for _, p := range params {
-		switch p.Key {
-		case "when":
-			c, err := ParseCondition(p.Value)
-			if err != nil {
-				return Rule{}, err
-			}
-			r.When, haveWhen = c, true
-		case "unless":
-			c, err := ParseCondition(p.Value)
-			if err != nil {
-				return Rule{}, err
-			}
-			r.Unless = &c
-		case "policy":
-			if p.Value == "" {
-				return Rule{}, fmt.Errorf("feedback: rule %q: empty policy", spec)
-			}
-			r.Policy = p.Value
-		case "hold":
-			d, err := time.ParseDuration(p.Value)
-			if err != nil || d < 0 {
-				return Rule{}, fmt.Errorf("feedback: rule %q: bad hold %q", spec, p.Value)
-			}
-			r.Hold = d
-		case "after":
-			n, err := strconv.Atoi(p.Value)
-			if err != nil || n < 1 {
-				return Rule{}, fmt.Errorf("feedback: rule %q: bad after %q (want a step count ≥ 1)", spec, p.Value)
-			}
-			r.After = n
-		default:
-			return Rule{}, fmt.Errorf("feedback: rule %q: unknown parameter %q (allowed: when, policy, hold, after, unless)", spec, p.Key)
-		}
+	var when, unless string
+	if err := policy.DecodeParams(params,
+		policy.Field{Name: "when", Dst: &when},
+		policy.Field{Name: "policy", Dst: &r.Policy},
+		policy.Field{Name: "hold", Dst: &r.Hold},
+		policy.Field{Name: "after", Dst: &r.After, Min: 1},
+		policy.Field{Name: "unless", Dst: &unless},
+	); err != nil {
+		return Rule{}, fmt.Errorf("feedback: rule %q: %w", spec, err)
 	}
-	if !haveWhen {
+	if when == "" {
 		return Rule{}, fmt.Errorf("feedback: rule %q: missing when=<condition>", spec)
+	}
+	if r.When, err = ParseCondition(when); err != nil {
+		return Rule{}, err
+	}
+	if slices.ContainsFunc(params, func(p policy.Param) bool { return p.Key == "unless" }) {
+		c, err := ParseCondition(unless)
+		if err != nil {
+			return Rule{}, err
+		}
+		r.Unless = &c
 	}
 	if r.Policy == "" {
 		return Rule{}, fmt.Errorf("feedback: rule %q: missing policy=<spec>", spec)

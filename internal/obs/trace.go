@@ -157,13 +157,19 @@ const (
 // is a mask, not a division) and clamped to [1, MaxTraceSample] and
 // [MinTraceRingSize, MaxTraceRingSize] respectively.
 func NewTraceRing(sample, ring int) *TraceRing {
-	s := ceilPow2(clampInt(sample, 1, MaxTraceSample))
-	n := ceilPow2(clampInt(ring, MinTraceRingSize, MaxTraceRingSize))
+	s, n := TraceGeometry(sample, ring)
 	return &TraceRing{
 		sampleMask: uint64(s - 1),
 		slotMask:   uint64(n - 1),
 		slots:      make([]traceRecord, n),
 	}
+}
+
+// TraceGeometry reports the sample rate and slot count NewTraceRing
+// builds for the requested ones, so callers can compare two requests by
+// their effect.
+func TraceGeometry(sample, ring int) (int, int) {
+	return ceilPow2(clampInt(sample, 1, MaxTraceSample)), ceilPow2(clampInt(ring, MinTraceRingSize, MaxTraceRingSize))
 }
 
 func clampInt(v, lo, hi int) int {

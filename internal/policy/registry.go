@@ -2,10 +2,15 @@ package policy
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
+	"unicode/utf8"
 )
 
 // Factory builds a policy from numeric parameters. Factories must reject
@@ -37,19 +42,19 @@ func NewRegistry() *Registry {
 		}
 	}
 	mustRegister("policy1", func(params map[string]float64) (Policy, error) {
-		if err := rejectUnknown(params); err != nil {
+		if err := RejectUnknownParams(params); err != nil {
 			return nil, err
 		}
 		return Policy1(), nil
 	})
 	mustRegister("policy2", func(params map[string]float64) (Policy, error) {
-		if err := rejectUnknown(params); err != nil {
+		if err := RejectUnknownParams(params); err != nil {
 			return nil, err
 		}
 		return Policy2(), nil
 	})
 	mustRegister("policy3", func(params map[string]float64) (Policy, error) {
-		if err := rejectUnknown(params, "epsilon", "seed"); err != nil {
+		if err := RejectUnknownParams(params, "epsilon", "seed"); err != nil {
 			return nil, err
 		}
 		var opts []ErrorRangeOption
@@ -62,7 +67,7 @@ func NewRegistry() *Registry {
 		return Policy3(opts...)
 	})
 	mustRegister("fixed", func(params map[string]float64) (Policy, error) {
-		if err := rejectUnknown(params, "difficulty"); err != nil {
+		if err := RejectUnknownParams(params, "difficulty"); err != nil {
 			return nil, err
 		}
 		d, ok := params["difficulty"]
@@ -72,7 +77,7 @@ func NewRegistry() *Registry {
 		return NewFixed(int(d))
 	})
 	mustRegister("linear", func(params map[string]float64) (Policy, error) {
-		if err := rejectUnknown(params, "base", "slope"); err != nil {
+		if err := RejectUnknownParams(params, "base", "slope"); err != nil {
 			return nil, err
 		}
 		base, slope := 1.0, 1.0
@@ -85,7 +90,7 @@ func NewRegistry() *Registry {
 		return NewLinear(int(base), slope)
 	})
 	mustRegister("exponential", func(params map[string]float64) (Policy, error) {
-		if err := rejectUnknown(params, "base", "factor"); err != nil {
+		if err := RejectUnknownParams(params, "base", "factor"); err != nil {
 			return nil, err
 		}
 		base, factor := 1.0, 0.4
@@ -165,32 +170,21 @@ func (r *Registry) New(spec string) (Policy, error) {
 
 // newShape compiles the shape(...) combinator from raw parameters.
 func (r *Registry) newShape(spec string, raw []Param) (Policy, error) {
-	var inner Policy
+	var innerSpec string
 	anchor, floor := DefaultShapeAnchor, DefaultShapeFloor
-	for _, p := range raw {
-		switch p.Key {
-		case "inner":
-			pol, err := r.New(p.Value)
-			if err != nil {
-				return nil, fmt.Errorf("policy: shape inner: %w", err)
-			}
-			inner = pol
-		case "anchor", "floor":
-			v, err := strconv.ParseFloat(p.Value, 64)
-			if err != nil {
-				return nil, fmt.Errorf("policy: shape %s %q: %w", p.Key, p.Value, err)
-			}
-			if p.Key == "anchor" {
-				anchor = v
-			} else {
-				floor = v
-			}
-		default:
-			return nil, fmt.Errorf("policy: shape: unknown parameter %q (allowed: inner, anchor, floor)", p.Key)
-		}
+	if err := DecodeParams(raw,
+		Field{Name: "inner", Dst: &innerSpec},
+		Field{Name: "anchor", Dst: &anchor},
+		Field{Name: "floor", Dst: &floor},
+	); err != nil {
+		return nil, fmt.Errorf("policy: shape: %w", err)
 	}
-	if inner == nil {
+	if innerSpec == "" {
 		return nil, fmt.Errorf("policy: %q requires inner=<policy spec>", spec)
+	}
+	inner, err := r.New(innerSpec)
+	if err != nil {
+		return nil, fmt.Errorf("policy: shape inner: %w", err)
 	}
 	return NewConfidenceShaped(inner, anchor, floor)
 }
@@ -200,17 +194,27 @@ func (r *Registry) newShape(spec string, raw []Param) (Policy, error) {
 // component registry in the framework — policies here, scorers and sources
 // in the control plane — so operators learn one spec grammar.
 func ParseSpec(spec string) (name string, params map[string]float64, err error) {
-	return parseSpec(spec)
+	name, raw, err := ParseSpecParams(spec)
+	if err != nil {
+		return "", nil, err
+	}
+	params, err = convertParams(raw)
+	return name, params, err
 }
 
 // RejectUnknownParams errors on any parameter key outside the allowed set;
 // component factories use it so configuration typos fail loudly.
 func RejectUnknownParams(params map[string]float64, allowed ...string) error {
-	return rejectUnknown(params, allowed...)
+	for k := range params {
+		if !slices.Contains(allowed, k) {
+			return fmt.Errorf("spec: unknown parameter %q (allowed: %s)", k, strings.Join(allowed, ", "))
+		}
+	}
+	return nil
 }
 
-// Param is one raw key=value parameter of a component spec, in declaration
-// order.
+// Param is one raw parameter of a component spec, in declaration order:
+// key=value, or a positional value with an empty Key.
 type Param struct {
 	Key, Value string
 }
@@ -219,9 +223,11 @@ type Param struct {
 // string-valued parameters, preserving declaration order and respecting
 // nested parentheses inside values. It is the shared shell of every
 // component grammar in the framework: ParseSpec layers the numeric
-// conversion policies, scorers, and sources use on top, and the feedback
-// rule grammar consumes the raw form directly so parameter values can
-// themselves be component specs ("policy=fixed(difficulty=16)").
+// conversion policies, scorers, and sources use on top, and DecodeParams
+// reads the raw form into typed fields, so parameter values can themselves
+// be component specs ("policy=fixed(difficulty=16)"). A parameter without
+// '=' is positional ("peers(a, b)", "exchange(1s)"); a key given twice is
+// an error.
 //
 // A bare name returns nil params; "name()" returns an empty non-nil slice.
 func ParseSpecParams(spec string) (string, []Param, error) {
@@ -245,60 +251,49 @@ func ParseSpecParams(spec string) (string, []Param, error) {
 	if strings.TrimSpace(inner) == "" {
 		return name, params, nil
 	}
+	parts, err := SplitTopLevel(inner, func(c rune) bool { return c == ',' })
+	if err != nil {
+		return "", nil, fmt.Errorf("spec: %w", err)
+	}
 	seen := make(map[string]bool)
-	flush := func(kv string) error {
-		k, v, found := strings.Cut(kv, "=")
-		if !found {
-			return fmt.Errorf("spec: parameter %q is not key=value", kv)
+	for _, kv := range parts {
+		k, v, keyed := strings.Cut(kv, "=")
+		if !keyed {
+			params = append(params, Param{Value: strings.TrimSpace(kv)})
+			continue
 		}
 		k = strings.TrimSpace(k)
 		if seen[k] {
-			return fmt.Errorf("spec: duplicate parameter %q", k)
+			return "", nil, fmt.Errorf("spec: duplicate parameter %q", k)
 		}
 		seen[k] = true
 		params = append(params, Param{Key: k, Value: strings.TrimSpace(v)})
-		return nil
-	}
-	depth, start := 0, 0
-	for i := 0; i < len(inner); i++ {
-		switch inner[i] {
-		case '(':
-			depth++
-		case ')':
-			depth--
-			if depth < 0 {
-				return "", nil, fmt.Errorf("spec: unbalanced parentheses in %q", spec)
-			}
-		case ',':
-			if depth == 0 {
-				if err := flush(inner[start:i]); err != nil {
-					return "", nil, err
-				}
-				start = i + 1
-			}
-		}
-	}
-	if depth != 0 {
-		return "", nil, fmt.Errorf("spec: unbalanced parentheses in %q", spec)
-	}
-	if err := flush(inner[start:]); err != nil {
-		return "", nil, err
 	}
 	return name, params, nil
 }
 
-// parseSpec splits "name(k=v,…)" into its parts, converting parameter
-// values to float64.
-func parseSpec(spec string) (string, map[string]float64, error) {
-	name, raw, err := ParseSpecParams(spec)
-	if err != nil {
-		return "", nil, err
+// SplitTopLevel splits s at the runes sep reports outside parentheses,
+// keeping empty parts. Unbalanced parentheses are an error.
+func SplitTopLevel(s string, sep func(rune) bool) ([]string, error) {
+	var parts []string
+	depth, start := 0, 0
+	for i, c := range s {
+		switch {
+		case c == '(':
+			depth++
+		case c == ')':
+			depth--
+		case depth == 0 && sep(c):
+			parts, start = append(parts, s[start:i]), i+utf8.RuneLen(c)
+		}
+		if depth < 0 {
+			break
+		}
 	}
-	params, err := convertParams(raw)
-	if err != nil {
-		return "", nil, err
+	if depth != 0 {
+		return nil, fmt.Errorf("unbalanced parentheses in %q", s)
 	}
-	return name, params, nil
+	return append(parts, s[start:]), nil
 }
 
 // convertParams converts raw key=value parameters to the numeric map the
@@ -309,6 +304,9 @@ func convertParams(raw []Param) (map[string]float64, error) {
 	}
 	params := make(map[string]float64, len(raw))
 	for _, p := range raw {
+		if p.Key == "" {
+			return nil, fmt.Errorf("spec: parameter %q is not key=value", p.Value)
+		}
 		val, err := strconv.ParseFloat(p.Value, 64)
 		if err != nil {
 			return nil, fmt.Errorf("spec: parameter %q: %w", p.Key, err)
@@ -318,18 +316,95 @@ func convertParams(raw []Param) (map[string]float64, error) {
 	return params, nil
 }
 
-// rejectUnknown errors on any parameter key outside the allowed set.
-func rejectUnknown(params map[string]float64, allowed ...string) error {
-	for k := range params {
-		ok := false
-		for _, a := range allowed {
-			if k == a {
-				ok = true
-				break
-			}
+// Field is one typed parameter of a component grammar. Dst points at the
+// value, whose Go type says how its text decodes: string (verbatim), int,
+// float64 or *float64 (a finite number), time.Duration or any other
+// int64-kinded type ("30s"), []string (whitespace-separated words,
+// appended). A number below Min is an error.
+type Field struct {
+	Name string
+	Min  float64
+	Dst  any
+}
+
+// Set decodes raw into the field's value and checks its bound. Errors
+// name the field when it has a name.
+func (f Field) Set(raw string) (err error) {
+	v := reflect.ValueOf(f.Dst).Elem()
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(raw)
+	case reflect.Slice:
+		v.Set(reflect.AppendSlice(v, reflect.ValueOf(strings.Fields(raw))))
+	case reflect.Int64:
+		var d time.Duration
+		d, err = time.ParseDuration(raw)
+		v.SetInt(int64(d))
+	case reflect.Int:
+		var n int
+		n, err = strconv.Atoi(raw)
+		v.SetInt(int64(n))
+	default: // float64 or *float64
+		var x float64
+		x, err = strconv.ParseFloat(raw, 64)
+		if err == nil && (math.IsNaN(x) || math.IsInf(x, 0)) {
+			err = fmt.Errorf("%q is not a finite number", raw)
 		}
-		if !ok {
-			return fmt.Errorf("spec: unknown parameter %q (allowed: %s)", k, strings.Join(allowed, ", "))
+		if v.Kind() == reflect.Pointer {
+			v.Set(reflect.ValueOf(&x))
+		} else {
+			v.SetFloat(x)
+		}
+	}
+	switch {
+	case err != nil && f.Name != "":
+		return fmt.Errorf("%s: %w", f.Name, err)
+	case err != nil:
+		return err
+	}
+	return f.Check()
+}
+
+// Check reports a numeric value below Min; other values always pass.
+func (f Field) Check() error {
+	v := reflect.Indirect(reflect.ValueOf(f.Dst).Elem())
+	var x float64
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		x = float64(v.Int())
+	case reflect.Float64:
+		x = v.Float()
+	default:
+		return nil
+	}
+	switch {
+	case x >= f.Min:
+		return nil
+	case f.Min == 0:
+		return fmt.Errorf("negative %s", f.Name)
+	}
+	return fmt.Errorf("%s %v below minimum %v", f.Name, v.Interface(), f.Min)
+}
+
+// DecodeParams sets each parameter on the field of the same name and
+// checks its bound; positional parameters go to the field named "". A
+// parameter no field takes is an error, and so is a second value for a
+// field that is not a list.
+func DecodeParams(params []Param, fields ...Field) error {
+	seen := make(map[string]bool, len(params))
+	for _, p := range params {
+		i := slices.IndexFunc(fields, func(f Field) bool { return f.Name == p.Key })
+		switch {
+		case i < 0 && p.Key == "":
+			return fmt.Errorf("parameter %q is not key=value", p.Value)
+		case i < 0:
+			return fmt.Errorf("unknown parameter %q", p.Key)
+		case seen[p.Key] && reflect.TypeOf(fields[i].Dst).Elem().Kind() != reflect.Slice:
+			return fmt.Errorf("extra value %q", p.Value)
+		}
+		seen[p.Key] = true
+		if err := fields[i].Set(p.Value); err != nil {
+			return err
 		}
 	}
 	return nil
