@@ -34,7 +34,6 @@ func main() {
 		list     = flag.Bool("list", false, "list suite scenarios and exit")
 		quiet    = flag.Bool("quiet", false, "suppress per-scenario tables")
 		batch    = flag.Bool("batch", false, "drive arrivals through the batch entry points (byte-identical output)")
-		delta    = flag.Int("delta", 0, "delta evidence gossip: full anti-entropy frame every K exchanges on clustered scenarios (byte-identical output)")
 	)
 	flag.Parse()
 
@@ -48,13 +47,6 @@ func main() {
 	if *batch {
 		for i := range scenarios {
 			scenarios[i].Batch = true
-		}
-	}
-	if *delta > 0 {
-		for i := range scenarios {
-			if scenarios[i].Cluster != nil {
-				scenarios[i].Cluster.DeltaEvery = *delta
-			}
 		}
 	}
 

@@ -53,8 +53,9 @@
 // in a `cluster peers(...)` statement. Single-node deployments without
 // cluster sections are byte-for-byte unaffected.
 //
-// Spec-named components: scorers "dabr" (the trained reputation model)
-// and "rate(saturation=N)" (kaPoW-style request-rate scorer); sources
+// Spec-named components: scorers "dabr" (the trained reputation model),
+// "rate(saturation=N)" (kaPoW-style request-rate scorer) and
+// "hybrid(inner=dabr, saturation=N)" (the maximum of the two); sources
 // "feed" (static store), "tracker" (live behavior), "combined" (both).
 //
 // Endpoints: every path is protected; GET /healthz is exempt.
@@ -79,9 +80,7 @@ import (
 	"time"
 
 	"aipow"
-	"aipow/internal/baseline"
 	"aipow/internal/dataset"
-	"aipow/internal/policy"
 	"aipow/internal/reputation"
 )
 
@@ -223,44 +222,7 @@ func buildRegistry(key []byte, model *reputation.Model, store *aipow.MapStore, n
 	if err != nil {
 		return nil, err
 	}
-	if err := registry.RegisterScorer("dabr", func(params map[string]float64) (aipow.Scorer, error) {
-		if err := policy.RejectUnknownParams(params); err != nil {
-			return nil, err
-		}
-		return model, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := registry.RegisterScorer("rate", func(params map[string]float64) (aipow.Scorer, error) {
-		if err := policy.RejectUnknownParams(params, "saturation"); err != nil {
-			return nil, err
-		}
-		saturation, ok := params["saturation"]
-		if !ok {
-			return nil, fmt.Errorf("rate requires saturation=<req/s>")
-		}
-		rs, err := baseline.NewRateScorer(saturation)
-		if err != nil {
-			return nil, err
-		}
-		return rs, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := registry.RegisterSource("feed", func(params map[string]float64, _ *aipow.Tracker) (aipow.AttributeSource, error) {
-		if err := policy.RejectUnknownParams(params); err != nil {
-			return nil, err
-		}
-		return store, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := registry.RegisterSource("combined", func(params map[string]float64, tracker *aipow.Tracker) (aipow.AttributeSource, error) {
-		if err := policy.RejectUnknownParams(params); err != nil {
-			return nil, err
-		}
-		return aipow.NewCombinedSource(store, tracker)
-	}); err != nil {
+	if err := registry.RegisterPaperComponents(model, store); err != nil {
 		return nil, err
 	}
 	return registry, nil

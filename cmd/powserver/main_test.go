@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"aipow"
+	"aipow/internal/sim"
 )
 
 // stubScore gives every client the same mid-scale score.
@@ -255,5 +256,60 @@ func TestRateScorerPipelineDecidesWithoutAllocating(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("Decide through scorer rate + source combined: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestBootsEverySuiteDefense pins that every simulated defense is one
+// powserver can deploy: each suite scenario's pipeline spec, wrapped in a
+// catch-all deployment and round-tripped through its printed form, builds
+// on powserver's registry and issues a challenge.
+func TestBootsEverySuiteDefense(t *testing.T) {
+	feed, err := resolveFeed("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := resolveModel("", feed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := buildStore(feed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range sim.DefaultSuite(1, 0.25) {
+		t.Run(sc.Name, func(t *testing.T) {
+			ps, err := sc.PipelineSpec()
+			if err != nil {
+				t.Fatal(err)
+			}
+			dep := &aipow.DeploymentSpec{
+				Pipelines: []aipow.PipelineSpec{ps},
+				Routes:    []aipow.RouteSpec{{PathPrefix: "/", Pipeline: ps.Name}},
+			}
+			buf, err := dep.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			printed, err := aipow.ParseDeployment(string(buf))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg, err := buildRegistry([]byte("0123456789abcdef0123456789abcdef"), model, store, "node-test", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gk, err := aipow.NewGatekeeper(reg, printed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = gk.Close() })
+			dec, err := gk.Route("/", "").Decide(aipow.RequestContext{IP: "203.0.113.7"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dec.Bypassed || dec.Challenge.Difficulty < 1 {
+				t.Fatalf("decision = %+v, want a challenge", dec)
+			}
+		})
 	}
 }

@@ -461,10 +461,20 @@
 // The paper's central claim is economic asymmetry: legitimate clients pay
 // near-zero compute while attackers pay super-linearly. internal/sim pins
 // that claim down empirically with a deterministic adversarial scenario
-// engine that drives a real Framework — concurrently, over the sharded
-// tracker — with declaratively-defined traffic mixes:
+// engine. Each scenario declares its defense as a pipeline spec, and every
+// simulated node is built from it by the control plane's ComponentRegistry
+// over the simulated clock — the build path powserver runs, with the
+// paper's components (RegisterPaperComponents) over the scenario's
+// synthetic feed. The engine drives those pipelines — concurrently, over
+// the sharded tracker — with declaratively-defined traffic mixes:
 //
 //	sim.Scenario{
+//	    Spec: `
+//	        scorer hybrid(inner=dabr, saturation=3)
+//	        source combined
+//	        policy shape(inner=policy2)
+//	        window 15s
+//	        redeem`,
 //	    Phases: []sim.Phase{            // a timeline of named windows
 //	        {Name: "warmup", Duration: 30 * time.Second},
 //	        {Name: "strike", Duration: 30 * time.Second,
@@ -486,9 +496,10 @@
 // Time is simulated (NewSimulatedClock plugs into WithClock), every random
 // draw is position-seeded, and per-worker results merge in fixed order, so
 // equal seeds produce byte-identical reports regardless of GOMAXPROCS.
-// Solving is modeled as the real solver's geometric process; RealSolve
-// scenarios additionally perform genuine nonce searches redeemed through
-// Verify.
+// Solving is modeled as the real solver's geometric process, and each
+// modeled solve is booked through RecordVerifyEvidence exactly as a
+// Verify would be; RealSolve scenarios additionally perform genuine nonce
+// searches redeemed through Verify.
 //
 // The canonical scenario suite (steady state, flash crowd, pulsing
 // botnet, rotating-IP botnet, slow-and-low probing, reputation-poisoning
@@ -505,5 +516,7 @@
 // hash cost) plus every invariant's measured value and verdict; the
 // process exits non-zero on any violation, which is the CI gate. The same
 // suite runs in `go test ./internal/sim` as a scenario-table regression
-// test.
+// test, and as a golden comparison against SIM_scenarios.json through the
+// single-op and batch entry points, on one core and four, with full and
+// delta evidence gossip.
 package aipow

@@ -1,9 +1,10 @@
 // Package baseline provides RateScorer, the kaPoW-style (Le, Dua, Feng
 // 2012) behavioral comparator: it derives a client's reputation score from
 // its recent request rate rather than from an AI model over traffic
-// features. powserver's spec scorer `rate(saturation=…)` and the sim's
-// rate-scored defenses plug it into the same core.Framework as the DAbR
-// model.
+// features. The control plane's built-in scorer `rate(saturation=…)`
+// plugs it into the same core.Framework as the DAbR model, and
+// HybridScorer (the spec combinator `hybrid(inner=…, saturation=…)`)
+// blends it with a model.
 package baseline
 
 import (
@@ -64,4 +65,93 @@ func (r RateScorer) ScoreRate(rate float64) float64 {
 		frac = 0
 	}
 	return policy.MaxScore * frac
+}
+
+// HybridScorer is max(inner score, rate score): a model's static judgment
+// blended with the client's live request rate, so a currently-flooding
+// client keeps its behavioral price whatever the model thinks of it. It
+// publishes its own schema — the inner scorer's attributes plus the
+// tracker's live request rate — and carries verdicts through: when the
+// rate score wins, the confidence is 1 (the evidence is directly observed
+// behavior, not a model inference); otherwise the inner scorer's
+// confidence passes through.
+type HybridScorer struct {
+	inner    features.VectorScorer
+	verdict  features.VerdictScorer // nil: inner verdicts at confidence 1
+	rate     RateScorer
+	schema   *features.Schema
+	innerLen int
+	rateSlot int
+}
+
+var _ features.VerdictScorer = (*HybridScorer)(nil)
+
+// NewHybridScorer blends inner with a RateScorer saturating at
+// saturationRate requests per second.
+func NewHybridScorer(inner features.VectorScorer, saturationRate float64) (*HybridScorer, error) {
+	rs, err := NewRateScorer(saturationRate)
+	if err != nil {
+		return nil, err
+	}
+	is := inner.Schema()
+	if is == nil {
+		return nil, fmt.Errorf("baseline: hybrid inner scorer publishes no schema")
+	}
+	// The inner scorer may already consume the live request rate (the
+	// redemption wrapper reads it as a gate); reuse its slot rather than
+	// duplicating the attribute.
+	schema, rateSlot := is, 0
+	if j, ok := is.Index(features.AttrRequestRate); ok {
+		rateSlot = j
+	} else {
+		extended, err := features.NewSchema(append(is.Names(), features.AttrRequestRate)...)
+		if err != nil {
+			return nil, fmt.Errorf("baseline: hybrid schema: %w", err)
+		}
+		schema, rateSlot = extended, is.Len()
+	}
+	h := &HybridScorer{inner: inner, rate: rs, schema: schema, innerLen: is.Len(), rateSlot: rateSlot}
+	h.verdict, _ = inner.(features.VerdictScorer)
+	return h, nil
+}
+
+// Schema implements features.VectorScorer.
+func (h *HybridScorer) Schema() *features.Schema { return h.schema }
+
+// ScoreVector implements features.VectorScorer. The rate slot is read
+// before the inner scorer runs, because it uses its subvector as scratch.
+func (h *HybridScorer) ScoreVector(v []float64) (float64, error) {
+	if len(v) != h.schema.Len() {
+		return 0, fmt.Errorf("baseline: vector has %d dims, hybrid scorer wants %d", len(v), h.schema.Len())
+	}
+	behavioral := h.rate.ScoreRate(v[h.rateSlot])
+	static, err := h.inner.ScoreVector(v[:h.innerLen])
+	if err != nil {
+		return 0, err
+	}
+	return max(static, behavioral), nil
+}
+
+// VerdictVector implements features.VerdictScorer.
+func (h *HybridScorer) VerdictVector(v []float64) (features.Verdict, error) {
+	if len(v) != h.schema.Len() {
+		return features.Verdict{}, fmt.Errorf("baseline: vector has %d dims, hybrid scorer wants %d", len(v), h.schema.Len())
+	}
+	behavioral := h.rate.ScoreRate(v[h.rateSlot])
+	var ver features.Verdict
+	var err error
+	if h.verdict != nil {
+		ver, err = h.verdict.VerdictVector(v[:h.innerLen])
+	} else {
+		ver.Confidence = 1
+		ver.Score, err = h.inner.ScoreVector(v[:h.innerLen])
+	}
+	if err != nil {
+		return features.Verdict{}, err
+	}
+	if behavioral >= ver.Score {
+		// Observed behavior outranks the model: enforce at face value.
+		return features.Verdict{Score: behavioral, Confidence: 1}, nil
+	}
+	return ver, nil
 }

@@ -12,10 +12,10 @@ import (
 
 var testKey = []byte("0123456789abcdef0123456789abcdef")
 
-// newRateFramework wires RateScorer into a core.Framework the way
-// powserver's `rate(saturation=…)` scorer and the sim's rate-scored
-// defenses do: the tracker is both the source of the rate attribute and
-// the observer of every request.
+// newRateFramework wires RateScorer into a core.Framework the way the
+// control plane's `rate(saturation=…)` scorer over a `combined` source
+// does: the tracker is both the source of the rate attribute and the
+// observer of every request.
 func newRateFramework(t *testing.T, pol policy.Policy, opts ...core.Option) *core.Framework {
 	t.Helper()
 	tracker, err := features.NewTracker(features.WithWindow(10*time.Second, 10))
@@ -149,5 +149,48 @@ func TestFixedPoWUniformDifficulty(t *testing.T) {
 func TestFixedPoWValidatesDifficulty(t *testing.T) {
 	if _, err := policy.NewFixed(0); err == nil {
 		t.Fatal("difficulty 0 accepted")
+	}
+}
+
+// modelScorer scores a one-attribute row as itself, at a fixed confidence.
+type modelScorer struct{ schema *features.Schema }
+
+func (m modelScorer) Schema() *features.Schema { return m.schema }
+
+func (m modelScorer) ScoreVector(v []float64) (float64, error) { return v[0], nil }
+
+func (m modelScorer) VerdictVector(v []float64) (features.Verdict, error) {
+	return features.Verdict{Score: v[0], Confidence: 0.5}, nil
+}
+
+// TestHybridScorerVerdicts pins max(model, rate) with verdicts carried
+// through: the model's confidence when it wins, confidence 1 when the
+// observed rate does.
+func TestHybridScorerVerdicts(t *testing.T) {
+	schema, err := features.NewSchema("threat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewHybridScorer(modelScorer{schema}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		row  []float64
+		want features.Verdict
+	}{
+		{[]float64{7, 2}, features.Verdict{Score: 7, Confidence: 0.5}},
+		{[]float64{3, 8}, features.Verdict{Score: 8, Confidence: 1}},
+	} {
+		got, err := h.VerdictVector(tc.row)
+		if err != nil || got != tc.want {
+			t.Errorf("verdict %v = %+v (%v), want %+v", tc.row, got, err, tc.want)
+		}
+		if score, err := h.ScoreVector(tc.row); err != nil || score != tc.want.Score {
+			t.Errorf("score %v = %v (%v), want %v", tc.row, score, err, tc.want.Score)
+		}
+	}
+	if _, err := NewHybridScorer(modelScorer{schema}, 0); err == nil {
+		t.Error("zero saturation accepted")
 	}
 }

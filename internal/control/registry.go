@@ -1,14 +1,17 @@
 package control
 
 import (
+	"cmp"
 	"crypto/hmac"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"aipow/internal/baseline"
 	"aipow/internal/cluster"
 	"aipow/internal/core"
 	"aipow/internal/features"
@@ -41,10 +44,11 @@ type SourceFactory func(params map[string]float64, tracker *features.Tracker) (f
 // lenient route can never be redeemed on a stricter one — per-route
 // difficulty is enforced, not advisory.
 //
-// It ships with the policy registry's built-ins and a "tracker" source
-// (the live tracker alone); deployments register their scorers (e.g. a
-// trained DAbR model) and richer sources. A Registry is safe for
-// concurrent use.
+// It ships with the policy registry's built-ins, a "tracker" source (the
+// live tracker alone), the kaPoW-style "rate(saturation=…)" scorer and the
+// "hybrid(inner=…, saturation=…)" scorer combinator; deployments register
+// their scorers and richer sources (RegisterPaperComponents registers the
+// paper's). A Registry is safe for concurrent use.
 type Registry struct {
 	mu      sync.RWMutex
 	scorers map[string]ScorerFactory
@@ -87,10 +91,6 @@ type trackerKey struct {
 // *future* pipeline declaring that span starts a fresh one (losing
 // cross-build history sharing for that window, never failing the apply).
 const maxTrackerWindows = 8
-
-// trackerWindowBuckets is the bucket count of per-window trackers,
-// matching the default tracker's window:bucket granularity ratio.
-const trackerWindowBuckets = 12
 
 // RegistryOption customizes NewRegistry.
 type RegistryOption func(*Registry)
@@ -168,7 +168,37 @@ func NewRegistry(key []byte, opts ...RegistryOption) (*Registry, error) {
 	}); err != nil {
 		return nil, err
 	}
+	if err := r.RegisterScorer("rate", func(params map[string]float64) (features.VectorScorer, error) {
+		if err := policy.RejectUnknownParams(params, "saturation"); err != nil {
+			return nil, err
+		}
+		return baseline.NewRateScorer(params["saturation"])
+	}); err != nil {
+		return nil, err
+	}
 	return r, nil
+}
+
+// RegisterPaperComponents registers the paper's pipeline components over
+// a trained DAbR model and a static intelligence feed: the scorer "dabr"
+// (the model), and the sources "feed" (the store alone) and "combined"
+// (the store plus the pipeline's live behavior tracker).
+func (r *Registry) RegisterPaperComponents(model *reputation.Model, store *features.MapStore) error {
+	noParams := func(params map[string]float64) error { return policy.RejectUnknownParams(params) }
+	return errors.Join(
+		r.RegisterScorer("dabr", func(params map[string]float64) (features.VectorScorer, error) {
+			return model, noParams(params)
+		}),
+		r.RegisterSource("feed", func(params map[string]float64, _ *features.Tracker) (features.VectorSource, error) {
+			return store, noParams(params)
+		}),
+		r.RegisterSource("combined", func(params map[string]float64, tracker *features.Tracker) (features.VectorSource, error) {
+			if err := noParams(params); err != nil {
+				return nil, err
+			}
+			return features.NewCombined(store, tracker)
+		}),
+	)
 }
 
 // Tracker reports the shared behavior tracker.
@@ -179,9 +209,10 @@ func (r *Registry) Tracker() *features.Tracker { return r.tracker }
 // otherwise the per-key tracker for that (window, half-life) pair,
 // created on first use and cached so same-key pipelines share state.
 // Per-key trackers inherit the shared tracker's remaining sizing
-// (capacity, summary staleness, and whichever of window/half-life the
-// spec leaves zero) so the spec changes exactly the declared knobs
-// instead of silently resetting an operator's tuning to defaults.
+// (capacity, summary staleness, window bucket count, and whichever of
+// window span/half-life the spec leaves zero) so the spec changes exactly
+// the declared knobs instead of silently resetting an operator's tuning to
+// defaults.
 func (r *Registry) trackerFor(ps PipelineSpec) (*features.Tracker, error) {
 	key := trackerKey{window: time.Duration(ps.TrackerWindow)}
 	if ps.Redeem != nil {
@@ -195,19 +226,14 @@ func (r *Registry) trackerFor(ps PipelineSpec) (*features.Tracker, error) {
 	if t, ok := r.windowed[key]; ok {
 		return t, nil
 	}
-	halfLife := key.halfLife
-	if halfLife == 0 {
-		halfLife = r.tracker.EvidenceHalfLife()
-	}
-	opts := []features.TrackerOption{
+	halfLife := cmp.Or(key.halfLife, r.tracker.EvidenceHalfLife())
+	span, buckets := r.tracker.Window()
+	t, err := features.NewTracker(
 		features.WithCapacity(r.tracker.Capacity()),
 		features.WithEvidenceHalfLife(halfLife),
 		features.WithSummaryStaleness(r.tracker.SummaryStaleness()),
-	}
-	if key.window > 0 {
-		opts = append(opts, features.WithWindow(key.window, trackerWindowBuckets))
-	}
-	t, err := features.NewTracker(opts...)
+		features.WithWindow(cmp.Or(key.window, span), buckets),
+	)
 	if err != nil {
 		return nil, fmt.Errorf("control: window %v / half-life %v tracker: %w", key.window, halfLife, err)
 	}
@@ -262,6 +288,9 @@ func (r *Registry) Policies() *policy.Registry { return r.policies }
 func (r *Registry) RegisterScorer(name string, f ScorerFactory) error {
 	if name == "" || f == nil {
 		return fmt.Errorf("control: scorer registration requires a name and factory")
+	}
+	if name == hybridName {
+		return fmt.Errorf("control: %q is a reserved scorer combinator name", hybridName)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -331,6 +360,50 @@ func (r *Registry) newScorer(spec string) (features.VectorScorer, error) {
 		return nil, fmt.Errorf("control: scorer %q factory returned nil", name)
 	}
 	return s, nil
+}
+
+// hybridName is the reserved scorer combinator
+// "hybrid(inner=<scorer spec>, saturation=<req/s>)": max(inner, rate). The
+// registry resolves it itself, like policy's shape(inner=…), because its
+// inner parameter is a nested component spec, not a number.
+const hybridName = "hybrid"
+
+// pipelineScorer resolves a spec's scorer and wraps it in the spec's
+// redemption. Under hybrid(inner=…) redemption wraps the inner scorer, so
+// the rate blend stays outside it: earned credit attenuates the model's
+// judgment, never the price of a client flooding right now.
+func (r *Registry) pipelineScorer(ps PipelineSpec) (features.VectorScorer, error) {
+	name, raw, err := policy.ParseSpecParams(ps.Scorer)
+	if err != nil {
+		return nil, fmt.Errorf("control: scorer spec: %w", err)
+	}
+	spec, saturation := ps.Scorer, 0.0
+	if name == hybridName {
+		spec = ""
+		if err := policy.DecodeParams(raw,
+			policy.Field{Name: "inner", Dst: &spec},
+			policy.Field{Name: "saturation", Dst: &saturation},
+		); err != nil {
+			return nil, fmt.Errorf("control: scorer %s: %w", hybridName, err)
+		}
+	}
+	scorer, err := r.newScorer(spec)
+	if err != nil {
+		return nil, err
+	}
+	if ps.Redeem != nil {
+		if scorer, err = r.redeemScorer(ps, scorer); err != nil {
+			return nil, err
+		}
+	}
+	if name != hybridName {
+		return scorer, nil
+	}
+	hybrid, err := baseline.NewHybridScorer(scorer, saturation)
+	if err != nil {
+		return nil, fmt.Errorf("control: scorer %s: %w", hybridName, err)
+	}
+	return hybrid, nil
 }
 
 // newSource resolves a source component spec ("" defaults to "tracker")
@@ -503,15 +576,9 @@ func newTraceRing(o *ObserveSpec) *obs.TraceRing {
 // controller rebuilds (pipelines pass their stable load indirection);
 // events is the controller's transition sink (Pipeline.adaptEvents).
 func (r *Registry) components(ps PipelineSpec, load policy.LoadFunc, tracker *features.Tracker, events obs.Sink) (features.VectorScorer, policy.Policy, features.VectorSource, *feedback.Controller, error) {
-	scorer, err := r.newScorer(ps.Scorer)
+	scorer, err := r.pipelineScorer(ps)
 	if err != nil {
 		return nil, nil, nil, nil, err
-	}
-	if ps.Redeem != nil {
-		scorer, err = r.redeemScorer(ps, scorer)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
 	}
 	pol, err := r.newPolicy(ps, load)
 	if err != nil {

@@ -61,8 +61,8 @@ type PipelineSpec struct {
 	// Name identifies the pipeline (route targets, logs, stats).
 	Name string `json:"name"`
 
-	// Scorer is the AI-model spec, e.g. "dabr" or "hybrid(saturation=4)".
-	// Required.
+	// Scorer is the AI-model spec, e.g. "dabr" or
+	// "hybrid(inner=dabr, saturation=4)". Required.
 	Scorer string `json:"scorer"`
 
 	// Policy is the score→difficulty policy in registry syntax, e.g.

@@ -136,13 +136,46 @@ func TestWindowCountBounded(t *testing.T) {
 	}
 }
 
+// TestRedeemHalfLifeTrackerInheritsWindow pins that a per-key tracker
+// keeps the shared tracker's rate window: a redeem(half-life=…) pipeline
+// over a 30 s / 10-bucket tracker rates over 30 s in 10 buckets, not over
+// the tracker package's 1 min / 12-bucket default.
+func TestRedeemHalfLifeTrackerInheritsWindow(t *testing.T) {
+	shared, err := features.NewTracker(features.WithWindow(30*time.Second, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := NewRegistry(testKey, WithRegistryTracker(shared))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := ParseDeployment("pipeline p\n scorer dabr\n policy policy2\n redeem(half-life=10s)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracker, err := reg.trackerFor(dep.Pipelines[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tracker == shared {
+		t.Fatal("half-life pipeline got the shared tracker")
+	}
+	if span, buckets := tracker.Window(); span != 30*time.Second || buckets != 10 {
+		t.Errorf("window %v / %d buckets, want the shared 30s / 10", span, buckets)
+	}
+	if got := tracker.EvidenceHalfLife(); got != 10*time.Second {
+		t.Errorf("half-life %v, want the declared 10s", got)
+	}
+}
+
 // TestWindowedTrackerInheritsSizing pins that a per-window tracker keeps
-// the shared tracker's capacity and evidence half-life: `window` changes
-// the decay horizon, nothing else.
+// the shared tracker's capacity, evidence half-life and bucket count:
+// `window` changes the span, nothing else.
 func TestWindowedTrackerInheritsSizing(t *testing.T) {
 	shared, err := features.NewTracker(
 		features.WithCapacity(1234),
 		features.WithEvidenceHalfLife(7*time.Minute),
+		features.WithWindow(time.Minute, 6),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -160,6 +193,9 @@ func TestWindowedTrackerInheritsSizing(t *testing.T) {
 	}
 	if windowed.EvidenceHalfLife() != shared.EvidenceHalfLife() {
 		t.Errorf("half-life %v, want inherited %v", windowed.EvidenceHalfLife(), shared.EvidenceHalfLife())
+	}
+	if span, buckets := windowed.Window(); span != 10*time.Second || buckets != 6 {
+		t.Errorf("window %v / %d buckets, want the declared 10s over the inherited 6", span, buckets)
 	}
 }
 

@@ -826,25 +826,30 @@ func (f *Framework) verifyOne(sol *puzzle.Solution, binding string, now time.Tim
 		f.cRejected.Inc()
 		return 0, err
 	}
+	f.countVerified(sol.Challenge.Difficulty)
+	return sol.Challenge.Difficulty, nil
+}
+
+// countVerified books one accepted verification at difficulty d.
+func (f *Framework) countVerified(d int) {
 	f.cVerified.Inc()
-	d := sol.Challenge.Difficulty
 	if d >= 0 && d < len(f.diffVerified) {
 		f.diffVerified[d].Add(1)
 	}
-	return d, nil
 }
 
-// RecordVerifyEvidence feeds one externally-adjudicated verification
-// outcome into the attached tracker, exactly as Verify itself would (a
-// no-op without a tracker). It exists for hosts that model or offload
-// verification — the simulation engine's modeled solves use it so the
-// redemption path sees the same evidence stream a real deployment's
-// Verify calls produce.
+// RecordVerifyEvidence records one externally-adjudicated verification
+// outcome exactly as Verify itself would: the verified/rejected counters
+// and the per-difficulty verified profile count it, and the attached
+// tracker (if any) receives it as evidence. It exists for hosts that model
+// or offload verification — the simulation engine's modeled solves use it
+// so the signal plane and the redemption path see the same stream a real
+// deployment's Verify calls produce.
 func (f *Framework) RecordVerifyEvidence(ip string, difficulty int, ok bool) {
-	if f.tracker == nil {
-		return
-	}
-	if !ok {
+	if ok {
+		f.countVerified(difficulty)
+	} else {
+		f.cRejected.Inc()
 		difficulty = 0
 	}
 	f.recordVerify(ip, difficulty, ok, f.hotNow())

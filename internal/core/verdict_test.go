@@ -241,7 +241,34 @@ func TestVerifyWithoutTrackerStillWorks(t *testing.T) {
 	if err := f.Verify(sol, ip); err != nil {
 		t.Fatal(err)
 	}
-	f.RecordVerifyEvidence(ip, 5, true) // no-op, must not panic
+	f.RecordVerifyEvidence(ip, 5, true) // counted, no evidence to write
+}
+
+// TestRecordVerifyEvidenceCounts pins that an externally adjudicated
+// verification balances the books like Verify does: verified/rejected and
+// the per-difficulty verified profile count it, tracker or not.
+func TestRecordVerifyEvidenceCounts(t *testing.T) {
+	f, err := New(
+		WithKey(testKey),
+		WithScorer(newVecScorer(t)),
+		WithPolicy(policy.Policy1()),
+		WithSource(newTestSource(t)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.RecordVerifyEvidence("10.0.0.1", 9, true)
+	f.RecordVerifyEvidence("10.0.0.2", 9, true)
+	f.RecordVerifyEvidence("10.0.0.3", 7, false)
+	stats := f.Stats()
+	if stats["verified"] != 2 || stats["rejected"] != 1 {
+		t.Fatalf("verified %v rejected %v, want 2 and 1", stats["verified"], stats["rejected"])
+	}
+	verified := make([]uint64, puzzle.MaxDifficulty+1)
+	f.DifficultyProfileInto(nil, verified)
+	if verified[9] != 2 || verified[7] != 0 {
+		t.Fatalf("verified profile d9=%d d7=%d, want 2 and 0", verified[9], verified[7])
+	}
 }
 
 // TestSwapRewiresVerdictPath pins that hot-swapping between a plain and a

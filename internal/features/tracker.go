@@ -501,6 +501,9 @@ func (t *Tracker) Capacity() int { return t.capacity }
 // EvidenceHalfLife reports the solve-credit decay half-life.
 func (t *Tracker) EvidenceHalfLife() time.Duration { return t.halfLife }
 
+// Window reports the sliding rate window's span and bucket count.
+func (t *Tracker) Window() (span time.Duration, buckets int) { return t.span, t.buckets }
+
 // SummaryStaleness reports the summary-cache staleness bound (zero:
 // caching disabled).
 func (t *Tracker) SummaryStaleness() time.Duration { return t.staleness }

@@ -23,11 +23,12 @@
 // The engine deliberately has no server queueing model (go run ./bench
 // measures the real server under load); it measures the paper's central
 // claim — who pays how much work for how much service — under adversarial
-// traffic mixes. Solving is modeled as the same geometric process a real
-// solver executes (geometricAttempts); with
-// Defense.RealSolve the engine additionally performs real nonce searches
-// and redeems them through Framework.Verify, exercising the cryptographic
-// path end to end at low difficulties.
+// traffic mixes. The defense is the operator's: each scenario declares a
+// pipeline spec, and every node is built from it by control.Registry.
+// Solving is modeled as the same geometric process a real solver executes
+// (geometricAttempts); with Scenario.RealSolve the engine additionally
+// performs real nonce searches and redeems them through Framework.Verify,
+// exercising the cryptographic path end to end at low difficulties.
 package sim
 
 import (
@@ -42,13 +43,11 @@ import (
 	"sync"
 	"time"
 
-	"aipow/internal/cluster"
+	"aipow/internal/control"
 	"aipow/internal/core"
 	"aipow/internal/features"
-	"aipow/internal/feedback"
 	"aipow/internal/metrics"
 	"aipow/internal/obs"
-	"aipow/internal/policy"
 	"aipow/internal/puzzle"
 )
 
@@ -123,6 +122,9 @@ type Result struct {
 	// Scenario echoes the (defaults-resolved) input.
 	Scenario Scenario
 
+	// Pipeline is the spec the defense nodes ran (defaults resolved).
+	Pipeline control.PipelineSpec
+
 	// Outcomes is indexed [population][phase].
 	Outcomes [][]*outcome
 
@@ -135,7 +137,7 @@ type Result struct {
 	Adapt *AdaptOutcome
 
 	// Events is the run's merged defense event log (nil unless the
-	// defense sets Events).
+	// scenario declares an event_* invariant).
 	Events []obs.Event
 }
 
@@ -168,15 +170,6 @@ type worker struct {
 	out    [][]*outcome    // [population][phase]
 	solver *puzzle.Solver
 
-	// Modeled verification accounting for the feedback signal plane,
-	// per fleet node (length 1 outside cluster mode): a modeled
-	// completion is the simulation shortcut for a solved-and-verified
-	// challenge, so each node's controller source folds these counts
-	// into that node's verify counters. Read only at tick boundaries
-	// (single-threaded points).
-	mVerified [][puzzle.MaxDifficulty + 1]uint64
-	mExpired  []uint64
-
 	// Batch-mode scratch, reused across runs within the worker's ticks.
 	seen   []string
 	runArr []arrival
@@ -192,38 +185,12 @@ func (w *worker) schedule(tick int, ev event) {
 	w.future[tick] = append(w.future[tick], ev)
 }
 
-// simNode is one fleet member of a run: a full defense pipeline plus its
-// cluster exchange endpoint and (with Defense.Adapt) its own controller.
-// Single-framework runs are the one-node degenerate case with no cluster
-// endpoint, so the two modes share every code path.
-type simNode struct {
-	fw      *core.Framework
-	tracker *features.Tracker
-	cnode   *cluster.Node        // nil outside cluster mode
-	ctrl    *feedback.Controller // nil without Defense.Adapt
-	elog    *obs.EventLog        // nil without Defense.Events
-}
-
-// eventSink is the node's defense event sink, stamped with the node's
-// fleet origin when the run has more than one member. Nil without
-// Defense.Events, so the zero-configuration path emits nothing.
-func (n *simNode) eventSink(origin string, fleet bool) obs.Sink {
-	if n.elog == nil {
-		return nil
-	}
-	if !fleet {
-		return n.elog.Append
-	}
-	return func(e obs.Event) {
-		e.Node = origin
-		n.elog.Append(e)
-	}
-}
-
 // engine is the per-run state.
 type engine struct {
 	sc       Scenario
-	nodes    []*simNode
+	nodes    []*control.Pipeline // one per fleet node
+	elogs    []*obs.EventLog     // per node; nil unless the run captures events
+	gossip   bool                // the nodes run the cluster exchange plane
 	clock    *Clock
 	tick     time.Duration
 	workers  []*worker
@@ -244,7 +211,8 @@ type engine struct {
 // deterministic: equal scenarios (including Seed) produce equal results,
 // bit for bit, regardless of GOMAXPROCS or scheduling.
 func Run(sc Scenario) (*Result, error) {
-	if err := sc.validate(); err != nil {
+	ps, err := sc.validate()
+	if err != nil {
 		return nil, err
 	}
 	if sc.Tick == 0 {
@@ -254,25 +222,20 @@ func Run(sc Scenario) (*Result, error) {
 		sc.Workers = DefaultWorkers
 	}
 	sc.Workers = ceilPow2(sc.Workers)
-	sc.Defense = sc.Defense.withDefaults(sc.Seed)
 
 	clock := NewClock(Epoch())
-	backend, err := puzzle.ParseBackendSpec(sc.Defense.Puzzle)
-	if err != nil {
-		return nil, fmt.Errorf("sim: scenario %q puzzle: %w", sc.Name, err)
-	}
-	eng := &engine{
-		sc:          sc,
-		clock:       clock,
-		tick:        sc.Tick,
-		mask:        uint32(sc.Workers - 1),
-		ttl:         sc.Defense.TTL,
-		attemptCost: backend.AttemptCost(),
-		backendName: backend.Name(),
-	}
-	if err := eng.buildNodes(); err != nil {
+	eng := &engine{sc: sc, clock: clock, tick: sc.Tick, mask: uint32(sc.Workers - 1)}
+	if err := eng.buildNodes(ps); err != nil {
 		return nil, err
 	}
+	ps = eng.nodes[0].Spec()
+	backend, err := puzzle.ParseBackendSpec(ps.Puzzle)
+	if err != nil {
+		return nil, err
+	}
+	eng.ttl = time.Duration(ps.TTL)
+	eng.attemptCost, eng.backendName = backend.AttemptCost(), backend.Name()
+	eng.gossip = sc.Cluster != nil && ps.Cluster != nil
 	var cum time.Duration
 	for _, ph := range sc.Phases {
 		cum += ph.Duration
@@ -288,15 +251,10 @@ func Run(sc Scenario) (*Result, error) {
 				w.out[p][ph] = newOutcome()
 			}
 		}
-		w.mVerified = make([][puzzle.MaxDifficulty + 1]uint64, len(eng.nodes))
-		w.mExpired = make([]uint64, len(eng.nodes))
-		if sc.Defense.RealSolve {
+		if sc.RealSolve {
 			w.solver = puzzle.NewSolver(puzzle.WithExtendedNonce())
 		}
 		eng.workers[i] = w
-	}
-	if err := eng.buildAdapt(); err != nil {
-		return nil, err
 	}
 
 	ticks := int((sc.Duration() + sc.Tick - 1) / sc.Tick)
@@ -319,19 +277,20 @@ func Run(sc Scenario) (*Result, error) {
 		// Cluster gossip runs at the same single-threaded point, in fixed
 		// node order, so peer views update deterministically before the
 		// controllers read them.
-		if cs := sc.Cluster; cs != nil && t%cs.exchangeTicks() == 0 {
+		if eng.gossip && t%sc.Cluster.exchangeTicks() == 0 {
 			eng.exchangeRounds(1)
 		}
 		// The feedback controllers step at the same single-threaded
 		// point, on counters complete through the previous tick — the
 		// closed loop runs against the live framework exactly as a
-		// server's adapt ticker would, minus wall-clock dependence.
+		// server's adapt ticker would, minus wall-clock dependence. Every
+		// tick steps, whatever the spec's adapt interval, so transitions
+		// land on exact ticks.
 		for _, n := range eng.nodes {
-			if n.ctrl == nil {
-				continue
-			}
-			if err := n.ctrl.Step(clock.Now()); err != nil {
-				return nil, fmt.Errorf("sim: scenario %q adapt: %w", sc.Name, err)
+			if ctrl := n.Controller(); ctrl != nil {
+				if err := ctrl.Step(clock.Now()); err != nil {
+					return nil, fmt.Errorf("sim: scenario %q adapt: %w", sc.Name, err)
+				}
 			}
 		}
 		eng.generateArrivals(t, tickStart)
@@ -349,7 +308,7 @@ func Run(sc Scenario) (*Result, error) {
 			break
 		}
 		clock.Set(Epoch().Add(time.Duration(t) * eng.tick))
-		if sc.Cluster != nil {
+		if eng.gossip {
 			// The drain jumps over empty ticks, so per-tick gossip rounds
 			// no longer accumulate; run a full diameter's worth before each
 			// drained tick so anything redeemed on the last processed tick
@@ -359,20 +318,16 @@ func Run(sc Scenario) (*Result, error) {
 		eng.runTick(t)
 	}
 
-	res := &Result{Scenario: sc, FrameworkStats: make(map[string]float64, 8)}
-	if len(eng.nodes) == 1 {
-		eng.nodes[0].fw.StatsInto(res.FrameworkStats)
-	} else {
-		// Fleet counters sum pointwise: one logical defense, K serving
-		// nodes. Key-by-key accumulation in fixed node order keeps the
-		// float sums deterministic.
-		scratch := make(map[string]float64, 16)
-		for _, n := range eng.nodes {
-			clear(scratch)
-			n.fw.StatsInto(scratch)
-			for k, v := range scratch {
-				res.FrameworkStats[k] += v
-			}
+	// Fleet counters sum pointwise: one logical defense, K serving nodes.
+	// Key-by-key accumulation in fixed node order keeps the float sums
+	// deterministic.
+	res := &Result{Scenario: sc, Pipeline: ps, FrameworkStats: make(map[string]float64, 8)}
+	scratch := make(map[string]float64, 16)
+	for _, n := range eng.nodes {
+		clear(scratch)
+		n.Framework().StatsInto(scratch)
+		for k, v := range scratch {
+			res.FrameworkStats[k] += v
 		}
 	}
 	res.Adapt = eng.adaptResult()
@@ -391,78 +346,6 @@ func Run(sc Scenario) (*Result, error) {
 	return res, nil
 }
 
-// buildNodes assembles the run's defense node(s): one framework from the
-// scenario's factory (or the built-in Defense) in the single-node case, K
-// identically-trained pipelines joined by in-process cluster nodes in
-// fleet mode. Identical dataset seeds mean every fleet node scores with
-// the same model over the same store; only live per-node state (tracker,
-// replay window, counters) diverges — exactly a real fleet's shape.
-func (eng *engine) buildNodes() error {
-	sc := eng.sc
-	if sc.Cluster == nil {
-		node := &simNode{}
-		if sc.Factory != nil {
-			fw, err := sc.Factory(eng.clock.Now)
-			if err != nil {
-				return fmt.Errorf("sim: build defense for %q: %w", sc.Name, err)
-			}
-			if fw == nil {
-				return fmt.Errorf("sim: scenario %q factory returned a nil framework", sc.Name)
-			}
-			node.fw = fw
-			eng.nodes = []*simNode{node}
-			return nil
-		}
-		var extra []core.Option
-		if sc.Defense.Events {
-			node.elog = obs.NewEventLog(0)
-			extra = append(extra, core.WithEventSink(node.eventSink("", false)))
-		}
-		fw, tracker, err := buildDefenseNode(sc, eng.clock.Now, extra...)
-		if err != nil {
-			return fmt.Errorf("sim: build defense for %q: %w", sc.Name, err)
-		}
-		node.fw, node.tracker = fw, tracker
-		eng.nodes = []*simNode{node}
-		return nil
-	}
-	d := sc.Defense.withDefaults(sc.Seed)
-	eng.nodes = make([]*simNode, sc.Cluster.Nodes)
-	for i := range eng.nodes {
-		origin := fmt.Sprintf("n%d", i)
-		node := &simNode{}
-		if sc.Defense.Events {
-			node.elog = obs.NewEventLog(0)
-		}
-		cnode, err := cluster.NewNode(cluster.Config{
-			Origin:     origin,
-			FilterBits: sc.Cluster.FilterBits,
-			// Retain through the full redemption window — TTL plus skew on
-			// both ends — so the fleet filter never lets a tag go before
-			// the challenge's own freshness check takes over.
-			Retain:     d.TTL + 2*2*time.Second,
-			DeltaEvery: sc.Cluster.DeltaEvery,
-			Now:        eng.clock.Now,
-			Events:     node.eventSink(origin, true),
-		})
-		if err != nil {
-			return fmt.Errorf("sim: scenario %q cluster node %d: %w", sc.Name, i, err)
-		}
-		extra := []core.Option{core.WithTagExchange(cnode)}
-		if sc.Defense.Events {
-			extra = append(extra, core.WithEventSink(node.eventSink(origin, true)))
-		}
-		fw, tracker, err := buildDefenseNode(sc, eng.clock.Now, extra...)
-		if err != nil {
-			return fmt.Errorf("sim: build defense for %q node %d: %w", sc.Name, i, err)
-		}
-		cnode.BindLocal(adaptSource{eng: eng, node: i}, tracker)
-		node.fw, node.tracker, node.cnode = fw, tracker, cnode
-		eng.nodes[i] = node
-	}
-	return nil
-}
-
 // exchangeRounds runs the fleet's gossip topology the given number of
 // rounds: each round, node i pulls from nodes i+1 … i+Degree (mod K), in
 // fixed order — the deterministic in-process analogue of every node's
@@ -473,7 +356,7 @@ func (eng *engine) exchangeRounds(rounds int) {
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < k; i++ {
 			for d := 1; d <= deg; d++ {
-				eng.nodes[i].cnode.ExchangeWith(eng.nodes[(i+d)%k].cnode)
+				eng.nodes[i].ClusterNode().ExchangeWith(eng.nodes[(i+d)%k].ClusterNode())
 			}
 		}
 	}
@@ -484,97 +367,6 @@ func (eng *engine) exchangeRounds(rounds int) {
 func (eng *engine) clusterDiameter() int {
 	deg := eng.sc.Cluster.degree()
 	return (len(eng.nodes) - 2 + deg) / deg
-}
-
-// buildAdapt compiles the defense's adapt section into one feedback
-// controller per node, each bound to its node's framework and counter
-// view. With Cluster.FleetFeedback the view is the node's own counters
-// summed with its peer-reported fleet state, so every controller's rate
-// thresholds see cluster-wide totals. Policies resolve against the
-// built-in registry and are clamped to the defense's difficulty cap,
-// mirroring BuildDefense.
-func (eng *engine) buildAdapt() error {
-	a := eng.sc.Defense.Adapt
-	if a == nil {
-		return nil
-	}
-	compileClamped := func(spec string) (policy.Policy, error) {
-		pol, err := policy.NewRegistry().New(spec)
-		if err != nil {
-			return nil, err
-		}
-		return policy.NewClamp(pol, 1, eng.sc.Defense.MaxDifficulty)
-	}
-	rules := make([]feedback.Rule, 0, len(a.Rules))
-	for _, spec := range a.Rules {
-		rule, err := feedback.ParseRule(spec)
-		if err != nil {
-			return fmt.Errorf("sim: scenario %q: %w", eng.sc.Name, err)
-		}
-		rules = append(rules, rule)
-	}
-	for i, n := range eng.nodes {
-		base, err := compileClamped(eng.sc.Defense.Policy)
-		if err != nil {
-			return fmt.Errorf("sim: scenario %q adapt base policy: %w", eng.sc.Name, err)
-		}
-		ctrl, err := feedback.New(feedback.Config{
-			Sampler: feedback.SamplerConfig{
-				Capacity:       a.Capacity,
-				HardDifficulty: a.Hard,
-				Window:         a.Window,
-			},
-			Rules:   rules,
-			Compile: compileClamped,
-			Base:    base,
-			Events:  n.eventSink(fmt.Sprintf("n%d", i), len(eng.nodes) > 1),
-		})
-		if err != nil {
-			return fmt.Errorf("sim: scenario %q adapt: %w", eng.sc.Name, err)
-		}
-		var src feedback.Source = adaptSource{eng: eng, node: i}
-		if cs := eng.sc.Cluster; cs != nil && cs.FleetFeedback {
-			src = feedback.NewSumSource(src, n.cnode.PeerSource())
-		}
-		ctrl.Bind(n.fw, src)
-		n.ctrl = ctrl
-	}
-	return nil
-}
-
-// adaptSource is one node's counter view of a simulated defense: the
-// framework's own counters plus the engine's modeled verification
-// outcomes on that node, so the signal plane sees the same
-// solved-challenge stream a real deployment's Verify calls would
-// produce. It is also what each cluster node gossips as its origin
-// section. Only read at tick boundaries, where workers are quiescent.
-type adaptSource struct {
-	eng  *engine
-	node int
-}
-
-// StatsInto implements feedback.Source.
-func (s adaptSource) StatsInto(dst map[string]float64) {
-	s.eng.nodes[s.node].fw.StatsInto(dst)
-	var verified, expired uint64
-	for _, w := range s.eng.workers { // fixed order
-		for d := puzzle.MinDifficulty; d < len(w.mVerified[s.node]); d++ {
-			verified += w.mVerified[s.node][d]
-		}
-		expired += w.mExpired[s.node]
-	}
-	dst["verified"] += float64(verified)
-	dst["rejected"] += float64(expired)
-}
-
-// DifficultyProfileInto implements feedback.Source.
-func (s adaptSource) DifficultyProfileInto(issued, verified []uint64) {
-	s.eng.nodes[s.node].fw.DifficultyProfileInto(issued, verified)
-	for _, w := range s.eng.workers {
-		for d := puzzle.MinDifficulty; d < len(w.mVerified[s.node]) && d < len(verified); d++ {
-			verified[d] += w.mVerified[s.node][d]
-		}
-	}
 }
 
 // AdaptOutcome summarizes the feedback controller's behavior over a run.
@@ -607,58 +399,26 @@ type AdaptTransition struct {
 	Node int     `json:"node,omitempty"`
 }
 
-// adaptOutcome flattens the controller's transition log into the report
-// form, with times as offsets from the scenario epoch. Explicit booleans
-// track "seen": a ms value of 0 is a legal transition time (a rule true
-// on zero signals fires at the first tick), not the never-happened
-// sentinel.
-func adaptOutcome(ctrl *feedback.Controller) *AdaptOutcome {
-	out := &AdaptOutcome{Swaps: ctrl.Swaps(), FinalLevel: ctrl.Level()}
-	var sawUp, sawDown bool
-	for _, tr := range ctrl.Transitions() {
-		ms := float64(tr.At.Sub(Epoch())) / float64(time.Millisecond)
-		out.Transitions = append(out.Transitions, AdaptTransition{
-			AtMS: ms, From: tr.From, To: tr.To, Rule: tr.Rule,
-		})
-		if tr.To > out.MaxLevel {
-			out.MaxLevel = tr.To
-		}
-		if tr.To > tr.From && !sawUp {
-			out.FirstEscalationMS, sawUp = ms, true
-		}
-		if tr.To < tr.From && !sawDown {
-			out.FirstDeescalationMS, sawDown = ms, true
-		}
-	}
-	return out
-}
-
-// adaptResult summarizes the run's controller behavior: the single
-// controller's outcome verbatim in the one-node case (so standalone
-// reports stay byte-identical), or the fleet's controllers folded into
-// one log — swaps sum, levels take the max, transitions interleave by
-// time with their node index, and the first-escalation clock reads the
-// earliest node to move (the fleet's detection latency).
+// adaptResult folds the fleet's controllers into one report (nil without
+// an adapt section): swaps sum, levels take the max, transitions
+// interleave by time with their node index, and the first-escalation clock
+// reads the earliest node to move (the fleet's detection latency). Times
+// are offsets from the scenario epoch; explicit booleans track "seen",
+// because 0 ms is a legal transition time (a rule true on zero signals
+// fires at the first tick), not the never-happened sentinel.
 func (eng *engine) adaptResult() *AdaptOutcome {
-	if eng.nodes[0].ctrl == nil {
+	if eng.nodes[0].Controller() == nil {
 		return nil
-	}
-	if len(eng.nodes) == 1 {
-		return adaptOutcome(eng.nodes[0].ctrl)
 	}
 	agg := &AdaptOutcome{}
 	for i, n := range eng.nodes {
-		o := adaptOutcome(n.ctrl)
-		agg.Swaps += o.Swaps
-		if o.MaxLevel > agg.MaxLevel {
-			agg.MaxLevel = o.MaxLevel
-		}
-		if o.FinalLevel > agg.FinalLevel {
-			agg.FinalLevel = o.FinalLevel
-		}
-		for _, tr := range o.Transitions {
-			tr.Node = i
-			agg.Transitions = append(agg.Transitions, tr)
+		ctrl := n.Controller()
+		agg.Swaps += ctrl.Swaps()
+		agg.FinalLevel = max(agg.FinalLevel, ctrl.Level())
+		for _, tr := range ctrl.Transitions() {
+			ms := float64(tr.At.Sub(Epoch())) / float64(time.Millisecond)
+			agg.Transitions = append(agg.Transitions, AdaptTransition{AtMS: ms, From: tr.From, To: tr.To, Rule: tr.Rule, Node: i})
+			agg.MaxLevel = max(agg.MaxLevel, tr.To)
 		}
 	}
 	sort.SliceStable(agg.Transitions, func(a, b int) bool {
@@ -676,20 +436,13 @@ func (eng *engine) adaptResult() *AdaptOutcome {
 	return agg
 }
 
-// eventResult merges the per-node defense event logs into one stream:
-// the single node's log verbatim, or the fleet's logs interleaved by
-// event time (stable within a node, fixed node order at ties), so equal
-// seeds produce equal event sequences.
+// eventResult merges the per-node defense event logs into one stream,
+// interleaved by event time (stable within a node, fixed node order at
+// ties), so equal seeds produce equal event sequences.
 func (eng *engine) eventResult() []obs.Event {
-	if eng.nodes[0].elog == nil {
-		return nil
-	}
-	if len(eng.nodes) == 1 {
-		return eng.nodes[0].elog.Snapshot()
-	}
 	var out []obs.Event
-	for _, n := range eng.nodes {
-		out = append(out, n.elog.Snapshot()...)
+	for _, l := range eng.elogs {
+		out = append(out, l.Snapshot()...)
 	}
 	sort.SliceStable(out, func(a, b int) bool {
 		return out[a].At.Before(out[b].At)
@@ -697,24 +450,18 @@ func (eng *engine) eventResult() []obs.Event {
 	return out
 }
 
-// applyPhaseSwap installs phase p's SwapPolicy (if any) on the framework,
-// clamped to the defense's difficulty cap like the original policy.
+// applyPhaseSwap installs phase p's SwapPolicy (if any) on every node
+// through Pipeline.Apply, the operator's hot-swap path.
 func (eng *engine) applyPhaseSwap(p int) error {
-	spec := eng.sc.Phases[p].SwapPolicy
-	if spec == "" {
+	ph := eng.sc.Phases[p]
+	if ph.SwapPolicy == "" {
 		return nil
 	}
-	pol, err := policy.NewRegistry().New(spec)
-	if err != nil {
-		return fmt.Errorf("sim: phase %q swap policy: %w", eng.sc.Phases[p].Name, err)
-	}
-	clamped, err := policy.NewClamp(pol, 1, eng.sc.Defense.MaxDifficulty)
-	if err != nil {
-		return fmt.Errorf("sim: phase %q clamp swap policy: %w", eng.sc.Phases[p].Name, err)
-	}
 	for _, n := range eng.nodes {
-		if err := n.fw.SwapPolicy(clamped); err != nil {
-			return fmt.Errorf("sim: phase %q swap policy: %w", eng.sc.Phases[p].Name, err)
+		ps := n.Spec()
+		ps.Policy, ps.PolicyRules = ph.SwapPolicy, ""
+		if err := n.Apply(ps); err != nil {
+			return fmt.Errorf("sim: phase %q swap policy: %w", ph.Name, err)
 		}
 	}
 	return nil
@@ -907,7 +654,7 @@ func (w *worker) prepare(ev event) arrival {
 func (w *worker) arriveBatch(t int, evs []event) {
 	eng := w.eng
 	now := eng.clock.Now()
-	fw := eng.nodes[evs[0].node].fw // runs never span nodes
+	fw := eng.nodes[evs[0].node].Framework() // runs never span nodes
 
 	w.runArr = w.runArr[:0]
 	w.runObs = w.runObs[:0]
@@ -937,7 +684,7 @@ func (w *worker) arriveBatch(t int, evs []event) {
 func (w *worker) arrive(t int, ev event) {
 	eng := w.eng
 	a := w.prepare(ev)
-	fw := eng.nodes[ev.node].fw
+	fw := eng.nodes[ev.node].Framework()
 
 	now := eng.clock.Now()
 	_ = fw.Observe(features.RequestInfo{IP: ev.ip, Path: a.path, At: now, Failed: a.failed})
@@ -1065,7 +812,7 @@ func (w *worker) finish(t int, a arrival, dec core.Decision) {
 // time ev.at and the client is (or is not) served.
 func (w *worker) complete(t int, ev event) {
 	eng := w.eng
-	fw := eng.nodes[ev.node].fw
+	fw := eng.nodes[ev.node].Framework()
 	o := w.out[ev.pop][ev.phase]
 	latency := ev.at - ev.sentAt
 	if ev.verify {
@@ -1083,20 +830,18 @@ func (w *worker) complete(t int, ev event) {
 		// redeemable. (Conservative: latency includes network crossings.)
 		o.expired++
 		if ev.diff >= puzzle.MinDifficulty {
-			w.mExpired[ev.node]++
 			fw.RecordVerifyEvidence(ev.ip, 0, false)
 		}
 		return
 	}
 	o.served++
 	o.latency.ObserveDuration(latency)
-	// A served modeled completion is a solved-and-verified challenge;
-	// record it for the feedback signal plane (bypassed completions carry
-	// no difficulty and are not verifications), and feed it into the
-	// tracker's evidence state exactly as a real Verify call would — the
-	// redemption path runs on the same solve-credit stream either way.
+	// A served modeled completion is a solved-and-verified challenge
+	// (bypassed completions carry no difficulty and are not
+	// verifications): the framework books it exactly as a real Verify
+	// call would — counters for the feedback signal plane, solve credit
+	// for the redemption path.
 	if !ev.verify && ev.diff >= puzzle.MinDifficulty {
-		w.mVerified[ev.node][ev.diff]++
 		fw.RecordVerifyEvidence(ev.ip, ev.diff, true)
 	}
 	// The cross-node replay attacker: the solution just redeemed here is

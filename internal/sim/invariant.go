@@ -73,25 +73,26 @@ const (
 	MetricRejected      = "rejected"
 	MetricDecideErrors  = "decide_errors"
 
-	// Adaptive-controller metrics, defined only for scenarios with
-	// Defense.Adapt; Population and Phase must be empty (the controller
-	// is scenario-wide). The MS figures are offsets from scenario start,
-	// 0 meaning "never" — bound them from both sides to pin both that a
-	// transition happened and when.
+	// Adaptive-controller metrics, defined only for scenarios whose spec
+	// has an adapt section; Population and Phase must be empty (the
+	// controller is scenario-wide). The MS figures are offsets from
+	// scenario start, 0 meaning "never" — bound them from both sides to pin
+	// both that a transition happened and when.
 	MetricAdaptSwaps               = "adapt_swaps"
 	MetricAdaptMaxLevel            = "adapt_max_level"
 	MetricAdaptFinalLevel          = "adapt_final_level"
 	MetricAdaptFirstEscalationMS   = "adapt_first_escalation_ms"
 	MetricAdaptFirstDeescalationMS = "adapt_first_deescalation_ms"
 
-	// Defense-event-log metrics, defined only for scenarios with
-	// Defense.Events; Population and Phase must be empty (the log is
-	// run-wide). MetricEventCount is the number of captured events;
-	// MetricEventSequenceOK is 1 when the log is structurally consistent —
-	// per-node sequence numbers strictly increase, timestamps never run
-	// backward, and every adapt transition chains From the level the
-	// previous one left the node at — and 0 otherwise, so a scenario can
-	// pin an exact event sequence with count + sequence bounds.
+	// Defense-event-log metrics: declaring one makes the run capture the
+	// defense event log into its report. Population and Phase must be
+	// empty (the log is run-wide). MetricEventCount is the number of
+	// captured events; MetricEventSequenceOK is 1 when the log is
+	// structurally consistent — per-node sequence numbers strictly
+	// increase, timestamps never run backward, and every adapt transition
+	// chains From the level the previous one left the node at — and 0
+	// otherwise, so a scenario can pin an exact event sequence with count +
+	// sequence bounds.
 	MetricEventCount      = "event_count"
 	MetricEventSequenceOK = "event_sequence_ok"
 )
@@ -173,8 +174,9 @@ func (inv Invariant) label() string {
 	return fmt.Sprintf("%s(%s)", inv.Metric, scope)
 }
 
-// validate rejects malformed invariants at scenario-validation time.
-func (inv Invariant) validate(sc Scenario) error {
+// validate rejects malformed invariants at scenario-validation time;
+// adaptive reports whether the spec declares an adapt section.
+func (inv Invariant) validate(sc Scenario, adaptive bool) error {
 	if !validMetrics[inv.Metric] {
 		return fmt.Errorf("unknown metric %q", inv.Metric)
 	}
@@ -188,17 +190,12 @@ func (inv Invariant) validate(sc Scenario) error {
 		if inv.Population != "" || inv.Phase != "" {
 			return fmt.Errorf("%s is controller-wide; population and phase must be empty", inv.Metric)
 		}
-		if sc.Defense.Adapt == nil {
-			return fmt.Errorf("%s requires Defense.Adapt", inv.Metric)
+		if !adaptive {
+			return fmt.Errorf("%s requires an adapt section in the spec", inv.Metric)
 		}
 	}
-	if eventMetrics[inv.Metric] {
-		if inv.Population != "" || inv.Phase != "" {
-			return fmt.Errorf("%s is run-wide; population and phase must be empty", inv.Metric)
-		}
-		if !sc.Defense.Events {
-			return fmt.Errorf("%s requires Defense.Events", inv.Metric)
-		}
+	if eventMetrics[inv.Metric] && (inv.Population != "" || inv.Phase != "") {
+		return fmt.Errorf("%s is run-wide; population and phase must be empty", inv.Metric)
 	}
 	if inv.Population != "" && inv.Population != ClassLegit && inv.Population != ClassAttackers {
 		found := false

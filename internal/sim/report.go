@@ -131,9 +131,9 @@ type ScenarioReport struct {
 	Adapt *AdaptOutcome `json:"adapt,omitempty"`
 
 	// Events mirrors the run's defense event log (present only when the
-	// scenario sets Defense.Events), so CI can diff exact defense event
-	// sequences — escalate → hold → de-escalate, with the signal readings
-	// that tripped each transition.
+	// scenario declares an event_* invariant), so CI can diff exact
+	// defense event sequences — escalate → hold → de-escalate, with the
+	// signal readings that tripped each transition.
 	Events []obs.Event `json:"events,omitempty"`
 
 	// Framework snapshots the framework's own counters — an independent
@@ -165,19 +165,22 @@ func (r *Result) Report() ScenarioReport {
 		Workers:     sc.Workers,
 		Framework:   r.FrameworkStats,
 	}
-	rep.Defense.Policy = sc.Defense.Policy
-	rep.Defense.MaxDifficulty = sc.Defense.MaxDifficulty
-	rep.Defense.SaturationRate = sc.Defense.SaturationRate
-	rep.Defense.RealSolve = sc.Defense.RealSolve
-	if sc.Defense.Adapt != nil {
-		rep.Defense.AdaptRules = sc.Defense.Adapt.Rules
+	ps := r.Pipeline
+	rep.Defense.Policy = ps.Policy
+	rep.Defense.MaxDifficulty = ps.MaxDifficulty
+	rep.Defense.SaturationRate = saturationRate(ps.Scorer)
+	rep.Defense.RealSolve = sc.RealSolve
+	if ps.Adapt != nil {
+		rep.Defense.AdaptRules = ps.Adapt.Rules
 	}
 	if cs := sc.Cluster; cs != nil {
 		rep.Cluster = &ClusterReport{
 			Nodes:         cs.Nodes,
 			ExchangeTicks: cs.exchangeTicks(),
 			Degree:        cs.degree(),
-			FleetFeedback: cs.FleetFeedback,
+			// Controllers sum the fleet's counters exactly when the
+			// spec both clusters the nodes and declares an adapt section.
+			FleetFeedback: ps.Cluster != nil && ps.Adapt != nil,
 		}
 	}
 	rep.Adapt = r.Adapt

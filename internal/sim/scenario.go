@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"aipow/internal/core"
-	"aipow/internal/feedback"
+	"aipow/internal/control"
 	"aipow/internal/policy"
-	"aipow/internal/puzzle"
 )
 
 // Behavior describes how a population's clients react to a challenge.
@@ -40,7 +38,7 @@ const (
 	// for a memory-hard route. The verifier's version/backend gate rejects
 	// every submission (the v2 HMAC never authenticates a v1 canonical
 	// either), so these populations pin the downgrade-proofing end to end.
-	// Requires Defense.RealSolve.
+	// Requires Scenario.RealSolve.
 	BehaviorDowngrade
 
 	// BehaviorReplayCross solves honestly, redeems on its home node, then
@@ -48,7 +46,7 @@ const (
 	// cross-node replay attacker exploiting per-node replay windows. With
 	// the cluster's Bloom exchange the second redemption must fail on
 	// every node; without it each node would happily redeem once.
-	// Requires Defense.RealSolve and a Cluster section.
+	// Requires Scenario.RealSolve and a Cluster.
 	BehaviorReplayCross
 )
 
@@ -244,13 +242,11 @@ type Phase struct {
 
 	// SwapPolicy, when non-empty, hot-swaps the defense's policy to this
 	// registry spec (e.g. "policy2") as the phase begins — the paper's
-	// mid-campaign operator move, exercised through the real
-	// Framework.SwapPolicy RCU path while workers keep deciding
-	// concurrently. The swap happens at the tick boundary entering the
-	// phase (a single-threaded point in the engine), so runs stay
-	// deterministic. The swapped policy is clamped to the defense's
-	// MaxDifficulty like the original. Stick to deterministic policies;
-	// policy3 would break report determinism (see Defense.Policy).
+	// mid-campaign operator move, applied through Pipeline.Apply (the
+	// operator's hot-swap path) while workers keep deciding concurrently.
+	// The swap happens at the tick boundary entering the phase (a
+	// single-threaded point in the engine), so runs stay deterministic.
+	// Stick to deterministic policies (see Scenario.Spec).
 	SwapPolicy string
 }
 
@@ -308,10 +304,13 @@ func (n Network) validate() error {
 	return nil
 }
 
-// ClusterSim configures the scenario's fleet mode: K independent defense
-// nodes (each its own framework, tracker, and — with Defense.Adapt — its
-// own controller) joined by the cluster exchange plane. Clients hold a
-// stable home node (client mod K) unless their population stripes.
+// ClusterSim configures the scenario's fleet mode: K defense nodes, each
+// its own pipeline — framework, tracker and, with an adapt section, its
+// own controller. A cluster section in the spec joins them through the
+// cluster exchange plane, which the engine runs in-process over this
+// topology; without one they serve side by side, each blind to the
+// others. Clients hold a stable home node (client mod K) unless their
+// population stripes.
 type ClusterSim struct {
 	// Nodes is the fleet size K (at least 2).
 	Nodes int
@@ -326,24 +325,6 @@ type ClusterSim struct {
 	// mesh; 1 is a ring — the partial-view deployment whose state
 	// spreads transitively, one hop per round.
 	Degree int
-
-	// FleetFeedback binds each node's adapt controller to its local
-	// counters summed with its peer-reported view of the fleet
-	// (feedback.NewSumSource + Node.PeerSource), so rate thresholds see
-	// cluster-wide totals. Off, controllers see only their own node —
-	// the configuration a striping botnet slips under.
-	FleetFeedback bool
-
-	// FilterBits overrides the replay filter's per-bucket Bloom size
-	// (power of two; default cluster.DefaultFilterBits).
-	FilterBits int
-
-	// DeltaEvery enables delta evidence gossip between the fleet's
-	// nodes: K ≥ 1 pulls only changed rows, with a full anti-entropy
-	// pull every Kth exchange (cluster.Config.DeltaEvery). Zero keeps
-	// every pull full-frame. Either way the converged state — and hence
-	// the report — is identical; only the rows shipped differ.
-	DeltaEvery int
 }
 
 // validate rejects inconsistent fleet configurations.
@@ -356,12 +337,6 @@ func (c ClusterSim) validate() error {
 	}
 	if c.Degree < 0 || c.Degree > c.Nodes-1 {
 		return fmt.Errorf("sim: cluster degree %d outside [0, %d]", c.Degree, c.Nodes-1)
-	}
-	if c.FilterBits < 0 || (c.FilterBits > 0 && c.FilterBits&(c.FilterBits-1) != 0) {
-		return fmt.Errorf("sim: cluster filter bits %d not a power of two", c.FilterBits)
-	}
-	if c.DeltaEvery < 0 {
-		return fmt.Errorf("sim: cluster has negative delta interval %d", c.DeltaEvery)
 	}
 	return nil
 }
@@ -382,11 +357,6 @@ func (c ClusterSim) exchangeTicks() int {
 	return c.ExchangeTicks
 }
 
-// FrameworkFactory builds the defense under test on the simulation clock.
-// The returned framework must route all time through now, or TTLs and
-// tracker windows would mix wall and simulated time.
-type FrameworkFactory func(now func() time.Time) (*core.Framework, error)
-
 // Scenario is one declarative adversarial experiment: a phased timeline, a
 // set of client populations, the network they cross, the defense under
 // test, and the invariants its outcome must satisfy.
@@ -397,7 +367,8 @@ type Scenario struct {
 	// Description is a one-line summary for reports.
 	Description string
 
-	// Seed drives every random draw in the scenario. Equal seeds produce
+	// Seed drives every random draw in the scenario, including the
+	// synthetic feed and the model trained on it. Equal seeds produce
 	// byte-identical reports.
 	Seed uint64
 
@@ -429,17 +400,24 @@ type Scenario struct {
 	// Network shapes modeled latencies.
 	Network Network
 
-	// Defense configures the framework under test; used when Factory is
-	// nil.
-	Defense Defense
+	// Spec declares the defense: the body of one pipeline block in the
+	// deployment spec grammar (SPEC.md), which every node builds through
+	// control.Registry over the simulated clock — the operator's build
+	// path. The registry carries the paper's components over the
+	// scenario's feed: scorer "dabr" and sources "feed" and "combined".
+	// Stick to deterministic policies: policy3 draws from a shared PRNG per
+	// decision, which is order-dependent under the engine's concurrency.
+	Spec string
 
-	// Cluster, when non-nil, runs the defense as a K-node fleet joined
-	// by the cluster exchange plane instead of a single framework.
-	// Requires the built-in Defense (no custom Factory).
+	// RealSolve switches the engine from modeled verification to real
+	// nonce searches redeemed through Framework.Verify — the full
+	// cryptographic path. Wall-clock cost is ~2^difficulty hashes per
+	// request, so pair it with a low max-difficulty.
+	RealSolve bool
+
+	// Cluster, when non-nil, runs the defense as a K-node fleet instead
+	// of a single node.
 	Cluster *ClusterSim
-
-	// Factory overrides Defense with a custom framework construction.
-	Factory FrameworkFactory `json:"-"`
 
 	// Invariants are the asymmetry bounds the outcome must satisfy; any
 	// violation fails the scenario (and the CI gate).
@@ -465,128 +443,71 @@ func (sc Scenario) TotalIPs() int {
 	return total
 }
 
-// validate rejects inconsistent scenarios.
-func (sc Scenario) validate() error {
-	if sc.Name == "" {
-		return fmt.Errorf("sim: scenario without a name")
+// validate rejects inconsistent scenarios and returns the parsed spec.
+func (sc Scenario) validate() (control.PipelineSpec, error) {
+	switch {
+	case sc.Name == "":
+		return control.PipelineSpec{}, fmt.Errorf("sim: scenario without a name")
+	case len(sc.Phases) == 0:
+		return control.PipelineSpec{}, fmt.Errorf("sim: scenario %q has no phases", sc.Name)
+	case len(sc.Populations) == 0:
+		return control.PipelineSpec{}, fmt.Errorf("sim: scenario %q has no populations", sc.Name)
+	case sc.Tick < 0:
+		return control.PipelineSpec{}, fmt.Errorf("sim: scenario %q has negative tick", sc.Name)
+	case sc.Workers < 0:
+		return control.PipelineSpec{}, fmt.Errorf("sim: scenario %q has negative worker count", sc.Name)
 	}
-	if len(sc.Phases) == 0 {
-		return fmt.Errorf("sim: scenario %q has no phases", sc.Name)
-	}
-	if len(sc.Populations) == 0 {
-		return fmt.Errorf("sim: scenario %q has no populations", sc.Name)
-	}
-	if sc.Tick < 0 {
-		return fmt.Errorf("sim: scenario %q has negative tick", sc.Name)
-	}
-	if sc.Workers < 0 {
-		return fmt.Errorf("sim: scenario %q has negative worker count", sc.Name)
-	}
-	if sc.Factory != nil {
-		// Phase swaps clamp the new policy to Defense.MaxDifficulty; a
-		// custom factory's issuer cap is unknowable here, and a clamp
-		// above it would turn the swap into mid-run Issue errors.
-		for _, ph := range sc.Phases {
-			if ph.SwapPolicy != "" {
-				return fmt.Errorf("sim: scenario %q: phase %q SwapPolicy requires the built-in Defense, not a custom Factory", sc.Name, ph.Name)
-			}
-		}
-		if sc.Defense.Adapt != nil {
-			// Same cap problem, and the controller also needs the
-			// defense's base policy spec for de-escalation.
-			return fmt.Errorf("sim: scenario %q: Defense.Adapt requires the built-in Defense, not a custom Factory", sc.Name)
-		}
-		if sc.Cluster != nil {
-			// The fleet mode builds one framework per node and wires each
-			// to a cluster exchange hook; a single opaque factory cannot
-			// provide that.
-			return fmt.Errorf("sim: scenario %q: Cluster requires the built-in Defense, not a custom Factory", sc.Name)
-		}
+	ps, err := sc.PipelineSpec()
+	if err != nil {
+		return ps, err
 	}
 	if sc.Cluster != nil {
 		if err := sc.Cluster.validate(); err != nil {
-			return fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
+			return ps, fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
 		}
-	}
-	if a := sc.Defense.Adapt; a != nil {
-		if a.Capacity < 0 || a.Hard < 0 || a.Window < 0 {
-			return fmt.Errorf("sim: scenario %q: negative adapt parameter", sc.Name)
-		}
-		for _, ph := range sc.Phases {
-			if ph.SwapPolicy != "" {
-				// Both drive Framework.SwapPolicy: a phase swap would
-				// clobber an escalated rung and a later de-escalation
-				// would silently revert the phase's declared policy.
-				// One scripted hand on the wheel or the controller, not
-				// both.
-				return fmt.Errorf("sim: scenario %q: phase %q SwapPolicy cannot be combined with Defense.Adapt (both drive the policy swap path)", sc.Name, ph.Name)
-			}
-		}
-		reg := policy.NewRegistry()
-		for _, spec := range a.Rules {
-			// Compile grammar and policy names up front so a typo fails
-			// at validation time, not mid-campaign.
-			rule, err := feedback.ParseRule(spec)
-			if err != nil {
-				return fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
-			}
-			if _, err := reg.New(rule.Policy); err != nil {
-				return fmt.Errorf("sim: scenario %q adapt rule policy: %w", sc.Name, err)
-			}
-			if a.Capacity <= 0 && (rule.When.Signal == feedback.SignalLoad ||
-				(rule.Unless != nil && rule.Unless.Signal == feedback.SignalLoad)) {
-				// Without a capacity the load signal is pinned to 0 and
-				// the rule could never fire.
-				return fmt.Errorf("sim: scenario %q: load-conditioned adapt rule requires Adapt.Capacity", sc.Name)
-			}
-		}
-	}
-	if _, err := puzzle.ParseBackendSpec(sc.Defense.Puzzle); err != nil {
-		return fmt.Errorf("sim: scenario %q puzzle: %w", sc.Name, err)
 	}
 	seen := map[string]bool{}
 	for _, p := range sc.Populations {
 		if err := p.validate(); err != nil {
-			return err
+			return ps, err
 		}
-		if p.Behavior == BehaviorDowngrade && !sc.Defense.RealSolve {
+		switch {
+		case p.Behavior == BehaviorDowngrade && !sc.RealSolve:
 			// The downgrade attack only means anything against the real
 			// verifier: modeled verification has no version gate to beat.
-			return fmt.Errorf("sim: population %q downgrades but the defense is modeled; set Defense.RealSolve", p.Name)
-		}
-		if p.Behavior == BehaviorReplayCross {
+			return ps, fmt.Errorf("sim: population %q downgrades but the defense is modeled; set RealSolve", p.Name)
+		case p.Behavior == BehaviorReplayCross && (!sc.RealSolve || sc.Cluster == nil):
 			// A replay must clear the real verifier once and be refused the
 			// second time by the fleet filter; both need real verification
 			// and a second node to replay against.
-			if !sc.Defense.RealSolve {
-				return fmt.Errorf("sim: population %q replays cross-node but the defense is modeled; set Defense.RealSolve", p.Name)
-			}
-			if sc.Cluster == nil {
-				return fmt.Errorf("sim: population %q replays cross-node but the scenario has no Cluster", p.Name)
-			}
-		}
-		if p.Stripe && sc.Cluster == nil {
-			return fmt.Errorf("sim: population %q stripes but the scenario has no Cluster", p.Name)
-		}
-		if seen[p.Name] {
-			return fmt.Errorf("sim: duplicate population %q", p.Name)
+			return ps, fmt.Errorf("sim: population %q replays cross-node; that needs RealSolve and a Cluster", p.Name)
+		case p.Stripe && sc.Cluster == nil:
+			return ps, fmt.Errorf("sim: population %q stripes but the scenario has no Cluster", p.Name)
+		case seen[p.Name]:
+			return ps, fmt.Errorf("sim: duplicate population %q", p.Name)
 		}
 		seen[p.Name] = true
 	}
 	for _, ph := range sc.Phases {
 		if err := ph.validate(sc.Populations); err != nil {
-			return err
+			return ps, err
+		}
+		if ph.SwapPolicy != "" && ps.Adapt != nil {
+			// A swap rebuilds the controller at its base level, cutting
+			// the transition log the report reads. One scripted hand on
+			// the wheel or the controller, not both.
+			return ps, fmt.Errorf("sim: scenario %q: phase %q SwapPolicy cannot be combined with an adapt section", sc.Name, ph.Name)
 		}
 	}
 	if err := sc.Network.validate(); err != nil {
-		return err
+		return ps, err
 	}
 	for i, inv := range sc.Invariants {
-		if err := inv.validate(sc); err != nil {
-			return fmt.Errorf("sim: scenario %q invariant %d: %w", sc.Name, i, err)
+		if err := inv.validate(sc, ps.Adapt != nil); err != nil {
+			return ps, fmt.Errorf("sim: scenario %q invariant %d: %w", sc.Name, i, err)
 		}
 	}
-	return nil
+	return ps, nil
 }
 
 // ip reports population pop's address k. Populations get disjoint /8-ish

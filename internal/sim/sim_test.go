@@ -3,16 +3,42 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
-	"aipow/internal/core"
 	"aipow/internal/obs"
 )
 
 // testNetwork is a fast network for unit scenarios.
 func testNetwork() Network {
 	return Network{OneWay: 5 * time.Millisecond, IssueTime: 300 * time.Microsecond, VerifyTime: 300 * time.Microsecond}
+}
+
+// dabrSpec is the paper's pipeline over the scenario feed under pol, plus
+// any further spec lines.
+func dabrSpec(pol string, lines ...string) string {
+	return strings.Join(append([]string{"scorer dabr", "source combined", "policy " + pol}, lines...), "\n")
+}
+
+// hybridSpec is dabrSpec with the model blended with the live request
+// rate, saturating at 3 requests per second.
+func hybridSpec(pol string, lines ...string) string {
+	return strings.Replace(dabrSpec(pol, lines...), "scorer dabr", "scorer hybrid(inner=dabr, saturation=3)", 1)
+}
+
+// respec replaces the spec line whose first word is stmt by line.
+func respec(t *testing.T, spec, stmt, line string) string {
+	t.Helper()
+	lines := strings.Split(spec, "\n")
+	for i, l := range lines {
+		if f := strings.Fields(l); len(f) > 0 && f[0] == stmt {
+			lines[i] = line
+			return strings.Join(lines, "\n")
+		}
+	}
+	t.Fatalf("spec has no %s line:\n%s", stmt, spec)
+	return ""
 }
 
 // TestSuiteInvariantsHold is the scenario-table regression gate: every
@@ -45,7 +71,8 @@ func TestSuiteInvariantsHold(t *testing.T) {
 
 			// Cross-check the engine's accounting against the framework's
 			// own counters: every challenge the engine saw was issued by
-			// the framework.
+			// the framework, and every challenged request it served —
+			// modeled or really solved — was verified by it.
 			total, _ := res.scope("", "")
 			if issued := uint64(res.FrameworkStats["issued"]); issued != total.challenged {
 				t.Errorf("framework issued %d, engine challenged %d", issued, total.challenged)
@@ -53,10 +80,8 @@ func TestSuiteInvariantsHold(t *testing.T) {
 			if total.decideErrors != 0 {
 				t.Errorf("decide errors: %d", total.decideErrors)
 			}
-			if sc.Defense.RealSolve {
-				if verified := uint64(res.FrameworkStats["verified"]); verified != total.served {
-					t.Errorf("real-solve: framework verified %d, engine served %d", verified, total.served)
-				}
+			if verified := uint64(res.FrameworkStats["verified"]); verified != total.served-total.bypassed {
+				t.Errorf("framework verified %d, engine served %d − bypassed %d", verified, total.served, total.bypassed)
 			}
 		})
 	}
@@ -83,7 +108,7 @@ func TestRunDeterministic(t *testing.T) {
 					Paths: []string{"/a", "/b"}},
 			},
 			Network: testNetwork(),
-			Defense: Defense{SaturationRate: 3, TrackerWindow: 5 * time.Second},
+			Spec:    hybridSpec("policy2", "window 5s"),
 		}
 	}
 	var first []byte
@@ -125,6 +150,7 @@ func TestPhaseRateScale(t *testing.T) {
 			{Name: "bots", Clients: 30, Rate: 2, Behavior: BehaviorIgnore, Feed: FeedUnknown},
 		},
 		Network: testNetwork(),
+		Spec:    dabrSpec("policy2"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +184,7 @@ func TestModeledTTLExpiry(t *testing.T) {
 				Behavior: BehaviorSolve, HashRate: 100, Feed: FeedMalicious},
 		},
 		Network: testNetwork(),
-		Defense: Defense{TTL: 2 * time.Second, Policy: "fixed(difficulty=14)"},
+		Spec:    dabrSpec("fixed(difficulty=14)", "ttl 2s"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +212,7 @@ func TestDrainJumpsToPendingTick(t *testing.T) {
 				Behavior: BehaviorSolve, HashRate: 1, Feed: FeedUnknown},
 		},
 		Network: testNetwork(),
-		Defense: Defense{Policy: "fixed(difficulty=22)"},
+		Spec:    dabrSpec("fixed(difficulty=22)"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -232,8 +258,10 @@ func TestScenarioValidation(t *testing.T) {
 			Populations: []Population{{
 				Name: "a", Clients: 1, Rate: 1, Behavior: BehaviorIgnore, Feed: FeedUnknown,
 			}},
+			Spec: dabrSpec("policy2"),
 		}
 	}
+	const rule = "adapt escalate(when=rate>1, policy=policy2)"
 	cases := []struct {
 		name   string
 		mutate func(*Scenario)
@@ -260,41 +288,36 @@ func TestScenarioValidation(t *testing.T) {
 			sc.Invariants = []Invariant{AtLeast(MetricServed, "a", "ghost", 1)}
 		}},
 		{"bad_swap_policy", func(sc *Scenario) { sc.Phases[0].SwapPolicy = "nope" }},
-		{"swap_policy_with_factory", func(sc *Scenario) {
-			sc.Phases[0].SwapPolicy = "policy2"
-			sc.Factory = func(now func() time.Time) (*core.Framework, error) { return nil, nil }
+		{"swap_policy_with_adapt", func(sc *Scenario) {
+			sc.Phases[0].SwapPolicy = "policy1"
+			sc.Spec = dabrSpec("policy2", rule)
 		}},
-		{"adapt_with_factory", func(sc *Scenario) {
-			sc.Defense.Adapt = &AdaptDefense{Rules: []string{"escalate(when=rate>1, policy=policy2)"}}
-			sc.Factory = func(now func() time.Time) (*core.Framework, error) { return nil, nil }
-		}},
+		{"bad_spec", func(sc *Scenario) { sc.Spec = dabrSpec("policy2", "ttl soon") }},
+		{"unknown_scorer", func(sc *Scenario) { sc.Spec = strings.Replace(sc.Spec, "dabr", "nope", 1) }},
 		{"adapt_bad_rule", func(sc *Scenario) {
-			sc.Defense.Adapt = &AdaptDefense{Rules: []string{"escalate(policy=policy2)"}}
+			sc.Spec = dabrSpec("policy2", "adapt escalate(policy=policy2)")
 		}},
 		{"adapt_unknown_rule_policy", func(sc *Scenario) {
-			sc.Defense.Adapt = &AdaptDefense{Rules: []string{"escalate(when=rate>1, policy=nope)"}}
+			sc.Spec = dabrSpec("policy2", "adapt escalate(when=rate>1, policy=nope)")
 		}},
 		{"adapt_metric_without_adapt", func(sc *Scenario) {
 			sc.Invariants = []Invariant{AtLeast(MetricAdaptSwaps, "", "", 1)}
 		}},
 		{"adapt_metric_with_population", func(sc *Scenario) {
-			sc.Defense.Adapt = &AdaptDefense{Rules: []string{"escalate(when=rate>1, policy=policy2)"}}
+			sc.Spec = dabrSpec("policy2", rule)
 			sc.Invariants = []Invariant{AtLeast(MetricAdaptSwaps, "a", "", 1)}
 		}},
 		{"cluster_too_small", func(sc *Scenario) { sc.Cluster = &ClusterSim{Nodes: 1} }},
 		{"cluster_bad_degree", func(sc *Scenario) { sc.Cluster = &ClusterSim{Nodes: 3, Degree: 3} }},
 		{"cluster_bad_filter_bits", func(sc *Scenario) {
-			sc.Cluster = &ClusterSim{Nodes: 2, FilterBits: 1000}
-		}},
-		{"cluster_with_factory", func(sc *Scenario) {
 			sc.Cluster = &ClusterSim{Nodes: 2}
-			sc.Factory = func(now func() time.Time) (*core.Framework, error) { return nil, nil }
+			sc.Spec = dabrSpec("policy2", "cluster filter(bits=1000)")
 		}},
 		{"stripe_without_cluster", func(sc *Scenario) { sc.Populations[0].Stripe = true }},
 		{"replay_cross_without_cluster", func(sc *Scenario) {
 			sc.Populations[0].Behavior = BehaviorReplayCross
 			sc.Populations[0].HashRate = 1000
-			sc.Defense.RealSolve = true
+			sc.RealSolve = true
 		}},
 		{"replay_cross_without_realsolve", func(sc *Scenario) {
 			sc.Cluster = &ClusterSim{Nodes: 2}
@@ -506,10 +529,7 @@ func TestRedemptionRunDeterministic(t *testing.T) {
 					Behavior: BehaviorSolve, HashRate: 27000, Feed: FeedMalicious},
 			},
 			Network: testNetwork(),
-			Defense: Defense{
-				Policy: "shape(inner=policy2)", SaturationRate: 3,
-				Redeem: &RedeemDefense{HalfLife: 30 * time.Second},
-			},
+			Spec:    hybridSpec("shape(inner=policy2)", "redeem(half-life=30s)"),
 		}
 	}
 	var first []byte
@@ -546,8 +566,9 @@ func TestBogusBehavior(t *testing.T) {
 			{Name: "forgers", Clients: 16, Rate: 2,
 				Behavior: BehaviorBogus, Feed: FeedMalicious},
 		},
-		Network: testNetwork(),
-		Defense: Defense{Policy: "policy1", MaxDifficulty: 8, RealSolve: true},
+		Network:   testNetwork(),
+		Spec:      dabrSpec("policy1", "max-difficulty 8"),
+		RealSolve: true,
 	}
 	res, err := Run(sc)
 	if err != nil {
@@ -621,7 +642,7 @@ func TestBatchModeGroupsSameIP(t *testing.T) {
 					FailRatio: 0.4, Paths: []string{"/a", "/b"}},
 			},
 			Network: testNetwork(),
-			Defense: Defense{SaturationRate: 3, TrackerWindow: 4 * time.Second},
+			Spec:    hybridSpec("policy2", "window 4s"),
 		}
 	}
 	run := func(batch bool) []byte {

@@ -32,7 +32,8 @@ func scalePop(n int, scale float64) int {
 }
 
 // DefaultSuite is the canonical adversarial scenario set the CI gate runs:
-// eighteen deterministic scenarios spanning the traffic mixes the ROADMAP
+// twenty-three deterministic scenarios, each defended by a pipeline spec
+// powserver could deploy, spanning the traffic mixes the ROADMAP
 // asks for, including the mid-campaign policy hot-swap, the closed-loop
 // adaptive-defense suite (auto-escalation on attack onset, FP-proxy-gated
 // escalation, controller flap guard, a verify_fail_rate rung against
@@ -43,7 +44,7 @@ func scalePop(n int, scale float64) int {
 // puzzle-backend pair (a GPU-discounted botnet collapses the hashcash
 // asymmetry and the memory-hard balloon backend restores it, plus a
 // real-crypto downgrade-replay scenario pinning that v2 solutions never
-// redeem as v1).
+// redeem as v1), and the K-node cluster quartet.
 // scale < 1 (the CLI's -quick) shrinks population sizes without changing
 // per-client dynamics, so invariant bounds hold at every scale.
 func DefaultSuite(seed uint64, scale float64) []Scenario {
@@ -58,7 +59,11 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
 				Paths: []string{"/", "/search", "/account"},
 			}},
-			Defense: Defense{Policy: "shape(inner=policy2)", SaturationRate: 4, Redeem: &RedeemDefense{}},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=4)
+				source combined
+				policy shape(inner=policy2)
+				redeem`,
 			Invariants: []Invariant{
 				AtLeast(MetricServedFrac, "users", "", 0.999),
 				AtMost(MetricLatencyP50, "users", "", 60),
@@ -83,7 +88,11 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
 				Paths: []string{"/", "/sale"},
 			}},
-			Defense: Defense{Policy: "shape(inner=policy2)", SaturationRate: 6, Redeem: &RedeemDefense{}},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=6)
+				source combined
+				policy shape(inner=policy2)
+				redeem`,
 			Invariants: []Invariant{
 				AtLeast(MetricServedFrac, "users", "", 0.999),
 				AtMost(MetricLatencyP90, "users", "surge", 800),
@@ -111,7 +120,11 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Paths: []string{"/login"},
 				},
 			},
-			Defense: Defense{Policy: "shape(inner=policy2)", SaturationRate: 3, Redeem: &RedeemDefense{}},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=3)
+				source combined
+				policy shape(inner=policy2)
+				redeem`,
 			Invariants: []Invariant{
 				AtLeast(MetricWorkRatioP50, "", "", 12),
 				AtLeast(MetricWorkRatio, "", "", 8),
@@ -136,7 +149,12 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Paths: []string{"/login"},
 				},
 			},
-			Defense: Defense{Policy: "shape(inner=policy2)", SaturationRate: 2, TrackerWindow: 10 * time.Second, Redeem: &RedeemDefense{}},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=2)
+				source combined
+				policy shape(inner=policy2)
+				window 10s
+				redeem`,
 			Invariants: []Invariant{
 				AtLeast(MetricWorkRatioP50, "", "", 8),
 				AtLeast(MetricWorkRatio, "", "", 5),
@@ -161,7 +179,11 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					FailRatio: 0.4,
 				},
 			},
-			Defense: Defense{Policy: "shape(inner=policy2)", SaturationRate: 4, Redeem: &RedeemDefense{}},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=4)
+				source combined
+				policy shape(inner=policy2)
+				redeem`,
 			Invariants: []Invariant{
 				AtLeast(MetricWorkRatioP50, "", "", 20),
 				AtLeast(MetricWorkRatio, "", "", 4),
@@ -189,7 +211,12 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Paths: []string{"/checkout"},
 				},
 			},
-			Defense: Defense{Policy: "shape(inner=policy2)", SaturationRate: 3, TrackerWindow: 15 * time.Second, Redeem: &RedeemDefense{}},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=3)
+				source combined
+				policy shape(inner=policy2)
+				window 15s
+				redeem`,
 			Invariants: []Invariant{
 				AtLeast(MetricMeanDifficulty, "sleeper-bots", "strike", 12),
 				AtLeast(MetricWorkRatioP50, "", "strike", 30),
@@ -213,7 +240,11 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Paths: []string{"/"},
 				},
 			},
-			Defense: Defense{Policy: "shape(inner=policy2)", SaturationRate: 3, Redeem: &RedeemDefense{}},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=3)
+				source combined
+				policy shape(inner=policy2)
+				redeem`,
 			Invariants: []Invariant{
 				AtMost(MetricServed, "dodgers", "", 0),
 				AtMost(MetricSolveAttempts, "dodgers", "", 0),
@@ -241,7 +272,10 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Paths: []string{"/login"},
 				},
 			},
-			Defense: Defense{Policy: "policy1", SaturationRate: 3},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=3)
+				source combined
+				policy policy1`,
 			Invariants: []Invariant{
 				// The flip is the observable: under policy1 the bots' asking
 				// price is capped (score+1 ≤ 11); the phase-boundary swap to
@@ -276,10 +310,12 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Paths: []string{"/login"},
 				},
 			},
-			Defense: Defense{Policy: "policy1", SaturationRate: 3, Adapt: &AdaptDefense{
-				Capacity: 400,
-				Rules:    []string{"escalate(when=rate>60, policy=policy2, hold=10s, after=2)"},
-			}},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=3)
+				source combined
+				policy policy1
+				adapt capacity 400
+				adapt escalate(when=rate>60, policy=policy2, hold=10s, after=2)`,
 			Invariants: []Invariant{
 				// The loop's latency, pinned from both sides: escalation
 				// only after the flood starts (15 s) and within ~1.5 s of
@@ -329,10 +365,13 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 			// Base policy2 carries the scorer's ~15% benign FP tail to
 			// difficulty 13–15 — exactly the clients the hard_solve_frac
 			// proxy watches: they dutifully solve, bots walk away.
-			Defense: Defense{Policy: "policy2", SaturationRate: 3, Adapt: &AdaptDefense{
-				Capacity: 800, Window: 20,
-				Rules: []string{"escalate(when=rate>40, policy=fixed(difficulty=16), hold=8s, after=30, unless=hard_solve_frac>0.35)"},
-			}},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=3)
+				source combined
+				policy policy2
+				adapt capacity 800
+				adapt window 20
+				adapt escalate(when=rate>40, policy=fixed(difficulty=16), hold=8s, after=30, unless=hard_solve_frac>0.35)`,
 			Invariants: []Invariant{
 				// The 8x benign surge (20–40 s) trips the volume trigger
 				// but the FP gate holds it down; only the bot flood (from
@@ -380,10 +419,12 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Paths: []string{"/login"},
 				},
 			},
-			Defense: Defense{Policy: "policy1", SaturationRate: 3, Adapt: &AdaptDefense{
-				Capacity: 400,
-				Rules:    []string{"escalate(when=rate>60, policy=policy2, hold=12s, after=2)"},
-			}},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=3)
+				source combined
+				policy policy1
+				adapt capacity 400
+				adapt escalate(when=rate>60, policy=policy2, hold=12s, after=2)`,
 			Invariants: []Invariant{
 				// One escalation at the first pulse; every later pulse
 				// lands inside the 12 s hold, so the controller stays up
@@ -430,7 +471,11 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Paths: []string{"/", "/account"},
 				},
 			},
-			Defense: Defense{Policy: "shape(inner=policy2)", SaturationRate: 4, Redeem: &RedeemDefense{}},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=4)
+				source combined
+				policy shape(inner=policy2)
+				redeem`,
 			Invariants: []Invariant{
 				// Cold: the tail price. Settled: sustained verified solves
 				// have attenuated the static judgment — the mean difficulty
@@ -471,9 +516,13 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Paths: []string{"/login"},
 				},
 			},
-			Defense: Defense{Policy: "policy1", MaxDifficulty: 10, RealSolve: true, Adapt: &AdaptDefense{
-				Rules: []string{"escalate(when=verify_fail_rate>0.3, policy=policy2, hold=8s, after=2)"},
-			}},
+			RealSolve: true,
+			Spec: `
+				scorer dabr
+				source combined
+				policy policy1
+				max-difficulty 10
+				adapt escalate(when=verify_fail_rate>0.3, policy=policy2, hold=8s, after=2)`,
 			Invariants: []Invariant{
 				// The rung fires within ticks of the flood's first rejected
 				// forgeries and releases after the hold + window drain.
@@ -519,13 +568,13 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Feed: FeedMalicious, Paths: []string{"/login"},
 				},
 			},
-			Defense: Defense{Policy: "policy1", SaturationRate: 3, Adapt: &AdaptDefense{
-				Rules: []string{
-					"escalate(when=rate>30, policy=policy2, hold=6s, after=2)",
-					"escalate(when=rate>200, policy=fixed(difficulty=15), hold=6s, after=2)",
-					"escalate(when=rate>1600, policy=fixed(difficulty=17), hold=6s, after=2)",
-				},
-			}},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=3)
+				source combined
+				policy policy1
+				adapt escalate(when=rate>30, policy=policy2, hold=6s, after=2)
+				adapt escalate(when=rate>200, policy=fixed(difficulty=15), hold=6s, after=2)
+				adapt escalate(when=rate>1600, policy=fixed(difficulty=17), hold=6s, after=2)`,
 			Invariants: []Invariant{
 				// Each wave triggers exactly its rung: the ladder tops out at
 				// level 3 and unwinds one level per controller step after the
@@ -560,7 +609,12 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				Name: "users", Legit: true, Clients: scalePop(20, scale), Rate: 0.5,
 				Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
 			}},
-			Defense: Defense{Policy: "policy1", MaxDifficulty: 10, RealSolve: true},
+			RealSolve: true,
+			Spec: `
+				scorer dabr
+				source combined
+				policy policy1
+				max-difficulty 10`,
 			Invariants: []Invariant{
 				AtLeast(MetricServedFrac, "users", "", 0.999),
 				AtMost(MetricExpired, "users", "", 0),
@@ -591,7 +645,12 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Paths:   []string{"/signup"},
 				},
 			},
-			Defense: Defense{Policy: "shape(inner=policy2)", SaturationRate: 3, MaxDifficulty: 12, Redeem: &RedeemDefense{}},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=3)
+				source combined
+				policy shape(inner=policy2)
+				max-difficulty 12
+				redeem`,
 			Invariants: []Invariant{
 				// The headline failure: with the hardware discount, the
 				// botnet's effective median cost falls to or below the
@@ -622,7 +681,13 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Paths:   []string{"/signup"},
 				},
 			},
-			Defense: Defense{Policy: "shape(inner=policy2)", SaturationRate: 3, MaxDifficulty: 12, Redeem: &RedeemDefense{}, Puzzle: "balloon(space=8, time=1)"},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=3)
+				source combined
+				policy shape(inner=policy2)
+				max-difficulty 12
+				puzzle balloon(space=8, time=1)
+				redeem`,
 			Invariants: []Invariant{
 				// Identical traffic, identical policy — only the backend
 				// changed, and the asymmetry is back: the botnet's 2x memory
@@ -654,7 +719,13 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Paths: []string{"/signup"},
 				},
 			},
-			Defense: Defense{Policy: "policy1", MaxDifficulty: 8, RealSolve: true, Puzzle: "balloon(space=8, time=1)"},
+			RealSolve: true,
+			Spec: `
+				scorer dabr
+				source combined
+				policy policy1
+				max-difficulty 8
+				puzzle balloon(space=8, time=1)`,
 			Invariants: []Invariant{
 				// Every downgraded solution is rejected by the verifier's
 				// version/backend gate; none is ever served — the cheap
@@ -671,7 +742,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 		{
 			Name:        "cluster-striping-fleet",
 			Description: "K=4 fleet, striping botnet: fleet-summed feedback sees the cluster-wide rate and every node escalates; per-node rates alone stay under threshold",
-			Cluster:     &ClusterSim{Nodes: 4, FleetFeedback: true},
+			Cluster:     &ClusterSim{Nodes: 4},
 			Phases: []Phase{
 				{Name: "calm", Duration: 15 * time.Second, RateScale: map[string]float64{"stripe-bots": 0}},
 				{Name: "flood", Duration: 30 * time.Second},
@@ -692,10 +763,13 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Stripe: true, Paths: []string{"/login"},
 				},
 			},
-			Defense: Defense{Policy: "policy1", SaturationRate: 3, Adapt: &AdaptDefense{
-				Capacity: 400,
-				Rules:    []string{"escalate(when=rate>45, policy=policy2, hold=10s, after=2)"},
-			}},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=3)
+				source combined
+				policy policy1
+				cluster
+				adapt capacity 400
+				adapt escalate(when=rate>45, policy=policy2, hold=10s, after=2)`,
 			Invariants: []Invariant{
 				// Fleet detection latency: escalation only after the flood
 				// starts (15 s) and within ~2 s — one exchange round of
@@ -721,7 +795,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 		{
 			Name:        "cluster-striping-local",
 			Description: "failure exhibit paired with cluster-striping-fleet: same fleet, same botnet, feedback left per-node — no controller ever fires and the bots keep paying base prices",
-			Cluster:     &ClusterSim{Nodes: 4, FleetFeedback: false},
+			Cluster:     &ClusterSim{Nodes: 4},
 			Phases: []Phase{
 				{Name: "calm", Duration: 15 * time.Second, RateScale: map[string]float64{"stripe-bots": 0}},
 				{Name: "flood", Duration: 30 * time.Second},
@@ -738,10 +812,15 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Stripe: true, Paths: []string{"/login"},
 				},
 			},
-			Defense: Defense{Policy: "policy1", SaturationRate: 3, Adapt: &AdaptDefense{
-				Capacity: 400,
-				Rules:    []string{"escalate(when=rate>45, policy=policy2, hold=10s, after=2)"},
-			}},
+			// The same pipeline without a cluster section: four nodes that
+			// never hear of each other, the per-node-feedback fleet an
+			// operator can actually deploy.
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=3)
+				source combined
+				policy policy1
+				adapt capacity 400
+				adapt escalate(when=rate>45, policy=policy2, hold=10s, after=2)`,
 			Invariants: []Invariant{
 				// The striping works: no per-node rate ever crosses the
 				// threshold, so no controller moves — this is exactly the
@@ -770,7 +849,13 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Paths: []string{"/login"},
 				},
 			},
-			Defense: Defense{Policy: "policy1", MaxDifficulty: 8, RealSolve: true},
+			RealSolve: true,
+			Spec: `
+				scorer dabr
+				source combined
+				policy policy1
+				max-difficulty 8
+				cluster`,
 			Invariants: []Invariant{
 				// The replayers' honest first redemptions all land…
 				AtLeast(MetricServedFrac, "replayers", "", 0.999),
@@ -787,7 +872,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 		{
 			Name:        "cluster-partial",
 			Description: "K=4 ring (degree 1, partial views): fleet feedback still detects the striping botnet, one relay hop of staleness slower than the full mesh",
-			Cluster:     &ClusterSim{Nodes: 4, Degree: 1, FleetFeedback: true},
+			Cluster:     &ClusterSim{Nodes: 4, Degree: 1},
 			Phases: []Phase{
 				{Name: "calm", Duration: 15 * time.Second, RateScale: map[string]float64{"stripe-bots": 0}},
 				{Name: "flood", Duration: 30 * time.Second},
@@ -804,10 +889,13 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Stripe: true, Paths: []string{"/login"},
 				},
 			},
-			Defense: Defense{Policy: "policy1", SaturationRate: 3, Adapt: &AdaptDefense{
-				Capacity: 400,
-				Rules:    []string{"escalate(when=rate>45, policy=policy2, hold=10s, after=2)"},
-			}},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=3)
+				source combined
+				policy policy1
+				cluster
+				adapt capacity 400
+				adapt escalate(when=rate>45, policy=policy2, hold=10s, after=2)`,
 			Invariants: []Invariant{
 				// Same detection, looser latency ceiling: counters relay
 				// around the ring one hop per round (up to 3 rounds to the
@@ -841,10 +929,12 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 					Paths: []string{"/login"},
 				},
 			},
-			Defense: Defense{Policy: "policy1", SaturationRate: 3, Events: true, Adapt: &AdaptDefense{
-				Capacity: 400,
-				Rules:    []string{"escalate(when=rate>60, policy=policy2, hold=10s, after=2)"},
-			}},
+			Spec: `
+				scorer hybrid(inner=dabr, saturation=3)
+				source combined
+				policy policy1
+				adapt capacity 400
+				adapt escalate(when=rate>60, policy=policy2, hold=10s, after=2)`,
 			Invariants: []Invariant{
 				// Exactly two events — one escalation, one de-escalation —
 				// and a structurally consistent log (monotone sequence
