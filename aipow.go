@@ -28,9 +28,6 @@ type Decision = core.Decision
 // it; wrap a map-shaped scoring function with NewMapScorer.
 type Scorer = features.VectorScorer
 
-// Hook observes decisions for logging and experiment accounting.
-type Hook = core.Hook
-
 // Option configures New.
 type Option = core.Option
 
@@ -83,9 +80,6 @@ func WithPuzzleBackend(b Backend) Option { return core.WithPuzzleBackend(b) }
 
 // WithReplayCacheSize bounds the single-use challenge cache.
 func WithReplayCacheSize(n int) Option { return core.WithReplayCacheSize(n) }
-
-// WithHook registers a synchronous decision observer.
-func WithHook(h Hook) Option { return core.WithHook(h) }
 
 // WithFailClosedScore sets the score assumed when the scorer errors
 // (default 10 — maximally suspicious).

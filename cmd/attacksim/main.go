@@ -4,18 +4,21 @@
 //
 //	attacksim                      # run the default suite, human tables
 //	attacksim -json                # also write SIM_scenarios.json
-//	attacksim -json -quick         # CI mode: scaled-down populations
+//	attacksim -json -quick         # scaled-down populations
 //	attacksim -scenario slow-and-low -seed 7
 //	attacksim -list
 //
-// The exit status is the CI gate: non-zero when any scenario invariant is
-// violated. Reports are deterministic — equal seeds produce byte-identical
-// SIM_scenarios.json files.
+// The exit status is non-zero when any scenario invariant is violated.
+// Reports are deterministic — equal seeds produce byte-identical
+// SIM_scenarios.json files. `go test ./internal/sim` compares the quick
+// suite against the committed SIM_scenarios.json.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -25,17 +28,26 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	// -h has already printed the usage.
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatalf("attacksim: %v", err)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("attacksim", flag.ContinueOnError)
 	var (
-		seed     = flag.Uint64("seed", 4, "scenario seed (equal seeds: byte-identical reports)")
-		jsonOut  = flag.Bool("json", false, "write the machine-readable report")
-		out      = flag.String("out", "SIM_scenarios.json", "report path for -json")
-		quick    = flag.Bool("quick", false, "scale populations down for fast CI runs")
-		scenario = flag.String("scenario", "", "run only the named scenario (see -list)")
-		list     = flag.Bool("list", false, "list suite scenarios and exit")
-		quiet    = flag.Bool("quiet", false, "suppress per-scenario tables")
-		batch    = flag.Bool("batch", false, "drive arrivals through the batch entry points (byte-identical output)")
+		seed     = fs.Uint64("seed", 4, "scenario seed (equal seeds: byte-identical reports)")
+		jsonOut  = fs.Bool("json", false, "write the machine-readable report")
+		out      = fs.String("out", "SIM_scenarios.json", "report path for -json")
+		quick    = fs.Bool("quick", false, "scale populations down for fast runs")
+		scenario = fs.String("scenario", "", "run only the named scenario (see -list)")
+		list     = fs.Bool("list", false, "list suite scenarios and exit")
+		quiet    = fs.Bool("quiet", false, "suppress per-scenario tables")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	scale := 1.0
 	suiteName := "default"
@@ -44,17 +56,12 @@ func main() {
 		suiteName = "quick"
 	}
 	scenarios := sim.DefaultSuite(*seed, scale)
-	if *batch {
-		for i := range scenarios {
-			scenarios[i].Batch = true
-		}
-	}
 
 	if *list {
 		for _, sc := range scenarios {
-			fmt.Printf("%-18s %s\n", sc.Name, sc.Description)
+			fmt.Fprintf(stdout, "%-18s %s\n", sc.Name, sc.Description)
 		}
-		return
+		return nil
 	}
 	if *scenario != "" {
 		var filtered []sim.Scenario
@@ -64,7 +71,7 @@ func main() {
 			}
 		}
 		if len(filtered) == 0 {
-			log.Fatalf("attacksim: unknown scenario %q (known: %s)",
+			return fmt.Errorf("unknown scenario %q (known: %s)",
 				*scenario, strings.Join(sim.SuiteNames(), ", "))
 		}
 		scenarios = filtered
@@ -72,25 +79,25 @@ func main() {
 
 	rep, err := sim.RunSuite(suiteName, *seed, scenarios)
 	if err != nil {
-		log.Fatalf("attacksim: %v", err)
+		return err
 	}
 
 	if !*quiet {
 		for _, sr := range rep.Scenarios {
-			if err := sr.RenderTable(os.Stdout); err != nil {
-				log.Fatalf("attacksim: render: %v", err)
+			if err := sr.RenderTable(stdout); err != nil {
+				return fmt.Errorf("render: %w", err)
 			}
 		}
 	}
 	if *jsonOut {
 		buf, err := rep.Marshal()
 		if err != nil {
-			log.Fatalf("attacksim: marshal report: %v", err)
+			return fmt.Errorf("marshal report: %w", err)
 		}
 		if err := os.WriteFile(*out, buf, 0o644); err != nil {
-			log.Fatalf("attacksim: write report: %v", err)
+			return fmt.Errorf("write report: %w", err)
 		}
-		fmt.Printf("wrote %s (%d scenarios)\n", *out, len(rep.Scenarios))
+		fmt.Fprintf(stdout, "wrote %s (%d scenarios)\n", *out, len(rep.Scenarios))
 	}
 	if !rep.Pass {
 		var failed []string
@@ -99,7 +106,8 @@ func main() {
 				failed = append(failed, sr.Name)
 			}
 		}
-		log.Fatalf("attacksim: invariant violations in: %s", strings.Join(failed, ", "))
+		return fmt.Errorf("invariant violations in: %s", strings.Join(failed, ", "))
 	}
-	fmt.Println("all scenario invariants passed")
+	fmt.Fprintln(stdout, "all scenario invariants passed")
+	return nil
 }

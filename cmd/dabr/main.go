@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand/v2"
 	"os"
@@ -26,30 +28,33 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	var err error
-	switch {
-	case len(os.Args) < 2:
-		err = runDefault()
-	case os.Args[1] == "generate":
-		err = runGenerate(os.Args[2:])
-	case os.Args[1] == "train":
-		err = runTrain(os.Args[2:])
-	case os.Args[1] == "eval":
-		err = runEval(os.Args[2:])
-	case os.Args[1] == "score":
-		err = runScore(os.Args[2:])
-	default:
-		err = fmt.Errorf("unknown subcommand %q (want generate, train, eval or score)", os.Args[1])
-	}
-	if err != nil {
+	// -h has already printed the usage.
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatalf("dabr: %v", err)
 	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	if len(args) == 0 {
+		return runDefault(stdout)
+	}
+	switch args[0] {
+	case "generate":
+		return runGenerate(args[1:], stdout)
+	case "train":
+		return runTrain(args[1:], stdout)
+	case "eval":
+		return runEval(args[1:], stdout)
+	case "score":
+		return runScore(args[1:], stdout)
+	}
+	return fmt.Errorf("unknown subcommand %q (want generate, train, eval or score)", args[0])
 }
 
 // runDefault reproduces experiment E3 end to end: generate the calibrated
 // feed, split it 80/20, train the model and score the held-out set with it
 // and with a k=15 kNN comparator.
-func runDefault() error {
+func runDefault(stdout io.Writer) error {
 	const seed, knnK = 3, 15
 	threshold := reputation.MaxScore / 2
 	raw, err := dataset.Generate(dataset.DefaultConfig())
@@ -81,11 +86,11 @@ func runDefault() error {
 		}
 		t.AddRow(sc.name, ev.Accuracy(), ev.Precision(), ev.Recall(), ev.F1())
 	}
-	return t.Render(os.Stdout)
+	return t.Render(stdout)
 }
 
-func runGenerate(args []string) error {
-	fs := flag.NewFlagSet("generate", flag.ExitOnError)
+func runGenerate(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("generate", flag.ContinueOnError)
 	cfg := dataset.DefaultConfig()
 	fs.IntVar(&cfg.N, "n", cfg.N, "number of samples")
 	fs.Float64Var(&cfg.MaliciousFraction, "malicious", cfg.MaliciousFraction, "malicious fraction [0,1]")
@@ -102,12 +107,12 @@ func runGenerate(args []string) error {
 	if err := writeFile(*out, func(f *os.File) error { return dataset.WriteCSV(f, samples) }); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d samples to %s\n", len(samples), *out)
+	fmt.Fprintf(stdout, "wrote %d samples to %s\n", len(samples), *out)
 	return nil
 }
 
-func runTrain(args []string) error {
-	fs := flag.NewFlagSet("train", flag.ExitOnError)
+func runTrain(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("train", flag.ContinueOnError)
 	data := fs.String("data", "feed.csv", "training CSV (from dabr generate)")
 	out := fs.String("out", "model.json", "model output path")
 	clusters := fs.Int("clusters", reputation.DefaultClusters, "malicious centroids")
@@ -128,13 +133,13 @@ func runTrain(args []string) error {
 		return err
 	}
 	distMal, distBen := model.Calibration()
-	fmt.Printf("trained on %d samples (%d centroids, anchors %.4f/%.4f); saved to %s\n",
+	fmt.Fprintf(stdout, "trained on %d samples (%d centroids, anchors %.4f/%.4f); saved to %s\n",
 		len(samples), model.Clusters(), distMal, distBen, *out)
 	return nil
 }
 
-func runEval(args []string) error {
-	fs := flag.NewFlagSet("eval", flag.ExitOnError)
+func runEval(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("eval", flag.ContinueOnError)
 	data := fs.String("data", "feed.csv", "evaluation CSV")
 	modelPath := fs.String("model", "model.json", "trained model path")
 	threshold := fs.Float64("threshold", reputation.MaxScore/2, "malicious-classification score threshold")
@@ -153,12 +158,12 @@ func runEval(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(ev)
+	fmt.Fprintln(stdout, ev)
 	return nil
 }
 
-func runScore(args []string) error {
-	fs := flag.NewFlagSet("score", flag.ExitOnError)
+func runScore(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("score", flag.ContinueOnError)
 	data := fs.String("data", "feed.csv", "feed CSV holding the IP's attributes")
 	modelPath := fs.String("model", "model.json", "trained model path")
 	ip := fs.String("ip", "", "IP address to score (must appear in the feed)")
@@ -182,7 +187,7 @@ func runScore(args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%s -> reputation %.2f (0 trustworthy … 10 untrustworthy)\n", *ip, score)
+			fmt.Fprintf(stdout, "%s -> reputation %.2f (0 trustworthy … 10 untrustworthy)\n", *ip, score)
 			return nil
 		}
 	}

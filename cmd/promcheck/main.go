@@ -2,8 +2,9 @@
 // exposition read from a file or stdin: family structure (HELP/TYPE
 // before samples), metric and label name syntax, histogram bucket
 // monotonicity, and +Inf/_count agreement. It exits non-zero on the
-// first violation — the CI obs job pipes live /metrics scrapes through
-// it.
+// first violation. It is a command-line wrapper around
+// aipow.ValidateExposition, the same check powserver's end-to-end test
+// applies to live /metrics scrapes.
 //
 // Usage:
 //
@@ -20,20 +21,20 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "promcheck:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	var (
 		data []byte
 		err  error
 	)
 	switch len(args) {
 	case 0:
-		data, err = io.ReadAll(os.Stdin)
+		data, err = io.ReadAll(stdin)
 	case 1:
 		data, err = os.ReadFile(args[0])
 	default:
@@ -45,6 +46,6 @@ func run(args []string) error {
 	if err := aipow.ValidateExposition(data); err != nil {
 		return err
 	}
-	fmt.Printf("ok: %d bytes of valid exposition\n", len(data))
+	fmt.Fprintf(stdout, "ok: %d bytes of valid exposition\n", len(data))
 	return nil
 }

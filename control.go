@@ -71,11 +71,6 @@ func WithRegistryClock(now func() time.Time) ComponentRegistryOption {
 	return control.WithRegistryClock(now)
 }
 
-// WithRegistryPolicies replaces the registry's policy registry.
-func WithRegistryPolicies(p *PolicyRegistry) ComponentRegistryOption {
-	return control.WithRegistryPolicies(p)
-}
-
 // Pipeline is a runnable, hot-reconfigurable serving pipeline compiled
 // from a PipelineSpec: Framework() serves, Apply installs a revised spec
 // atomically against live traffic.

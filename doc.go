@@ -329,9 +329,10 @@
 //     VerifyBatch batch the evidence half the same way. Batching
 //     changes cost, never outcomes: each item's decision is identical
 //     to what the single-op call would have produced, a property the
-//     simulation engine gates byte-for-byte (attacksim -batch drives
-//     the whole adversarial suite through the batch path and CI
-//     compares the reports, including under a multi-core GOMAXPROCS).
+//     simulation engine gates byte-for-byte (sim.TestGoldenQuickSuite
+//     drives the whole adversarial suite through the batch path and
+//     compares the reports to the single-op golden, including under a
+//     multi-core GOMAXPROCS).
 //   - NewHTTPBatchHandler / NewRoutedHTTPBatchHandler expose the same
 //     front door over HTTP: one POST /batch body carries many items
 //     (decide requests and solution redemptions, mixed), each item is
@@ -431,8 +432,9 @@
 //     admin listener (unauthenticated — aggregate data, scrapers rarely
 //     carry tokens) and -pprof additionally mounts net/http/pprof.
 //     ValidateExposition checks scraped output — family structure,
-//     name syntax, histogram bucket monotonicity — and the CI obs job
-//     runs live scrapes through it, twice, asserting monotonicity.
+//     name syntax, histogram bucket monotonicity — and powserver's
+//     end-to-end test runs live scrapes through it, twice, asserting
+//     monotonicity.
 //   - Serving-path latency histograms. Every Framework carries
 //     allocation-free atomic log-bucketed histograms over the Decide
 //     and Verify stages (AtomicHistogram: power-of-two buckets, lock-free
@@ -508,15 +510,15 @@
 // trio, the K-node cluster quartet, and the defense event-log sequence
 // check) runs via:
 //
-//	go run ./cmd/attacksim -json          # writes SIM_scenarios.json
-//	go run ./cmd/attacksim -json -quick   # CI scale
+//	go run ./cmd/attacksim -json -quick   # regenerates SIM_scenarios.json
+//	go run ./cmd/attacksim -json          # full-scale populations
 //
 // Each scenario's report carries per-population, per-phase outcomes
 // (served fraction, goodput, difficulty and latency histograms, modeled
 // hash cost) plus every invariant's measured value and verdict; the
-// process exits non-zero on any violation, which is the CI gate. The same
-// suite runs in `go test ./internal/sim` as a scenario-table regression
-// test, and as a golden comparison against SIM_scenarios.json through the
-// single-op and batch entry points, on one core and four, with full and
-// delta evidence gossip.
+// process exits non-zero on any violation. The gate is `go test
+// ./internal/sim`: it runs the suite as a scenario-table regression test,
+// and as a golden comparison of the quick suite against
+// SIM_scenarios.json through the single-op and batch entry points, on one
+// core and four, with full and delta evidence gossip.
 package aipow

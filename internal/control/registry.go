@@ -107,12 +107,6 @@ func WithRegistryClock(now func() time.Time) RegistryOption {
 	return func(r *Registry) { r.now = now }
 }
 
-// WithRegistryPolicies replaces the policy registry (default: the policy
-// package's built-ins).
-func WithRegistryPolicies(p *policy.Registry) RegistryOption {
-	return func(r *Registry) { r.policies = p }
-}
-
 // WithRegistryNodeID names this process in cluster exchange frames
 // (default "local"). Fleet deployments must give every member a unique
 // id — powserver defaults it to the hostname.

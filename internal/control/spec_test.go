@@ -3,6 +3,7 @@ package control
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
@@ -200,30 +201,6 @@ route /r rules
 tenant gold rules
 `
 
-// The deployments the CI e2e and obs jobs boot powserver from.
-const ciE2ESpec = `pipeline web
-  scorer dabr
-  policy fixed(difficulty=3)
-  source combined
-  adapt capacity 100
-  adapt window 4
-  adapt interval 500ms
-  adapt escalate(when=rate>5, policy=fixed(difficulty=14), hold=4s)
-pipeline api
-  scorer dabr
-  policy fixed(difficulty=5)
-  source combined
-route / web
-route /api api
-`
-
-const ciObsSpec = `pipeline web
-  scorer dabr
-  policy fixed(difficulty=3)
-  source combined
-  observe trace(sample=1, ring=256)
-`
-
 // specMD returns SPEC.md and the first fenced code block after heading.
 func specMD(t testing.TB, heading string) (doc, block string) {
 	t.Helper()
@@ -245,8 +222,20 @@ func specMD(t testing.TB, heading string) (doc, block string) {
 // back to an equal deployment and prints to the same bytes.
 func FuzzParseDeployment(f *testing.F) {
 	_, example := specMD(f, "## Example")
-	for _, seed := range []string{specText, example, everyStatementSpec, ciE2ESpec, ciObsSpec} {
+	for _, seed := range []string{specText, example, everyStatementSpec} {
 		f.Add(seed)
+	}
+	// The deployments powserver's end-to-end tests boot.
+	booted, err := filepath.Glob("../../cmd/powserver/testdata/*.spec")
+	if err != nil || len(booted) == 0 {
+		f.Fatalf("powserver testdata specs: %v (found %d)", err, len(booted))
+	}
+	for _, path := range booted {
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(buf))
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		d, err := ParseDeployment(src)

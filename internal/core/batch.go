@@ -13,7 +13,7 @@ import (
 // requests (an accept loop draining a socket, a load balancer shard, the
 // simulation engine's per-tick event runs) decide them through DecideBatch
 // instead of a Decide loop. The per-decision pipeline is identical — the
-// same decideRow kernel, same issuance, same hooks — but the fixed costs
+// same decideRow kernel, same issuance — but the fixed costs
 // are paid once per batch instead of once per request: one snapshot load,
 // one clock read, one scratch checkout, one vector-layout resolution, and
 // (through features.VectorBatchSource and puzzle.IssueBatch) shard-grouped
@@ -62,7 +62,7 @@ func grow[T any](s []T, n int) []T {
 // batch or not at all) and returns the decisions in request order. When
 // dst has capacity for the results it is reused; otherwise a fresh slice
 // is allocated. Per-decision semantics — scoring, fail-closed
-// substitution, bypass, confidence-shaped difficulty, hooks — match
+// substitution, bypass, confidence-shaped difficulty — match
 // Decide exactly; an issuance failure (or an empty IP anywhere in the
 // batch) fails the whole batch with no challenges returned.
 func (f *Framework) DecideBatch(reqs []RequestContext, dst []Decision) ([]Decision, error) {
@@ -104,8 +104,7 @@ func (f *Framework) DecideBatch(reqs []RequestContext, dst []Decision) ([]Decisi
 }
 
 // decideChunk decides one chunk: a whole-chunk vector fill, the decideRow
-// kernel per row, then one IssueBatch over the non-bypassed slots and
-// in-order hook firing.
+// kernel per row, then one IssueBatch over the non-bypassed slots.
 func (f *Framework) decideChunk(snap *snapshot, now time.Time, reqs []RequestContext, dst []Decision, sc *decideScratch) error {
 	n := len(reqs)
 	sc.ips = grow(sc.ips, n)
@@ -154,11 +153,6 @@ func (f *Framework) decideChunk(snap *snapshot, now time.Time, reqs []RequestCon
 			}
 		}
 		f.cIssued.Add(nIssued)
-	}
-	if len(f.hooks) > 0 {
-		for i := range dst {
-			f.fire(dst[i])
-		}
 	}
 	return nil
 }

@@ -32,7 +32,7 @@
 // so an operator can retune the defense mid-attack without a restart and
 // without adding a single lock to the hot path. Long-lived shared state —
 // the behavior tracker, issuer/verifier (and with them the HMAC key, TTL,
-// difficulty cap, and replay cache), clock, hooks, and counters — persists
+// difficulty cap, and replay cache), clock, and counters — persists
 // across swaps; changing those requires a new Framework.
 package core
 
@@ -90,9 +90,6 @@ type Decision struct {
 	Challenge puzzle.Challenge
 }
 
-// Hook observes decisions, for logging and experiment accounting.
-type Hook func(Decision)
-
 // snapshot is the swappable half of a Framework's configuration, immutable
 // once published. Decide performs exactly one atomic load to read the
 // whole set, so a swap can never be observed torn — a request runs either
@@ -148,7 +145,6 @@ type Framework struct {
 	issuer   *puzzle.Issuer
 	verifier *puzzle.Verifier
 	now      func() time.Time
-	hooks    []Hook
 
 	// closers run during Close (WithCloser): subsystems tied to this
 	// framework's lifecycle, e.g. a cluster node's exchange loop.
@@ -229,7 +225,6 @@ type config struct {
 	maxDiff     int
 	replaySize  int
 	authSlots   int
-	hooks       []Hook
 	failClosed  float64
 	bypassBelow float64
 	clockSkew   time.Duration
@@ -292,10 +287,6 @@ func WithReplayCacheSize(n int) Option { return func(c *config) { c.replaySize =
 // collision before redemption only costs the redeeming request the full
 // HMAC recomputation, never correctness. Zero keeps the default.
 func WithAuthCacheSlots(n int) Option { return func(c *config) { c.authSlots = n } }
-
-// WithHook registers a decision observer. Hooks run synchronously on the
-// Decide path and must be fast.
-func WithHook(h Hook) Option { return func(c *config) { c.hooks = append(c.hooks, h) } }
 
 // WithFailClosedScore sets the score assumed when the scorer errors
 // (default 10, the most suspicious). Fail-open (0) is possible but
@@ -479,7 +470,6 @@ func New(opts ...Option) (*Framework, error) {
 		issuer:   issuer,
 		verifier: verifier,
 		now:      cfg.now,
-		hooks:    cfg.hooks,
 		closers:  cfg.closers,
 		events:   cfg.events,
 	}
@@ -645,8 +635,8 @@ func SetBypassBelow(v float64) SwapOption {
 // immutable snapshot built from the current one plus the given changes.
 // Requests in flight finish on the snapshot they loaded; requests arriving
 // after Swap returns see the new one. The tracker, issuer/verifier (key,
-// TTL, max difficulty, replay cache), clock, hooks, and counters are
-// shared long-lived state and persist across swaps.
+// TTL, max difficulty, replay cache), clock, and counters are shared
+// long-lived state and persist across swaps.
 //
 // A failed Swap (nil component, scorer without a schema, fail-closed score
 // out of range) leaves the current configuration untouched.
@@ -746,7 +736,6 @@ func (f *Framework) Decide(req RequestContext) (Decision, error) {
 	if snap.trace != nil && snap.trace.Sampled() {
 		f.traceDecide(snap, &dec, t0, t1, t2)
 	}
-	f.fire(dec)
 	return dec, nil
 }
 
@@ -909,11 +898,4 @@ func (f *Framework) StatsInto(dst map[string]float64) { f.stats.SnapshotInto(dst
 // without an intermediate map per framework.
 func (f *Framework) StatsPrefixInto(prefix string, dst map[string]float64) {
 	f.stats.SnapshotPrefixInto(prefix, dst)
-}
-
-// fire invokes hooks synchronously.
-func (f *Framework) fire(dec Decision) {
-	for _, h := range f.hooks {
-		h(dec)
-	}
 }

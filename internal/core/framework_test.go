@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -224,24 +223,6 @@ func TestEndToEndSolveAndVerify(t *testing.T) {
 	stats := f.Stats()
 	if stats["issued"] != 2 || stats["verified"] != 1 || stats["rejected"] != 2 {
 		t.Fatalf("stats = %v", stats)
-	}
-}
-
-func TestHooksObserveDecisions(t *testing.T) {
-	var mu sync.Mutex
-	var seen []Decision
-	f := newTestFramework(t, WithHook(func(d Decision) {
-		mu.Lock()
-		defer mu.Unlock()
-		seen = append(seen, d)
-	}))
-	if _, err := f.Decide(RequestContext{IP: "10.0.0.9"}); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 1 || seen[0].IP != "10.0.0.9" || seen[0].Difficulty != 15 {
-		t.Fatalf("hook saw %+v", seen)
 	}
 }
 

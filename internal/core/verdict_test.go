@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -176,7 +177,7 @@ func TestVerifyWritesEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, _, err := puzzle.NewSolver().Solve(t.Context(), dec.Challenge)
+	sol, _, err := puzzle.NewSolver().Solve(context.Background(), dec.Challenge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestVerifyWithoutTrackerStillWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, _, err := puzzle.NewSolver().Solve(t.Context(), dec.Challenge)
+	sol, _, err := puzzle.NewSolver().Solve(context.Background(), dec.Challenge)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,17 +80,11 @@ const DefaultBatchLimit = 1024
 type BatchHandler struct {
 	fw     *core.Framework // single-pipeline mode; nil when routed
 	router Router          // per-route mode; nil when single
-	now    func() time.Time
 	limit  int
 }
 
 // BatchOption customizes a BatchHandler.
 type BatchOption func(*BatchHandler)
-
-// WithBatchClock injects the handler's time source, for tests.
-func WithBatchClock(now func() time.Time) BatchOption {
-	return func(h *BatchHandler) { h.now = now }
-}
 
 // WithBatchLimit bounds the items per call (default DefaultBatchLimit).
 func WithBatchLimit(n int) BatchOption {
@@ -116,7 +110,7 @@ func NewRoutedBatchHandler(router Router, opts ...BatchOption) (*BatchHandler, e
 }
 
 func newBatchHandler(fw *core.Framework, router Router, opts []BatchOption) (*BatchHandler, error) {
-	h := &BatchHandler{fw: fw, router: router, now: time.Now, limit: DefaultBatchLimit}
+	h := &BatchHandler{fw: fw, router: router, limit: DefaultBatchLimit}
 	for _, opt := range opts {
 		opt(h)
 	}
@@ -201,7 +195,7 @@ func (h *BatchHandler) group(reqs []BatchRequest) []fwGroup {
 // whose solution was rejected, which earn a fresh challenge exactly like
 // the Middleware flow.
 func (h *BatchHandler) serveGroup(fw *core.Framework, reqs []BatchRequest, idx []int, results []BatchResult) error {
-	now := h.now()
+	now := time.Now()
 
 	// One observation per item. A malformed solution token is a failed
 	// presentation — behavioral signal, like the middleware's flow.

@@ -27,7 +27,6 @@ var ErrTooManyChallenges = errors.New("httpmw: challenge retry budget exhausted"
 //
 // Transport is safe for concurrent use.
 type Transport struct {
-	base        http.RoundTripper
 	solver      *puzzle.Solver
 	maxAttempts int
 	onSolve     func(puzzle.SolveStats)
@@ -40,12 +39,6 @@ type Transport struct {
 
 // TransportOption customizes a Transport.
 type TransportOption func(*Transport)
-
-// WithBase sets the underlying RoundTripper (default
-// http.DefaultTransport).
-func WithBase(rt http.RoundTripper) TransportOption {
-	return func(t *Transport) { t.base = rt }
-}
 
 // WithSolver sets the puzzle solver (default puzzle.NewSolver()).
 func WithSolver(s *puzzle.Solver) TransportOption {
@@ -67,7 +60,6 @@ func WithSolveObserver(fn func(puzzle.SolveStats)) TransportOption {
 // NewTransport returns a Transport with the options applied.
 func NewTransport(opts ...TransportOption) *Transport {
 	t := &Transport{
-		base:        http.DefaultTransport,
 		solver:      puzzle.NewSolver(),
 		maxAttempts: 3,
 	}
@@ -90,7 +82,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			req = withToken
 		}
 	}
-	resp, err := t.base.RoundTrip(req)
+	resp, err := http.DefaultTransport.RoundTrip(req)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +122,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, err
 		}
 		retry.Header.Set(HeaderSolution, string(solToken))
-		resp, err = t.base.RoundTrip(retry)
+		resp, err = http.DefaultTransport.RoundTrip(retry)
 		if err != nil {
 			return nil, err
 		}

@@ -10,8 +10,9 @@ import (
 
 // ValidateExposition checks that data is a well-formed Prometheus text
 // exposition (v0.0.4) and returns the first violation found. It is the
-// golden gate behind GET /metrics: CI scrapes the endpoint and runs the
-// output through this before trusting any dashboard built on it.
+// golden gate behind GET /metrics: powserver's end-to-end test scrapes a
+// running node and runs the output through this, as a scraper should
+// before trusting any dashboard built on it.
 //
 // Enforced per family: HELP (if present) precedes TYPE, TYPE precedes
 // samples, and all of a family's lines form one contiguous block — no

@@ -48,7 +48,6 @@ type Solver struct {
 	extended bool
 	limit    uint64
 	workers  int
-	now      func() time.Time
 }
 
 // SolverOption customizes a Solver.
@@ -59,11 +58,6 @@ type SolverOption func(*Solver)
 // difficulties above ~26 where 32-bit exhaustion stops being negligible.
 func WithExtendedNonce() SolverOption {
 	return func(s *Solver) { s.extended = true }
-}
-
-// WithSolverNow injects the solver's clock for deterministic tests.
-func WithSolverNow(now func() time.Time) SolverOption {
-	return func(s *Solver) { s.now = now }
 }
 
 // WithNonceLimit caps the number of nonce attempts before the solver gives
@@ -84,7 +78,7 @@ func WithSolverWorkers(n int) SolverOption {
 
 // NewSolver returns a Solver with the given options applied.
 func NewSolver(opts ...SolverOption) *Solver {
-	s := &Solver{now: time.Now, workers: 1}
+	s := &Solver{workers: 1}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -113,7 +107,7 @@ func (s *Solver) Solve(ctx context.Context, ch Challenge) (Solution, SolveStats,
 // solveHashcash is the sequential CPU-bound search — the paper's solver,
 // byte for byte.
 func (s *Solver) solveHashcash(ctx context.Context, ch Challenge) (Solution, SolveStats, error) {
-	start := s.now()
+	start := time.Now()
 	stats := SolveStats{}
 	prefix := ch.canonical()
 
@@ -122,23 +116,23 @@ func (s *Solver) solveHashcash(ctx context.Context, ch Challenge) (Solution, Sol
 	copy(buf, prefix)
 	for nonce := uint64(0); nonce <= math.MaxUint32; nonce++ {
 		if stats.Attempts%ctxCheckInterval == 0 && ctx.Err() != nil {
-			stats.Elapsed = s.now().Sub(start)
+			stats.Elapsed = time.Since(start)
 			return Solution{}, stats, ctx.Err()
 		}
 		if s.limit > 0 && stats.Attempts >= s.limit {
-			stats.Elapsed = s.now().Sub(start)
+			stats.Elapsed = time.Since(start)
 			return Solution{}, stats, ErrNonceExhausted
 		}
 		binary.BigEndian.PutUint32(buf[len(prefix):], uint32(nonce))
 		digest := sha256.Sum256(buf)
 		stats.Attempts++
 		if CountLeadingZeroBits(digest[:]) >= ch.Difficulty {
-			stats.Elapsed = s.now().Sub(start)
+			stats.Elapsed = time.Since(start)
 			return Solution{Challenge: ch, Nonce: nonce}, stats, nil
 		}
 	}
 	if !s.extended {
-		stats.Elapsed = s.now().Sub(start)
+		stats.Elapsed = time.Since(start)
 		return Solution{}, stats, ErrNonceExhausted
 	}
 
@@ -147,51 +141,51 @@ func (s *Solver) solveHashcash(ctx context.Context, ch Challenge) (Solution, Sol
 	copy(buf, prefix)
 	for nonce := uint64(math.MaxUint32) + 1; nonce != 0; nonce++ {
 		if stats.Attempts%ctxCheckInterval == 0 && ctx.Err() != nil {
-			stats.Elapsed = s.now().Sub(start)
+			stats.Elapsed = time.Since(start)
 			return Solution{}, stats, ctx.Err()
 		}
 		if s.limit > 0 && stats.Attempts >= s.limit {
-			stats.Elapsed = s.now().Sub(start)
+			stats.Elapsed = time.Since(start)
 			return Solution{}, stats, ErrNonceExhausted
 		}
 		binary.BigEndian.PutUint64(buf[len(prefix):], nonce)
 		digest := sha256.Sum256(buf)
 		stats.Attempts++
 		if CountLeadingZeroBits(digest[:]) >= ch.Difficulty {
-			stats.Elapsed = s.now().Sub(start)
+			stats.Elapsed = time.Since(start)
 			return Solution{Challenge: ch, Nonce: nonce}, stats, nil
 		}
 	}
-	stats.Elapsed = s.now().Sub(start)
+	stats.Elapsed = time.Since(start)
 	return Solution{}, stats, ErrNonceExhausted
 }
 
 // solveBalloon is the sequential memory-hard search: the same nonce walk,
 // with the balloon function in place of the single SHA-256.
 func (s *Solver) solveBalloon(ctx context.Context, ch Challenge) (Solution, SolveStats, error) {
-	start := s.now()
+	start := time.Now()
 	stats := SolveStats{}
 	prefix := ch.canonical()
 	buf := make([]byte, len(prefix)+4)
 	copy(buf, prefix)
 	for nonce := uint64(0); nonce <= math.MaxUint32; nonce++ {
 		if stats.Attempts%balloonCheckInterval == 0 && ctx.Err() != nil {
-			stats.Elapsed = s.now().Sub(start)
+			stats.Elapsed = time.Since(start)
 			return Solution{}, stats, ctx.Err()
 		}
 		if s.limit > 0 && stats.Attempts >= s.limit {
-			stats.Elapsed = s.now().Sub(start)
+			stats.Elapsed = time.Since(start)
 			return Solution{}, stats, ErrNonceExhausted
 		}
 		binary.BigEndian.PutUint32(buf[len(prefix):], uint32(nonce))
 		digest := balloonDigest(buf, ch.Space, ch.Rounds)
 		stats.Attempts++
 		if CountLeadingZeroBits(digest[:]) >= ch.Difficulty {
-			stats.Elapsed = s.now().Sub(start)
+			stats.Elapsed = time.Since(start)
 			return Solution{Challenge: ch, Nonce: nonce}, stats, nil
 		}
 	}
-	stats.Elapsed = s.now().Sub(start)
+	stats.Elapsed = time.Since(start)
 	return Solution{}, stats, ErrNonceExhausted
 }
 
@@ -201,7 +195,7 @@ func (s *Solver) solveBalloon(ctx context.Context, ch Challenge) (Solution, Solv
 // Stats aggregate attempts across workers, so they measure total energy,
 // not wall time.
 func (s *Solver) solveStrided(ctx context.Context, ch Challenge, balloon bool) (Solution, SolveStats, error) {
-	start := s.now()
+	start := time.Now()
 	prefix := ch.canonical()
 	var (
 		stop     atomic.Bool
@@ -263,7 +257,7 @@ func (s *Solver) solveStrided(ctx context.Context, ch Challenge, balloon bool) (
 	}
 	wg.Wait()
 
-	stats := SolveStats{Attempts: attempts.Load(), Elapsed: s.now().Sub(start)}
+	stats := SolveStats{Attempts: attempts.Load(), Elapsed: time.Since(start)}
 	if err := ctx.Err(); err != nil && winner.Load() < 0 {
 		return Solution{}, stats, err
 	}

@@ -96,6 +96,6 @@ func NewExposition() *Exposition { return metrics.NewExposition() }
 
 // ValidateExposition checks Prometheus text-format output: family
 // structure (HELP/TYPE before samples), metric and label name syntax,
-// histogram bucket monotonicity, and +Inf/_count agreement. The CI obs
-// job runs scraped /metrics bodies through it.
+// histogram bucket monotonicity, and +Inf/_count agreement. powserver's
+// end-to-end test runs scraped /metrics bodies through it.
 func ValidateExposition(data []byte) error { return metrics.ValidateExposition(data) }
