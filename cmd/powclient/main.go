@@ -6,11 +6,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
+	"os"
 	"sync"
 	"time"
 
@@ -20,12 +22,24 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	url := flag.String("url", "http://localhost:8080/", "target URL")
-	n := flag.Int("n", 10, "number of requests")
-	concurrency := flag.Int("concurrency", 1, "parallel workers")
-	flag.Parse()
+	// -h has already printed the usage.
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatalf("powclient: %v", err)
+	}
+}
+
+// run issues the requests and prints the report; it fails when any
+// request does, so the exit status tells a script whether all passed.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("powclient", flag.ContinueOnError)
+	url := fs.String("url", "http://localhost:8080/", "target URL")
+	n := fs.Int("n", 10, "number of requests")
+	concurrency := fs.Int("concurrency", 1, "parallel workers")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *n < 1 || *concurrency < 1 {
-		log.Fatal("powclient: -n and -concurrency must be positive")
+		return errors.New("-n and -concurrency must be positive")
 	}
 
 	var mu sync.Mutex
@@ -78,13 +92,17 @@ func main() {
 	close(jobs)
 	wg.Wait()
 
-	fmt.Printf("requests: %d ok, %d failed\n", latency.Count(), failures)
+	fmt.Fprintf(stdout, "requests: %d ok, %d failed\n", latency.Count(), failures)
 	if latency.Count() > 0 {
-		fmt.Printf("latency : median %.2f ms  p90 %.2f ms  mean %.2f ms\n",
+		fmt.Fprintf(stdout, "latency : median %.2f ms  p90 %.2f ms  mean %.2f ms\n",
 			latency.Quantile(0.5), latency.Quantile(0.9), latency.Mean())
 	}
 	if solves > 0 {
-		fmt.Printf("solving : %d puzzles, %d total hashes, median solve %.3f ms\n",
+		fmt.Fprintf(stdout, "solving : %d puzzles, %d total hashes, median solve %.3f ms\n",
 			solves, attempts, solveMS.Quantile(0.5))
 	}
+	if failures > 0 {
+		return fmt.Errorf("%d of %d requests failed", failures, *n)
+	}
+	return nil
 }

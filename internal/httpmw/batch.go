@@ -275,22 +275,23 @@ func (h *BatchHandler) serveGroup(fw *core.Framework, reqs []BatchRequest, idx [
 	if err != nil {
 		return fmt.Errorf("decide batch: %w", err)
 	}
+	var scratch []byte // token encoding, reused across the group
 	for k, i := range decIdx {
 		rejectedMsg := ""
 		if reqs[i].Solution != "" {
-			rejectedMsg = "solution rejected"
+			rejectedMsg = msgRejected
 		}
 		if decs[k].Bypassed {
 			results[i] = BatchResult{Status: BatchPass, Error: rejectedMsg}
 			continue
 		}
-		token, err := decs[k].Challenge.MarshalText()
+		scratch, err = decs[k].Challenge.AppendText(scratch[:0])
 		if err != nil {
 			return fmt.Errorf("challenge encoding failed: %w", err)
 		}
 		results[i] = BatchResult{
 			Status:     BatchChallenge,
-			Challenge:  string(token),
+			Challenge:  string(scratch),
 			Difficulty: decs[k].Difficulty,
 			Error:      rejectedMsg,
 		}

@@ -26,7 +26,7 @@ var attrScorer, _ = features.NewMapScorer(func(attrs map[string]float64) (float6
 
 // newTestFramework builds a framework whose fallback threat is the given
 // score (httptest clients come from 127.0.0.1, which stays unknown).
-func newTestFramework(t *testing.T, fallbackThreat float64, opts ...core.Option) *core.Framework {
+func newTestFramework(t testing.TB, fallbackThreat float64, opts ...core.Option) *core.Framework {
 	t.Helper()
 	store, err := features.NewMapStore(map[string]float64{"threat": fallbackThreat})
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"aipow/internal/core"
@@ -13,11 +15,20 @@ import (
 
 // challengeBody is the JSON payload of a 428 response. The header carries
 // the authoritative token; the body is for human and tooling convenience.
+// appendChallengeBody writes it without encoding/json, byte for byte as
+// json.Encoder would.
 type challengeBody struct {
 	Challenge  string `json:"challenge"`
 	Difficulty int    `json:"difficulty"`
 	Message    string `json:"message"`
 }
+
+// msgRejected prefixes the message of a re-challenge after a failed
+// redemption.
+const msgRejected = "solution rejected"
+
+// contentTypeJSON is the Content-Type of every JSON response.
+const contentTypeJSON = "application/json"
 
 // errorBody is the JSON payload of a rejection.
 type errorBody struct {
@@ -109,6 +120,9 @@ func newMiddleware(fw *core.Framework, router Router, next http.Handler, opts []
 	for _, opt := range opts {
 		opt(m)
 	}
+	// Header.Get canonicalizes its key on every call unless it already is.
+	m.tenantHeader = http.CanonicalHeaderKey(m.tenantHeader)
+	m.trustHeader = http.CanonicalHeaderKey(m.trustHeader)
 	if m.tenantHeader != "" && m.router == nil {
 		return nil, fmt.Errorf("httpmw: WithTenantHeader requires a routed middleware")
 	}
@@ -153,7 +167,7 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	fw := m.framework(r)
 
 	if m.tokens != nil {
-		if tok := r.Header.Get(HeaderToken); tok != "" {
+		if tok := r.Header.Get(keyToken); tok != "" {
 			if err := m.tokens.Validate(tok, ip); err == nil {
 				m.observe(fw, r, ip, false)
 				m.next.ServeHTTP(w, r)
@@ -165,7 +179,7 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	if token := r.Header.Get(HeaderSolution); token != "" {
+	if token := r.Header.Get(keySolution); token != "" {
 		m.redeem(fw, w, r, ip, token)
 		return
 	}
@@ -186,22 +200,56 @@ func (m *Middleware) challenge(fw *core.Framework, w http.ResponseWriter, r *htt
 		m.next.ServeHTTP(w, r)
 		return
 	}
-	token, err := dec.Challenge.MarshalText()
+	bp := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(bp)
+	body, token, err := appendChallengeBody((*bp)[:0], &dec.Challenge, dec.Difficulty, extraMsg)
+	*bp = body
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "challenge encoding failed"})
 		return
 	}
-	msg := fmt.Sprintf("solve the %d-difficult puzzle and retry with %s", dec.Difficulty, HeaderSolution)
-	if extraMsg != "" {
-		msg = extraMsg + "; " + msg
+	// One backing array for the three header values, each capped so a
+	// later Add on one key cannot overwrite its neighbor.
+	v := make([]string, 3)
+	v[0], v[1], v[2] = contentTypeJSON, token, strconv.Itoa(dec.Difficulty)
+	h := w.Header()
+	h[keyContentType] = v[0:1:1]
+	h[keyChallenge] = v[1:2:2]
+	h[keyDifficulty] = v[2:3:3]
+	w.WriteHeader(StatusChallenge)
+	// io.Writer may not retain p, so the buffer can go back to the pool.
+	_, _ = w.Write(body)
+}
+
+// bodyPool recycles 428 body buffers; a body is at most ≈ 600 bytes.
+var bodyPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1024)
+	return &b
+}}
+
+// appendChallengeBody appends the 428 body — the bytes json.Encoder
+// writes for a challengeBody, newline included — and returns it with the
+// challenge token. Nothing in it needs JSON escaping: the token is
+// base64url and extraMsg is "" or msgRejected.
+func appendChallengeBody(b []byte, ch *puzzle.Challenge, difficulty int, extraMsg string) ([]byte, string, error) {
+	b = append(b, `{"challenge":"`...)
+	start := len(b)
+	b, err := ch.AppendText(b)
+	if err != nil {
+		return b, "", err
 	}
-	w.Header().Set(HeaderChallenge, string(token))
-	w.Header().Set(HeaderDifficulty, fmt.Sprintf("%d", dec.Difficulty))
-	writeJSON(w, StatusChallenge, challengeBody{
-		Challenge:  string(token),
-		Difficulty: dec.Difficulty,
-		Message:    msg,
-	})
+	token := string(b[start:])
+	b = append(b, `","difficulty":`...)
+	b = strconv.AppendInt(b, int64(difficulty), 10)
+	b = append(b, `,"message":"`...)
+	if extraMsg != "" {
+		b = append(b, extraMsg...)
+		b = append(b, "; "...)
+	}
+	b = append(b, "solve the "...)
+	b = strconv.AppendInt(b, int64(difficulty), 10)
+	b = append(b, "-difficult puzzle and retry with "+HeaderSolution+"\"}\n"...)
+	return b, token, nil
 }
 
 // redeem verifies a presented solution and serves the protected resource on
@@ -216,12 +264,12 @@ func (m *Middleware) redeem(fw *core.Framework, w http.ResponseWriter, r *http.R
 		return
 	}
 	if err := fw.Verify(sol, ip); err != nil {
-		m.challenge(fw, w, r, ip, "solution rejected")
+		m.challenge(fw, w, r, ip, msgRejected)
 		return
 	}
 	m.observe(fw, r, ip, false)
 	if m.tokens != nil {
-		w.Header().Set(HeaderToken, m.tokens.Mint(ip, m.tokenTTL))
+		w.Header()[keyToken] = []string{m.tokens.Mint(ip, m.tokenTTL)}
 	}
 	m.next.ServeHTTP(w, r)
 }
@@ -239,7 +287,7 @@ func (m *Middleware) observe(fw *core.Framework, r *http.Request, ip string, fai
 
 // writeJSON renders v with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", contentTypeJSON)
 	w.WriteHeader(status)
 	// Encoding errors at this point mean the connection is gone; there is
 	// nothing useful left to do with the request.

@@ -38,6 +38,16 @@ const (
 	StatusChallenge = http.StatusPreconditionRequired
 )
 
+// Canonical forms of the protocol headers, for direct http.Header map
+// access: Header.Get and Set canonicalize any other key, which allocates.
+var (
+	keyChallenge   = http.CanonicalHeaderKey(HeaderChallenge)
+	keyDifficulty  = http.CanonicalHeaderKey(HeaderDifficulty)
+	keySolution    = http.CanonicalHeaderKey(HeaderSolution)
+	keyToken       = http.CanonicalHeaderKey(HeaderToken)
+	keyContentType = http.CanonicalHeaderKey("Content-Type")
+)
+
 // ClientIP extracts the client address from a request: the host part of
 // RemoteAddr, or RemoteAddr verbatim when it carries no port. When
 // trustHeader is non-empty and present, its value wins — for deployments

@@ -1,11 +1,11 @@
 package puzzle
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -86,21 +86,37 @@ func (c *Challenge) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
+// maxBinarySize bounds any decodable challenge's binary encoding: the
+// larger fixed part, the longest binding and the tag.
+const maxBinarySize = binaryFixedSizeV2 + maxBindingLen + TagSize
+
 // MarshalText encodes the challenge as a single base64url token suitable
 // for an HTTP header.
 func (c Challenge) MarshalText() ([]byte, error) {
-	raw, err := c.MarshalBinary()
-	if err != nil {
-		return nil, err
+	return c.AppendText(nil)
+}
+
+// AppendText appends the challenge's base64url token to b, the
+// encoding.TextAppender form of MarshalText. The binary encoding is built
+// in stack scratch, so the only allocation is any growth of b.
+func (c *Challenge) AppendText(b []byte) ([]byte, error) {
+	if len(c.Binding) > maxBindingLen {
+		return b, ErrBindingTooLong
 	}
-	out := make([]byte, base64.RawURLEncoding.EncodedLen(len(raw)))
-	base64.RawURLEncoding.Encode(out, raw)
-	return out, nil
+	var scratch [maxBinarySize]byte
+	raw := append(c.appendCanonical(scratch[:0]), c.Tag[:]...)
+	return base64.RawURLEncoding.AppendEncode(b, raw), nil
 }
 
 // UnmarshalText decodes a base64url challenge token.
 func (c *Challenge) UnmarshalText(text []byte) error {
-	raw := make([]byte, base64.RawURLEncoding.DecodedLen(len(text)))
+	var scratch [maxBinarySize]byte
+	raw := scratch[:]
+	if n := base64.RawURLEncoding.DecodedLen(len(text)); n > len(raw) {
+		// Too long for any challenge unless the decoder skips line breaks;
+		// decode on the heap so such input gets the same verdict.
+		raw = make([]byte, n)
+	}
 	n, err := base64.RawURLEncoding.Decode(raw, text)
 	if err != nil {
 		return fmt.Errorf("puzzle: decode challenge token: %w", err)
@@ -122,24 +138,25 @@ func (c Challenge) String() string {
 
 // MarshalText encodes a solution as "<challenge-token>.<nonce-hex>".
 func (s Solution) MarshalText() ([]byte, error) {
-	cht, err := s.Challenge.MarshalText()
+	b, err := s.Challenge.AppendText(nil)
 	if err != nil {
 		return nil, err
 	}
-	return []byte(string(cht) + "." + strconv.FormatUint(s.Nonce, 16)), nil
+	return strconv.AppendUint(append(b, '.'), s.Nonce, 16), nil
 }
 
-// UnmarshalText decodes a solution encoded by MarshalText.
+// UnmarshalText decodes a solution encoded by MarshalText. It copies
+// nothing from text but the challenge's binding.
 func (s *Solution) UnmarshalText(text []byte) error {
-	str := string(text)
-	dot := strings.LastIndexByte(str, '.')
+	dot := bytes.LastIndexByte(text, '.')
 	if dot < 0 {
 		return fmt.Errorf("puzzle: solution token missing nonce separator")
 	}
-	if err := s.Challenge.UnmarshalText([]byte(str[:dot])); err != nil {
+	if err := s.Challenge.UnmarshalText(text[:dot]); err != nil {
 		return err
 	}
-	nonce, err := strconv.ParseUint(str[dot+1:], 16, 64)
+	// The conversion does not escape: ParseUint's NumError clones its input.
+	nonce, err := strconv.ParseUint(string(text[dot+1:]), 16, 64)
 	if err != nil {
 		return fmt.Errorf("puzzle: parse solution nonce: %w", err)
 	}
