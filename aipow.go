@@ -24,8 +24,8 @@ type Decision = core.Decision
 
 // Scorer is the AI-model seam: publish an AttributeSchema and map vectors
 // laid out by it to a reputation score in [0, 10], where higher means less
-// trustworthy. ReputationModel, KNNScorer and RedemptionScorer implement
-// it; wrap a map-shaped scoring function with NewMapScorer.
+// trustworthy. ReputationModel and RedemptionScorer implement it; wrap a
+// map-shaped scoring function with NewMapScorer.
 type Scorer = features.VectorScorer
 
 // Option configures New.
@@ -144,9 +144,9 @@ func ScoreAttributes(s Scorer, attrs map[string]float64) (float64, error) {
 type Verdict = features.Verdict
 
 // VerdictScorer is the optional confidence-carrying form of Scorer.
-// Scorers that implement it (the reputation model, the kNN scorer, the
-// redemption wrapper) report calibrated verdicts; the framework consults
-// it only under confidence-aware policies (NewConfidenceShapedPolicy).
+// Scorers that implement it (the reputation model and the redemption
+// wrapper) report calibrated verdicts; the framework consults it only
+// under confidence-aware policies (NewConfidenceShapedPolicy).
 type VerdictScorer = features.VerdictScorer
 
 // MapStore is a static attribute source (a feed snapshot) with a fallback

@@ -231,11 +231,4 @@ func TestPublicEvaluate(t *testing.T) {
 	if ev.Accuracy() < 0.6 {
 		t.Fatalf("accuracy = %v, implausibly low", ev.Accuracy())
 	}
-	knn, err := aipow.NewKNNScorer(samples[:1200], 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := aipow.EvaluateScorer(knn, samples[1200:], 5); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -3,15 +3,15 @@
 // asymmetry outcomes scored against each scenario's declared invariants.
 //
 //	attacksim                      # run the default suite, human tables
-//	attacksim -json                # also write SIM_scenarios.json
-//	attacksim -json -quick         # scaled-down populations
+//	attacksim -json -quick         # regenerate internal/sim/testdata/golden
+//	attacksim -json -out reports   # one <scenario>.json per scenario in reports/
 //	attacksim -scenario slow-and-low -seed 7
 //	attacksim -list
 //
 // The exit status is non-zero when any scenario invariant is violated.
 // Reports are deterministic — equal seeds produce byte-identical
-// SIM_scenarios.json files. `go test ./internal/sim` compares the quick
-// suite against the committed SIM_scenarios.json.
+// files. `go test ./internal/sim` compares the quick suite against the
+// committed internal/sim/testdata/golden, one file per scenario.
 package main
 
 import (
@@ -21,6 +21,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"aipow/internal/sim"
@@ -38,8 +39,8 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("attacksim", flag.ContinueOnError)
 	var (
 		seed     = fs.Uint64("seed", 4, "scenario seed (equal seeds: byte-identical reports)")
-		jsonOut  = fs.Bool("json", false, "write the machine-readable report")
-		out      = fs.String("out", "SIM_scenarios.json", "report path for -json")
+		jsonOut  = fs.Bool("json", false, "write one machine-readable report per scenario into -out")
+		out      = fs.String("out", "internal/sim/testdata/golden", "report directory for -json (one <scenario>.json each)")
 		quick    = fs.Bool("quick", false, "scale populations down for fast runs")
 		scenario = fs.String("scenario", "", "run only the named scenario (see -list)")
 		list     = fs.Bool("list", false, "list suite scenarios and exit")
@@ -50,10 +51,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	scale := 1.0
-	suiteName := "default"
 	if *quick {
 		scale = 0.25
-		suiteName = "quick"
 	}
 	scenarios := sim.DefaultSuite(*seed, scale)
 
@@ -77,35 +76,40 @@ func run(args []string, stdout io.Writer) error {
 		scenarios = filtered
 	}
 
-	rep, err := sim.RunSuite(suiteName, *seed, scenarios)
+	reps, err := sim.RunSuite(scenarios)
 	if err != nil {
 		return err
 	}
 
 	if !*quiet {
-		for _, sr := range rep.Scenarios {
+		for _, sr := range reps {
 			if err := sr.RenderTable(stdout); err != nil {
 				return fmt.Errorf("render: %w", err)
 			}
 		}
 	}
 	if *jsonOut {
-		buf, err := rep.Marshal()
-		if err != nil {
-			return fmt.Errorf("marshal report: %w", err)
+		if err := os.MkdirAll(*out, 0o755); err != nil {
+			return fmt.Errorf("write reports: %w", err)
 		}
-		if err := os.WriteFile(*out, buf, 0o644); err != nil {
-			return fmt.Errorf("write report: %w", err)
-		}
-		fmt.Fprintf(stdout, "wrote %s (%d scenarios)\n", *out, len(rep.Scenarios))
-	}
-	if !rep.Pass {
-		var failed []string
-		for _, sr := range rep.Scenarios {
-			if !sr.Pass {
-				failed = append(failed, sr.Name)
+		for _, sr := range reps {
+			buf, err := sr.Marshal()
+			if err != nil {
+				return fmt.Errorf("marshal report: %w", err)
+			}
+			if err := os.WriteFile(filepath.Join(*out, sr.Name+".json"), buf, 0o644); err != nil {
+				return fmt.Errorf("write report: %w", err)
 			}
 		}
+		fmt.Fprintf(stdout, "wrote %d scenario reports to %s\n", len(reps), *out)
+	}
+	var failed []string
+	for _, sr := range reps {
+		if !sr.Pass {
+			failed = append(failed, sr.Name)
+		}
+	}
+	if len(failed) > 0 {
 		return fmt.Errorf("invariant violations in: %s", strings.Join(failed, ", "))
 	}
 	fmt.Fprintln(stdout, "all scenario invariants passed")

@@ -21,7 +21,6 @@ import (
 	"os"
 
 	"aipow/internal/dataset"
-	"aipow/internal/features"
 	"aipow/internal/metrics"
 	"aipow/internal/reputation"
 )
@@ -52,10 +51,9 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // runDefault reproduces experiment E3 end to end: generate the calibrated
-// feed, split it 80/20, train the model and score the held-out set with it
-// and with a k=15 kNN comparator.
+// feed, split it 80/20, train the model and score the held-out set.
 func runDefault(stdout io.Writer) error {
-	const seed, knnK = 3, 15
+	const seed = 3
 	threshold := reputation.MaxScore / 2
 	raw, err := dataset.Generate(dataset.DefaultConfig())
 	if err != nil {
@@ -68,7 +66,7 @@ func runDefault(stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	knn, err := reputation.NewKNN(train, knnK)
+	ev, err := reputation.Evaluate(model, test, threshold)
 	if err != nil {
 		return err
 	}
@@ -76,16 +74,7 @@ func runDefault(stdout io.Writer) error {
 		fmt.Sprintf("Reputation model quality (train=%d test=%d threshold=%.1f; DAbR reports 0.80 accuracy)",
 			len(train), len(test), threshold),
 		"scorer", "accuracy", "precision", "recall", "f1")
-	for _, sc := range []struct {
-		name   string
-		scorer features.VectorScorer
-	}{{"dabr_centroids", model}, {fmt.Sprintf("knn(k=%d)", knnK), knn}} {
-		ev, err := reputation.Evaluate(sc.scorer, test, threshold)
-		if err != nil {
-			return err
-		}
-		t.AddRow(sc.name, ev.Accuracy(), ev.Precision(), ev.Recall(), ev.F1())
-	}
+	t.AddRow("dabr_centroids", ev.Accuracy(), ev.Precision(), ev.Recall(), ev.F1())
 	return t.Render(stdout)
 }
 

@@ -20,8 +20,8 @@
 //
 // Five swappable components, assembled by New:
 //
-//   - Scorer — the AI model: reputation.Model (DAbR centroids), KNN, or
-//     any func from attributes to a [0,10] score (10 = least trusted).
+//   - Scorer — the AI model: reputation.Model (DAbR centroids) or any
+//     func from attributes to a [0,10] score (10 = least trusted).
 //   - Policy — score → difficulty: the paper's Policy1/Policy2/Policy3,
 //     step tables, exponential curves, a text rule DSL, load-adaptive
 //     wrappers.
@@ -160,9 +160,8 @@
 //     confidence from cluster margin (relative distance between the
 //     malicious and benign training regions — false positives live in
 //     the overlap, where the margin collapses) and decision-boundary
-//     separation; the kNN scorer uses neighbourhood unanimity. Plain
-//     scorers and fail-closed substitutions score at confidence 1 —
-//     exactly the pre-verdict behavior.
+//     separation. Plain scorers and fail-closed substitutions score at
+//     confidence 1 — exactly the pre-verdict behavior.
 //
 //   - Shaping. NewConfidenceShapedPolicy (spec form
 //     "shape(inner=policy2, anchor=5, floor=0.5)", usable anywhere a
@@ -464,8 +463,8 @@
 //     peer joins and stalenesses, evidence flush stalls — append to a
 //     bounded EventLog (WithRegistryEvents wires it through every
 //     layer), exported at GET /events and mirrored into simulation
-//     reports, where the adapt-event-log scenario asserts the exact
-//     escalate → hold → de-escalate sequence deterministically.
+//     reports, where the adaptive-attack-cycle scenario asserts the
+//     exact escalate → hold → de-escalate sequence deterministically.
 //
 // # Simulation & scenario regression
 //
@@ -516,18 +515,19 @@
 // botnet, rotating-IP botnet, slow-and-low probing, reputation-poisoning
 // warmup, challenge dodging, mid-campaign policy flip, real-crypto smoke,
 // the adaptive-feedback ladder, the redemption pair, the puzzle-backend
-// trio, the K-node cluster quartet, and the defense event-log sequence
-// check) runs via:
+// trio, and the K-node cluster quartet; the attack cycle also checks the
+// defense event log's sequence) runs via:
 //
-//	go run ./cmd/attacksim -json -quick   # regenerates SIM_scenarios.json
-//	go run ./cmd/attacksim -json          # full-scale populations
+//	go run ./cmd/attacksim -json -quick        # regenerates internal/sim/testdata/golden
+//	go run ./cmd/attacksim -json -out reports  # full-scale populations, into reports/
 //
 // Each scenario's report carries per-population, per-phase outcomes
 // (served fraction, goodput, difficulty and latency histograms, modeled
 // hash cost) plus every invariant's measured value and verdict; the
 // process exits non-zero on any violation. The gate is `go test
 // ./internal/sim`: it runs the suite as a scenario-table regression test,
-// and as a golden comparison of the quick suite against
-// SIM_scenarios.json through the single-op and batch entry points, on one
-// core and four, with full and delta evidence gossip.
+// and as a golden comparison of each quick-suite scenario against its own
+// internal/sim/testdata/golden/<scenario>.json through the single-op and
+// batch entry points, on one core and four, with full and delta evidence
+// gossip; a mismatch names every metric that moved.
 package aipow

@@ -15,7 +15,7 @@
 //	(7) the caller serves the resource.
 //
 // Every component is injected, satisfying the paper's modularity claim:
-// swap the scorer (DAbR, kNN, behavioral), the policy (Policies 1–3, DSL
+// swap the scorer (DAbR, behavioral), the policy (Policies 1–3, DSL
 // rules, adaptive wrappers), or the feature source without touching the
 // pipeline. The seam speaks one contract — a features.VectorScorer
 // publishing a schema, a features.VectorSource filling rows in it — and

@@ -199,3 +199,107 @@ func TestRoutedBatchHandler(t *testing.T) {
 		t.Errorf("gold-tenant item = %+v, want pass", results[1])
 	}
 }
+
+// FuzzBatchBody posts arbitrary bytes to a routed batch handler. Whatever
+// arrives, the handler answers 200, 400 or 413 with a JSON body; a 200
+// carries one result per request; and an item passes only when its
+// solution is accepted by a verifier holding the key, for that item's IP,
+// and only once per challenge and pipeline. (The fixture's two pipelines
+// share one key; a control.Registry derives one per pipeline, so there a
+// token cannot cross pipelines at all.)
+//
+// Authenticity is checked under the key rather than against the
+// challenges this process issued: fuzz workers rerun the set-up with
+// fresh random seeds, so a seed token comes from another process.
+func FuzzBatchBody(f *testing.F) {
+	router := fixedRouter{api: newTestFramework(f, 5), web: newTestFramework(f, 1)}
+	h, err := NewRoutedBatchHandler(router, WithBatchLimit(4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	verifier, err := puzzle.NewVerifier(testKey) // no replay cache: checks, never claims
+	if err != nil {
+		f.Fatal(err)
+	}
+	type redemption struct {
+		fw  *core.Framework
+		tag [puzzle.TagSize]byte
+	}
+	redeemed := make(map[redemption]bool)
+
+	post := func(t testing.TB, body []byte) []BatchResult {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body)))
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("%d body is not JSON: %q", rec.Code, rec.Body)
+		}
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			return nil
+		default:
+			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body)
+		}
+		// The handler's own decode: one JSON value, trailing bytes ignored.
+		var in batchRequestBody
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&in); err != nil {
+			t.Fatalf("200 for an undecodable body %q: %v", body, err)
+		}
+		var out batchResultBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || len(out.Results) != len(in.Requests) {
+			t.Fatalf("200 body %q for %d requests: %v", rec.Body, len(in.Requests), err)
+		}
+		for i, res := range out.Results {
+			if res.Status != BatchPass {
+				continue
+			}
+			item := in.Requests[i]
+			var sol puzzle.Solution
+			if sol.UnmarshalText([]byte(item.Solution)) != nil || verifier.Verify(sol, item.IP) != nil {
+				t.Fatalf("item %d %+v passed without a solved challenge", i, item)
+			}
+			r := redemption{router.Route(item.Path, item.Tenant), sol.Challenge.Tag}
+			if redeemed[r] {
+				t.Fatalf("item %d %+v redeemed a solution twice", i, item)
+			}
+			redeemed[r] = true
+		}
+		return out.Results
+	}
+	body := func(reqs ...BatchRequest) []byte {
+		buf, err := json.Marshal(batchRequestBody{Requests: reqs})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return buf
+	}
+
+	// Seeds: a valid two-item body, the empty shapes, one item over the
+	// limit, an item without an IP, and a solved item.
+	const ip = "198.51.100.7"
+	two := body(BatchRequest{IP: ip, Path: "/api/x"}, BatchRequest{IP: "203.0.113.9", Path: "/"})
+	results := post(f, two)
+	var ch puzzle.Challenge
+	if len(results) != 2 || ch.UnmarshalText([]byte(results[0].Challenge)) != nil {
+		f.Fatalf("decide results %+v, want a challenge for %s", results, ip)
+	}
+	sol, _, err := puzzle.NewSolver().Solve(context.Background(), ch)
+	if err != nil {
+		f.Fatal(err)
+	}
+	text, err := sol.MarshalText()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(two)
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"requests":[]}`))
+	f.Add(body(BatchRequest{IP: "a"}, BatchRequest{IP: "b"}, BatchRequest{IP: "c"}, BatchRequest{IP: "d"}, BatchRequest{IP: "e"}))
+	f.Add(body(BatchRequest{Path: "/api/x"}))
+	f.Add(body(BatchRequest{IP: ip, Path: "/api/x", Solution: string(text)}))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		post(t, body)
+	})
+}

@@ -28,18 +28,3 @@ func BenchmarkModelScore(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkKNNScore(b *testing.B) {
-	knn, err := NewKNN(toySamples(500, 1), 15)
-	if err != nil {
-		b.Fatal(err)
-	}
-	probe := map[string]float64{"x": 4.2, "y": 7.7}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := knn.Score(probe); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -12,9 +12,7 @@
 // centroids (k-means++ over the malicious training vectors, in min-max
 // normalized space) and calibrates the distance-to-score mapping from the
 // training data so that the score-5 decision boundary sits midway between
-// the median malicious and median benign distances. A kNN-based scorer is
-// provided as an alternative model, demonstrating the framework's
-// modularity.
+// the median malicious and median benign distances.
 package reputation
 
 import (

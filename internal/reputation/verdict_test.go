@@ -105,29 +105,6 @@ func TestModelVerdictFastPathSelfConsistent(t *testing.T) {
 	}
 }
 
-func TestKNNVerdictUnanimity(t *testing.T) {
-	samples := []Sample{
-		{Attrs: map[string]float64{"x": 0}, Malicious: false},
-		{Attrs: map[string]float64{"x": 0.1}, Malicious: false},
-		{Attrs: map[string]float64{"x": 1}, Malicious: true},
-		{Attrs: map[string]float64{"x": 0.9}, Malicious: true},
-	}
-	knn, err := NewKNN(samples, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unanimous malicious neighbourhood: score 10, confidence 1.
-	ver := verdictOf(t, knn, map[string]float64{"x": 0.95})
-	if ver.Score != MaxScore || ver.Confidence != 1 {
-		t.Errorf("unanimous verdict = %+v, want score 10 conf 1", ver)
-	}
-	// Split neighbourhood: score 5, confidence 0.
-	ver = verdictOf(t, knn, map[string]float64{"x": 0.5})
-	if ver.Score != MaxScore/2 || ver.Confidence != 0 {
-		t.Errorf("split verdict = %+v, want score 5 conf 0", ver)
-	}
-}
-
 // TestPersistRoundTripVerdict pins that the v2 model file carries the
 // confidence calibration and that verdicts survive a save/load cycle.
 func TestPersistRoundTripVerdict(t *testing.T) {

@@ -18,7 +18,8 @@
 //     population × tick × event) rather than by arrival order, per-worker
 //     results merge in fixed worker order, and time is a simulated clock.
 //     Two runs with the same seed produce byte-identical reports, which
-//     is what lets CI diff SIM_scenarios.json and gate on regressions.
+//     is what lets CI diff the per-scenario goldens in testdata/golden
+//     and gate on regressions.
 //
 // The engine deliberately has no server queueing model (go run ./bench
 // measures the real server under load); it measures the paper's central

@@ -1,68 +1,10 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
-	"os"
-	"runtime"
 	"testing"
 )
-
-// TestGoldenQuickSuite is the golden-file gate: the quick suite that
-// `attacksim -json -quick` writes must equal the committed
-// SIM_scenarios.json byte for byte — through the single-op entry points,
-// through the batch ones on one core and on four, and with the clustered
-// specs gossiping delta evidence (delta(every=4)) on four cores. Equal to
-// the golden implies equal to each other: no wall-time, scheduling or
-// gossip-encoding dependence reaches the report.
-func TestGoldenQuickSuite(t *testing.T) {
-	if raceEnabled {
-		t.Skip("full quick suite is too slow under -race")
-	}
-	if testing.Short() {
-		t.Skip("full quick suite in -short mode")
-	}
-	want, err := os.ReadFile("../../SIM_scenarios.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, run := range []struct {
-		name       string
-		procs      int
-		batch      bool
-		deltaEvery int
-	}{
-		{"single", 0, false, 0},
-		{"batch", 0, true, 0},
-		{"batch-4cpu", 4, true, 0},
-		{"delta-4cpu", 4, false, 4},
-	} {
-		t.Run(run.name, func(t *testing.T) {
-			if run.procs > 0 {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(run.procs))
-			}
-			scenarios := DefaultSuite(4, 0.25)
-			for i := range scenarios {
-				scenarios[i].Batch = run.batch
-				if ps, _ := scenarios[i].PipelineSpec(); run.deltaEvery > 0 && ps.Cluster != nil {
-					scenarios[i].Spec = respec(t, scenarios[i].Spec, "cluster", fmt.Sprintf("cluster delta(every=%d)", run.deltaEvery))
-				}
-			}
-			rep, err := RunSuite("quick", 4, scenarios)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := rep.Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != string(want) {
-				t.Error("quick-suite report differs from SIM_scenarios.json")
-			}
-		})
-	}
-}
 
 // TestGeometricAttemptsDistribution checks the modeled solve: at least
 // one attempt per puzzle, and a mean of 2^d attempts for a d-difficult one.

@@ -219,39 +219,27 @@ func (r *Result) Report() ScenarioReport {
 	return rep
 }
 
-// SuiteReport is the top-level SIM_scenarios.json document, schema-parallel
-// to BENCH_hotpath.json: generated_by, environment echo, then the payload.
-type SuiteReport struct {
-	GeneratedBy string           `json:"generated_by"`
-	Suite       string           `json:"suite"`
-	Seed        uint64           `json:"seed"`
-	Scenarios   []ScenarioReport `json:"scenarios"`
-	Pass        bool             `json:"pass"`
-}
-
-// RunSuite executes every scenario in order and assembles the suite
-// report. Scenario construction or execution errors abort the run; a
-// failed invariant does not — it is recorded and flips Pass, so callers
+// RunSuite executes every scenario in order and returns their reports.
+// Scenario construction or execution errors abort the run; a failed
+// invariant does not — it is recorded in its report's Pass, so callers
 // (the CLI, the CI gate) decide how loudly to fail.
-func RunSuite(name string, seed uint64, scenarios []Scenario) (*SuiteReport, error) {
-	rep := &SuiteReport{GeneratedBy: "cmd/attacksim", Suite: name, Seed: seed, Pass: true}
+func RunSuite(scenarios []Scenario) ([]ScenarioReport, error) {
+	reps := make([]ScenarioReport, 0, len(scenarios))
 	for _, sc := range scenarios {
 		res, err := Run(sc)
 		if err != nil {
 			return nil, fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
 		}
-		sr := res.Report()
-		rep.Scenarios = append(rep.Scenarios, sr)
-		rep.Pass = rep.Pass && sr.Pass
+		reps = append(reps, res.Report())
 	}
-	return rep, nil
+	return reps, nil
 }
 
-// MarshalJSON is the canonical serialization: indented, trailing newline,
-// deterministic (struct field order plus sorted map keys), so equal seeds
-// produce byte-identical files.
-func (r *SuiteReport) Marshal() ([]byte, error) {
-	buf, err := json.MarshalIndent(r, "", "  ")
+// Marshal is the canonical serialization of one scenario's golden file:
+// indented, trailing newline, deterministic (struct field order plus
+// sorted map keys), so equal seeds produce byte-identical files.
+func (sr ScenarioReport) Marshal() ([]byte, error) {
+	buf, err := json.MarshalIndent(sr, "", "  ")
 	if err != nil {
 		return nil, err
 	}

@@ -118,7 +118,7 @@ func TestRunDeterministic(t *testing.T) {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		rep := res.Report()
-		buf, err := (&SuiteReport{Scenarios: []ScenarioReport{rep}}).Marshal()
+		buf, err := rep.Marshal()
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
@@ -360,7 +360,7 @@ func TestAdaptiveRunDeterministic(t *testing.T) {
 			t.Fatalf("run %d: controller did not close the loop: %+v", i, res.Adapt)
 		}
 		rep := res.Report()
-		buf, err := (&SuiteReport{Scenarios: []ScenarioReport{rep}}).Marshal()
+		buf, err := rep.Marshal()
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
@@ -403,7 +403,7 @@ func TestClusterRunDeterministic(t *testing.T) {
 				if !rep.Pass {
 					t.Fatalf("run %d: invariants failed: %+v", i, rep.Invariants)
 				}
-				buf, err := (&SuiteReport{Scenarios: []ScenarioReport{rep}}).Marshal()
+				buf, err := rep.Marshal()
 				if err != nil {
 					t.Fatalf("marshal: %v", err)
 				}
@@ -539,7 +539,7 @@ func TestRedemptionRunDeterministic(t *testing.T) {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		rep := res.Report()
-		buf, err := (&SuiteReport{Scenarios: []ScenarioReport{rep}}).Marshal()
+		buf, err := rep.Marshal()
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
@@ -605,7 +605,7 @@ func TestBatchModeByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run(batch=%v): %v", sc.Batch, err)
 		}
-		buf, err := (&SuiteReport{Scenarios: []ScenarioReport{res.Report()}}).Marshal()
+		buf, err := res.Report().Marshal()
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
@@ -650,7 +650,7 @@ func TestBatchModeGroupsSameIP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run(batch=%v): %v", batch, err)
 		}
-		buf, err := (&SuiteReport{Scenarios: []ScenarioReport{res.Report()}}).Marshal()
+		buf, err := res.Report().Marshal()
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
@@ -661,7 +661,7 @@ func TestBatchModeGroupsSameIP(t *testing.T) {
 	}
 }
 
-// TestDefenseEventLog runs the event-log scenario and checks the captured
+// TestDefenseEventLog runs the adaptive attack cycle and checks the captured
 // sequence in detail: exactly escalate then de-escalate, level-chained,
 // each carrying the rate signal reading that tripped it, separated by at
 // least the rule's hold, and mirrored into the report. A second run must
@@ -670,11 +670,11 @@ func TestBatchModeGroupsSameIP(t *testing.T) {
 func TestDefenseEventLog(t *testing.T) {
 	pick := func() Scenario {
 		for _, sc := range DefaultSuite(7, 0.15) {
-			if sc.Name == "adapt-event-log" {
+			if sc.Name == "adaptive-attack-cycle" {
 				return sc
 			}
 		}
-		t.Fatal("adapt-event-log missing from the default suite")
+		t.Fatal("adaptive-attack-cycle missing from the default suite")
 		return Scenario{}
 	}
 	res, err := Run(pick())
@@ -711,7 +711,7 @@ func TestDefenseEventLog(t *testing.T) {
 	if len(rep.Events) != 2 || !rep.Pass {
 		t.Fatalf("report events=%d pass=%v, want 2 mirrored events and a passing run", len(rep.Events), rep.Pass)
 	}
-	first, err := (&SuiteReport{Scenarios: []ScenarioReport{rep}}).Marshal()
+	first, err := rep.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -719,7 +719,7 @@ func TestDefenseEventLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := (&SuiteReport{Scenarios: []ScenarioReport{res2.Report()}}).Marshal()
+	again, err := res2.Report().Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}

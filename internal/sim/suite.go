@@ -32,7 +32,7 @@ func scalePop(n int, scale float64) int {
 }
 
 // DefaultSuite is the canonical adversarial scenario set the CI gate runs:
-// twenty-three deterministic scenarios, each defended by a pipeline spec
+// twenty-two deterministic scenarios, each defended by a pipeline spec
 // powserver could deploy, spanning the traffic mixes the ROADMAP
 // asks for, including the mid-campaign policy hot-swap, the closed-loop
 // adaptive-defense suite (auto-escalation on attack onset, FP-proxy-gated
@@ -49,6 +49,82 @@ func scalePop(n int, scale float64) int {
 // per-client dynamics, so invariant bounds hold at every scale.
 func DefaultSuite(seed uint64, scale float64) []Scenario {
 	net := suiteNetwork()
+	// users is the benign baseline most scenarios run beside their attack.
+	// It holds no slice or map, so every literal gets its own copy.
+	users := Population{
+		Name: "users", Legit: true, Clients: scalePop(60, scale), Rate: 0.3,
+		Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
+	}
+	// striping fills in the traffic the three cluster-striping variants
+	// share: a calm → flood → recovery campaign whose bots spread their
+	// requests across the fleet. The variants differ only in topology, spec
+	// and invariants. Each call builds fresh slices and maps, so no two
+	// scenarios share mutable state.
+	striping := func(sc Scenario) Scenario {
+		sc.Phases = []Phase{
+			{Name: "calm", Duration: 15 * time.Second, RateScale: map[string]float64{"stripe-bots": 0}},
+			{Name: "flood", Duration: 30 * time.Second},
+			{Name: "recovery", Duration: 25 * time.Second, RateScale: map[string]float64{"stripe-bots": 0}},
+		}
+		sc.Populations = []Population{
+			{
+				Name: "users", Legit: true, Clients: scalePop(8, scale), Rate: 0.3,
+				Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
+			},
+			{
+				// Each bot request lands on an independently-drawn node:
+				// ~32 r/s per node at full scale, under the 45 r/s
+				// threshold every per-node controller watches — only the
+				// ~128 r/s fleet total crosses it.
+				Name: "stripe-bots", Clients: scalePop(8, scale), Rate: 8,
+				Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedMalicious,
+				Stripe: true, Paths: []string{"/login"},
+			},
+		}
+		return sc
+	}
+	// stripeSpec is the striping variants' pipeline without a cluster
+	// section: four nodes that never hear of each other, the
+	// per-node-feedback fleet an operator can actually deploy.
+	const stripeSpec = `
+		scorer hybrid(inner=dabr, saturation=3)
+		source combined
+		policy policy1
+		adapt capacity 400
+		adapt escalate(when=rate>45, policy=policy2, hold=10s, after=2)`
+	// gpuBotnet fills in the traffic the two puzzle-backend variants share:
+	// phones beside a botnet with a hardware discount per backend. A GPU
+	// mines SHA-256 three orders of magnitude faster than a phone core,
+	// but gains almost nothing on a memory-bandwidth-bound function — the
+	// asymmetry the pair measures from both sides. Each call builds fresh
+	// slices and maps.
+	gpuBotnet := func(sc Scenario) Scenario {
+		sc.Phases = []Phase{
+			{Name: "warmup", Duration: 10 * time.Second, RateScale: map[string]float64{"gpu-bots": 0}},
+			{Name: "attack", Duration: 30 * time.Second},
+		}
+		sc.Populations = []Population{
+			{
+				Name: "phones", Legit: true, Clients: scalePop(100, scale), Rate: 0.3,
+				Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
+			},
+			{
+				Name: "gpu-bots", Clients: scalePop(150, scale), Rate: 1,
+				Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedMalicious,
+				Speedup: map[string]float64{"hashcash": 2000, "balloon": 2},
+				Paths:   []string{"/signup"},
+			},
+		}
+		return sc
+	}
+	// gpuSpec is the pair's pipeline on the default hashcash backend; the
+	// balloon variant adds only its puzzle line.
+	const gpuSpec = `
+		scorer hybrid(inner=dabr, saturation=3)
+		source combined
+		policy shape(inner=policy2)
+		max-difficulty 12
+		redeem`
 	scs := []Scenario{
 		{
 			Name:        "steady-state",
@@ -110,10 +186,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				{Name: "pulse2", Duration: 15 * time.Second},
 			},
 			Populations: []Population{
-				{
-					Name: "users", Legit: true, Clients: scalePop(60, scale), Rate: 0.3,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
-				},
+				users,
 				{
 					Name: "pulse-bots", Clients: scalePop(300, scale), Rate: 2,
 					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedMalicious,
@@ -138,10 +211,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 			Description: "feed-unknown bots rotate IPs to shed behavioral history; the rate window re-catches each block",
 			Phases:      []Phase{{Name: "attack", Duration: 60 * time.Second}},
 			Populations: []Population{
-				{
-					Name: "users", Legit: true, Clients: scalePop(60, scale), Rate: 0.3,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
-				},
+				users,
 				{
 					Name: "rotating-bots", Clients: scalePop(150, scale), Rate: 3,
 					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedUnknown,
@@ -201,10 +271,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				{Name: "strike", Duration: 30 * time.Second, RateScale: map[string]float64{"sleeper-bots": 40}},
 			},
 			Populations: []Population{
-				{
-					Name: "users", Legit: true, Clients: scalePop(60, scale), Rate: 0.3,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
-				},
+				users,
 				{
 					Name: "sleeper-bots", Clients: scalePop(200, scale), Rate: 0.2,
 					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
@@ -230,10 +297,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 			Description: "issuance flood: bots that never solve get zero service at high asking price",
 			Phases:      []Phase{{Name: "flood", Duration: 45 * time.Second}},
 			Populations: []Population{
-				{
-					Name: "users", Legit: true, Clients: scalePop(60, scale), Rate: 0.3,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
-				},
+				users,
 				{
 					Name: "dodgers", Clients: scalePop(500, scale), Rate: 4,
 					Behavior: BehaviorIgnore, Feed: FeedMalicious,
@@ -262,10 +326,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				{Name: "pulse-policy2", Duration: 15 * time.Second, SwapPolicy: "policy2"},
 			},
 			Populations: []Population{
-				{
-					Name: "users", Legit: true, Clients: scalePop(60, scale), Rate: 0.3,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
-				},
+				users,
 				{
 					Name: "flip-bots", Clients: scalePop(300, scale), Rate: 2,
 					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedMalicious,
@@ -300,10 +361,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				{Name: "recovery", Duration: 25 * time.Second, RateScale: map[string]float64{"cycle-bots": 0}},
 			},
 			Populations: []Population{
-				{
-					Name: "users", Legit: true, Clients: scalePop(60, scale), Rate: 0.3,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
-				},
+				users,
 				{
 					Name: "cycle-bots", Clients: scalePop(300, scale), Rate: 2,
 					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedMalicious,
@@ -339,6 +397,15 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				AtMost(MetricLatencyP50, "users", "", 60),
 				AtMost(MetricLatencyP90, "users", "", 800),
 				AtMost(MetricDecideErrors, "", "", 0),
+				// The defense event log tells the same cycle: exactly two
+				// events — one escalation, one de-escalation — and a
+				// structurally consistent log (monotone sequence numbers and
+				// timestamps, level-chained adapt transitions), so nothing
+				// spurious lands in between. Declaring them captures the
+				// events into the report.
+				AtLeast(MetricEventCount, "", "", 2),
+				AtMost(MetricEventCount, "", "", 2),
+				AtLeast(MetricEventSequenceOK, "", "", 1),
 			},
 		},
 		{
@@ -409,10 +476,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				{Name: "recovery", Duration: 20 * time.Second, RateScale: map[string]float64{"flap-bots": 0}},
 			},
 			Populations: []Population{
-				{
-					Name: "users", Legit: true, Clients: scalePop(60, scale), Rate: 0.3,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
-				},
+				users,
 				{
 					Name: "flap-bots", Clients: scalePop(300, scale), Rate: 2,
 					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedMalicious,
@@ -457,10 +521,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				{Name: "settled", Duration: 50 * time.Second},
 			},
 			Populations: []Population{
-				{
-					Name: "users", Legit: true, Clients: scalePop(60, scale), Rate: 0.3,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
-				},
+				users,
 				{
 					// The feed is wrong about these clients: real people whose
 					// addresses carry malicious intelligence. They behave
@@ -501,10 +562,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				{Name: "recovery", Duration: 20 * time.Second, RateScale: map[string]float64{"forgers": 0}},
 			},
 			Populations: []Population{
-				{
-					Name: "users", Legit: true, Clients: scalePop(60, scale), Rate: 0.3,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
-				},
+				users,
 				{
 					// Forgers spend no compute at all: they echo challenges
 					// back with corrupted tags, betting on verifier load and
@@ -556,10 +614,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				{Name: "recovery", Duration: 30 * time.Second, RateScale: map[string]float64{"wave-bots": 0}},
 			},
 			Populations: []Population{
-				{
-					Name: "users", Legit: true, Clients: scalePop(60, scale), Rate: 0.3,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
-				},
+				users,
 				{
 					// Rational flood: give up above the pre-escalation price
 					// band, so each wave's goodput collapses as its rung lands.
@@ -622,35 +677,10 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				AtMost(MetricLatencyP99, "users", "", 300),
 			},
 		},
-		{
+		gpuBotnet(Scenario{
 			Name:        "gpu-botnet-hashcash",
 			Description: "GPU-discounted botnet vs hashcash: parallel SHA-256 hardware collapses the work asymmetry",
-			Phases: []Phase{
-				{Name: "warmup", Duration: 10 * time.Second, RateScale: map[string]float64{"gpu-bots": 0}},
-				{Name: "attack", Duration: 30 * time.Second},
-			},
-			Populations: []Population{
-				{
-					Name: "phones", Legit: true, Clients: scalePop(100, scale), Rate: 0.3,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
-				},
-				{
-					// A GPU mines SHA-256 three orders of magnitude faster than
-					// a phone core, but gains almost nothing on a memory-
-					// bandwidth-bound function — the asymmetry this pair of
-					// scenarios measures from both sides.
-					Name: "gpu-bots", Clients: scalePop(150, scale), Rate: 1,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedMalicious,
-					Speedup: map[string]float64{"hashcash": 2000, "balloon": 2},
-					Paths:   []string{"/signup"},
-				},
-			},
-			Spec: `
-				scorer hybrid(inner=dabr, saturation=3)
-				source combined
-				policy shape(inner=policy2)
-				max-difficulty 12
-				redeem`,
+			Spec:        gpuSpec,
 			Invariants: []Invariant{
 				// The headline failure: with the hardware discount, the
 				// botnet's effective median cost falls to or below the
@@ -661,33 +691,11 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				AtMost(MetricLatencyP90, "phones", "attack", 800),
 				AtMost(MetricDecideErrors, "", "", 0),
 			},
-		},
-		{
+		}),
+		gpuBotnet(Scenario{
 			Name:        "gpu-botnet-balloon",
 			Description: "same botnet vs the memory-hard backend: balloon hashing restores the priced-out asymmetry",
-			Phases: []Phase{
-				{Name: "warmup", Duration: 10 * time.Second, RateScale: map[string]float64{"gpu-bots": 0}},
-				{Name: "attack", Duration: 30 * time.Second},
-			},
-			Populations: []Population{
-				{
-					Name: "phones", Legit: true, Clients: scalePop(100, scale), Rate: 0.3,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
-				},
-				{
-					Name: "gpu-bots", Clients: scalePop(150, scale), Rate: 1,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedMalicious,
-					Speedup: map[string]float64{"hashcash": 2000, "balloon": 2},
-					Paths:   []string{"/signup"},
-				},
-			},
-			Spec: `
-				scorer hybrid(inner=dabr, saturation=3)
-				source combined
-				policy shape(inner=policy2)
-				max-difficulty 12
-				puzzle balloon(space=8, time=1)
-				redeem`,
+			Spec:        gpuSpec + "\npuzzle balloon(space=8, time=1)",
 			Invariants: []Invariant{
 				// Identical traffic, identical policy — only the backend
 				// changed, and the asymmetry is back: the botnet's 2x memory
@@ -703,7 +711,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				AtMost(MetricLatencyP90, "phones", "attack", 2000),
 				AtMost(MetricDecideErrors, "", "", 0),
 			},
-		},
+		}),
 		{
 			Name:        "cross-backend-replay",
 			Description: "real-crypto downgrade replay: v2 balloon challenges re-encoded as v1 hashcash never redeem",
@@ -739,37 +747,11 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				AtMost(MetricDecideErrors, "", "", 0),
 			},
 		},
-		{
+		striping(Scenario{
 			Name:        "cluster-striping-fleet",
 			Description: "K=4 fleet, striping botnet: fleet-summed feedback sees the cluster-wide rate and every node escalates; per-node rates alone stay under threshold",
 			Cluster:     &ClusterSim{Nodes: 4},
-			Phases: []Phase{
-				{Name: "calm", Duration: 15 * time.Second, RateScale: map[string]float64{"stripe-bots": 0}},
-				{Name: "flood", Duration: 30 * time.Second},
-				{Name: "recovery", Duration: 25 * time.Second, RateScale: map[string]float64{"stripe-bots": 0}},
-			},
-			Populations: []Population{
-				{
-					Name: "users", Legit: true, Clients: scalePop(8, scale), Rate: 0.3,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
-				},
-				{
-					// Each bot request lands on an independently-drawn node:
-					// ~32 r/s per node at full scale, under the 45 r/s
-					// threshold every per-node controller watches — only the
-					// ~128 r/s fleet total crosses it.
-					Name: "stripe-bots", Clients: scalePop(8, scale), Rate: 8,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedMalicious,
-					Stripe: true, Paths: []string{"/login"},
-				},
-			},
-			Spec: `
-				scorer hybrid(inner=dabr, saturation=3)
-				source combined
-				policy policy1
-				cluster
-				adapt capacity 400
-				adapt escalate(when=rate>45, policy=policy2, hold=10s, after=2)`,
+			Spec:        stripeSpec + "\ncluster",
 			Invariants: []Invariant{
 				// Fleet detection latency: escalation only after the flood
 				// starts (15 s) and within ~2 s — one exchange round of
@@ -791,36 +773,12 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				AtMost(MetricLatencyP90, "users", "", 800),
 				AtMost(MetricDecideErrors, "", "", 0),
 			},
-		},
-		{
+		}),
+		striping(Scenario{
 			Name:        "cluster-striping-local",
 			Description: "failure exhibit paired with cluster-striping-fleet: same fleet, same botnet, feedback left per-node — no controller ever fires and the bots keep paying base prices",
 			Cluster:     &ClusterSim{Nodes: 4},
-			Phases: []Phase{
-				{Name: "calm", Duration: 15 * time.Second, RateScale: map[string]float64{"stripe-bots": 0}},
-				{Name: "flood", Duration: 30 * time.Second},
-				{Name: "recovery", Duration: 25 * time.Second, RateScale: map[string]float64{"stripe-bots": 0}},
-			},
-			Populations: []Population{
-				{
-					Name: "users", Legit: true, Clients: scalePop(8, scale), Rate: 0.3,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
-				},
-				{
-					Name: "stripe-bots", Clients: scalePop(8, scale), Rate: 8,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedMalicious,
-					Stripe: true, Paths: []string{"/login"},
-				},
-			},
-			// The same pipeline without a cluster section: four nodes that
-			// never hear of each other, the per-node-feedback fleet an
-			// operator can actually deploy.
-			Spec: `
-				scorer hybrid(inner=dabr, saturation=3)
-				source combined
-				policy policy1
-				adapt capacity 400
-				adapt escalate(when=rate>45, policy=policy2, hold=10s, after=2)`,
+			Spec:        stripeSpec,
 			Invariants: []Invariant{
 				// The striping works: no per-node rate ever crosses the
 				// threshold, so no controller moves — this is exactly the
@@ -832,7 +790,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				AtLeast(MetricServedFrac, "users", "", 0.999),
 				AtMost(MetricDecideErrors, "", "", 0),
 			},
-		},
+		}),
 		{
 			Name:        "cluster-replay",
 			Description: "real-crypto cross-node replay: tokens solved and redeemed on one fleet node are resubmitted to the other; the gossiped Bloom filter rejects every one",
@@ -869,33 +827,11 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				AtMost(MetricDecideErrors, "", "", 0),
 			},
 		},
-		{
+		striping(Scenario{
 			Name:        "cluster-partial",
 			Description: "K=4 ring (degree 1, partial views): fleet feedback still detects the striping botnet, one relay hop of staleness slower than the full mesh",
 			Cluster:     &ClusterSim{Nodes: 4, Degree: 1},
-			Phases: []Phase{
-				{Name: "calm", Duration: 15 * time.Second, RateScale: map[string]float64{"stripe-bots": 0}},
-				{Name: "flood", Duration: 30 * time.Second},
-				{Name: "recovery", Duration: 25 * time.Second, RateScale: map[string]float64{"stripe-bots": 0}},
-			},
-			Populations: []Population{
-				{
-					Name: "users", Legit: true, Clients: scalePop(8, scale), Rate: 0.3,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
-				},
-				{
-					Name: "stripe-bots", Clients: scalePop(8, scale), Rate: 8,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedMalicious,
-					Stripe: true, Paths: []string{"/login"},
-				},
-			},
-			Spec: `
-				scorer hybrid(inner=dabr, saturation=3)
-				source combined
-				policy policy1
-				cluster
-				adapt capacity 400
-				adapt escalate(when=rate>45, policy=policy2, hold=10s, after=2)`,
+			Spec:        stripeSpec + "\ncluster",
 			Invariants: []Invariant{
 				// Same detection, looser latency ceiling: counters relay
 				// around the ring one hop per round (up to 3 rounds to the
@@ -909,55 +845,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 				AtLeast(MetricServedFrac, "users", "", 0.999),
 				AtMost(MetricDecideErrors, "", "", 0),
 			},
-		},
-		{
-			Name:        "adapt-event-log",
-			Description: "defense event log: the attack cycle's escalate → hold → de-escalate shows up as exactly two structured events, in order, with the tripping signal readings",
-			Phases: []Phase{
-				{Name: "calm", Duration: 15 * time.Second, RateScale: map[string]float64{"cycle-bots": 0}},
-				{Name: "flood", Duration: 30 * time.Second},
-				{Name: "recovery", Duration: 25 * time.Second, RateScale: map[string]float64{"cycle-bots": 0}},
-			},
-			Populations: []Population{
-				{
-					Name: "users", Legit: true, Clients: scalePop(60, scale), Rate: 0.3,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedBenign,
-				},
-				{
-					Name: "cycle-bots", Clients: scalePop(300, scale), Rate: 2,
-					Behavior: BehaviorSolve, HashRate: suiteHashRate, Feed: FeedMalicious,
-					Paths: []string{"/login"},
-				},
-			},
-			Spec: `
-				scorer hybrid(inner=dabr, saturation=3)
-				source combined
-				policy policy1
-				adapt capacity 400
-				adapt escalate(when=rate>60, policy=policy2, hold=10s, after=2)`,
-			Invariants: []Invariant{
-				// Exactly two events — one escalation, one de-escalation —
-				// and a structurally consistent log (monotone sequence
-				// numbers and timestamps, level-chained adapt transitions):
-				// together these pin the exact escalate → de-escalate
-				// sequence, with nothing spurious in between.
-				AtLeast(MetricEventCount, "", "", 2),
-				AtMost(MetricEventCount, "", "", 2),
-				AtLeast(MetricEventSequenceOK, "", "", 1),
-				// The hold separates them: escalation lands with the flood
-				// onset, de-escalation only after the flood ends plus the
-				// 10 s hold — the event log's timestamps carry the same
-				// clock the adapt transition log does.
-				AtLeast(MetricAdaptFirstEscalationMS, "", "", 15000),
-				AtMost(MetricAdaptFirstEscalationMS, "", "", 16500),
-				AtLeast(MetricAdaptFirstDeescalationMS, "", "", 55000),
-				AtMost(MetricAdaptFirstDeescalationMS, "", "", 59000),
-				AtMost(MetricAdaptMaxLevel, "", "", 1),
-				AtMost(MetricAdaptFinalLevel, "", "", 0),
-				AtLeast(MetricServedFrac, "users", "", 0.999),
-				AtMost(MetricDecideErrors, "", "", 0),
-			},
-		},
+		}),
 	}
 	for i := range scs {
 		scs[i].Seed = seed

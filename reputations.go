@@ -34,9 +34,6 @@ func LoadReputationModel(r io.Reader) (*ReputationModel, error) {
 	return reputation.Load(r)
 }
 
-// KNNScorer is the kNN alternative reputation scorer.
-type KNNScorer = reputation.KNN
-
 // RedemptionScorer wraps a scorer with behavioral redemption: IPs with
 // sustained verified-solve evidence — and otherwise unremarkable behavior
 // — earn a decaying attenuation of their effective score, so a misscored
@@ -65,11 +62,6 @@ func WithMaxRedemption(drop float64) RedemptionOption {
 // maximum redemption applies (default 26).
 func WithRedemptionHalfCredit(credit float64) RedemptionOption {
 	return reputation.WithHalfCredit(credit)
-}
-
-// NewKNNScorer builds a kNN scorer over labeled samples.
-func NewKNNScorer(samples []ReputationSample, k int) (*KNNScorer, error) {
-	return reputation.NewKNN(samples, k)
 }
 
 // Evaluation is a confusion matrix with accuracy/precision/recall/F1.
