@@ -20,6 +20,7 @@ import (
 	"math/rand/v2"
 	"os"
 
+	"aipow/internal/control"
 	"aipow/internal/dataset"
 	"aipow/internal/metrics"
 	"aipow/internal/reputation"
@@ -60,7 +61,7 @@ func runDefault(stdout io.Writer) error {
 		return err
 	}
 	trainRaw, testRaw := dataset.Split(raw, 0.8, rand.New(rand.NewPCG(seed, 0xACC)))
-	train, test := toSamples(trainRaw), toSamples(testRaw)
+	train, test := control.FeedSamples(trainRaw), control.FeedSamples(testRaw)
 	model, err := reputation.Train(train,
 		reputation.WithClusters(reputation.DefaultClusters), reputation.WithSeed(seed))
 	if err != nil {
@@ -109,10 +110,11 @@ func runTrain(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	samples, err := loadSamples(*data)
+	raw, err := dataset.ReadCSVFile(*data)
 	if err != nil {
 		return err
 	}
+	samples := control.FeedSamples(raw)
 	model, err := reputation.Train(samples,
 		reputation.WithClusters(*clusters), reputation.WithSeed(*seed))
 	if err != nil {
@@ -135,11 +137,12 @@ func runEval(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	samples, err := loadSamples(*data)
+	raw, err := dataset.ReadCSVFile(*data)
 	if err != nil {
 		return err
 	}
-	model, err := loadModel(*modelPath)
+	samples := control.FeedSamples(raw)
+	model, err := reputation.LoadFile(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -162,11 +165,11 @@ func runScore(args []string, stdout io.Writer) error {
 	if *ip == "" {
 		return fmt.Errorf("score requires -ip")
 	}
-	raw, err := loadRaw(*data)
+	raw, err := dataset.ReadCSVFile(*data)
 	if err != nil {
 		return err
 	}
-	model, err := loadModel(*modelPath)
+	model, err := reputation.LoadFile(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -195,39 +198,4 @@ func writeFile(path string, write func(*os.File) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func loadRaw(path string) ([]dataset.Sample, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return dataset.ReadCSV(f)
-}
-
-func loadSamples(path string) ([]reputation.Sample, error) {
-	raw, err := loadRaw(path)
-	if err != nil {
-		return nil, err
-	}
-	return toSamples(raw), nil
-}
-
-// toSamples adapts dataset samples to the scorer's input type.
-func toSamples(raw []dataset.Sample) []reputation.Sample {
-	out := make([]reputation.Sample, len(raw))
-	for i, s := range raw {
-		out[i] = reputation.Sample{Attrs: s.Attrs, Malicious: s.Malicious}
-	}
-	return out
-}
-
-func loadModel(path string) (*reputation.Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return reputation.Load(f)
 }

@@ -2,7 +2,8 @@
 // framework, driven by the runtime control plane. With no flags it
 // synthesizes an intelligence feed, trains the reputation model, wires a
 // single-pipeline deployment from the -policy flag, and serves a demo
-// endpoint on :8080:
+// endpoint on :8080. A client the feed does not know is scored by the
+// feed's median benign profile, as in every simulated scenario:
 //
 //	powserver
 //	powserver -addr :9000 -policy 'policy3(epsilon=2.5)'
@@ -80,6 +81,7 @@ import (
 	"time"
 
 	"aipow"
+	"aipow/internal/control"
 	"aipow/internal/dataset"
 	"aipow/internal/reputation"
 )
@@ -94,7 +96,7 @@ func main() {
 	specPath := flag.String("spec", "", "deployment spec file (text DSL or JSON; overrides -policy/-bypass)")
 	policySpec := flag.String("policy", "policy2", "policy spec for the default single-pipeline deployment")
 	keyHex := flag.String("key", "", "hex HMAC key (≥32 hex chars); random demo key when empty")
-	feedPath := flag.String("feed", "", "IP attribute feed CSV (dabr generate); synthetic demo feed when empty")
+	feedPath := flag.String("feed", "", "IP attribute feed CSV (dabr generate); unknown clients are scored by its median benign profile; synthetic demo feed when empty")
 	modelPath := flag.String("model", "", "trained model JSON (dabr train); trains on the feed when empty")
 	bypass := flag.Float64("bypass", -1, "bypass puzzles for scores below this (negative disables)")
 	trustHeader := flag.String("trust-ip-header", "", "trust this header for client IPs (behind a proxy only)")
@@ -114,15 +116,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("powserver: %v", err)
 	}
-	feed, err := resolveFeed(*feedPath)
-	if err != nil {
-		log.Fatalf("powserver: %v", err)
-	}
-	model, err := resolveModel(*modelPath, feed)
-	if err != nil {
-		log.Fatalf("powserver: %v", err)
-	}
-	store, err := buildStore(feed)
+	model, store, err := loadComponents(*feedPath, *modelPath)
 	if err != nil {
 		log.Fatalf("powserver: %v", err)
 	}
@@ -205,16 +199,10 @@ func main() {
 
 // buildRegistry assembles the component registry the spec's names resolve
 // against: the trained model and the feed store become spec-addressable
-// components sharing one tracker and key across all pipelines.
+// components sharing one key and one default-sized tracker across all
+// pipelines.
 func buildRegistry(key []byte, model *reputation.Model, store *aipow.MapStore, nodeID string, events *aipow.EventLog) (*aipow.ComponentRegistry, error) {
-	tracker, err := aipow.NewTracker()
-	if err != nil {
-		return nil, err
-	}
-	opts := []aipow.ComponentRegistryOption{aipow.WithSharedTracker(tracker)}
-	if nodeID != "" {
-		opts = append(opts, aipow.WithRegistryNodeID(nodeID))
-	}
+	opts := []aipow.ComponentRegistryOption{aipow.WithRegistryNodeID(nodeID)}
 	if events != nil {
 		opts = append(opts, aipow.WithRegistryEvents(events.Append))
 	}
@@ -508,56 +496,33 @@ func resolveKey(keyHex string) ([]byte, error) {
 	return key, nil
 }
 
+// loadComponents builds the data behind the paper's components: the feed
+// (the CSV, or the calibrated demo feed), the store indexing it by IP with
+// the median benign fallback, and the model (loaded from modelPath, or
+// trained on the feed with seed 1).
+func loadComponents(feedPath, modelPath string) (*reputation.Model, *aipow.MapStore, error) {
+	feed, err := resolveFeed(feedPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	store, err := control.NewFeedStore(feed)
+	if err != nil {
+		return nil, nil, err
+	}
+	if modelPath == "" {
+		log.Print("powserver: no -model given; training on the feed")
+		model, err := control.TrainFeedModel(feed, 1)
+		return model, store, err
+	}
+	model, err := reputation.LoadFile(modelPath)
+	return model, store, err
+}
+
 // resolveFeed loads the CSV feed or synthesizes the calibrated demo feed.
 func resolveFeed(path string) ([]dataset.Sample, error) {
 	if path == "" {
 		log.Print("powserver: no -feed given; synthesizing the calibrated demo feed")
 		return dataset.Generate(dataset.DefaultConfig())
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return dataset.ReadCSV(f)
-}
-
-// resolveModel loads a trained model or trains one on the feed.
-func resolveModel(path string, feed []dataset.Sample) (*reputation.Model, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return reputation.Load(f)
-	}
-	log.Print("powserver: no -model given; training on the feed")
-	samples := make([]reputation.Sample, len(feed))
-	for i, s := range feed {
-		samples[i] = reputation.Sample{Attrs: s.Attrs, Malicious: s.Malicious}
-	}
-	return reputation.Train(samples)
-}
-
-// buildStore indexes the feed by IP with a benign fallback profile.
-func buildStore(feed []dataset.Sample) (*aipow.MapStore, error) {
-	var fallback map[string]float64
-	for _, s := range feed {
-		if !s.Malicious {
-			fallback = s.Attrs
-			break
-		}
-	}
-	if fallback == nil {
-		return nil, fmt.Errorf("feed has no benign samples for the fallback profile")
-	}
-	store, err := aipow.NewMapStore(fallback)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range feed {
-		store.Put(s.IP, s.Attrs)
-	}
-	return store, nil
+	return dataset.ReadCSVFile(path)
 }

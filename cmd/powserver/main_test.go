@@ -2,13 +2,20 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"aipow"
+	"aipow/internal/control"
+	"aipow/internal/dataset"
 	"aipow/internal/sim"
 )
 
@@ -264,15 +271,7 @@ func TestRateScorerPipelineDecidesWithoutAllocating(t *testing.T) {
 // catch-all deployment and round-tripped through its printed form, builds
 // on powserver's registry and issues a challenge.
 func TestBootsEverySuiteDefense(t *testing.T) {
-	feed, err := resolveFeed("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := resolveModel("", feed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := buildStore(feed)
+	model, store, err := loadComponents("", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,5 +310,105 @@ func TestBootsEverySuiteDefense(t *testing.T) {
 				t.Fatalf("decision = %+v, want a challenge", dec)
 			}
 		})
+	}
+}
+
+// TestUnknownClientPricedByMedianBenignProfile pins powserver's fallback
+// rule to the simulator's: a client the feed does not know is priced by
+// the per-attribute median of the feed's benign rows. The feed here leads
+// with its highest-scoring benign row, so a first-benign-row fallback
+// would price the unknown client differently under policy2.
+func TestUnknownClientPricedByMedianBenignProfile(t *testing.T) {
+	feed, err := dataset.Generate(dataset.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := control.TrainFeedModel(feed, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, topScore := -1, -1.0
+	for i, s := range feed {
+		if s.Malicious {
+			continue
+		}
+		score, err := model.Score(s.Attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if score > topScore {
+			top, topScore = i, score
+		}
+	}
+	feed[0], feed[top] = feed[top], feed[0]
+	dir := t.TempDir()
+	feedPath, modelPath := filepath.Join(dir, "feed.csv"), filepath.Join(dir, "model.json")
+	writeWith(t, feedPath, func(w io.Writer) error { return dataset.WriteCSV(w, feed) })
+	writeWith(t, modelPath, model.Save)
+
+	// Boot the components the way main does.
+	loaded, store, err := loadComponents(feedPath, modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	difficulty := func(store *aipow.MapStore) int {
+		t.Helper()
+		reg, err := buildRegistry([]byte("0123456789abcdef0123456789abcdef"), loaded, store, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dep, err := resolveDeployment("", "policy2", -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gk, err := aipow.NewGatekeeper(reg, dep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = gk.Close() })
+		// 10/8 is outside every generated feed.
+		dec, err := gk.Route("/", "").Decide(aipow.RequestContext{IP: "10.0.0.1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec.Challenge.Difficulty
+	}
+	fallbackStore := func(attrs map[string]float64) *aipow.MapStore {
+		t.Helper()
+		s, err := aipow.NewMapStore(attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	median := make(map[string]float64)
+	for name := range feed[0].Attrs {
+		var vals []float64
+		for _, s := range feed {
+			if !s.Malicious {
+				vals = append(vals, s.Attrs[name])
+			}
+		}
+		slices.Sort(vals)
+		median[name] = vals[len(vals)/2]
+	}
+	want, first := difficulty(fallbackStore(median)), difficulty(fallbackStore(feed[0].Attrs))
+	if want == first {
+		t.Fatalf("the feed does not separate the rules: median and first benign row both price d=%d", want)
+	}
+	if got := difficulty(store); got != want {
+		t.Fatalf("unknown client priced at d=%d, want the median benign profile's d=%d (first benign row: d=%d)", got, want, first)
+	}
+}
+
+// writeWith creates path and fills it with write.
+func writeWith(t *testing.T, path string, write func(io.Writer) error) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(write(f), f.Close()); err != nil {
+		t.Fatal(err)
 	}
 }

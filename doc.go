@@ -474,8 +474,10 @@
 // engine. Each scenario declares its defense as a pipeline spec, and every
 // simulated node is built from it by the control plane's ComponentRegistry
 // over the simulated clock — the build path powserver runs, with the
-// paper's components (RegisterPaperComponents) over the scenario's
-// synthetic feed. The engine drives those pipelines — concurrently, over
+// paper's components (RegisterPaperComponents) over a model and feed store
+// built from the scenario's synthetic feed by the same calls powserver
+// makes, so both price a client the feed does not know by the median
+// benign profile. The engine drives those pipelines — concurrently, over
 // the sharded tracker — with declaratively-defined traffic mixes:
 //
 //	sim.Scenario{

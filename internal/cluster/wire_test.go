@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -153,18 +154,27 @@ func TestDecodeFrameFailsClosed(t *testing.T) {
 }
 
 func FuzzDecodeFrame(f *testing.F) {
-	valid, err := EncodeFrame(testFrame(), nil)
-	if err != nil {
-		f.Fatal(err)
-	}
 	key := []byte("frame-signing-key-0123456789abcd")
-	signed, err := EncodeFrame(testFrame(), key)
-	if err != nil {
-		f.Fatal(err)
+	delta := testFrame()
+	delta.Delta = true
+	var signed [][]byte
+	for _, fr := range []*Frame{testFrame(), delta} {
+		valid, err := EncodeFrame(fr, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		sig, err := EncodeFrame(fr, key)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if got, err := DecodeFrame(valid, nil); err != nil || got.Delta != fr.Delta {
+			f.Fatalf("seed decodes as Delta=%v (%v), want %v", got != nil && got.Delta, err, fr.Delta)
+		}
+		signed = append(signed, sig)
+		f.Add(valid)
+		f.Add(sig)
+		f.Add(valid[:len(valid)/2])
 	}
-	f.Add(valid)
-	f.Add(signed)
-	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("AIPoWX1\x00"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -175,14 +185,22 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("decoded frame exceeds bounds: %d origins, %d buckets",
 					len(fr.Origins), len(fr.Buckets))
 			}
-			// A successful decode must re-encode.
-			if _, err := EncodeFrame(fr, nil); err != nil {
+			// A successful decode must re-encode, as the same frame kind.
+			buf, err := EncodeFrame(fr, nil)
+			if err != nil {
 				t.Fatalf("decoded frame failed re-encode: %v", err)
+			}
+			again, err := DecodeFrame(buf, nil)
+			if err != nil {
+				t.Fatalf("re-encoded frame failed decode: %v", err)
+			}
+			if again.Delta != fr.Delta {
+				t.Fatalf("re-encode flipped Delta %v → %v", fr.Delta, again.Delta)
 			}
 		}
 		// Keyed decodes accept only frames we signed: anything the fuzzer
 		// mutated must fail.
-		if fr2, err := DecodeFrame(data, key); err == nil && !bytes.Equal(data, signed) {
+		if fr2, err := DecodeFrame(data, key); err == nil && !slices.ContainsFunc(signed, func(s []byte) bool { return bytes.Equal(data, s) }) {
 			t.Fatalf("forged frame passed signature check: %+v", fr2)
 		}
 	})

@@ -14,6 +14,7 @@ import (
 	"aipow/internal/baseline"
 	"aipow/internal/cluster"
 	"aipow/internal/core"
+	"aipow/internal/dataset"
 	"aipow/internal/features"
 	"aipow/internal/feedback"
 	"aipow/internal/obs"
@@ -193,6 +194,87 @@ func (r *Registry) RegisterPaperComponents(model *reputation.Model, store *featu
 			return features.NewCombined(store, tracker)
 		}),
 	)
+}
+
+// FeedSamples converts intelligence-feed rows to the model's training
+// samples.
+func FeedSamples(feed []dataset.Sample) []reputation.Sample {
+	out := make([]reputation.Sample, len(feed))
+	for i, s := range feed {
+		out[i] = reputation.Sample{Attrs: s.Attrs, Malicious: s.Malicious}
+	}
+	return out
+}
+
+// TrainFeedModel trains the DAbR model on the feed, deterministically
+// under seed.
+func TrainFeedModel(feed []dataset.Sample, seed uint64) (*reputation.Model, error) {
+	return reputation.Train(FeedSamples(feed), reputation.WithSeed(seed))
+}
+
+// NewFeedStore indexes every feed row by IP. An address the feed does not
+// know falls back to the median benign profile (the per-attribute median
+// over the feed's benign rows): static scoring sees an ordinary client,
+// and only live behavior can raise suspicion. A feed with no benign row
+// has no such profile and is an error.
+func NewFeedStore(feed []dataset.Sample) (*features.MapStore, error) {
+	var benign []map[string]float64
+	for _, s := range feed {
+		if !s.Malicious {
+			benign = append(benign, s.Attrs)
+		}
+	}
+	if len(benign) == 0 {
+		return nil, errors.New("control: feed has no benign rows for the fallback profile")
+	}
+	median := make(map[string]float64, len(benign[0]))
+	vals := make([]float64, len(benign))
+	for name := range benign[0] {
+		for i, attrs := range benign {
+			vals[i] = attrs[name]
+		}
+		median[name] = nth(vals, len(vals)/2)
+	}
+	store, err := features.NewMapStore(median)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range feed {
+		store.Put(s.IP, s.Attrs)
+	}
+	return store, nil
+}
+
+// nth returns the value slices.Sort would place at vals[k] (vals NaN-free),
+// reordering vals by quickselect: linear time, where a sort per attribute
+// made the median a visible share of powserver's boot on a large feed.
+func nth(vals []float64, k int) float64 {
+	lo, hi := 0, len(vals)-1
+	for lo < hi {
+		pivot := vals[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for vals[i] < pivot {
+				i++
+			}
+			for vals[j] > pivot {
+				j--
+			}
+			if i <= j {
+				vals[i], vals[j] = vals[j], vals[i]
+				i, j = i+1, j-1
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return vals[k]
+		}
+	}
+	return vals[k]
 }
 
 // Tracker reports the shared behavior tracker.

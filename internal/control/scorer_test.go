@@ -1,10 +1,14 @@
 package control
 
 import (
+	"maps"
+	"math/rand/v2"
 	"slices"
 	"testing"
+	"time"
 
 	"aipow/internal/baseline"
+	"aipow/internal/dataset"
 	"aipow/internal/features"
 	"aipow/internal/reputation"
 )
@@ -97,5 +101,81 @@ func TestRegisterPaperComponents(t *testing.T) {
 	}
 	if err := reg.RegisterPaperComponents(model, store); err == nil {
 		t.Error("second registration succeeded")
+	}
+}
+
+// TestNthMatchesSort pins the quickselect behind the median against a
+// full sort, for every rank of slices with and without duplicates.
+func TestNthMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for n := 1; n <= 40; n++ {
+		for _, distinct := range []int{1, 3, 1000} {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = float64(rng.IntN(distinct))
+			}
+			sorted := slices.Sorted(slices.Values(vals))
+			for k := range n {
+				if got := nth(slices.Clone(vals), k); got != sorted[k] {
+					t.Fatalf("nth(%v, %d) = %v, want %v", vals, k, got, sorted[k])
+				}
+			}
+		}
+	}
+}
+
+// TestNewFeedStore pins the one fallback rule for clients the feed does
+// not know: the per-attribute median of the feed's benign rows
+// (vals[len/2], so the upper median of an even count), with malicious
+// rows ignored; every feed row is indexed by IP, and a feed with no
+// benign row is an error.
+func TestNewFeedStore(t *testing.T) {
+	row := func(ip string, malicious bool, a, b float64) dataset.Sample {
+		return dataset.Sample{IP: ip, Malicious: malicious, Attrs: map[string]float64{"a": a, "b": b}}
+	}
+	for _, tc := range []struct {
+		name     string
+		feed     []dataset.Sample
+		fallback map[string]float64 // nil: an error
+	}{
+		{"one benign row", []dataset.Sample{row("192.0.2.1", false, 3, 4)}, map[string]float64{"a": 3, "b": 4}},
+		{"odd benign count", []dataset.Sample{
+			row("192.0.2.1", false, 9, 1), row("192.0.2.2", false, 1, 7), row("192.0.2.3", false, 5, 3),
+		}, map[string]float64{"a": 5, "b": 3}},
+		{"even benign count takes the upper median", []dataset.Sample{
+			row("192.0.2.1", false, 4, 40), row("192.0.2.2", false, 1, 10),
+			row("192.0.2.3", false, 3, 30), row("192.0.2.4", false, 2, 20),
+		}, map[string]float64{"a": 3, "b": 30}},
+		{"malicious rows ignored", []dataset.Sample{
+			row("192.0.2.1", true, 100, 100), row("192.0.2.2", false, 1, 2),
+			row("192.0.2.3", true, 100, 100), row("192.0.2.4", false, 3, 4),
+			row("192.0.2.5", false, 2, 3),
+		}, map[string]float64{"a": 2, "b": 3}},
+		{"no benign row", []dataset.Sample{row("192.0.2.1", true, 1, 1)}, nil},
+		{"empty feed", nil, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := NewFeedStore(tc.feed)
+			if tc.fallback == nil {
+				if err == nil {
+					t.Fatal("built a store without a benign fallback")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := store.Attributes("10.0.0.1", time.Time{}); !maps.Equal(got, tc.fallback) {
+				t.Errorf("fallback = %v, want %v", got, tc.fallback)
+			}
+			if store.Len() != len(tc.feed) {
+				t.Errorf("store indexes %d IPs, want %d", store.Len(), len(tc.feed))
+			}
+			for _, s := range tc.feed {
+				if got := store.Attributes(s.IP, time.Time{}); !maps.Equal(got, s.Attrs) {
+					t.Errorf("%s = %v, want its feed row %v", s.IP, got, s.Attrs)
+				}
+			}
+		})
 	}
 }

@@ -138,10 +138,10 @@ func TestWindowCountBounded(t *testing.T) {
 
 // TestRedeemHalfLifeTrackerInheritsWindow pins that a per-key tracker
 // keeps the shared tracker's rate window: a redeem(half-life=…) pipeline
-// over a 30 s / 10-bucket tracker rates over 30 s in 10 buckets, not over
-// the tracker package's 1 min / 12-bucket default.
+// over a 20 s / 8-bucket tracker rates over 20 s in 8 buckets, not over
+// the tracker package's 30 s / 10-bucket default.
 func TestRedeemHalfLifeTrackerInheritsWindow(t *testing.T) {
-	shared, err := features.NewTracker(features.WithWindow(30*time.Second, 10))
+	shared, err := features.NewTracker(features.WithWindow(20*time.Second, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +160,8 @@ func TestRedeemHalfLifeTrackerInheritsWindow(t *testing.T) {
 	if tracker == shared {
 		t.Fatal("half-life pipeline got the shared tracker")
 	}
-	if span, buckets := tracker.Window(); span != 30*time.Second || buckets != 10 {
-		t.Errorf("window %v / %d buckets, want the shared 30s / 10", span, buckets)
+	if span, buckets := tracker.Window(); span != 20*time.Second || buckets != 8 {
+		t.Errorf("window %v / %d buckets, want the shared 20s / 8", span, buckets)
 	}
 	if got := tracker.EvidenceHalfLife(); got != 10*time.Second {
 		t.Errorf("half-life %v, want the declared 10s", got)

@@ -4,6 +4,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
+	"slices"
 	"strconv"
 )
 
@@ -54,11 +56,24 @@ func WriteCSV(w io.Writer, samples []Sample) error {
 	return nil
 }
 
+// ReadCSVFile reads the dataset CSV file at path (see ReadCSV).
+func ReadCSVFile(path string) ([]Sample, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadCSV(f)
+}
+
 // ReadCSV parses a dataset previously written by WriteCSV. Unknown
 // attribute columns are preserved; missing schema columns are an error only
 // if a row references them, so the format tolerates schema evolution.
 func ReadCSV(r io.Reader) ([]Sample, error) {
+	// Rows are parsed before the next Read, so they may share one backing
+	// array; the header outlives that and is cloned below.
 	cr := csv.NewReader(r)
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("dataset: read header: %w", err)
@@ -69,6 +84,7 @@ func ReadCSV(r io.Reader) ([]Sample, error) {
 	if header[colIP] != "ip" || header[colLabel] != "label" || header[colFamily] != "family" {
 		return nil, fmt.Errorf("dataset: unexpected header prefix: %v", header[:colAttrs])
 	}
+	header = slices.Clone(header)
 	var samples []Sample
 	for line := 2; ; line++ {
 		row, err := cr.Read()

@@ -90,7 +90,7 @@ type RequestInfo struct {
 const (
 	// maxSlotBuckets is the inline ring capacity of the two sliding
 	// windows in a slot, and therefore the largest bucket count a Tracker
-	// accepts (WithWindow). It equals the default bucket count.
+	// accepts (WithWindow), two above the default bucket count.
 	maxSlotBuckets = 12
 
 	// inlinePaths is the open-addressed per-path table inlined in a slot.
@@ -312,8 +312,9 @@ func WithCapacity(n int) TrackerOption {
 }
 
 // WithWindow sets the sliding-window span and bucket count used for rates
-// (default 60 s across 12 buckets; at most maxSlotBuckets buckets — the
-// rings are inlined in the slab record at compile-time size).
+// (default 30 s across 10 buckets, the window powserver and every
+// simulated node rate over; at most maxSlotBuckets buckets — the rings are
+// inlined in the slab record at compile-time size).
 func WithWindow(span time.Duration, buckets int) TrackerOption {
 	return func(t *Tracker) { t.span, t.buckets = span, buckets }
 }
@@ -355,8 +356,8 @@ func WithShards(n int) TrackerOption {
 func NewTracker(opts ...TrackerOption) (*Tracker, error) {
 	t := &Tracker{
 		capacity: 65536,
-		span:     time.Minute,
-		buckets:  12,
+		span:     30 * time.Second,
+		buckets:  10,
 		maxPaths: 64,
 		halfLife: DefaultEvidenceHalfLife,
 	}

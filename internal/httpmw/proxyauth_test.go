@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -120,4 +121,71 @@ func TestNewProxyAuthValidation(t *testing.T) {
 		WithProxyAuthSkew(-time.Second)); err == nil {
 		t.Fatal("negative skew accepted")
 	}
+}
+
+// FuzzProxyAuth drives Authenticate with arbitrary header triples. It must
+// never panic, must accept exactly the triples Sign produces for that IP
+// and timestamp while the timestamp is inside the skew window, and must
+// return the header's IP; Sign followed by Authenticate round-trips every
+// non-empty IP.
+func FuzzProxyAuth(f *testing.F) {
+	key := DeriveProxyAuthKey([]byte("root-key-0123456789abcdef"))
+	a, err := NewProxyAuth(key, WithProxyAuthClock(func() time.Time { return proxyEpoch }))
+	if err != nil {
+		f.Fatal(err)
+	}
+	signedAt := func(tb testing.TB, at time.Time, ip string) http.Header {
+		s, err := NewProxyAuth(key, WithProxyAuthClock(func() time.Time { return at }))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		h := http.Header{}
+		s.Sign(h, ip)
+		return h
+	}
+	for _, h := range []http.Header{
+		signedAt(f, proxyEpoch, "198.51.100.9"),
+		signedAt(f, proxyEpoch.Add(DefaultProxyAuthSkew), "2001:db8::1"),
+		signedAt(f, proxyEpoch.Add(-DefaultProxyAuthSkew-time.Nanosecond), "203.0.113.7"),
+	} {
+		f.Add(h.Get(HeaderProxyIP), h.Get(HeaderProxyTimestamp), h.Get(HeaderProxySignature))
+	}
+	f.Add("198.51.100.9", "1", "AAAA")
+	f.Add("", "", "")
+	f.Add("198.51.100.9", "-9223372036854775808", "")
+	f.Fuzz(func(t *testing.T, ip, ts, sig string) {
+		r := httptest.NewRequest(http.MethodPost, "/batch", nil)
+		r.Header.Set(HeaderProxyIP, ip)
+		r.Header.Set(HeaderProxyTimestamp, ts)
+		r.Header.Set(HeaderProxySignature, sig)
+		got, err := a.Authenticate(r)
+
+		want := false
+		if tsNano, perr := strconv.ParseInt(ts, 10, 64); perr == nil && ip != "" {
+			at := time.Unix(0, tsNano)
+			h := signedAt(t, at, ip)
+			d := proxyEpoch.Sub(at)
+			want = h.Get(HeaderProxyTimestamp) == ts && h.Get(HeaderProxySignature) == sig &&
+				d <= DefaultProxyAuthSkew && d >= -DefaultProxyAuthSkew
+		}
+		switch {
+		case err == nil && !want:
+			t.Fatalf("accepted a triple Sign would not produce in the window: ip %q ts %q sig %q", ip, ts, sig)
+		case err != nil && want:
+			t.Fatalf("rejected a fresh signed triple: %v", err)
+		case err != nil && !errors.Is(err, ErrProxyAuth):
+			t.Fatalf("rejection %v is not ErrProxyAuth", err)
+		case err == nil && got != ip:
+			t.Fatalf("authenticated IP %q, want the header's %q", got, ip)
+		}
+
+		rt, err := a.Authenticate(signedRequest(a, ip))
+		if ip == "" {
+			if err == nil {
+				t.Fatal("signed triple with an empty IP accepted")
+			}
+		} else if err != nil || rt != ip {
+			t.Fatalf("Sign → Authenticate(%q) = %q, %v", ip, rt, err)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 )
 
 // Persisted format versions. Version 1 predates scoring verdicts; version
@@ -49,6 +50,16 @@ func (m *Model) Save(w io.Writer) error {
 		return fmt.Errorf("reputation: encode model: %w", err)
 	}
 	return nil
+}
+
+// LoadFile reads the model file at path (see Load).
+func LoadFile(path string) (*Model, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Load(f)
 }
 
 // Load reads a model previously written by Save, validating structural

@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"slices"
 	"strconv"
-	"time"
 
 	"aipow/internal/control"
 	"aipow/internal/dataset"
@@ -31,41 +30,36 @@ func (sc Scenario) PipelineSpec() (control.PipelineSpec, error) {
 }
 
 // paperComponents is the scenario's data behind the paper's components:
-// generate the synthetic feed, train the DAbR model on it, and register
-// each population's addresses in the feed store per its Feed profile.
-// Equal seeds produce equal feeds, models and stores.
+// generate the synthetic feed, train the DAbR model on it and index it in
+// the feed store through control's build path (feed IPs never fall in
+// 10/8, so they never shadow a population address), then register each
+// population's addresses per its Feed profile. Unknown addresses get the
+// store's median benign profile — exactly the blind spot rotating botnets
+// aim for. Equal seeds produce equal feeds, models and stores.
 func (sc Scenario) paperComponents() (*reputation.Model, *features.MapStore, error) {
 	cfg := dataset.DefaultConfig()
 	cfg.Seed = sc.Seed
-	raw, err := dataset.Generate(cfg)
+	feed, err := dataset.Generate(cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sim: generate feed: %w", err)
 	}
-	samples := make([]reputation.Sample, len(raw))
+	model, err := control.TrainFeedModel(feed, sc.Seed)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sim: train model: %w", err)
+	}
+	store, err := control.NewFeedStore(feed)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Training needs a malicious row and the store a benign one, so
+	// neither pool below is empty.
 	var benign, malicious []dataset.Sample
-	for i, s := range raw {
-		samples[i] = reputation.Sample{Attrs: s.Attrs, Malicious: s.Malicious}
+	for _, s := range feed {
 		if s.Malicious {
 			malicious = append(malicious, s)
 		} else {
 			benign = append(benign, s)
 		}
-	}
-	if len(benign) == 0 || len(malicious) == 0 {
-		return nil, nil, fmt.Errorf("sim: feed is missing a class")
-	}
-	model, err := reputation.Train(samples, reputation.WithSeed(sc.Seed))
-	if err != nil {
-		return nil, nil, fmt.Errorf("sim: train model: %w", err)
-	}
-
-	// Unknown addresses fall back to the median benign profile: the
-	// feed has nothing on them, so static scoring sees an ordinary
-	// client and only live behavior can raise suspicion — exactly the
-	// blind spot rotating botnets aim for.
-	store, err := features.NewMapStore(medianAttrs(benign))
-	if err != nil {
-		return nil, nil, err
 	}
 	rng := rand.New(rand.NewPCG(mix(sc.Seed, 0xFEED), 0xA551617))
 	for pi := range sc.Populations {
@@ -108,10 +102,7 @@ func (eng *engine) buildNodes(ps control.PipelineSpec) error {
 		// Capacity is sized so far above the address universe that no
 		// shard's quota can overflow; per-shard LRU eviction would depend
 		// on cross-worker interleaving and break determinism.
-		tracker, err := features.NewTracker(
-			features.WithCapacity(sc.TotalIPs()*8+4096),
-			features.WithWindow(30*time.Second, 10),
-		)
+		tracker, err := features.NewTracker(features.WithCapacity(sc.TotalIPs()*8 + 4096))
 		if err != nil {
 			return err
 		}
@@ -160,19 +151,4 @@ func saturationRate(scorer string) float64 {
 		}
 	}
 	return 0
-}
-
-// medianAttrs computes the per-attribute median over samples — the
-// fallback profile for feed-unknown addresses.
-func medianAttrs(samples []dataset.Sample) map[string]float64 {
-	out := make(map[string]float64, len(samples[0].Attrs))
-	for name := range samples[0].Attrs {
-		vals := make([]float64, 0, len(samples))
-		for _, s := range samples {
-			vals = append(vals, s.Attrs[name])
-		}
-		slices.Sort(vals)
-		out[name] = vals[len(vals)/2]
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package aipow
 import (
 	"io"
 
+	"aipow/internal/control"
 	"aipow/internal/dataset"
 	"aipow/internal/reputation"
 )
@@ -90,9 +91,5 @@ func GenerateDataset(cfg DatasetConfig) ([]DatasetSample, error) {
 
 // DatasetToSamples adapts dataset samples to training samples.
 func DatasetToSamples(in []DatasetSample) []ReputationSample {
-	out := make([]ReputationSample, len(in))
-	for i, s := range in {
-		out[i] = ReputationSample{Attrs: s.Attrs, Malicious: s.Malicious}
-	}
-	return out
+	return control.FeedSamples(in)
 }
