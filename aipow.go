@@ -73,9 +73,10 @@ func WithMaxDifficulty(d int) Option { return core.WithMaxDifficulty(d) }
 
 // WithPuzzleBackend selects the framework's puzzle backend — see
 // Hashcash, NewHashcash, NewBalloon, ParseBackendSpec. The default is
-// hashcash with the classic Version1 wire format; the balloon backend
-// issues memory-hard Version2 challenges. The issuer and verifier are
-// pinned to the same backend, so solutions never verify across backends.
+// hashcash; the balloon backend issues memory-hard challenges. Both use
+// the one token format, whose backend byte sits under the MAC, and the
+// issuer and verifier are pinned to the same backend, so solutions never
+// verify across backends.
 func WithPuzzleBackend(b Backend) Option { return core.WithPuzzleBackend(b) }
 
 // WithReplayCacheSize bounds the single-use challenge cache.

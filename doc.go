@@ -205,30 +205,28 @@
 // for: a discounted attacker solves the same bits thousands of times
 // cheaper than the phone-class clients the policy was calibrated against.
 // The puzzle layer is therefore built around a Backend — the puzzle
-// function, its wire format, its difficulty semantics, and a cost model
+// function, its wire identity, its difficulty semantics, and a cost model
 // (work and memory per attempt) that policies and simulations price
 // attackers with:
 //
 //   - Hashcash (the default, Hashcash / NewHashcash) is the paper's
-//     CPU-bound construction, carried bit-for-bit in the original
-//     Version1 token format: tokens issued before backends existed keep
-//     verifying, and the Decide/Issue/Verify hot path is unchanged —
-//     0 allocs/op at the same ns/op.
+//     CPU-bound construction; the Decide/Issue/Verify hot path stays at
+//     0 allocs/op.
 //   - Balloon (NewBalloon) is self-contained memory-hard balloon
-//     hashing in the Version2 format: each attempt fills a space-block
-//     buffer and mixes it with data-dependent reads, so attempts cost
-//     memory bandwidth — the resource parallel silicon discounts least.
+//     hashing: each attempt fills a space-block buffer and mixes it
+//     with data-dependent reads, so attempts cost memory bandwidth —
+//     the resource parallel silicon discounts least.
 //
 // Select a backend per framework with WithPuzzleBackend, per pipeline
 // with the spec line "puzzle balloon(space=256, time=2)" (see SPEC.md),
-// or parse the shared grammar with ParseBackendSpec. The two wire
-// formats authenticate in disjoint HMAC domains and the verifier pins
-// its backend, so a Version2 balloon challenge re-encoded as a cheap
-// Version1 hashcash token is rejected (ErrBadVersion) and solutions
-// never redeem across backends or routes — downgrade attacks fail
-// closed. One Solver serves both: it dispatches on the token's version
-// and backend ID (WithSolverWorkers parallelizes either search), so
-// clients follow a backend change with no configuration. Verification
+// or parse the shared grammar with ParseBackendSpec. Every backend issues
+// one token format whose backend byte sits under the MAC, and the
+// verifier pins its backend, so a balloon challenge relabelled as cheap
+// hashcash is rejected (ErrBadVersion) and solutions never redeem across
+// backends or routes — downgrade attacks fail closed. One Solver serves
+// both: it dispatches on the token's backend ID (WithSolverWorkers
+// parallelizes either search), so clients follow a backend change with
+// no configuration. Verification
 // checks every backend in one cheapest-first order — version, MAC,
 // binding, freshness, then a read-only replay probe before the work
 // check — so a replayed balloon token costs a map lookup rather than a

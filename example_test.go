@@ -249,7 +249,7 @@ route /signup  signup
 `)
 	defer gk.Close()
 
-	// The solver dispatches on each token's wire version and backend.
+	// The solver dispatches on each token's backend.
 	solver := aipow.NewSolver()
 	const ip = "203.0.113.7"
 	solveRoute := func(path string) aipow.Solution {
@@ -263,7 +263,7 @@ route /signup  signup
 			log.Fatal(err)
 		}
 		backend := "hashcash"
-		if ch := dec.Challenge; ch.Version >= aipow.Version2 {
+		if ch := dec.Challenge; ch.Backend == aipow.BackendBalloon {
 			backend = fmt.Sprintf("%s(space=%d, time=%d)", ch.Backend, ch.Space, ch.Rounds)
 		}
 		fmt.Printf("%-8s v%d %-25s difficulty %d, verify: %v\n",
@@ -273,21 +273,20 @@ route /signup  signup
 	solveRoute("/")
 	balloon := solveRoute("/signup")
 
-	// The downgrade: the signup challenge re-encoded as Version1 hashcash
-	// and really solved. The two wire formats authenticate in disjoint
-	// HMAC domains and the verifier pins its backend.
+	// The downgrade: the signup challenge relabelled as hashcash and
+	// really solved. The verifier pins its backend, and the MAC covers
+	// the backend byte.
 	down := balloon.Challenge
-	down.Version = aipow.Version1
-	down.Backend, down.Space, down.Rounds = 0, 0, 0
+	down.Backend, down.Space, down.Rounds = aipow.BackendHashcash, 0, 0
 	cheap, _, err := solver.Solve(context.Background(), down)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("downgraded token on /signup:", gk.Route("/signup", "").Verify(cheap, ip))
 	// Output:
-	// /        v1 hashcash                  difficulty 6, verify: <nil>
+	// /        v2 hashcash                  difficulty 6, verify: <nil>
 	// /signup  v2 balloon(space=64, time=2) difficulty 6, verify: <nil>
-	// downgraded token on /signup: puzzle: verification failed: puzzle: unsupported version: got v1/backend(0), verifier accepts v2/balloon
+	// downgraded token on /signup: puzzle: verification failed: puzzle: unsupported version: got v2/hashcash, verifier accepts v2/balloon
 }
 
 // The observability plane, as powserver serves it on its admin listener:

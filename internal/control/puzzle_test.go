@@ -2,6 +2,7 @@ package control
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -116,7 +117,7 @@ func TestPuzzleChangeRebuildsPipeline(t *testing.T) {
 // TestCrossBackendRouteRejected pins per-route backend enforcement: with
 // a cheap hashcash route and a memory-hard balloon route in one
 // deployment, a solution from either route never redeems on the other —
-// the backends' disjoint wire formats reject the swap even before the
+// each verifier's backend gate rejects the swap even before the
 // per-pipeline derived keys would.
 func TestCrossBackendRouteRejected(t *testing.T) {
 	reg := newTestRegistry(t)
@@ -133,8 +134,10 @@ func TestCrossBackendRouteRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if webDec.Challenge.Version != puzzle.Version1 {
-		t.Fatalf("web challenge version = %d, want Version1", webDec.Challenge.Version)
+	if webDec.Challenge.Version != puzzle.Version2 ||
+		webDec.Challenge.Backend != puzzle.BackendHashcash {
+		t.Fatalf("web challenge = v%d backend %v, want v2 hashcash",
+			webDec.Challenge.Version, webDec.Challenge.Backend)
 	}
 	apiDec, err := api.Decide(core.RequestContext{IP: "10.0.0.9"})
 	if err != nil {
@@ -162,10 +165,10 @@ func TestCrossBackendRouteRejected(t *testing.T) {
 	if err := api.Verify(apiSol, "10.0.0.9"); err != nil {
 		t.Fatalf("balloon solution rejected on its own route: %v", err)
 	}
-	if err := web.Verify(apiSol, "10.0.0.9"); err == nil {
-		t.Fatal("balloon solution redeemed on the hashcash route")
+	if err := web.Verify(apiSol, "10.0.0.9"); !errors.Is(err, puzzle.ErrBadVersion) {
+		t.Fatalf("balloon solution on the hashcash route: err = %v, want ErrBadVersion", err)
 	}
-	if err := api.Verify(webSol, "10.0.0.9"); err == nil {
-		t.Fatal("hashcash solution redeemed on the balloon route")
+	if err := api.Verify(webSol, "10.0.0.9"); !errors.Is(err, puzzle.ErrBadVersion) {
+		t.Fatalf("hashcash solution on the balloon route: err = %v, want ErrBadVersion", err)
 	}
 }

@@ -345,15 +345,11 @@ func (r *Registry) pipelineKey(name string) []byte {
 // redemption guarantee (different name ⇒ different key ⇒ tokens do not
 // transfer) holds for every backend alike.
 func (r *Registry) issuanceOptions(ps PipelineSpec) ([]core.Option, error) {
-	opts := []core.Option{core.WithKey(r.pipelineKey(ps.Name))}
 	backend, err := puzzle.ParseBackendSpec(ps.Puzzle)
 	if err != nil {
 		return nil, fmt.Errorf("control: pipeline %q puzzle: %w", ps.Name, err)
 	}
-	if ps.Puzzle != "" {
-		opts = append(opts, core.WithPuzzleBackend(backend))
-	}
-	return opts, nil
+	return []core.Option{core.WithKey(r.pipelineKey(ps.Name)), core.WithPuzzleBackend(backend)}, nil
 }
 
 // Policies reports the policy registry, for registering custom policies.

@@ -82,13 +82,13 @@ type PipelineSpec struct {
 
 	// Puzzle selects the pipeline's puzzle backend in the puzzle package's
 	// spec syntax: "hashcash(bits=22)" or "balloon(space=256, time=2)"
-	// (empty = the default hashcash backend, Version1 wire format). Each
-	// pipeline signs with its own derived key, so a solution minted on one
-	// route never redeems on another regardless of backend. Not
-	// hot-swappable: the backend is pinned into the issuer and verifier at
-	// build time, so changing it rebuilds the pipeline (in-flight
-	// challenges from the old backend stop verifying — fail-closed, like a
-	// key rotation).
+	// (empty = the default hashcash backend). Every backend issues one
+	// token format with its backend byte under the MAC. Each pipeline
+	// signs with its own derived key, so a solution minted on one route
+	// never redeems on another regardless of backend. Not hot-swappable:
+	// the backend is pinned into the issuer and verifier at build time, so
+	// changing it rebuilds the pipeline (in-flight challenges from the old
+	// backend stop verifying — fail-closed, like a key rotation).
 	Puzzle string `json:"puzzle,omitempty"`
 
 	// TrackerWindow gives the pipeline its own behavior tracker with this

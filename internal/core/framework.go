@@ -245,10 +245,11 @@ func WithKey(key []byte) Option { return func(c *config) { c.key = key } }
 
 // WithPuzzleBackend selects the puzzle algorithm the framework's issuer
 // and verifier run (default puzzle.Hashcash(), the paper's CPU-bound
-// partial-preimage puzzle and the pre-backend Version1 wire format). Like
-// the key and TTL, the backend is owned by the issuer/verifier pair and
-// is not hot-swappable: changing it requires a new Framework, which the
-// control plane's Gatekeeper does automatically on a `puzzle` line change.
+// partial-preimage puzzle). The backend byte rides under the MAC in the
+// one token format. Like the key and TTL, the backend is owned by the
+// issuer/verifier pair and is not hot-swappable: changing it requires a
+// new Framework, which the control plane's Gatekeeper does automatically
+// on a `puzzle` line change.
 func WithPuzzleBackend(b puzzle.Backend) Option {
 	return func(c *config) { c.backend = b }
 }

@@ -50,25 +50,23 @@ func forgedToken(t testing.TB, token string) string {
 
 // TestChallengeWireMatchesEncoder pins the 428 byte for byte — status,
 // headers and body — to what Header().Set and json.Encoder produce, for
-// v1 hashcash and v2 balloon tokens at every difficulty the backend
-// issues (1…64 and 1…32), fresh and after a rejected solution. The token itself must be the base64url of the
-// challenge's binary encoding.
+// hashcash and balloon tokens at every difficulty the backend issues
+// (1…64 and 1…32), fresh and after a rejected solution. The token itself
+// must be the base64url of the challenge's binary encoding, in the one
+// backend-tagged format.
 func TestChallengeWireMatchesEncoder(t *testing.T) {
 	balloon, err := puzzle.NewBalloon(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		backend puzzle.Backend
-		version uint8
-	}{{puzzle.Hashcash(), puzzle.Version1}, {balloon, puzzle.Version2}} {
-		maxD := tc.backend.DifficultyCap()
+	for _, backend := range []puzzle.Backend{puzzle.Hashcash(), balloon} {
+		maxD := backend.DifficultyCap()
 		for d := puzzle.MinDifficulty; d <= maxD; d++ {
 			pol, err := policy.NewFixed(d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fw := newTestFramework(t, 0, core.WithPolicy(pol), core.WithPuzzleBackend(tc.backend),
+			fw := newTestFramework(t, 0, core.WithPolicy(pol), core.WithPuzzleBackend(backend),
 				core.WithMaxDifficulty(maxD))
 			mw, err := NewMiddleware(fw, okHandler())
 			if err != nil {
@@ -86,20 +84,21 @@ func TestChallengeWireMatchesEncoder(t *testing.T) {
 
 				var ch puzzle.Challenge
 				if err := ch.UnmarshalText([]byte(token)); err != nil {
-					t.Fatalf("%s d=%d: token %q: %v", tc.backend.Name(), d, token, err)
+					t.Fatalf("%s d=%d: token %q: %v", backend.Name(), d, token, err)
 				}
 				raw, err := ch.MarshalBinary()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ch.Version != tc.version || ch.Difficulty != d || token != base64.RawURLEncoding.EncodeToString(raw) {
-					t.Fatalf("%s d=%d: token %q decodes to %v", tc.backend.Name(), d, token, ch)
+				if ch.Version != puzzle.Version2 || ch.Backend != backend.ID() || ch.Difficulty != d ||
+					token != base64.RawURLEncoding.EncodeToString(raw) {
+					t.Fatalf("%s d=%d: token %q decodes to %v", backend.Name(), d, token, ch)
 				}
 				want := httptest.NewRecorder()
 				refChallenge(want, token, d, extra)
 				if got.Code != want.Code || !reflect.DeepEqual(got.Header(), want.Header()) ||
 					!bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-					t.Fatalf("%s d=%d extra=%q:\n got %d %v %q\nwant %d %v %q", tc.backend.Name(), d, extra,
+					t.Fatalf("%s d=%d extra=%q:\n got %d %v %q\nwant %d %v %q", backend.Name(), d, extra,
 						got.Code, got.Header(), got.Body, want.Code, want.Header(), want.Body)
 				}
 				solution = forgedToken(t, token)

@@ -162,6 +162,37 @@ func TestBadSolutionTokenRejected(t *testing.T) {
 	}
 }
 
+// legacyHashcashToken is a solved hashcash token in the retired
+// backend-less layout (magic "AIPoW/1") that nodes minted before every
+// backend shared one format. During a rolling upgrade a client may still
+// present one; it is undecodable, so it gets the malformed-token answer.
+const legacyHashcashToken = "QUlQb1cvMQABhq0F3Jh_gGIwoTygd5badhbeY5PGJ4AAAAAAG_COsAAABAAJMTkyLjAuMi43" +
+	"g50KsxZ_qaiOsrexfPzzlTiNzbFR_ifD_SZ-EuxdpKs.9"
+
+func TestLegacyHashcashTokenMalformed(t *testing.T) {
+	fw := newTestFramework(t, 2)
+	mw, err := NewMiddleware(fw, okHandler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/", nil)
+	req.Header.Set(HeaderSolution, legacyHashcashToken)
+	rec := httptest.NewRecorder()
+	mw.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "malformed solution token") {
+		t.Fatalf("legacy token → %d %q, want 400 malformed solution token", rec.Code, rec.Body.String())
+	}
+
+	h, err := NewBatchHandler(fw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, results := postBatch(t, h, []BatchRequest{{IP: "192.0.2.7", Solution: legacyHashcashToken}})
+	if len(results) != 1 || results[0].Status != BatchRejected {
+		t.Fatalf("legacy token in a batch = %+v, want rejected", results)
+	}
+}
+
 func TestWrongSolutionGetsFreshChallenge(t *testing.T) {
 	fw := newTestFramework(t, 2)
 	srv := newProtectedServer(t, fw)

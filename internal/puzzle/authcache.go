@@ -93,8 +93,8 @@ func NewAuthCacheSize(slots int) *AuthCache {
 // legal size up to the 4M-slot ceiling); the backend ID is mixed in so
 // the cache is keyed by backend identity as well — entries from
 // different puzzle backends can never alias onto one another's slots, on
-// top of the canonical bytes (which embed the backend for Version2)
-// already making a cross-backend byte match impossible.
+// top of the canonical bytes (which embed the backend) already making a
+// cross-backend byte match impossible.
 func (c *AuthCache) slotFor(seed *[SeedSize]byte, backend BackendID) *authSlot {
 	w := uint32(seed[0]) | uint32(seed[1])<<8 | uint32(seed[2])<<16 | uint32(seed[3])<<24
 	idx := (w ^ uint32(backend)*0x9E37) & c.mask

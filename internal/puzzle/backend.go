@@ -7,9 +7,8 @@ import (
 	"strings"
 )
 
-// BackendID identifies a puzzle algorithm on the wire. Version2 tokens
-// carry it explicitly; Version1 tokens are implicitly hashcash and carry
-// no backend byte (their BackendID is the zero value).
+// BackendID identifies a puzzle algorithm on the wire. Every token
+// carries it under the HMAC; the zero value is never a valid ID.
 type BackendID uint8
 
 const (
@@ -38,16 +37,15 @@ var ErrUnknownBackend = errors.New("puzzle: unknown puzzle backend")
 // Backend is one puzzle algorithm: an issuance/verification cost-model
 // contract plus the wire identity that keeps solutions from one backend
 // from ever redeeming under another. The two production implementations
-// are Hashcash (CPU-bound, Version1 wire format, bit-for-bit compatible
-// with every token issued before backends existed) and Balloon
-// (memory-hard, Version2 wire format carrying the backend ID).
+// are Hashcash (CPU-bound) and Balloon (memory-hard). Both issue the one
+// token format, whose backend byte sits under the HMAC.
 //
 // The interface is sealed: implementations live in this package, so the
-// issuer and verifier can rely on the wire-format invariants (a Version2
-// challenge never verifies as Version1 and vice versa — ErrBadVersion,
-// fail-closed) without trusting third-party code.
+// issuer and verifier can rely on the wire invariant (a challenge never
+// verifies under another backend than the one it was issued for —
+// ErrBadVersion, fail-closed) without trusting third-party code.
 type Backend interface {
-	// ID is the wire identity carried by Version2 tokens.
+	// ID is the wire identity every token carries.
 	ID() BackendID
 
 	// Name is the spec-grammar name ("hashcash", "balloon").
@@ -57,10 +55,6 @@ type Backend interface {
 	// spec grammar (`hashcash(bits=…)`, `balloon(space=…, time=…)`).
 	// Two backends are interchangeable iff their Specs are equal.
 	Spec() string
-
-	// WireVersion is the token format this backend issues (Version1 for
-	// hashcash, Version2 for everything after).
-	WireVersion() uint8
 
 	// DifficultyCap is the largest difficulty this backend can
 	// meaningfully price; issuance clamps to min(cap, issuer cap).
@@ -91,8 +85,7 @@ var defaultHashcash Backend = hashcashBackend{bits: MaxDifficulty}
 
 // Hashcash returns the default CPU-bound backend: the paper's SHA-256
 // partial-preimage puzzle at the full protocol difficulty range. It is
-// what every Issuer and Verifier uses unless configured otherwise, and
-// its tokens are bit-for-bit the pre-backend Version1 wire format.
+// what every Issuer and Verifier uses unless configured otherwise.
 func Hashcash() Backend { return defaultHashcash }
 
 // NewHashcash returns a hashcash backend whose difficulty cap is bits
@@ -107,7 +100,6 @@ func NewHashcash(bits int) (Backend, error) {
 func (hashcashBackend) ID() BackendID        { return BackendHashcash }
 func (hashcashBackend) Name() string         { return "hashcash" }
 func (b hashcashBackend) Spec() string       { return fmt.Sprintf("hashcash(bits=%d)", b.bits) }
-func (hashcashBackend) WireVersion() uint8   { return Version1 }
 func (b hashcashBackend) DifficultyCap() int { return b.bits }
 func (hashcashBackend) AttemptCost() float64 { return 1 }
 func (hashcashBackend) MemoryPerAttempt() int {
@@ -152,7 +144,6 @@ func (balloonBackend) Name() string  { return "balloon" }
 func (b balloonBackend) Spec() string {
 	return fmt.Sprintf("balloon(space=%d, time=%d)", b.space, b.rounds)
 }
-func (balloonBackend) WireVersion() uint8 { return Version2 }
 
 // DifficultyCap: each balloon attempt already costs space·(1+4·time)
 // hashes, so the leading-zero dial tops out far below hashcash's.

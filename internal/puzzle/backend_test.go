@@ -22,15 +22,20 @@ func TestBackendConstructors(t *testing.T) {
 	if got := Hashcash().ID(); got != BackendHashcash {
 		t.Fatalf("Hashcash().ID() = %v, want BackendHashcash", got)
 	}
-	if got := Hashcash().WireVersion(); got != Version1 {
-		t.Fatalf("Hashcash().WireVersion() = %d, want Version1", got)
-	}
 	b := testBalloon(t)
 	if got := b.ID(); got != BackendBalloon {
 		t.Fatalf("balloon ID() = %v, want BackendBalloon", got)
 	}
-	if got := b.WireVersion(); got != Version2 {
-		t.Fatalf("balloon WireVersion() = %d, want Version2", got)
+	// Both backends issue the one wire format, tagged with their ID.
+	for _, be := range []Backend{Hashcash(), b} {
+		ch, err := newTestIssuer(t, WithIssuerBackend(be)).Issue("192.0.2.7", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ch.Version != Version2 || ch.Backend != be.ID() {
+			t.Fatalf("%s issues v%d/%s, want v%d/%s",
+				be.Name(), ch.Version, ch.Backend, Version2, be.ID())
+		}
 	}
 	if b.AttemptCost() <= Hashcash().AttemptCost() {
 		t.Fatalf("balloon AttemptCost() = %v, want > hashcash's %v",
@@ -106,9 +111,9 @@ func TestCrossBackendVerificationRejected(t *testing.T) {
 		{"balloon-to-balloon",
 			[]IssuerOption{WithIssuerBackend(balloon)},
 			[]VerifierOption{WithVerifierBackend(balloon)}, false},
-		{"v1-hashcash-to-balloon-verifier", nil,
+		{"hashcash-to-balloon-verifier", nil,
 			[]VerifierOption{WithVerifierBackend(balloon)}, true},
-		{"v2-balloon-to-hashcash-verifier",
+		{"balloon-to-hashcash-verifier",
 			[]IssuerOption{WithIssuerBackend(balloon)}, nil, true},
 	}
 	for _, tc := range cases {
@@ -137,11 +142,12 @@ func TestCrossBackendVerificationRejected(t *testing.T) {
 	}
 }
 
-// TestDowngradeForgeryRejected re-encodes a genuine v2 balloon challenge
-// as a v1 hashcash token — the active downgrade an attacker would mount
-// to swap memory-hard work for cheap SHA-256 — and checks both verifiers
-// refuse it: the balloon verifier by the version gate, the hashcash
-// verifier because the v1 and v2 HMAC domains are disjoint.
+// TestDowngradeForgeryRejected relabels a genuine balloon challenge as
+// hashcash — the active downgrade an attacker would mount to swap
+// memory-hard work for cheap SHA-256 — solves it for real, and checks
+// both verifiers refuse it: the balloon verifier by its backend gate, the
+// hashcash verifier because the MAC covers the backend byte and the cost
+// parameters.
 func TestDowngradeForgeryRejected(t *testing.T) {
 	balloon := testBalloon(t)
 	iss := newTestIssuer(t, WithIssuerBackend(balloon))
@@ -150,26 +156,29 @@ func TestDowngradeForgeryRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	down := ch
-	down.Version = Version1
-	down.Backend, down.Space, down.Rounds = 0, 0, 0
+	down.Backend, down.Space, down.Rounds = BackendHashcash, 0, 0
 	sol, _, err := NewSolver().Solve(context.Background(), down)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !sol.Challenge.Meets(sol.Nonce) {
+		t.Fatal("relabelled challenge not solved")
+	}
 	for _, tc := range []struct {
 		name string
 		ver  *Verifier
+		want error
 	}{
-		{"balloon-verifier", newTestVerifier(t, WithVerifierBackend(balloon))},
-		{"hashcash-verifier", newTestVerifier(t)},
+		{"balloon-verifier", newTestVerifier(t, WithVerifierBackend(balloon)), ErrBadVersion},
+		{"hashcash-verifier", newTestVerifier(t), ErrBadTag},
 	} {
-		if err := tc.ver.Verify(sol, "192.0.2.9"); !errors.Is(err, ErrVerify) {
-			t.Fatalf("%s accepted downgraded token: %v", tc.name, err)
+		if err := tc.ver.Verify(sol, "192.0.2.9"); !errors.Is(err, ErrVerify) || !errors.Is(err, tc.want) {
+			t.Fatalf("%s on downgraded token: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }
 
-// TestBackendTokenDecodeRejectsGarbage covers the v2 wire format's
+// TestBackendTokenDecodeRejectsGarbage covers the wire format's
 // structural checks: truncation at every interesting boundary, a zeroed
 // backend ID, and an unknown backend ID (which decodes but must then be
 // refused by every verifier).
@@ -192,7 +201,7 @@ func TestBackendTokenDecodeRejectsGarbage(t *testing.T) {
 		}
 	}
 
-	backendOff := len("AIPoW/2\x00") + 1
+	backendOff := len(magic) + 1
 	zeroed := append([]byte(nil), raw...)
 	zeroed[backendOff] = 0
 	var decoded Challenge
@@ -220,7 +229,7 @@ func TestBackendTokenDecodeRejectsGarbage(t *testing.T) {
 }
 
 // TestChallengeTextRoundTripPerBackend pins that MarshalText is lossless
-// for every backend's wire format, including the v2 cost parameters.
+// for every backend, including the balloon cost parameters.
 func TestChallengeTextRoundTripPerBackend(t *testing.T) {
 	balloonSmall := testBalloon(t)
 	balloonDefault, err := NewBalloon(0, 0)
@@ -268,7 +277,7 @@ func TestChallengeTextRoundTripPerBackend(t *testing.T) {
 }
 
 // TestAnyBitFlipIsDetectedBalloon extends the central tamper property to
-// the v2 balloon wire format: flipping any single bit — including the
+// balloon tokens: flipping any single bit — including the
 // backend ID and the space/time cost parameters, which ride under the
 // HMAC — must make the token undecodable or unverifiable.
 func TestAnyBitFlipIsDetectedBalloon(t *testing.T) {
@@ -294,15 +303,15 @@ func TestAnyBitFlipIsDetectedBalloon(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewPCG(2022, 3))
-	// A random sample of positions, plus every byte of the v2 header
+	// A random sample of positions, plus every byte of the header
 	// (magic, version, backend ID, space, rounds) and the full tag —
-	// the fields this wire format added are exactly the ones a
-	// downgrade forgery would rewrite.
+	// the backend fields are exactly the ones a downgrade forgery
+	// would rewrite.
 	positions := map[int]bool{}
 	for i := 0; i < 120; i++ {
 		positions[rng.IntN(len(raw))] = true
 	}
-	for i := 0; i < binaryFixedSizeV2-SeedSize-8-8-2-2; i++ {
+	for i := 0; i < binaryFixedSize-SeedSize-8-8-2-2; i++ {
 		positions[i] = true
 	}
 	for i := len(raw) - TagSize; i < len(raw); i++ {

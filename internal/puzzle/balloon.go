@@ -61,7 +61,7 @@ var balloonPool = sync.Pool{
 	New: func() any {
 		return &balloonScratch{
 			blocks: make([]byte, DefaultBalloonSpace*balloonBlockSize),
-			in:     make([]byte, 0, 8+2*balloonBlockSize+binaryFixedSizeV2+64),
+			in:     make([]byte, 0, 8+2*balloonBlockSize+binaryFixedSize+64),
 		}
 	},
 }

@@ -9,13 +9,9 @@ import (
 	"time"
 )
 
-// binaryFixedSize is the length of a Version1 challenge's binary
-// encoding, excluding the variable-length binding; binaryFixedSizeV2 the
-// same for Version2, which adds the backend ID and cost parameters.
-const (
-	binaryFixedSize   = len(magic) + 1 + SeedSize + 8 + 8 + 2 + 2
-	binaryFixedSizeV2 = len(magic2) + 1 + 1 + 4 + 4 + SeedSize + 8 + 8 + 2 + 2
-)
+// binaryFixedSize is the length of a challenge's binary encoding,
+// excluding the variable-length binding and the tag.
+const binaryFixedSize = len(magic) + 1 + 1 + 4 + 4 + SeedSize + 8 + 8 + 2 + 2
 
 // MarshalBinary encodes the challenge as canonical bytes followed by the
 // tag. It never fails for challenges produced by an Issuer.
@@ -26,43 +22,27 @@ func (c Challenge) MarshalBinary() ([]byte, error) {
 	return append(c.canonical(), c.Tag[:]...), nil
 }
 
-// UnmarshalBinary decodes a challenge previously encoded by MarshalBinary,
-// sniffing the wire version from the magic prefix. It validates structure
-// only; authenticity is the Verifier's job.
+// UnmarshalBinary decodes a challenge previously encoded by MarshalBinary.
+// It validates structure only; authenticity is the Verifier's job.
 func (c *Challenge) UnmarshalBinary(data []byte) error {
 	if len(data) < binaryFixedSize+TagSize {
 		return fmt.Errorf("puzzle: truncated challenge (%d bytes)", len(data))
 	}
-	fixed := binaryFixedSize
-	var off int
-	switch {
-	case string(data[:len(magic)]) == magic:
-		off = len(magic)
-		c.Version = data[off]
-		off++
-		// Version1 carries no backend fields; clear any stale ones so a
-		// reused struct decodes to exactly what was on the wire.
-		c.Backend, c.Space, c.Rounds = 0, 0, 0
-	case string(data[:len(magic2)]) == magic2:
-		fixed = binaryFixedSizeV2
-		if len(data) < fixed+TagSize {
-			return fmt.Errorf("puzzle: truncated v2 challenge (%d bytes)", len(data))
-		}
-		off = len(magic2)
-		c.Version = data[off]
-		off++
-		c.Backend = BackendID(data[off])
-		off++
-		if c.Backend == 0 {
-			return fmt.Errorf("puzzle: zero backend ID in v2 challenge")
-		}
-		c.Space = binary.BigEndian.Uint32(data[off:])
-		off += 4
-		c.Rounds = binary.BigEndian.Uint32(data[off:])
-		off += 4
-	default:
+	if string(data[:len(magic)]) != magic {
 		return fmt.Errorf("puzzle: bad magic")
 	}
+	off := len(magic)
+	c.Version = data[off]
+	off++
+	c.Backend = BackendID(data[off])
+	off++
+	if c.Backend == 0 {
+		return fmt.Errorf("puzzle: zero backend ID in challenge")
+	}
+	c.Space = binary.BigEndian.Uint32(data[off:])
+	off += 4
+	c.Rounds = binary.BigEndian.Uint32(data[off:])
+	off += 4
 	copy(c.Seed[:], data[off:off+SeedSize])
 	off += SeedSize
 	c.IssuedAt = time.Unix(0, int64(binary.BigEndian.Uint64(data[off:]))).UTC()
@@ -76,7 +56,7 @@ func (c *Challenge) UnmarshalBinary(data []byte) error {
 	if bindLen > maxBindingLen {
 		return ErrBindingTooLong
 	}
-	if len(data) != fixed+bindLen+TagSize {
+	if len(data) != binaryFixedSize+bindLen+TagSize {
 		return fmt.Errorf("puzzle: challenge length %d does not match binding length %d",
 			len(data), bindLen)
 	}
@@ -87,8 +67,8 @@ func (c *Challenge) UnmarshalBinary(data []byte) error {
 }
 
 // maxBinarySize bounds any decodable challenge's binary encoding: the
-// larger fixed part, the longest binding and the tag.
-const maxBinarySize = binaryFixedSizeV2 + maxBindingLen + TagSize
+// fixed part, the longest binding and the tag.
+const maxBinarySize = binaryFixedSize + maxBindingLen + TagSize
 
 // MarshalText encodes the challenge as a single base64url token suitable
 // for an HTTP header.
@@ -126,13 +106,8 @@ func (c *Challenge) UnmarshalText(text []byte) error {
 
 // String renders a compact human-readable description (not the wire form).
 func (c Challenge) String() string {
-	if c.Version >= Version2 {
-		return fmt.Sprintf("challenge{v%d %s d=%d binding=%q issued=%s ttl=%s}",
-			c.Version, c.Backend, c.Difficulty, c.Binding,
-			c.IssuedAt.Format(time.RFC3339Nano), c.TTL)
-	}
-	return fmt.Sprintf("challenge{v%d d=%d binding=%q issued=%s ttl=%s}",
-		c.Version, c.Difficulty, c.Binding,
+	return fmt.Sprintf("challenge{v%d %s d=%d binding=%q issued=%s ttl=%s}",
+		c.Version, c.Backend, c.Difficulty, c.Binding,
 		c.IssuedAt.Format(time.RFC3339Nano), c.TTL)
 }
 

@@ -1,7 +1,9 @@
 package puzzle
 
 import (
+	"bytes"
 	"errors"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -76,6 +78,56 @@ func TestEncodedChallengeStillVerifiesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// legacyHashcashToken is a solved hashcash token in the retired
+// backend-less layout (magic "AIPoW/1"), as nodes minted them before every
+// backend shared one format. It no longer decodes.
+const legacyHashcashToken = "QUlQb1cvMQABhq0F3Jh_gGIwoTygd5badhbeY5PGJ4AAAAAAG_COsAAABAAJMTkyLjAuMi43" +
+	"g50KsxZ_qaiOsrexfPzzlTiNzbFR_ifD_SZ-EuxdpKs.9"
+
+// pinnedIssue issues a deterministic challenge under b: a fixed clock, a
+// seeded entropy source and a fixed binding and difficulty.
+func pinnedIssue(t *testing.T, b Backend) Challenge {
+	t.Helper()
+	at := time.Date(2022, 3, 21, 12, 0, 0, 0, time.UTC)
+	iss := newTestIssuer(t, WithIssuerBackend(b), WithIssuerNow(fixedNow(at)),
+		WithIssuerRand(seededRand{rand.New(rand.NewPCG(1, 2))}))
+	ch, err := iss.Issue("192.0.2.7", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ch
+}
+
+// TestBalloonTokenPinned pins a balloon challenge's token to the bytes
+// balloon routes have always issued: hashcash joining the backend-tagged
+// format left the balloon encoding unchanged.
+func TestBalloonTokenPinned(t *testing.T) {
+	balloon, err := NewBalloon(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "QUlQb1cvMgACAgAAAQAAAAAChq0F3Jh_gGIwoTygd5badhbeY5PGJ4AAAAAAG_COsAAABAAJ" +
+		"MTkyLjAuMi43QJsSIFVbTkRAzGVw1O_sOAH8CjdNl2a8tD0oACv0iwE"
+	ch := pinnedIssue(t, balloon)
+	got, err := ch.MarshalText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("balloon token changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestHashcashCanonicalLayout pins the hashcash header: the one magic,
+// version 2, backend byte 1 and zero space and rounds.
+func TestHashcashCanonicalLayout(t *testing.T) {
+	ch := pinnedIssue(t, Hashcash())
+	want := []byte("AIPoW/2\x00\x02\x01\x00\x00\x00\x00\x00\x00\x00\x00")
+	if got := ch.canonical(); !bytes.HasPrefix(got, want) {
+		t.Fatalf("hashcash canonical header = %x, want %x", got[:len(want)], want)
 	}
 }
 
@@ -165,10 +217,11 @@ func TestSolutionUnmarshalErrors(t *testing.T) {
 }
 
 func TestChallengeStringIsHumanReadable(t *testing.T) {
-	ch := Challenge{Version: 1, Difficulty: 7, Binding: "10.1.1.1",
-		IssuedAt: time.Unix(0, 0).UTC(), TTL: time.Minute}
+	ch := Challenge{Version: Version2, Backend: BackendHashcash, Difficulty: 7,
+		Binding: "10.1.1.1", IssuedAt: time.Unix(0, 0).UTC(), TTL: time.Minute}
 	s := ch.String()
-	if !strings.Contains(s, "d=7") || !strings.Contains(s, "10.1.1.1") {
+	if !strings.Contains(s, "hashcash") || !strings.Contains(s, "d=7") ||
+		!strings.Contains(s, "10.1.1.1") {
 		t.Fatalf("String() = %q", s)
 	}
 }

@@ -86,14 +86,37 @@ func FuzzSolutionToken(f *testing.F) {
 		broken = append(broken, c, '\r', '\n', '\r', '\n')
 	}
 	f.Add(append(broken, tok[len(cht)-1:]...))
-	// Version bytes that disagree with the magic: v1 magic with version 2
-	// and v2 magic with version 1 must still round-trip.
-	for _, raw := range [][]byte{
-		append([]byte(magic+"\x02"), make([]byte, binaryFixedSize-len(magic)-1+TagSize)...),
-		append([]byte(magic2+"\x01\x02"), make([]byte, binaryFixedSizeV2-len(magic2)-2+TagSize)...),
-	} {
-		f.Add([]byte(base64.RawURLEncoding.EncodeToString(raw) + ".0"))
+	// A solution in the retired backend-less layout must not decode.
+	var legacy Solution
+	if legacy.UnmarshalText([]byte(legacyHashcashToken)) == nil {
+		f.Fatal("legacy hashcash token decoded")
 	}
+	f.Add([]byte(legacyHashcashToken))
+	// Version byte 1 in the one layout decodes, and every verifier
+	// refuses it before the HMAC; backend byte 0 does not decode.
+	raw, err := base64.RawURLEncoding.DecodeString(string(cht[:len(cht)-1]))
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw[len(magic)] = 1
+	v1 := []byte(base64.RawURLEncoding.EncodeToString(raw) + ".0")
+	var v1Sol Solution
+	if err := v1Sol.UnmarshalText(v1); err != nil {
+		f.Fatalf("version-1 token does not decode: %v", err)
+	}
+	for _, ver := range verifiers {
+		if err := ver.VerifyAt(&v1Sol, "", at); !errors.Is(err, ErrBadVersion) {
+			f.Fatalf("%s verifier on version byte 1: err = %v, want ErrBadVersion",
+				ver.Backend().Name(), err)
+		}
+	}
+	f.Add(v1)
+	raw[len(magic)], raw[len(magic)+1] = Version2, 0
+	zero := []byte(base64.RawURLEncoding.EncodeToString(raw) + ".0")
+	if v1Sol.UnmarshalText(zero) == nil {
+		f.Fatal("backend byte 0 decoded")
+	}
+	f.Add(zero)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sol Solution
@@ -139,9 +162,12 @@ func FuzzSolutionToken(f *testing.F) {
 	})
 }
 
-// refUnmarshalSolution is the copying solution-token decoder the codec
-// had before decoding went allocation-free: the differential reference
-// for FuzzSolutionToken.
+// refUnmarshalSolution is a copying solution-token decoder written
+// independently of the codec: the differential reference for
+// FuzzSolutionToken. It reads the one wire layout field by field:
+//
+//	"AIPoW/2\x00" version backend space(4) rounds(4) seed(16)
+//	issued(8) ttl(8) difficulty(2) bindlen(2) binding tag(32)
 func refUnmarshalSolution(text []byte) (Solution, error) {
 	var s Solution
 	str := string(text)
@@ -149,14 +175,34 @@ func refUnmarshalSolution(text []byte) (Solution, error) {
 	if dot < 0 {
 		return s, errors.New("missing nonce separator")
 	}
-	raw := make([]byte, base64.RawURLEncoding.DecodedLen(dot))
-	n, err := base64.RawURLEncoding.Decode(raw, []byte(str[:dot]))
+	raw, err := base64.RawURLEncoding.DecodeString(str[:dot])
 	if err != nil {
 		return s, err
 	}
-	if err := s.Challenge.UnmarshalBinary(raw[:n]); err != nil {
-		return s, err
+	const head = 8 + 1 + 1 + 4 + 4 + 16 + 8 + 8 + 2 + 2
+	if len(raw) < head+32 || string(raw[:8]) != "AIPoW/2\x00" {
+		return s, errors.New("bad header")
 	}
+	u := func(b []byte) uint64 {
+		var v uint64
+		for _, c := range b {
+			v = v<<8 | uint64(c)
+		}
+		return v
+	}
+	bindLen := int(u(raw[head-2 : head]))
+	if raw[9] == 0 || bindLen > 255 || len(raw) != head+bindLen+32 {
+		return s, errors.New("bad backend or length")
+	}
+	c := &s.Challenge
+	c.Version, c.Backend = raw[8], BackendID(raw[9])
+	c.Space, c.Rounds = uint32(u(raw[10:14])), uint32(u(raw[14:18]))
+	copy(c.Seed[:], raw[18:34])
+	c.IssuedAt = time.Unix(0, int64(u(raw[34:42]))).UTC()
+	c.TTL = time.Duration(u(raw[42:50]))
+	c.Difficulty = int(u(raw[50:52]))
+	c.Binding = string(raw[head : head+bindLen])
+	copy(c.Tag[:], raw[head+bindLen:])
 	s.Nonce, err = strconv.ParseUint(str[dot+1:], 16, 64)
 	return s, err
 }

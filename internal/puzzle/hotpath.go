@@ -34,7 +34,7 @@ func newMACPool(key []byte) *macPool {
 	p.pool.New = func() any {
 		return &macScratch{
 			mac: hmac.New(sha256.New, key),
-			buf: make([]byte, 0, binaryFixedSizeV2+64),
+			buf: make([]byte, 0, binaryFixedSize+64),
 			sum: make([]byte, 0, sha256.Size),
 		}
 	}

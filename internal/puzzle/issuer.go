@@ -35,7 +35,6 @@ type Issuer struct {
 	// writes plain struct fields instead of making interface calls on
 	// the hot path.
 	backend   Backend
-	version   uint8
 	backendID BackendID
 	space     uint32
 	rounds    uint32
@@ -69,11 +68,10 @@ func WithIssuerMaxDifficulty(d int) IssuerOption {
 }
 
 // WithIssuerBackend selects the puzzle algorithm this issuer signs for.
-// Defaults to Hashcash(), which issues the pre-backend Version1 wire
-// format bit for bit; any other backend issues Version2 tokens carrying
-// its ID and cost parameters. The issuer's difficulty cap is clamped to
-// the backend's DifficultyCap. The paired Verifier must be built with
-// the same backend (WithVerifierBackend).
+// Defaults to Hashcash(). Every backend issues the one token format,
+// which carries its ID and cost parameters under the HMAC. The issuer's
+// difficulty cap is clamped to the backend's DifficultyCap. The paired
+// Verifier must be built with the same backend (WithVerifierBackend).
 func WithIssuerBackend(b Backend) IssuerOption {
 	return func(i *Issuer) { i.backend = b }
 }
@@ -113,11 +111,8 @@ func NewIssuer(key []byte, opts ...IssuerOption) (*Issuer, error) {
 	if cap := i.backend.DifficultyCap(); cap < i.maxDifficulty {
 		i.maxDifficulty = cap
 	}
-	i.version = i.backend.WireVersion()
-	if i.version >= Version2 {
-		i.backendID = i.backend.ID()
-		i.space, i.rounds = i.backend.params()
-	}
+	i.backendID = i.backend.ID()
+	i.space, i.rounds = i.backend.params()
 	i.macs = newMACPool(i.key)
 	return i, nil
 }
@@ -138,7 +133,7 @@ func (i *Issuer) Issue(binding string, difficulty int) (Challenge, error) {
 		return Challenge{}, ErrBindingTooLong
 	}
 	ch := Challenge{
-		Version:    i.version,
+		Version:    Version2,
 		Backend:    i.backendID,
 		Space:      i.space,
 		Rounds:     i.rounds,
@@ -225,7 +220,7 @@ func (i *Issuer) IssueBatch(bindings []string, difficulties []int, dst []Challen
 					continue
 				}
 				ch := Challenge{
-					Version:    i.version,
+					Version:    Version2,
 					Backend:    i.backendID,
 					Space:      i.space,
 					Rounds:     i.rounds,

@@ -60,8 +60,9 @@ func TestIssueFields(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Issue: %v", err)
 	}
-	if ch.Version != Version1 {
-		t.Errorf("Version = %d", ch.Version)
+	if ch.Version != Version2 || ch.Backend != BackendHashcash || ch.Space != 0 || ch.Rounds != 0 {
+		t.Errorf("wire identity = v%d/%s space=%d rounds=%d, want v2/hashcash with zero params",
+			ch.Version, ch.Backend, ch.Space, ch.Rounds)
 	}
 	if !ch.IssuedAt.Equal(at) {
 		t.Errorf("IssuedAt = %v, want %v", ch.IssuedAt, at)

@@ -3,10 +3,12 @@
 //
 // A challenge binds together a random seed (defeating pre-computation), the
 // issue timestamp and a TTL (bounding solution lifetime), the required
-// difficulty, and an opaque client binding (typically the client IP, as in
-// the paper). The issuer authenticates all of that with an HMAC-SHA256 tag,
-// so verification is stateless apart from an optional replay cache that
-// enforces single use of each seed.
+// difficulty, an opaque client binding (typically the client IP, as in
+// the paper), and the puzzle backend's ID and cost parameters. Every
+// backend shares this one backend-tagged wire format. The issuer
+// authenticates all of it with an HMAC-SHA256 tag, so the backend byte
+// cannot be relabelled, and verification is stateless apart from an
+// optional replay cache that enforces single use of each seed.
 //
 // A solution to a d-difficult challenge is a nonce such that
 //
@@ -45,17 +47,10 @@ import (
 )
 
 const (
-	// Version1 is the original wire format: implicitly hashcash, no
-	// backend byte. Tokens issued before backends existed verify
-	// unchanged.
-	Version1 = 1
-
-	// Version2 is the backend-carrying wire format: the canonical bytes
-	// gain a backend ID and the backend's cost parameters, all under the
-	// HMAC. Version1 and Version2 use disjoint magic prefixes, so the
-	// two formats live in disjoint HMAC domains — a v2 challenge
-	// rewritten as v1 (or vice versa) fails authentication even before
-	// the verifier's explicit version gate rejects it.
+	// Version2 is the token wire format's one accepted version byte. The
+	// canonical bytes carry the backend ID and the backend's cost
+	// parameters under the HMAC, so a challenge relabelled to another
+	// backend fails authentication.
 	Version2 = 2
 
 	// SeedSize is the byte length of the anti-precomputation seed.
@@ -81,14 +76,9 @@ const (
 	// maxBindingLen bounds the client-binding string on the wire.
 	maxBindingLen = 255
 
-	// magic prefixes every Version1 canonical encoding so that tags and
-	// hashes from this protocol cannot collide with other uses of the
-	// same key.
-	magic = "AIPoW/1\x00"
-
-	// magic2 prefixes Version2 canonical encodings. Distinct from magic,
-	// so the two wire versions authenticate under disjoint HMAC domains.
-	magic2 = "AIPoW/2\x00"
+	// magic prefixes every canonical encoding so that tags and hashes
+	// from this protocol cannot collide with other uses of the same key.
+	magic = "AIPoW/2\x00"
 )
 
 // Typed failures returned by issuance and verification. Callers are expected
@@ -97,7 +87,8 @@ var (
 	// ErrVerify is the umbrella error wrapped by every verification failure.
 	ErrVerify = errors.New("puzzle: verification failed")
 
-	// ErrBadVersion reports an unknown wire-format version.
+	// ErrBadVersion reports a wire-format version or backend the verifier
+	// does not accept.
 	ErrBadVersion = errors.New("puzzle: unsupported version")
 
 	// ErrInvalidDifficulty reports a difficulty outside the permitted range.
@@ -143,12 +134,12 @@ var (
 // Challenge is one issued puzzle. The zero value is not a valid challenge;
 // obtain one from an Issuer or by decoding a wire string.
 type Challenge struct {
-	// Version identifies the wire format (Version1 or Version2).
+	// Version is the wire-format version byte; issuers write Version2.
 	Version uint8
 
-	// Backend identifies the puzzle algorithm, carried on the wire by
-	// Version2 tokens only. It is zero on Version1 challenges, which are
-	// implicitly hashcash.
+	// Backend identifies the puzzle algorithm. It rides under the HMAC,
+	// so a verifier never evaluates a challenge under another backend
+	// than the one its issuer signed for.
 	Backend BackendID
 
 	// Space and Rounds are the memory-hard cost parameters (balloon
@@ -188,31 +179,17 @@ func (c Challenge) ExpiresAt() time.Time { return c.IssuedAt.Add(c.TTL) }
 // canonical renders every authenticated field into a fixed, unambiguous
 // byte layout. It is both the HMAC input and the hash preimage prefix.
 func (c Challenge) canonical() []byte {
-	return c.appendCanonical(make([]byte, 0, binaryFixedSizeV2+len(c.Binding)))
+	return c.appendCanonical(make([]byte, 0, binaryFixedSize+len(c.Binding)))
 }
 
 // appendCanonical appends the canonical form to b and returns the extended
 // slice; the hot paths pass pooled buffers to avoid per-call allocation.
-// Version1 keeps its original byte layout exactly, so pre-backend tokens
-// stay authentic; Version2 prepends the backend ID and cost parameters
-// under a distinct magic.
-//
-// The layout follows the backend field, not the version byte: the decoder
-// sets the backend from the magic and keeps the version byte as sent, so
-// this makes encoding the exact inverse of decoding, even for a token
-// whose version byte disagrees with its magic. Issued challenges carry a
-// backend exactly when they are Version2, so their bytes are unchanged.
 func (c *Challenge) appendCanonical(b []byte) []byte {
-	if c.Backend != 0 {
-		b = append(b, magic2...)
-		b = append(b, c.Version)
-		b = append(b, byte(c.Backend))
-		b = binary.BigEndian.AppendUint32(b, c.Space)
-		b = binary.BigEndian.AppendUint32(b, c.Rounds)
-	} else {
-		b = append(b, magic...)
-		b = append(b, c.Version)
-	}
+	b = append(b, magic...)
+	b = append(b, c.Version)
+	b = append(b, byte(c.Backend))
+	b = binary.BigEndian.AppendUint32(b, c.Space)
+	b = binary.BigEndian.AppendUint32(b, c.Rounds)
 	b = append(b, c.Seed[:]...)
 	b = binary.BigEndian.AppendUint64(b, uint64(c.IssuedAt.UnixNano()))
 	b = binary.BigEndian.AppendUint64(b, uint64(c.TTL))
@@ -246,7 +223,7 @@ func appendNonce(b []byte, nonce uint64) []byte {
 // function over the same preimage for the memory-hard backend.
 func (c Challenge) Digest(nonce uint64) [sha256.Size]byte {
 	pre := appendNonce(c.canonical(), nonce)
-	if c.Version >= Version2 && c.Backend == BackendBalloon {
+	if c.Backend == BackendBalloon {
 		return balloonDigest(pre, c.Space, c.Rounds)
 	}
 	return sha256.Sum256(pre)

@@ -98,7 +98,8 @@ func TestChallengeExpiresAt(t *testing.T) {
 
 func TestCanonicalDistinguishesFields(t *testing.T) {
 	base := Challenge{
-		Version:    Version1,
+		Version:    Version2,
+		Backend:    BackendHashcash,
 		IssuedAt:   time.Unix(100, 0),
 		TTL:        time.Minute,
 		Difficulty: 4,
@@ -120,6 +121,15 @@ func TestCanonicalDistinguishesFields(t *testing.T) {
 	v = base
 	v.TTL = 2 * time.Minute
 	variants["ttl"] = v
+	v = base
+	v.Backend = BackendBalloon
+	variants["backend"] = v
+	v = base
+	v.Space = 1
+	variants["space"] = v
+	v = base
+	v.Rounds = 1
+	variants["rounds"] = v
 
 	baseC := string(base.canonical())
 	for name, variant := range variants {
@@ -133,7 +143,8 @@ func TestCanonicalDistinguishesFields(t *testing.T) {
 // manual leading-zero check.
 func TestMeetsMatchesDigest(t *testing.T) {
 	ch := Challenge{
-		Version:    Version1,
+		Version:    Version2,
+		Backend:    BackendHashcash,
 		IssuedAt:   time.Unix(42, 0),
 		TTL:        time.Minute,
 		Difficulty: 2,

@@ -37,9 +37,9 @@ type SolveStats struct {
 // an immutable prefix, a 32-bit string is appended, and the client mutates
 // it on each hash evaluation until the digest has the required zero prefix.
 //
-// One Solver handles every wire version: it dispatches on the challenge's
-// version and backend ID, so a client facing a mixed deployment (hashcash
-// on one route, memory-hard on another) needs exactly one solver. With
+// One Solver handles every backend: it dispatches on the challenge's
+// backend ID, so a client facing a mixed deployment (hashcash on one
+// route, memory-hard on another) needs exactly one solver. With
 // WithSolverWorkers the nonce space is searched by multiple goroutines in
 // disjoint strides; any discovered nonce verifies identically.
 //
@@ -89,12 +89,12 @@ func NewSolver(opts ...SolverOption) *Solver {
 }
 
 // Solve searches for a nonce meeting the challenge difficulty, dispatching
-// on the challenge's wire version and backend. It returns ErrNonceExhausted
-// if the nonce space (or the configured limit) runs out, or ctx.Err() if
-// the context is cancelled mid-search. The returned stats are valid in all
+// on the challenge's backend. It returns ErrNonceExhausted if the nonce
+// space (or the configured limit) runs out, or ctx.Err() if the context
+// is cancelled mid-search. The returned stats are valid in all
 // cases and report the work performed up to the return.
 func (s *Solver) Solve(ctx context.Context, ch Challenge) (Solution, SolveStats, error) {
-	balloon := ch.Version >= Version2 && ch.Backend == BackendBalloon
+	balloon := ch.Backend == BackendBalloon
 	if s.workers > 1 {
 		return s.solveStrided(ctx, ch, balloon)
 	}

@@ -22,14 +22,11 @@ type Verifier struct {
 	cache  *AuthCache
 	tags   TagExchange
 
-	// backend is the puzzle algorithm this verifier accepts; wantVersion
-	// and wantBackend are the exact wire identity it requires, pinned at
-	// construction. Anything else is ErrBadVersion, fail-closed — a v2
-	// token never verifies on a v1 route and vice versa, independent of
-	// the HMAC-domain separation that already makes such a downgrade
-	// unforgeable.
+	// backend is the puzzle algorithm this verifier accepts; wantBackend
+	// is its wire identity, pinned at construction. A token with another
+	// version byte or backend is ErrBadVersion, fail-closed, before the
+	// HMAC is computed.
 	backend     Backend
-	wantVersion uint8
 	wantBackend BackendID
 }
 
@@ -55,8 +52,8 @@ func WithClockSkew(skew time.Duration) VerifierOption {
 
 // WithVerifierBackend selects the puzzle algorithm this verifier
 // accepts; it must match the paired issuer's WithIssuerBackend. Defaults
-// to Hashcash(), i.e. Version1 tokens. Solutions in any other wire
-// version or backend are rejected with ErrBadVersion.
+// to Hashcash(). Solutions carrying another version byte or backend are
+// rejected with ErrBadVersion.
 func WithVerifierBackend(b Backend) VerifierOption {
 	return func(v *Verifier) { v.backend = b }
 }
@@ -124,10 +121,7 @@ func NewVerifier(key []byte, opts ...VerifierOption) (*Verifier, error) {
 	if v.skew < 0 {
 		return nil, fmt.Errorf("puzzle: negative clock skew %v", v.skew)
 	}
-	v.wantVersion = v.backend.WireVersion()
-	if v.wantVersion >= Version2 {
-		v.wantBackend = v.backend.ID()
-	}
+	v.wantBackend = v.backend.ID()
 	v.macs = newMACPool(v.key)
 	return v, nil
 }
@@ -152,9 +146,9 @@ func (v *Verifier) Verify(sol Solution, binding string) error {
 // ~150-byte struct copies; it is never modified.
 func (v *Verifier) VerifyAt(sol *Solution, binding string, now time.Time) error {
 	ch := &sol.Challenge
-	if ch.Version != v.wantVersion || ch.Backend != v.wantBackend {
+	if ch.Version != Version2 || ch.Backend != v.wantBackend {
 		return fmt.Errorf("%w: %w: got v%d/%s, verifier accepts v%d/%s",
-			ErrVerify, ErrBadVersion, ch.Version, ch.Backend, v.wantVersion, v.wantBackend)
+			ErrVerify, ErrBadVersion, ch.Version, ch.Backend, Version2, v.wantBackend)
 	}
 	if err := validateDifficulty(ch.Difficulty); err != nil {
 		return fmt.Errorf("%w: %w", ErrVerify, err)
@@ -207,9 +201,8 @@ func (v *Verifier) VerifyAt(sol *Solution, binding string, now time.Time) error 
 	}
 
 	// Equivalent to ch.Meets(sol.Nonce), but re-using the canonical bytes
-	// already in s.buf instead of re-encoding them. The hashcash branch
-	// stays the pre-backend inline digest; only authenticated, fresh,
-	// unredeemed challenges reach the memory-hard branch, so its cost
+	// already in s.buf instead of re-encoding them. Only authenticated,
+	// fresh, unredeemed challenges reach the memory-hard branch, so its cost
 	// parameters are always ones this deployment's issuer signed.
 	s.buf = appendNonce(s.buf, sol.Nonce)
 	if v.wantBackend == BackendBalloon {

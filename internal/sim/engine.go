@@ -746,17 +746,16 @@ func (w *worker) finish(t int, a arrival, dec core.Decision) {
 		w.schedule(eng.tickOf(done.at, t), done)
 		return
 	case BehaviorDowngrade:
-		// The downgrade attacker: re-encode the issued challenge as a
-		// Version1 hashcash token (drop the backend identity, keep seed,
-		// difficulty, and tag), really solve the cheap single-SHA-256 form,
-		// and submit. The verifier's pinned version/backend gate rejects it
-		// before any digest work — and even without that gate, the tag was
-		// computed over the v2 canonical (a disjoint HMAC domain), so the
-		// rewritten token could never authenticate. Scenario validation
-		// guarantees RealSolve, so w.solver is always present here.
+		// The downgrade attacker: relabel the issued challenge as hashcash
+		// (backend byte 1, zero cost parameters; keep seed, difficulty and
+		// tag), really solve the cheap single-SHA-256 form, and submit.
+		// The verifier's pinned backend gate rejects it before any digest
+		// work — and even without that gate, the tag covers the backend
+		// byte, so the relabelled token could never authenticate. Scenario
+		// validation guarantees RealSolve, so w.solver is always present
+		// here.
 		down := dec.Challenge
-		down.Version = puzzle.Version1
-		down.Backend, down.Space, down.Rounds = 0, 0, 0
+		down.Backend, down.Space, down.Rounds = puzzle.BackendHashcash, 0, 0
 		sol, _, err := w.solver.Solve(context.Background(), down)
 		if err != nil {
 			o.decideErrors++

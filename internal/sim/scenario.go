@@ -32,12 +32,13 @@ const (
 	// and the per-IP fail-streak evidence.
 	BehaviorBogus
 
-	// BehaviorDowngrade re-encodes the issued challenge as a Version1
-	// hashcash token, really solves that cheap form, and submits the
-	// result — the downgrade attacker trying to pay single-SHA-256 prices
-	// for a memory-hard route. The verifier's version/backend gate rejects
-	// every submission (the v2 HMAC never authenticates a v1 canonical
-	// either), so these populations pin the downgrade-proofing end to end.
+	// BehaviorDowngrade relabels the issued challenge as hashcash, really
+	// solves that cheap form, and submits the result — the downgrade
+	// attacker trying to pay single-SHA-256 prices for a memory-hard
+	// route. The verifier's backend gate rejects every submission (the
+	// HMAC covers the backend byte, so the relabelled token never
+	// authenticates either), so these populations pin the
+	// downgrade-proofing end to end.
 	// Requires Scenario.RealSolve.
 	BehaviorDowngrade
 
@@ -474,7 +475,7 @@ func (sc Scenario) validate() (control.PipelineSpec, error) {
 		switch {
 		case p.Behavior == BehaviorDowngrade && !sc.RealSolve:
 			// The downgrade attack only means anything against the real
-			// verifier: modeled verification has no version gate to beat.
+			// verifier: modeled verification has no backend gate to beat.
 			return ps, fmt.Errorf("sim: population %q downgrades but the defense is modeled; set RealSolve", p.Name)
 		case p.Behavior == BehaviorReplayCross && (!sc.RealSolve || sc.Cluster == nil):
 			// A replay must clear the real verifier once and be refused the

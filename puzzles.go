@@ -5,16 +5,16 @@ import (
 )
 
 // Challenge is one issued PoW puzzle: seed, timestamp, TTL, difficulty,
-// client binding, backend parameters (Version2), and HMAC tag. It
+// client binding, backend ID and cost parameters, and HMAC tag. It
 // round-trips through MarshalText as a header-safe token.
 type Challenge = puzzle.Challenge
 
 // Solution pairs a challenge with the nonce that solves it.
 type Solution = puzzle.Solution
 
-// Backend is one proof-of-work puzzle function: it pins the wire format
-// its challenges travel in, the meaning of a difficulty level, and the
-// cost model (work and memory per attempt) that lets policies and
+// Backend is one proof-of-work puzzle function: it pins the backend byte
+// its challenges carry under the MAC, the meaning of a difficulty level,
+// and the cost model (work and memory per attempt) that lets policies and
 // simulations price attackers. Implementations are provided by this
 // package — Hashcash, NewHashcash, NewBalloon, ParseBackendSpec — and the
 // interface is sealed; it cannot be implemented outside.
@@ -26,28 +26,20 @@ type BackendID = puzzle.BackendID
 // Wire identifiers of the built-in backends.
 const (
 	// BackendHashcash is the CPU-bound SHA-256 leading-zeros puzzle
-	// (the paper's construction, Version1 wire format).
+	// (the paper's construction).
 	BackendHashcash = puzzle.BackendHashcash
 
-	// BackendBalloon is the memory-hard balloon-hashing puzzle
-	// (Version2 wire format).
+	// BackendBalloon is the memory-hard balloon-hashing puzzle.
 	BackendBalloon = puzzle.BackendBalloon
 )
 
-// Challenge wire-format versions.
-const (
-	// Version1 is the original hashcash-only token format. Tokens
-	// issued before backends existed verify unchanged.
-	Version1 = puzzle.Version1
+// Version2 is the one token wire format's version byte. Every backend
+// issues it: the backend ID and its cost parameters ride under the HMAC,
+// so a challenge relabelled to another backend fails authentication.
+const Version2 = puzzle.Version2
 
-	// Version2 is the backend-carrying token format: the backend ID
-	// and its cost parameters ride under the HMAC, so a v2 challenge
-	// rewritten as v1 (or vice versa) fails authentication.
-	Version2 = puzzle.Version2
-)
-
-// Hashcash returns the default CPU-bound backend (SHA-256 leading zeros,
-// Version1 wire format) — what every Framework and Issuer uses unless
+// Hashcash returns the default CPU-bound backend (SHA-256 leading
+// zeros) — what every Framework and Issuer uses unless
 // WithPuzzleBackend says otherwise.
 func Hashcash() Backend { return puzzle.Hashcash() }
 
@@ -68,8 +60,8 @@ func NewBalloon(space, rounds int) (Backend, error) { return puzzle.NewBalloon(s
 func ParseBackendSpec(spec string) (Backend, error) { return puzzle.ParseBackendSpec(spec) }
 
 // Solver performs the client-side search for any backend: it reads the
-// challenge's version and backend ID and runs the matching attempt loop,
-// so one solver handles v1 hashcash and v2 balloon tokens alike.
+// challenge's backend ID and runs the matching attempt loop, so one
+// solver handles hashcash and balloon tokens alike.
 type Solver = puzzle.Solver
 
 // SolverOption configures NewSolver.
@@ -151,8 +143,8 @@ var (
 	ErrNonceExhausted = puzzle.ErrNonceExhausted
 
 	// ErrBadVersion reports a token whose wire version or backend does
-	// not match the verifier — including downgrade attempts (a v2
-	// balloon challenge re-encoded as v1 hashcash, or vice versa).
+	// not match the verifier — including downgrade attempts (a balloon
+	// challenge relabelled as hashcash, or vice versa).
 	ErrBadVersion = puzzle.ErrBadVersion
 
 	// ErrUnknownBackend reports a backend name or ID this build does
