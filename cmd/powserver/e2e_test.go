@@ -143,9 +143,9 @@ func waitFor(t *testing.T, what string, timeout, interval time.Duration, cond fu
 	}
 }
 
-// difficulty requests path on the public listener unsolved and returns the
-// challenge difficulty the response advertises.
-func (n *node) difficulty(t *testing.T, path string) int {
+// unsolved requests path on the public listener without a solution and
+// returns the 428 response's headers.
+func (n *node) unsolved(t *testing.T, path string) http.Header {
 	t.Helper()
 	resp, err := http.Get(n.url + path)
 	if err != nil {
@@ -156,11 +156,28 @@ func (n *node) difficulty(t *testing.T, path string) int {
 	if resp.StatusCode != aipow.StatusChallenge {
 		t.Fatalf("GET %s = %d, want %d", path, resp.StatusCode, aipow.StatusChallenge)
 	}
-	d, err := strconv.Atoi(resp.Header.Get("X-PoW-Difficulty"))
+	return resp.Header
+}
+
+// difficulty requests path unsolved and returns the challenge difficulty
+// the response advertises.
+func (n *node) difficulty(t *testing.T, path string) int {
+	t.Helper()
+	d, err := strconv.Atoi(n.unsolved(t, path).Get("X-PoW-Difficulty"))
 	if err != nil {
 		t.Fatalf("GET %s difficulty header: %v", path, err)
 	}
 	return d
+}
+
+// challenge requests path unsolved and decodes the challenge it is issued.
+func (n *node) challenge(t *testing.T, path string) aipow.Challenge {
+	t.Helper()
+	var ch aipow.Challenge
+	if err := ch.UnmarshalText([]byte(n.unsolved(t, path).Get(aipow.HeaderChallenge))); err != nil {
+		t.Fatalf("GET %s challenge header: %v", path, err)
+	}
+	return ch
 }
 
 func (n *node) wantDifficulty(t *testing.T, path string, want int) {
@@ -260,10 +277,18 @@ func TestControlPlaneEndToEnd(t *testing.T) {
 	}
 	n := startNode(t, "-spec", specPath, "-adapt", "-admin-token", e2eToken)
 
-	// Per-route pipelines from the spec file, and a real solve.
+	// Per-route pipelines from the spec file, and real solves: hashcash on
+	// /, and balloon on /signup, where the powclient binary's solver and
+	// powserver's verifier must agree on the SHA-256 shell.
 	n.wantDifficulty(t, "/", 3)
 	n.wantDifficulty(t, "/api/x", 5)
+	n.wantDifficulty(t, "/signup", 4)
+	if ch := n.challenge(t, "/signup"); ch.Backend != aipow.BackendBalloon || ch.Space != 8 || ch.Rounds != 1 {
+		t.Fatalf("GET /signup issues %s(space=%d, time=%d), want balloon(space=8, time=1)",
+			ch.Backend, ch.Space, ch.Rounds)
+	}
 	n.solve(t, "/", 5)
+	n.solve(t, "/signup", 20)
 
 	// The batch front door: unauthenticated calls bounce; two items routed
 	// to different pipelines come back in order at each route's price.

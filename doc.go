@@ -230,11 +230,16 @@
 // checks every backend in one cheapest-first order — version, MAC,
 // binding, freshness, then a read-only replay probe before the work
 // check — so a replayed balloon token costs a map lookup rather than a
-// balloon evaluation. The backend is issuance state like ttl: changing
-// it rebuilds the pipeline rather than hot-swapping. The attacksim suite
-// gates the economics — a
-// GPU-discounted botnet collapses the hashcash work asymmetry
-// (gpu-botnet-hashcash), the balloon backend restores it under the same
+// balloon evaluation. A balloon nonce must also clear a SHA-256 shell,
+// whose bits derive from the signed cost parameters. The verifier checks
+// it first, so a nonce that fails it costs one hash, and claims the seed
+// before the balloon evaluation, so a shell-passing wrong nonce burns its
+// challenge: with a replay cache, one forger hash forces on average at
+// most 8–16 server hashes per node. The backend is issuance state like
+// ttl: changing it rebuilds the pipeline rather than hot-swapping. The
+// attacksim suite gates the economics — a GPU-discounted botnet
+// collapses the hashcash work asymmetry (gpu-botnet-hashcash), the
+// balloon backend restores it under the same
 // policy (gpu-botnet-balloon), and cross-backend-replay pins the
 // downgrade rejection with real crypto.
 //

@@ -32,30 +32,33 @@ func TestReplayCacheRememberZeroAllocs(t *testing.T) {
 	}
 }
 
-// An accepted hashcash verification with a replay cache wired in — probe,
-// work check and claim — allocates nothing.
+// An accepted verification with a replay cache wired in — probe, work
+// check and claim — allocates nothing, under either backend: the balloon
+// shell hashes the canonical bytes already in the verifier's scratch.
 func TestVerifyWithReplayCacheZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	const capacity, runs = 16, 100
-	iss := newTestIssuer(t)
-	ver := newTestVerifier(t, WithReplayCache(NewReplayCache(capacity, nil)))
-	sols := make([]Solution, capacity+runs+1) // AllocsPerRun adds a warm-up call
-	for i := range sols {
-		sols[i] = issueSolved(t, iss, "c")
-	}
-	var next int
-	verify := func() {
-		if err := ver.Verify(sols[next], "c"); err != nil {
-			t.Fatalf("solution %d: %v", next, err)
+	forEachBackend(t, func(t *testing.T, b Backend) {
+		const capacity, runs = 16, 100
+		iss := newTestIssuer(t, WithIssuerBackend(b))
+		ver := newTestVerifier(t, WithVerifierBackend(b), WithReplayCache(NewReplayCache(capacity, nil)))
+		sols := make([]Solution, capacity+runs+1) // AllocsPerRun adds a warm-up call
+		for i := range sols {
+			sols[i] = issueSolved(t, iss, "c")
 		}
-		next++
-	}
-	for next < capacity { // fill the cache so claims evict
-		verify()
-	}
-	if allocs := testing.AllocsPerRun(runs, verify); allocs != 0 {
-		t.Fatalf("Verify with a replay cache allocates %.1f/op, want 0", allocs)
-	}
+		var next int
+		verify := func() {
+			if err := ver.Verify(sols[next], "c"); err != nil {
+				t.Fatalf("solution %d: %v", next, err)
+			}
+			next++
+		}
+		for next < capacity { // fill the cache so claims evict
+			verify()
+		}
+		if allocs := testing.AllocsPerRun(runs, verify); allocs != 0 {
+			t.Fatalf("Verify with a replay cache allocates %.1f/op, want 0", allocs)
+		}
+	})
 }

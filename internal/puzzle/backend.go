@@ -3,6 +3,7 @@ package puzzle
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -61,9 +62,16 @@ type Backend interface {
 	DifficultyCap() int
 
 	// AttemptCost is the calibration hint: expected hash evaluations
-	// per solver attempt (1 for hashcash; space·(1+4·time) for
-	// balloon). A d-difficult challenge costs ~2^d·AttemptCost hashes.
+	// per solver attempt (1 for hashcash; for balloon, space·(1+4·time)
+	// per evaluation plus the 2^S shell hashes that find the nonce to
+	// evaluate). A d-difficult challenge costs ~2^d·AttemptCost hashes.
 	AttemptCost() float64
+
+	// ShellCost is the part of AttemptCost spent on plain SHA-256: the
+	// balloon shell's 2^S hashes per evaluation, 0 for hashcash, which
+	// has no shell. Hardware that discounts hashcash discounts these
+	// hashes too, so cost models price them apart from the rest.
+	ShellCost() float64
 
 	// MemoryPerAttempt is the working-set bytes one attempt touches —
 	// the quantity GPU/ASIC solvers cannot discount.
@@ -102,6 +110,7 @@ func (hashcashBackend) Name() string         { return "hashcash" }
 func (b hashcashBackend) Spec() string       { return fmt.Sprintf("hashcash(bits=%d)", b.bits) }
 func (b hashcashBackend) DifficultyCap() int { return b.bits }
 func (hashcashBackend) AttemptCost() float64 { return 1 }
+func (hashcashBackend) ShellCost() float64   { return 0 }
 func (hashcashBackend) MemoryPerAttempt() int {
 	return sha256BlockBytes // one compression-function state
 }
@@ -150,7 +159,10 @@ func (b balloonBackend) Spec() string {
 func (balloonBackend) DifficultyCap() int { return 32 }
 
 func (b balloonBackend) AttemptCost() float64 {
-	return float64(b.space) * (1 + (balloonDelta+1)*float64(b.rounds))
+	return float64(balloonCost(b.space, b.rounds)) + b.ShellCost()
+}
+func (b balloonBackend) ShellCost() float64 {
+	return math.Exp2(float64(balloonShellBits(b.space, b.rounds)))
 }
 func (b balloonBackend) MemoryPerAttempt() int    { return int(b.space) * balloonBlockSize }
 func (b balloonBackend) params() (uint32, uint32) { return b.space, b.rounds }

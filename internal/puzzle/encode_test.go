@@ -121,6 +121,40 @@ func TestBalloonTokenPinned(t *testing.T) {
 	}
 }
 
+// preShellBalloonSolution is the pinned balloon challenge of
+// TestBalloonTokenPinned with nonce 0x2a, as nodes minted solutions
+// before the SHA-256 shell: its balloon digest meets difficulty 4, and
+// those nodes accepted it, but it fails the shell.
+const preShellBalloonSolution = "QUlQb1cvMgACAgAAAQAAAAAChq0F3Jh_gGIwoTygd5badhbeY5PGJ4AAAAAAG_COsAAABAAJ" +
+	"MTkyLjAuMi43QJsSIFVbTkRAzGVw1O_sOAH8CjdNl2a8tD0oACv0iwE.2a"
+
+// A balloon solution from a client that predates the shell is a wrong
+// solution on an upgraded verifier: ErrWrongSolution, the reject reason
+// a nonce below the balloon target already gets.
+func TestPreShellBalloonSolutionRejected(t *testing.T) {
+	var sol Solution
+	if err := sol.UnmarshalText([]byte(preShellBalloonSolution)); err != nil {
+		t.Fatal(err)
+	}
+	ch := sol.Challenge
+	d := ch.Digest(sol.Nonce)
+	if refLeadingZeros(d[:]) < ch.Difficulty {
+		t.Fatalf("balloon digest has %d leading zero bits, want ≥ %d", refLeadingZeros(d[:]), ch.Difficulty)
+	}
+	if refMeets(ch, sol.Nonce) || ch.Meets(sol.Nonce) {
+		t.Fatal("the pinned nonce clears the shell")
+	}
+	balloon, err := NewBalloon(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(2022, 3, 21, 12, 0, 0, 0, time.UTC)
+	ver := newTestVerifier(t, WithVerifierBackend(balloon), WithVerifierNow(fixedNow(at)))
+	if err := ver.Verify(sol, "192.0.2.7"); !errors.Is(err, ErrWrongSolution) {
+		t.Fatalf("Verify = %v, want ErrWrongSolution", err)
+	}
+}
+
 // TestHashcashCanonicalLayout pins the hashcash header: the one magic,
 // version 2, backend byte 1 and zero space and rounds.
 func TestHashcashCanonicalLayout(t *testing.T) {

@@ -17,7 +17,11 @@ import (
 // decoder accepts, with the same value. A decoded token must re-encode,
 // decode back to the same value and re-encode to the same text; and
 // neither a hashcash nor a balloon verifier may panic on it or accept a
-// challenge the test's issuers did not produce.
+// challenge the test's issuers did not produce. The decoded nonce is also
+// presented on every issued challenge to a verifier without a replay
+// cache (a redeemed seed would stop it at the replay probe, before the
+// work check), which must accept it exactly when the test-side reference
+// predicate refMeets does: the balloon shell, then the target.
 func FuzzSolutionToken(f *testing.F) {
 	at := time.Date(2022, 3, 21, 12, 0, 0, 0, time.UTC)
 	clock := fixedNow(at)
@@ -31,6 +35,7 @@ func FuzzSolutionToken(f *testing.F) {
 	rng := seededRand{rand.New(rand.NewPCG(2022, 3))}
 	issued := make(map[[TagSize]byte]Challenge)
 	var verifiers []*Verifier
+	reusable := make(map[BackendID]*Verifier)
 	var seedTokens [][]byte
 	for _, b := range []Backend{Hashcash(), balloon} {
 		iss, err := NewIssuer(testKey, WithIssuerBackend(b), WithIssuerNow(clock), WithIssuerRand(rng))
@@ -43,6 +48,9 @@ func FuzzSolutionToken(f *testing.F) {
 			f.Fatal(err)
 		}
 		verifiers = append(verifiers, ver)
+		if reusable[b.ID()], err = NewVerifier(testKey, WithVerifierBackend(b), WithVerifierNow(clock)); err != nil {
+			f.Fatal(err)
+		}
 
 		ch, err := iss.Issue("192.0.2.1", 2)
 		if err != nil {
@@ -63,6 +71,19 @@ func FuzzSolutionToken(f *testing.F) {
 		}
 		f.Add(tok)
 		f.Add(wrong)
+		if b.ID() == BackendBalloon {
+			// A nonce that clears the shell but misses the target: only
+			// the balloon evaluation after the shell rejects it.
+			shellOnly := Solution{Challenge: ch}
+			for !refPassesShell(ch, shellOnly.Nonce) || refMeets(ch, shellOnly.Nonce) {
+				shellOnly.Nonce++
+			}
+			text, err := shellOnly.MarshalText()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(text)
+		}
 		seedTokens = append(seedTokens, tok)
 		dot := bytes.LastIndexByte(tok, '.')
 		for _, cut := range []int{len(tok) - 1, dot + 1, dot, dot - 1, len(tok) / 2, 11, 1} {
@@ -158,6 +179,14 @@ func FuzzSolutionToken(f *testing.F) {
 					ver.Backend().Name(), sol.Challenge)
 			}
 			assertChallengeEqual(t, want, sol.Challenge)
+		}
+		for _, ch := range issued {
+			probe := Solution{Challenge: ch, Nonce: sol.Nonce}
+			err := reusable[ch.Backend].VerifyAt(&probe, "", at)
+			if want := refMeets(ch, sol.Nonce); (err == nil) != want {
+				t.Fatalf("%s nonce %#x: verifier says %v, reference predicate says %v",
+					ch.Backend, sol.Nonce, err, want)
+			}
 		}
 	})
 }

@@ -16,7 +16,9 @@
 //
 // has at least d leading zero bits. The expected number of hash evaluations
 // is 2^d, which is what makes difficulty an adaptive cost dial: the policy
-// module chooses d per request from the client's reputation score.
+// module chooses d per request from the client's reputation score. The
+// memory-hard backend swaps the SHA-256 for a balloon evaluation and puts
+// a SHA-256 shell of S leading zero bits in front of it (balloon.go).
 //
 // Verification runs its checks cheapest first, in one order for every
 // backend, and stops at the first failure:
@@ -26,14 +28,19 @@
 //  3. the client binding, then freshness (issue time and TTL);
 //  4. a read-only replay probe: the fleet tag filter, then the local
 //     replay cache;
-//  5. the work check (one SHA-256, or one balloon evaluation);
+//  5. the SHA-256 half of the work check: hashcash's whole check, the
+//     balloon shell;
 //  6. the atomic claim of the seed in the replay cache;
-//  7. publication of the redeemed tag to the fleet.
+//  7. for balloon, the rest of the work check: one balloon evaluation;
+//  8. publication of the redeemed tag to the fleet.
 //
 // Replay state is consulted only for authentic, correctly bound, fresh
 // challenges, and a replayed token is rejected before any puzzle
-// evaluation. Nothing is written before step 6, so a failed attempt burns
-// nothing, and the claim is the single arbiter between racing redemptions.
+// evaluation. Nothing is written before step 6, so a nonce that fails
+// the SHA-256 check burns nothing, and the claim is the single arbiter
+// between racing redemptions. A balloon nonce that clears the shell but
+// fails step 7 leaves its seed claimed (never published to the fleet),
+// so each shell solve buys at most one balloon evaluation per node.
 package puzzle
 
 import (
@@ -218,9 +225,10 @@ func appendNonce(b []byte, nonce uint64) []byte {
 	return binary.BigEndian.AppendUint64(b, nonce)
 }
 
-// Digest computes the digest a verifier checks for the given nonce: a
-// plain SHA-256 of canonical‖nonce for hashcash challenges, the balloon
-// function over the same preimage for the memory-hard backend.
+// Digest computes the digest the work check compares to the difficulty:
+// a plain SHA-256 of canonical‖nonce for hashcash challenges, the balloon
+// function over the same preimage for the memory-hard backend (whose
+// nonces must also clear the shell; see Meets).
 func (c Challenge) Digest(nonce uint64) [sha256.Size]byte {
 	pre := appendNonce(c.canonical(), nonce)
 	if c.Backend == BackendBalloon {
@@ -231,7 +239,29 @@ func (c Challenge) Digest(nonce uint64) [sha256.Size]byte {
 
 // Meets reports whether nonce solves the challenge at its difficulty.
 func (c Challenge) Meets(nonce uint64) bool {
-	d := c.Digest(nonce)
+	pre := appendNonce(c.canonical(), nonce)
+	return c.passesSHA256(pre) && c.passesBalloon(pre)
+}
+
+// passesSHA256 is the plain SHA-256 half of the work check on pre, the
+// canonical bytes followed by a nonce: the whole check for hashcash, the
+// shell for balloon. The verifier claims the seed between the two halves.
+func (c *Challenge) passesSHA256(pre []byte) bool {
+	if c.Backend == BackendBalloon {
+		return passesShell(pre, balloonShellBits(c.Space, c.Rounds))
+	}
+	d := sha256.Sum256(pre)
+	return CountLeadingZeroBits(d[:]) >= c.Difficulty
+}
+
+// passesBalloon is the rest of the work check: for a balloon challenge,
+// one balloon evaluation of pre against the difficulty; nothing for
+// hashcash.
+func (c *Challenge) passesBalloon(pre []byte) bool {
+	if c.Backend != BackendBalloon {
+		return true
+	}
+	d := balloonDigest(pre, c.Space, c.Rounds)
 	return CountLeadingZeroBits(d[:]) >= c.Difficulty
 }
 

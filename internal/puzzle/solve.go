@@ -15,17 +15,21 @@ import (
 // against per-hash overhead.
 const ctxCheckInterval = 4096
 
-// balloonCheckInterval is the same for memory-hard attempts, which cost
-// thousands of hashes each, so the check must come far more often to keep
-// cancellation latency comparable.
+// balloonCheckInterval is the same for memory-hard searches, counted in
+// nonces scanned: any one of them may cost a balloon evaluation of
+// thousands of hashes, so the check must come far more often to keep
+// cancellation latency comparable. Counting scanned nonces rather than
+// evaluations keeps a long run of shell failures cancellable too.
 const balloonCheckInterval = 16
 
 // SolveStats describes the work one solve performed, for client-side cost
 // accounting.
 type SolveStats struct {
 	// Attempts is the number of nonce evaluations performed, including
-	// the successful one. For memory-hard backends each attempt costs
-	// Backend.AttemptCost hash evaluations, not one.
+	// the successful one: SHA-256 evaluations for hashcash, balloon
+	// evaluations for the memory-hard backend. A balloon attempt costs
+	// Backend.AttemptCost hashes, which include the shell hashes spent
+	// finding a nonce worth evaluating; those are not counted here.
 	Attempts uint64
 
 	// Elapsed is the wall-clock duration of the search.
@@ -60,7 +64,8 @@ func WithExtendedNonce() SolverOption {
 	return func(s *Solver) { s.extended = true }
 }
 
-// WithNonceLimit caps the number of nonce attempts before the solver gives
+// WithNonceLimit caps the number of attempts (as SolveStats counts them:
+// balloon evaluations on the memory-hard backend) before the solver gives
 // up with ErrNonceExhausted. Zero (the default) means the full nonce space.
 // Rational attackers use this to bound the work they are willing to spend
 // on one request. With multiple workers the limit bounds total attempts across all of them.
@@ -161,28 +166,33 @@ func (s *Solver) solveHashcash(ctx context.Context, ch Challenge) (Solution, Sol
 }
 
 // solveBalloon is the sequential memory-hard search: the same nonce walk,
-// with the balloon function in place of the single SHA-256.
+// where a nonce that clears the SHA-256 shell pays one balloon
+// evaluation.
 func (s *Solver) solveBalloon(ctx context.Context, ch Challenge) (Solution, SolveStats, error) {
 	start := time.Now()
 	stats := SolveStats{}
 	prefix := ch.canonical()
+	shell := balloonShellBits(ch.Space, ch.Rounds)
 	buf := make([]byte, len(prefix)+4)
 	copy(buf, prefix)
 	for nonce := uint64(0); nonce <= math.MaxUint32; nonce++ {
-		if stats.Attempts%balloonCheckInterval == 0 && ctx.Err() != nil {
+		if nonce%balloonCheckInterval == 0 && ctx.Err() != nil {
 			stats.Elapsed = time.Since(start)
 			return Solution{}, stats, ctx.Err()
 		}
-		if s.limit > 0 && stats.Attempts >= s.limit {
-			stats.Elapsed = time.Since(start)
-			return Solution{}, stats, ErrNonceExhausted
-		}
 		binary.BigEndian.PutUint32(buf[len(prefix):], uint32(nonce))
+		if !passesShell(buf, shell) {
+			continue
+		}
 		digest := balloonDigest(buf, ch.Space, ch.Rounds)
 		stats.Attempts++
 		if CountLeadingZeroBits(digest[:]) >= ch.Difficulty {
 			stats.Elapsed = time.Since(start)
 			return Solution{Challenge: ch, Nonce: nonce}, stats, nil
+		}
+		if s.limit > 0 && stats.Attempts >= s.limit {
+			stats.Elapsed = time.Since(start)
+			return Solution{}, stats, ErrNonceExhausted
 		}
 	}
 	stats.Elapsed = time.Since(start)
@@ -204,9 +214,9 @@ func (s *Solver) solveStrided(ctx context.Context, ch Challenge, balloon bool) (
 	)
 	winner.Store(-1)
 
-	checkEvery := uint64(ctxCheckInterval)
+	checkEvery, shell := uint64(ctxCheckInterval), 0
 	if balloon {
-		checkEvery = balloonCheckInterval
+		checkEvery, shell = balloonCheckInterval, balloonShellBits(ch.Space, ch.Rounds)
 	}
 	perWorkerBudget := uint64(math.MaxUint32)
 	if s.limit > 0 {
@@ -223,24 +233,21 @@ func (s *Solver) solveStrided(ctx context.Context, ch Challenge, balloon bool) (
 			defer wg.Done()
 			buf := make([]byte, len(prefix)+4)
 			copy(buf, prefix)
-			var done uint64
+			var scanned, done uint64
 			for nonce := first; nonce <= math.MaxUint32; nonce += uint64(s.workers) {
-				if done%checkEvery == 0 {
-					if stop.Load() || ctx.Err() != nil {
-						attempts.Add(done)
-						return
-					}
-				}
-				if done >= perWorkerBudget {
+				if scanned%checkEvery == 0 && (stop.Load() || ctx.Err() != nil) {
 					attempts.Add(done)
 					return
 				}
+				scanned++
 				binary.BigEndian.PutUint32(buf[len(prefix):], uint32(nonce))
 				var digest [sha256.Size]byte
-				if balloon {
+				if !balloon {
+					digest = sha256.Sum256(buf)
+				} else if passesShell(buf, shell) {
 					digest = balloonDigest(buf, ch.Space, ch.Rounds)
 				} else {
-					digest = sha256.Sum256(buf)
+					continue
 				}
 				done++
 				if CountLeadingZeroBits(digest[:]) >= ch.Difficulty {
@@ -248,6 +255,10 @@ func (s *Solver) solveStrided(ctx context.Context, ch Challenge, balloon bool) (
 					if winner.CompareAndSwap(-1, int64(nonce)) {
 						stop.Store(true)
 					}
+					attempts.Add(done)
+					return
+				}
+				if done >= perWorkerBudget {
 					attempts.Add(done)
 					return
 				}

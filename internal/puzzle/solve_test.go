@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // solveOrDie solves ch with a default solver or fails the test.
@@ -85,6 +86,84 @@ func TestSolveNonceLimitStillSolvesEasy(t *testing.T) {
 	}
 	if !ch.Meets(sol.Nonce) {
 		t.Fatal("solution does not meet difficulty")
+	}
+}
+
+// A balloon solve counts balloon evaluations: one per nonce that clears
+// the shell, up to and including the solution. Shell hashes spent on the
+// nonces in between are not attempts.
+func TestBalloonSolveCountsEvaluations(t *testing.T) {
+	iss := newTestIssuer(t, WithIssuerBackend(testBalloon(t)))
+	for _, d := range []int{1, 4, 8} {
+		ch, err := iss.Issue("client", d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, stats, err := NewSolver().Solve(context.Background(), ch)
+		if err != nil {
+			t.Fatalf("Solve(d=%d): %v", d, err)
+		}
+		if !refMeets(ch, sol.Nonce) {
+			t.Fatalf("d=%d: nonce %d fails the reference predicate", d, sol.Nonce)
+		}
+		var want uint64
+		for n := uint64(0); n <= sol.Nonce; n++ {
+			if refPassesShell(ch, n) {
+				want++
+			}
+		}
+		if stats.Attempts != want {
+			t.Fatalf("d=%d: attempts %d, want %d shell-passing nonces up to %d",
+				d, stats.Attempts, want, sol.Nonce)
+		}
+	}
+}
+
+// WithNonceLimit bounds balloon evaluations, not nonces scanned, in the
+// sequential and the strided solver alike.
+func TestBalloonNonceLimitBoundsEvaluations(t *testing.T) {
+	iss := newTestIssuer(t, WithIssuerBackend(testBalloon(t)), WithIssuerMaxDifficulty(32))
+	ch, err := iss.Issue("client", 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		_, stats, err := NewSolver(WithSolverWorkers(workers), WithNonceLimit(100)).Solve(context.Background(), ch)
+		if !errors.Is(err, ErrNonceExhausted) {
+			t.Fatalf("workers=%d: err = %v, want ErrNonceExhausted", workers, err)
+		}
+		if stats.Attempts != 100 {
+			t.Fatalf("workers=%d: attempts = %d, want 100 balloon evaluations", workers, stats.Attempts)
+		}
+	}
+}
+
+// A solve whose shell scan runs long still honours cancellation. Under
+// the largest accepted parameters (S = 21), the pinned challenge's first
+// shell-passing nonce is 10 121 675: a solver that checked its context
+// only around balloon evaluations would scan for seconds, then evaluate
+// 16.8 million hashes, before noticing the deadline.
+func TestBalloonSolveCancelsDuringShellScan(t *testing.T) {
+	b, err := NewBalloon(maxBalloonSpace, maxBalloonRounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := pinnedIssue(t, b)
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		start := time.Now()
+		_, stats, err := NewSolver(WithSolverWorkers(workers)).Solve(ctx, ch)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("workers=%d: err = %v, want context.DeadlineExceeded", workers, err)
+		}
+		if stats.Attempts != 0 {
+			t.Fatalf("workers=%d: %d balloon evaluations, want 0 before the first shell pass",
+				workers, stats.Attempts)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("workers=%d: cancellation took %v", workers, elapsed)
+		}
 	}
 }
 

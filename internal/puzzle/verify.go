@@ -2,7 +2,6 @@ package puzzle
 
 import (
 	"crypto/hmac"
-	"crypto/sha256"
 	"fmt"
 	"time"
 )
@@ -98,8 +97,10 @@ type TagExchange interface {
 // is published back through x. SeenTag is probed just before the local
 // replay cache — after authenticity, binding and freshness, before the
 // work check — so a replayed token never costs a puzzle evaluation.
-// RedeemedTag runs only after the work check and the local claim pass,
-// so a failed attempt never burns the tag either locally or fleet-wide.
+// RedeemedTag runs only after the claim and the whole work check pass,
+// so a failed attempt is never published fleet-wide. (A balloon nonce
+// that clears the shell but misses the target burns the seed locally;
+// see VerifyAt.)
 func WithTagExchange(x TagExchange) VerifierOption {
 	return func(v *Verifier) { v.tags = x }
 }
@@ -188,8 +189,8 @@ func (v *Verifier) VerifyAt(sol *Solution, binding string, now time.Time) error 
 	}
 
 	// Probe replay state before paying for the work check: a redeemed
-	// token costs a map lookup, not a balloon fill. The probe only reads,
-	// so a failed attempt burns nothing. The fleet filter goes first and
+	// token costs a map lookup, not a balloon fill. The probe only reads.
+	// The fleet filter goes first and
 	// rejects identically as far as errors.Is(ErrReplayed) goes;
 	// ErrFleetReplay only attributes the catch to the gossiped filter so
 	// traces can tell the two planes apart.
@@ -200,28 +201,30 @@ func (v *Verifier) VerifyAt(sol *Solution, binding string, now time.Time) error 
 		return fmt.Errorf("%w: %w", ErrVerify, ErrReplayed)
 	}
 
-	// Equivalent to ch.Meets(sol.Nonce), but re-using the canonical bytes
-	// already in s.buf instead of re-encoding them. Only authenticated,
-	// fresh, unredeemed challenges reach the memory-hard branch, so its cost
-	// parameters are always ones this deployment's issuer signed.
+	// The work check, in two halves around the claim; together they are
+	// ch.Meets(sol.Nonce), re-using the canonical bytes already in s.buf
+	// instead of re-encoding them. Only authenticated, fresh, unredeemed
+	// challenges reach it, so balloon cost parameters are always ones
+	// this deployment's issuer signed. ch.Backend was pinned to
+	// v.wantBackend by the first check. The first half is one SHA-256:
+	// hashcash's whole check, balloon's shell. A nonce that fails it
+	// burns nothing.
 	s.buf = appendNonce(s.buf, sol.Nonce)
-	if v.wantBackend == BackendBalloon {
-		digest := balloonDigest(s.buf, ch.Space, ch.Rounds)
-		if CountLeadingZeroBits(digest[:]) < ch.Difficulty {
-			return fmt.Errorf("%w: %w: nonce %d", ErrVerify, ErrWrongSolution, sol.Nonce)
-		}
-	} else {
-		digest := sha256.Sum256(s.buf)
-		if CountLeadingZeroBits(digest[:]) < ch.Difficulty {
-			return fmt.Errorf("%w: %w: nonce %d", ErrVerify, ErrWrongSolution, sol.Nonce)
-		}
+	if !ch.passesSHA256(s.buf) {
+		return fmt.Errorf("%w: %w: nonce %d", ErrVerify, ErrWrongSolution, sol.Nonce)
 	}
 
-	// Claim only after the work check passes, so failed attempts do not
-	// burn the seed. Remember is the single arbiter: of two redemptions
-	// racing past the probe, exactly one claims the seed.
+	// Claim before the balloon evaluation. Remember is the single
+	// arbiter: of two redemptions racing past the probe, exactly one
+	// claims the seed. A balloon nonce that clears the shell but misses
+	// the target leaves the seed claimed, so one shell solve buys at most
+	// one balloon evaluation on this node, however often or concurrently
+	// it is resent.
 	if v.replay != nil && !v.replay.Remember(ch.Seed, ch.ExpiresAt().Add(v.skew)) {
 		return fmt.Errorf("%w: %w", ErrVerify, ErrReplayed)
+	}
+	if !ch.passesBalloon(s.buf) {
+		return fmt.Errorf("%w: %w: nonce %d", ErrVerify, ErrWrongSolution, sol.Nonce)
 	}
 	if v.tags != nil {
 		v.tags.RedeemedTag(ch.Tag, ch.ExpiresAt().Add(v.skew))

@@ -232,10 +232,25 @@ func issueSolved(t *testing.T, iss *Issuer, binding string) Solution {
 	return solveOrDie(t, ch)
 }
 
-// withWrongNonce returns sol with a nonce that does not solve its challenge.
+// withWrongNonce returns sol with a nonce that fails the SHA-256 half of
+// its challenge's work check (for balloon, the shell), so the verifier
+// rejects it before the claim.
 func withWrongNonce(sol Solution) Solution {
+	ch := sol.Challenge
+	passes := ch.Meets
+	if ch.Backend == BackendBalloon {
+		passes = func(n uint64) bool { return refPassesShell(ch, n) }
+	}
+	for sol.Nonce++; passes(sol.Nonce); sol.Nonce++ {
+	}
+	return sol
+}
+
+// withShellOnlyNonce returns a balloon sol with a nonce that clears the
+// shell but misses the target: only the balloon evaluation rejects it.
+func withShellOnlyNonce(sol Solution) Solution {
 	sol.Nonce++
-	for sol.Challenge.Meets(sol.Nonce) {
+	for !refPassesShell(sol.Challenge, sol.Nonce) || refMeets(sol.Challenge, sol.Nonce) {
 		sol.Nonce++
 	}
 	return sol
@@ -330,6 +345,37 @@ func TestVerifyWrongNonceDoesNotBurnToken(t *testing.T) {
 	})
 }
 
+// A balloon nonce that clears the shell but misses the target claims the
+// seed before the evaluation runs, locally only: a resent copy, and even
+// the correct nonce, is then a replay, rejected before any evaluation. So
+// one shell solve buys the forger one balloon evaluation per node.
+func TestVerifyShellPassingWrongNonceBurnsSeed(t *testing.T) {
+	b, err := NewBalloon(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iss := newTestIssuer(t, WithIssuerBackend(b))
+	cache := NewReplayCache(16, nil)
+	tags := newFakeTags()
+	ver := newTestVerifier(t, WithVerifierBackend(b), WithReplayCache(cache), WithTagExchange(tags))
+	sol := issueSolved(t, iss, "c")
+	forged := withShellOnlyNonce(sol)
+	if err := ver.Verify(forged, "c"); !errors.Is(err, ErrWrongSolution) {
+		t.Fatalf("shell-passing wrong nonce = %v, want ErrWrongSolution", err)
+	}
+	if !cache.Contains(sol.Challenge.Seed) {
+		t.Fatal("a shell-passing wrong nonce left the seed unclaimed")
+	}
+	if tags.published != 0 || tags.SeenTag(sol.Challenge.Tag) {
+		t.Fatal("a failed attempt was published to the fleet")
+	}
+	for _, s := range []Solution{forged, sol} {
+		if err := ver.Verify(s, "c"); !errors.Is(err, ErrReplayed) {
+			t.Fatalf("nonce %d after the burn = %v, want ErrReplayed", s.Nonce, err)
+		}
+	}
+}
+
 // Racing redemptions of one token: every goroutine may pass the read-only
 // probe, but the claim admits exactly one.
 func TestVerifyRedemptionRace(t *testing.T) {
@@ -373,6 +419,45 @@ func TestVerifyRedemptionRace(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// Racing copies of one shell-passing wrong nonce: the claim comes before
+// the balloon evaluation, so exactly one copy is evaluated and the rest
+// are replays.
+func TestVerifyShellPassingWrongNonceRace(t *testing.T) {
+	const goroutines, rounds = 16, 100
+	b := testBalloon(t)
+	iss := newTestIssuer(t, WithIssuerBackend(b))
+	ver := newTestVerifier(t, WithVerifierBackend(b), WithReplayCache(NewReplayCache(1024, nil)))
+	errs := make([]error, goroutines)
+	for r := 0; r < rounds; r++ {
+		forged := withShellOnlyNonce(issueSolved(t, iss, "c"))
+		now := time.Now()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[g] = ver.VerifyAt(&forged, "c", now)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		evaluated := 0
+		for _, err := range errs {
+			switch {
+			case errors.Is(err, ErrWrongSolution):
+				evaluated++
+			case !errors.Is(err, ErrReplayed):
+				t.Fatalf("round %d: racing copy = %v, want ErrWrongSolution or ErrReplayed", r, err)
+			}
+		}
+		if evaluated != 1 {
+			t.Fatalf("round %d: %d of %d racing copies evaluated, want 1", r, evaluated, goroutines)
 		}
 	}
 }

@@ -199,12 +199,15 @@ type engine struct {
 	ttl      time.Duration
 	phaseEnd []time.Duration // cumulative phase boundaries
 
-	// attemptCost and backendName describe the defense's puzzle backend
-	// for modeled-cost accounting: each modeled solve attempt is priced at
-	// attemptCost hash-equivalents (1 for hashcash, space-and-rounds
-	// dependent for balloon), discounted by the solving population's
-	// Speedup factor for backendName.
+	// attemptCost, shellCost and backendName describe the defense's
+	// puzzle backend for modeled-cost accounting: each modeled solve
+	// attempt is priced at attemptCost hash-equivalents (1 for hashcash,
+	// space-and-rounds dependent for balloon). The shellCost part of it
+	// is plain SHA-256 (the balloon shell), discounted by the solving
+	// population's hashcash Speedup; the rest by its Speedup for
+	// backendName.
 	attemptCost float64
+	shellCost   float64
 	backendName string
 }
 
@@ -235,7 +238,7 @@ func Run(sc Scenario) (*Result, error) {
 		return nil, err
 	}
 	eng.ttl = time.Duration(ps.TTL)
-	eng.attemptCost, eng.backendName = backend.AttemptCost(), backend.Name()
+	eng.attemptCost, eng.shellCost, eng.backendName = backend.AttemptCost(), backend.ShellCost(), backend.Name()
 	eng.gossip = sc.Cluster != nil && ps.Cluster != nil
 	var cum time.Duration
 	for _, ph := range sc.Phases {
@@ -783,10 +786,14 @@ func (w *worker) finish(t int, a arrival, dec core.Decision) {
 	// effective hash-equivalents through the backend's per-attempt cost
 	// and the population's hardware discount for it: a GPU botnet pays a
 	// fraction of hashcash's price but nearly full price for the
-	// memory-hard backend. Hashcash at speedup 1 makes this a multiply
-	// and divide by 1.0 — bit-identical to the pre-backend accounting.
+	// memory-hard backend, except for its SHA-256 shell, which is priced
+	// like hashcash. Hashcash at speedup 1 makes this a multiply and
+	// divide by 1.0 — bit-identical to the pre-backend accounting.
 	attempts := geometricAttempts(dec.Difficulty, rng)
-	effUnits := attempts * eng.attemptCost / p.speedupFor(eng.backendName)
+	effUnits := attempts * (eng.attemptCost - eng.shellCost) / p.speedupFor(eng.backendName)
+	if eng.shellCost > 0 {
+		effUnits += attempts * eng.shellCost / p.speedupFor(puzzle.Hashcash().Name())
+	}
 	o.solveAttempts += uint64(effUnits)
 	o.work.Observe(effUnits)
 	solveTime := time.Duration(effUnits / p.HashRate * float64(time.Second))

@@ -714,7 +714,7 @@ func DefaultSuite(seed uint64, scale float64) []Scenario {
 		}),
 		{
 			Name:        "cross-backend-replay",
-			Description: "real-crypto downgrade replay: v2 balloon challenges re-encoded as v1 hashcash never redeem",
+			Description: "real-crypto downgrade replay: balloon challenges relabelled as hashcash never redeem",
 			Phases:      []Phase{{Name: "attack", Duration: 20 * time.Second}},
 			Populations: []Population{
 				{
