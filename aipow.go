@@ -95,8 +95,7 @@ func WithBypassBelow(threshold float64) Option { return core.WithBypassBelow(thr
 // write-back: the hot path appends a timestamped event and a background
 // loop folds the buffers into the tracker every interval, with a full
 // buffer flushing itself inline at size events. Requires WithTracker;
-// callers must Close the framework to stop the flush loop. Pair with
-// WithSummaryStaleness for the full low-latency serving configuration.
+// callers must Close the framework to stop the flush loop.
 func WithEvidenceBuffer(size int, interval time.Duration) Option {
 	return core.WithEvidenceBuffer(size, interval)
 }
@@ -180,16 +179,6 @@ func WithTrackerShards(n int) TrackerOption { return features.WithShards(n) }
 // redemption (NewRedemptionScorer).
 func WithEvidenceHalfLife(d time.Duration) TrackerOption {
 	return features.WithEvidenceHalfLife(d)
-}
-
-// WithSummaryStaleness lets the tracker serve a cached behavioral summary
-// for up to d per IP, as long as no new verification evidence arrived —
-// scoring reads then do cache-validity arithmetic instead of re-deriving
-// nine attributes under the shard lock. Zero (the default) disables the
-// cache; a few milliseconds is plenty to absorb a hot client's burst while
-// staying far below any half-life or window the summaries feed.
-func WithSummaryStaleness(d time.Duration) TrackerOption {
-	return features.WithSummaryStaleness(d)
 }
 
 // RequestInfo is one observed request for behavioral tracking.

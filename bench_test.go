@@ -387,12 +387,12 @@ func BenchmarkDecideWithEvidence(b *testing.B) {
 // evidenceFramework assembles the recommended production serving
 // configuration the evidence benchmarks measure: redemption-wrapped
 // verdict scorer, confidence-shaped policy, combined static+tracker
-// source, buffered evidence write-back, and bounded-staleness summary
-// caching. Replay protection is off so one pre-solved challenge can be
-// redeemed repeatedly, like the pure-verification benchmarks.
+// source, and buffered evidence write-back. Replay protection is off so
+// one pre-solved challenge can be redeemed repeatedly, like the
+// pure-verification benchmarks.
 func evidenceFramework(b *testing.B) *aipow.Framework {
 	b.Helper()
-	tracker, err := aipow.NewTracker(aipow.WithSummaryStaleness(2 * time.Millisecond))
+	tracker, err := aipow.NewTracker()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -98,11 +98,12 @@ const tracedRatioLimit = 1.05
 const scalingRatioLimit = 1.3
 
 // bytesPerIPCeiling is the absolute memory gate at 1M tracked IPs. The
-// slab layout measures ~650 B/IP (fixed record + index map overhead +
-// the IP string); the ceiling leaves headroom for map growth phases
-// while still failing any return of per-entry heap structures (the old
-// pointer-based layout measured ~1237 B/IP).
-const bytesPerIPCeiling = 750.0
+// slab layout measures ~461 B/IP (a 392 B record + index map overhead +
+// the IP string); the ceiling is that plus 15 %, rounded up to 10 B, so
+// it fails any growth of the record by more than ~80 B as well as any
+// return of per-entry heap structures (the old pointer-based layout
+// measured ~1237 B/IP).
+const bytesPerIPCeiling = 540.0
 
 // deltaFrameRatioLimit bounds the delta frame's build+encode cost
 // relative to a full frame at 1% dirty rows: shipping 1% of the rows
@@ -316,9 +317,9 @@ pipeline bench
 	// Evidence wiring: the full scoring-verdict stack — redemption-wrapped
 	// model under a confidence-shaped policy over the combined
 	// static+tracker source, with Verify writing solve evidence back —
-	// in the recommended production configuration: summary-cached tracker
-	// reads plus buffered evidence write-back.
-	evTracker, err := aipow.NewTracker(aipow.WithSummaryStaleness(2 * time.Millisecond))
+	// in the recommended production configuration: buffered evidence
+	// write-back.
+	evTracker, err := aipow.NewTracker()
 	if err != nil {
 		return err
 	}

@@ -306,8 +306,9 @@
 // algorithmic one. The behavior tracker therefore stores per-IP state in
 // per-shard slab arenas: each entry is one fixed-size record in a
 // []entrySlot backing array, addressed by uint32 index. The sliding
-// request/failure windows are inline float32 rings (the tracker only
-// ever adds 1, exact in float32 far beyond any per-bucket count), the
+// window is an inline ring of float32 request and failure counts under
+// one bucket-epoch stamp each (the tracker only ever adds 1, exact in
+// float32 far beyond any per-bucket count), the
 // LRU is intrusive prev/next indices threaded through the records, the
 // first four distinct paths sit in an inline open-addressed table, and
 // evicted slots recycle through an intrusive freelist. The only
@@ -316,15 +317,15 @@
 //
 // Measured at one million tracked IPs (the capacity section of
 // `go run ./cmd/benchdump`, go1.24, linux/amd64): the slab layout
-// holds 653 bytes and 1.0 GC-visible heap objects per tracked IP, down
-// from 1237 bytes and 11.0 objects per IP for the previous
-// pointer-per-entry layout — 47% less memory and 11× fewer objects for
-// the garbage collector to trace on every cycle. cmd/benchdump measures
-// this on every run and its -compare gate fails CI when bytes/IP
-// exceeds a fixed ceiling (750) or regresses against the baseline
-// dump; eviction churn at full capacity and the delta-versus-full
-// frame-encode ratio (see the distributed defense plane) are gated the
-// same way.
+// holds 461 bytes (a 392-byte record) and 1.0 GC-visible heap objects
+// per tracked IP, down from 1237 bytes and 11.0 objects per IP for the
+// previous pointer-per-entry layout — 63% less memory and 11× fewer
+// objects for the garbage collector to trace on every cycle.
+// cmd/benchdump measures this on every run and its -compare gate fails
+// CI when bytes/IP exceeds a fixed ceiling (540) or regresses against
+// the baseline dump; eviction churn at full capacity and the
+// delta-versus-full frame-encode ratio (see the distributed defense
+// plane) are gated the same way.
 //
 // # Batch serving & evidence buffering
 //
@@ -361,19 +362,13 @@
 //     by the interval. Framework.Close stops the flush loop and drains
 //     the buffers (Gatekeeper.Close and pipeline rebuilds do this for
 //     spec-built pipelines); after Close, writes degrade to synchronous.
-//   - Snapshot-cached redemption reads (WithSummaryStaleness): the
-//     tracker caches each IP's computed behavior summary — the vector
-//     the redemption scorer and live sources read — keyed on the
-//     entry's evidence generation, serving it while younger than the
-//     staleness bound. Observations alone do not invalidate (that is
-//     exactly the tolerated staleness); every applied verification
-//     outcome bumps the generation, so redemption-relevant changes are
-//     visible immediately.
 //
 // Together these close the evidence-path gap: the gated
 // DecideWithEvidence benchmark (the full Observe + verdict Decide +
-// Verify + write-back loop) runs within 2x plain Decide, and
-// DecideBatch under it, all at 0 allocs/op.
+// Verify + write-back loop, every behavior summary computed fresh) runs
+// at about 1.7x plain Decide (benchdump's evidence_over_decide, 1.69 and
+// 1.76 in two -runs 3 passes on a 2-vCPU linux/amd64 host; gated at 2x),
+// and DecideBatch under it, all at 0 allocs/op.
 //
 // # Distributed defense plane
 //

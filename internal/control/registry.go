@@ -285,10 +285,9 @@ func (r *Registry) Tracker() *features.Tracker { return r.tracker }
 // otherwise the per-key tracker for that (window, half-life) pair,
 // created on first use and cached so same-key pipelines share state.
 // Per-key trackers inherit the shared tracker's remaining sizing
-// (capacity, summary staleness, window bucket count, and whichever of
-// window span/half-life the spec leaves zero) so the spec changes exactly
-// the declared knobs instead of silently resetting an operator's tuning to
-// defaults.
+// (capacity, window bucket count, and whichever of window span/half-life
+// the spec leaves zero) so the spec changes exactly the declared knobs
+// instead of silently resetting an operator's tuning to defaults.
 func (r *Registry) trackerFor(ps PipelineSpec) (*features.Tracker, error) {
 	key := trackerKey{window: time.Duration(ps.TrackerWindow)}
 	if ps.Redeem != nil {
@@ -307,7 +306,6 @@ func (r *Registry) trackerFor(ps PipelineSpec) (*features.Tracker, error) {
 	t, err := features.NewTracker(
 		features.WithCapacity(r.tracker.Capacity()),
 		features.WithEvidenceHalfLife(halfLife),
-		features.WithSummaryStaleness(r.tracker.SummaryStaleness()),
 		features.WithWindow(cmp.Or(key.window, span), buckets),
 	)
 	if err != nil {

@@ -318,8 +318,7 @@ func WithClockSkew(d time.Duration) Option { return func(c *config) { c.clockSke
 //
 // This takes the shard lock off the per-request write path — the half-life
 // and window math tolerate the sub-millisecond staleness (see the bounded-
-// staleness tests) — and is the recommended production configuration
-// together with features.WithSummaryStaleness on the tracker.
+// staleness tests).
 func WithEvidenceBuffer(size int, interval time.Duration) Option {
 	return func(c *config) { c.wbSize, c.wbInterval = size, interval }
 }

@@ -235,7 +235,7 @@ func TestObserveForwardsToTracker(t *testing.T) {
 	if err := f.Observe(features.RequestInfo{IP: "1.2.3.4", Path: "/", At: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Tracked() != 1 {
+	if tr.StatsSnapshot().Entries != 1 {
 		t.Fatal("tracker did not record request")
 	}
 	// Without a tracker Observe is a silent no-op.

@@ -125,8 +125,7 @@ func (t *Tracker) eachShardRun(g *groupScratch, fn func(sh *trackerShard, i int3
 }
 
 // AttributesVectorBatch implements VectorBatchSource: the layout resolves
-// once for the whole batch and each touched shard's lock is taken once,
-// with summaries served cache-aware (WithSummaryStaleness) per entry.
+// once for the whole batch and each touched shard's lock is taken once.
 func (t *Tracker) AttributesVectorBatch(dst []float64, stride int, schema *Schema, ips []string, masks []uint64, now time.Time) {
 	l := t.layoutFor(schema)
 	if l.mask == 0 {

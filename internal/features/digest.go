@@ -171,8 +171,7 @@ func (t *Tracker) ExportEvidenceSince(dst []EvidenceRow, maxRows int, since uint
 // redeemed challenges on a sibling node carries its earned reputation
 // here, and a relayed or duplicated digest changes nothing. Entries are
 // created as needed (subject to the tracker's capacity bound, like any
-// other observation) and their evidence generation is bumped so cached
-// summaries refresh.
+// other observation).
 func (t *Tracker) MergeEvidence(rows []EvidenceRow) {
 	for i := range rows {
 		r := &rows[i]
@@ -192,12 +191,11 @@ func (t *Tracker) MergeEvidence(rows []EvidenceRow) {
 		}, *r, t.halfLife)
 		if merged.Total != e.total || merged.Failed != e.totalFailed ||
 			merged.SolveCredit != e.solveCredit || !merged.CreditAt.Equal(creditAt) {
-			seq := t.markDirtyLocked(sh, idx)
+			t.markDirtyLocked(sh, idx)
 			e.total = merged.Total
 			e.totalFailed = merged.Failed
 			e.solveCredit = merged.SolveCredit
 			e.creditAtNS = timeNS(merged.CreditAt)
-			e.evGen = seq
 		}
 		sh.mu.Unlock()
 	}

@@ -75,7 +75,7 @@ func TestRecordVerifyCreatesEntryAndRespectsCapacity(t *testing.T) {
 	for i, ip := range []string{"a", "b", "c", "d", "e", "f"} {
 		tr.RecordVerify(ip, 8, true, at(i))
 	}
-	if got := tr.Tracked(); got != 4 {
+	if got := tr.StatsSnapshot().Entries; got != 4 {
 		t.Errorf("tracked = %d, want capacity 4", got)
 	}
 	// The oldest entries were LRU-evicted; their evidence is gone.
@@ -110,7 +110,7 @@ func TestLifetimeFailRatio(t *testing.T) {
 func TestRecordVerifyEmptyIPIsNoop(t *testing.T) {
 	tr := evidenceTracker(t)
 	tr.RecordVerify("", 8, true, at(0))
-	if got := tr.Tracked(); got != 0 {
+	if got := tr.StatsSnapshot().Entries; got != 0 {
 		t.Errorf("tracked = %d after empty-IP record", got)
 	}
 }

@@ -234,8 +234,8 @@ func TestTrackerShardClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Shards(); got != 1<<14 {
-		t.Errorf("Shards() = %d, want cap %d", got, 1<<14)
+	if got := len(tr.shards); got != 1<<14 {
+		t.Errorf("shards = %d, want cap %d", got, 1<<14)
 	}
 }
 
@@ -282,13 +282,13 @@ func TestTrackerOverShardingKeepsBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Shards(); got > 100 {
-		t.Fatalf("Shards() = %d, want ≤ capacity 100", got)
+	if got := len(tr.shards); got > 100 {
+		t.Fatalf("shards = %d, want ≤ capacity 100", got)
 	}
 	for i := 0; i < 5000; i++ {
 		_ = tr.Observe(RequestInfo{IP: fmt.Sprintf("10.1.%d.%d", i/250, i%250), Path: "/", At: at(i)})
 	}
-	if got := tr.Tracked(); got > 100 {
-		t.Fatalf("Tracked() = %d, want ≤ capacity 100", got)
+	if got := tr.StatsSnapshot().Entries; got > 100 {
+		t.Fatalf("Entries = %d, want ≤ capacity 100", got)
 	}
 }

@@ -160,14 +160,6 @@ func fillFromMap(dst []float64, attrs map[string]float64, schema *Schema) uint64
 	return mask
 }
 
-// Known reports whether ip has explicit attributes (vs. the fallback).
-func (s *MapStore) Known(ip string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.byIP[ip]
-	return ok
-}
-
 // Len reports the number of explicitly registered IPs.
 func (s *MapStore) Len() int {
 	s.mu.RLock()

@@ -24,9 +24,6 @@ func TestMapStoreLookupAndFallback(t *testing.T) {
 	if got := s.Attributes("8.8.8.8", time.Time{})["spam_ratio"]; got != 0.01 {
 		t.Errorf("unknown IP spam_ratio = %v, want fallback 0.01", got)
 	}
-	if !s.Known("1.1.1.1") || s.Known("8.8.8.8") {
-		t.Error("Known() wrong")
-	}
 	if s.Len() != 1 {
 		t.Errorf("Len() = %d, want 1", s.Len())
 	}

@@ -1,3 +1,8 @@
+// Package features turns raw request streams into the per-IP attribute
+// vectors the AI model scores. It provides a bounded per-IP behavior
+// tracker with inline sliding windows, and attribute stores that merge
+// static (Talos-like) attributes with live behavioral ones — the "IP
+// traffic based features" the paper's AI subsystem consumes.
 package features
 
 import (
@@ -88,9 +93,9 @@ type RequestInfo struct {
 // inside per-shard backing arrays (no per-entry heap objects beyond the IP
 // string itself), which fixes both sizes at compile time.
 const (
-	// maxSlotBuckets is the inline ring capacity of the two sliding
-	// windows in a slot, and therefore the largest bucket count a Tracker
-	// accepts (WithWindow), two above the default bucket count.
+	// maxSlotBuckets is the inline ring capacity of the sliding window in
+	// a slot, and therefore the largest bucket count a Tracker accepts
+	// (WithWindow), two above the default bucket count.
 	maxSlotBuckets = 12
 
 	// inlinePaths is the open-addressed per-path table inlined in a slot.
@@ -117,8 +122,8 @@ const (
 // not global.
 //
 // Entries are fixed-size records (entrySlot) in a per-shard []entrySlot
-// slab addressed by uint32 index: the two ring windows are inline arrays,
-// the LRU is intrusive prev/next indices, and evicted slots recycle
+// slab addressed by uint32 index: the window ring is inlined in the
+// record, the LRU is intrusive prev/next indices, and evicted slots recycle
 // through a freelist. The only per-entry heap allocation is the IP string
 // (shared with the index map key), which is what keeps a million tracked
 // clients at ~1 GC-visible object each instead of ~11.
@@ -136,10 +141,9 @@ type Tracker struct {
 	span      time.Duration
 	buckets   int
 	bucketNS  int64 // span/buckets in nanoseconds (window epoch unit)
-	maxPaths  int
+	maxPaths  int   // distinct paths remembered per IP (64; tests lower it)
 	shardsOpt int
 	halfLife  time.Duration // solve-credit decay half-life
-	staleness time.Duration // summary cache tolerance (0 = always fresh)
 
 	// deltaSeq is the tracker-global change sequence behind delta evidence
 	// export: every exported-field mutation (request counters, solve
@@ -226,13 +230,12 @@ type entrySlot struct {
 	// chain while the slot is free.
 	lruPrev, lruNext uint32
 
-	// Sliding windows, inlined: requests and failures share the epoch
-	// scheme of Window but live in fixed arrays sized maxSlotBuckets (the
-	// tracker's bucket count uses a prefix of them).
+	// Sliding window, inlined: ring bucket i holds the request and failure
+	// counts of bucket epoch stamps[i] (atNS / bucketNS). The tracker's
+	// bucket count uses a prefix of the fixed arrays.
 	reqCounts  [maxSlotBuckets]float32
 	failCounts [maxSlotBuckets]float32
-	reqStamps  [maxSlotBuckets]int64
-	failStamps [maxSlotBuckets]int64
+	stamps     [maxSlotBuckets]int64
 
 	// Per-path hit counts keyed by 64-bit FNV-1a path hash: the first
 	// inlinePaths distinct paths inline (hits==0 marks a vacant cell; a
@@ -246,7 +249,6 @@ type entrySlot struct {
 	pathSpill    []pathSpillEnt
 	pathCount    int32 // distinct paths tracked (inline + spill)
 	seen         bool  // at least one Observe folded in (gates the EWMA gap)
-	sumValid     bool
 	overflowHits uint64
 
 	lastSeenNS   int64
@@ -261,29 +263,11 @@ type entrySlot struct {
 	creditAtNS  int64
 	failStreak  uint64
 
-	// evGen is the entry's evidence generation: the tracker-global delta
-	// sequence stamped by every applied verification outcome (and every
-	// evidence merge that changed state). It is monotone per entry, so the
-	// summary cache uses it unchanged for invalidation; observations alone
-	// do not bump it — that is exactly the tolerated staleness.
-	evGen uint64
-
 	// expSeq is the delta sequence of the last change to any exported
-	// evidence field (total, totalFailed, solveCredit, creditAt) — unlike
-	// evGen it advances on observations too, since lifetime counters are
-	// gossiped. dirtyPos is this slot's position+1 in the shard dirty log
-	// (0 = not logged).
+	// evidence field (total, totalFailed, solveCredit, creditAt). dirtyPos
+	// is this slot's position+1 in the shard dirty log (0 = not logged).
 	expSeq   uint64
 	dirtyPos int32
-
-	// Summary cache (WithSummaryStaleness): the last computed behavior
-	// summary, the time it was computed, and the evidence generation it
-	// reflects. A summarize call may serve the cached value while it is
-	// younger than the tracker's staleness bound and no verification
-	// evidence has landed since (evGen unchanged).
-	sumGen  uint64
-	sumAtNS int64
-	sum     behaviorSummary
 }
 
 // timeNS converts a timestamp to the slab representation: unix
@@ -319,28 +303,11 @@ func WithWindow(span time.Duration, buckets int) TrackerOption {
 	return func(t *Tracker) { t.span, t.buckets = span, buckets }
 }
 
-// WithMaxPaths bounds the distinct paths remembered per IP (default 64).
-func WithMaxPaths(n int) TrackerOption {
-	return func(t *Tracker) { t.maxPaths = n }
-}
-
 // WithEvidenceHalfLife sets the decay half-life of the verified-solve
 // credit (AttrSolveCredit, default DefaultEvidenceHalfLife): after one
 // half-life without fresh solves an IP's accumulated credit is halved.
 func WithEvidenceHalfLife(d time.Duration) TrackerOption {
 	return func(t *Tracker) { t.halfLife = d }
-}
-
-// WithSummaryStaleness lets summarize serve a cached behavior summary up
-// to d old, provided no verification evidence landed since it was computed
-// (evidence invalidates immediately; plain observations do not). The
-// half-life and window math tolerate sub-millisecond staleness — the decay
-// factor across 1 ms of a 5 m half-life is 1-2.3e-6 — so a steady-state
-// scoring path can skip the window sums, path-entropy, and Exp2 work on
-// cache hits. Zero (the default) disables the cache: every summary is
-// computed fresh at the caller's clock.
-func WithSummaryStaleness(d time.Duration) TrackerOption {
-	return func(t *Tracker) { t.staleness = d }
 }
 
 // WithShards sets the lock-stripe count, rounded up to a power of two and
@@ -376,14 +343,8 @@ func NewTracker(opts ...TrackerOption) (*Tracker, error) {
 	if t.halfLife <= 0 {
 		return nil, fmt.Errorf("features: evidence half-life must be positive, got %v", t.halfLife)
 	}
-	if t.maxPaths < 1 {
-		return nil, fmt.Errorf("features: max paths must be positive, got %d", t.maxPaths)
-	}
 	if t.shardsOpt < 0 {
 		return nil, fmt.Errorf("features: shard count must be non-negative, got %d", t.shardsOpt)
-	}
-	if t.staleness < 0 {
-		return nil, fmt.Errorf("features: summary staleness must be non-negative, got %v", t.staleness)
 	}
 	t.bucketNS = int64(t.span / time.Duration(t.buckets))
 	shards := t.shardsOpt
@@ -493,9 +454,6 @@ func (t *Tracker) shard(ip string) *trackerShard {
 	return &t.shards[t.shardIdx(ip)]
 }
 
-// Shards reports the lock-stripe count in use.
-func (t *Tracker) Shards() int { return len(t.shards) }
-
 // Capacity reports the tracked-IP bound.
 func (t *Tracker) Capacity() int { return t.capacity }
 
@@ -504,10 +462,6 @@ func (t *Tracker) EvidenceHalfLife() time.Duration { return t.halfLife }
 
 // Window reports the sliding rate window's span and bucket count.
 func (t *Tracker) Window() (span time.Duration, buckets int) { return t.span, t.buckets }
-
-// SummaryStaleness reports the summary-cache staleness bound (zero:
-// caching disabled).
-func (t *Tracker) SummaryStaleness() time.Duration { return t.staleness }
 
 // Observe folds one request into the tracker.
 func (t *Tracker) Observe(req RequestInfo) error {
@@ -523,38 +477,43 @@ func (t *Tracker) Observe(req RequestInfo) error {
 	return nil
 }
 
-// winAdd records one hit in an inline window ring: n is the live bucket
-// count (a prefix of the fixed arrays), bucketNS the epoch unit.
-func winAdd(counts *[maxSlotBuckets]float32, stamps *[maxSlotBuckets]int64, n int, bucketNS, atNS int64) {
-	e := atNS / bucketNS
-	slot := int(((e % int64(n)) + int64(n)) % int64(n))
-	if stamps[slot] != e {
-		counts[slot] = 0
-		stamps[slot] = e
+// winAdd records one request in a slot's inline window ring: n is the
+// live bucket count (a prefix of the fixed arrays), bucketNS the epoch
+// unit. A ring bucket that still holds an older epoch is reset first —
+// requests and failures together, so a failure never outlives the
+// request bucket it was counted in.
+func winAdd(e *entrySlot, n int, bucketNS, atNS int64, failed bool) {
+	epoch := atNS / bucketNS
+	slot := int(((epoch % int64(n)) + int64(n)) % int64(n))
+	if e.stamps[slot] != epoch {
+		e.reqCounts[slot], e.failCounts[slot] = 0, 0
+		e.stamps[slot] = epoch
 	}
-	counts[slot]++
+	e.reqCounts[slot]++
+	if failed {
+		e.failCounts[slot]++
+	}
 }
 
-// winSum totals the inline ring's buckets inside the window ending at
-// nowNS, mirroring Window.Sum.
-func winSum(counts *[maxSlotBuckets]float32, stamps *[maxSlotBuckets]int64, n int, bucketNS, nowNS int64) float64 {
+// winSum totals the requests and failures in the ring buckets inside the
+// window ending at nowNS.
+func winSum(e *entrySlot, n int, bucketNS, nowNS int64) (reqs, fails float64) {
 	newest := nowNS / bucketNS
 	oldest := newest - int64(n) + 1
-	var total float64
 	for i := 0; i < n; i++ {
-		if e := stamps[i]; e >= oldest && e <= newest {
-			total += float64(counts[i])
+		if ep := e.stamps[i]; ep >= oldest && ep <= newest {
+			reqs += float64(e.reqCounts[i])
+			fails += float64(e.failCounts[i])
 		}
 	}
-	return total
+	return reqs, fails
 }
 
 // markDirtyLocked stamps the next tracker-global delta sequence on the
 // slot's exported-state generation and records it in the shard's dirty
 // log. The sequence is allocated under the shard lock — that ordering is
-// what makes ExportEvidenceSince's watermark sound (see deltaSeq). Returns
-// the allocated sequence so evidence paths can reuse it for evGen.
-func (t *Tracker) markDirtyLocked(sh *trackerShard, idx uint32) uint64 {
+// what makes ExportEvidenceSince's watermark sound (see deltaSeq).
+func (t *Tracker) markDirtyLocked(sh *trackerShard, idx uint32) {
 	seq := t.deltaSeq.Add(1)
 	s := &sh.slots[idx]
 	s.expSeq = seq
@@ -565,7 +524,6 @@ func (t *Tracker) markDirtyLocked(sh *trackerShard, idx uint32) uint64 {
 		sh.dirty = append(sh.dirty, idx)
 		s.dirtyPos = int32(len(sh.dirty))
 	}
-	return seq
 }
 
 // compactDirtyLocked shrinks a full dirty log: eviction tombstones go
@@ -622,9 +580,8 @@ func (t *Tracker) observeLocked(sh *trackerShard, idx uint32, path string, at ti
 	e.seen = true
 	e.lastSeenNS = atNS
 	e.total++
-	winAdd(&e.reqCounts, &e.reqStamps, t.buckets, t.bucketNS, atNS)
+	winAdd(e, t.buckets, t.bucketNS, atNS, failed)
 	if failed {
-		winAdd(&e.failCounts, &e.failStamps, t.buckets, t.bucketNS, atNS)
 		e.totalFailed++
 	}
 	t.pathHitLocked(e, path)
@@ -765,12 +722,10 @@ func (t *Tracker) RecordVerify(ip string, difficulty int, ok bool, at time.Time)
 	t.recordVerifyLocked(sh, idx, difficulty, ok, at)
 }
 
-// recordVerifyLocked folds one verification outcome into the slot at idx
-// and bumps its evidence generation (invalidating any cached summary —
-// redemption changes are visible immediately). Callers hold the shard
-// lock.
+// recordVerifyLocked folds one verification outcome into the slot at idx.
+// Callers hold the shard lock.
 func (t *Tracker) recordVerifyLocked(sh *trackerShard, idx uint32, difficulty int, ok bool, at time.Time) {
-	seq := t.markDirtyLocked(sh, idx) // credit and its reference time change
+	t.markDirtyLocked(sh, idx) // credit and its reference time change
 	e := &sh.slots[idx]
 	e.solveCredit = decayCreditNS(e.solveCredit, e.creditAtNS, timeNS(at), t.halfLife)
 	e.creditAtNS = timeNS(at)
@@ -780,7 +735,6 @@ func (t *Tracker) recordVerifyLocked(sh *trackerShard, idx uint32, difficulty in
 	} else {
 		e.failStreak++
 	}
-	e.evGen = seq
 }
 
 // decayCredit applies the exponential half-life decay from the credit's
@@ -820,23 +774,15 @@ func (t *Tracker) summarize(ip string, now time.Time) behaviorSummary {
 	return t.summarizeLocked(&sh.slots[idx], now)
 }
 
-// summarizeLocked computes (or, within the staleness bound, serves the
-// cached) behavior summary for a slot. Callers hold the shard lock. A
-// cache hit requires an unchanged evidence generation and an age in
-// [0, staleness]; negative ages (a clock stepping backwards) recompute,
-// the conservative choice.
+// summarizeLocked computes the behavior summary for a slot at now.
+// Callers hold the shard lock.
 func (t *Tracker) summarizeLocked(e *entrySlot, now time.Time) behaviorSummary {
 	nowNS := now.UnixNano()
-	if t.staleness > 0 && e.sumValid && e.sumGen == e.evGen {
-		if age := nowNS - e.sumAtNS; age >= 0 && age <= int64(t.staleness) {
-			return e.sum
-		}
-	}
 	var s behaviorSummary
-	reqs := winSum(&e.reqCounts, &e.reqStamps, t.buckets, t.bucketNS, nowNS)
+	reqs, fails := winSum(e, t.buckets, t.bucketNS, nowNS)
 	s[0] = reqs / t.span.Seconds()
 	if reqs > 0 {
-		s[1] = winSum(&e.failCounts, &e.failStamps, t.buckets, t.bucketNS, nowNS) / reqs
+		s[1] = fails / reqs
 	}
 	s[2] = float64(e.pathCount)
 	s[3] = e.pathEntropy()
@@ -846,9 +792,6 @@ func (t *Tracker) summarizeLocked(e *entrySlot, now time.Time) behaviorSummary {
 	s[7] = float64(e.failStreak)
 	if e.total > 0 {
 		s[8] = float64(e.totalFailed) / float64(e.total)
-	}
-	if t.staleness > 0 {
-		e.sum, e.sumAtNS, e.sumGen, e.sumValid = s, nowNS, e.evGen, true
 	}
 	return s
 }
@@ -951,18 +894,6 @@ func (e *entrySlot) pathEntropy() float64 {
 	}
 	acc(e.overflowHits)
 	return h
-}
-
-// Tracked reports how many IPs currently have state, summed across shards.
-func (t *Tracker) Tracked() int {
-	total := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		total += len(sh.index)
-		sh.mu.Unlock()
-	}
-	return total
 }
 
 // TrackerStats is a point-in-time occupancy snapshot: how full the

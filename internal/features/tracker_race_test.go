@@ -22,8 +22,8 @@ func TestTrackerShardedConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Shards(); got != shards {
-		t.Fatalf("Shards() = %d, want %d", got, shards)
+	if got := len(tr.shards); got != shards {
+		t.Fatalf("shards = %d, want %d", got, shards)
 	}
 	schema, err := NewSchema(behaviorAttrNames[:]...)
 	if err != nil {
@@ -55,8 +55,8 @@ func TestTrackerShardedConcurrent(t *testing.T) {
 						return
 					}
 				}
-				if i%100 == 0 && tr.Tracked() > capacity {
-					t.Errorf("Tracked() = %d exceeds capacity %d mid-flood", tr.Tracked(), capacity)
+				if i%100 == 0 && tr.StatsSnapshot().Entries > capacity {
+					t.Errorf("Entries = %d exceeds capacity %d mid-flood", tr.StatsSnapshot().Entries, capacity)
 					return
 				}
 			}
@@ -66,10 +66,10 @@ func TestTrackerShardedConcurrent(t *testing.T) {
 
 	// Per-shard quotas sum exactly to capacity, so the global bound holds
 	// for any shard configuration.
-	if got := tr.Tracked(); got > capacity {
-		t.Fatalf("Tracked() = %d, want ≤ capacity %d", got, capacity)
+	if got := tr.StatsSnapshot().Entries; got > capacity {
+		t.Fatalf("Entries = %d, want ≤ capacity %d", got, capacity)
 	}
-	if got := tr.Tracked(); got == 0 {
+	if got := tr.StatsSnapshot().Entries; got == 0 {
 		t.Fatal("tracker empty after flood")
 	}
 }
@@ -82,14 +82,14 @@ func TestTrackerShardAutoSizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := small.Shards(); got != 1 {
+	if got := len(small.shards); got != 1 {
 		t.Errorf("capacity-3 tracker has %d shards, want 1", got)
 	}
 	rounded, err := NewTracker(WithShards(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rounded.Shards(); got != 8 {
+	if got := len(rounded.shards); got != 8 {
 		t.Errorf("WithShards(5) → %d shards, want 8", got)
 	}
 	if _, err := NewTracker(WithShards(-1)); err == nil {

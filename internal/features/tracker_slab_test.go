@@ -117,7 +117,7 @@ func TestTrackerSlabFreelistChurn(t *testing.T) {
 // detector sees eviction, slot recycling, and slab growth under real
 // contention; the slab invariants are checked once the dust settles.
 func TestTrackerSlabHammer(t *testing.T) {
-	tr, err := NewTracker(WithCapacity(256), WithShards(4), WithMaxPaths(4))
+	tr, err := NewTracker(WithCapacity(256), WithShards(4), withMaxPaths(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func (m *refTrackerModel) summarize(ip string, now time.Time) [behaviorAttrCount
 // float32 window counts only ever accumulate +1, so they are exact and
 // the slab layout has no licence to differ in even the last ulp.
 func TestTrackerSlabTraceEquivalence(t *testing.T) {
-	tr, err := NewTracker(WithMaxPaths(6)) // inline(4) + spill(2), then overflow
+	tr, err := NewTracker(withMaxPaths(6)) // inline(4) + spill(2), then overflow
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,23 @@ package features
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
+	"unsafe"
 )
+
+func at(sec int) time.Time {
+	return time.Date(2022, 3, 21, 0, 0, 0, 0, time.UTC).Add(time.Duration(sec) * time.Second)
+}
+
+// withMaxPaths lowers the per-IP distinct-path cap (64 otherwise) so tests
+// reach the inline table's spill and the overflow pool in a few requests.
+func withMaxPaths(n int) TrackerOption {
+	return func(t *Tracker) { t.maxPaths = n }
+}
 
 // attrsOf reads src's attributes for ip as a map, through the one path the
 // framework uses: a vector fill over the behavioral attributes (preceded
@@ -30,14 +43,192 @@ func TestNewTrackerValidation(t *testing.T) {
 	if _, err := NewTracker(WithCapacity(0)); err == nil {
 		t.Error("zero capacity accepted")
 	}
+}
+
+func TestNewWindowValidation(t *testing.T) {
 	if _, err := NewTracker(WithWindow(0, 4)); err == nil {
 		t.Error("zero window span accepted")
 	}
 	if _, err := NewTracker(WithWindow(time.Minute, 0)); err == nil {
 		t.Error("zero buckets accepted")
 	}
-	if _, err := NewTracker(WithMaxPaths(0)); err == nil {
-		t.Error("zero max paths accepted")
+	if _, err := NewTracker(WithWindow(time.Minute, maxSlotBuckets+1)); err == nil {
+		t.Error("bucket count beyond the inline ring accepted")
+	}
+}
+
+func TestWindowSpanAccessor(t *testing.T) {
+	tr, err := NewTracker(WithWindow(42*time.Second, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if span, buckets := tr.Window(); span != 42*time.Second || buckets != 4 {
+		t.Fatalf("Window() = %v / %d, want 42s / 4", span, buckets)
+	}
+}
+
+// windowAttrs observes one request per entry of failed (all at the given
+// second offsets) for a fresh IP and reads back its windowed rate and
+// failure ratio at now.
+func windowAttrs(t *testing.T, tr *Tracker, ip string, secs []int, failed []bool, now int) (rate, failRatio float64) {
+	t.Helper()
+	for i, sec := range secs {
+		if err := tr.Observe(RequestInfo{IP: ip, Path: "/", At: at(sec), Failed: failed[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	attrs := attrsOf(tr, ip, at(now))
+	return attrs[AttrRequestRate], attrs[AttrFailRatio]
+}
+
+func TestWindowSumWithinSpan(t *testing.T) {
+	tr, err := NewTracker(WithWindow(60*time.Second, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rate, fr := windowAttrs(t, tr, "a", []int{0, 10, 20}, []bool{false, true, false}, 20)
+	if rate != 3.0/60 {
+		t.Fatalf("rate = %v, want 3/60", rate)
+	}
+	if fr != 1.0/3 {
+		t.Fatalf("fail ratio = %v, want 1/3", fr)
+	}
+}
+
+func TestWindowExpiresOldBuckets(t *testing.T) {
+	tr, err := NewTracker(WithWindow(60*time.Second, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// At t=90 the covered buckets start at t=40 (the 60 s span quantizes
+	// to whole 10 s buckets), so the failed t=0 burst is out and the clean
+	// t=45 request is in.
+	rate, fr := windowAttrs(t, tr, "a",
+		[]int{0, 0, 0, 0, 0, 45}, []bool{true, true, true, true, true, false}, 90)
+	if rate != 1.0/60 || fr != 0 {
+		t.Fatalf("after expiry: rate %v, fail ratio %v, want 1/60 and 0", rate, fr)
+	}
+	// Far in the future everything is gone.
+	attrs := attrsOf(tr, "a", at(1000))
+	if attrs[AttrRequestRate] != 0 || attrs[AttrFailRatio] != 0 {
+		t.Fatalf("far future: rate %v, fail ratio %v, want 0 and 0", attrs[AttrRequestRate], attrs[AttrFailRatio])
+	}
+}
+
+func TestWindowBucketReuseClearsStaleCounts(t *testing.T) {
+	tr, err := NewTracker(WithWindow(6*time.Second, 6)) // 1 s buckets
+	if err != nil {
+		t.Fatal(err)
+	}
+	// t=6 maps to the same ring bucket as t=0 (6 mod 6 buckets); the stale
+	// counts must be cleared, not accumulated into. The window ending at
+	// t=6 covers buckets [1..6]: only the t=6 request remains.
+	secs, failed := make([]int, 101), make([]bool, 101)
+	for i := 0; i < 100; i++ {
+		failed[i] = true
+	}
+	secs[100] = 6
+	rate, fr := windowAttrs(t, tr, "a", secs, failed, 6)
+	if rate != 1.0/6 || fr != 0 {
+		t.Fatalf("rate %v, fail ratio %v, want 1/6 and 0 (stale bucket leaked)", rate, fr)
+	}
+}
+
+// TestWindowBackwardStepFailRatio steps one client's clock back by a full
+// window. Two failed requests land in bucket epoch 5, a clean one exactly
+// one window later (epoch 15, the same ring bucket), and another clean
+// one at epoch 6; the summary is taken at epoch 6. The epoch-15 request
+// resets its bucket, failures included, so no failure outlives the
+// request bucket it was counted in and the ratio stays a ratio.
+func TestWindowBackwardStepFailRatio(t *testing.T) {
+	tr, err := NewTracker() // 30 s over 10 buckets
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := func(e int64) time.Time { return time.Unix(0, e*tr.bucketNS) }
+	steps := []struct {
+		e      int64
+		failed bool
+	}{{5, true}, {5, true}, {15, false}, {6, false}}
+	for _, s := range steps {
+		if err := tr.Observe(RequestInfo{IP: "a", Path: "/", At: epoch(s.e), Failed: s.failed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := attrsOf(tr, "a", epoch(6))[AttrFailRatio]; got < 0 || got > 1 {
+		t.Fatalf("%s = %v after a backward clock step, want a ratio in [0, 1]", AttrFailRatio, got)
+	}
+}
+
+// TestWindowReset pins that a window's counts die with its entry: a slot
+// recycled through the freelist starts with an empty ring.
+func TestWindowReset(t *testing.T) {
+	tr, err := NewTracker(WithCapacity(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	windowAttrs(t, tr, "a", []int{0, 0, 0}, []bool{true, true, true}, 0)
+	windowAttrs(t, tr, "b", []int{1}, []bool{false}, 1) // evicts a
+	rate, fr := windowAttrs(t, tr, "a", []int{2}, []bool{false}, 2)
+	if rate != 1.0/30 || fr != 0 {
+		t.Fatalf("re-admitted IP: rate %v, fail ratio %v, want 1/30 and 0", rate, fr)
+	}
+}
+
+// Property (conservation): for requests all within one span of "now", in
+// any order, the window holds every request and every failure.
+func TestWindowConservationProperty(t *testing.T) {
+	f := func(raw []uint8) bool {
+		tr, err := NewTracker(WithWindow(60*time.Second, 12)) // 5 s buckets
+		if err != nil {
+			return false
+		}
+		rng := rand.New(rand.NewPCG(uint64(len(raw)), 7))
+		var fails int
+		for _, v := range raw {
+			// Offsets in [65s, 120s]: inside the window ending at 120s
+			// after bucket quantization (epochs [65s, 125s)).
+			failed := v%2 == 1
+			if failed {
+				fails++
+			}
+			if tr.Observe(RequestInfo{IP: "a", Path: "/", At: at(65 + rng.IntN(56)), Failed: failed}) != nil {
+				return false
+			}
+		}
+		attrs := attrsOf(tr, "a", at(120))
+		if len(raw) == 0 {
+			return attrs[AttrRequestRate] == 0 && attrs[AttrFailRatio] == 0
+		}
+		return attrs[AttrRequestRate] == float64(len(raw))/60 &&
+			attrs[AttrFailRatio] == float64(fails)/float64(len(raw))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEntrySlotSizeBudget pins the per-IP slab record, the memory a flood
+// must exhaust per identity. Growing it needs a stated reason and a new
+// budget here. Budget on 64-bit platforms:
+//
+//	ip string                                  16
+//	lruPrev, lruNext                            8
+//	reqCounts, failCounts (2 × 12 float32)     96
+//	stamps (12 int64 epochs)                   96
+//	pathHash, pathHits (2 × 4 uint64)          64
+//	pathSpill slice header                     24
+//	pathCount, seen (+ padding)                 8
+//	overflowHits, lastSeenNS, interArrival,
+//	total, totalFailed, solveCredit,
+//	creditAtNS, failStreak (8 × 8)             64
+//	expSeq                                      8
+//	dirtyPos (+ padding)                        8
+//	                                          ---
+//	                                          392
+func TestEntrySlotSizeBudget(t *testing.T) {
+	if got := unsafe.Sizeof(entrySlot{}); got > 392 {
+		t.Fatalf("entrySlot is %d B, over its 392 B budget", got)
 	}
 }
 
@@ -94,7 +285,7 @@ func TestTrackerPathEntropy(t *testing.T) {
 }
 
 func TestTrackerPathEntropyOverflowPooled(t *testing.T) {
-	tr, err := NewTracker(WithMaxPaths(2))
+	tr, err := NewTracker(withMaxPaths(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +374,8 @@ func TestTrackerLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := tr.Tracked(); got != 3 {
-		t.Fatalf("Tracked() = %d, want 3", got)
+	if got := tr.StatsSnapshot().Entries; got != 3 {
+		t.Fatalf("Entries = %d, want 3", got)
 	}
 	// Oldest two (10.0.0.0, 10.0.0.1) must be gone: zero attributes.
 	if attrsOf(tr, "10.0.0.0", at(10))[AttrTotalRequests] != 0 {
@@ -213,7 +404,7 @@ func TestTrackerLRUTouchOnObserve(t *testing.T) {
 }
 
 func TestTrackerPathCap(t *testing.T) {
-	tr, err := NewTracker(WithMaxPaths(4))
+	tr, err := NewTracker(withMaxPaths(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +434,8 @@ func TestTrackerConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := tr.Tracked(); got != 8 {
-		t.Fatalf("Tracked() = %d, want 8", got)
+	if got := tr.StatsSnapshot().Entries; got != 8 {
+		t.Fatalf("Entries = %d, want 8", got)
 	}
 }
 

@@ -110,7 +110,7 @@ func TestMiddlewareTransportConcurrentClients(t *testing.T) {
 	if got := served.Load(); got != clients*requests {
 		t.Errorf("served %d requests, want %d", got, clients*requests)
 	}
-	if tracked := tracker.Tracked(); tracked != clients {
+	if tracked := tracker.StatsSnapshot().Entries; tracked != clients {
 		t.Errorf("tracker holds %d IPs, want %d", tracked, clients)
 	}
 }
