@@ -93,9 +93,8 @@ func run(args []string, stdout io.Writer) error {
 	wg.Wait()
 
 	fmt.Fprintf(stdout, "requests: %d ok, %d failed\n", latency.Count(), failures)
-	if latency.Count() > 0 {
-		fmt.Fprintf(stdout, "latency : median %.2f ms  p90 %.2f ms  mean %.2f ms\n",
-			latency.Quantile(0.5), latency.Quantile(0.9), latency.Mean())
+	if s := latency.Snapshot(); s.Count > 0 {
+		fmt.Fprintf(stdout, "latency : median %.2f ms  p90 %.2f ms  mean %.2f ms\n", s.P50, s.P90, s.Mean)
 	}
 	if solves > 0 {
 		fmt.Fprintf(stdout, "solving : %d puzzles, %d total hashes, median solve %.3f ms\n",

@@ -443,9 +443,9 @@
 //     monotonicity.
 //   - Serving-path latency histograms. Every Framework carries
 //     allocation-free atomic log-bucketed histograms over the Decide
-//     and Verify stages (AtomicHistogram: power-of-two buckets, lock-free
-//     Observe, snapshot reads). Always on — the gated hot-path
-//     benchmarks hold 0 allocs/op with them counting.
+//     and Verify stages (metrics.Histogram: 40 buckets growing by 1.5×
+//     from 500 ns, lock-free Observe, snapshot reads). Always on — the
+//     gated hot-path benchmarks hold 0 allocs/op with them counting.
 //   - Sampled decision tracing. The spec line "observe
 //     trace(sample=1024, ring=256)" — hot-swappable, like a policy —
 //     samples one decision in N into a lock-free TraceRing of

@@ -152,7 +152,7 @@ func (f *Framework) decideChunk(snap *snapshot, now time.Time, reqs []RequestCon
 				f.diffIssued[sc.diffs[i]].Add(1)
 			}
 		}
-		f.cIssued.Add(nIssued)
+		f.stats[statIssued].Add(nIssued)
 	}
 	return nil
 }

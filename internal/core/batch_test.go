@@ -116,7 +116,7 @@ func TestVerifyBatchMatchesVerify(t *testing.T) {
 		sols[i] = sol
 	}
 	sols[3].Challenge.Tag[0] ^= 0xFF // forged
-	batchBefore := f.LatencySnapshots()["batch"].Count
+	batchBefore := f.lat[latStageBatch].Count()
 
 	verdicts, err := f.VerifyBatch(sols, ips, nil)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestVerifyBatchMatchesVerify(t *testing.T) {
 		t.Errorf("single-op replay of a batch-verified solution = %v, want ErrReplayed", err)
 	}
 
-	if got := f.LatencySnapshots()["batch"].Count - batchBefore; got != 1 {
+	if got := f.lat[latStageBatch].Count() - batchBefore; got != 1 {
 		t.Errorf("batch-stage latency samples from one VerifyBatch = %d, want 1", got)
 	}
 	outcomes := map[string]int{}

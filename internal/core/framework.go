@@ -150,24 +150,18 @@ type Framework struct {
 	// framework's lifecycle, e.g. a cluster node's exchange loop.
 	closers []func() error
 
-	stats metrics.Registry
-
-	// Hot-path counters, pre-resolved once at New time so Decide/Verify
-	// never touch the registry's map or lock per request.
-	cIssued    *metrics.Counter
-	cVerified  *metrics.Counter
-	cRejected  *metrics.Counter
-	cBypassed  *metrics.Counter
-	cScoreErrs *metrics.Counter
-	cSwaps     *metrics.Counter
+	// stats are the serving counters, indexed by the stat* constants
+	// (see statNames). One separate allocation, so the hot path's counter
+	// writes stay off the cache lines of the read-mostly fields above.
+	stats *[numStats]metrics.Counter
 
 	// lat are the always-on serving-path latency histograms (milliseconds),
 	// one per stage (see latStageNames). Atomic and allocation-free, so
 	// they ride the hot path unconditionally; they are exported through
-	// LatencySnapshots/LatencyExpositionInto, deliberately not through
-	// StatsInto — stats snapshots feed deterministic simulation reports,
-	// and wall-clock latency is not deterministic.
-	lat [latStages]*metrics.AtomicHistogram
+	// LatencyExpositionInto, deliberately not through StatsInto — stats
+	// snapshots feed deterministic simulation reports, and wall-clock
+	// latency is not deterministic.
+	lat [latStages]*metrics.Histogram
 
 	// traceRung mirrors the feedback plane's current escalation level into
 	// sampled trace records (SetTraceRung).
@@ -472,17 +466,14 @@ func New(opts ...Option) (*Framework, error) {
 		now:      cfg.now,
 		closers:  cfg.closers,
 		events:   cfg.events,
+		stats:    new([numStats]metrics.Counter),
 	}
 	for i := range f.lat {
-		f.lat[i] = metrics.NewAtomicLatencyHistogram()
+		// 500 ns to ~5.5 s in 40 buckets of 50% width: coarse enough to
+		// stay small, fine enough to separate a 2 µs decide from a 30 µs one.
+		f.lat[i] = metrics.NewHistogram(0.0005, 1.5, 40)
 	}
 	f.snap.Store(snap)
-	f.cIssued = f.stats.Counter("issued")
-	f.cVerified = f.stats.Counter("verified")
-	f.cRejected = f.stats.Counter("rejected")
-	f.cBypassed = f.stats.Counter("bypassed")
-	f.cScoreErrs = f.stats.Counter("score_errors")
-	f.cSwaps = f.stats.Counter("swaps")
 	if cfg.wbSize > 0 {
 		f.wbSize, f.wbInterval = cfg.wbSize, cfg.wbInterval
 		f.coarseNow.Store(f.now().UnixNano())
@@ -683,7 +674,7 @@ func (f *Framework) Swap(changes ...SwapOption) error {
 		next.trace = cfg.trace
 	}
 	f.snap.Store(next)
-	f.cSwaps.Inc()
+	f.stats[statSwaps].Inc()
 	return nil
 }
 
@@ -727,7 +718,7 @@ func (f *Framework) Decide(req RequestContext) (Decision, error) {
 			return Decision{}, fmt.Errorf("core: issue challenge: %w", err)
 		}
 		dec.Challenge = ch
-		f.cIssued.Inc()
+		f.stats[statIssued].Inc()
 		f.diffIssued[dec.Difficulty].Add(1) // issuer validated the range
 		t2 = time.Now()
 		f.lat[latStageIssue].ObserveDuration(t2.Sub(t1))
@@ -765,12 +756,12 @@ func (f *Framework) decideRow(snap *snapshot, dec *Decision, row []float64, mask
 		// The error is preserved on the decision for observability.
 		dec.ScoreErr = err
 		score, conf = snap.failClosedScore, 1
-		f.cScoreErrs.Inc()
+		f.stats[statScoreErrors].Inc()
 	}
 	dec.Score, dec.Confidence = score, conf
 	if snap.bypassBelow >= 0 && score < snap.bypassBelow {
 		dec.Bypassed = true
-		f.cBypassed.Inc()
+		f.stats[statBypassed].Inc()
 		return
 	}
 	if snap.confPol != nil {
@@ -812,7 +803,7 @@ func (f *Framework) Verify(sol puzzle.Solution, binding string) error {
 // the caller's business.
 func (f *Framework) verifyOne(sol *puzzle.Solution, binding string, now time.Time) (int, error) {
 	if err := f.verifier.VerifyAt(sol, binding, now); err != nil {
-		f.cRejected.Inc()
+		f.stats[statRejected].Inc()
 		return 0, err
 	}
 	f.countVerified(sol.Challenge.Difficulty)
@@ -821,7 +812,7 @@ func (f *Framework) verifyOne(sol *puzzle.Solution, binding string, now time.Tim
 
 // countVerified books one accepted verification at difficulty d.
 func (f *Framework) countVerified(d int) {
-	f.cVerified.Inc()
+	f.stats[statVerified].Inc()
 	if d >= 0 && d < len(f.diffVerified) {
 		f.diffVerified[d].Add(1)
 	}
@@ -838,7 +829,7 @@ func (f *Framework) RecordVerifyEvidence(ip string, difficulty int, ok bool) {
 	if ok {
 		f.countVerified(difficulty)
 	} else {
-		f.cRejected.Inc()
+		f.stats[statRejected].Inc()
 		difficulty = 0
 	}
 	f.recordVerify(ip, difficulty, ok, f.hotNow())
@@ -877,12 +868,12 @@ func (f *Framework) PolicyName() string { return f.snap.Load().pol.Name() }
 // Swaps reports how many configuration swaps have been installed — a
 // cheap generation counter the control plane uses to detect out-of-band
 // Swap calls on a spec-managed framework.
-func (f *Framework) Swaps() uint64 { return f.cSwaps.Value() }
+func (f *Framework) Swaps() uint64 { return f.stats[statSwaps].Value() }
 
 // Stats returns a snapshot of the framework's counters: issued, verified,
 // rejected, bypassed, score_errors, swaps.
 func (f *Framework) Stats() map[string]float64 {
-	out := make(map[string]float64, 6)
+	out := make(map[string]float64, numStats)
 	f.StatsInto(out)
 	return out
 }
@@ -891,11 +882,13 @@ func (f *Framework) Stats() map[string]float64 {
 // same-named keys. Callers polling stats (a server's /stats endpoint, the
 // simulation reporter) reuse one map across calls instead of allocating a
 // fresh one per poll.
-func (f *Framework) StatsInto(dst map[string]float64) { f.stats.SnapshotInto(dst) }
+func (f *Framework) StatsInto(dst map[string]float64) { f.StatsPrefixInto("", dst) }
 
 // StatsPrefixInto is StatsInto with every key prefixed (e.g.
 // "web.issued"), for pollers aggregating several frameworks into one map
 // without an intermediate map per framework.
 func (f *Framework) StatsPrefixInto(prefix string, dst map[string]float64) {
-	f.stats.SnapshotPrefixInto(prefix, dst)
+	for i, name := range statNames {
+		dst[prefix+name] = float64(f.stats[i].Value())
+	}
 }

@@ -24,6 +24,20 @@ const (
 // family.
 var latStageNames = [latStages]string{"decide", "issue", "verify", "batch"}
 
+// Serving counters, in name order: StatsInto keys and the exposition's
+// counter families follow statNames.
+const (
+	statBypassed = iota
+	statIssued
+	statRejected
+	statScoreErrors
+	statSwaps
+	statVerified
+	numStats
+)
+
+var statNames = [numStats]string{"bypassed", "issued", "rejected", "score_errors", "swaps", "verified"}
+
 // WithObserveTrace installs a sampled decision-trace ring. Nil (the
 // default) disables tracing: the hot path then pays one pointer nil-check
 // per decision. The ring is part of the swappable snapshot — replace it
@@ -62,20 +76,12 @@ func (f *Framework) SetTraceRung(level int) { f.traceRung.Store(int32(level)) }
 // TraceRung reports the last recorded adapt escalation level.
 func (f *Framework) TraceRung() int { return int(f.traceRung.Load()) }
 
-// LatencySnapshots exports the serving-path latency histograms keyed by
-// stage name (decide, issue, verify, batch). Values are milliseconds.
-func (f *Framework) LatencySnapshots() map[string]metrics.HistogramSnapshot {
-	out := make(map[string]metrics.HistogramSnapshot, latStages)
-	for i, h := range f.lat {
-		out[latStageNames[i]] = h.Snapshot()
-	}
-	return out
-}
-
-// StatsExpositionInto contributes the framework's serving counters to e
-// under prefix, typed from the registry (monotone counters as counters).
+// StatsExpositionInto contributes the framework's serving counters to e,
+// one counter family per stat named prefix+name.
 func (f *Framework) StatsExpositionInto(e *metrics.Exposition, prefix string, labels ...metrics.Label) {
-	f.stats.ExpositionInto(e, prefix, labels...)
+	for i, name := range statNames {
+		e.Add(metrics.TypeCounter, prefix+name, "counter "+name, float64(f.stats[i].Value()), labels...)
+	}
 }
 
 // LatencyExpositionInto contributes the serving-path latency histograms

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -32,15 +33,14 @@ func TestLatencyHistogramsRecord(t *testing.T) {
 	if _, err := f.DecideBatch([]RequestContext{{IP: "10.0.0.1"}, {IP: "10.0.0.9"}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	snaps := f.LatencySnapshots()
-	for stage, want := range map[string]uint64{"decide": 1, "issue": 1, "verify": 1, "batch": 1} {
-		if got := snaps[stage].Count; got < want {
-			t.Errorf("%s histogram count = %d, want >= %d", stage, got, want)
+	for i, h := range f.lat {
+		if h.Count() < 1 {
+			t.Errorf("%s histogram count = %d, want >= 1", latStageNames[i], h.Count())
 		}
 	}
 	// The batch path times the batch, not its members.
-	if snaps["decide"].Count != 1 {
-		t.Errorf("decide count = %d after one Decide + one batch, want 1", snaps["decide"].Count)
+	if got := f.lat[latStageDecide].Count(); got != 1 {
+		t.Errorf("decide count = %d after one Decide + one batch, want 1", got)
 	}
 }
 
@@ -76,6 +76,24 @@ func TestStatsUnchangedByHistograms(t *testing.T) {
 		if strings.Contains(name, "latency") || strings.Contains(name, "stage") {
 			t.Errorf("latency leaked into Stats map as %q — sim reports must stay deterministic", name)
 		}
+	}
+}
+
+// TestStatsPrefixInto pins the six counter keys: prefixed, valued, and
+// written beside whatever the caller's map already holds.
+func TestStatsPrefixInto(t *testing.T) {
+	f := newTestFramework(t)
+	if _, err := f.Decide(RequestContext{IP: "10.0.0.9"}); err != nil {
+		t.Fatal(err)
+	}
+	dst := map[string]float64{"existing": 1}
+	f.StatsPrefixInto("p.", dst)
+	want := map[string]float64{
+		"existing": 1, "p.bypassed": 0, "p.issued": 1, "p.rejected": 0,
+		"p.score_errors": 0, "p.swaps": 0, "p.verified": 0,
+	}
+	if !reflect.DeepEqual(dst, want) {
+		t.Errorf("StatsPrefixInto = %v, want %v", dst, want)
 	}
 }
 
@@ -261,3 +279,221 @@ func TestFlushStallEvent(t *testing.T) {
 		t.Errorf("stall value = %v ms, want >= 100", e.Value)
 	}
 }
+
+// TestFreshFrameworkExpositionBytes pins the /metrics bytes a framework
+// that has served nothing contributes: counter sample order, HELP and TYPE
+// lines, and every latency bucket bound. A change to the counter table or
+// the histogram layout shows here as a byte diff.
+func TestFreshFrameworkExpositionBytes(t *testing.T) {
+	f := newTestFramework(t)
+	e := metrics.NewExposition()
+	labels := []metrics.Label{{Name: "pipeline", Value: "web"}}
+	f.StatsExpositionInto(e, "aipow_", labels...)
+	f.LatencyExpositionInto(e, "aipow_serving_latency_ms",
+		"serving-path stage latency in milliseconds", labels...)
+	var b strings.Builder
+	if _, err := e.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != freshExposition {
+		t.Errorf("fresh exposition moved:\ngot:\n%s\nwant:\n%s", got, freshExposition)
+	}
+}
+
+const freshExposition = `# HELP aipow_bypassed counter bypassed
+# TYPE aipow_bypassed counter
+aipow_bypassed{pipeline="web"} 0
+# HELP aipow_issued counter issued
+# TYPE aipow_issued counter
+aipow_issued{pipeline="web"} 0
+# HELP aipow_rejected counter rejected
+# TYPE aipow_rejected counter
+aipow_rejected{pipeline="web"} 0
+# HELP aipow_score_errors counter score_errors
+# TYPE aipow_score_errors counter
+aipow_score_errors{pipeline="web"} 0
+# HELP aipow_serving_latency_ms serving-path stage latency in milliseconds
+# TYPE aipow_serving_latency_ms histogram
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.0005"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.00075"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.0011250000000000001"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.0016875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.00253125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.003796875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.0056953125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.00854296875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.012814453125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.0192216796875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.02883251953125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.043248779296875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.0648731689453125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.09730975341796876"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.14596463012695313"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.2189469451904297"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.3284204177856445"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.4926306266784668"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="0.7389459400177002"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="1.1084189100265502"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="1.6626283650398255"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="2.493942547559738"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="3.7409138213396074"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="5.611370732009411"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="8.417056098014116"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="12.625584147021174"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="18.93837622053176"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="28.407564330797644"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="42.61134649619647"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="63.9170197442947"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="95.87552961644205"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="143.81329442466307"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="215.7199416369946"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="323.5799124554919"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="485.3698686832378"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="728.0548030248567"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="1092.0822045372852"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="1638.1233068059278"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="2457.1849602088914"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="3685.7774403133376"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="5528.666160470007"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="decide",le="+Inf"} 0
+aipow_serving_latency_ms_sum{pipeline="web",stage="decide"} 0
+aipow_serving_latency_ms_count{pipeline="web",stage="decide"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.0005"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.00075"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.0011250000000000001"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.0016875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.00253125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.003796875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.0056953125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.00854296875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.012814453125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.0192216796875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.02883251953125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.043248779296875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.0648731689453125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.09730975341796876"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.14596463012695313"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.2189469451904297"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.3284204177856445"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.4926306266784668"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="0.7389459400177002"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="1.1084189100265502"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="1.6626283650398255"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="2.493942547559738"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="3.7409138213396074"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="5.611370732009411"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="8.417056098014116"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="12.625584147021174"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="18.93837622053176"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="28.407564330797644"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="42.61134649619647"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="63.9170197442947"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="95.87552961644205"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="143.81329442466307"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="215.7199416369946"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="323.5799124554919"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="485.3698686832378"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="728.0548030248567"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="1092.0822045372852"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="1638.1233068059278"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="2457.1849602088914"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="3685.7774403133376"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="5528.666160470007"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="issue",le="+Inf"} 0
+aipow_serving_latency_ms_sum{pipeline="web",stage="issue"} 0
+aipow_serving_latency_ms_count{pipeline="web",stage="issue"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.0005"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.00075"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.0011250000000000001"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.0016875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.00253125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.003796875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.0056953125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.00854296875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.012814453125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.0192216796875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.02883251953125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.043248779296875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.0648731689453125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.09730975341796876"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.14596463012695313"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.2189469451904297"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.3284204177856445"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.4926306266784668"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="0.7389459400177002"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="1.1084189100265502"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="1.6626283650398255"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="2.493942547559738"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="3.7409138213396074"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="5.611370732009411"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="8.417056098014116"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="12.625584147021174"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="18.93837622053176"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="28.407564330797644"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="42.61134649619647"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="63.9170197442947"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="95.87552961644205"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="143.81329442466307"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="215.7199416369946"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="323.5799124554919"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="485.3698686832378"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="728.0548030248567"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="1092.0822045372852"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="1638.1233068059278"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="2457.1849602088914"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="3685.7774403133376"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="5528.666160470007"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="verify",le="+Inf"} 0
+aipow_serving_latency_ms_sum{pipeline="web",stage="verify"} 0
+aipow_serving_latency_ms_count{pipeline="web",stage="verify"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.0005"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.00075"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.0011250000000000001"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.0016875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.00253125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.003796875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.0056953125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.00854296875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.012814453125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.0192216796875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.02883251953125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.043248779296875"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.0648731689453125"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.09730975341796876"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.14596463012695313"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.2189469451904297"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.3284204177856445"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.4926306266784668"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="0.7389459400177002"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="1.1084189100265502"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="1.6626283650398255"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="2.493942547559738"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="3.7409138213396074"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="5.611370732009411"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="8.417056098014116"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="12.625584147021174"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="18.93837622053176"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="28.407564330797644"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="42.61134649619647"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="63.9170197442947"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="95.87552961644205"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="143.81329442466307"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="215.7199416369946"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="323.5799124554919"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="485.3698686832378"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="728.0548030248567"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="1092.0822045372852"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="1638.1233068059278"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="2457.1849602088914"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="3685.7774403133376"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="5528.666160470007"} 0
+aipow_serving_latency_ms_bucket{pipeline="web",stage="batch",le="+Inf"} 0
+aipow_serving_latency_ms_sum{pipeline="web",stage="batch"} 0
+aipow_serving_latency_ms_count{pipeline="web",stage="batch"} 0
+# HELP aipow_swaps counter swaps
+# TYPE aipow_swaps counter
+aipow_swaps{pipeline="web"} 0
+# HELP aipow_verified counter verified
+# TYPE aipow_verified counter
+aipow_verified{pipeline="web"} 0
+`

@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing counter, safe for concurrent use.
 // The zero value is ready to use.
@@ -20,130 +16,3 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value reports the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge holds an instantaneous value, safe for concurrent use.
-// The zero value is ready to use.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v as the current value.
-func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
-
-// Value reports the current value.
-func (g *Gauge) Value() float64 { return bitsFloat(g.bits.Load()) }
-
-// Registry is a named collection of counters and gauges, safe for
-// concurrent use. It exists so a simulation or server can expose a flat
-// snapshot of everything it measured.
-// The zero value is ready to use.
-//
-// Lookups of already-registered metrics take only a read lock, so hot
-// paths that cannot pre-resolve a *Counter at construction time still
-// avoid serializing on one mutex.
-type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-}
-
-// Counter returns the counter registered under name, creating it on first
-// use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.counters == nil {
-		r.counters = make(map[string]*Counter)
-	}
-	c, ok = r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gauges == nil {
-		r.gauges = make(map[string]*Gauge)
-	}
-	g, ok = r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Snapshot returns all registered metric values keyed by name, with counter
-// values converted to float64. Keys are unique because counters and gauges
-// share one namespace only if the caller reuses names; gauge values win ties.
-func (r *Registry) Snapshot() map[string]float64 {
-	r.mu.RLock()
-	n := len(r.counters) + len(r.gauges)
-	r.mu.RUnlock()
-	out := make(map[string]float64, n)
-	r.SnapshotInto(out)
-	return out
-}
-
-// SnapshotInto writes all registered metric values into dst, overwriting
-// same-named keys but leaving other keys alone. Pollers reuse one map
-// across calls instead of allocating a fresh one per scrape.
-func (r *Registry) SnapshotInto(dst map[string]float64) {
-	r.SnapshotPrefixInto("", dst)
-}
-
-// SnapshotPrefixInto is SnapshotInto with every key prefixed — the
-// namespacing a multi-registry poller (one registry per pipeline) needs
-// without building an intermediate map per registry.
-func (r *Registry) SnapshotPrefixInto(prefix string, dst map[string]float64) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for name, c := range r.counters {
-		dst[prefix+name] = float64(c.Value())
-	}
-	for name, g := range r.gauges {
-		dst[prefix+name] = g.Value()
-	}
-}
-
-// Names reports all registered metric names in sorted order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	for name := range r.gauges {
-		if _, dup := r.counters[name]; !dup {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-func floatBits(f float64) uint64 {
-	return mathFloat64bits(f)
-}
-
-func bitsFloat(b uint64) float64 {
-	return mathFloat64frombits(b)
-}

@@ -32,69 +32,3 @@ func TestCounterAdd(t *testing.T) {
 		t.Fatalf("Value() = %d, want 42", got)
 	}
 }
-
-func TestGaugeSetAndValue(t *testing.T) {
-	var g Gauge
-	if got := g.Value(); got != 0 {
-		t.Fatalf("zero gauge = %v, want 0", got)
-	}
-	g.Set(3.25)
-	if got := g.Value(); got != 3.25 {
-		t.Fatalf("Value() = %v, want 3.25", got)
-	}
-	g.Set(-1)
-	if got := g.Value(); got != -1 {
-		t.Fatalf("Value() = %v, want -1", got)
-	}
-}
-
-func TestRegistryReturnsSameInstance(t *testing.T) {
-	var r Registry
-	a := r.Counter("requests")
-	b := r.Counter("requests")
-	if a != b {
-		t.Fatal("Counter returned different instances for the same name")
-	}
-	a.Inc()
-	if got := b.Value(); got != 1 {
-		t.Fatalf("shared counter value = %d, want 1", got)
-	}
-	g1 := r.Gauge("load")
-	g2 := r.Gauge("load")
-	if g1 != g2 {
-		t.Fatal("Gauge returned different instances for the same name")
-	}
-}
-
-func TestRegistrySnapshotAndNames(t *testing.T) {
-	var r Registry
-	r.Counter("served").Add(5)
-	r.Gauge("score").Set(7.5)
-	snap := r.Snapshot()
-	if snap["served"] != 5 || snap["score"] != 7.5 {
-		t.Fatalf("Snapshot() = %v", snap)
-	}
-	names := r.Names()
-	if len(names) != 2 || names[0] != "score" || names[1] != "served" {
-		t.Fatalf("Names() = %v, want [score served]", names)
-	}
-}
-
-func TestRegistryConcurrent(t *testing.T) {
-	var r Registry
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				r.Counter("hits").Inc()
-				r.Gauge("last").Set(float64(j))
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Counter("hits").Value(); got != 1600 {
-		t.Fatalf("hits = %d, want 1600", got)
-	}
-}

@@ -50,7 +50,7 @@ type expoFamily struct {
 // exposition format: families sorted by name, each emitted as one
 // contiguous block of # HELP, # TYPE, and its samples — the grouping the
 // format requires. Collect from as many sources as needed (per-pipeline
-// registries and histograms, each contributing the same family under
+// counters and histograms, each contributing the same family under
 // different labels), then WriteTo once.
 //
 // An Exposition is not safe for concurrent use; build one per scrape.
@@ -128,62 +128,20 @@ func (e *Exposition) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// ExpositionInto contributes every counter and gauge of the registry to e
-// under prefix+name, all carrying the given labels. Counter/gauge names
-// with registry-style dots ("adapt.rate_p90") sanitize to underscores.
-func (r *Registry) ExpositionInto(e *Exposition, prefix string, labels ...Label) {
-	r.mu.RLock()
-	type kv struct {
-		name string
-		val  float64
-		typ  string
-	}
-	rows := make([]kv, 0, len(r.counters)+len(r.gauges))
-	for name, c := range r.counters {
-		rows = append(rows, kv{name, float64(c.Value()), TypeCounter})
-	}
-	for name, g := range r.gauges {
-		rows = append(rows, kv{name, g.Value(), TypeGauge})
-	}
-	r.mu.RUnlock()
-	// Stable sample order inside each family across scrapes.
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-	for _, row := range rows {
-		e.Add(row.typ, prefix+row.name, row.typ+" "+row.name, row.val, labels...)
-	}
-}
-
-// expoSeries derives the cumulative exposition form of the histogram:
-// upper bounds and the cumulative count at each. The first bound is the
-// histogram's start (covering the underflow bucket), then one bound per
-// geometric bucket except the final overflow bucket, which the implicit
-// +Inf bucket covers.
-func (h *Histogram) expoSeries() (bounds []float64, cumulative []uint64) {
-	bounds = make([]float64, 0, len(h.counts))
-	cumulative = make([]uint64, 0, len(h.counts))
-	cum := h.under
-	bounds = append(bounds, h.start)
-	cumulative = append(cumulative, cum)
-	for i := 0; i < len(h.counts)-1; i++ {
-		cum += h.counts[i]
-		bounds = append(bounds, h.BucketBound(i+1))
-		cumulative = append(cumulative, cum)
-	}
-	return bounds, cumulative
-}
-
 // ExpositionInto contributes the histogram as one labeled sample set of
-// the named family. Not safe against concurrent Observe — Histogram
-// itself is not; use AtomicHistogram on shared paths.
+// the named family. Bucket i's lower bound is the upper bound of the
+// cumulative count below it, so the first bound (the start) covers the
+// underflow bucket and the implicit +Inf bucket covers the overflow
+// bucket. Safe against concurrent Observe.
 func (h *Histogram) ExpositionInto(e *Exposition, name, help string, labels ...Label) {
-	bounds, cumulative := h.expoSeries()
-	e.AddHistogram(name, help, bounds, cumulative, h.sum, h.total, labels...)
-}
-
-// ExpositionInto contributes the atomic histogram as one labeled sample
-// set of the named family. Safe for concurrent use.
-func (h *AtomicHistogram) ExpositionInto(e *Exposition, name, help string, labels ...Label) {
-	h.materialize().ExpositionInto(e, name, help, labels...)
+	s := h.read()
+	cumulative := make([]uint64, len(s.counts))
+	cum := s.under
+	for i, c := range s.counts {
+		cumulative[i] = cum
+		cum += c
+	}
+	e.AddHistogram(name, help, s.bounds, cumulative, s.sum, s.total, labels...)
 }
 
 // SanitizeMetricName maps an internal metric name onto the exposition

@@ -1,12 +1,9 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 func expositionString(t *testing.T, e *Exposition) string {
@@ -86,28 +83,6 @@ func TestExpositionEscaping(t *testing.T) {
 	}
 }
 
-func TestExpositionRegistryInto(t *testing.T) {
-	r := &Registry{}
-	r.Counter("decide.ok").Add(5)
-	r.Gauge("adapt.level").Set(3)
-	e := NewExposition()
-	r.ExpositionInto(e, "pow_", Label{"pipeline", "edge"}, Label{"node", "n1"})
-	got := expositionString(t, e)
-	for _, want := range []string{
-		`pow_decide_ok{pipeline="edge",node="n1"} 5`,
-		`pow_adapt_level{pipeline="edge",node="n1"} 3`,
-		`# TYPE pow_decide_ok counter`,
-		`# TYPE pow_adapt_level gauge`,
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("missing %q in:\n%s", want, got)
-		}
-	}
-	if err := ValidateExposition([]byte(got)); err != nil {
-		t.Errorf("registry exposition fails validation: %v", err)
-	}
-}
-
 func TestExpositionTypeConflictPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -134,213 +109,100 @@ func TestSanitizeMetricName(t *testing.T) {
 	}
 }
 
+// invalidExpositions are malformed inputs ValidateExposition must reject,
+// keyed by the rule each breaks; they also seed FuzzValidateExposition.
+var invalidExpositions = map[string]string{
+	"sample before TYPE": "m 1\n",
+	"duplicate TYPE":     "# TYPE m counter\n# TYPE m counter\nm 1\n",
+	"HELP after TYPE":    "# TYPE m counter\n# HELP m h\nm 1\n",
+	"interleaved families": strings.Join([]string{
+		"# TYPE a counter", "# TYPE b counter", "a 1", "b 1", "a 2", "",
+	}, "\n"),
+	"bad metric name":    "# TYPE 1m counter\n1m 1\n",
+	"bad label name":     "# TYPE m counter\nm{1x=\"v\"} 1\n",
+	"bad escape":         "# TYPE m counter\nm{l=\"a\\t\"} 1\n",
+	"unterminated label": "# TYPE m counter\nm{l=\"v} 1\n",
+	"bad value":          "# TYPE m counter\nm{l=\"v\"} zebra\n",
+	"non-monotone buckets": strings.Join([]string{
+		"# TYPE h histogram",
+		`h_bucket{le="1"} 5`,
+		`h_bucket{le="2"} 3`,
+		`h_bucket{le="+Inf"} 5`,
+		"h_sum 1", "h_count 5", "",
+	}, "\n"),
+	"missing +Inf": strings.Join([]string{
+		"# TYPE h histogram",
+		`h_bucket{le="1"} 5`,
+		"h_sum 1", "h_count 5", "",
+	}, "\n"),
+	"+Inf != count": strings.Join([]string{
+		"# TYPE h histogram",
+		`h_bucket{le="1"} 5`,
+		`h_bucket{le="+Inf"} 5`,
+		"h_sum 1", "h_count 7", "",
+	}, "\n"),
+	"bucket without le": strings.Join([]string{
+		"# TYPE h histogram",
+		`h_bucket{x="1"} 5`,
+		`h_bucket{le="+Inf"} 5`,
+		"h_sum 1", "h_count 5", "",
+	}, "\n"),
+}
+
 func TestValidateExpositionRejects(t *testing.T) {
-	cases := map[string]string{
-		"sample before TYPE": "m 1\n",
-		"duplicate TYPE":     "# TYPE m counter\n# TYPE m counter\nm 1\n",
-		"HELP after TYPE":    "# TYPE m counter\n# HELP m h\nm 1\n",
-		"interleaved families": strings.Join([]string{
-			"# TYPE a counter", "# TYPE b counter", "a 1", "b 1", "a 2", "",
-		}, "\n"),
-		"bad metric name":    "# TYPE 1m counter\n1m 1\n",
-		"bad label name":     "# TYPE m counter\nm{1x=\"v\"} 1\n",
-		"bad escape":         "# TYPE m counter\nm{l=\"a\\t\"} 1\n",
-		"unterminated label": "# TYPE m counter\nm{l=\"v} 1\n",
-		"bad value":          "# TYPE m counter\nm{l=\"v\"} zebra\n",
-		"non-monotone buckets": strings.Join([]string{
-			"# TYPE h histogram",
-			`h_bucket{le="1"} 5`,
-			`h_bucket{le="2"} 3`,
-			`h_bucket{le="+Inf"} 5`,
-			"h_sum 1", "h_count 5", "",
-		}, "\n"),
-		"missing +Inf": strings.Join([]string{
-			"# TYPE h histogram",
-			`h_bucket{le="1"} 5`,
-			"h_sum 1", "h_count 5", "",
-		}, "\n"),
-		"+Inf != count": strings.Join([]string{
-			"# TYPE h histogram",
-			`h_bucket{le="1"} 5`,
-			`h_bucket{le="+Inf"} 5`,
-			"h_sum 1", "h_count 7", "",
-		}, "\n"),
-		"bucket without le": strings.Join([]string{
-			"# TYPE h histogram",
-			`h_bucket{x="1"} 5`,
-			`h_bucket{le="+Inf"} 5`,
-			"h_sum 1", "h_count 5", "",
-		}, "\n"),
-	}
-	for name, input := range cases {
+	for name, input := range invalidExpositions {
 		if err := ValidateExposition([]byte(input)); err == nil {
 			t.Errorf("%s: expected validation error, got nil\ninput:\n%s", name, input)
 		}
 	}
 }
 
+// validExposition is a well-formed input using comments, HELP, an
+// untyped family and a timestamp.
+var validExposition = strings.Join([]string{
+	"# plain comment",
+	"# HELP a helpful text with spaces",
+	"# TYPE a counter",
+	"a 1",
+	`a{l="v"} 2.5e3`,
+	"# TYPE untyped_metric untyped",
+	"untyped_metric 3 1712345678",
+	"",
+}, "\n")
+
 func TestValidateExpositionAccepts(t *testing.T) {
-	ok := strings.Join([]string{
-		"# plain comment",
-		"# HELP a helpful text with spaces",
-		"# TYPE a counter",
-		"a 1",
-		`a{l="v"} 2.5e3`,
-		"# TYPE untyped_metric untyped",
-		"untyped_metric 3 1712345678",
-		"nan_ok_without_meta_is_invalid_tho", // deliberately absent
-		"",
-	}, "\n")
-	// Remove the deliberately invalid line for the accept case.
-	ok = strings.Replace(ok, "nan_ok_without_meta_is_invalid_tho\n", "", 1)
-	if err := ValidateExposition([]byte(ok)); err != nil {
+	if err := ValidateExposition([]byte(validExposition)); err != nil {
 		t.Errorf("valid exposition rejected: %v", err)
 	}
 }
 
-func TestAtomicHistogramMatchesPlain(t *testing.T) {
-	a := NewAtomicHistogram(0.1, 1.26, 60)
-	p := NewHistogram(0.1, 1.26, 60)
-	vals := []float64{0.01, 0.1, 0.5, 1, 2, 5, 10, 100, 1000, 1e6}
-	for _, v := range vals {
-		a.Observe(v)
-		p.Observe(v)
+// FuzzValidateExposition feeds the parser arbitrary bytes (what promcheck
+// and the bench read off a node) and the encoder arbitrary family names,
+// label values and sample values. The parser must never panic, and
+// whatever Exposition writes from finite values must validate.
+func FuzzValidateExposition(f *testing.F) {
+	for _, in := range invalidExpositions {
+		f.Add([]byte(in), "pow.decide_total", "edge", 42.0)
 	}
-	as, ps := a.Snapshot(), p.Snapshot()
-	if as.Count != ps.Count || math.Abs(as.Sum-ps.Sum) > 1e-9 || as.P50 != ps.P50 || as.P99 != ps.P99 {
-		t.Errorf("atomic snapshot %+v != plain %+v", as, ps)
-	}
-	if len(as.Buckets) != len(ps.Buckets) {
-		t.Fatalf("bucket layouts differ: %d vs %d", len(as.Buckets), len(ps.Buckets))
-	}
-	for i := range as.Buckets {
-		if as.Buckets[i] != ps.Buckets[i] {
-			t.Errorf("bucket %d: atomic %+v != plain %+v", i, as.Buckets[i], ps.Buckets[i])
+	f.Add([]byte(validExposition), "9starts digit", "a\\b\"c\nd", -2.5e-300)
+	f.Fuzz(func(t *testing.T, data []byte, name, labelValue string, value float64) {
+		_ = ValidateExposition(data)
+		if math.IsNaN(value) || math.IsInf(value, 0) {
+			return
 		}
-	}
-}
-
-// TestAtomicHistogramConcurrent pins the Observe/Snapshot contract under
-// -race: concurrent observers against a snapshotting reader, with exact
-// count and sum reconciliation afterwards.
-func TestAtomicHistogramConcurrent(t *testing.T) {
-	h := NewAtomicLatencyHistogram()
-	const (
-		writers = 8
-		perW    = 5000
-	)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	readerDone := make(chan error, 1)
-	go func() { // reader: snapshots must stay internally consistent
-		for {
-			select {
-			case <-stop:
-				readerDone <- nil
-				return
-			default:
-			}
-			s := h.Snapshot()
-			var n uint64
-			for _, b := range s.Buckets {
-				n += b.Count
-			}
-			// materialize reads buckets before total, and Observe bumps
-			// total first, so this holds even mid-write.
-			if n > s.Count {
-				readerDone <- fmt.Errorf("bucket total %d exceeds count %d", n, s.Count)
-				return
-			}
+		e := NewExposition()
+		e.Add(TypeGauge, name, name, value, Label{"l", labelValue})
+		e.Add(TypeGauge, name, name, -value, Label{"l", labelValue + "'"})
+		h := NewHistogram(1, 2, 4)
+		h.Observe(value)
+		h.Observe(value * 3)
+		h.ExpositionInto(e, name+"_ms", name, Label{"l", labelValue})
+		var b strings.Builder
+		if _, err := e.WriteTo(&b); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perW; i++ {
-				h.Observe(float64(i%100) * 0.01)
-				h.ObserveDuration(time.Duration(i%50) * time.Microsecond)
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	if err := <-readerDone; err != nil {
-		t.Error(err)
-	}
-	const total = writers * perW * 2
-	if h.Count() != total {
-		t.Errorf("Count = %d, want %d", h.Count(), total)
-	}
-	var wantSum float64
-	for i := 0; i < perW; i++ {
-		wantSum += float64(i%100) * 0.01
-		wantSum += float64(time.Duration(i%50)*time.Microsecond) / float64(time.Millisecond)
-	}
-	wantSum *= writers
-	if math.Abs(h.Sum()-wantSum) > 1e-6*wantSum+1e-9 {
-		t.Errorf("Sum = %g, want %g", h.Sum(), wantSum)
-	}
-}
-
-func TestAtomicHistogramUnderflowAndShape(t *testing.T) {
-	h := NewAtomicHistogram(1, 2, 4)
-	h.Observe(-5)
-	h.Observe(math.NaN())
-	h.Observe(0.5)
-	h.Observe(1e12) // overflow bucket
-	s := h.Snapshot()
-	if s.Count != 4 {
-		t.Errorf("Count = %d, want 4", s.Count)
-	}
-	e := NewExposition()
-	h.ExpositionInto(e, "h", "h")
-	out := expositionString(t, e)
-	if err := ValidateExposition([]byte(out)); err != nil {
-		t.Errorf("underflow/NaN exposition invalid: %v\n%s", err, out)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on degenerate shape")
+		if err := ValidateExposition([]byte(b.String())); err != nil {
+			t.Fatalf("encoder output fails validation: %v\n%s", err, b.String())
 		}
-	}()
-	NewAtomicHistogram(0, 1, 0)
-}
-
-func TestRegistrySnapshotPrefixInto(t *testing.T) {
-	r := &Registry{}
-	r.Counter("decide.ok").Add(3)
-	r.Counter("verify.ok").Add(4)
-	r.Gauge("adapt.level").Set(2)
-	dst := map[string]float64{"existing": 1}
-	r.SnapshotPrefixInto("p1.", dst)
-	want := map[string]float64{
-		"existing": 1, "p1.decide.ok": 3, "p1.verify.ok": 4, "p1.adapt.level": 2,
-	}
-	if len(dst) != len(want) {
-		t.Fatalf("dst = %v, want %v", dst, want)
-	}
-	for k, v := range want {
-		if dst[k] != v {
-			t.Errorf("dst[%q] = %v, want %v", k, dst[k], v)
-		}
-	}
-}
-
-func TestRegistryNames(t *testing.T) {
-	r := &Registry{}
-	r.Counter("b.counter")
-	r.Gauge("a.gauge")
-	r.Counter("shared")
-	r.Gauge("shared")
-	got := r.Names()
-	want := []string{"a.gauge", "b.counter", "shared"}
-	if len(got) != len(want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Names()[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
+	})
 }

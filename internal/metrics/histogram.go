@@ -3,7 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -12,15 +12,26 @@ import (
 // Factor, so wide dynamic ranges (microseconds to seconds) fit in a few
 // dozen buckets with bounded relative error.
 //
+// Histogram is safe for concurrent use and Observe never allocates: the
+// bucket counters are atomic and the float sum is CAS-updated, so serving
+// paths share one histogram without locks. Reads are not a point-in-time
+// cut — counters are loaded one by one — so a read taken during Observe
+// may miss in-flight observations; for a monitoring export that is the
+// accepted contract (Prometheus scrapes have the same property). A
+// single-goroutine collector (the simulation's worker-private outcome
+// histograms, merged in a fixed order) still sums its floats in a
+// deterministic order.
+//
 // Use NewHistogram to construct one; the zero value is not usable.
-// Histogram is not safe for concurrent use.
 type Histogram struct {
-	start  float64
-	factor float64
-	counts []uint64
-	under  uint64 // observations below start
-	total  uint64
-	sum    float64
+	start     float64
+	factor    float64
+	logFactor float64         // ln(factor), precomputed off the hot path
+	bounds    []float64       // bounds[i] is bucket i's inclusive lower bound
+	counts    []atomic.Uint64 // the last bucket catches overflow
+	under     atomic.Uint64   // observations below start
+	total     atomic.Uint64
+	sumBits   atomic.Uint64 // float64 bits, CAS-updated
 }
 
 // NewHistogram returns a histogram whose first bucket covers [start,
@@ -31,7 +42,17 @@ func NewHistogram(start, factor float64, n int) *Histogram {
 	if start <= 0 || factor <= 1 || n < 1 {
 		panic(fmt.Sprintf("metrics: invalid histogram shape start=%v factor=%v n=%d", start, factor, n))
 	}
-	return &Histogram{start: start, factor: factor, counts: make([]uint64, n+1)}
+	bounds := make([]float64, n+1)
+	for i := range bounds {
+		bounds[i] = start * math.Pow(factor, float64(i))
+	}
+	return &Histogram{
+		start:     start,
+		factor:    factor,
+		logFactor: math.Log(factor),
+		bounds:    bounds,
+		counts:    make([]atomic.Uint64, n+1),
+	}
 }
 
 // NewLatencyHistogram returns a histogram tuned for request latencies in
@@ -39,21 +60,48 @@ func NewHistogram(start, factor float64, n int) *Histogram {
 func NewLatencyHistogram() *Histogram { return NewHistogram(0.1, 1.26, 60) }
 
 // Observe records one value. Non-positive and NaN values are counted in the
-// underflow bucket so totals still reconcile.
+// underflow bucket so totals still reconcile. The total is bumped before
+// any bucket, so a concurrent read never sees buckets sum past the count.
 func (h *Histogram) Observe(v float64) {
-	h.total++
+	h.total.Add(1)
 	if !math.IsNaN(v) {
-		h.sum += v
+		h.addSum(v)
 	}
 	if math.IsNaN(v) || v < h.start {
-		h.under++
+		h.under.Add(1)
 		return
 	}
-	idx := int(math.Floor(math.Log(v/h.start) / math.Log(h.factor)))
-	if idx >= len(h.counts)-1 {
-		idx = len(h.counts) - 1
+	h.counts[h.bucket(v)].Add(1)
+}
+
+// bucket reports the index of the bucket whose bounds hold v ≥ start.
+func (h *Histogram) bucket(v float64) int {
+	last := len(h.bounds) - 1
+	if v >= h.bounds[last] {
+		return last // overflow, +Inf included
 	}
-	h.counts[idx]++
+	// Divide by ln(factor), not multiply by its reciprocal: the product
+	// files exact powers of the factor (2^3, 2^6, …) one bucket low.
+	i := min(int(math.Floor(math.Log(v/h.start)/h.logFactor)), last-1)
+	// The quotient still rounds a value a few ulps from a bound (the
+	// largest float below 2^k, say) across it; the bound table is exact.
+	if v < h.bounds[i] {
+		i--
+	} else if v >= h.bounds[i+1] {
+		i++
+	}
+	return i
+}
+
+// addSum adds v to the float sum with a CAS loop: under contention it
+// retries but never blocks.
+func (h *Histogram) addSum(v float64) {
+	for {
+		old := h.sumBits.Load()
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
 }
 
 // ObserveDuration records a duration in milliseconds.
@@ -62,77 +110,11 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 }
 
 // Count reports the total number of observations, including underflow.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Mean reports the mean of all observed values (underflow included), or NaN
-// when empty.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	return h.sum / float64(h.total)
-}
+func (h *Histogram) Count() uint64 { return h.total.Load() }
 
 // Quantile estimates the q-th quantile (0 < q < 1) from bucket midpoints.
 // The estimate carries the bucket's relative error. Returns NaN when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 || q <= 0 || q >= 1 {
-		return math.NaN()
-	}
-	target := uint64(math.Ceil(q * float64(h.total)))
-	if h.under >= target {
-		return h.start / 2
-	}
-	cum := h.under
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			lo := h.start * math.Pow(h.factor, float64(i))
-			return lo * math.Sqrt(h.factor) // geometric bucket midpoint
-		}
-	}
-	return h.start * math.Pow(h.factor, float64(len(h.counts)))
-}
-
-// BucketBound reports the lower bound of bucket i.
-func (h *Histogram) BucketBound(i int) float64 {
-	return h.start * math.Pow(h.factor, float64(i))
-}
-
-// Render draws a proportional ASCII bar chart of the non-empty buckets,
-// useful for quick inspection in experiment logs.
-func (h *Histogram) Render(width int) string {
-	if width < 10 {
-		width = 10
-	}
-	var peak uint64
-	for _, c := range h.counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	if h.under > peak {
-		peak = h.under
-	}
-	if peak == 0 {
-		return "(empty histogram)\n"
-	}
-	var b strings.Builder
-	bar := func(label string, c uint64) {
-		n := int(float64(c) / float64(peak) * float64(width))
-		fmt.Fprintf(&b, "%14s | %-*s %d\n", label, width, strings.Repeat("#", n), c)
-	}
-	if h.under > 0 {
-		bar(fmt.Sprintf("<%.3g", h.start), h.under)
-	}
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		bar(fmt.Sprintf(">=%.3g", h.BucketBound(i)), c)
-	}
-	return b.String()
-}
+func (h *Histogram) Quantile(q float64) float64 { return h.read().quantile(q) }
 
 // Merge folds other's observations into h. Both histograms must share the
 // same bucket layout (start, factor, bucket count); Merge panics otherwise,
@@ -149,12 +131,57 @@ func (h *Histogram) Merge(other *Histogram) {
 		panic(fmt.Sprintf("metrics: merging mismatched histogram layouts (%v/%v/%d vs %v/%v/%d)",
 			h.start, h.factor, len(h.counts), other.start, other.factor, len(other.counts)))
 	}
-	h.under += other.under
-	h.total += other.total
-	h.sum += other.sum
-	for i, c := range other.counts {
-		h.counts[i] += c
+	o := other.read()
+	h.total.Add(o.total)
+	h.addSum(o.sum)
+	h.under.Add(o.under)
+	for i, c := range o.counts {
+		h.counts[i].Add(c)
 	}
+}
+
+// histState is one read of a histogram's counters, from which the
+// quantiles, the snapshot and the exposition series all derive.
+type histState struct {
+	start, factor float64
+	bounds        []float64 // shared with the histogram, read-only
+	under, total  uint64
+	sum           float64
+	counts        []uint64
+}
+
+// read loads the counters. Buckets are read before the total — and
+// Observe bumps the total first — so the read buckets never sum past the
+// read count, even mid-write: exported cumulative series stay internally
+// consistent under concurrent observation.
+func (h *Histogram) read() histState {
+	s := histState{start: h.start, factor: h.factor, bounds: h.bounds, counts: make([]uint64, len(h.counts))}
+	s.under = h.under.Load()
+	for i := range h.counts {
+		s.counts[i] = h.counts[i].Load()
+	}
+	s.sum = math.Float64frombits(h.sumBits.Load())
+	s.total = h.total.Load()
+	return s
+}
+
+func (s histState) quantile(q float64) float64 {
+	if s.total == 0 || q <= 0 || q >= 1 {
+		return math.NaN()
+	}
+	target := uint64(math.Ceil(q * float64(s.total)))
+	if s.under >= target {
+		return s.start / 2
+	}
+	cum := s.under
+	for i, c := range s.counts {
+		cum += c
+		if cum >= target {
+			return s.bounds[i] * math.Sqrt(s.factor) // geometric bucket midpoint
+		}
+	}
+	// Reached only when a concurrent read saw the total ahead of its buckets.
+	return s.start * math.Pow(s.factor, float64(len(s.counts)))
 }
 
 // HistogramBucket is one non-empty bucket of a snapshot: the bucket's lower
@@ -198,29 +225,22 @@ type HistogramSnapshot struct {
 // the bucket relative error, like Quantile. NaN-free: an empty histogram
 // snapshots with zero statistics so the result always marshals to JSON.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Start: h.start, Factor: h.factor, Count: h.total, Sum: h.sum}
-	if h.under > 0 {
-		s.Buckets = append(s.Buckets, HistogramBucket{Lo: 0, Count: h.under})
+	st := h.read()
+	s := HistogramSnapshot{Start: st.start, Factor: st.factor, Count: st.total, Sum: st.sum}
+	if st.under > 0 {
+		s.Buckets = append(s.Buckets, HistogramBucket{Lo: 0, Count: st.under})
 	}
-	for i, c := range h.counts {
+	for i, c := range st.counts {
 		if c > 0 {
-			s.Buckets = append(s.Buckets, HistogramBucket{Lo: h.BucketBound(i), Count: c})
+			s.Buckets = append(s.Buckets, HistogramBucket{Lo: st.bounds[i], Count: c})
 		}
 	}
-	if h.total == 0 {
+	if st.total == 0 {
 		return s
 	}
-	s.Mean = h.Mean()
-	s.P50 = h.Quantile(0.50)
-	s.P90 = h.Quantile(0.90)
-	s.P99 = h.Quantile(0.99)
+	s.Mean = st.sum / float64(st.total)
+	s.P50 = st.quantile(0.50)
+	s.P90 = st.quantile(0.90)
+	s.P99 = st.quantile(0.99)
 	return s
-}
-
-// Reset clears all recorded observations, retaining the bucket layout.
-func (h *Histogram) Reset() {
-	h.under, h.total, h.sum = 0, 0, 0
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
 }

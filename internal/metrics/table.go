@@ -7,12 +7,6 @@ import (
 	"strings"
 )
 
-// mathFloat64bits/mathFloat64frombits are tiny indirections over math so the
-// atomic Gauge code reads clearly; they exist in this file to keep counter.go
-// free of the math import.
-func mathFloat64bits(f float64) uint64     { return math.Float64bits(f) }
-func mathFloat64frombits(b uint64) float64 { return math.Float64frombits(b) }
-
 // Table is a simple column-aligned results table: sim reports and
 // `dabr` print their rows with it.
 // The zero value is not usable; construct with NewTable.
@@ -87,11 +81,4 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// String renders the table to a string, for tests and logs.
-func (t *Table) String() string {
-	var b strings.Builder
-	_ = t.Render(&b)
-	return b.String()
 }

@@ -9,7 +9,7 @@ func TestTableRenderAlignment(t *testing.T) {
 	tb := NewTable("Policies", "policy", "latency_ms")
 	tb.AddRow("policy1", 31.0)
 	tb.AddRow("policy2", 871.25)
-	out := tb.String()
+	out := render(t, tb)
 	if !strings.Contains(out, "Policies") {
 		t.Errorf("missing title:\n%s", out)
 	}
@@ -27,7 +27,16 @@ func TestTableRenderAlignment(t *testing.T) {
 func TestTableIntegerFloatsRenderCompact(t *testing.T) {
 	tb := NewTable("", "v")
 	tb.AddRow(31.0)
-	if !strings.Contains(tb.String(), "31.0") {
-		t.Fatalf("whole float should render as 31.0:\n%s", tb.String())
+	if out := render(t, tb); !strings.Contains(out, "31.0") {
+		t.Fatalf("whole float should render as 31.0:\n%s", out)
 	}
+}
+
+func render(t *testing.T, tb *Table) string {
+	t.Helper()
+	var b strings.Builder
+	if err := tb.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }

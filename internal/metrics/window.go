@@ -38,12 +38,12 @@ func (e *EWMA) Observe(v float64) {
 		return
 	}
 	if !e.warm.Load() {
-		e.bits.Store(floatBits(v))
+		e.bits.Store(math.Float64bits(v))
 		e.warm.Store(true)
 		return
 	}
-	cur := bitsFloat(e.bits.Load())
-	e.bits.Store(floatBits(cur + e.alpha*(v-cur)))
+	cur := math.Float64frombits(e.bits.Load())
+	e.bits.Store(math.Float64bits(cur + e.alpha*(v-cur)))
 }
 
 // Value reports the current average (0 before the first observation).
@@ -51,7 +51,7 @@ func (e *EWMA) Value() float64 {
 	if !e.warm.Load() {
 		return 0
 	}
-	return bitsFloat(e.bits.Load())
+	return math.Float64frombits(e.bits.Load())
 }
 
 // Reset discards all observations.
@@ -63,7 +63,7 @@ func (e *EWMA) Reset() {
 // Window is a fixed-capacity ring buffer of float64 samples — the
 // windowed-series primitive the feedback signal plane builds its
 // sliding-window estimators on. Once full, each Push rotates the oldest
-// sample out, so aggregates always cover the most recent Cap samples.
+// sample out, so quantiles always cover the most recent capacity samples.
 //
 // Window is safe for concurrent use; quantiles sort into a scratch buffer
 // owned by the window, so steady-state operation does not allocate.
@@ -102,51 +102,6 @@ func (w *Window) Len() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.n
-}
-
-// Cap reports the window's capacity.
-func (w *Window) Cap() int { return len(w.buf) }
-
-// Sum reports the sum over the held samples (0 when empty). The ring is
-// walked oldest-first so the float accumulation order is deterministic.
-func (w *Window) Sum() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var sum float64
-	for i := 0; i < w.n; i++ {
-		sum += w.at(i)
-	}
-	return sum
-}
-
-// Mean reports the mean over the held samples (0 when empty).
-func (w *Window) Mean() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.n == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < w.n; i++ {
-		sum += w.at(i)
-	}
-	return sum / float64(w.n)
-}
-
-// Max reports the maximum held sample (0 when empty).
-func (w *Window) Max() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.n == 0 {
-		return 0
-	}
-	m := math.Inf(-1)
-	for i := 0; i < w.n; i++ {
-		if v := w.at(i); v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Quantile reports the q-th quantile (0 ≤ q ≤ 1) of the held samples by

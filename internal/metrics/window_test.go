@@ -51,23 +51,23 @@ func TestWindowRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Len() != 0 || w.Sum() != 0 || w.Mean() != 0 || w.Max() != 0 || w.Quantile(0.5) != 0 {
+	if w.Len() != 0 || w.Quantile(0.5) != 0 {
 		t.Fatalf("empty window not all-zero")
 	}
 	w.Push(1)
 	w.Push(2)
-	if w.Len() != 2 || w.Sum() != 3 || w.Mean() != 1.5 {
-		t.Fatalf("partial window: len %d sum %v mean %v", w.Len(), w.Sum(), w.Mean())
+	if w.Len() != 2 || w.Quantile(0) != 1 || w.Quantile(1) != 2 {
+		t.Fatalf("partial window: len %d min %v max %v", w.Len(), w.Quantile(0), w.Quantile(1))
 	}
 	w.Push(3)
 	w.Push(10) // rotates the 1 out
-	if w.Len() != 3 || w.Sum() != 15 || w.Max() != 10 {
-		t.Fatalf("rotated window: len %d sum %v max %v", w.Len(), w.Sum(), w.Max())
+	if w.Len() != 3 || w.Quantile(0) != 2 || w.Quantile(1) != 10 {
+		t.Fatalf("rotated window: len %d min %v max %v", w.Len(), w.Quantile(0), w.Quantile(1))
 	}
 	w.Push(20)
 	w.Push(30) // only {10, 20, 30} remain
-	if w.Sum() != 60 || w.Mean() != 20 {
-		t.Fatalf("fully rotated window: sum %v mean %v", w.Sum(), w.Mean())
+	if w.Quantile(0) != 10 || w.Quantile(0.5) != 20 || w.Quantile(1) != 30 {
+		t.Fatalf("fully rotated window: min %v median %v max %v", w.Quantile(0), w.Quantile(0.5), w.Quantile(1))
 	}
 }
 
@@ -134,9 +134,8 @@ func TestWindowConcurrentObservers(t *testing.T) {
 				return
 			default:
 			}
-			_ = w.Sum()
+			_ = w.Len()
 			_ = w.Quantile(0.9)
-			_ = w.Max()
 			_ = e.Value()
 		}
 	}()

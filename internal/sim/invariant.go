@@ -333,10 +333,7 @@ func (r *Result) metricValue(inv Invariant) float64 {
 	o, dur := r.scope(inv.Population, inv.Phase)
 	switch inv.Metric {
 	case MetricLatencyMean:
-		if o.latency.Count() == 0 {
-			return 0
-		}
-		return o.latency.Mean()
+		return o.latency.Snapshot().Mean
 	case MetricLatencyP50:
 		return quantileOrZero(o, 0.50)
 	case MetricLatencyP90:
