@@ -20,7 +20,9 @@
 // down by more than -max-regress — or when a within-run ratio gate fails:
 // the evidence path beyond 2× plain Decide, the traced path beyond 5% of
 // plain Decide, or the batch path not beating the single-op evidence path
-// per request.
+// per request. The first two ratios are the median over -runs rounds that
+// measure Decide and the numerator back to back, so one noisy sample
+// cannot trip them.
 //
 // The capacity section measures million-client cost: bytes and heap
 // objects per tracked IP at 1M entries (runtime.ReadMemStats deltas
@@ -169,12 +171,48 @@ func summarize(r testing.BenchmarkResult) result {
 	}
 }
 
+// alternate measures fns in turn, one sample each per round, for runs
+// rounds: host noise that slows a round lands on every benchmark in it,
+// so a ratio taken within one round cancels most of it.
+func alternate(runs int, fns ...func(*testing.B)) [][]result {
+	rounds := make([][]result, runs)
+	for i := range rounds {
+		for _, fn := range fns {
+			rounds[i] = append(rounds[i], summarize(testing.Benchmark(fn)))
+		}
+	}
+	return rounds
+}
+
+// fastest returns benchmark j's fastest sample across rounds.
+func fastest(rounds [][]result, j int) result {
+	best := rounds[0][j]
+	for _, r := range rounds[1:] {
+		if r[j].NsPerOp < best.NsPerOp {
+			best = r[j]
+		}
+	}
+	return best
+}
+
+// medianRatio is the median over rounds of benchmark num's ns/op divided
+// by benchmark den's from the same round.
+func medianRatio(rounds [][]result, num, den int) float64 {
+	ratios := make([]float64, len(rounds))
+	for i, r := range rounds {
+		ratios[i] = r[num].NsPerOp / r[den].NsPerOp
+	}
+	slices.Sort(ratios)
+	n := len(ratios)
+	return (ratios[(n-1)/2] + ratios[n/2]) / 2
+}
+
 func main() {
 	out := flag.String("out", "BENCH_hotpath.json", "output JSON path")
 	cpu := flag.String("cpu", "", "comma-separated GOMAXPROCS list for parallel scaling entries (e.g. 1,2,4)")
 	compare := flag.String("compare", "", "baseline JSON to gate against (CI regression check)")
 	maxRegress := flag.String("max-regress", "20%", "ns/op regression tolerance for -compare (e.g. 20% or 0.2)")
-	runs := flag.Int("runs", 1, "measure each benchmark N times and record the fastest (damps scheduler noise)")
+	runs := flag.Int("runs", 1, "measure each benchmark N times and record the fastest (damps scheduler noise); ratio gates take the median of N alternating rounds")
 	flag.Parse()
 	if err := run(*out, *cpu, *compare, *maxRegress, *runs); err != nil {
 		fmt.Fprintln(os.Stderr, "benchdump:", err)
@@ -230,17 +268,8 @@ func run(out, cpuSpec, compare, maxRegress string, runs int) error {
 		return fmt.Errorf("bad -runs %d", runs)
 	}
 	// bench measures fn `runs` times and keeps the fastest ns/op sample:
-	// a minimum over repeats damps scheduler noise without biasing the
-	// within-run ratios, which compare minima measured the same way.
-	bench := func(fn func(*testing.B)) result {
-		best := summarize(testing.Benchmark(fn))
-		for i := 1; i < runs; i++ {
-			if r := summarize(testing.Benchmark(fn)); r.NsPerOp < best.NsPerOp {
-				best = r
-			}
-		}
-		return best
-	}
+	// a minimum over repeats damps scheduler noise.
+	bench := func(fn func(*testing.B)) result { return fastest(alternate(runs, fn), 0) }
 
 	data, err := aipow.GenerateDataset(aipow.DefaultDatasetConfig())
 	if err != nil {
@@ -482,7 +511,7 @@ pipeline bench
 	var clusterTag [32]byte
 	for i := 0; i < 4096; i++ {
 		clusterTag[0], clusterTag[1] = byte(i), byte(i>>8)
-		nodeB.RedeemedTag(clusterTag, time.Now().Add(2*time.Minute))
+		nodeB.RedeemedTag(clusterTag, time.Now())
 	}
 	peerFrame := nodeB.Frame()
 	nodeA.ExchangeWith(nodeB) // so FilterSeen probes a populated, merged ring
@@ -503,31 +532,55 @@ pipeline bench
 		})
 	}
 
+	decide := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := fw.Decide(aipow.RequestContext{IP: "198.51.100.1"}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// Decide with the decision-trace ring attached: ~0.1% of iterations
+	// write a fixed-size record into a preallocated slot, the rest pay one
+	// branch and one atomic. Gated like Decide, plus the traced_over_decide
+	// ratio below.
+	decideTraced := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := tracedFW.Decide(aipow.RequestContext{IP: "198.51.100.1"}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// The scoring-verdict stack end to end: behavioral observation,
+	// confidence-carrying decision (redemption + shaping on-path), and
+	// verification with evidence write-back. Gated: the whole loop must
+	// stay allocation-free.
+	decideWithEvidence := func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := evFW.Observe(aipow.RequestInfo{IP: evIP, Path: "/api", At: evAt}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := evFW.Decide(aipow.RequestContext{IP: evIP}); err != nil {
+				b.Fatal(err)
+			}
+			if err := evFW.Verify(evSol, evIP); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// The three feed the within-run ratio gates, so they are measured in
+	// alternation, one sample each per round.
+	rounds := alternate(runs, decide, decideTraced, decideWithEvidence)
+
 	d := dump{
 		GeneratedBy: "cmd/benchdump",
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Benchmarks: map[string]result{
-			"Decide": bench((func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := fw.Decide(aipow.RequestContext{IP: "198.51.100.1"}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})),
-			// Decide with the decision-trace ring attached: ~0.1% of
-			// iterations write a fixed-size record into a preallocated
-			// slot, the rest pay one branch and one atomic. Gated like
-			// Decide, plus the traced_over_decide ratio below.
-			"DecideTraced": bench((func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := tracedFW.Decide(aipow.RequestContext{IP: "198.51.100.1"}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})),
+			"Decide":         fastest(rounds, 0),
+			"DecideTraced":   fastest(rounds, 1),
 			"DecideParallel": bench(decideParallel),
 			// Decide while a background goroutine hot-swaps the policy at
 			// ~1 kHz: the RCU snapshot design means swap churn must cost
@@ -603,24 +656,7 @@ pipeline bench
 				close(stop)
 				<-done
 			})),
-			// The scoring-verdict stack end to end: behavioral observation,
-			// confidence-carrying decision (redemption + shaping on-path),
-			// and verification with evidence write-back. Gated: the whole
-			// loop must stay allocation-free.
-			"DecideWithEvidence": bench((func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := evFW.Observe(aipow.RequestInfo{IP: evIP, Path: "/api", At: evAt}); err != nil {
-						b.Fatal(err)
-					}
-					if _, err := evFW.Decide(aipow.RequestContext{IP: evIP}); err != nil {
-						b.Fatal(err)
-					}
-					if err := evFW.Verify(evSol, evIP); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})),
+			"DecideWithEvidence": fastest(rounds, 2),
 			// The same evidence loop through the batch front door —
 			// ObserveBatch, DecideBatch, VerifyBatch over 64-request
 			// batches — at per-request granularity (b.N counts requests,
@@ -733,9 +769,9 @@ pipeline bench
 	// amortization over the single-op evidence path, and per-op scaling
 	// across the -cpu widths (≤ 1 means flat-or-better as cores grow).
 	d.Ratios = map[string]float64{
-		"evidence_over_decide": d.Benchmarks["DecideWithEvidence"].NsPerOp / d.Benchmarks["Decide"].NsPerOp,
+		"evidence_over_decide": medianRatio(rounds, 2, 0),
 		"batch_over_evidence":  d.Benchmarks["DecideBatch"].NsPerOp / d.Benchmarks["DecideWithEvidence"].NsPerOp,
-		"traced_over_decide":   d.Benchmarks["DecideTraced"].NsPerOp / d.Benchmarks["Decide"].NsPerOp,
+		"traced_over_decide":   medianRatio(rounds, 1, 0),
 	}
 	if len(cpus) > 0 {
 		base := d.Benchmarks[fmt.Sprintf("DecideParallel/cpu=%d", cpus[0])].NsPerOp

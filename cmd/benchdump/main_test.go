@@ -167,3 +167,26 @@ func TestGateMissingBaseline(t *testing.T) {
 		t.Fatal("gate passed without a baseline")
 	}
 }
+
+// TestRoundStatistics pins how alternating rounds become gate inputs:
+// each benchmark records its fastest sample, and a ratio gate reads the
+// median of the per-round ratios, so one round slowed by the host on one
+// side moves neither.
+func TestRoundStatistics(t *testing.T) {
+	rounds := [][]result{
+		{{NsPerOp: 100}, {NsPerOp: 103}},
+		{{NsPerOp: 90}, {NsPerOp: 140}}, // the numerator's sample hit a noisy moment
+		{{NsPerOp: 110}, {NsPerOp: 112}},
+		{{NsPerOp: 95}, {NsPerOp: 98}},
+	}
+	if got := fastest(rounds, 0).NsPerOp; got != 90 {
+		t.Errorf("fastest = %v, want 90", got)
+	}
+	want := (98.0/95 + 103.0/100) / 2 // the middle two of the four ratios
+	if got := medianRatio(rounds, 1, 0); got != want {
+		t.Errorf("median ratio = %v, want %v", got, want)
+	}
+	if got := medianRatio(rounds[:3], 1, 0); got != 103.0/100 {
+		t.Errorf("median ratio of 3 rounds = %v, want %v", got, 103.0/100)
+	}
+}

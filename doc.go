@@ -267,13 +267,21 @@
 //     mutex, entries map, and LRU list, so concurrent Observe and
 //     attribute-fill calls do not serialize on one lock.
 //     WithTrackerShards overrides the auto-sizing.
+//   - One clock read per request. The framework's clock (WithClock) is
+//     the only clock on the serving path. The door that accepts a
+//     request — the HTTP middleware, the batch handler, or Decide and
+//     Verify called directly — reads it once, and scoring, issuance,
+//     freshness, the replay claim and the evidence stamp all use that
+//     instant (hosts that read it themselves pass it to DecideAt and
+//     VerifyAt). Only the stage timings read it again: at most 3 reads
+//     per Decide, 2 per Verify, 2 per batch call.
 //   - Pooled crypto state. Challenge issuance and verification reuse
 //     keyed HMAC instances and encode buffers from pools: zero
 //     allocations per Issue and per Verify in steady state. The replay
 //     cache sweeps expired seeds incrementally to bound lock hold times.
-//   - Pre-resolved counters. The framework's six stat counters are
-//     resolved to atomic counters once at New time, never through the
-//     registry's map on the request path.
+//   - Fixed counters. The framework's six stat counters sit in a fixed
+//     array indexed by constant, never looked up by name on the request
+//     path.
 //   - Append-encoded 428. The middleware writes the challenge response
 //     into a pooled buffer (Challenge.AppendText, strconv) instead of
 //     through encoding/json and fmt, sets its three headers by canonical
@@ -446,6 +454,8 @@
 //     and Verify stages (metrics.Histogram: 40 buckets growing by 1.5×
 //     from 500 ns, lock-free Observe, snapshot reads). Always on — the
 //     gated hot-path benchmarks hold 0 allocs/op with them counting.
+//     They time with the framework's clock (WithClock), so under a
+//     simulated clock they record simulated time.
 //   - Sampled decision tracing. The spec line "observe
 //     trace(sample=1024, ring=256)" — hot-swappable, like a policy —
 //     samples one decision in N into a lock-free TraceRing of

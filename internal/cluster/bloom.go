@@ -38,13 +38,15 @@ import (
 	"aipow/internal/puzzle"
 )
 
-// Filter-geometry defaults. At the defaults — 1 MiB of filter per bucket
-// (1<<20 bits × 4 buckets = 512 KiB total), 4 hash probes — a bucket
-// holding 65 536 redeemed tags (one full replay-cache generation) has a
-// false-positive rate of (1-e^(-kn/m))^k ≈ 0.24%, the worst-case rate a
-// fresh solution is wrongly suppressed at while the fleet is redeeming at
-// capacity. Operators declare their own geometry in the spec
-// (`cluster filter(bits=…, hashes=…)`).
+// Filter-geometry defaults: 1<<20 bits (128 KiB) per bucket, 4 buckets
+// (512 KiB per ring), 4 hash probes. One bucket holding n tags has a
+// false-positive rate of p = (1-e^(-kn/m))^k, ≈ 0.24% at n = 65 536. Seen
+// probes every live bucket, so a fresh solution is wrongly suppressed at
+// 1-(1-p)^4 — ≈ 0.95% with 65 536 tags in each bucket — and the rate
+// grows with the fleet's redemption rate. At the default 40 s buckets
+// (2 min retained over 3 spans) it reaches 1% at about 1 660 redemptions/s
+// fleet-wide and 3.9% at 2 500/s. Operators declare their own geometry in
+// the spec (`cluster filter(bits=…, hashes=…)`).
 const (
 	DefaultFilterBits   = 1 << 20
 	DefaultFilterHashes = 4

@@ -249,9 +249,9 @@ func (n *Node) SeenTag(tag [puzzle.TagSize]byte) bool {
 }
 
 // RedeemedTag implements puzzle.TagExchange: the tag enters the bucket of
-// its redemption time and gossips outward on the next exchange.
-func (n *Node) RedeemedTag(tag [puzzle.TagSize]byte, _ time.Time) {
-	n.ring.Add(tag, n.cfg.Now())
+// its redemption instant at and gossips outward on the next exchange.
+func (n *Node) RedeemedTag(tag [puzzle.TagSize]byte, at time.Time) {
+	n.ring.Add(tag, at)
 }
 
 // Frame snapshots the node's exchange payload: its own section (local

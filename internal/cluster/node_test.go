@@ -58,7 +58,7 @@ func TestNodeCrossNodeReplaySuppression(t *testing.T) {
 	b := testNode(t, "b")
 	tag := testTag(99)
 
-	a.RedeemedTag(tag, bloomEpoch.Add(time.Minute))
+	a.RedeemedTag(tag, bloomEpoch)
 	if !a.SeenTag(tag) {
 		t.Fatal("redeeming node forgot its own tag")
 	}
@@ -172,7 +172,7 @@ func TestNodeSeenTagZeroAllocs(t *testing.T) {
 	a := testNode(t, "a")
 	hit := testTag(1)
 	miss := testTag(2)
-	a.RedeemedTag(hit, bloomEpoch.Add(time.Minute))
+	a.RedeemedTag(hit, bloomEpoch)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		a.SeenTag(hit)
 		a.SeenTag(miss)
@@ -255,7 +255,7 @@ func TestNodeHTTPExchange(t *testing.T) {
 		t.Fatal(err)
 	}
 	tag := testTag(5)
-	a.RedeemedTag(tag, bloomEpoch.Add(time.Minute))
+	a.RedeemedTag(tag, bloomEpoch)
 	a.BindLocal(&fakeSource{counters: map[string]float64{"issued": 11}}, nil)
 
 	srv := httptest.NewServer(a.Handler())

@@ -15,7 +15,7 @@ import (
 // instead of a Decide loop. The per-decision pipeline is identical — the
 // same decideRow kernel, same issuance — but the fixed costs
 // are paid once per batch instead of once per request: one snapshot load,
-// one clock read, one scratch checkout, one vector-layout resolution, and
+// one instant, one scratch checkout, one vector-layout resolution, and
 // (through features.VectorBatchSource and puzzle.IssueBatch) shard-grouped
 // tracker reads and chunked entropy reads.
 //
@@ -64,8 +64,16 @@ func grow[T any](s []T, n int) []T {
 // is allocated. Per-decision semantics — scoring, fail-closed
 // substitution, bypass, confidence-shaped difficulty — match
 // Decide exactly; an issuance failure (or an empty IP anywhere in the
-// batch) fails the whole batch with no challenges returned.
+// batch) fails the whole batch with no challenges returned. DecideBatch
+// reads the clock for the batch's instant; DecideBatchAt takes it from
+// the caller.
 func (f *Framework) DecideBatch(reqs []RequestContext, dst []Decision) ([]Decision, error) {
+	return f.DecideBatchAt(reqs, dst, f.now())
+}
+
+// DecideBatchAt is DecideBatch at the caller's instant now (see
+// DecideAt); it reads the clock once more, to end the batch span.
+func (f *Framework) DecideBatchAt(reqs []RequestContext, dst []Decision, now time.Time) ([]Decision, error) {
 	for i := range reqs {
 		if reqs[i].IP == "" {
 			return nil, fmt.Errorf("core: batch request %d without client IP", i)
@@ -75,9 +83,7 @@ func (f *Framework) DecideBatch(reqs []RequestContext, dst []Decision) ([]Decisi
 	if len(reqs) == 0 {
 		return dst, nil
 	}
-	t0 := time.Now()
 	snap := f.snap.Load()
-	now := f.hotNow()
 	sc := decidePool.Get().(*decideScratch)
 	for start := 0; start < len(reqs); start += maxDecideChunk {
 		end := min(start+maxDecideChunk, len(reqs))
@@ -87,8 +93,7 @@ func (f *Framework) DecideBatch(reqs []RequestContext, dst []Decision) ([]Decisi
 		}
 	}
 	decidePool.Put(sc)
-	t1 := time.Now()
-	f.lat[latStageBatch].ObserveDuration(t1.Sub(t0))
+	f.lat[latStageBatch].ObserveDuration(f.now().Sub(now))
 	if snap.trace != nil {
 		// Per-item sampling draws, so batch-decided traffic is sampled at
 		// the same 1-in-N rate as the request-at-a-time path. Stage
@@ -96,7 +101,7 @@ func (f *Framework) DecideBatch(reqs []RequestContext, dst []Decision) ([]Decisi
 		// only the decision fields are recorded.
 		for i := range dst {
 			if snap.trace.Sampled() {
-				f.traceDecide(snap, &dst[i], t1, t1, t1)
+				f.traceDecide(snap, &dst[i], now, now, now)
 			}
 		}
 	}
@@ -143,7 +148,7 @@ func (f *Framework) decideChunk(snap *snapshot, now time.Time, reqs []RequestCon
 
 	if nIssued > 0 {
 		sc.chs = grow(sc.chs, n)
-		if err := f.issuer.IssueBatch(sc.ips, sc.diffs, sc.chs); err != nil {
+		if err := f.issuer.IssueBatch(sc.ips, sc.diffs, sc.chs, now); err != nil {
 			return fmt.Errorf("core: issue challenge batch: %w", err)
 		}
 		for i := range dst {
@@ -190,8 +195,15 @@ func (f *Framework) ObserveBatch(reqs []features.RequestInfo) error {
 // acquisition per touched shard, or appended to the write-back buffers
 // when those are on. When dst has capacity for the verdicts it is reused.
 // The error return reports only batch-shape problems; per-solution
-// failures live in the verdict slice.
+// failures live in the verdict slice. VerifyBatch reads the clock for the
+// batch's instant; VerifyBatchAt takes it from the caller.
 func (f *Framework) VerifyBatch(sols []puzzle.Solution, bindings []string, dst []error) ([]error, error) {
+	return f.VerifyBatchAt(sols, bindings, dst, f.now())
+}
+
+// VerifyBatchAt is VerifyBatch at the caller's instant now (see
+// VerifyAt); it reads the clock once more, to end the batch span.
+func (f *Framework) VerifyBatchAt(sols []puzzle.Solution, bindings []string, dst []error, now time.Time) ([]error, error) {
 	if len(sols) != len(bindings) {
 		return nil, fmt.Errorf("core: batch shape mismatch: %d solutions, %d bindings",
 			len(sols), len(bindings))
@@ -200,8 +212,6 @@ func (f *Framework) VerifyBatch(sols []puzzle.Solution, bindings []string, dst [
 	if len(sols) == 0 {
 		return dst, nil
 	}
-	t0 := time.Now()
-	now := f.hotNow()
 	grouped := f.tracker != nil && !f.buffered()
 	var sc *verifyScratch
 	if grouped {
@@ -226,7 +236,7 @@ func (f *Framework) VerifyBatch(sols []puzzle.Solution, bindings []string, dst [
 		f.tracker.RecordVerifyBatch(sc.ips, sc.diffs, sc.oks, now)
 		verifyPool.Put(sc)
 	}
-	f.lat[latStageBatch].ObserveDuration(time.Since(t0))
+	f.lat[latStageBatch].ObserveDuration(f.now().Sub(now))
 	if t := f.snap.Load().trace; t != nil {
 		// Per-item sampling draws at the request-at-a-time rate; like
 		// DecideBatch, the batch-amortized time is not attributed per item.

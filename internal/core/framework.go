@@ -194,16 +194,6 @@ type Framework struct {
 	closeOnce  sync.Once
 	flushStop  chan struct{}
 	flushDone  chan struct{}
-
-	// coarseNow (unix nanoseconds) is the buffered configuration's cached
-	// clock, refreshed by the flush loop each tick. With buffering on, the
-	// serving paths' clock reads (scoring decay, verifier freshness,
-	// evidence timestamps) come from here — one atomic load instead of a
-	// system clock read — with staleness bounded by the flush interval the
-	// buffer already accepts, orders of magnitude under both the
-	// verifier's skew tolerance and every tracker horizon. Disabled (falls
-	// back to the real clock) without buffering and after Close.
-	coarseNow atomic.Int64
 }
 
 // config collects the options New applies.
@@ -261,8 +251,10 @@ func WithSource(s features.VectorSource) Option { return func(c *config) { c.sou
 // tracker is typically also wrapped into the Source via features.Combined.
 func WithTracker(t *features.Tracker) Option { return func(c *config) { c.tracker = t } }
 
-// WithClock injects the time source (default time.Now). Experiments pass
-// the simulator's virtual clock.
+// WithClock injects the time source (default time.Now), the one clock of
+// the serving path. Each request reads it once, at its door, and every
+// stage uses that instant; the latency histograms time with it too, so
+// under the simulator's virtual clock they record simulated time.
 func WithClock(now func() time.Time) Option { return func(c *config) { c.now = now } }
 
 // WithTTL sets challenge lifetime (default puzzle.DefaultTTL).
@@ -429,13 +421,11 @@ func New(opts ...Option) (*Framework, error) {
 		authCache = puzzle.NewAuthCacheSize(cfg.authSlots)
 	}
 	issuerOpts := []puzzle.IssuerOption{
-		puzzle.WithIssuerNow(cfg.now),
 		puzzle.WithTTL(cfg.ttl),
 		puzzle.WithIssuerMaxDifficulty(cfg.maxDiff),
 		puzzle.WithIssuerAuthCache(authCache),
 	}
 	verifierOpts := []puzzle.VerifierOption{
-		puzzle.WithVerifierNow(cfg.now),
 		puzzle.WithClockSkew(cfg.clockSkew),
 		puzzle.WithVerifierAuthCache(authCache),
 	}
@@ -476,7 +466,6 @@ func New(opts ...Option) (*Framework, error) {
 	f.snap.Store(snap)
 	if cfg.wbSize > 0 {
 		f.wbSize, f.wbInterval = cfg.wbSize, cfg.wbInterval
-		f.coarseNow.Store(f.now().UnixNano())
 		f.flushStop = make(chan struct{})
 		f.flushDone = make(chan struct{})
 		go f.flushLoop()
@@ -484,10 +473,9 @@ func New(opts ...Option) (*Framework, error) {
 	return f, nil
 }
 
-// flushLoop periodically drains the tracker's write-back buffers — so
+// flushLoop periodically drains the tracker's write-back buffers, so
 // evidence captured on a quiet shard (too few events to trigger the inline
-// size flush) still becomes visible within about one interval — and
-// refreshes the coarse clock.
+// size flush) still becomes visible within about one interval.
 func (f *Framework) flushLoop() {
 	defer close(f.flushDone)
 	t := time.NewTicker(f.wbInterval)
@@ -498,7 +486,6 @@ func (f *Framework) flushLoop() {
 			return
 		case <-t.C:
 			start := f.now()
-			f.coarseNow.Store(start.UnixNano())
 			f.tracker.FlushWriteBack()
 			// A drain that overruns its own interval means the buffers are
 			// refilling faster than they empty — the write-back lag bound
@@ -516,17 +503,10 @@ func (f *Framework) flushLoop() {
 	}
 }
 
-// hotNow is the serving paths' clock: the coarse cached reading while
-// buffering is active, the real clock otherwise. Challenge issuance always
-// uses the real clock (the issuer owns its own reading); everything
-// downstream of scoring and verification tolerates interval-bounded
-// staleness by construction.
-func (f *Framework) hotNow() time.Time {
-	if f.wbSize > 0 && !f.closed.Load() {
-		return time.Unix(0, f.coarseNow.Load())
-	}
-	return f.now()
-}
+// Now reads the framework's clock. A front door that serves one request
+// through several framework calls reads it once and passes the instant to
+// the ...At methods and to RequestInfo.At.
+func (f *Framework) Now() time.Time { return f.now() }
 
 // Close stops the evidence flush loop and drains the tracker's write-back
 // buffers. Idempotent, always nil. Frameworks built without
@@ -690,42 +670,46 @@ func (f *Framework) SwapScorer(s features.VectorScorer) error { return f.Swap(Se
 // Decide runs steps 2–4 of the protocol for one request: score the
 // client's features, map the score to a difficulty, and issue a bound
 // challenge. The whole decision runs on one configuration snapshot loaded
-// at entry, so a concurrent Swap is never observed torn.
+// at entry, so a concurrent Swap is never observed torn. Decide reads the
+// clock for the request's instant; DecideAt takes it from the caller.
 func (f *Framework) Decide(req RequestContext) (Decision, error) {
+	return f.DecideAt(req, f.now())
+}
+
+// DecideAt is Decide for a request whose instant now the caller read from
+// Now: the client is scored and the challenge issued at now, and the
+// decide span starts there. It reads the clock at most twice more, to
+// time the scoring and issue stages.
+func (f *Framework) DecideAt(req RequestContext, now time.Time) (Decision, error) {
 	if req.IP == "" {
 		return Decision{}, errors.New("core: request without client IP")
 	}
-	// The latency histograms time with the real clock, not hotNow: the
-	// coarse cached clock would quantize every duration to the flush
-	// interval, and the simulation's virtual clock would make latency a
-	// function of scenario script rather than machine.
-	t0 := time.Now()
 	snap := f.snap.Load()
 	dec := Decision{IP: req.IP}
 
 	vp := snap.vecPool.Get().(*[]float64)
 	row := *vp
 	clear(row)
-	mask := snap.source.AttributesVector(row, snap.schema, req.IP, f.hotNow())
+	mask := snap.source.AttributesVector(row, snap.schema, req.IP, now)
 	f.decideRow(snap, &dec, row, mask)
 	snap.vecPool.Put(vp)
 
-	t1 := time.Now()
+	t1 := f.now()
 	t2 := t1
 	if !dec.Bypassed {
-		ch, err := f.issuer.Issue(req.IP, dec.Difficulty)
+		ch, err := f.issuer.IssueAt(req.IP, dec.Difficulty, now)
 		if err != nil {
 			return Decision{}, fmt.Errorf("core: issue challenge: %w", err)
 		}
 		dec.Challenge = ch
 		f.stats[statIssued].Inc()
 		f.diffIssued[dec.Difficulty].Add(1) // issuer validated the range
-		t2 = time.Now()
+		t2 = f.now()
 		f.lat[latStageIssue].ObserveDuration(t2.Sub(t1))
 	}
-	f.lat[latStageDecide].ObserveDuration(t2.Sub(t0))
+	f.lat[latStageDecide].ObserveDuration(t2.Sub(now))
 	if snap.trace != nil && snap.trace.Sampled() {
-		f.traceDecide(snap, &dec, t0, t1, t2)
+		f.traceDecide(snap, &dec, now, t1, t2)
 	}
 	return dec, nil
 }
@@ -780,18 +764,23 @@ func (f *Framework) decideRow(snap *snapshot, dec *Decision, row []float64, mask
 // paying earns its way out of the false-positive tail), and a failure
 // extends the IP's fail streak (which cancels redemption). Both writes
 // are allocation-free for tracked IPs; without a tracker Verify behaves
-// exactly as before.
+// exactly as before. Verify reads the clock for the request's instant;
+// VerifyAt takes it from the caller.
 func (f *Framework) Verify(sol puzzle.Solution, binding string) error {
-	t0 := time.Now()
-	// One clock read serves both the cryptographic freshness checks and the
-	// evidence timestamp.
-	now := f.hotNow()
-	d, err := f.verifyOne(&sol, binding, now)
+	return f.VerifyAt(&sol, binding, f.now())
+}
+
+// VerifyAt is Verify for a request whose instant now the caller read
+// from Now: freshness, the replay probe and claim, and the evidence
+// timestamp all use now, and the verify span starts there. It reads the
+// clock once more, to end that span. sol is not modified.
+func (f *Framework) VerifyAt(sol *puzzle.Solution, binding string, now time.Time) error {
+	d, err := f.verifyOne(sol, binding, now)
 	f.recordVerify(binding, d, err == nil, now)
-	el := time.Since(t0)
+	el := f.now().Sub(now)
 	f.lat[latStageVerify].ObserveDuration(el)
 	if t := f.snap.Load().trace; t != nil && t.Sampled() {
-		f.traceVerify(t, now, &sol, binding, err, el)
+		f.traceVerify(t, now, sol, binding, err, el)
 	}
 	return err
 }
@@ -832,7 +821,7 @@ func (f *Framework) RecordVerifyEvidence(ip string, difficulty int, ok bool) {
 		f.stats[statRejected].Inc()
 		difficulty = 0
 	}
-	f.recordVerify(ip, difficulty, ok, f.hotNow())
+	f.recordVerify(ip, difficulty, ok, f.now())
 }
 
 // DifficultyProfileInto copies the cumulative per-difficulty counters into

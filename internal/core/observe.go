@@ -9,9 +9,10 @@ import (
 )
 
 // Serving-path latency histogram stages. The histograms are always on —
-// atomic, allocation-free, and cheap enough (two clock reads and two
-// atomic observes per decision) that there is no "observability off"
-// configuration to get wrong in production.
+// atomic, allocation-free, and cheap enough (two clock reads past the
+// request's instant and two atomic observes per decision) that there is
+// no "observability off" configuration to get wrong in production. They
+// time with the framework's clock (WithClock).
 const (
 	latStageDecide = iota
 	latStageIssue
@@ -96,7 +97,8 @@ func (f *Framework) LatencyExpositionInto(e *metrics.Exposition, name, help stri
 	}
 }
 
-// traceDecide records one sampled decision. Off the fast path (the caller
+// traceDecide records one sampled decision made at instant t0, whose
+// scoring ended at t1 and issuance at t2. Off the fast path (the caller
 // already won the 1-in-N sampling draw) but still allocation-free: the
 // redemption credit is read by re-filling a pooled vector, the same
 // scratch Decide's scoring uses.
@@ -106,7 +108,7 @@ func (f *Framework) traceDecide(snap *snapshot, dec *Decision, t0, t1, t2 time.T
 		vp := snap.vecPool.Get().(*[]float64)
 		v := *vp
 		clear(v)
-		snap.source.AttributesVector(v, snap.schema, dec.IP, f.hotNow())
+		snap.source.AttributesVector(v, snap.schema, dec.IP, t0)
 		credit = v[snap.creditIdx]
 		snap.vecPool.Put(vp)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"aipow/internal/core"
 	"aipow/internal/features"
@@ -195,7 +194,9 @@ func (h *BatchHandler) group(reqs []BatchRequest) []fwGroup {
 // whose solution was rejected, which earn a fresh challenge exactly like
 // the Middleware flow.
 func (h *BatchHandler) serveGroup(fw *core.Framework, reqs []BatchRequest, idx []int, results []BatchResult) error {
-	now := time.Now()
+	// One clock read per group: every item is observed, verified and
+	// decided at this instant.
+	now := fw.Now()
 
 	// One observation per item. A malformed solution token is a failed
 	// presentation — behavioral signal, like the middleware's flow.
@@ -239,7 +240,7 @@ func (h *BatchHandler) serveGroup(fw *core.Framework, reqs []BatchRequest, idx [
 		for k, i := range solIdx {
 			bindings[k] = reqs[i].IP
 		}
-		verdicts, err := fw.VerifyBatch(sols, bindings, nil)
+		verdicts, err := fw.VerifyBatchAt(sols, bindings, nil, now)
 		if err != nil {
 			return fmt.Errorf("verify batch: %w", err)
 		}
@@ -271,7 +272,7 @@ func (h *BatchHandler) serveGroup(fw *core.Framework, reqs []BatchRequest, idx [
 	for k, i := range decIdx {
 		dreqs[k] = core.RequestContext{IP: reqs[i].IP}
 	}
-	decs, err := fw.DecideBatch(dreqs, nil)
+	decs, err := fw.DecideBatchAt(dreqs, nil, now)
 	if err != nil {
 		return fmt.Errorf("decide batch: %w", err)
 	}

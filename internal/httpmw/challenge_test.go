@@ -251,7 +251,7 @@ func FuzzMiddlewareHeaders(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	signer := newTokenSigner(testKey, time.Now)
+	signer := &tokenSigner{key: testKey}
 	redeemed := map[*Middleware]map[[puzzle.TagSize]byte]bool{routed: {}, sessions: {}}
 
 	serve := func(t testing.TB, mw *Middleware, ip, solution, token string) *httptest.ResponseRecorder {
@@ -284,7 +284,7 @@ func FuzzMiddlewareHeaders(f *testing.F) {
 				t.Fatalf("428 challenge %q for %q: %v %v", body.Challenge, client, ch, err)
 			}
 		case http.StatusOK:
-			if mw == sessions && signer.Validate(token, client) == nil {
+			if mw == sessions && signer.Validate(token, client, time.Now()) == nil {
 				break
 			}
 			var sol puzzle.Solution

@@ -52,7 +52,6 @@ type Middleware struct {
 	router       Router          // per-route mode; nil when single
 	tenantHeader string
 	trustHeader  string
-	now          func() time.Time
 	tokens       *tokenSigner
 	tokenTTL     time.Duration
 }
@@ -75,11 +74,6 @@ func WithTenantHeader(name string) MiddlewareOption {
 	return func(m *Middleware) { m.tenantHeader = name }
 }
 
-// WithMiddlewareClock injects the middleware's time source, for tests.
-func WithMiddlewareClock(now func() time.Time) MiddlewareOption {
-	return func(m *Middleware) { m.now = now }
-}
-
 // WithSessionTokens enables amortized solving: after one successful puzzle
 // redemption the client receives an X-PoW-Token valid for ttl, and
 // token-bearing requests skip puzzles until it expires. The key signs
@@ -87,7 +81,7 @@ func WithMiddlewareClock(now func() time.Time) MiddlewareOption {
 // and must be at least 16 bytes.
 func WithSessionTokens(key []byte, ttl time.Duration) MiddlewareOption {
 	return func(m *Middleware) {
-		m.tokens = newTokenSigner(key, time.Now)
+		m.tokens = &tokenSigner{key: append([]byte(nil), key...)}
 		m.tokenTTL = ttl
 	}
 }
@@ -116,7 +110,7 @@ func newMiddleware(fw *core.Framework, router Router, next http.Handler, opts []
 	if next == nil {
 		return nil, fmt.Errorf("httpmw: middleware requires a handler to protect")
 	}
-	m := &Middleware{next: next, fw: fw, router: router, now: time.Now}
+	m := &Middleware{next: next, fw: fw, router: router}
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -134,7 +128,6 @@ func newMiddleware(fw *core.Framework, router Router, next http.Handler, opts []
 		return nil, fmt.Errorf("httpmw: session tokens are not pipeline-scoped; WithSessionTokens cannot be combined with a routed middleware")
 	}
 	if m.tokens != nil {
-		m.tokens.now = m.now
 		if len(m.tokens.key) < 16 {
 			return nil, fmt.Errorf("httpmw: session token key shorter than 16 bytes")
 		}
@@ -163,35 +156,37 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ip := ClientIP(r, m.trustHeader)
 	// One routing decision per request: the same pipeline scores,
 	// challenges, and verifies it even if a control-plane Apply swaps the
-	// route table mid-flight.
+	// route table mid-flight. One clock read per request too: the token
+	// check, tracker stamp, verification and issuance all see now.
 	fw := m.framework(r)
+	now := fw.Now()
 
 	if m.tokens != nil {
 		if tok := r.Header.Get(keyToken); tok != "" {
-			if err := m.tokens.Validate(tok, ip); err == nil {
-				m.observe(fw, r, ip, false)
+			if err := m.tokens.Validate(tok, ip, now); err == nil {
+				m.observe(fw, r, ip, false, now)
 				m.next.ServeHTTP(w, r)
 				return
 			}
 			// Invalid/expired token: fall through to the puzzle flow; the
 			// failed presentation is behavioral signal.
-			m.observe(fw, r, ip, true)
+			m.observe(fw, r, ip, true, now)
 		}
 	}
 
 	if token := r.Header.Get(keySolution); token != "" {
-		m.redeem(fw, w, r, ip, token)
+		m.redeem(fw, w, r, ip, token, now)
 		return
 	}
-	m.challenge(fw, w, r, ip, "")
+	m.challenge(fw, w, r, ip, "", now)
 }
 
 // challenge runs Decide and answers with a 428 (or passes a bypassed
 // request through). extraMsg annotates re-challenges after a failed
-// redemption.
-func (m *Middleware) challenge(fw *core.Framework, w http.ResponseWriter, r *http.Request, ip, extraMsg string) {
-	m.observe(fw, r, ip, false)
-	dec, err := fw.Decide(core.RequestContext{IP: ip})
+// redemption, whose decide span therefore includes the verification.
+func (m *Middleware) challenge(fw *core.Framework, w http.ResponseWriter, r *http.Request, ip, extraMsg string, now time.Time) {
+	m.observe(fw, r, ip, false, now)
+	dec, err := fw.DecideAt(core.RequestContext{IP: ip}, now)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: "challenge issuance failed"})
 		return
@@ -256,31 +251,32 @@ func appendChallengeBody(b []byte, ch *puzzle.Challenge, difficulty int, extraMs
 // success. Invalid solutions get a fresh challenge (the paper's flow keeps
 // clients in the loop rather than banning them outright — cost, not
 // blocking, is the control).
-func (m *Middleware) redeem(fw *core.Framework, w http.ResponseWriter, r *http.Request, ip, token string) {
+func (m *Middleware) redeem(fw *core.Framework, w http.ResponseWriter, r *http.Request, ip, token string, now time.Time) {
 	var sol puzzle.Solution
 	if err := sol.UnmarshalText([]byte(token)); err != nil {
-		m.observe(fw, r, ip, true)
+		m.observe(fw, r, ip, true, now)
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed solution token"})
 		return
 	}
-	if err := fw.Verify(sol, ip); err != nil {
-		m.challenge(fw, w, r, ip, msgRejected)
+	if err := fw.VerifyAt(&sol, ip, now); err != nil {
+		m.challenge(fw, w, r, ip, msgRejected, now)
 		return
 	}
-	m.observe(fw, r, ip, false)
+	m.observe(fw, r, ip, false, now)
 	if m.tokens != nil {
-		w.Header()[keyToken] = []string{m.tokens.Mint(ip, m.tokenTTL)}
+		w.Header()[keyToken] = []string{m.tokens.Mint(ip, m.tokenTTL, now)}
 	}
 	m.next.ServeHTTP(w, r)
 }
 
-// observe feeds the request into the framework's behavior tracker.
-func (m *Middleware) observe(fw *core.Framework, r *http.Request, ip string, failed bool) {
+// observe feeds the request, arrived at now, into the framework's
+// behavior tracker.
+func (m *Middleware) observe(fw *core.Framework, r *http.Request, ip string, failed bool, now time.Time) {
 	// Observe is best-effort: tracking failures must never block serving.
 	_ = fw.Observe(features.RequestInfo{
 		IP:     ip,
 		Path:   r.URL.Path,
-		At:     m.now(),
+		At:     now,
 		Failed: failed,
 	})
 }

@@ -62,7 +62,6 @@ func DeriveProxyAuthKey(root []byte) []byte {
 type ProxyAuth struct {
 	key  []byte
 	skew time.Duration
-	now  func() time.Time
 }
 
 // ProxyAuthOption customizes a ProxyAuth.
@@ -74,11 +73,6 @@ func WithProxyAuthSkew(skew time.Duration) ProxyAuthOption {
 	return func(a *ProxyAuth) { a.skew = skew }
 }
 
-// WithProxyAuthClock injects the verifier's clock, for tests.
-func WithProxyAuthClock(now func() time.Time) ProxyAuthOption {
-	return func(a *ProxyAuth) { a.now = now }
-}
-
 // NewProxyAuth builds a signer/verifier over the derived proxy-auth key
 // (see DeriveProxyAuthKey).
 func NewProxyAuth(key []byte, opts ...ProxyAuthOption) (*ProxyAuth, error) {
@@ -88,7 +82,6 @@ func NewProxyAuth(key []byte, opts ...ProxyAuthOption) (*ProxyAuth, error) {
 	a := &ProxyAuth{
 		key:  append([]byte(nil), key...),
 		skew: DefaultProxyAuthSkew,
-		now:  time.Now,
 	}
 	for _, opt := range opts {
 		opt(a)
@@ -100,9 +93,13 @@ func NewProxyAuth(key []byte, opts ...ProxyAuthOption) (*ProxyAuth, error) {
 }
 
 // Sign stamps the header triple onto h for a request fronting clientIP:
-// the proxy side of the scheme.
-func (a *ProxyAuth) Sign(h http.Header, clientIP string) {
-	ts := strconv.FormatInt(a.now().UnixNano(), 10)
+// the proxy side of the scheme. The timestamp is the wall clock's: the
+// two sides are separate processes, so only real time is shared.
+func (a *ProxyAuth) Sign(h http.Header, clientIP string) { a.signAt(h, clientIP, time.Now()) }
+
+// signAt is Sign with the timestamp now.
+func (a *ProxyAuth) signAt(h http.Header, clientIP string, now time.Time) {
+	ts := strconv.FormatInt(now.UnixNano(), 10)
 	h.Set(HeaderProxyIP, clientIP)
 	h.Set(HeaderProxyTimestamp, ts)
 	h.Set(HeaderProxySignature, a.sign(clientIP, ts))
@@ -110,8 +107,14 @@ func (a *ProxyAuth) Sign(h http.Header, clientIP string) {
 
 // Authenticate verifies a request's header triple and returns the
 // authenticated client IP. Fail closed: anything missing, unparseable,
-// outside the skew window, or mis-signed is ErrProxyAuth.
+// outside the skew window of the wall clock, or mis-signed is
+// ErrProxyAuth.
 func (a *ProxyAuth) Authenticate(r *http.Request) (string, error) {
+	return a.authenticateAt(r, time.Now())
+}
+
+// authenticateAt is Authenticate against the clock reading now.
+func (a *ProxyAuth) authenticateAt(r *http.Request, now time.Time) (string, error) {
 	ip := r.Header.Get(HeaderProxyIP)
 	ts := r.Header.Get(HeaderProxyTimestamp)
 	sig := r.Header.Get(HeaderProxySignature)
@@ -128,7 +131,7 @@ func (a *ProxyAuth) Authenticate(r *http.Request) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("%w: bad timestamp", ErrProxyAuth)
 	}
-	if d := a.now().Sub(time.Unix(0, tsNano)); d > a.skew || d < -a.skew {
+	if d := now.Sub(time.Unix(0, tsNano)); d > a.skew || d < -a.skew {
 		return "", fmt.Errorf("%w: timestamp %v outside ±%v", ErrProxyAuth, d, a.skew)
 	}
 	return ip, nil

@@ -11,25 +11,26 @@ import (
 
 var proxyEpoch = time.Date(2022, 3, 21, 0, 0, 0, 0, time.UTC)
 
-func testProxyAuth(t *testing.T, now func() time.Time) *ProxyAuth {
+func testProxyAuth(t *testing.T) *ProxyAuth {
 	t.Helper()
-	a, err := NewProxyAuth(DeriveProxyAuthKey([]byte("root-key-0123456789abcdef")), WithProxyAuthClock(now))
+	a, err := NewProxyAuth(DeriveProxyAuthKey([]byte("root-key-0123456789abcdef")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return a
 }
 
+// signedRequest is a batch request a signed for ip at proxyEpoch.
 func signedRequest(a *ProxyAuth, ip string) *http.Request {
 	r := httptest.NewRequest(http.MethodPost, "/batch", nil)
-	a.Sign(r.Header, ip)
+	a.signAt(r.Header, ip, proxyEpoch)
 	return r
 }
 
 func TestProxyAuthRoundTrip(t *testing.T) {
-	a := testProxyAuth(t, func() time.Time { return proxyEpoch })
+	a := testProxyAuth(t)
 	r := signedRequest(a, "198.51.100.9")
-	ip, err := a.Authenticate(r)
+	ip, err := a.authenticateAt(r, proxyEpoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,61 +40,56 @@ func TestProxyAuthRoundTrip(t *testing.T) {
 }
 
 func TestProxyAuthRejectsSkewedTimestamps(t *testing.T) {
-	clock := proxyEpoch
-	a := testProxyAuth(t, func() time.Time { return clock })
+	a := testProxyAuth(t)
 	r := signedRequest(a, "198.51.100.9")
 
 	// Inside the window: fine.
-	clock = proxyEpoch.Add(DefaultProxyAuthSkew - time.Second)
-	if _, err := a.Authenticate(r); err != nil {
+	if _, err := a.authenticateAt(r, proxyEpoch.Add(DefaultProxyAuthSkew-time.Second)); err != nil {
 		t.Fatalf("in-window timestamp rejected: %v", err)
 	}
 	// Stale: a captured header triple must not replay later.
-	clock = proxyEpoch.Add(DefaultProxyAuthSkew + time.Second)
-	if _, err := a.Authenticate(r); !errors.Is(err, ErrProxyAuth) {
+	if _, err := a.authenticateAt(r, proxyEpoch.Add(DefaultProxyAuthSkew+time.Second)); !errors.Is(err, ErrProxyAuth) {
 		t.Fatalf("stale signature accepted: %v", err)
 	}
 	// From the future beyond skew: equally rejected.
-	clock = proxyEpoch.Add(-DefaultProxyAuthSkew - time.Second)
-	if _, err := a.Authenticate(r); !errors.Is(err, ErrProxyAuth) {
+	if _, err := a.authenticateAt(r, proxyEpoch.Add(-DefaultProxyAuthSkew-time.Second)); !errors.Is(err, ErrProxyAuth) {
 		t.Fatalf("future signature accepted: %v", err)
 	}
 }
 
 func TestProxyAuthFailsClosed(t *testing.T) {
-	a := testProxyAuth(t, func() time.Time { return proxyEpoch })
+	a := testProxyAuth(t)
 
 	// Missing headers.
 	r := httptest.NewRequest(http.MethodPost, "/batch", nil)
-	if _, err := a.Authenticate(r); !errors.Is(err, ErrProxyAuth) {
+	if _, err := a.authenticateAt(r, proxyEpoch); !errors.Is(err, ErrProxyAuth) {
 		t.Fatal("unsigned request accepted")
 	}
 	// Tampered IP: the signature binds it.
 	r = signedRequest(a, "198.51.100.9")
 	r.Header.Set(HeaderProxyIP, "203.0.113.7")
-	if _, err := a.Authenticate(r); !errors.Is(err, ErrProxyAuth) {
+	if _, err := a.authenticateAt(r, proxyEpoch); !errors.Is(err, ErrProxyAuth) {
 		t.Fatal("IP swap accepted")
 	}
 	// Tampered timestamp.
 	r = signedRequest(a, "198.51.100.9")
 	r.Header.Set(HeaderProxyTimestamp, "1")
-	if _, err := a.Authenticate(r); !errors.Is(err, ErrProxyAuth) {
+	if _, err := a.authenticateAt(r, proxyEpoch); !errors.Is(err, ErrProxyAuth) {
 		t.Fatal("timestamp swap accepted")
 	}
 	// Garbled signature.
 	r = signedRequest(a, "198.51.100.9")
 	r.Header.Set(HeaderProxySignature, "AAAA")
-	if _, err := a.Authenticate(r); !errors.Is(err, ErrProxyAuth) {
+	if _, err := a.authenticateAt(r, proxyEpoch); !errors.Is(err, ErrProxyAuth) {
 		t.Fatal("garbled signature accepted")
 	}
 	// A signer under a different root key is a different fleet.
-	other, err := NewProxyAuth(DeriveProxyAuthKey([]byte("other-root-0123456789abcdef")),
-		WithProxyAuthClock(func() time.Time { return proxyEpoch }))
+	other, err := NewProxyAuth(DeriveProxyAuthKey([]byte("other-root-0123456789abcdef")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r = signedRequest(other, "198.51.100.9")
-	if _, err := a.Authenticate(r); !errors.Is(err, ErrProxyAuth) {
+	if _, err := a.authenticateAt(r, proxyEpoch); !errors.Is(err, ErrProxyAuth) {
 		t.Fatal("foreign-fleet signature accepted")
 	}
 }
@@ -130,23 +126,19 @@ func TestNewProxyAuthValidation(t *testing.T) {
 // non-empty IP.
 func FuzzProxyAuth(f *testing.F) {
 	key := DeriveProxyAuthKey([]byte("root-key-0123456789abcdef"))
-	a, err := NewProxyAuth(key, WithProxyAuthClock(func() time.Time { return proxyEpoch }))
+	a, err := NewProxyAuth(key)
 	if err != nil {
 		f.Fatal(err)
 	}
-	signedAt := func(tb testing.TB, at time.Time, ip string) http.Header {
-		s, err := NewProxyAuth(key, WithProxyAuthClock(func() time.Time { return at }))
-		if err != nil {
-			tb.Fatal(err)
-		}
+	signedAt := func(at time.Time, ip string) http.Header {
 		h := http.Header{}
-		s.Sign(h, ip)
+		a.signAt(h, ip, at)
 		return h
 	}
 	for _, h := range []http.Header{
-		signedAt(f, proxyEpoch, "198.51.100.9"),
-		signedAt(f, proxyEpoch.Add(DefaultProxyAuthSkew), "2001:db8::1"),
-		signedAt(f, proxyEpoch.Add(-DefaultProxyAuthSkew-time.Nanosecond), "203.0.113.7"),
+		signedAt(proxyEpoch, "198.51.100.9"),
+		signedAt(proxyEpoch.Add(DefaultProxyAuthSkew), "2001:db8::1"),
+		signedAt(proxyEpoch.Add(-DefaultProxyAuthSkew-time.Nanosecond), "203.0.113.7"),
 	} {
 		f.Add(h.Get(HeaderProxyIP), h.Get(HeaderProxyTimestamp), h.Get(HeaderProxySignature))
 	}
@@ -158,12 +150,12 @@ func FuzzProxyAuth(f *testing.F) {
 		r.Header.Set(HeaderProxyIP, ip)
 		r.Header.Set(HeaderProxyTimestamp, ts)
 		r.Header.Set(HeaderProxySignature, sig)
-		got, err := a.Authenticate(r)
+		got, err := a.authenticateAt(r, proxyEpoch)
 
 		want := false
 		if tsNano, perr := strconv.ParseInt(ts, 10, 64); perr == nil && ip != "" {
 			at := time.Unix(0, tsNano)
-			h := signedAt(t, at, ip)
+			h := signedAt(at, ip)
 			d := proxyEpoch.Sub(at)
 			want = h.Get(HeaderProxyTimestamp) == ts && h.Get(HeaderProxySignature) == sig &&
 				d <= DefaultProxyAuthSkew && d >= -DefaultProxyAuthSkew
@@ -179,7 +171,7 @@ func FuzzProxyAuth(f *testing.F) {
 			t.Fatalf("authenticated IP %q, want the header's %q", got, ip)
 		}
 
-		rt, err := a.Authenticate(signedRequest(a, ip))
+		rt, err := a.authenticateAt(signedRequest(a, ip), proxyEpoch)
 		if ip == "" {
 			if err == nil {
 				t.Fatal("signed triple with an empty IP accepted")

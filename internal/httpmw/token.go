@@ -31,21 +31,16 @@ var (
 const tokenMagic = "AIPoW-token/1\x00"
 
 // tokenSigner mints and validates bearer tokens binding (client, expiry)
-// under an HMAC key. Tokens are one line, header-safe.
+// under an HMAC key. Tokens are one line, header-safe. The key length is
+// validated by the middleware, which shares the framework's key-length
+// discipline.
 type tokenSigner struct {
 	key []byte
-	now func() time.Time
-}
-
-// newTokenSigner builds a signer; key length is validated by the caller
-// (the middleware shares the framework's key-length discipline).
-func newTokenSigner(key []byte, now func() time.Time) *tokenSigner {
-	return &tokenSigner{key: append([]byte(nil), key...), now: now}
 }
 
 // Mint creates a token for binding valid until now+ttl.
-func (s *tokenSigner) Mint(binding string, ttl time.Duration) string {
-	expiry := s.now().Add(ttl).UnixNano()
+func (s *tokenSigner) Mint(binding string, ttl time.Duration, now time.Time) string {
+	expiry := now.Add(ttl).UnixNano()
 	payload := make([]byte, 8, 8+len(binding))
 	binary.BigEndian.PutUint64(payload, uint64(expiry))
 	payload = append(payload, binding...)
@@ -54,8 +49,8 @@ func (s *tokenSigner) Mint(binding string, ttl time.Duration) string {
 	return base64.RawURLEncoding.EncodeToString(blob)
 }
 
-// Validate checks a token presented by binding.
-func (s *tokenSigner) Validate(token, binding string) error {
+// Validate checks a token presented by binding at now.
+func (s *tokenSigner) Validate(token, binding string, now time.Time) error {
 	blob, err := base64.RawURLEncoding.DecodeString(token)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrTokenInvalid, err)
@@ -71,7 +66,7 @@ func (s *tokenSigner) Validate(token, binding string) error {
 		return fmt.Errorf("%w: token bound to %q, presented by %q", ErrTokenInvalid, got, binding)
 	}
 	expiry := time.Unix(0, int64(binary.BigEndian.Uint64(payload[:8])))
-	if s.now().After(expiry) {
+	if now.After(expiry) {
 		return fmt.Errorf("%w: at %v", ErrTokenExpired, expiry)
 	}
 	return nil

@@ -22,41 +22,41 @@ func newServerFor(t *testing.T, h http.Handler) *httptest.Server {
 }
 
 func TestTokenSignerRoundTrip(t *testing.T) {
-	s := newTokenSigner(testKey, time.Now)
-	tok := s.Mint("192.0.2.1", time.Minute)
-	if err := s.Validate(tok, "192.0.2.1"); err != nil {
+	s := &tokenSigner{key: testKey}
+	now := time.Now()
+	tok := s.Mint("192.0.2.1", time.Minute, now)
+	if err := s.Validate(tok, "192.0.2.1", now); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 }
 
 func TestTokenSignerRejections(t *testing.T) {
 	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	s := newTokenSigner(testKey, clock)
-	tok := s.Mint("192.0.2.1", time.Minute)
+	s := &tokenSigner{key: testKey}
+	tok := s.Mint("192.0.2.1", time.Minute, now)
 
-	if err := s.Validate(tok, "203.0.113.9"); !errors.Is(err, ErrTokenInvalid) {
+	if err := s.Validate(tok, "203.0.113.9", now); !errors.Is(err, ErrTokenInvalid) {
 		t.Errorf("wrong binding err = %v, want ErrTokenInvalid", err)
 	}
-	if err := s.Validate("!!!", "192.0.2.1"); !errors.Is(err, ErrTokenInvalid) {
+	if err := s.Validate("!!!", "192.0.2.1", now); !errors.Is(err, ErrTokenInvalid) {
 		t.Errorf("garbage err = %v, want ErrTokenInvalid", err)
 	}
-	if err := s.Validate("AAAA", "192.0.2.1"); !errors.Is(err, ErrTokenInvalid) {
+	if err := s.Validate("AAAA", "192.0.2.1", now); !errors.Is(err, ErrTokenInvalid) {
 		t.Errorf("truncated err = %v, want ErrTokenInvalid", err)
 	}
-	other := newTokenSigner([]byte("ffffffffffffffffffffffffffffffff"), clock)
-	if err := other.Validate(tok, "192.0.2.1"); !errors.Is(err, ErrTokenInvalid) {
+	other := &tokenSigner{key: []byte("ffffffffffffffffffffffffffffffff")}
+	if err := other.Validate(tok, "192.0.2.1", now); !errors.Is(err, ErrTokenInvalid) {
 		t.Errorf("wrong key err = %v, want ErrTokenInvalid", err)
 	}
-	now = now.Add(2 * time.Minute)
-	if err := s.Validate(tok, "192.0.2.1"); !errors.Is(err, ErrTokenExpired) {
+	if err := s.Validate(tok, "192.0.2.1", now.Add(2*time.Minute)); !errors.Is(err, ErrTokenExpired) {
 		t.Errorf("expired err = %v, want ErrTokenExpired", err)
 	}
 }
 
 func TestTokenSignerTamperedPayload(t *testing.T) {
-	s := newTokenSigner(testKey, time.Now)
-	tok := s.Mint("192.0.2.1", time.Minute)
+	s := &tokenSigner{key: testKey}
+	now := time.Now()
+	tok := s.Mint("192.0.2.1", time.Minute, now)
 	// Flip one character of the base64 payload.
 	b := []byte(tok)
 	if b[0] == 'A' {
@@ -64,7 +64,7 @@ func TestTokenSignerTamperedPayload(t *testing.T) {
 	} else {
 		b[0] = 'A'
 	}
-	if err := s.Validate(string(b), "192.0.2.1"); !errors.Is(err, ErrTokenInvalid) {
+	if err := s.Validate(string(b), "192.0.2.1", now); !errors.Is(err, ErrTokenInvalid) {
 		t.Fatalf("tampered token err = %v, want ErrTokenInvalid", err)
 	}
 }
@@ -121,9 +121,7 @@ func TestExpiredTokenTriggersFreshPuzzle(t *testing.T) {
 	now := time.Now()
 	clock := func() time.Time { return now }
 	fw := newTestFramework(t, 2, core.WithClock(clock))
-	mw, err := NewMiddleware(fw, okHandler(),
-		WithSessionTokens(testKey, 30*time.Second),
-		WithMiddlewareClock(clock))
+	mw, err := NewMiddleware(fw, okHandler(), WithSessionTokens(testKey, 30*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

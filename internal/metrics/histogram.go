@@ -24,14 +24,14 @@ import (
 //
 // Use NewHistogram to construct one; the zero value is not usable.
 type Histogram struct {
-	start     float64
-	factor    float64
-	logFactor float64         // ln(factor), precomputed off the hot path
-	bounds    []float64       // bounds[i] is bucket i's inclusive lower bound
-	counts    []atomic.Uint64 // the last bucket catches overflow
-	under     atomic.Uint64   // observations below start
-	total     atomic.Uint64
-	sumBits   atomic.Uint64 // float64 bits, CAS-updated
+	start   float64
+	factor  float64
+	invLog  float64         // 1/ln(factor), precomputed off the hot path
+	bounds  []float64       // bounds[i] is bucket i's inclusive lower bound
+	counts  []atomic.Uint64 // the last bucket catches overflow
+	under   atomic.Uint64   // observations below start
+	total   atomic.Uint64
+	sumBits atomic.Uint64 // float64 bits, CAS-updated
 }
 
 // NewHistogram returns a histogram whose first bucket covers [start,
@@ -47,11 +47,11 @@ func NewHistogram(start, factor float64, n int) *Histogram {
 		bounds[i] = start * math.Pow(factor, float64(i))
 	}
 	return &Histogram{
-		start:     start,
-		factor:    factor,
-		logFactor: math.Log(factor),
-		bounds:    bounds,
-		counts:    make([]atomic.Uint64, n+1),
+		start:  start,
+		factor: factor,
+		invLog: 1 / math.Log(factor),
+		bounds: bounds,
+		counts: make([]atomic.Uint64, n+1),
 	}
 }
 
@@ -80,11 +80,11 @@ func (h *Histogram) bucket(v float64) int {
 	if v >= h.bounds[last] {
 		return last // overflow, +Inf included
 	}
-	// Divide by ln(factor), not multiply by its reciprocal: the product
-	// files exact powers of the factor (2^3, 2^6, …) one bucket low.
-	i := min(int(math.Floor(math.Log(v/h.start)/h.logFactor)), last-1)
-	// The quotient still rounds a value a few ulps from a bound (the
-	// largest float below 2^k, say) across it; the bound table is exact.
+	// The logarithm estimates the index to within a few ulps, so a value
+	// at or next to a bound (an exact power of the factor, or the largest
+	// float below one) may land one bucket off; the bound table is exact
+	// and moves it back.
+	i := min(int(math.Floor(math.Log(v/h.start)*h.invLog)), last-1)
 	if v < h.bounds[i] {
 		i--
 	} else if v >= h.bounds[i+1] {

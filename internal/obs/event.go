@@ -137,18 +137,3 @@ func (l *EventLog) Snapshot() []Event {
 	out = append(out, l.buf[l.next:]...)
 	return append(out, l.buf[:l.next]...)
 }
-
-// Total reports how many events were ever appended, including rotated-out
-// ones.
-func (l *EventLog) Total() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
-}
-
-// Len reports how many events are currently retained.
-func (l *EventLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf)
-}

@@ -24,9 +24,6 @@ func TestEventLogAppendAndSnapshot(t *testing.T) {
 			t.Errorf("event %d out of order: To = %d, want %d", i, e.To, i+1)
 		}
 	}
-	if l.Total() != 3 || l.Len() != 3 {
-		t.Errorf("Total/Len = %d/%d, want 3/3", l.Total(), l.Len())
-	}
 }
 
 func TestEventLogRotation(t *testing.T) {
@@ -44,9 +41,6 @@ func TestEventLogRotation(t *testing.T) {
 			t.Errorf("slot %d = {Seq:%d To:%d}, want {Seq:%d To:%d}", i, e.Seq, e.To, want, want)
 		}
 	}
-	if l.Total() != 10 {
-		t.Errorf("Total = %d, want 10", l.Total())
-	}
 }
 
 func TestEventLogDefaultCapacity(t *testing.T) {
@@ -54,21 +48,34 @@ func TestEventLogDefaultCapacity(t *testing.T) {
 	for i := 0; i < DefaultEventLogSize+10; i++ {
 		l.Append(Event{Kind: EventPeerJoin})
 	}
-	if l.Len() != DefaultEventLogSize {
-		t.Fatalf("Len = %d, want %d", l.Len(), DefaultEventLogSize)
+	if got := len(l.Snapshot()); got != DefaultEventLogSize {
+		t.Fatalf("retained %d events, want %d", got, DefaultEventLogSize)
 	}
 }
 
+// TestTraceRingRounding checks the geometry a ring is built with through
+// what it does: how often it samples and how many records it retains.
 func TestTraceRingRounding(t *testing.T) {
-	tr := NewTraceRing(1000, 100)
-	if tr.SampleEvery() != 1024 {
-		t.Errorf("SampleEvery = %d, want 1024 (rounded up)", tr.SampleEvery())
-	}
-	if tr.Cap() != 128 {
-		t.Errorf("Cap = %d, want 128 (rounded up)", tr.Cap())
-	}
-	if got := NewTraceRing(0, 0); got.SampleEvery() != 1 || got.Cap() != MinTraceRingSize {
-		t.Errorf("clamped ring = %d/%d, want 1/%d", got.SampleEvery(), got.Cap(), MinTraceRingSize)
+	for _, tc := range []struct{ sample, ring, every, slots int }{
+		{1000, 100, 1024, 128}, // rounded up to powers of two
+		{0, 0, 1, MinTraceRingSize},
+	} {
+		tr := NewTraceRing(tc.sample, tc.ring)
+		sampled := 0
+		for i := 0; i < 4*tc.every; i++ {
+			if tr.Sampled() {
+				sampled++
+			}
+		}
+		if sampled != 4 {
+			t.Errorf("ring(%d, %d) sampled %d of %d, want 1 in %d", tc.sample, tc.ring, sampled, 4*tc.every, tc.every)
+		}
+		for i := 0; i < 2*tc.slots; i++ {
+			tr.RecordDecide(time.Unix(int64(i), 0), uint64(i), 0, 1, 0, 0, 0, 0, 0, 0)
+		}
+		if got := len(tr.Snapshot()); got != tc.slots {
+			t.Errorf("ring(%d, %d) retains %d records, want %d", tc.sample, tc.ring, got, tc.slots)
+		}
 	}
 }
 

@@ -190,18 +190,9 @@ func ceilPow2(v int) int {
 	return n
 }
 
-// SampleEvery reports the effective 1-in-N sample rate.
-func (t *TraceRing) SampleEvery() int { return int(t.sampleMask) + 1 }
-
-// Cap reports the ring's slot count.
-func (t *TraceRing) Cap() int { return len(t.slots) }
-
-// Seen reports how many sampling decisions the ring has made.
-func (t *TraceRing) Seen() uint64 { return t.counter.Load() }
-
-// Recorded reports how many slot claims were ever made (recent Cap() of
-// them are retained; a claim that lands on a slot still mid-write is
-// dropped).
+// Recorded reports how many slot claims were ever made (the most recent
+// ring-size of them are retained; a claim that lands on a slot still
+// mid-write is dropped).
 func (t *TraceRing) Recorded() uint64 { return t.widx.Load() }
 
 // Sampled reports whether the current request should be traced: one

@@ -22,7 +22,8 @@ type ReplayCache struct {
 }
 
 // NewReplayCache returns a cache holding at most max seeds. The now
-// function may be nil, in which case time.Now is used.
+// function, read by Remember and Len, may be nil, in which case time.Now
+// is used; a Verifier passes its own instant instead.
 func NewReplayCache(max int, now func() time.Time) *ReplayCache {
 	if max < 1 {
 		max = 1
@@ -37,20 +38,27 @@ func NewReplayCache(max int, now func() time.Time) *ReplayCache {
 	}
 }
 
-// Remember records seed as redeemed until expires. It reports false if the
-// seed was already present (a replay), true if the seed was fresh.
+// Remember records seed as redeemed until expires, at the cache's own
+// clock. It reports false if the seed was already present (a replay),
+// true if the seed was fresh.
 func (c *ReplayCache) Remember(seed [SeedSize]byte, expires time.Time) bool {
+	return c.rememberAt(seed, expires, c.now())
+}
+
+// rememberAt is Remember at the caller's instant now. A seed stays
+// claimed through its expiry instant itself, the last instant the
+// verifier's freshness check still accepts its token.
+func (c *ReplayCache) rememberAt(seed [SeedSize]byte, expires, now time.Time) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	now := c.now()
 	// Amortized expiry: drop at most a few expired entries per call so the
 	// lock hold time stays bounded on the verify hot path. Correctness
 	// does not depend on eager sweeping — the replay check below compares
 	// expiries directly — and capacity pressure is handled by eviction.
 	c.sweepLocked(now, maxSweepPerOp)
 
-	if until, ok := c.entries[seed]; ok && until.After(now) {
+	if until, ok := c.entries[seed]; ok && !now.After(until) {
 		return false
 	}
 	for len(c.entries) >= c.max {
@@ -61,12 +69,12 @@ func (c *ReplayCache) Remember(seed [SeedSize]byte, expires time.Time) bool {
 	return true
 }
 
-// Contains reports whether seed is currently remembered (and unexpired).
-func (c *ReplayCache) Contains(seed [SeedSize]byte) bool {
+// containsAt reports whether seed is remembered and unexpired at now.
+func (c *ReplayCache) containsAt(seed [SeedSize]byte, now time.Time) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	until, ok := c.entries[seed]
-	return ok && until.After(c.now())
+	return ok && !now.After(until)
 }
 
 // Len reports the number of live (unexpired) entries.
@@ -81,10 +89,10 @@ func (c *ReplayCache) Len() int {
 // keeping the critical section short under heavy verify traffic.
 const maxSweepPerOp = 8
 
-// sweepLocked drops up to limit expired entries from the front of the
-// expiry order.
+// sweepLocked drops up to limit entries that expired before now from the
+// front of the expiry order.
 func (c *ReplayCache) sweepLocked(now time.Time, limit int) {
-	for n := 0; n < limit && len(c.order) > 0 && !c.order[0].expires.After(now); n++ {
+	for n := 0; n < limit && len(c.order) > 0 && now.After(c.order[0].expires); n++ {
 		e := c.order.pop()
 		// Only delete if the map still holds this exact registration; a
 		// seed can be re-remembered with a later expiry after expiring.

@@ -21,8 +21,8 @@ func TestReplayCacheRemember(t *testing.T) {
 	if c.Remember(seed(1), exp) {
 		t.Fatal("replayed seed accepted")
 	}
-	if !c.Contains(seed(1)) {
-		t.Fatal("Contains() = false for live seed")
+	if !c.containsAt(seed(1), time.Now()) {
+		t.Fatal("containsAt() = false for live seed")
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len() = %d, want 1", c.Len())
@@ -36,11 +36,11 @@ func TestReplayCacheExpiry(t *testing.T) {
 	c.Remember(seed(1), now.Add(10*time.Second))
 
 	now = now.Add(5 * time.Second)
-	if !c.Contains(seed(1)) {
+	if !c.containsAt(seed(1), now) {
 		t.Fatal("seed expired early")
 	}
 	now = now.Add(6 * time.Second) // past expiry
-	if c.Contains(seed(1)) {
+	if c.containsAt(seed(1), now) {
 		t.Fatal("expired seed still contained")
 	}
 	// After expiry the same seed may be remembered again (a fresh challenge
@@ -58,10 +58,10 @@ func TestReplayCacheCapacityEvictsSoonest(t *testing.T) {
 	c.Remember(seed(2), now.Add(20*time.Second))
 	c.Remember(seed(3), now.Add(30*time.Second)) // forces eviction of seed 1
 
-	if c.Contains(seed(1)) {
+	if c.containsAt(seed(1), now) {
 		t.Fatal("soonest-expiring entry not evicted")
 	}
-	if !c.Contains(seed(2)) || !c.Contains(seed(3)) {
+	if !c.containsAt(seed(2), now) || !c.containsAt(seed(3), now) {
 		t.Fatal("later-expiring entries evicted")
 	}
 	if c.Len() != 2 {
@@ -94,7 +94,7 @@ func TestReplayCacheSweepKeepsLatestRegistration(t *testing.T) {
 	}
 	// Sweeping the stale heap entry must not delete the fresh registration.
 	now = now.Add(1 * time.Second)
-	if !c.Contains(seed(1)) {
+	if !c.containsAt(seed(1), now) {
 		t.Fatal("stale heap entry deleted the fresh registration")
 	}
 }

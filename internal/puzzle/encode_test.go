@@ -92,9 +92,9 @@ const legacyHashcashToken = "QUlQb1cvMQABhq0F3Jh_gGIwoTygd5badhbeY5PGJ4AAAAAAG_C
 func pinnedIssue(t *testing.T, b Backend) Challenge {
 	t.Helper()
 	at := time.Date(2022, 3, 21, 12, 0, 0, 0, time.UTC)
-	iss := newTestIssuer(t, WithIssuerBackend(b), WithIssuerNow(fixedNow(at)),
+	iss := newTestIssuer(t, WithIssuerBackend(b),
 		WithIssuerRand(seededRand{rand.New(rand.NewPCG(1, 2))}))
-	ch, err := iss.Issue("192.0.2.7", 4)
+	ch, err := iss.IssueAt("192.0.2.7", 4, at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +149,8 @@ func TestPreShellBalloonSolutionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := time.Date(2022, 3, 21, 12, 0, 0, 0, time.UTC)
-	ver := newTestVerifier(t, WithVerifierBackend(balloon), WithVerifierNow(fixedNow(at)))
-	if err := ver.Verify(sol, "192.0.2.7"); !errors.Is(err, ErrWrongSolution) {
+	ver := newTestVerifier(t, WithVerifierBackend(balloon))
+	if err := ver.VerifyAt(&sol, "192.0.2.7", at); !errors.Is(err, ErrWrongSolution) {
 		t.Fatalf("Verify = %v, want ErrWrongSolution", err)
 	}
 }

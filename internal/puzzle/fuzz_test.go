@@ -24,7 +24,6 @@ import (
 // predicate refMeets does: the balloon shell, then the target.
 func FuzzSolutionToken(f *testing.F) {
 	at := time.Date(2022, 3, 21, 12, 0, 0, 0, time.UTC)
-	clock := fixedNow(at)
 	balloon, err := NewBalloon(0, 0)
 	if err != nil {
 		f.Fatal(err)
@@ -38,21 +37,21 @@ func FuzzSolutionToken(f *testing.F) {
 	reusable := make(map[BackendID]*Verifier)
 	var seedTokens [][]byte
 	for _, b := range []Backend{Hashcash(), balloon} {
-		iss, err := NewIssuer(testKey, WithIssuerBackend(b), WithIssuerNow(clock), WithIssuerRand(rng))
+		iss, err := NewIssuer(testKey, WithIssuerBackend(b), WithIssuerRand(rng))
 		if err != nil {
 			f.Fatal(err)
 		}
-		ver, err := NewVerifier(testKey, WithVerifierBackend(b), WithVerifierNow(clock),
-			WithReplayCache(NewReplayCache(64, clock)))
+		ver, err := NewVerifier(testKey, WithVerifierBackend(b),
+			WithReplayCache(NewReplayCache(64, nil)))
 		if err != nil {
 			f.Fatal(err)
 		}
 		verifiers = append(verifiers, ver)
-		if reusable[b.ID()], err = NewVerifier(testKey, WithVerifierBackend(b), WithVerifierNow(clock)); err != nil {
+		if reusable[b.ID()], err = NewVerifier(testKey, WithVerifierBackend(b)); err != nil {
 			f.Fatal(err)
 		}
 
-		ch, err := iss.Issue("192.0.2.1", 2)
+		ch, err := iss.IssueAt("192.0.2.1", 2, at)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -23,7 +23,6 @@ var ErrKeyTooShort = errors.New("puzzle: key shorter than 16 bytes")
 // Issuer is safe for concurrent use.
 type Issuer struct {
 	key           []byte
-	now           func() time.Time
 	rand          io.Reader
 	ttl           time.Duration
 	maxDifficulty int
@@ -42,12 +41,6 @@ type Issuer struct {
 
 // IssuerOption customizes an Issuer.
 type IssuerOption func(*Issuer)
-
-// WithIssuerNow injects the issuer's clock, enabling virtual-time tests and
-// simulation. Defaults to time.Now.
-func WithIssuerNow(now func() time.Time) IssuerOption {
-	return func(i *Issuer) { i.now = now }
-}
 
 // WithIssuerRand injects the seed entropy source. Defaults to crypto/rand.
 func WithIssuerRand(r io.Reader) IssuerOption {
@@ -92,7 +85,6 @@ func NewIssuer(key []byte, opts ...IssuerOption) (*Issuer, error) {
 	}
 	i := &Issuer{
 		key:           append([]byte(nil), key...),
-		now:           time.Now,
 		rand:          rand.Reader,
 		ttl:           DefaultTTL,
 		maxDifficulty: 32,
@@ -120,8 +112,15 @@ func NewIssuer(key []byte, opts ...IssuerOption) (*Issuer, error) {
 // Backend reports the puzzle algorithm this issuer signs for.
 func (i *Issuer) Backend() Backend { return i.backend }
 
-// Issue creates a d-difficult challenge bound to the given client identity.
+// Issue creates a d-difficult challenge bound to the given client
+// identity, issued at the wall clock's current time.
 func (i *Issuer) Issue(binding string, difficulty int) (Challenge, error) {
+	return i.IssueAt(binding, difficulty, time.Now())
+}
+
+// IssueAt is Issue with the challenge issued at now, the instant the
+// caller read for the request.
+func (i *Issuer) IssueAt(binding string, difficulty int, now time.Time) (Challenge, error) {
 	if err := validateDifficulty(difficulty); err != nil {
 		return Challenge{}, err
 	}
@@ -137,7 +136,7 @@ func (i *Issuer) Issue(binding string, difficulty int) (Challenge, error) {
 		Backend:    i.backendID,
 		Space:      i.space,
 		Rounds:     i.rounds,
-		IssuedAt:   i.now(),
+		IssuedAt:   now,
 		TTL:        i.ttl,
 		Difficulty: difficulty,
 		Binding:    binding,
@@ -165,14 +164,14 @@ func (i *Issuer) Issue(binding string, difficulty int) (Challenge, error) {
 const maxIssueChunk = 64
 
 // IssueBatch issues one challenge per (binding, difficulty) pair into
-// dst[i], amortizing the clock read, the pooled MAC scratch checkout, and —
+// dst[i], all issued at now, amortizing the pooled MAC scratch checkout and —
 // the dominant saving — the entropy reads: seeds are drawn one
 // crypto/rand call per chunk of up to maxIssueChunk challenges instead of
 // one per challenge. A negative difficulty is the caller's "no challenge
 // here" sentinel (a bypassed slot in a decision batch) and leaves dst[i]
 // zero. The whole batch is validated before any entropy is consumed, so an
 // error means dst holds no fresh challenges.
-func (i *Issuer) IssueBatch(bindings []string, difficulties []int, dst []Challenge) error {
+func (i *Issuer) IssueBatch(bindings []string, difficulties []int, dst []Challenge, now time.Time) error {
 	if len(difficulties) != len(bindings) {
 		return fmt.Errorf("puzzle: batch shape mismatch: %d bindings, %d difficulties",
 			len(bindings), len(difficulties))
@@ -194,7 +193,6 @@ func (i *Issuer) IssueBatch(bindings []string, difficulties []int, dst []Challen
 			return ErrBindingTooLong
 		}
 	}
-	now := i.now()
 	s := i.macs.get()
 	defer i.macs.put(s)
 	for start := 0; start < len(bindings); {

@@ -11,11 +11,6 @@ import (
 // testKey is a deterministic 32-byte HMAC key for tests.
 var testKey = []byte("0123456789abcdef0123456789abcdef")
 
-// fixedNow returns a clock pinned to a fixed instant.
-func fixedNow(at time.Time) func() time.Time {
-	return func() time.Time { return at }
-}
-
 // seededRand adapts math/rand/v2 into an io.Reader for deterministic seeds.
 type seededRand struct{ rng *rand.Rand }
 
@@ -55,8 +50,8 @@ func TestNewIssuerRejectsBadConfig(t *testing.T) {
 
 func TestIssueFields(t *testing.T) {
 	at := time.Date(2022, 3, 21, 12, 0, 0, 0, time.UTC)
-	iss := newTestIssuer(t, WithIssuerNow(fixedNow(at)), WithTTL(90*time.Second))
-	ch, err := iss.Issue("192.0.2.7", 6)
+	iss := newTestIssuer(t, WithTTL(90*time.Second))
+	ch, err := iss.IssueAt("192.0.2.7", 6, at)
 	if err != nil {
 		t.Fatalf("Issue: %v", err)
 	}
@@ -137,14 +132,13 @@ func TestIssueDeterministicWithInjectedRand(t *testing.T) {
 	at := time.Unix(1000, 0)
 	mk := func() *Issuer {
 		return newTestIssuer(t,
-			WithIssuerNow(fixedNow(at)),
 			WithIssuerRand(seededRand{rand.New(rand.NewPCG(1, 2))}))
 	}
-	ch1, err := mk().Issue("c", 3)
+	ch1, err := mk().IssueAt("c", 3, at)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch2, err := mk().Issue("c", 3)
+	ch2, err := mk().IssueAt("c", 3, at)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 // Verifier is safe for concurrent use.
 type Verifier struct {
 	key    []byte
-	now    func() time.Time
 	replay *ReplayCache
 	skew   time.Duration
 	macs   *macPool
@@ -31,11 +30,6 @@ type Verifier struct {
 
 // VerifierOption customizes a Verifier.
 type VerifierOption func(*Verifier)
-
-// WithVerifierNow injects the verifier's clock. Defaults to time.Now.
-func WithVerifierNow(now func() time.Time) VerifierOption {
-	return func(v *Verifier) { v.now = now }
-}
 
 // WithReplayCache enables single-use enforcement of challenge seeds.
 // Without it, a solved challenge can be redeemed repeatedly until expiry.
@@ -84,11 +78,9 @@ type TagExchange interface {
 	// declared rate) but never misses a tag it was told about.
 	SeenTag(tag [TagSize]byte) bool
 
-	// RedeemedTag records a successful local redemption for propagation
-	// to peers. expires is when the underlying challenge leaves its
-	// redemption window (TTL plus skew), after which the tag may be
-	// forgotten.
-	RedeemedTag(tag [TagSize]byte, expires time.Time)
+	// RedeemedTag records a successful local redemption, made at the
+	// verification instant at, for propagation to peers.
+	RedeemedTag(tag [TagSize]byte, at time.Time)
 }
 
 // WithTagExchange consults x on every verification: a solution whose
@@ -112,7 +104,6 @@ func NewVerifier(key []byte, opts ...VerifierOption) (*Verifier, error) {
 	}
 	v := &Verifier{
 		key:     append([]byte(nil), key...),
-		now:     time.Now,
 		skew:    2 * time.Second,
 		backend: Hashcash(),
 	}
@@ -135,16 +126,18 @@ func (v *Verifier) Backend() Backend { return v.backend }
 // skips the binding check (for callers that have already authenticated the
 // presenter). All failures wrap ErrVerify plus a specific sentinel. The
 // checks run cheapest first, in the order the package comment lists.
+// Verify reads the wall clock once; VerifyAt takes the instant instead.
 func (v *Verifier) Verify(sol Solution, binding string) error {
-	return v.VerifyAt(&sol, binding, v.now())
+	return v.VerifyAt(&sol, binding, time.Now())
 }
 
-// VerifyAt is Verify against a caller-captured clock reading. Callers that
-// verify a batch (or have already read the clock for evidence write-back)
-// use it to pay for one time.Now per batch instead of one per solution;
-// now must come from the same clock the verifier was built with. The
-// solution is taken by pointer purely to spare the hot path two
-// ~150-byte struct copies; it is never modified.
+// VerifyAt is Verify at the caller's instant now, which must come from
+// the clock the paired issuer stamped IssuedAt with. Every time-dependent
+// step — freshness, the replay probe and claim, the fleet publication —
+// sees this one instant, so a token cannot pass freshness and then find
+// its own redemption already swept as expired. The solution is taken by
+// pointer purely to spare the hot path two ~150-byte struct copies; it is
+// never modified.
 func (v *Verifier) VerifyAt(sol *Solution, binding string, now time.Time) error {
 	ch := &sol.Challenge
 	if ch.Version != Version2 || ch.Backend != v.wantBackend {
@@ -197,7 +190,7 @@ func (v *Verifier) VerifyAt(sol *Solution, binding string, now time.Time) error 
 	if v.tags != nil && v.tags.SeenTag(ch.Tag) {
 		return fmt.Errorf("%w: %w", ErrVerify, ErrFleetReplay)
 	}
-	if v.replay != nil && v.replay.Contains(ch.Seed) {
+	if v.replay != nil && v.replay.containsAt(ch.Seed, now) {
 		return fmt.Errorf("%w: %w", ErrVerify, ErrReplayed)
 	}
 
@@ -220,14 +213,14 @@ func (v *Verifier) VerifyAt(sol *Solution, binding string, now time.Time) error 
 	// the target leaves the seed claimed, so one shell solve buys at most
 	// one balloon evaluation on this node, however often or concurrently
 	// it is resent.
-	if v.replay != nil && !v.replay.Remember(ch.Seed, ch.ExpiresAt().Add(v.skew)) {
+	if v.replay != nil && !v.replay.rememberAt(ch.Seed, ch.ExpiresAt().Add(v.skew), now) {
 		return fmt.Errorf("%w: %w", ErrVerify, ErrReplayed)
 	}
 	if !ch.passesBalloon(s.buf) {
 		return fmt.Errorf("%w: %w: nonce %d", ErrVerify, ErrWrongSolution, sol.Nonce)
 	}
 	if v.tags != nil {
-		v.tags.RedeemedTag(ch.Tag, ch.ExpiresAt().Add(v.skew))
+		v.tags.RedeemedTag(ch.Tag, now)
 	}
 	return nil
 }

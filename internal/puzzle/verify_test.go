@@ -116,8 +116,8 @@ func TestVerifyRejectsWrongNonce(t *testing.T) {
 
 func TestVerifyExpiry(t *testing.T) {
 	issuedAt := time.Date(2022, 3, 21, 12, 0, 0, 0, time.UTC)
-	iss := newTestIssuer(t, WithIssuerNow(fixedNow(issuedAt)), WithTTL(time.Minute))
-	ch, err := iss.Issue("c", 2)
+	iss := newTestIssuer(t, WithTTL(time.Minute))
+	ch, err := iss.IssueAt("c", 2, issuedAt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +136,8 @@ func TestVerifyExpiry(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			ver := newTestVerifier(t, WithVerifierNow(fixedNow(tt.at)), WithClockSkew(2*time.Second))
-			err := ver.Verify(sol, "c")
+			ver := newTestVerifier(t, WithClockSkew(2*time.Second))
+			err := ver.VerifyAt(&sol, "c", tt.at)
 			if tt.want == nil && err != nil {
 				t.Fatalf("Verify = %v, want nil", err)
 			}
@@ -145,6 +145,34 @@ func TestVerifyExpiry(t *testing.T) {
 				t.Fatalf("Verify = %v, want %v", err, tt.want)
 			}
 		})
+	}
+}
+
+// A redeemed token stays redeemed through the last instant freshness
+// accepts it: the replay probe and claim judge expiry at the instant
+// VerifyAt is given, inclusively, exactly like the freshness check, so
+// no instant near the edge admits a second redemption.
+func TestVerifyReplayAtExpiryEdge(t *testing.T) {
+	const skew = 2 * time.Second
+	at := time.Date(2022, 3, 21, 12, 0, 0, 0, time.UTC)
+	iss := newTestIssuer(t, WithTTL(time.Minute))
+	ver := newTestVerifier(t, WithReplayCache(NewReplayCache(16, nil)), WithClockSkew(skew))
+	ch, err := iss.IssueAt("c", 2, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol := solveOrDie(t, ch)
+	if err := ver.VerifyAt(&sol, "c", at); err != nil {
+		t.Fatalf("first redemption: %v", err)
+	}
+	edge := ch.ExpiresAt().Add(skew)
+	for _, now := range []time.Time{edge.Add(-time.Nanosecond), edge} {
+		if err := ver.VerifyAt(&sol, "c", now); !errors.Is(err, ErrReplayed) {
+			t.Errorf("replay %v before the edge = %v, want ErrReplayed", edge.Sub(now), err)
+		}
+	}
+	if err := ver.VerifyAt(&sol, "c", edge.Add(time.Nanosecond)); !errors.Is(err, ErrExpired) {
+		t.Errorf("replay past the edge = %v, want ErrExpired", err)
 	}
 }
 
@@ -288,7 +316,7 @@ func TestVerifyProbesFleetBeforeWork(t *testing.T) {
 				t.Fatalf("fleet-seen tag (nonce %d) = %v, want ErrFleetReplay", s.Nonce, err)
 			}
 		}
-		if cache.Contains(sol.Challenge.Seed) || tags.published != 0 {
+		if cache.containsAt(sol.Challenge.Seed, time.Now()) || tags.published != 0 {
 			t.Fatal("a rejected fleet replay wrote replay state")
 		}
 	})
@@ -333,7 +361,7 @@ func TestVerifyWrongNonceDoesNotBurnToken(t *testing.T) {
 		if err := ver.Verify(withWrongNonce(sol), "c"); !errors.Is(err, ErrWrongSolution) {
 			t.Fatalf("wrong nonce = %v, want ErrWrongSolution", err)
 		}
-		if cache.Contains(sol.Challenge.Seed) || tags.SeenTag(sol.Challenge.Tag) {
+		if cache.containsAt(sol.Challenge.Seed, time.Now()) || tags.SeenTag(sol.Challenge.Tag) {
 			t.Fatal("a failed attempt burned the token")
 		}
 		if err := ver.Verify(sol, "c"); err != nil {
@@ -363,7 +391,7 @@ func TestVerifyShellPassingWrongNonceBurnsSeed(t *testing.T) {
 	if err := ver.Verify(forged, "c"); !errors.Is(err, ErrWrongSolution) {
 		t.Fatalf("shell-passing wrong nonce = %v, want ErrWrongSolution", err)
 	}
-	if !cache.Contains(sol.Challenge.Seed) {
+	if !cache.containsAt(sol.Challenge.Seed, time.Now()) {
 		t.Fatal("a shell-passing wrong nonce left the seed unclaimed")
 	}
 	if tags.published != 0 || tags.SeenTag(sol.Challenge.Tag) {

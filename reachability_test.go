@@ -26,7 +26,7 @@ var binaries = []string{
 
 // gatedPackages must not declare a function that no binary links, except
 // the ones allowlisted below with their reason.
-var gatedPackages = []string{"aipow/internal/features", "aipow/internal/metrics"}
+var gatedPackages = []string{"aipow/internal/features", "aipow/internal/metrics", "aipow/internal/obs"}
 
 var reachAllowlist = map[string]string{
 	"aipow/internal/features.NewMapScorer":                "façade: the documented path for custom models",
