@@ -124,8 +124,7 @@ func TestPublicPolicyHelpers(t *testing.T) {
 	if d := rules.Difficulty(7); d != 9 {
 		t.Errorf("rules(7) = %d, want 9", d)
 	}
-	reg := aipow.NewPolicyRegistry()
-	p, err := reg.New("linear(base=3,slope=0.5)")
+	p, err := aipow.ParsePolicy("linear(base=3,slope=0.5)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +195,7 @@ func TestPublicModelPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := map[string]float64{}
-	for _, name := range model.AttributeNames() {
+	for _, name := range model.Schema().Names() {
 		probe[name] = 1
 	}
 	a, err := model.Score(probe)

@@ -23,8 +23,9 @@
 //   - Scorer — the AI model: reputation.Model (DAbR centroids) or any
 //     func from attributes to a [0,10] score (10 = least trusted).
 //   - Policy — score → difficulty: the paper's Policy1/Policy2/Policy3,
-//     step tables, exponential curves, a text rule DSL, load-adaptive
-//     wrappers.
+//     exponential curves, a text rule DSL for threshold tables,
+//     load-adaptive wrappers, and ParsePolicy for the spec strings a
+//     deployment names them by.
 //   - Source — per-IP attributes: static feed snapshots, live behavioral
 //     tracking, or both combined.
 //   - Issuer/Verifier — challenge generation and O(1) verification with
@@ -54,8 +55,8 @@
 // whole pipeline work that way, live:
 //
 //   - Declarative specs. A deployment spec (text DSL or JSON — see
-//     SPEC.md) names each pipeline's scorer, policy (registry syntax or
-//     inline rule-DSL lines), source, TTL, difficulty cap, bypass
+//     SPEC.md) names each pipeline's scorer, policy (a ParsePolicy spec
+//     or inline rule-DSL lines), source, TTL, difficulty cap, bypass
 //     threshold, and limits, plus the routes mapping request classes
 //     onto pipelines. ParseDeployment compiles the document; a
 //     ComponentRegistry resolves the component names (register scorers

@@ -75,8 +75,8 @@ func (m maintenancePolicy) Difficulty(score float64) int {
 }
 
 // Every way to express a score → difficulty strategy: the paper's three
-// policies, registry spec strings (how a config file names a policy), the
-// rule DSL, composition wrappers and a hand-written Policy. The table is
+// policies, spec strings (how a config file names a policy), the rule
+// DSL, composition wrappers and a hand-written Policy. The table is
 // each policy's difficulty across the score scale: the shape of the
 // paper's Figure 2 before latency enters.
 func Example_customPolicy() {
@@ -86,9 +86,8 @@ func Example_customPolicy() {
 	}
 	policies := []aipow.Policy{aipow.Policy1(), aipow.Policy2(), p3}
 
-	reg := aipow.NewPolicyRegistry()
 	for _, spec := range []string{"exponential(base=1,factor=0.4)", "fixed(difficulty=8)"} {
-		p, err := reg.New(spec)
+		p, err := aipow.ParsePolicy(spec)
 		if err != nil {
 			log.Fatal(err)
 		}

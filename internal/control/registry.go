@@ -45,22 +45,21 @@ type SourceFactory func(params map[string]float64, tracker *features.Tracker) (f
 // lenient route can never be redeemed on a stricter one — per-route
 // difficulty is enforced, not advisory.
 //
-// It ships with the policy registry's built-ins, a "tracker" source (the
-// live tracker alone), the kaPoW-style "rate(saturation=…)" scorer and the
-// "hybrid(inner=…, saturation=…)" scorer combinator; deployments register
-// their scorers and richer sources (RegisterPaperComponents registers the
-// paper's). A Registry is safe for concurrent use.
+// It resolves policies with policy.Parse and ships with a "tracker" source
+// (the live tracker alone), the kaPoW-style "rate(saturation=…)" scorer
+// and the "hybrid(inner=…, saturation=…)" scorer combinator; deployments
+// register their scorers and richer sources (RegisterPaperComponents
+// registers the paper's). A Registry is safe for concurrent use.
 type Registry struct {
 	mu      sync.RWMutex
 	scorers map[string]ScorerFactory
 	sources map[string]SourceFactory
 
-	policies *policy.Registry
-	key      []byte
-	tracker  *features.Tracker
-	now      func() time.Time
-	nodeID   string
-	events   obs.Sink
+	key     []byte
+	tracker *features.Tracker
+	now     func() time.Time
+	nodeID  string
+	events  obs.Sink
 
 	// windowed holds the per-pipeline trackers behind `window <duration>`
 	// and `redeem(half-life=…)` pipeline specs, keyed by (window span,
@@ -138,12 +137,11 @@ func NewRegistry(key []byte, opts ...RegistryOption) (*Registry, error) {
 		return nil, fmt.Errorf("control: registry requires an HMAC root key of at least 16 bytes, got %d", len(key))
 	}
 	r := &Registry{
-		scorers:  make(map[string]ScorerFactory),
-		sources:  make(map[string]SourceFactory),
-		policies: policy.NewRegistry(),
-		key:      key,
-		now:      time.Now,
-		nodeID:   "local",
+		scorers: make(map[string]ScorerFactory),
+		sources: make(map[string]SourceFactory),
+		key:     key,
+		now:     time.Now,
+		nodeID:  "local",
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -350,9 +348,6 @@ func (r *Registry) issuanceOptions(ps PipelineSpec) ([]core.Option, error) {
 	return []core.Option{core.WithKey(r.pipelineKey(ps.Name)), core.WithPuzzleBackend(backend)}, nil
 }
 
-// Policies reports the policy registry, for registering custom policies.
-func (r *Registry) Policies() *policy.Registry { return r.policies }
-
 // RegisterScorer adds a named scorer factory. Re-registering a name is an
 // error: silent overrides hide configuration mistakes.
 func (r *Registry) RegisterScorer(name string, f ScorerFactory) error {
@@ -503,7 +498,7 @@ func (r *Registry) newSource(spec string, tracker *features.Tracker) (features.V
 	return s, nil
 }
 
-// newPolicy resolves a spec's policy — registry syntax or inline rules —
+// newPolicy resolves a spec's policy — a policy.Parse spec or inline rules —
 // and finishes it with the pipeline's shared wrapping.
 func (r *Registry) newPolicy(ps PipelineSpec, load policy.LoadFunc) (policy.Policy, error) {
 	var pol policy.Policy
@@ -511,7 +506,7 @@ func (r *Registry) newPolicy(ps PipelineSpec, load policy.LoadFunc) (policy.Poli
 	if ps.PolicyRules != "" {
 		pol, err = policy.ParseRules(ps.PolicyRules)
 	} else {
-		pol, err = r.policies.New(ps.Policy)
+		pol, err = policy.Parse(ps.Policy)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("control: pipeline %q policy: %w", ps.Name, err)
@@ -564,7 +559,7 @@ func (r *Registry) newController(ps PipelineSpec, base policy.Policy, load polic
 		},
 		Rules: rules,
 		Compile: func(spec string) (policy.Policy, error) {
-			pol, err := r.policies.New(spec)
+			pol, err := policy.Parse(spec)
 			if err != nil {
 				return nil, err
 			}

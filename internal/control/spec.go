@@ -65,7 +65,7 @@ type PipelineSpec struct {
 	// "hybrid(inner=dabr, saturation=4)". Required.
 	Scorer string `json:"scorer"`
 
-	// Policy is the score→difficulty policy in registry syntax, e.g.
+	// Policy is the score→difficulty policy as a policy.Parse spec, e.g.
 	// "policy2" or "policy3(epsilon=2.5)". Exactly one of Policy and
 	// PolicyRules must be set.
 	Policy string `json:"policy,omitempty"`

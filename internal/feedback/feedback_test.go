@@ -261,9 +261,6 @@ func (r *swapRecorder) installed() []string {
 	return append([]string(nil), r.names...)
 }
 
-// compile resolves test policy specs through the built-in registry.
-func compile(spec string) (policy.Policy, error) { return policy.NewRegistry().New(spec) }
-
 // newTestController wires a controller over a fake source with 1 s steps.
 func newTestController(t *testing.T, src *fakeSource, target Target, rules ...string) *Controller {
 	t.Helper()
@@ -275,14 +272,14 @@ func newTestController(t *testing.T, src *fakeSource, target Target, rules ...st
 		}
 		parsed = append(parsed, pr)
 	}
-	base, err := compile("policy1")
+	base, err := policy.Parse("policy1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c, err := New(Config{
 		Sampler: SamplerConfig{Capacity: 100, Alpha: 1, Window: 2},
 		Rules:   parsed,
-		Compile: compile,
+		Compile: policy.Parse,
 		Base:    base,
 	})
 	if err != nil {
@@ -505,11 +502,11 @@ func TestControllerSwapErrorKeepsLevel(t *testing.T) {
 func TestControllerMaybeStepInterval(t *testing.T) {
 	src := &fakeSource{}
 	target := &swapRecorder{}
-	base, err := compile("policy1")
+	base, err := policy.Parse("policy1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{Interval: 5 * time.Second, Compile: compile, Base: base})
+	c, err := New(Config{Interval: 5 * time.Second, Compile: policy.Parse, Base: base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,16 +530,16 @@ func TestNewControllerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := compile("policy1")
+	base, err := policy.Parse("policy1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []Config{
 		{Interval: -time.Second},
-		{Rules: []Rule{rule}, Base: base},       // no compiler
-		{Rules: []Rule{rule}, Compile: compile}, // no base
-		{Rules: []Rule{rule}, Compile: compile, Base: base, Sampler: SamplerConfig{Capacity: -1}},
-		{Rules: []Rule{{When: rule.When, Policy: "nosuch", After: 1}}, Compile: compile, Base: base},
+		{Rules: []Rule{rule}, Base: base},            // no compiler
+		{Rules: []Rule{rule}, Compile: policy.Parse}, // no base
+		{Rules: []Rule{rule}, Compile: policy.Parse, Base: base, Sampler: SamplerConfig{Capacity: -1}},
+		{Rules: []Rule{{When: rule.When, Policy: "nosuch", After: 1}}, Compile: policy.Parse, Base: base},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
@@ -616,14 +613,14 @@ func TestControllerEmitsAdaptEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := compile("policy1")
+	base, err := policy.Parse("policy1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	c, err := New(Config{
 		Sampler: SamplerConfig{Capacity: 100, Alpha: 1, Window: 2},
 		Rules:   []Rule{rule},
-		Compile: compile,
+		Compile: policy.Parse,
 		Base:    base,
 		Events:  func(e obs.Event) { events = append(events, e) },
 	})

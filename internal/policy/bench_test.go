@@ -45,12 +45,10 @@ func BenchmarkParseRules(b *testing.B) {
 	}
 }
 
-func BenchmarkRegistryNew(b *testing.B) {
-	r := NewRegistry()
+func BenchmarkParse(b *testing.B) {
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.New("policy3(epsilon=2.5,seed=1)"); err != nil {
+		if _, err := Parse("policy3(epsilon=2.5,seed=1)"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -148,9 +148,3 @@ func (p *ConfidenceShaped) ConfidentDifficulty(score, confidence float64) int {
 	}
 	return p.inner.Difficulty(s)
 }
-
-// Anchor reports the shading anchor.
-func (p *ConfidenceShaped) Anchor() float64 { return p.anchor }
-
-// Floor reports the shading floor.
-func (p *ConfidenceShaped) Floor() float64 { return p.floor }

@@ -148,27 +148,25 @@ func TestConsumesConfidence(t *testing.T) {
 }
 
 func TestRegistryShapeSpec(t *testing.T) {
-	r := NewRegistry()
-	p, err := r.New("shape(inner=policy2)")
+	p, err := Parse("shape(inner=policy2)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, ok := p.(*ConfidenceShaped)
-	if !ok {
+	if _, ok := p.(*ConfidenceShaped); !ok {
 		t.Fatalf("shape spec compiled to %T", p)
 	}
-	if cs.Anchor() != DefaultShapeAnchor || cs.Floor() != DefaultShapeFloor {
-		t.Errorf("defaults = (%v, %v), want (%v, %v)", cs.Anchor(), cs.Floor(), DefaultShapeAnchor, DefaultShapeFloor)
+	if p.Name() != "shape(policy2,anchor=5,floor=0.5)" {
+		t.Errorf("Name() = %q, want the default anchor and floor", p.Name())
 	}
 
-	p, err = r.New("shape(inner=linear(base=2, slope=1.5), anchor=4, floor=0.25)")
+	p, err = Parse("shape(inner=linear(base=2, slope=1.5), anchor=4, floor=0.25)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs = p.(*ConfidenceShaped)
-	if cs.Anchor() != 4 || cs.Floor() != 0.25 {
-		t.Errorf("params = (%v, %v), want (4, 0.25)", cs.Anchor(), cs.Floor())
+	if p.Name() != "shape(linear(base=2,slope=1.5),anchor=4,floor=0.25)" {
+		t.Errorf("Name() = %q, want anchor 4 and floor 0.25", p.Name())
 	}
+	cs := p.(*ConfidenceShaped)
 	inner, _ := NewLinear(2, 1.5)
 	if got, want := cs.ConfidentDifficulty(8, 1), inner.Difficulty(8); got != want {
 		t.Errorf("nested inner difficulty = %d, want %d", got, want)
@@ -182,21 +180,12 @@ func TestRegistryShapeSpec(t *testing.T) {
 		"shape(inner=policy2, anchor=junk)", // bad anchor
 		"shape(inner=policy2, floor=2)",     // floor out of range
 		"shape(inner=policy2, epsilon=1)",   // unknown parameter
-		"shape(inner=shape(inner=policy2))", // nested shape is legal…
 	} {
-		_, err := r.New(bad)
-		if bad == "shape(inner=shape(inner=policy2))" {
-			if err != nil {
-				t.Errorf("nested shape rejected: %v", err)
-			}
-			continue
-		}
-		if err == nil {
-			t.Errorf("New(%q) accepted", bad)
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) accepted", bad)
 		}
 	}
-
-	if err := r.Register("shape", func(map[string]float64) (Policy, error) { return Policy2(), nil }); err == nil {
-		t.Error("registering the reserved name succeeded")
+	if _, err := Parse("shape(inner=shape(inner=policy2))"); err != nil {
+		t.Errorf("nested shape rejected: %v", err)
 	}
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // RulePolicy is a first-match-wins rule list compiled from the policy DSL.
-// It generalizes Step: each rule may use any comparison operator, so
-// administrators can carve out exemption bands ("when score < 2 use 1") as
-// well as escalation tiers.
+// A threshold table is its rules in descending order ("when score >= 8
+// use 14", then ">= 5", …), and each rule may use any comparison
+// operator, so administrators can carve out exemption bands ("when score
+// < 2 use 1") as well as escalation tiers.
 type RulePolicy struct {
 	name    string
 	rules   []dslRule
@@ -126,9 +127,6 @@ func parseDifficulty(s string) (int, error) {
 
 // Name implements Policy.
 func (p *RulePolicy) Name() string { return p.name }
-
-// NumRules reports the number of compiled rules (excluding the default).
-func (p *RulePolicy) NumRules() int { return len(p.rules) }
 
 // Difficulty implements Policy: first matching rule wins, else the default.
 func (p *RulePolicy) Difficulty(score float64) int {

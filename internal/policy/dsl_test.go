@@ -22,9 +22,6 @@ func TestParseRulesExampleProgram(t *testing.T) {
 	if p.Name() != "edge-tiers" {
 		t.Errorf("Name() = %q", p.Name())
 	}
-	if p.NumRules() != 3 {
-		t.Errorf("NumRules() = %d, want 3", p.NumRules())
-	}
 	tests := []struct {
 		score float64
 		want  int
@@ -116,5 +113,30 @@ func TestParseRulesErrorsIncludeLineNumbers(t *testing.T) {
 	_, err := ParseRules("default 1\nwhen score >= x use 2\n")
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("err = %v, want line 2 reference", err)
+	}
+}
+
+// A threshold table is a rule program with its tiers in descending order:
+// the highest threshold at or below the score wins.
+func TestStepTierSelection(t *testing.T) {
+	p, err := ParseRules(`
+when score >= 8 use 14
+when score >= 5 use 8
+when score >= 2 use 3
+default 1
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := []struct {
+		score float64
+		want  int
+	}{
+		{0, 1}, {1.99, 1}, {2, 3}, {4.9, 3}, {5, 8}, {7.5, 8}, {8, 14}, {10, 14},
+	}
+	for _, tt := range tests {
+		if got := p.Difficulty(tt.score); got != tt.want {
+			t.Errorf("Difficulty(%v) = %d, want %d", tt.score, got, tt.want)
+		}
 	}
 }

@@ -34,7 +34,8 @@ var _ Policy = (*ErrorRange)(nil)
 // ErrorRangeOption customizes an ErrorRange policy.
 type ErrorRangeOption func(*ErrorRange)
 
-// WithEpsilon sets the scoring-error allowance (default DefaultEpsilon).
+// WithEpsilon sets the scoring-error allowance (default DefaultEpsilon),
+// in [0, puzzle.MaxDifficulty].
 func WithEpsilon(eps float64) ErrorRangeOption {
 	return func(p *ErrorRange) { p.epsilon = eps }
 }
@@ -55,8 +56,8 @@ func Policy3(opts ...ErrorRangeOption) (*ErrorRange, error) {
 	for _, opt := range opts {
 		opt(p)
 	}
-	if p.epsilon < 0 || math.IsNaN(p.epsilon) || math.IsInf(p.epsilon, 0) {
-		return nil, fmt.Errorf("policy: epsilon must be finite and non-negative, got %v", p.epsilon)
+	if err := checkBound("epsilon", p.epsilon); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -64,31 +65,13 @@ func Policy3(opts ...ErrorRangeOption) (*ErrorRange, error) {
 // Name implements Policy.
 func (p *ErrorRange) Name() string { return fmt.Sprintf("policy3(eps=%g)", p.epsilon) }
 
-// Epsilon reports the configured error allowance.
-func (p *ErrorRange) Epsilon() float64 { return p.epsilon }
-
 // Difficulty implements Policy. It draws uniformly from the error interval
 // around dᵢ = ⌈score + 1⌉.
 func (p *ErrorRange) Difficulty(score float64) int {
-	s := clampScore(score)
-	di := int(math.Ceil(s + 1))
-	lo := di + int(math.Ceil(-p.epsilon))
-	hi := di + int(math.Ceil(p.epsilon))
-	if lo > hi { // cannot happen for ε ≥ 0, but keep the invariant local
-		lo, hi = hi, lo
-	}
+	di := math.Ceil(clampScore(score) + 1)
+	lo, hi := di+math.Ceil(-p.epsilon), di+math.Ceil(p.epsilon)
 	p.mu.Lock()
-	d := lo + p.rng.IntN(hi-lo+1)
+	d := lo + float64(p.rng.IntN(int(hi-lo)+1))
 	p.mu.Unlock()
-	return clampDifficulty(d)
-}
-
-// Interval reports the [lo, hi] difficulty interval (before protocol
-// clamping) that Difficulty draws from for the given score. It exists so
-// experiments and tests can reason about the draw without consuming
-// randomness.
-func (p *ErrorRange) Interval(score float64) (lo, hi int) {
-	s := clampScore(score)
-	di := int(math.Ceil(s + 1))
-	return di + int(math.Ceil(-p.epsilon)), di + int(math.Ceil(p.epsilon))
+	return toDifficulty(d)
 }

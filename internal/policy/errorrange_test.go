@@ -12,6 +12,20 @@ func TestPolicy3Validation(t *testing.T) {
 	if _, err := Policy3(WithEpsilon(math.NaN())); err == nil {
 		t.Error("NaN epsilon accepted")
 	}
+	if _, err := Policy3(WithEpsilon(65)); err == nil {
+		t.Error("epsilon above MaxDifficulty accepted")
+	}
+}
+
+// drawRange reports the lowest and highest difficulty 2000 draws of p at
+// score produce: the error interval, clamped to the protocol range.
+func drawRange(p Policy, score float64) (lo, hi int) {
+	lo, hi = math.MaxInt, math.MinInt
+	for i := 0; i < 2000; i++ {
+		d := p.Difficulty(score)
+		lo, hi = min(lo, d), max(hi, d)
+	}
+	return lo, hi
 }
 
 func TestPolicy3Interval(t *testing.T) {
@@ -24,15 +38,14 @@ func TestPolicy3Interval(t *testing.T) {
 		lo, hi int
 	}{
 		// dᵢ = ⌈s+1⌉; interval [dᵢ+⌈−ε⌉, dᵢ+⌈ε⌉] = [dᵢ−2, dᵢ+3] for ε=2.5.
-		{0, -1, 4},   // dᵢ=1
+		{0, 1, 4},    // dᵢ=1: [-1, 4] clamps to [1, 4]
 		{4, 3, 8},    // dᵢ=5
 		{9.2, 9, 14}, // dᵢ=⌈10.2⌉=11
 		{10, 9, 14},  // dᵢ=11
 	}
 	for _, tt := range tests {
-		lo, hi := p.Interval(tt.score)
-		if lo != tt.lo || hi != tt.hi {
-			t.Errorf("Interval(%v) = [%d, %d], want [%d, %d]", tt.score, lo, hi, tt.lo, tt.hi)
+		if lo, hi := drawRange(p, tt.score); lo != tt.lo || hi != tt.hi {
+			t.Errorf("draws at %v span [%d, %d], want [%d, %d]", tt.score, lo, hi, tt.lo, tt.hi)
 		}
 	}
 }
@@ -42,9 +55,8 @@ func TestPolicy3IntegerEpsilonSymmetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := p.Interval(5) // dᵢ=6, symmetric ±2
-	if lo != 4 || hi != 8 {
-		t.Fatalf("Interval(5) = [%d, %d], want [4, 8]", lo, hi)
+	if lo, hi := drawRange(p, 5); lo != 4 || hi != 8 { // dᵢ=6, symmetric ±2
+		t.Fatalf("draws at 5 span [%d, %d], want [4, 8]", lo, hi)
 	}
 }
 
@@ -116,9 +128,6 @@ func TestPolicy3Accessors(t *testing.T) {
 	p, err := Policy3(WithEpsilon(3.25), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if p.Epsilon() != 3.25 {
-		t.Errorf("Epsilon() = %v", p.Epsilon())
 	}
 	if p.Name() != "policy3(eps=3.25)" {
 		t.Errorf("Name() = %q", p.Name())

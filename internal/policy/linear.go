@@ -26,8 +26,12 @@ type Linear struct {
 
 var _ Policy = Linear{}
 
-// NewLinear validates and constructs a Linear policy.
+// NewLinear validates and constructs a Linear policy. The base lies in
+// [0, puzzle.MaxDifficulty].
 func NewLinear(base int, slope float64) (Linear, error) {
+	if err := checkBound("linear base", float64(base)); err != nil {
+		return Linear{}, err
+	}
 	if slope < 0 {
 		return Linear{}, fmt.Errorf("policy: negative slope %v would reward bad reputations", slope)
 	}
@@ -53,8 +57,7 @@ func (l Linear) Name() string {
 
 // Difficulty implements Policy.
 func (l Linear) Difficulty(score float64) int {
-	s := clampScore(score)
-	return clampDifficulty(l.Base + int(math.Round(l.Slope*s)))
+	return toDifficulty(float64(l.Base) + math.Round(l.Slope*clampScore(score)))
 }
 
 // Exponential maps difficulty = Base + round(2^(Factor × score) − 1),
@@ -72,8 +75,12 @@ type Exponential struct {
 
 var _ Policy = Exponential{}
 
-// NewExponential validates and constructs an Exponential policy.
+// NewExponential validates and constructs an Exponential policy. The base
+// lies in [0, puzzle.MaxDifficulty].
 func NewExponential(base int, factor float64) (Exponential, error) {
+	if err := checkBound("exponential base", float64(base)); err != nil {
+		return Exponential{}, err
+	}
 	if factor < 0 || math.IsNaN(factor) || math.IsInf(factor, 0) {
 		return Exponential{}, fmt.Errorf("policy: exponential factor must be finite and non-negative, got %v", factor)
 	}
@@ -87,10 +94,6 @@ func (e Exponential) Name() string {
 
 // Difficulty implements Policy.
 func (e Exponential) Difficulty(score float64) int {
-	s := clampScore(score)
-	bump := math.Exp2(e.Factor*s) - 1
-	if bump > float64(1<<20) { // avoid int overflow on extreme factors
-		bump = float64(1 << 20)
-	}
-	return clampDifficulty(e.Base + int(math.Round(bump)))
+	bump := math.Exp2(e.Factor*clampScore(score)) - 1
+	return toDifficulty(float64(e.Base) + math.Round(bump))
 }

@@ -5,194 +5,106 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 	"unicode/utf8"
+
+	"aipow/internal/puzzle"
 )
 
-// Factory builds a policy from numeric parameters. Factories must reject
-// unknown parameter names so configuration typos fail loudly.
-type Factory func(params map[string]float64) (Policy, error)
-
-// Registry resolves policy specification strings like "policy2" or
-// "policy3(epsilon=3,seed=42)" into Policy values. It ships with the
-// paper's three policies plus the package's generic families registered,
-// and accepts custom factories. A Registry is safe for concurrent use.
-type Registry struct {
-	mu        sync.RWMutex
-	factories map[string]Factory
-}
-
-// NewRegistry returns a registry pre-populated with the built-in policies:
+// Parse resolves a policy spec "name" or "name(k=v,k2=v2)" into a
+// Policy. The set of names is fixed:
 //
-//	policy1                              paper Policy 1
-//	policy2                              paper Policy 2
-//	policy3(epsilon=2.5, seed=…)         paper Policy 3
-//	fixed(difficulty=8)                  non-adaptive baseline
-//	linear(base=1, slope=1)              generic linear family
-//	exponential(base=1, factor=0.4)      generic exponential family
-func NewRegistry() *Registry {
-	r := &Registry{factories: make(map[string]Factory)}
-	mustRegister := func(name string, f Factory) {
-		if err := r.Register(name, f); err != nil {
-			panic(fmt.Sprintf("policy: registering builtin %q: %v", name, err))
-		}
-	}
-	mustRegister("policy1", func(params map[string]float64) (Policy, error) {
-		if err := RejectUnknownParams(params); err != nil {
-			return nil, err
-		}
-		return Policy1(), nil
-	})
-	mustRegister("policy2", func(params map[string]float64) (Policy, error) {
-		if err := RejectUnknownParams(params); err != nil {
-			return nil, err
-		}
-		return Policy2(), nil
-	})
-	mustRegister("policy3", func(params map[string]float64) (Policy, error) {
-		if err := RejectUnknownParams(params, "epsilon", "seed"); err != nil {
-			return nil, err
-		}
-		var opts []ErrorRangeOption
-		if eps, ok := params["epsilon"]; ok {
-			opts = append(opts, WithEpsilon(eps))
-		}
-		if seed, ok := params["seed"]; ok {
-			opts = append(opts, WithSeed(uint64(seed)))
-		}
-		return Policy3(opts...)
-	})
-	mustRegister("fixed", func(params map[string]float64) (Policy, error) {
-		if err := RejectUnknownParams(params, "difficulty"); err != nil {
-			return nil, err
-		}
-		d, ok := params["difficulty"]
-		if !ok {
-			return nil, fmt.Errorf("policy: fixed requires difficulty=<n>")
-		}
-		return NewFixed(int(d))
-	})
-	mustRegister("linear", func(params map[string]float64) (Policy, error) {
-		if err := RejectUnknownParams(params, "base", "slope"); err != nil {
-			return nil, err
-		}
-		base, slope := 1.0, 1.0
-		if v, ok := params["base"]; ok {
-			base = v
-		}
-		if v, ok := params["slope"]; ok {
-			slope = v
-		}
-		return NewLinear(int(base), slope)
-	})
-	mustRegister("exponential", func(params map[string]float64) (Policy, error) {
-		if err := RejectUnknownParams(params, "base", "factor"); err != nil {
-			return nil, err
-		}
-		base, factor := 1.0, 0.4
-		if v, ok := params["base"]; ok {
-			base = v
-		}
-		if v, ok := params["factor"]; ok {
-			factor = v
-		}
-		return NewExponential(int(base), factor)
-	})
-	return r
-}
-
-// shapeName is the reserved spec name of the confidence-shaping
-// combinator. It is resolved by New itself rather than a Factory because
-// its inner parameter is a nested component spec, not a number.
-const shapeName = "shape"
-
-// Register adds a named factory. Re-registering an existing name is an
-// error: silent overrides hide configuration mistakes.
-func (r *Registry) Register(name string, f Factory) error {
-	if name == "" || f == nil {
-		return fmt.Errorf("policy: registry requires a name and factory")
-	}
-	if name == shapeName {
-		return fmt.Errorf("policy: %q is a reserved combinator name", shapeName)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.factories[name]; dup {
-		return fmt.Errorf("policy: %q already registered", name)
-	}
-	r.factories[name] = f
-	return nil
-}
-
-// Names reports registered policy names (including the built-in shape
-// combinator), sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.factories)+1)
-	for name := range r.factories {
-		names = append(names, name)
-	}
-	names = append(names, shapeName)
-	sort.Strings(names)
-	return names
-}
-
-// New resolves a spec string "name" or "name(k=v,k2=v2)" into a Policy.
-// The built-in combinator "shape(inner=<spec>[, anchor=<score>])" wraps
-// any registry-resolvable policy in confidence shaping (NewConfidenceShaped);
-// its inner parameter is itself a full component spec, nested parentheses
-// included: shape(inner=linear(base=1, slope=1.2)).
-func (r *Registry) New(spec string) (Policy, error) {
+//	policy1                                   paper Policy 1
+//	policy2                                   paper Policy 2
+//	policy3(epsilon=2.5, seed=<n>)            paper Policy 3
+//	fixed(difficulty=<n>)                     non-adaptive baseline
+//	linear(base=1, slope=1)                   generic linear family
+//	exponential(base=1, factor=0.4)           generic exponential family
+//	shape(inner=<spec>, anchor=5, floor=0.5)  confidence shaping
+//
+// base, difficulty and seed are integers; base and epsilon lie in
+// [0, puzzle.MaxDifficulty], difficulty in the protocol range. shape's
+// inner parameter is itself a policy spec, nested parentheses included:
+// shape(inner=linear(base=1, slope=1.2)).
+func Parse(spec string) (Policy, error) {
 	name, raw, err := ParseSpecParams(spec)
 	if err != nil {
 		return nil, err
 	}
-	if name == shapeName {
-		return r.newShape(spec, raw)
+	decode := func(fields ...Field) error {
+		if err := DecodeParams(raw, fields...); err != nil {
+			return fmt.Errorf("policy: %s: %w", name, err)
+		}
+		return nil
 	}
-	params, err := convertParams(raw)
-	if err != nil {
-		return nil, err
+	switch name {
+	case "policy1", "policy2":
+		if err := decode(); err != nil {
+			return nil, err
+		}
+		if name == "policy1" {
+			return Policy1(), nil
+		}
+		return Policy2(), nil
+	case "policy3":
+		eps, seed := DefaultEpsilon, -1
+		if err := decode(Field{Name: "epsilon", Dst: &eps}, Field{Name: "seed", Dst: &seed}); err != nil {
+			return nil, err
+		}
+		opts := []ErrorRangeOption{WithEpsilon(eps)}
+		if seed >= 0 {
+			opts = append(opts, WithSeed(uint64(seed)))
+		}
+		return Policy3(opts...)
+	case "fixed":
+		d := 0
+		if err := decode(Field{Name: "difficulty", Min: puzzle.MinDifficulty, Dst: &d}); err != nil {
+			return nil, err
+		}
+		if d == 0 {
+			return nil, fmt.Errorf("policy: fixed requires difficulty=<n>")
+		}
+		return NewFixed(d)
+	case "linear":
+		base, slope := 1, 1.0
+		if err := decode(Field{Name: "base", Dst: &base}, Field{Name: "slope", Dst: &slope}); err != nil {
+			return nil, err
+		}
+		return NewLinear(base, slope)
+	case "exponential":
+		base, factor := 1, 0.4
+		if err := decode(Field{Name: "base", Dst: &base}, Field{Name: "factor", Dst: &factor}); err != nil {
+			return nil, err
+		}
+		return NewExponential(base, factor)
+	case "shape":
+		var innerSpec string
+		anchor, floor := DefaultShapeAnchor, DefaultShapeFloor
+		if err := decode(
+			Field{Name: "inner", Dst: &innerSpec},
+			Field{Name: "anchor", Dst: &anchor},
+			Field{Name: "floor", Dst: &floor},
+		); err != nil {
+			return nil, err
+		}
+		if innerSpec == "" {
+			return nil, fmt.Errorf("policy: %q requires inner=<policy spec>", spec)
+		}
+		inner, err := Parse(innerSpec)
+		if err != nil {
+			return nil, fmt.Errorf("policy: shape inner: %w", err)
+		}
+		return NewConfidenceShaped(inner, anchor, floor)
 	}
-	r.mu.RLock()
-	f, ok := r.factories[name]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("policy: unknown policy %q (known: %s)", name, strings.Join(r.Names(), ", "))
-	}
-	return f(params)
-}
-
-// newShape compiles the shape(...) combinator from raw parameters.
-func (r *Registry) newShape(spec string, raw []Param) (Policy, error) {
-	var innerSpec string
-	anchor, floor := DefaultShapeAnchor, DefaultShapeFloor
-	if err := DecodeParams(raw,
-		Field{Name: "inner", Dst: &innerSpec},
-		Field{Name: "anchor", Dst: &anchor},
-		Field{Name: "floor", Dst: &floor},
-	); err != nil {
-		return nil, fmt.Errorf("policy: shape: %w", err)
-	}
-	if innerSpec == "" {
-		return nil, fmt.Errorf("policy: %q requires inner=<policy spec>", spec)
-	}
-	inner, err := r.New(innerSpec)
-	if err != nil {
-		return nil, fmt.Errorf("policy: shape inner: %w", err)
-	}
-	return NewConfidenceShaped(inner, anchor, floor)
+	return nil, fmt.Errorf("policy: unknown policy %q (known: exponential, fixed, linear, policy1, policy2, policy3, shape)", name)
 }
 
 // ParseSpec splits a component specification "name" or "name(k=v,k2=v2)"
-// into its name and numeric parameters. The syntax is shared by every
-// component registry in the framework — policies here, scorers and sources
-// in the control plane — so operators learn one spec grammar.
+// into its name and numeric parameters, the form the control plane's
+// scorer and source factories take. Policies, scorers and sources share
+// the grammar (ParseSpecParams), so operators learn one spec syntax.
 func ParseSpec(spec string) (name string, params map[string]float64, err error) {
 	name, raw, err := ParseSpecParams(spec)
 	if err != nil {
@@ -223,11 +135,11 @@ type Param struct {
 // string-valued parameters, preserving declaration order and respecting
 // nested parentheses inside values. It is the shared shell of every
 // component grammar in the framework: ParseSpec layers the numeric
-// conversion policies, scorers, and sources use on top, and DecodeParams
-// reads the raw form into typed fields, so parameter values can themselves
-// be component specs ("policy=fixed(difficulty=16)"). A parameter without
-// '=' is positional ("peers(a, b)", "exchange(1s)"); a key given twice is
-// an error.
+// conversion scorers and sources use on top, and DecodeParams (what Parse
+// uses) reads the raw form into typed fields, so parameter values can
+// themselves be component specs ("policy=fixed(difficulty=16)"). A
+// parameter without '=' is positional ("peers(a, b)", "exchange(1s)"); a
+// key given twice is an error.
 //
 // A bare name returns nil params; "name()" returns an empty non-nil slice.
 func ParseSpecParams(spec string) (string, []Param, error) {

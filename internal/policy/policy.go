@@ -7,9 +7,9 @@
 // Policy3 (the error-range mapping that compensates for the AI model's
 // scoring error ε). Beyond those, the package supplies the building blocks
 // a network administrator needs to express custom strategies: fixed and
-// stepwise mappings, exponential mappings, difficulty clamping, a
-// load-adaptive wrapper, a small text DSL, and a registry for
-// name-addressable policies.
+// exponential mappings, difficulty clamping, a load-adaptive wrapper, a
+// small text DSL, and Parse, which resolves the spec strings deployment
+// files name policies by.
 package policy
 
 import (
@@ -64,6 +64,29 @@ func clampDifficulty(d int) int {
 		return puzzle.MaxDifficulty
 	}
 	return d
+}
+
+// toDifficulty converts a whole-valued float difficulty to the protocol
+// range. It clamps before converting, so no parameter or score can wrap
+// the int; NaN maps to MaxDifficulty, like an undefined score.
+func toDifficulty(x float64) int {
+	if !(x <= puzzle.MaxDifficulty) {
+		return puzzle.MaxDifficulty
+	}
+	if x < puzzle.MinDifficulty {
+		return puzzle.MinDifficulty
+	}
+	return int(x)
+}
+
+// checkBound reports a base difficulty or error allowance outside
+// [0, puzzle.MaxDifficulty]. Past the cap a larger value prices nothing
+// differently; it only moves the arithmetic toward overflow.
+func checkBound(what string, x float64) error {
+	if !(x >= 0 && x <= puzzle.MaxDifficulty) {
+		return fmt.Errorf("policy: %s %v outside [0, %d]", what, x, puzzle.MaxDifficulty)
+	}
+	return nil
 }
 
 // Fixed is the classic non-adaptive PoW policy: every client gets the same

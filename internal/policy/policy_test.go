@@ -87,11 +87,11 @@ func TestAllPoliciesStayInProtocolRangeProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	step, err := NewStep("s", 2, StepRule{MinScore: 5, Difficulty: 60})
+	tiers, err := ParseRules("when score >= 5 use 60\ndefault 2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	policies := []Policy{Policy1(), Policy2(), p3, Fixed{D: 8}, exp, step}
+	policies := []Policy{Policy1(), Policy2(), p3, Fixed{D: 8}, exp, tiers}
 	f := func(score float64) bool {
 		for _, p := range policies {
 			d := p.Difficulty(score)

@@ -8,7 +8,8 @@ import (
 	"aipow/internal/features"
 )
 
-// Decay defaults.
+// Decay's redemption defaults (WithMaxRedemption and WithHalfCredit
+// override the first two) and its fixed gate tolerances.
 const (
 	// DefaultMaxRedemption is the largest score attenuation sustained
 	// solve evidence can earn. 6 points moves a tail-dwelling false
@@ -81,9 +82,10 @@ const (
 //	drop = MaxRedemption × credit/(credit+HalfCredit) × cleanliness
 //
 // with cleanliness the most restrictive of the behavioral gates: it falls
-// linearly to 0 as the live failure ratio approaches FailRatioTolerance
-// or the live request rate approaches RateTolerance, and is 0 while the
-// verification fail streak is at or beyond MaxFailStreak.
+// linearly to 0 as the lifetime failure ratio approaches
+// DefaultFailRatioTolerance or the live request rate approaches
+// DefaultRateTolerance, and is 0 while the verification fail streak is at
+// or beyond DefaultMaxFailStreak.
 //
 // Decay publishes the inner scorer's schema extended with the evidence
 // attributes, implements features.VerdictScorer (confidence passes through
@@ -101,21 +103,8 @@ type Decay struct {
 	rateSlot  int // live request rate
 	iaSlot    int // live inter-arrival EWMA (ms)
 
-	maxDrop       float64
-	halfCredit    float64
-	failRatioTol  float64
-	maxFailStreak float64
-	rateTol       float64
-	iaTolMS       float64
-
-	// Precomputed gate slopes, derived from the tolerances once at
-	// construction (and therefore rebuilt into the RCU snapshot at swap
-	// time): each soft-knee gate clamp(2 - 2·x/tol) / clamp(2·x/tol - 1)
-	// reduces to one multiply-add on the hot path instead of a divide and
-	// the knee-function call.
-	failK float64 // 2 / failRatioTol
-	rateK float64 // 2 / rateTol
-	iaK   float64 // 2 / iaTolMS
+	maxDrop    float64
+	halfCredit float64
 
 	// memo caches the inner scorer's verdicts keyed on the raw inner
 	// subvector. Scorers are pure (same vector → same verdict), so the
@@ -180,6 +169,15 @@ func (m *innerMemo) lookup(v []float64) (features.Verdict, *atomic.Pointer[memoE
 
 var _ features.VerdictScorer = (*Decay)(nil)
 
+// Gate slopes: each soft-knee gate clamp(2 - 2·x/tol) / clamp(2·x/tol - 1)
+// reduces to one multiply-add on the hot path instead of a divide and the
+// knee-function call.
+const (
+	failK = 2 / DefaultFailRatioTolerance
+	rateK = 2 / DefaultRateTolerance
+	iaK   = 2 / DefaultInterArrivalTolerance
+)
+
 // DecayOption customizes NewDecay.
 type DecayOption func(*Decay)
 
@@ -192,30 +190,6 @@ func WithMaxRedemption(drop float64) DecayOption {
 // redemption applies.
 func WithHalfCredit(credit float64) DecayOption {
 	return func(d *Decay) { d.halfCredit = credit }
-}
-
-// WithFailRatioTolerance sets the lifetime failure ratio at which
-// redemption is fully cancelled.
-func WithFailRatioTolerance(ratio float64) DecayOption {
-	return func(d *Decay) { d.failRatioTol = ratio }
-}
-
-// WithMaxFailStreak sets the failed-verification streak that cancels
-// redemption.
-func WithMaxFailStreak(n int) DecayOption {
-	return func(d *Decay) { d.maxFailStreak = float64(n) }
-}
-
-// WithRateTolerance sets the live request rate (requests/s) at which
-// redemption is fully cancelled.
-func WithRateTolerance(rps float64) DecayOption {
-	return func(d *Decay) { d.rateTol = rps }
-}
-
-// WithInterArrivalTolerance sets the typical request gap (milliseconds)
-// at which redemption is fully open.
-func WithInterArrivalTolerance(ms float64) DecayOption {
-	return func(d *Decay) { d.iaTolMS = ms }
 }
 
 // NewDecay wraps inner with behavioral redemption. The inner scorer must
@@ -237,20 +211,16 @@ func NewDecay(inner features.VectorScorer, opts ...DecayOption) (*Decay, error) 
 		return nil, fmt.Errorf("reputation: decay schema: %w", err)
 	}
 	d := &Decay{
-		vec:           inner,
-		schema:        schema,
-		innerLen:      is.Len(),
-		credSlot:      is.Len(),
-		failSlot:      is.Len() + 1,
-		ratioSlot:     is.Len() + 2,
-		rateSlot:      is.Len() + 3,
-		iaSlot:        is.Len() + 4,
-		maxDrop:       DefaultMaxRedemption,
-		halfCredit:    DefaultHalfCredit,
-		failRatioTol:  DefaultFailRatioTolerance,
-		maxFailStreak: DefaultMaxFailStreak,
-		rateTol:       DefaultRateTolerance,
-		iaTolMS:       DefaultInterArrivalTolerance,
+		vec:        inner,
+		schema:     schema,
+		innerLen:   is.Len(),
+		credSlot:   is.Len(),
+		failSlot:   is.Len() + 1,
+		ratioSlot:  is.Len() + 2,
+		rateSlot:   is.Len() + 3,
+		iaSlot:     is.Len() + 4,
+		maxDrop:    DefaultMaxRedemption,
+		halfCredit: DefaultHalfCredit,
 	}
 	d.verdict, _ = inner.(features.VerdictScorer)
 	for _, opt := range opts {
@@ -262,21 +232,6 @@ func NewDecay(inner features.VectorScorer, opts ...DecayOption) (*Decay, error) 
 	if d.halfCredit <= 0 {
 		return nil, fmt.Errorf("reputation: half credit must be positive, got %v", d.halfCredit)
 	}
-	if d.failRatioTol <= 0 || d.failRatioTol > 1 {
-		return nil, fmt.Errorf("reputation: fail ratio tolerance %v outside (0, 1]", d.failRatioTol)
-	}
-	if d.maxFailStreak < 1 {
-		return nil, fmt.Errorf("reputation: max fail streak must be at least 1, got %v", d.maxFailStreak)
-	}
-	if d.rateTol <= 0 {
-		return nil, fmt.Errorf("reputation: rate tolerance must be positive, got %v", d.rateTol)
-	}
-	if d.iaTolMS <= 0 {
-		return nil, fmt.Errorf("reputation: inter-arrival tolerance must be positive, got %v", d.iaTolMS)
-	}
-	d.failK = 2 / d.failRatioTol
-	d.rateK = 2 / d.rateTol
-	d.iaK = 2 / d.iaTolMS
 	if d.innerLen <= memoMaxDims {
 		d.memo = &innerMemo{}
 	}
@@ -292,18 +247,18 @@ func NewDecay(inner features.VectorScorer, opts ...DecayOption) (*Decay, error) 
 // the knee gives clients nothing until their behavior is unambiguously
 // modest.
 func (d *Decay) redemption(credit, failStreak, failRatio, rate, interArrival float64) float64 {
-	if credit <= 0 || failStreak >= d.maxFailStreak {
+	if credit <= 0 || failStreak >= DefaultMaxFailStreak {
 		return 0
 	}
 	// Fail ratio and rate: open at or below half the tolerance, closed at
 	// the tolerance. Inter-arrival: open at or above the tolerance,
 	// closed at or below half of it. Each gate is the precomputed-slope
 	// form of knee(·): clamp to [0, 1] of a single multiply-add.
-	clean := 2 - failRatio*d.failK
-	if quiet := 2 - rate*d.rateK; quiet < clean {
+	clean := 2 - failRatio*failK
+	if quiet := 2 - rate*rateK; quiet < clean {
 		clean = quiet
 	}
-	if spaced := interArrival*d.iaK - 1; spaced < clean {
+	if spaced := interArrival*iaK - 1; spaced < clean {
 		clean = spaced
 	}
 	if clean <= 0 {

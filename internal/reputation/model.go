@@ -92,9 +92,8 @@ var _ features.VerdictScorer = (*Model)(nil)
 
 // trainConfig collects Train options.
 type trainConfig struct {
-	clusters   int
-	iterations int
-	seed       uint64
+	clusters int
+	seed     uint64
 }
 
 // TrainOption customizes Train.
@@ -103,11 +102,6 @@ type TrainOption func(*trainConfig)
 // WithClusters sets the number of malicious centroids (default 3).
 func WithClusters(k int) TrainOption {
 	return func(c *trainConfig) { c.clusters = k }
-}
-
-// WithIterations bounds the k-means Lloyd iterations (default 50).
-func WithIterations(n int) TrainOption {
-	return func(c *trainConfig) { c.iterations = n }
 }
 
 // WithSeed makes training deterministic (default seed 1).
@@ -119,15 +113,12 @@ func WithSeed(seed uint64) TrainOption {
 // bounds are derived from the training set; every sample must share the
 // same attribute keys as the first one.
 func Train(samples []Sample, opts ...TrainOption) (*Model, error) {
-	cfg := trainConfig{clusters: DefaultClusters, iterations: DefaultIterations, seed: 1}
+	cfg := trainConfig{clusters: DefaultClusters, seed: 1}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	if cfg.clusters < 1 {
 		return nil, fmt.Errorf("reputation: clusters must be positive, got %d", cfg.clusters)
-	}
-	if cfg.iterations < 1 {
-		return nil, fmt.Errorf("reputation: iterations must be positive, got %d", cfg.iterations)
 	}
 	if len(samples) == 0 {
 		return nil, ErrNoSamples
@@ -205,7 +196,7 @@ func Train(samples []Sample, opts ...TrainOption) (*Model, error) {
 		k = len(malicious)
 	}
 	rng := rand.New(rand.NewPCG(cfg.seed, 0xD1B54A32D192ED03))
-	centroids, err := kMeans(malicious, k, cfg.iterations, rng)
+	centroids, err := kMeans(malicious, k, DefaultIterations, rng)
 	if err != nil {
 		return nil, fmt.Errorf("reputation: cluster malicious samples: %w", err)
 	}
@@ -219,7 +210,7 @@ func Train(samples []Sample, opts ...TrainOption) (*Model, error) {
 	if kb > len(benign) {
 		kb = len(benign)
 	}
-	benignCentroids, err := kMeans(benign, kb, cfg.iterations, rng)
+	benignCentroids, err := kMeans(benign, kb, DefaultIterations, rng)
 	if err != nil {
 		return nil, fmt.Errorf("reputation: cluster benign samples: %w", err)
 	}
@@ -253,12 +244,12 @@ func (m *Model) Score(attrs map[string]float64) (float64, error) {
 	return features.ScoreAttrs(m, attrs)
 }
 
-// Schema reports the interned layout ScoreVector expects (AttributeNames
-// order). It is nil when the model's dimensionality exceeds what a schema
-// can hold; core.New refuses such a model.
+// Schema reports the interned layout ScoreVector expects: the training
+// attributes in sorted order. It is nil when the model's dimensionality
+// exceeds what a schema can hold; core.New refuses such a model.
 func (m *Model) Schema() *features.Schema { return m.schema }
 
-// ScoreVector scores a raw-unit vector laid out in AttributeNames order.
+// ScoreVector scores a raw-unit vector laid out in Schema order.
 // The vector is used as scratch space: its contents are unspecified on
 // return.
 func (m *Model) ScoreVector(v []float64) (float64, error) {
@@ -398,13 +389,6 @@ func schemaFor(names []string) *features.Schema {
 		return nil
 	}
 	return s
-}
-
-// AttributeNames returns the model's canonical attribute order as a copy.
-func (m *Model) AttributeNames() []string {
-	out := make([]string, len(m.attrNames))
-	copy(out, m.attrNames)
-	return out
 }
 
 // Clusters reports the number of malicious centroids.

@@ -64,9 +64,6 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := Train(toySamples(5, 1), WithClusters(0)); err == nil {
 		t.Error("zero clusters accepted")
 	}
-	if _, err := Train(toySamples(5, 1), WithIterations(0)); err == nil {
-		t.Error("zero iterations accepted")
-	}
 }
 
 func TestModelScoresSeparateClasses(t *testing.T) {
@@ -208,13 +205,13 @@ func TestModelDeadDimension(t *testing.T) {
 
 func TestModelAccessors(t *testing.T) {
 	m := trainToy(t, WithClusters(2))
-	names := m.AttributeNames()
+	names := m.Schema().Names()
 	if len(names) != 2 || names[0] != "x" || names[1] != "y" {
-		t.Fatalf("AttributeNames() = %v", names)
+		t.Fatalf("Schema().Names() = %v", names)
 	}
 	names[0] = "mutated"
-	if m.AttributeNames()[0] != "x" {
-		t.Fatal("AttributeNames() exposed internal slice")
+	if m.Schema().Names()[0] != "x" {
+		t.Fatal("Schema().Names() exposed internal slice")
 	}
 	if m.Clusters() < 1 || m.Clusters() > 2 {
 		t.Fatalf("Clusters() = %d", m.Clusters())

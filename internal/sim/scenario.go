@@ -262,7 +262,7 @@ func (ph Phase) validate(populations []Population) error {
 	if ph.SwapPolicy != "" {
 		// Compile the spec once up front so a typo fails at validation
 		// time, not mid-campaign.
-		if _, err := policy.NewRegistry().New(ph.SwapPolicy); err != nil {
+		if _, err := policy.Parse(ph.SwapPolicy); err != nil {
 			return fmt.Errorf("sim: phase %q swap policy: %w", ph.Name, err)
 		}
 	}

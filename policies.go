@@ -23,7 +23,8 @@ func Policy3(opts ...ErrorRangeOption) (Policy, error) { return policy.Policy3(o
 // ErrorRangeOption configures Policy3.
 type ErrorRangeOption = policy.ErrorRangeOption
 
-// WithEpsilon sets Policy3's scoring-error allowance (default 2.5).
+// WithEpsilon sets Policy3's scoring-error allowance (default 2.5), in
+// [0, 64].
 func WithEpsilon(eps float64) ErrorRangeOption { return policy.WithEpsilon(eps) }
 
 // WithPolicySeed makes Policy3's draws deterministic.
@@ -33,23 +34,16 @@ func WithPolicySeed(seed uint64) ErrorRangeOption { return policy.WithSeed(seed)
 // for every client.
 func NewFixedPolicy(d int) (Policy, error) { return policy.NewFixed(d) }
 
-// NewLinearPolicy returns difficulty = base + round(slope × score).
+// NewLinearPolicy returns difficulty = base + round(slope × score), with
+// base in [0, 64].
 func NewLinearPolicy(base int, slope float64) (Policy, error) {
 	return policy.NewLinear(base, slope)
 }
 
-// NewExponentialPolicy returns difficulty = base + round(2^(factor×score) − 1).
+// NewExponentialPolicy returns difficulty = base + round(2^(factor×score) − 1),
+// with base in [0, 64].
 func NewExponentialPolicy(base int, factor float64) (Policy, error) {
 	return policy.NewExponential(base, factor)
-}
-
-// StepRule is one threshold of a step policy: scores at or above MinScore
-// get Difficulty.
-type StepRule = policy.StepRule
-
-// NewStepPolicy returns a threshold-table policy.
-func NewStepPolicy(name string, defaultDifficulty int, rules ...StepRule) (Policy, error) {
-	return policy.NewStep(name, defaultDifficulty, rules...)
 }
 
 // ParsePolicyRules compiles the policy rule DSL:
@@ -88,10 +82,9 @@ func NewLoadAdaptivePolicy(inner Policy, load LoadFunc, maxShift int) (Policy, e
 	return policy.NewLoadAdaptive(inner, load, maxShift)
 }
 
-// PolicyRegistry resolves specification strings like "policy2" or
-// "policy3(epsilon=3)" into policies.
-type PolicyRegistry = policy.Registry
-
-// NewPolicyRegistry returns a registry with the built-in policies
-// registered: policy1, policy2, policy3, fixed, linear, exponential.
-func NewPolicyRegistry() *PolicyRegistry { return policy.NewRegistry() }
+// ParsePolicy resolves a policy spec, the form a deployment spec's
+// policy line takes: policy1, policy2, policy3(epsilon=, seed=),
+// fixed(difficulty=), linear(base=, slope=), exponential(base=, factor=)
+// or shape(inner=<spec>, anchor=, floor=). base, difficulty and seed are
+// integers; base and epsilon lie in [0, 64].
+func ParsePolicy(spec string) (Policy, error) { return policy.Parse(spec) }

@@ -26,7 +26,10 @@ var binaries = []string{
 
 // gatedPackages must not declare a function that no binary links, except
 // the ones allowlisted below with their reason.
-var gatedPackages = []string{"aipow/internal/features", "aipow/internal/metrics", "aipow/internal/obs"}
+var gatedPackages = []string{
+	"aipow/internal/features", "aipow/internal/metrics", "aipow/internal/obs",
+	"aipow/internal/policy", "aipow/internal/reputation",
+}
 
 var reachAllowlist = map[string]string{
 	"aipow/internal/features.NewMapScorer":                "façade: the documented path for custom models",
