@@ -82,7 +82,7 @@ type HTTPBatchResult = httpmw.BatchResult
 type HTTPBatchOption = httpmw.BatchOption
 
 // WithBatchLimit bounds the items one batch call may carry (default
-// httpmw.DefaultBatchLimit).
+// httpmw.DefaultBatchLimit), and with them the body: 4 KiB per item.
 func WithBatchLimit(n int) HTTPBatchOption { return httpmw.WithBatchLimit(n) }
 
 // NewHTTPBatchHandler serves batch decide/verify calls against one

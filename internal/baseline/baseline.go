@@ -9,6 +9,7 @@ package baseline
 
 import (
 	"fmt"
+	"math"
 
 	"aipow/internal/features"
 	"aipow/internal/policy"
@@ -35,10 +36,12 @@ type RateScorer struct {
 
 var _ features.VectorScorer = RateScorer{}
 
-// NewRateScorer validates and constructs a RateScorer.
+// NewRateScorer validates and constructs a RateScorer. The saturation
+// rate must be finite and positive: at +Inf or NaN every client would
+// score 0.
 func NewRateScorer(saturationRate float64) (RateScorer, error) {
-	if saturationRate <= 0 {
-		return RateScorer{}, fmt.Errorf("baseline: saturation rate must be positive, got %v", saturationRate)
+	if !(saturationRate > 0) || math.IsInf(saturationRate, 1) {
+		return RateScorer{}, fmt.Errorf("baseline: saturation rate must be finite and positive, got %v", saturationRate)
 	}
 	return RateScorer{SaturationRate: saturationRate}, nil
 }

@@ -27,6 +27,35 @@ func TestRateScorerBuiltIn(t *testing.T) {
 	}
 }
 
+// TestRateScorerSaturation rejects every saturation that is not finite
+// and positive, through the spec path: at Inf or NaN the scorer would
+// price every client at 0.
+func TestRateScorerSaturation(t *testing.T) {
+	reg := newTestRegistry(t)
+	for _, tc := range []struct {
+		saturation string
+		ok         bool
+	}{
+		{"5", true},
+		{"0.5", true},
+		{"Inf", false},
+		{"+Inf", false},
+		{"NaN", false},
+		{"0", false},
+		{"-1", false},
+	} {
+		spec := "rate(saturation=" + tc.saturation + ")"
+		_, err := reg.newScorer(spec)
+		if (err == nil) != tc.ok {
+			t.Errorf("scorer %q: err = %v, want ok = %v", spec, err, tc.ok)
+		}
+		ps := PipelineSpec{Name: "p", Scorer: "hybrid(inner=rate(saturation=5), saturation=" + tc.saturation + ")", Policy: "policy2"}
+		if _, err := reg.pipelineScorer(ps); (err == nil) != tc.ok {
+			t.Errorf("scorer %q: err = %v, want ok = %v", ps.Scorer, err, tc.ok)
+		}
+	}
+}
+
 // TestHybridScorer pins the hybrid(inner=…, saturation=…) combinator: it
 // resolves its inner scorer through the registry and scores max(inner,
 // rate), a redeem section wraps the inner scorer (the blend stays outside

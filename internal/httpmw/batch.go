@@ -1,9 +1,13 @@
 package httpmw
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"aipow/internal/core"
 	"aipow/internal/features"
@@ -50,15 +54,6 @@ type BatchResult struct {
 	Error string `json:"error,omitempty"`
 }
 
-// batchRequestBody and batchResultBody are the endpoint's JSON envelopes.
-type batchRequestBody struct {
-	Requests []BatchRequest `json:"requests"`
-}
-
-type batchResultBody struct {
-	Results []BatchResult `json:"results"`
-}
-
 // Batch result statuses.
 const (
 	BatchPass      = "pass"
@@ -69,6 +64,10 @@ const (
 // DefaultBatchLimit bounds how many items one batch call may carry.
 const DefaultBatchLimit = 1024
 
+// batchItemBytes is the body bytes allowed per item of the limit: a
+// handler reads at most limit × batchItemBytes bytes of one body.
+const batchItemBytes = 4 << 10
+
 // BatchHandler is the batch front door: one POST carries many requests,
 // and the framework's batch entry points (ObserveBatch, DecideBatch,
 // VerifyBatch) amortize the per-request fixed costs across them. In
@@ -76,16 +75,25 @@ const DefaultBatchLimit = 1024
 // framework sees one batch. Semantics per item match the Middleware flow:
 // a valid solution passes, an invalid one earns a fresh challenge, and
 // everything is observed by the behavior tracker exactly once.
+//
+// The body is read whole, up to limit × 4 KiB, and decoded by a
+// hand-written scanner that accepts exactly the documents
+// encoding/json's Decoder accepts for the same types. A body over the
+// byte bound, or a requests array over the item limit, is answered 413;
+// decoding keeps at most limit items. The 200 body is appended straight
+// into a pooled buffer, byte for byte what json.Encoder writes for it.
 type BatchHandler struct {
-	fw     *core.Framework // single-pipeline mode; nil when routed
-	router Router          // per-route mode; nil when single
-	limit  int
+	fw      *core.Framework // single-pipeline mode; nil when routed
+	router  Router          // per-route mode; nil when single
+	limit   int
+	maxBody int64 // body byte bound: limit × batchItemBytes
 }
 
 // BatchOption customizes a BatchHandler.
 type BatchOption func(*BatchHandler)
 
-// WithBatchLimit bounds the items per call (default DefaultBatchLimit).
+// WithBatchLimit bounds the items per call (default DefaultBatchLimit),
+// and with them the body size: 4 KiB per item.
 func WithBatchLimit(n int) BatchOption {
 	return func(h *BatchHandler) { h.limit = n }
 }
@@ -116,186 +124,359 @@ func newBatchHandler(fw *core.Framework, router Router, opts []BatchOption) (*Ba
 	if h.limit <= 0 {
 		return nil, fmt.Errorf("httpmw: non-positive batch limit %d", h.limit)
 	}
+	h.maxBody = math.MaxInt64
+	if h.limit <= math.MaxInt64/batchItemBytes {
+		h.maxBody = int64(h.limit) * batchItemBytes
+	}
 	return h, nil
 }
 
-// ServeHTTP implements http.Handler: POST a batchRequestBody, receive a
-// batchResultBody with one result per request, in order.
+// ServeHTTP implements http.Handler: POST a batch document, receive one
+// result per request, in order.
 func (h *BatchHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST a batch document"})
 		return
 	}
-	var body batchRequestBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	sc := batchPool.Get().(*batchScratch)
+	defer sc.release()
+
+	var err error
+	sc.body, err = readBody(sc.body[:0], http.MaxBytesReader(w, r.Body, h.maxBody), min(r.ContentLength, h.maxBody))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				errorBody{Error: fmt.Sprintf("batch body exceeds %d bytes", h.maxBody)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed batch document: " + err.Error()})
 		return
 	}
+	d := &sc.dec
+	d.reset(sc.body, h.limit)
+	n, err := d.decode()
 	switch {
-	case len(body.Requests) == 0:
+	case errors.Is(err, errBatchOverLimit):
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorBody{Error: fmt.Sprintf("batch exceeds limit %d", h.limit)})
+		return
+	case err != nil:
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed batch document: " + err.Error()})
+		return
+	case n == 0:
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty batch"})
 		return
-	case len(body.Requests) > h.limit:
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorBody{Error: fmt.Sprintf("batch of %d exceeds limit %d", len(body.Requests), h.limit)})
-		return
 	}
-	for i := range body.Requests {
-		if body.Requests[i].IP == "" {
+	items := d.items[:n]
+	for i := range items {
+		if len(items[i].ip) == 0 {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("request %d without ip", i)})
 			return
 		}
 	}
 
-	results := make([]BatchResult, len(body.Requests))
-	for _, group := range h.group(body.Requests) {
-		if err := h.serveGroup(group.fw, body.Requests, group.idx, results); err != nil {
+	sc.prepare(items)
+	h.group(sc, items)
+	for _, g := range sc.groups {
+		if err := serveGroup(g.fw, sc, items, sc.order[g.lo:g.hi]); err != nil {
 			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, batchResultBody{Results: results})
+	sc.out, err = sc.appendResults(sc.out[:0])
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		return
+	}
+	w.Header()[keyContentType] = []string{contentTypeJSON}
+	w.WriteHeader(http.StatusOK)
+	// io.Writer may not retain p, so the buffer can go back to the pool.
+	_, _ = w.Write(sc.out)
 }
 
-// fwGroup is the index set of one framework's items.
+// readBody appends all of r to b, sized up front from a Content-Length
+// hint.
+func readBody(b []byte, r io.Reader, hint int64) ([]byte, error) {
+	if hint > 0 && hint < maxPooledBytes && int(hint) >= cap(b) {
+		b = make([]byte, 0, hint+1) // +1: the final Read sees EOF in place
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
+// Item states, from decoding to the written result.
+const (
+	itemDecide    uint8 = iota // needs a decision
+	itemVerify                 // carries a parsed solution
+	itemMalformed              // solution token does not parse: "rejected"
+	itemPass                   // verified, or bypassed: "pass"
+	itemChallenge              // decided with a puzzle: "challenge"
+)
+
+// itemState is one item's progress through the batch.
+type itemState struct {
+	state    uint8
+	rejected bool  // its solution failed verification: answer msgRejected
+	dec      int32 // its decision in batchScratch.decs, when decided
+}
+
+// fwGroup is one framework's share of the batch: the items
+// batchScratch.order[lo:hi].
 type fwGroup struct {
-	fw  *core.Framework
-	idx []int
+	fw     *core.Framework
+	lo, hi int
+}
+
+// batchScratch is everything one batch call needs, pooled across calls.
+type batchScratch struct {
+	body, out []byte
+	dec       batchDecoder
+
+	states []itemState
+	ips    []string // the items' IPs; the tracker may keep them
+	paths  []string // the items' paths; buffered evidence may keep them
+	gid    []int    // routed mode: each item's group
+	order  []int    // item indices, grouped by framework, in request order
+	groups []fwGroup
+
+	sols     []puzzle.Solution
+	solIdx   []int
+	bindings []string
+	verdicts []error
+	obs      []features.RequestInfo
+	dreqs    []core.RequestContext
+	decIdx   []int
+	decs     []core.Decision // every group's decisions, in one array
+	ndecs    int
+}
+
+// maxPooledBytes caps the body and answer buffers a scratch may keep:
+// a call that grew one past it drops the scratch, so one large body
+// cannot pin its memory in the pool.
+const maxPooledBytes = 1 << 20
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// release returns sc to the pool unless a buffer outgrew maxPooledBytes
+// or the item slices outgrew the default limit.
+func (sc *batchScratch) release() {
+	if cap(sc.body) > maxPooledBytes || cap(sc.out) > maxPooledBytes ||
+		cap(sc.dec.esc) > maxPooledBytes || cap(sc.dec.items) > DefaultBatchLimit {
+		return
+	}
+	batchPool.Put(sc)
+}
+
+// prepare sizes the per-item slices and turns the items' IPs and paths
+// into strings. Consecutive items on one path share its string.
+func (sc *batchScratch) prepare(items []batchItem) {
+	n := len(items)
+	sc.states = resize(sc.states, n)
+	sc.ips = resize(sc.ips, n)
+	sc.paths = resize(sc.paths, n)
+	sc.decs = resize(sc.decs, n)
+	sc.ndecs = 0
+	path := ""
+	for i := range items {
+		sc.ips[i] = string(items[i].ip)
+		if string(items[i].path) != path {
+			path = string(items[i].path)
+		}
+		sc.paths[i] = path
+	}
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // group partitions the batch by serving framework (a single group in
-// single-pipeline mode), preserving request order within each group.
-func (h *BatchHandler) group(reqs []BatchRequest) []fwGroup {
+// single-pipeline mode) into sc.groups, in order of first appearance,
+// keeping request order within each group.
+func (h *BatchHandler) group(sc *batchScratch, items []batchItem) {
+	n := len(items)
+	sc.order = resize(sc.order, n)
+	sc.groups = sc.groups[:0]
 	if h.router == nil {
-		idx := make([]int, len(reqs))
-		for i := range idx {
-			idx[i] = i
+		for i := range sc.order {
+			sc.order[i] = i
 		}
-		return []fwGroup{{fw: h.fw, idx: idx}}
+		sc.groups = append(sc.groups, fwGroup{fw: h.fw, lo: 0, hi: n})
+		return
 	}
-	var groups []fwGroup
-	byFW := make(map[*core.Framework]int)
-	for i := range reqs {
-		fw := h.router.Route(reqs[i].Path, reqs[i].Tenant)
-		g, ok := byFW[fw]
-		if !ok {
-			g = len(groups)
-			byFW[fw] = g
-			groups = append(groups, fwGroup{fw: fw})
+	// Route every item, counting each group's items in hi.
+	sc.gid = resize(sc.gid, n)
+	tenant := ""
+	for i := range items {
+		if string(items[i].tenant) != tenant {
+			tenant = string(items[i].tenant)
 		}
-		groups[g].idx = append(groups[g].idx, i)
+		fw := h.router.Route(sc.paths[i], tenant)
+		g := 0
+		for g < len(sc.groups) && sc.groups[g].fw != fw {
+			g++
+		}
+		if g == len(sc.groups) {
+			sc.groups = append(sc.groups, fwGroup{fw: fw})
+		}
+		sc.groups[g].hi++
+		sc.gid[i] = g
 	}
-	return groups
+	// Lay the groups out back to back, then place each item.
+	off := 0
+	for g := range sc.groups {
+		count := sc.groups[g].hi
+		sc.groups[g].lo, sc.groups[g].hi = off, off
+		off += count
+	}
+	for i, g := range sc.gid {
+		sc.order[sc.groups[g].hi] = i
+		sc.groups[g].hi++
+	}
 }
 
 // serveGroup runs one framework's share of the batch: observe everything,
 // verify the presented solutions, then decide the rest — including items
 // whose solution was rejected, which earn a fresh challenge exactly like
 // the Middleware flow.
-func (h *BatchHandler) serveGroup(fw *core.Framework, reqs []BatchRequest, idx []int, results []BatchResult) error {
+func serveGroup(fw *core.Framework, sc *batchScratch, items []batchItem, idx []int) error {
 	// One clock read per group: every item is observed, verified and
 	// decided at this instant.
 	now := fw.Now()
 
 	// One observation per item. A malformed solution token is a failed
 	// presentation — behavioral signal, like the middleware's flow.
-	sols := make([]puzzle.Solution, 0, len(idx))
-	solIdx := make([]int, 0, len(idx))
-	malformed := make(map[int]bool)
+	sc.sols, sc.solIdx = sc.sols[:0], sc.solIdx[:0]
 	for _, i := range idx {
-		if reqs[i].Solution == "" {
+		st := &sc.states[i]
+		*st = itemState{state: itemDecide}
+		if len(items[i].solution) == 0 {
 			continue
 		}
-		var sol puzzle.Solution
-		if err := sol.UnmarshalText([]byte(reqs[i].Solution)); err != nil {
-			malformed[i] = true
-			results[i] = BatchResult{Status: BatchRejected, Error: "malformed solution token"}
+		sc.sols = append(sc.sols, puzzle.Solution{})
+		if err := sc.sols[len(sc.sols)-1].UnmarshalText(items[i].solution); err != nil {
+			sc.sols = sc.sols[:len(sc.sols)-1]
+			st.state = itemMalformed
 			continue
 		}
-		sols = append(sols, sol)
-		solIdx = append(solIdx, i)
+		st.state = itemVerify
+		sc.solIdx = append(sc.solIdx, i)
 	}
 
-	obs := make([]features.RequestInfo, len(idx))
+	sc.obs = resize(sc.obs, len(idx))
 	for k, i := range idx {
-		obs[k] = features.RequestInfo{
-			IP:     reqs[i].IP,
-			Path:   reqs[i].Path,
+		sc.obs[k] = features.RequestInfo{
+			IP:     sc.ips[i],
+			Path:   sc.paths[i],
 			At:     now,
-			Failed: reqs[i].Failed || malformed[i],
+			Failed: items[i].failed || sc.states[i].state == itemMalformed,
 		}
 	}
 	// Best-effort, like Middleware.observe: tracking must not block serving.
-	_ = fw.ObserveBatch(obs)
+	_ = fw.ObserveBatch(sc.obs)
 
-	var decIdx []int // items needing a decision, in request order
-	for _, i := range idx {
-		if reqs[i].Solution == "" {
-			decIdx = append(decIdx, i)
+	if len(sc.sols) > 0 {
+		sc.bindings = resize(sc.bindings, len(sc.sols))
+		for k, i := range sc.solIdx {
+			sc.bindings[k] = sc.ips[i]
 		}
-	}
-	if len(sols) > 0 {
-		bindings := make([]string, len(sols))
-		for k, i := range solIdx {
-			bindings[k] = reqs[i].IP
-		}
-		verdicts, err := fw.VerifyBatchAt(sols, bindings, nil, now)
+		var err error
+		sc.verdicts, err = fw.VerifyBatchAt(sc.sols, sc.bindings, sc.verdicts, now)
 		if err != nil {
 			return fmt.Errorf("verify batch: %w", err)
 		}
-		// Rejected solutions fold into the decide pass below, restoring
-		// request order so each still gets a fresh challenge.
-		rejected := make(map[int]bool)
-		for k, i := range solIdx {
-			if verdicts[k] == nil {
-				results[i] = BatchResult{Status: BatchPass}
+		// Rejected solutions join the decide pass below, in request
+		// order, so each still gets a fresh challenge.
+		for k, i := range sc.solIdx {
+			if sc.verdicts[k] == nil {
+				sc.states[i].state = itemPass
 			} else {
-				rejected[i] = true
+				sc.states[i] = itemState{state: itemDecide, rejected: true}
 			}
 		}
-		if len(rejected) > 0 {
-			merged := decIdx[:0:0]
-			for _, i := range idx {
-				if rejected[i] || (reqs[i].Solution == "" && !malformed[i]) {
-					merged = append(merged, i)
-				}
-			}
-			decIdx = merged
-		}
-	}
-	if len(decIdx) == 0 {
-		return nil
 	}
 
-	dreqs := make([]core.RequestContext, len(decIdx))
-	for k, i := range decIdx {
-		dreqs[k] = core.RequestContext{IP: reqs[i].IP}
+	sc.dreqs, sc.decIdx = sc.dreqs[:0], sc.decIdx[:0]
+	for _, i := range idx {
+		if sc.states[i].state == itemDecide {
+			sc.dreqs = append(sc.dreqs, core.RequestContext{IP: sc.ips[i]})
+			sc.decIdx = append(sc.decIdx, i)
+		}
 	}
-	decs, err := fw.DecideBatchAt(dreqs, nil, now)
+	if len(sc.dreqs) == 0 {
+		return nil
+	}
+	// The decisions land in this group's stretch of sc.decs, which has
+	// room for one per item of the batch.
+	base := sc.ndecs
+	decs, err := fw.DecideBatchAt(sc.dreqs, sc.decs[base:base+len(sc.dreqs)], now)
 	if err != nil {
 		return fmt.Errorf("decide batch: %w", err)
 	}
-	var scratch []byte // token encoding, reused across the group
-	for k, i := range decIdx {
-		rejectedMsg := ""
-		if reqs[i].Solution != "" {
-			rejectedMsg = msgRejected
-		}
+	sc.ndecs += len(decs)
+	for k, i := range sc.decIdx {
+		st := &sc.states[i]
+		st.dec = int32(base + k)
 		if decs[k].Bypassed {
-			results[i] = BatchResult{Status: BatchPass, Error: rejectedMsg}
-			continue
-		}
-		scratch, err = decs[k].Challenge.AppendText(scratch[:0])
-		if err != nil {
-			return fmt.Errorf("challenge encoding failed: %w", err)
-		}
-		results[i] = BatchResult{
-			Status:     BatchChallenge,
-			Challenge:  string(scratch),
-			Difficulty: decs[k].Difficulty,
-			Error:      rejectedMsg,
+			st.state = itemPass
+		} else {
+			st.state = itemChallenge
 		}
 	}
 	return nil
+}
+
+// appendResults appends the 200 body — the bytes json.Encoder writes for
+// the results envelope, newline included. Nothing in it needs JSON
+// escaping: statuses and errors are fixed ASCII texts, and a challenge is
+// base64url.
+func (sc *batchScratch) appendResults(b []byte) ([]byte, error) {
+	b = append(b, `{"results":[`...)
+	for i, st := range sc.states {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		switch st.state {
+		case itemMalformed:
+			b = append(b, `{"status":"`+BatchRejected+`","error":"malformed solution token"}`...)
+			continue
+		case itemPass:
+			b = append(b, `{"status":"`+BatchPass+`"`...)
+		case itemChallenge:
+			dec := &sc.decs[st.dec]
+			b = append(b, `{"status":"`+BatchChallenge+`","challenge":"`...)
+			var err error
+			if b, err = dec.Challenge.AppendText(b); err != nil {
+				return b, fmt.Errorf("challenge encoding failed: %w", err)
+			}
+			b = append(b, '"')
+			if dec.Difficulty != 0 {
+				b = append(b, `,"difficulty":`...)
+				b = strconv.AppendInt(b, int64(dec.Difficulty), 10)
+			}
+		}
+		if st.rejected {
+			b = append(b, `,"error":"`+msgRejected+`"`...)
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...), nil
 }

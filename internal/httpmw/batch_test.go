@@ -13,6 +13,17 @@ import (
 	"aipow/internal/puzzle"
 )
 
+// batchRequestBody and batchResultBody are the endpoint's JSON envelopes
+// as encoding/json reads and writes them: the reference the handler's own
+// decoder and encoder are checked against.
+type batchRequestBody struct {
+	Requests []BatchRequest `json:"requests"`
+}
+
+type batchResultBody struct {
+	Results []BatchResult `json:"results"`
+}
+
 // postBatch sends reqs to the handler and decodes the result envelope.
 func postBatch(t *testing.T, h http.Handler, reqs []BatchRequest) (*httptest.ResponseRecorder, []BatchResult) {
 	t.Helper()
