@@ -1,9 +1,9 @@
 package httpmw
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -80,8 +80,9 @@ const batchItemBytes = 4 << 10
 // hand-written scanner that accepts exactly the documents
 // encoding/json's Decoder accepts for the same types. A body over the
 // byte bound, or a requests array over the item limit, is answered 413;
-// decoding keeps at most limit items. The 200 body is appended straight
-// into a pooled buffer, byte for byte what json.Encoder writes for it.
+// decoding stops at the first item past the limit. The 200 body is
+// appended straight into a pooled buffer, byte for byte what
+// json.Encoder writes for it.
 type BatchHandler struct {
 	fw      *core.Framework // single-pipeline mode; nil when routed
 	router  Router          // per-route mode; nil when single
@@ -142,9 +143,13 @@ func (h *BatchHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	sc := batchPool.Get().(*batchScratch)
 	defer sc.release()
 
-	var err error
-	sc.body, err = readBody(sc.body[:0], http.MaxBytesReader(w, r.Body, h.maxBody), min(r.ContentLength, h.maxBody))
-	if err != nil {
+	// Size the buffer from Content-Length up front; the extra MinRead
+	// bytes let ReadFrom see EOF without growing it again.
+	sc.body.Reset()
+	if n := r.ContentLength; n > 0 && n < maxPooledBytes {
+		sc.body.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, h.maxBody)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,
@@ -155,7 +160,7 @@ func (h *BatchHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d := &sc.dec
-	d.reset(sc.body, h.limit)
+	d.reset(sc.body.Bytes(), h.limit)
 	n, err := d.decode()
 	switch {
 	case errors.Is(err, errBatchOverLimit):
@@ -196,27 +201,6 @@ func (h *BatchHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(sc.out)
 }
 
-// readBody appends all of r to b, sized up front from a Content-Length
-// hint.
-func readBody(b []byte, r io.Reader, hint int64) ([]byte, error) {
-	if hint > 0 && hint < maxPooledBytes && int(hint) >= cap(b) {
-		b = make([]byte, 0, hint+1) // +1: the final Read sees EOF in place
-	}
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		n, err := r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return b, err
-		}
-	}
-}
-
 // Item states, from decoding to the written result.
 const (
 	itemDecide    uint8 = iota // needs a decision
@@ -242,8 +226,9 @@ type fwGroup struct {
 
 // batchScratch is everything one batch call needs, pooled across calls.
 type batchScratch struct {
-	body, out []byte
-	dec       batchDecoder
+	body bytes.Buffer
+	out  []byte
+	dec  batchDecoder
 
 	states []itemState
 	ips    []string // the items' IPs; the tracker may keep them
@@ -273,7 +258,7 @@ var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // release returns sc to the pool unless a buffer outgrew maxPooledBytes
 // or the item slices outgrew the default limit.
 func (sc *batchScratch) release() {
-	if cap(sc.body) > maxPooledBytes || cap(sc.out) > maxPooledBytes ||
+	if sc.body.Cap() > maxPooledBytes || cap(sc.out) > maxPooledBytes ||
 		cap(sc.dec.esc) > maxPooledBytes || cap(sc.dec.items) > DefaultBatchLimit {
 		return
 	}
@@ -281,7 +266,7 @@ func (sc *batchScratch) release() {
 }
 
 // prepare sizes the per-item slices and turns the items' IPs and paths
-// into strings. Consecutive items on one path share its string.
+// into strings.
 func (sc *batchScratch) prepare(items []batchItem) {
 	n := len(items)
 	sc.states = resize(sc.states, n)
@@ -289,13 +274,9 @@ func (sc *batchScratch) prepare(items []batchItem) {
 	sc.paths = resize(sc.paths, n)
 	sc.decs = resize(sc.decs, n)
 	sc.ndecs = 0
-	path := ""
 	for i := range items {
 		sc.ips[i] = string(items[i].ip)
-		if string(items[i].path) != path {
-			path = string(items[i].path)
-		}
-		sc.paths[i] = path
+		sc.paths[i] = string(items[i].path)
 	}
 }
 
@@ -324,12 +305,8 @@ func (h *BatchHandler) group(sc *batchScratch, items []batchItem) {
 	}
 	// Route every item, counting each group's items in hi.
 	sc.gid = resize(sc.gid, n)
-	tenant := ""
 	for i := range items {
-		if string(items[i].tenant) != tenant {
-			tenant = string(items[i].tenant)
-		}
-		fw := h.router.Route(sc.paths[i], tenant)
+		fw := h.router.Route(sc.paths[i], string(items[i].tenant))
 		g := 0
 		for g < len(sc.groups) && sc.groups[g].fw != fw {
 			g++

@@ -40,10 +40,8 @@ var errBatchOverLimit = errors.New("httpmw: batch over the item limit")
 //     the slice and its elements does;
 //   - a value of the wrong type fails the document.
 //
-// At most limit items are kept. The items after them in the same array
-// are checked in one reused slot and dropped, and the array then reports
-// errBatchOverLimit unless a later "requests" key replaces it. A syntax
-// or type error after the overflow reports errBatchOverLimit too.
+// Decoding stops with errBatchOverLimit when a "requests" array reaches
+// its item limit + 1, whatever follows in the document.
 type batchDecoder struct {
 	data  []byte
 	pos   int
@@ -55,28 +53,22 @@ type batchDecoder struct {
 	limit int
 	// items holds every index a "requests" array reached since the last
 	// reset of the slice (at most limit); the first n are the document's.
-	items   []batchItem
-	n       int       // items of the last "requests" array
-	over    bool      // the current "requests" array exceeded limit
-	discard batchItem // the slot of every item past the limit
-	esc     []byte    // unquoted strings
+	items []batchItem
+	n     int    // items of the last "requests" array
+	esc   []byte // unquoted strings
 }
 
 // reset prepares d to decode data, keeping at most limit items.
 func (d *batchDecoder) reset(data []byte, limit int) {
 	d.data, d.pos, d.depth = data, 0, 0
-	d.limit, d.n, d.over = limit, 0, false
+	d.limit, d.n = limit, 0
 	d.items, d.esc = d.items[:0], d.esc[:0]
 }
 
 // decode scans the document and returns its item count. On success the
 // items are d.items[:n]; an over-limit document returns errBatchOverLimit.
 func (d *batchDecoder) decode() (int, error) {
-	err := d.document()
-	switch {
-	case d.over:
-		return 0, errBatchOverLimit
-	case err != nil:
+	if err := d.document(); err != nil {
 		return 0, err
 	}
 	return d.n, nil
@@ -120,7 +112,6 @@ func (d *batchDecoder) document() error {
 
 // requests reads the "requests" value: an array of items, or null.
 func (d *batchDecoder) requests() error {
-	d.over = false
 	switch d.peek() {
 	case 'n':
 		// encoding/json sets the slice to nil: no items, no earlier
@@ -141,8 +132,10 @@ func (d *batchDecoder) requests() error {
 		return nil
 	}
 	for i := 0; ; i++ {
-		slot := d.slot(i)
-		if err := d.item(slot); err != nil {
+		if i == d.limit {
+			return errBatchOverLimit
+		}
+		if err := d.item(d.slot(i)); err != nil {
 			return err
 		}
 		more, err := d.next(']')
@@ -162,12 +155,7 @@ func (d *batchDecoder) requests() error {
 // as one its slice's capacity still holds. Past them the slot starts
 // empty.
 func (d *batchDecoder) slot(i int) *batchItem {
-	switch {
-	case i >= d.limit:
-		d.over = true
-		d.discard = batchItem{}
-		return &d.discard
-	case i == len(d.items):
+	if i == len(d.items) {
 		d.items = append(d.items, batchItem{})
 	}
 	return &d.items[i]

@@ -47,12 +47,30 @@ func nested(depth int) []byte {
 	return []byte(`{"x":` + strings.Repeat("[", depth) + strings.Repeat("]", depth) + `,"requests":[{"ip":"a"}]}`)
 }
 
+// requestsLens records the length of every "requests" array
+// encoding/json decodes, a repeated key's included.
+type requestsLens struct {
+	Requests arrayLens `json:"requests"`
+}
+
+type arrayLens []int
+
+func (l *arrayLens) UnmarshalJSON(b []byte) error {
+	var elems []json.RawMessage
+	if err := json.Unmarshal(b, &elems); err != nil {
+		return err
+	}
+	*l = append(*l, len(elems))
+	return nil
+}
+
 // FuzzBatchDecode checks the handler's decoder against encoding/json,
 // with a limit of 4 items. When json.Decoder fails on a body, the decoder
-// fails; when it succeeds with at most 4 items, the decoder returns the
-// same items; when it succeeds with more, the decoder reports the limit.
-// (An empty result compares equal to any other: nil or not, the handler
-// answers "empty batch".)
+// fails. When it succeeds, the decoder reports the limit if some
+// "requests" array holds more than 4 items (a later key replacing that
+// array does not undo it), and else returns the same items. (An empty
+// result compares equal to any other: nil or not, the handler answers
+// "empty batch".)
 func FuzzBatchDecode(f *testing.F) {
 	const limit = 4
 	for _, seed := range []string{
@@ -139,15 +157,24 @@ func FuzzBatchDecode(f *testing.F) {
 		var ref batchRequestBody
 		refErr := json.NewDecoder(bytes.NewReader(body)).Decode(&ref)
 		got, err := decodeBatch(body, limit)
-		switch {
-		case refErr != nil:
+		if refErr != nil {
 			if err == nil {
 				t.Fatalf("decoded %q to %+v; encoding/json fails: %v", body, got, refErr)
 			}
-		case len(ref.Requests) > limit:
-			if !errors.Is(err, errBatchOverLimit) {
-				t.Fatalf("%q: err = %v, want the item limit (%d items)", body, err, len(ref.Requests))
-			}
+			return
+		}
+		var lens requestsLens
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&lens); err != nil {
+			t.Fatalf("%q: counting arrays: %v", body, err)
+		}
+		over := false
+		for _, n := range lens.Requests {
+			over = over || n > limit
+		}
+		switch {
+		case over != errors.Is(err, errBatchOverLimit):
+			t.Fatalf("%q: err = %v; encoding/json reads arrays of %v items", body, err, lens.Requests)
+		case over:
 		case err != nil:
 			t.Fatalf("%q: %v; encoding/json decodes %+v", body, err, ref.Requests)
 		case len(got) == 0 && len(ref.Requests) == 0:
@@ -226,8 +253,10 @@ func TestBatchBodyBound(t *testing.T) {
 // TestBatchScratchDropsLargeBuffers checks that a scratch whose buffers
 // grew past maxPooledBytes is not pooled again.
 func TestBatchScratchDropsLargeBuffers(t *testing.T) {
+	grown := new(batchScratch)
+	grown.body.Grow(maxPooledBytes + 1)
 	for _, sc := range []*batchScratch{
-		{body: make([]byte, 0, maxPooledBytes+1)},
+		grown,
 		{out: make([]byte, 0, maxPooledBytes+1)},
 		{dec: batchDecoder{esc: make([]byte, 0, maxPooledBytes+1)}},
 		{dec: batchDecoder{items: make([]batchItem, DefaultBatchLimit+1)}},
