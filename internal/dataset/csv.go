@@ -7,6 +7,7 @@ import (
 	"os"
 	"slices"
 	"strconv"
+	"strings"
 )
 
 // csv layout: ip,label,family,<attributes in canonical order>.
@@ -97,9 +98,12 @@ func ReadCSV(r io.Reader) ([]Sample, error) {
 		if len(row) != len(header) {
 			return nil, fmt.Errorf("dataset: line %d has %d fields, want %d", line, len(row), len(header))
 		}
+		// Every field of a row is a substring of one string per line;
+		// cloning the two kept as strings lets the line go, where a
+		// feed keyed by IP would otherwise hold every line for good.
 		s := Sample{
-			IP:     row[colIP],
-			Family: row[colFamily],
+			IP:     strings.Clone(row[colIP]),
+			Family: strings.Clone(row[colFamily]),
 			Attrs:  make(map[string]float64, len(header)-colAttrs),
 		}
 		switch row[colLabel] {

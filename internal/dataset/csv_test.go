@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -77,4 +79,42 @@ func TestReadCSVPreservesUnknownColumns(t *testing.T) {
 	if !got[0].Malicious || got[0].Family != "botx" {
 		t.Fatalf("metadata mismatch: %+v", got[0])
 	}
+}
+
+// TestReadCSVRetention holds the IPs of a 5 000-row feed, as a store
+// keyed by IP does, and requires the feed's lines to be collectable:
+// each IP must not pin the whole line it was read from.
+func TestReadCSVRetention(t *testing.T) {
+	samples, err := Generate(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var feed bytes.Buffer
+	if err := WriteCSV(&feed, samples); err != nil {
+		t.Fatal(err)
+	}
+	samples = nil
+	heapInUse := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+
+	before := heapInUse()
+	got, err := ReadCSV(bytes.NewReader(feed.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ips := make([]string, len(got))
+	for i, s := range got {
+		ips[i] = s.IP
+	}
+	got = nil
+	held := int64(heapInUse()) - int64(before)
+	if held > 600<<10 {
+		t.Errorf("the IPs of a %d-row feed hold %d B, over 600 KiB", len(ips), held)
+	}
+	runtime.KeepAlive(ips)
+	runtime.KeepAlive(feed.Bytes())
 }

@@ -2,8 +2,10 @@ package puzzle
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 	"time"
 )
@@ -194,15 +196,47 @@ func BenchmarkChallengeUnmarshalText(b *testing.B) {
 	}
 }
 
+// BenchmarkReplayCacheRemember claims fresh seeds on a full cache, as a
+// verifier at capacity does: each claim sweeps, evicts the soonest seed
+// and inserts. "jittered" claims expire on a 100 µs step plus up to 10 ms
+// of jitter, as tokens issued in order but solved in varying times do;
+// "reverse" claims each expire before every earlier one, the worst case
+// for the expiry order. The clock stays before every expiry, so capacity
+// alone evicts.
 func BenchmarkReplayCacheRemember(b *testing.B) {
-	c := NewReplayCache(1<<16, nil)
-	exp := time.Now().Add(time.Hour)
-	var s [SeedSize]byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Vary the seed so every insert is fresh.
-		s[0], s[1], s[2], s[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
-		c.Remember(s, exp)
+	const capacity = 1 << 16
+	start := time.Unix(1_700_000_000, 0)
+	rng := rand.New(rand.NewPCG(1, 2))
+	jitter := make([]time.Duration, 4096)
+	for i := range jitter {
+		jitter[i] = time.Duration(rng.Int64N(int64(10 * time.Millisecond)))
+	}
+	const step = 100 * time.Microsecond
+	for _, bc := range []struct {
+		name    string
+		expires func(i int) time.Time
+	}{
+		{"jittered", func(i int) time.Time { return start.Add(time.Duration(i)*step + jitter[i%len(jitter)]) }},
+		{"reverse", func(i int) time.Time { return start.Add(-time.Duration(i) * step) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			clock := start.Add(-1000 * time.Hour)
+			c := NewReplayCache(capacity, func() time.Time { return clock })
+			var s [SeedSize]byte
+			claim := func(i int) {
+				binary.LittleEndian.PutUint64(s[:], uint64(i))
+				if !c.Remember(s, bc.expires(i)) {
+					b.Fatalf("claim %d: fresh seed reported as replay", i)
+				}
+			}
+			for i := 0; i < capacity; i++ {
+				claim(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := capacity; i < capacity+b.N; i++ {
+				claim(i)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package puzzle
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -12,13 +13,24 @@ import (
 // the cheapest safe choice (it protects the remaining window of the
 // longest-lived seeds).
 //
+// Memory is allocated only as seeds are claimed, so a pipeline that never
+// redeems holds none. Each claimed seed costs a map entry from seed to
+// expiry (Unix nanoseconds) and one 24-byte entry in a min-heap on expiry;
+// neither holds a pointer for the garbage collector to scan. A full cache
+// of 65 536 seeds holds at most 96 B per seed, whatever order the claims
+// arrive in: the heap holds the live seeds plus the few stale entries the
+// sweep has not reached yet. Neither the map nor the heap shrinks when
+// its seeds expire. A claim costs O(log n).
+//
 // ReplayCache is safe for concurrent use.
 type ReplayCache struct {
 	mu      sync.Mutex
-	entries map[[SeedSize]byte]time.Time
-	order   expiryHeap
-	max     int
-	now     func() time.Time
+	entries map[[SeedSize]byte]int64
+	// order may hold stale entries: a seed's earlier registration, left
+	// behind when the seed was claimed again after expiring.
+	order expiryHeap
+	max   int
+	now   func() time.Time
 }
 
 // NewReplayCache returns a cache holding at most max seeds. The now
@@ -32,7 +44,7 @@ func NewReplayCache(max int, now func() time.Time) *ReplayCache {
 		now = time.Now
 	}
 	return &ReplayCache{
-		entries: make(map[[SeedSize]byte]time.Time, max),
+		entries: make(map[[SeedSize]byte]int64),
 		max:     max,
 		now:     now,
 	}
@@ -49,6 +61,7 @@ func (c *ReplayCache) Remember(seed [SeedSize]byte, expires time.Time) bool {
 // claimed through its expiry instant itself, the last instant the
 // verifier's freshness check still accepts its token.
 func (c *ReplayCache) rememberAt(seed [SeedSize]byte, expires, now time.Time) bool {
+	exp, at := unixNano(expires), unixNano(now)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -56,32 +69,34 @@ func (c *ReplayCache) rememberAt(seed [SeedSize]byte, expires, now time.Time) bo
 	// lock hold time stays bounded on the verify hot path. Correctness
 	// does not depend on eager sweeping — the replay check below compares
 	// expiries directly — and capacity pressure is handled by eviction.
-	c.sweepLocked(now, maxSweepPerOp)
+	c.sweepLocked(at, maxSweepPerOp)
 
-	if until, ok := c.entries[seed]; ok && !now.After(until) {
+	if until, ok := c.entries[seed]; ok && at <= until {
 		return false
 	}
 	for len(c.entries) >= c.max {
 		c.evictSoonestLocked()
 	}
-	c.entries[seed] = expires
-	c.order.push(expiryEntry{seed: seed, expires: expires})
+	c.entries[seed] = exp
+	c.order.push(expiryEntry{seed: seed, exp: exp})
 	return true
 }
 
 // containsAt reports whether seed is remembered and unexpired at now.
 func (c *ReplayCache) containsAt(seed [SeedSize]byte, now time.Time) bool {
+	at := unixNano(now)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	until, ok := c.entries[seed]
-	return ok && !now.After(until)
+	return ok && at <= until
 }
 
 // Len reports the number of live (unexpired) entries.
 func (c *ReplayCache) Len() int {
+	at := unixNano(c.now())
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sweepLocked(c.now(), len(c.order))
+	c.sweepLocked(at, len(c.order))
 	return len(c.entries)
 }
 
@@ -89,25 +104,51 @@ func (c *ReplayCache) Len() int {
 // keeping the critical section short under heavy verify traffic.
 const maxSweepPerOp = 8
 
+// Instants outside time.Time's int64 nanosecond range (the years
+// 1678–2262), where UnixNano is undefined, saturate to its ends.
+var (
+	minUnixNano = time.Unix(0, math.MinInt64)
+	maxUnixNano = time.Unix(0, math.MaxInt64)
+)
+
+// unixNano returns t in Unix nanoseconds, saturated to the int64 range.
+// Comparing two results is comparing the wall-clock instants, which is
+// what the cache's expiry predicate always did: a verifier's expiry comes
+// off the wire and carries no monotonic reading.
+func unixNano(t time.Time) int64 {
+	switch {
+	case t.Before(minUnixNano):
+		return math.MinInt64
+	case t.After(maxUnixNano):
+		return math.MaxInt64
+	}
+	return t.UnixNano()
+}
+
+// dropLocked deletes e's seed if the map still holds this exact
+// registration; a seed can be re-remembered with a later expiry after
+// expiring, and the stale heap entry must not delete it. It reports
+// whether it deleted.
+func (c *ReplayCache) dropLocked(e expiryEntry) bool {
+	if until, ok := c.entries[e.seed]; ok && until == e.exp {
+		delete(c.entries, e.seed)
+		return true
+	}
+	return false
+}
+
 // sweepLocked drops up to limit entries that expired before now from the
 // front of the expiry order.
-func (c *ReplayCache) sweepLocked(now time.Time, limit int) {
-	for n := 0; n < limit && len(c.order) > 0 && now.After(c.order[0].expires); n++ {
-		e := c.order.pop()
-		// Only delete if the map still holds this exact registration; a
-		// seed can be re-remembered with a later expiry after expiring.
-		if until, ok := c.entries[e.seed]; ok && until.Equal(e.expires) {
-			delete(c.entries, e.seed)
-		}
+func (c *ReplayCache) sweepLocked(now int64, limit int) {
+	for n := 0; n < limit && len(c.order) > 0 && now > c.order[0].exp; n++ {
+		c.dropLocked(c.order.pop())
 	}
 }
 
 // evictSoonestLocked removes the live entry closest to expiring.
 func (c *ReplayCache) evictSoonestLocked() {
 	for len(c.order) > 0 {
-		e := c.order.pop()
-		if until, ok := c.entries[e.seed]; ok && until.Equal(e.expires) {
-			delete(c.entries, e.seed)
+		if c.dropLocked(c.order.pop()) {
 			return
 		}
 	}
@@ -119,19 +160,20 @@ func (c *ReplayCache) evictSoonestLocked() {
 	}
 }
 
-// expiryEntry orders seeds by expiry for eviction.
+// expiryEntry orders seeds by expiry, in Unix nanoseconds. It holds no
+// pointer, so the heap is not scanned by the collector.
 type expiryEntry struct {
-	seed    [SeedSize]byte
-	expires time.Time
+	seed [SeedSize]byte
+	exp  int64
 }
 
-// expiryHeap is a min-heap on expiry time. It is typed rather than driven
+// expiryHeap is a min-heap on expiry. It is typed rather than driven
 // through container/heap, whose any-based Push and Pop box every entry
 // onto the heap: push and pop here allocate nothing once the backing
-// array has reached the cache's capacity.
+// array has reached its largest size.
 type expiryHeap []expiryEntry
 
-func (h expiryHeap) less(i, j int) bool { return h[i].expires.Before(h[j].expires) }
+func (h expiryHeap) less(i, j int) bool { return h[i].exp < h[j].exp }
 
 // push adds e and restores the heap order.
 func (h *expiryHeap) push(e expiryEntry) {
