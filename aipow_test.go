@@ -182,6 +182,52 @@ func TestPublicHTTPIntegration(t *testing.T) {
 	if string(body) != "ok" || solved != 1 {
 		t.Fatalf("body=%q solved=%d", body, solved)
 	}
+
+	// The single-framework doors are the routed ones over one route. A
+	// nil framework fails at construction, and a tenant header has no
+	// route to choose, so the framework prices the request.
+	fixed, err := aipow.NewFixedPolicy(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	priced, err := aipow.New(aipow.WithKey(testKey), aipow.WithScorer(model), aipow.WithPolicy(fixed),
+		aipow.WithSource(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})
+	for _, tc := range []struct {
+		name  string
+		build func() (http.Handler, error)
+		want  string // X-PoW-Difficulty of a request with X-T set; "" when the build must fail
+	}{
+		{"nil framework middleware", func() (http.Handler, error) { return aipow.NewHTTPMiddleware(nil, ok) }, ""},
+		{"nil framework batch handler", func() (http.Handler, error) { return aipow.NewHTTPBatchHandler(nil) }, ""},
+		{"tenant header", func() (http.Handler, error) {
+			return aipow.NewHTTPMiddleware(priced, ok, aipow.WithTenantHeader("X-T"))
+		}, "7"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, err := tc.build()
+			if tc.want == "" {
+				if err == nil {
+					t.Fatal("built without a framework")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := httptest.NewRequest(http.MethodGet, "/api", nil)
+			req.Header.Set("X-T", "gold")
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != aipow.StatusChallenge || rec.Header().Get("X-PoW-Difficulty") != tc.want {
+				t.Fatalf("status %d, difficulty %q; want %d at %s", rec.Code,
+					rec.Header().Get("X-PoW-Difficulty"), aipow.StatusChallenge, tc.want)
+			}
+		})
+	}
 }
 
 func TestPublicModelPersistence(t *testing.T) {

@@ -45,7 +45,8 @@
 //	err = fw.Verify(solution, clientIP)
 //
 // For HTTP servers, NewHTTPMiddleware wraps any http.Handler with the full
-// challenge protocol, and NewHTTPTransport makes any http.Client solve
+// challenge protocol — it is the routed middleware over one route, which
+// prices every request — and NewHTTPTransport makes any http.Client solve
 // challenges transparently.
 //
 // # Runtime control plane
@@ -85,16 +86,17 @@
 //
 //   - Per-route pipelines. A Gatekeeper compiles a multi-pipeline
 //     deployment and routes each request — by longest path prefix, or by
-//     tenant key via WithTenantHeader — onto its pipeline, all sharing
-//     one behavior tracker while each signs challenges with its own
-//     name-derived key (a cheap solve on a lenient route cannot be
-//     redeemed on a stricter one). NewRoutedHTTPMiddleware plugs it into any
-//     http.Handler; Gatekeeper.Apply reconfigures the whole deployment
-//     declaratively (hot-swapping pipelines where only swappable fields
-//     changed, rebuilding where limits changed) with an atomic
-//     route-table switch. cmd/powserver boots from -spec, re-applies the
-//     file on SIGHUP, and exposes POST /apply, GET /spec, and GET /stats
-//     on the -admin listener.
+//     tenant key via WithTenantHeader (which a one-route door ignores) —
+//     onto its pipeline, all sharing one behavior tracker while each
+//     signs challenges with its own name-derived key (a cheap solve on a
+//     lenient route cannot be redeemed on a stricter one).
+//     NewRoutedHTTPMiddleware plugs it into any http.Handler;
+//     Gatekeeper.Apply reconfigures the whole deployment declaratively
+//     (hot-swapping pipelines where only swappable fields changed,
+//     rebuilding where limits changed) with an atomic route-table
+//     switch. cmd/powserver boots from -spec, re-applies the file on
+//     SIGHUP, and exposes POST /apply, GET /spec, and GET /stats on the
+//     -admin listener.
 //
 // The attacksim suite's policy-flip scenario regression-tests the
 // operator move the paper implies (policy1 → policy2 mid-pulse):
@@ -355,9 +357,10 @@
 //     compares the reports to the single-op golden, including under a
 //     multi-core GOMAXPROCS).
 //   - NewHTTPBatchHandler / NewRoutedHTTPBatchHandler expose the same
-//     front door over HTTP: one POST /batch body carries many items
-//     (decide requests and solution redemptions, mixed), each item is
-//     routed to its pipeline, and results return in request order.
+//     front door over HTTP: one POST /batch body carries up to 1 024
+//     items of 4 KiB each (decide requests and solution redemptions,
+//     mixed), each item is routed to its pipeline (the one route, for
+//     NewHTTPBatchHandler), and results return in request order.
 //     Because the handler trusts caller-supplied client IPs, powserver
 //     mounts it on the admin listener behind the bearer token, not on
 //     the public mux.

@@ -38,9 +38,10 @@ func TestPublicParallelSolver(t *testing.T) {
 	}
 }
 
-// TestPublicSessionTokens exercises the amortized-solving extension end to
-// end through the facade.
-func TestPublicSessionTokens(t *testing.T) {
+// TestPublicMiddlewarePricesEveryRequest pins the door's one price per
+// request through the facade: a solving client pays one puzzle for each
+// request, however recently it solved the last.
+func TestPublicMiddlewarePricesEveryRequest(t *testing.T) {
 	model, store, _, _ := trainedModel(t)
 	fw, err := aipow.New(
 		aipow.WithKey(testKey),
@@ -55,7 +56,6 @@ func TestPublicSessionTokens(t *testing.T) {
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			_, _ = io.WriteString(w, "ok")
 		}),
-		aipow.WithSessionTokens(testKey, time.Minute),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +78,8 @@ func TestPublicSessionTokens(t *testing.T) {
 			t.Fatalf("request %d status = %d", i, resp.StatusCode)
 		}
 	}
-	if solves != 1 {
-		t.Fatalf("solves = %d over 4 requests, want 1 (token amortization)", solves)
+	if solves != 4 {
+		t.Fatalf("solves = %d over 4 requests, want 4", solves)
 	}
 }
 

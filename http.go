@@ -1,8 +1,8 @@
 package aipow
 
 import (
+	"errors"
 	"net/http"
-	"time"
 
 	"aipow/internal/httpmw"
 )
@@ -39,30 +39,35 @@ func WithTrustedIPHeader(name string) HTTPMiddlewareOption {
 	return httpmw.WithTrustedIPHeader(name)
 }
 
-// WithSessionTokens enables amortized solving: one successful puzzle buys
-// an X-PoW-Token valid for ttl; token-bearing requests skip puzzles until
-// it expires. The transport honors tokens automatically.
-func WithSessionTokens(key []byte, ttl time.Duration) HTTPMiddlewareOption {
-	return httpmw.WithSessionTokens(key, ttl)
-}
-
 // WithTenantHeader names the header whose value selects the tenant's
 // pipeline in a routed middleware (only safe behind a trusted proxy that
-// controls the header).
+// controls the header). A single-framework door has one route, so it
+// ignores the header.
 func WithTenantHeader(name string) HTTPMiddlewareOption {
 	return httpmw.WithTenantHeader(name)
 }
 
 // NewHTTPMiddleware wraps next with the PoW challenge protocol driven by
 // the framework: unchallenged requests receive 428 + X-PoW-Challenge;
-// requests carrying a valid X-PoW-Solution reach next.
+// requests carrying a valid X-PoW-Solution reach next. It is the routed
+// middleware over one route that maps every request onto fw.
 func NewHTTPMiddleware(fw *Framework, next http.Handler, opts ...HTTPMiddlewareOption) (http.Handler, error) {
-	return httpmw.NewMiddleware(fw, next, opts...)
+	if fw == nil {
+		return nil, errors.New("aipow: HTTP middleware requires a framework")
+	}
+	return httpmw.NewRoutedMiddleware(oneRoute{fw}, next, opts...)
 }
 
 // HTTPRouter selects the framework serving one request class; the
 // control plane's Gatekeeper implements it.
 type HTTPRouter = httpmw.Router
+
+// oneRoute is the route table of a single-framework door: every path and
+// tenant maps onto fw.
+type oneRoute struct{ fw *Framework }
+
+// Route implements HTTPRouter.
+func (r oneRoute) Route(string, string) *Framework { return r.fw }
 
 // NewRoutedHTTPMiddleware wraps next with the PoW challenge protocol,
 // selecting the serving pipeline per request through router — typically
@@ -78,25 +83,22 @@ type HTTPBatchRequest = httpmw.BatchRequest
 // HTTPBatchResult is the per-item outcome of a batch call.
 type HTTPBatchResult = httpmw.BatchResult
 
-// HTTPBatchOption configures the batch handler.
-type HTTPBatchOption = httpmw.BatchOption
-
-// WithBatchLimit bounds the items one batch call may carry (default
-// httpmw.DefaultBatchLimit), and with them the body: 4 KiB per item.
-func WithBatchLimit(n int) HTTPBatchOption { return httpmw.WithBatchLimit(n) }
-
 // NewHTTPBatchHandler serves batch decide/verify calls against one
 // framework: one POST carries many requests and the framework's batch
-// entry points amortize the fixed costs across them. The handler trusts
-// the caller-supplied client IPs — expose it only to trusted proxies.
-func NewHTTPBatchHandler(fw *Framework, opts ...HTTPBatchOption) (http.Handler, error) {
-	return httpmw.NewBatchHandler(fw, opts...)
+// entry points amortize the fixed costs across them. A call carries at
+// most 1 024 items and 4 KiB of body per item. The handler trusts the
+// caller-supplied client IPs — expose it only to trusted proxies.
+func NewHTTPBatchHandler(fw *Framework) (http.Handler, error) {
+	if fw == nil {
+		return nil, errors.New("aipow: HTTP batch handler requires a framework")
+	}
+	return httpmw.NewRoutedBatchHandler(oneRoute{fw})
 }
 
 // NewRoutedHTTPBatchHandler is NewHTTPBatchHandler with per-item pipeline
 // routing through router (typically a Gatekeeper).
-func NewRoutedHTTPBatchHandler(router HTTPRouter, opts ...HTTPBatchOption) (http.Handler, error) {
-	return httpmw.NewRoutedBatchHandler(router, opts...)
+func NewRoutedHTTPBatchHandler(router HTTPRouter) (http.Handler, error) {
+	return httpmw.NewRoutedBatchHandler(router)
 }
 
 // ProxyAuth signs and verifies the batch proxy-authentication headers:
@@ -106,19 +108,11 @@ func NewRoutedHTTPBatchHandler(router HTTPRouter, opts ...HTTPBatchOption) (http
 // admin bearer token with the proxy tier.
 type ProxyAuth = httpmw.ProxyAuth
 
-// ProxyAuthOption configures NewProxyAuth.
-type ProxyAuthOption = httpmw.ProxyAuthOption
-
 // NewProxyAuth builds a proxy-header signer/verifier over a derived key
-// (see DeriveProxyAuthKey).
-func NewProxyAuth(key []byte, opts ...ProxyAuthOption) (*ProxyAuth, error) {
-	return httpmw.NewProxyAuth(key, opts...)
-}
-
-// WithProxyAuthSkew sets the tolerated signed-timestamp skew (default
-// httpmw.DefaultProxyAuthSkew).
-func WithProxyAuthSkew(skew time.Duration) ProxyAuthOption {
-	return httpmw.WithProxyAuthSkew(skew)
+// (see DeriveProxyAuthKey). A signed timestamp is accepted within two
+// minutes of the verifier's wall clock.
+func NewProxyAuth(key []byte) (*ProxyAuth, error) {
+	return httpmw.NewProxyAuth(key)
 }
 
 // DeriveProxyAuthKey derives the proxy-auth signing key from a
@@ -130,9 +124,6 @@ func DeriveProxyAuthKey(root []byte) []byte {
 
 // HTTPTransportOption configures NewHTTPTransport.
 type HTTPTransportOption = httpmw.TransportOption
-
-// WithTransportSolver sets the puzzle solver the transport uses.
-func WithTransportSolver(s *Solver) HTTPTransportOption { return httpmw.WithSolver(s) }
 
 // WithSolveObserver receives the stats of every completed solve.
 func WithSolveObserver(fn func(SolveStats)) HTTPTransportOption {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -22,11 +21,11 @@ type BatchRequest struct {
 	// IP identifies the client (required).
 	IP string `json:"ip"`
 
-	// Path is the requested path, fed to the behavior tracker and — in
-	// routed mode — to pipeline routing.
+	// Path is the requested path, fed to the behavior tracker and to
+	// pipeline routing.
 	Path string `json:"path,omitempty"`
 
-	// Tenant is the routing tenant key (routed mode only).
+	// Tenant is the routing tenant key.
 	Tenant string `json:"tenant,omitempty"`
 
 	// Solution is a solution token to redeem (the X-PoW-Solution value).
@@ -70,66 +69,38 @@ const batchItemBytes = 4 << 10
 
 // BatchHandler is the batch front door: one POST carries many requests,
 // and the framework's batch entry points (ObserveBatch, DecideBatch,
-// VerifyBatch) amortize the per-request fixed costs across them. In
-// routed mode items are grouped by their routed pipeline first, so each
-// framework sees one batch. Semantics per item match the Middleware flow:
-// a valid solution passes, an invalid one earns a fresh challenge, and
-// everything is observed by the behavior tracker exactly once.
+// VerifyBatch) amortize the per-request fixed costs across them. Items
+// are grouped by their routed pipeline first, so each framework sees one
+// batch. Semantics per item match the Middleware flow: a valid solution
+// passes, an invalid one earns a fresh challenge, and everything is
+// observed by the behavior tracker exactly once.
 //
-// The body is read whole, up to limit × 4 KiB, and decoded by a
-// hand-written scanner that accepts exactly the documents
+// The body is read whole, up to DefaultBatchLimit × 4 KiB, and decoded
+// by a hand-written scanner that accepts exactly the documents
 // encoding/json's Decoder accepts for the same types. A body over the
 // byte bound, or a requests array over the item limit, is answered 413;
 // decoding stops at the first item past the limit. The 200 body is
 // appended straight into a pooled buffer, byte for byte what
 // json.Encoder writes for it.
 type BatchHandler struct {
-	fw      *core.Framework // single-pipeline mode; nil when routed
-	router  Router          // per-route mode; nil when single
+	router  Router
 	limit   int
 	maxBody int64 // body byte bound: limit × batchItemBytes
 }
 
-// BatchOption customizes a BatchHandler.
-type BatchOption func(*BatchHandler)
-
-// WithBatchLimit bounds the items per call (default DefaultBatchLimit),
-// and with them the body size: 4 KiB per item.
-func WithBatchLimit(n int) BatchOption {
-	return func(h *BatchHandler) { h.limit = n }
-}
-
-// NewBatchHandler serves batch decide/verify calls against one fixed
-// framework.
-func NewBatchHandler(fw *core.Framework, opts ...BatchOption) (*BatchHandler, error) {
-	if fw == nil {
-		return nil, fmt.Errorf("httpmw: batch handler requires a framework")
-	}
-	return newBatchHandler(fw, nil, opts)
-}
-
 // NewRoutedBatchHandler serves batch calls with per-item pipeline routing
 // (path prefix and tenant key, like NewRoutedMiddleware).
-func NewRoutedBatchHandler(router Router, opts ...BatchOption) (*BatchHandler, error) {
+func NewRoutedBatchHandler(router Router) (*BatchHandler, error) {
 	if router == nil {
 		return nil, fmt.Errorf("httpmw: routed batch handler requires a router")
 	}
-	return newBatchHandler(nil, router, opts)
+	return newBatchHandler(router, DefaultBatchLimit), nil
 }
 
-func newBatchHandler(fw *core.Framework, router Router, opts []BatchOption) (*BatchHandler, error) {
-	h := &BatchHandler{fw: fw, router: router, limit: DefaultBatchLimit}
-	for _, opt := range opts {
-		opt(h)
-	}
-	if h.limit <= 0 {
-		return nil, fmt.Errorf("httpmw: non-positive batch limit %d", h.limit)
-	}
-	h.maxBody = math.MaxInt64
-	if h.limit <= math.MaxInt64/batchItemBytes {
-		h.maxBody = int64(h.limit) * batchItemBytes
-	}
-	return h, nil
+// newBatchHandler builds a handler that takes at most limit items, and
+// limit × batchItemBytes body bytes, per call.
+func newBatchHandler(router Router, limit int) *BatchHandler {
+	return &BatchHandler{router: router, limit: limit, maxBody: int64(limit) * batchItemBytes}
 }
 
 // ServeHTTP implements http.Handler: POST a batch document, receive one
@@ -233,7 +204,7 @@ type batchScratch struct {
 	states []itemState
 	ips    []string // the items' IPs; the tracker may keep them
 	paths  []string // the items' paths; buffered evidence may keep them
-	gid    []int    // routed mode: each item's group
+	gid    []int    // each item's group
 	order  []int    // item indices, grouped by framework, in request order
 	groups []fwGroup
 
@@ -289,20 +260,12 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// group partitions the batch by serving framework (a single group in
-// single-pipeline mode) into sc.groups, in order of first appearance,
-// keeping request order within each group.
+// group partitions the batch by serving framework into sc.groups, in
+// order of first appearance, keeping request order within each group.
 func (h *BatchHandler) group(sc *batchScratch, items []batchItem) {
 	n := len(items)
 	sc.order = resize(sc.order, n)
 	sc.groups = sc.groups[:0]
-	if h.router == nil {
-		for i := range sc.order {
-			sc.order[i] = i
-		}
-		sc.groups = append(sc.groups, fwGroup{fw: h.fw, lo: 0, hi: n})
-		return
-	}
 	// Route every item, counting each group's items in hi.
 	sc.gid = resize(sc.gid, n)
 	for i := range items {

@@ -49,7 +49,7 @@ func postBatch(t *testing.T, h http.Handler, reqs []BatchRequest) (*httptest.Res
 // rejected.
 func TestBatchHandlerFlow(t *testing.T) {
 	fw := newTestFramework(t, 5)
-	h, err := NewBatchHandler(fw)
+	h, err := NewRoutedBatchHandler(fixedRouter{api: fw, web: fw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestBatchHandlerFlow(t *testing.T) {
 // clients get Status pass without a challenge.
 func TestBatchHandlerBypass(t *testing.T) {
 	fw := newTestFramework(t, 0, core.WithBypassBelow(1))
-	h, err := NewBatchHandler(fw)
+	h, err := NewRoutedBatchHandler(fixedRouter{api: fw, web: fw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +131,7 @@ func TestBatchHandlerBypass(t *testing.T) {
 // size, and per-item IP validation.
 func TestBatchHandlerRejections(t *testing.T) {
 	fw := newTestFramework(t, 5)
-	h, err := NewBatchHandler(fw, WithBatchLimit(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newBatchHandler(fixedRouter{api: fw, web: fw}, 2)
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/batch", nil))
@@ -159,14 +156,8 @@ func TestBatchHandlerRejections(t *testing.T) {
 		t.Errorf("missing ip → %d", rec.Code)
 	}
 
-	if _, err := NewBatchHandler(nil); err == nil {
-		t.Error("nil framework accepted")
-	}
 	if _, err := NewRoutedBatchHandler(nil); err == nil {
 		t.Error("nil router accepted")
-	}
-	if _, err := NewBatchHandler(fw, WithBatchLimit(0)); err == nil {
-		t.Error("non-positive limit accepted")
 	}
 }
 
@@ -224,10 +215,7 @@ func TestRoutedBatchHandler(t *testing.T) {
 // fresh random seeds, so a seed token comes from another process.
 func FuzzBatchBody(f *testing.F) {
 	router := fixedRouter{api: newTestFramework(f, 5), web: newTestFramework(f, 1)}
-	h, err := NewRoutedBatchHandler(router, WithBatchLimit(4))
-	if err != nil {
-		f.Fatal(err)
-	}
+	h := newBatchHandler(router, 4)
 	verifier, err := puzzle.NewVerifier(testKey) // no replay cache: checks, never claims
 	if err != nil {
 		f.Fatal(err)

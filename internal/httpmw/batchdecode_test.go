@@ -220,10 +220,7 @@ func TestBatchBodyBound(t *testing.T) {
 		{"malformed within the limit", 2, strings.TrimSuffix(items(1), "]}") + `,{"ip":`, http.StatusBadRequest, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h, err := NewBatchHandler(fw, WithBatchLimit(tc.limit))
-			if err != nil {
-				t.Fatal(err)
-			}
+			h := newBatchHandler(fixedRouter{api: fw, web: fw}, tc.limit)
 			if tc.status == http.StatusOK && len(tc.body) > tc.limit*batchItemBytes {
 				t.Fatalf("fixture: %d-byte body over the %d-byte bound", len(tc.body), tc.limit*batchItemBytes)
 			}
@@ -273,8 +270,8 @@ func TestBatchScratchDropsLargeBuffers(t *testing.T) {
 // TestBatchResultWire checks that the handler's 200 body is byte for byte
 // what json.Encoder writes for the decoded results, over every result
 // shape — challenge, pass, re-challenge after a rejected solution,
-// bypass after one, malformed token and plain bypass — in routed and
-// single-pipeline mode.
+// bypass after one, malformed token and plain bypass — over one route
+// and over two.
 func TestBatchResultWire(t *testing.T) {
 	const strictIP, laxIP = "203.0.113.1", "203.0.113.2"
 	store, err := features.NewMapStore(map[string]float64{"threat": 5})
@@ -289,7 +286,7 @@ func TestBatchResultWire(t *testing.T) {
 	}
 	strict := newTestFramework(t, 5)
 	lax := newTestFramework(t, 0, core.WithBypassBelow(1))
-	single, err := NewBatchHandler(mixed)
+	single, err := NewRoutedBatchHandler(fixedRouter{api: mixed, web: mixed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +384,8 @@ func TestBatchResultWire(t *testing.T) {
 // call's items, decoded into a pooled scratch, must come back as its own
 // challenges, bound to its own IPs.
 func TestBatchHandlerConcurrent(t *testing.T) {
-	h, err := NewBatchHandler(newTestFramework(t, 5))
+	fw := newTestFramework(t, 5)
+	h, err := NewRoutedBatchHandler(fixedRouter{api: fw, web: fw})
 	if err != nil {
 		t.Fatal(err)
 	}

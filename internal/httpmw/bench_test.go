@@ -32,7 +32,7 @@ func BenchmarkMiddlewareChallenge(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mw, err := NewMiddleware(fw, okHandler())
+	mw, err := NewRoutedMiddleware(fixedRouter{api: fw, web: fw}, okHandler())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -66,7 +66,8 @@ func BenchmarkBatchHandler(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	h, err := NewBatchHandler(newTestFramework(b, 0, core.WithTracker(tracker), core.WithScorer(threatScorer{schema})))
+	fw := newTestFramework(b, 0, core.WithTracker(tracker), core.WithScorer(threatScorer{schema}))
+	h, err := NewRoutedBatchHandler(fixedRouter{api: fw, web: fw})
 	if err != nil {
 		b.Fatal(err)
 	}

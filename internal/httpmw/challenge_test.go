@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"strconv"
 	"testing"
-	"time"
 
 	"aipow/internal/core"
 	"aipow/internal/features"
@@ -68,7 +67,7 @@ func TestChallengeWireMatchesEncoder(t *testing.T) {
 			}
 			fw := newTestFramework(t, 0, core.WithPolicy(pol), core.WithPuzzleBackend(backend),
 				core.WithMaxDifficulty(maxD))
-			mw, err := NewMiddleware(fw, okHandler())
+			mw, err := NewRoutedMiddleware(fixedRouter{api: fw, web: fw}, okHandler())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,12 +225,13 @@ func TestChallengeAllocs(t *testing.T) {
 }
 
 // FuzzMiddlewareHeaders feeds arbitrary X-Real-IP, X-PoW-Solution and
-// X-PoW-Token bytes to a routed middleware and to a session-token one.
+// X-PoW-Token bytes to a two-route middleware and to a one-route one.
 // Neither may panic, or serve the resource without a solved challenge
-// issued under the test key to the client, or a session token minted for
-// it; a middleware serves each challenge at most once. Every 428 body is
-// valid JSON, byte-equal to encoding/json's encoding of the challengeBody
-// it carries, and names the challenge of its header, bound to the client.
+// issued under the test key to the client and never served before,
+// whatever X-PoW-Token carries: the door prices every request. Every 428
+// body is valid JSON, byte-equal to encoding/json's encoding of the
+// challengeBody it carries, and names the challenge of its header, bound
+// to the client.
 //
 // Authenticity is checked under the key rather than against the
 // challenges this process issued: fuzz workers rerun the set-up with
@@ -242,8 +242,8 @@ func FuzzMiddlewareHeaders(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sessions, err := NewMiddleware(newTestFramework(f, 1), okHandler(),
-		WithTrustedIPHeader("X-Real-IP"), WithSessionTokens(testKey, time.Hour))
+	fw := newTestFramework(f, 1)
+	single, err := NewRoutedMiddleware(fixedRouter{api: fw, web: fw}, okHandler(), WithTrustedIPHeader("X-Real-IP"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -251,13 +251,12 @@ func FuzzMiddlewareHeaders(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	signer := &tokenSigner{key: testKey}
-	redeemed := map[*Middleware]map[[puzzle.TagSize]byte]bool{routed: {}, sessions: {}}
+	redeemed := map[*Middleware]map[[puzzle.TagSize]byte]bool{routed: {}, single: {}}
 
 	serve := func(t testing.TB, mw *Middleware, ip, solution, token string) *httptest.ResponseRecorder {
 		t.Helper()
 		req := httptest.NewRequest(http.MethodGet, "/api/x", nil)
-		for key, v := range map[string]string{"X-Real-Ip": ip, keySolution: solution, keyToken: token} {
+		for key, v := range map[string]string{"X-Real-Ip": ip, keySolution: solution, http.CanonicalHeaderKey("X-PoW-Token"): token} {
 			if v != "" {
 				req.Header[key] = []string{v}
 			}
@@ -284,13 +283,9 @@ func FuzzMiddlewareHeaders(f *testing.F) {
 				t.Fatalf("428 challenge %q for %q: %v %v", body.Challenge, client, ch, err)
 			}
 		case http.StatusOK:
-			if mw == sessions && signer.Validate(token, client, time.Now()) == nil {
-				break
-			}
 			var sol puzzle.Solution
 			if sol.UnmarshalText([]byte(solution)) != nil || verifier.Verify(sol, client) != nil {
-				t.Fatalf("served client %q solution %q token %q without a solved challenge or a session token",
-					client, solution, token)
+				t.Fatalf("served client %q solution %q token %q without a solved challenge", client, solution, token)
 			}
 			if redeemed[mw][sol.Challenge.Tag] {
 				t.Fatalf("served client %q solution %q twice", client, solution)
@@ -306,10 +301,11 @@ func FuzzMiddlewareHeaders(f *testing.F) {
 		return rec
 	}
 
-	// Seeds: a solved exchange on each middleware (the session one then
-	// mints a token), a forgery, and malformed values.
+	// Seeds: a solved exchange and a forgery on each middleware, session
+	// tokens in the retired format (HMAC-signed under the test key for
+	// each IP, valid until 2100), and malformed values.
 	const ip = "198.51.100.7"
-	for _, mw := range []*Middleware{routed, sessions} {
+	for _, mw := range []*Middleware{routed, single} {
 		rec := serve(f, mw, ip, "", "")
 		var ch puzzle.Challenge
 		if err := ch.UnmarshalText([]byte(rec.Header().Get(HeaderChallenge))); err != nil {
@@ -325,12 +321,9 @@ func FuzzMiddlewareHeaders(f *testing.F) {
 		}
 		f.Add(ip, string(text), "")
 		f.Add(ip, forgedToken(f, rec.Header().Get(HeaderChallenge)), "")
-		if mw == sessions {
-			rec := serve(f, mw, ip, string(text), "")
-			f.Add(ip, "", rec.Header().Get(HeaderToken))
-			f.Add("203.0.113.9", "", rec.Header().Get(HeaderToken))
-		}
 	}
+	f.Add(ip, "", "OO7Pz1amAAAxOTguNTEuMTAwLjfuvBhX_vEjTfjo25MO1_azLyYhf8zZ1v8ylq91xtSveA")
+	f.Add("203.0.113.9", "", "OO7Pz1amAAAyMDMuMC4xMTMuOUZ8MtE3dRsZx5Cy38Tkg63xdcUb8nKjczIXhpKokJQU")
 	f.Add("", "", "")
 	f.Add(ip, ".", "garbage")
 	f.Add(string(bytes.Repeat([]byte("9"), 300)), "", "")
@@ -338,6 +331,6 @@ func FuzzMiddlewareHeaders(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, ip, solution, token string) {
 		serve(t, routed, ip, solution, token)
-		serve(t, sessions, ip, solution, token)
+		serve(t, single, ip, solution, token)
 	})
 }

@@ -32,7 +32,7 @@ func TestDoorReadsClockOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	fw := newTestFramework(t, 3, core.WithClock(clock), core.WithTracker(tr))
-	mw, err := NewMiddleware(fw, okHandler())
+	mw, err := NewRoutedMiddleware(fixedRouter{api: fw, web: fw}, okHandler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestDoorReadsClockOnce(t *testing.T) {
 		t.Fatalf("redemption status %d", rec.Code)
 	}
 
-	h, err := NewBatchHandler(fw)
+	h, err := NewRoutedBatchHandler(fixedRouter{api: fw, web: fw})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"aipow/internal/core"
 	"aipow/internal/features"
@@ -54,7 +53,7 @@ func okHandler() http.Handler {
 
 func newProtectedServer(t *testing.T, fw *core.Framework, opts ...MiddlewareOption) *httptest.Server {
 	t.Helper()
-	mw, err := NewMiddleware(fw, okHandler(), opts...)
+	mw, err := NewRoutedMiddleware(fixedRouter{api: fw, web: fw}, okHandler(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +64,7 @@ func newProtectedServer(t *testing.T, fw *core.Framework, opts ...MiddlewareOpti
 
 func TestNewMiddlewareValidation(t *testing.T) {
 	fw := newTestFramework(t, 0)
-	if _, err := NewMiddleware(nil, okHandler()); err == nil {
-		t.Error("nil framework accepted")
-	}
-	if _, err := NewMiddleware(fw, nil); err == nil {
+	if _, err := NewRoutedMiddleware(fixedRouter{api: fw, web: fw}, nil); err == nil {
 		t.Error("nil handler accepted")
 	}
 }
@@ -171,7 +167,7 @@ const legacyHashcashToken = "QUlQb1cvMQABhq0F3Jh_gGIwoTygd5badhbeY5PGJ4AAAAAAG_C
 
 func TestLegacyHashcashTokenMalformed(t *testing.T) {
 	fw := newTestFramework(t, 2)
-	mw, err := NewMiddleware(fw, okHandler())
+	mw, err := NewRoutedMiddleware(fixedRouter{api: fw, web: fw}, okHandler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +179,7 @@ func TestLegacyHashcashTokenMalformed(t *testing.T) {
 		t.Fatalf("legacy token → %d %q, want 400 malformed solution token", rec.Code, rec.Body.String())
 	}
 
-	h, err := NewBatchHandler(fw)
+	h, err := NewRoutedBatchHandler(fixedRouter{api: fw, web: fw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +296,7 @@ func TestBypassPassesThrough(t *testing.T) {
 func TestTransportGivesUpAfterBudget(t *testing.T) {
 	// A server that always challenges, never accepts.
 	fw := newTestFramework(t, 0, core.WithReplayCacheSize(1))
-	mw, err := NewMiddleware(fw, okHandler())
+	mw, err := NewRoutedMiddleware(fixedRouter{api: fw, web: fw}, okHandler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +307,9 @@ func TestTransportGivesUpAfterBudget(t *testing.T) {
 	srv := httptest.NewServer(always)
 	defer srv.Close()
 
-	client := &http.Client{Transport: NewTransport(WithMaxAttempts(2))}
+	tr := NewTransport()
+	tr.maxAttempts = 2
+	client := &http.Client{Transport: tr}
 	_, err = client.Get(srv.URL)
 	// http.Client wraps transport errors in *url.Error; errors.Is unwraps.
 	if !errors.Is(err, ErrTooManyChallenges) {
@@ -467,15 +465,9 @@ func TestRoutedMiddlewareValidation(t *testing.T) {
 	if _, err := NewRoutedMiddleware(nil, okHandler()); err == nil {
 		t.Error("nil router accepted")
 	}
+	// A tenant header is harmless on one route: it has nothing to choose.
 	fw := newTestFramework(t, 0)
-	if _, err := NewMiddleware(fw, okHandler(), WithTenantHeader("X-T")); err == nil {
-		t.Error("tenant header without router accepted")
-	}
-	// Session tokens are IP-bound, not pipeline-scoped: combined with
-	// routing, one cheap solve would buy pass-through on strict routes.
-	router := fixedRouter{api: fw, web: fw}
-	if _, err := NewRoutedMiddleware(router, okHandler(),
-		WithSessionTokens(testKey, time.Minute)); err == nil {
-		t.Error("session tokens with routed middleware accepted")
+	if _, err := NewRoutedMiddleware(fixedRouter{api: fw, web: fw}, okHandler(), WithTenantHeader("X-T")); err != nil {
+		t.Errorf("tenant header on one route refused: %v", err)
 	}
 }

@@ -43,17 +43,14 @@ type Router interface {
 	Route(path, tenant string) *core.Framework
 }
 
-// Middleware protects an http.Handler with a framework — one fixed
-// pipeline, or per-route pipelines via a Router. Construct with
-// NewMiddleware or NewRoutedMiddleware.
+// Middleware protects an http.Handler with the pipelines of a Router:
+// every request is routed, scored, priced and verified by the framework
+// the router picks for it. Construct with NewRoutedMiddleware.
 type Middleware struct {
 	next         http.Handler
-	fw           *core.Framework // single-pipeline mode; nil when routed
-	router       Router          // per-route mode; nil when single
+	router       Router
 	tenantHeader string
 	trustHeader  string
-	tokens       *tokenSigner
-	tokenTTL     time.Duration
 }
 
 // MiddlewareOption customizes the middleware.
@@ -67,31 +64,11 @@ func WithTrustedIPHeader(name string) MiddlewareOption {
 }
 
 // WithTenantHeader names the header whose value is passed to the Router
-// as the tenant key (e.g. "X-Tenant"). Only meaningful with
-// NewRoutedMiddleware; only safe when a trusted proxy controls the
-// header, since clients could otherwise choose their pipeline.
+// as the tenant key (e.g. "X-Tenant"). Only safe when a trusted proxy
+// controls the header, since clients could otherwise choose their
+// pipeline.
 func WithTenantHeader(name string) MiddlewareOption {
 	return func(m *Middleware) { m.tenantHeader = name }
-}
-
-// WithSessionTokens enables amortized solving: after one successful puzzle
-// redemption the client receives an X-PoW-Token valid for ttl, and
-// token-bearing requests skip puzzles until it expires. The key signs
-// tokens (it may equal the framework key; the HMAC domains are separated)
-// and must be at least 16 bytes.
-func WithSessionTokens(key []byte, ttl time.Duration) MiddlewareOption {
-	return func(m *Middleware) {
-		m.tokens = &tokenSigner{key: append([]byte(nil), key...)}
-		m.tokenTTL = ttl
-	}
-}
-
-// NewMiddleware wraps next with the PoW protocol driven by fw.
-func NewMiddleware(fw *core.Framework, next http.Handler, opts ...MiddlewareOption) (*Middleware, error) {
-	if fw == nil {
-		return nil, fmt.Errorf("httpmw: middleware requires a framework")
-	}
-	return newMiddleware(fw, nil, next, opts)
 }
 
 // NewRoutedMiddleware wraps next with the PoW protocol, selecting the
@@ -103,47 +80,21 @@ func NewRoutedMiddleware(router Router, next http.Handler, opts ...MiddlewareOpt
 	if router == nil {
 		return nil, fmt.Errorf("httpmw: routed middleware requires a router")
 	}
-	return newMiddleware(nil, router, next, opts)
-}
-
-func newMiddleware(fw *core.Framework, router Router, next http.Handler, opts []MiddlewareOption) (*Middleware, error) {
 	if next == nil {
 		return nil, fmt.Errorf("httpmw: middleware requires a handler to protect")
 	}
-	m := &Middleware{next: next, fw: fw, router: router}
+	m := &Middleware{next: next, router: router}
 	for _, opt := range opts {
 		opt(m)
 	}
 	// Header.Get canonicalizes its key on every call unless it already is.
 	m.tenantHeader = http.CanonicalHeaderKey(m.tenantHeader)
 	m.trustHeader = http.CanonicalHeaderKey(m.trustHeader)
-	if m.tenantHeader != "" && m.router == nil {
-		return nil, fmt.Errorf("httpmw: WithTenantHeader requires a routed middleware")
-	}
-	if m.tokens != nil && m.router != nil {
-		// Tokens are bound to the client IP only, not to a pipeline: one
-		// cheap solve on a lenient route would buy token pass-through on
-		// every stricter route. Until tokens carry a pipeline scope,
-		// refuse the combination rather than silently weaken routing.
-		return nil, fmt.Errorf("httpmw: session tokens are not pipeline-scoped; WithSessionTokens cannot be combined with a routed middleware")
-	}
-	if m.tokens != nil {
-		if len(m.tokens.key) < 16 {
-			return nil, fmt.Errorf("httpmw: session token key shorter than 16 bytes")
-		}
-		if m.tokenTTL <= 0 {
-			return nil, fmt.Errorf("httpmw: non-positive session token TTL %v", m.tokenTTL)
-		}
-	}
 	return m, nil
 }
 
-// framework resolves the pipeline serving r: the fixed framework in
-// single-pipeline mode, the router's choice in routed mode.
+// framework resolves the pipeline serving r.
 func (m *Middleware) framework(r *http.Request) *core.Framework {
-	if m.router == nil {
-		return m.fw
-	}
 	tenant := ""
 	if m.tenantHeader != "" {
 		tenant = r.Header.Get(m.tenantHeader)
@@ -156,24 +107,10 @@ func (m *Middleware) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ip := ClientIP(r, m.trustHeader)
 	// One routing decision per request: the same pipeline scores,
 	// challenges, and verifies it even if a control-plane Apply swaps the
-	// route table mid-flight. One clock read per request too: the token
-	// check, tracker stamp, verification and issuance all see now.
+	// route table mid-flight. One clock read per request too: the tracker
+	// stamp, verification and issuance all see now.
 	fw := m.framework(r)
 	now := fw.Now()
-
-	if m.tokens != nil {
-		if tok := r.Header.Get(keyToken); tok != "" {
-			if err := m.tokens.Validate(tok, ip, now); err == nil {
-				m.observe(fw, r, ip, false, now)
-				m.next.ServeHTTP(w, r)
-				return
-			}
-			// Invalid/expired token: fall through to the puzzle flow; the
-			// failed presentation is behavioral signal.
-			m.observe(fw, r, ip, true, now)
-		}
-	}
-
 	if token := r.Header.Get(keySolution); token != "" {
 		m.redeem(fw, w, r, ip, token, now)
 		return
@@ -263,9 +200,6 @@ func (m *Middleware) redeem(fw *core.Framework, w http.ResponseWriter, r *http.R
 		return
 	}
 	m.observe(fw, r, ip, false, now)
-	if m.tokens != nil {
-		w.Header()[keyToken] = []string{m.tokens.Mint(ip, m.tokenTTL, now)}
-	}
 	m.next.ServeHTTP(w, r)
 }
 

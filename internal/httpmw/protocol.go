@@ -44,7 +44,6 @@ var (
 	keyChallenge   = http.CanonicalHeaderKey(HeaderChallenge)
 	keyDifficulty  = http.CanonicalHeaderKey(HeaderDifficulty)
 	keySolution    = http.CanonicalHeaderKey(HeaderSolution)
-	keyToken       = http.CanonicalHeaderKey(HeaderToken)
 	keyContentType = http.CanonicalHeaderKey("Content-Type")
 )
 

@@ -35,8 +35,8 @@ const (
 // signature.
 var ErrProxyAuth = errors.New("httpmw: proxy authentication failed")
 
-// proxyAuthMagic domain-separates proxy-auth HMACs from challenge, token,
-// and frame HMACs under related keys.
+// proxyAuthMagic domain-separates proxy-auth HMACs from challenge and
+// frame HMACs under related keys.
 const proxyAuthMagic = "AIPoW-proxy-auth/1\x00"
 
 // proxyKeyDomain derives the proxy-auth key from the deployment root key.
@@ -57,39 +57,19 @@ func DeriveProxyAuthKey(root []byte) []byte {
 	return mac.Sum(nil)
 }
 
-// ProxyAuth signs and verifies the proxy header scheme. Safe for
-// concurrent use.
+// ProxyAuth signs and verifies the proxy header scheme, tolerating
+// DefaultProxyAuthSkew between the two clocks. Safe for concurrent use.
 type ProxyAuth struct {
-	key  []byte
-	skew time.Duration
-}
-
-// ProxyAuthOption customizes a ProxyAuth.
-type ProxyAuthOption func(*ProxyAuth)
-
-// WithProxyAuthSkew sets the tolerated timestamp skew (default
-// DefaultProxyAuthSkew).
-func WithProxyAuthSkew(skew time.Duration) ProxyAuthOption {
-	return func(a *ProxyAuth) { a.skew = skew }
+	key []byte
 }
 
 // NewProxyAuth builds a signer/verifier over the derived proxy-auth key
 // (see DeriveProxyAuthKey).
-func NewProxyAuth(key []byte, opts ...ProxyAuthOption) (*ProxyAuth, error) {
+func NewProxyAuth(key []byte) (*ProxyAuth, error) {
 	if len(key) < 16 {
 		return nil, fmt.Errorf("httpmw: proxy-auth key of %d bytes is below the 16-byte minimum", len(key))
 	}
-	a := &ProxyAuth{
-		key:  append([]byte(nil), key...),
-		skew: DefaultProxyAuthSkew,
-	}
-	for _, opt := range opts {
-		opt(a)
-	}
-	if a.skew <= 0 {
-		return nil, fmt.Errorf("httpmw: non-positive proxy-auth skew %v", a.skew)
-	}
-	return a, nil
+	return &ProxyAuth{key: append([]byte(nil), key...)}, nil
 }
 
 // Sign stamps the header triple onto h for a request fronting clientIP:
@@ -131,8 +111,8 @@ func (a *ProxyAuth) authenticateAt(r *http.Request, now time.Time) (string, erro
 	if err != nil {
 		return "", fmt.Errorf("%w: bad timestamp", ErrProxyAuth)
 	}
-	if d := now.Sub(time.Unix(0, tsNano)); d > a.skew || d < -a.skew {
-		return "", fmt.Errorf("%w: timestamp %v outside ±%v", ErrProxyAuth, d, a.skew)
+	if d := now.Sub(time.Unix(0, tsNano)); d > DefaultProxyAuthSkew || d < -DefaultProxyAuthSkew {
+		return "", fmt.Errorf("%w: timestamp %v outside ±%v", ErrProxyAuth, d, DefaultProxyAuthSkew)
 	}
 	return ip, nil
 }

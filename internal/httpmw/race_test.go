@@ -57,7 +57,7 @@ func TestMiddlewareTransportConcurrentClients(t *testing.T) {
 	}
 
 	var served atomic.Uint64
-	mw, err := NewMiddleware(fw, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mw, err := NewRoutedMiddleware(fixedRouter{api: fw, web: fw}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		served.Add(1)
 		fmt.Fprint(w, "ok")
 	}), WithTrustedIPHeader("X-Race-IP"))

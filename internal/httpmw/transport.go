@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 
 	"aipow/internal/puzzle"
 )
@@ -16,7 +15,7 @@ import (
 var ErrNoRetryBody = errors.New("httpmw: challenged request has an unreplayable body")
 
 // ErrTooManyChallenges reports that the server kept challenging beyond the
-// configured attempt budget.
+// transport's attempt budget.
 var ErrTooManyChallenges = errors.New("httpmw: challenge retry budget exhausted")
 
 // Transport is an http.RoundTripper that answers PoW challenges
@@ -28,28 +27,12 @@ var ErrTooManyChallenges = errors.New("httpmw: challenge retry budget exhausted"
 // Transport is safe for concurrent use.
 type Transport struct {
 	solver      *puzzle.Solver
-	maxAttempts int
+	maxAttempts int // consecutive challenges answered for one request
 	onSolve     func(puzzle.SolveStats)
-
-	// tokens caches per-host session tokens (see WithSessionTokens on the
-	// middleware): host → token string. A stale token simply triggers a
-	// fresh challenge, so no expiry bookkeeping is needed client-side.
-	tokens sync.Map
 }
 
 // TransportOption customizes a Transport.
 type TransportOption func(*Transport)
-
-// WithSolver sets the puzzle solver (default puzzle.NewSolver()).
-func WithSolver(s *puzzle.Solver) TransportOption {
-	return func(t *Transport) { t.solver = s }
-}
-
-// WithMaxAttempts bounds how many consecutive challenges the transport
-// will answer for one logical request (default 3).
-func WithMaxAttempts(n int) TransportOption {
-	return func(t *Transport) { t.maxAttempts = n }
-}
 
 // WithSolveObserver registers a callback receiving the stats of every
 // completed solve — the client-side cost accounting experiments use.
@@ -57,38 +40,24 @@ func WithSolveObserver(fn func(puzzle.SolveStats)) TransportOption {
 	return func(t *Transport) { t.onSolve = fn }
 }
 
-// NewTransport returns a Transport with the options applied.
+// NewTransport returns a Transport with the options applied. It answers
+// at most three consecutive challenges for one request.
 func NewTransport(opts ...TransportOption) *Transport {
-	t := &Transport{
-		solver:      puzzle.NewSolver(),
-		maxAttempts: 3,
-	}
+	t := &Transport{solver: puzzle.NewSolver(), maxAttempts: 3}
 	for _, opt := range opts {
 		opt(t)
-	}
-	if t.maxAttempts < 1 {
-		t.maxAttempts = 1
 	}
 	return t
 }
 
 // RoundTrip implements http.RoundTripper.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	// Attach a cached session token, if the server minted one earlier.
-	if tok, ok := t.tokens.Load(req.URL.Host); ok {
-		withToken, err := cloneForRetry(req)
-		if err == nil { // unreplayable body: send as-is, worst case we solve
-			withToken.Header.Set(HeaderToken, tok.(string))
-			req = withToken
-		}
-	}
 	resp, err := http.DefaultTransport.RoundTrip(req)
 	if err != nil {
 		return nil, err
 	}
 	for attempt := 0; attempt < t.maxAttempts; attempt++ {
 		if resp.StatusCode != StatusChallenge {
-			t.rememberToken(req.URL.Host, resp)
 			return resp, nil
 		}
 		token := resp.Header.Get(HeaderChallenge)
@@ -132,15 +101,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		_ = resp.Body.Close()
 		return nil, ErrTooManyChallenges
 	}
-	t.rememberToken(req.URL.Host, resp)
 	return resp, nil
-}
-
-// rememberToken stores a server-minted session token for the host.
-func (t *Transport) rememberToken(host string, resp *http.Response) {
-	if tok := resp.Header.Get(HeaderToken); tok != "" {
-		t.tokens.Store(host, tok)
-	}
 }
 
 // cloneForRetry duplicates a request, rewinding the body via GetBody when
