@@ -150,7 +150,10 @@ type Verdict = features.Verdict
 type VerdictScorer = features.VerdictScorer
 
 // MapStore is a static attribute source (a feed snapshot) with a fallback
-// profile for unknown IPs.
+// profile for unknown IPs. It holds the feed as one table, a row of values
+// and presence bits per IP with the columns in attribute-name order, at
+// about 150 B per row for a 10-attribute feed; serving a scorer whose
+// schema is the sorted attribute names copies a row as it is.
 type MapStore = features.MapStore
 
 // NewMapStore builds a MapStore with the given fallback profile.

@@ -230,6 +230,41 @@ func TestPublicHTTPIntegration(t *testing.T) {
 	}
 }
 
+// TestHTTPConstructorsNilOnError pins that a façade HTTP constructor that
+// fails returns a nil handler: a typed nil pointer in the interface would
+// pass a caller's h != nil check and panic on the first request.
+func TestHTTPConstructorsNilOnError(t *testing.T) {
+	ok := http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})
+	store, err := aipow.NewMapStore(map[string]float64{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trustAll, err := aipow.NewMapScorer(func(map[string]float64) (float64, error) { return 0, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := aipow.New(aipow.WithKey(testKey), aipow.WithScorer(trustAll),
+		aipow.WithPolicy(aipow.Policy1()), aipow.WithSource(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() (http.Handler, error)
+	}{
+		{"NewHTTPMiddleware without a handler", func() (http.Handler, error) { return aipow.NewHTTPMiddleware(fw, nil) }},
+		{"NewRoutedHTTPMiddleware without a router", func() (http.Handler, error) { return aipow.NewRoutedHTTPMiddleware(nil, ok) }},
+		{"NewHTTPBatchHandler without a framework", func() (http.Handler, error) { return aipow.NewHTTPBatchHandler(nil) }},
+		{"NewRoutedHTTPBatchHandler without a router", func() (http.Handler, error) { return aipow.NewRoutedHTTPBatchHandler(nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if h, err := tc.build(); h != nil || err == nil {
+				t.Fatalf("got handler-nil=%v, err=%v; want a nil handler and an error", h == nil, err)
+			}
+		})
+	}
+}
+
 func TestPublicModelPersistence(t *testing.T) {
 	model, _, _, _ := trainedModel(t)
 	var b strings.Builder

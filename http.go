@@ -55,7 +55,7 @@ func NewHTTPMiddleware(fw *Framework, next http.Handler, opts ...HTTPMiddlewareO
 	if fw == nil {
 		return nil, errors.New("aipow: HTTP middleware requires a framework")
 	}
-	return httpmw.NewRoutedMiddleware(oneRoute{fw}, next, opts...)
+	return NewRoutedHTTPMiddleware(oneRoute{fw}, next, opts...)
 }
 
 // HTTPRouter selects the framework serving one request class; the
@@ -74,7 +74,11 @@ func (r oneRoute) Route(string, string) *Framework { return r.fw }
 // a Gatekeeper, so path prefixes and (with WithTenantHeader) tenant keys
 // map onto independently tuned, hot-swappable pipelines.
 func NewRoutedHTTPMiddleware(router HTTPRouter, next http.Handler, opts ...HTTPMiddlewareOption) (http.Handler, error) {
-	return httpmw.NewRoutedMiddleware(router, next, opts...)
+	m, err := httpmw.NewRoutedMiddleware(router, next, opts...)
+	if err != nil {
+		return nil, err // not m: a nil *Middleware is a non-nil http.Handler
+	}
+	return m, nil
 }
 
 // HTTPBatchRequest is one item of a batch decide/verify call.
@@ -92,13 +96,17 @@ func NewHTTPBatchHandler(fw *Framework) (http.Handler, error) {
 	if fw == nil {
 		return nil, errors.New("aipow: HTTP batch handler requires a framework")
 	}
-	return httpmw.NewRoutedBatchHandler(oneRoute{fw})
+	return NewRoutedHTTPBatchHandler(oneRoute{fw})
 }
 
 // NewRoutedHTTPBatchHandler is NewHTTPBatchHandler with per-item pipeline
 // routing through router (typically a Gatekeeper).
 func NewRoutedHTTPBatchHandler(router HTTPRouter) (http.Handler, error) {
-	return httpmw.NewRoutedBatchHandler(router)
+	h, err := httpmw.NewRoutedBatchHandler(router)
+	if err != nil {
+		return nil, err // not h: a nil *BatchHandler is a non-nil http.Handler
+	}
+	return h, nil
 }
 
 // ProxyAuth signs and verifies the batch proxy-authentication headers:

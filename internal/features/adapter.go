@@ -74,3 +74,16 @@ func ScoreAttrs(s VectorScorer, attrs map[string]float64) (float64, error) {
 	}
 	return s.ScoreVector(v)
 }
+
+// fillFromMap writes the schema attributes attrs carries into dst and
+// returns their coverage mask.
+func fillFromMap(dst []float64, attrs map[string]float64, schema *Schema) uint64 {
+	var mask uint64
+	for j, name := range schema.names {
+		if val, ok := attrs[name]; ok {
+			dst[j] = val
+			mask |= 1 << uint(j)
+		}
+	}
+	return mask
+}

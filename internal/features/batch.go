@@ -127,7 +127,7 @@ func (t *Tracker) eachShardRun(g *groupScratch, fn func(sh *trackerShard, i int3
 // AttributesVectorBatch implements VectorBatchSource: the layout resolves
 // once for the whole batch and each touched shard's lock is taken once.
 func (t *Tracker) AttributesVectorBatch(dst []float64, stride int, schema *Schema, ips []string, masks []uint64, now time.Time) {
-	l := t.layoutFor(schema)
+	l := t.layouts.get(schema, behaviorAttrNames[:])
 	if l.mask == 0 {
 		return
 	}
@@ -141,34 +141,19 @@ func (t *Tracker) AttributesVectorBatch(dst []float64, stride int, schema *Schem
 			return // unknown IP: all-zero behavior, coverage still granted
 		}
 		s := t.summarizeLocked(&sh.slots[idx], now)
-		row := dst[int(i)*stride:]
-		for a, j := range l.idx {
-			if j >= 0 {
-				row[j] = s[a]
-			}
-		}
+		l.scatter(dst[int(i)*stride:], s[:])
 	})
 }
 
 // AttributesVectorBatch implements VectorBatchSource: one read lock and one
-// interned-cache resolution for the whole batch.
+// layout resolution for the whole batch.
 func (s *MapStore) AttributesVectorBatch(dst []float64, stride int, schema *Schema, ips []string, masks []uint64, _ time.Time) {
 	s.mu.RLock()
-	vecs, ok := s.vecBySchema[schema]
-	if !ok {
-		s.mu.RUnlock()
-		vecs = s.buildVectors(schema)
-		s.mu.RLock()
-	}
+	defer s.mu.RUnlock()
+	l := s.layouts.get(schema, s.names)
 	for i, ip := range ips {
-		e, ok := vecs.byIP[ip]
-		if !ok {
-			e = vecs.fallback
-		}
-		copy(dst[i*stride:i*stride+len(e.v)], e.v)
-		masks[i] |= e.mask
+		masks[i] |= s.fill(dst[i*stride:i*stride+len(schema.names)], l, int(s.rows[ip]))
 	}
-	s.mu.RUnlock()
 }
 
 // AttributesVectorBatch implements VectorBatchSource: static rows first,

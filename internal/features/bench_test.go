@@ -107,23 +107,46 @@ func BenchmarkTrackerAttributesVector(b *testing.B) {
 	}
 }
 
+// BenchmarkMapStoreVectorLookup fills one row from a store of the feed's
+// shape, 20 000 rows of 10 attributes: "identity" through the sorted
+// names (the reputation model's schema), "reordered" through the same
+// names reversed, which takes the per-slot path.
 func BenchmarkMapStoreVectorLookup(b *testing.B) {
-	s, err := NewMapStore(map[string]float64{"x": 1})
+	const rows, width = 20_000, 10
+	names := make([]string, width)
+	attrs := make(map[string]float64, width)
+	for j := range names {
+		names[j] = fmt.Sprintf("attr_%d", j)
+		attrs[names[j]] = float64(j)
+	}
+	s, err := NewMapStore(attrs)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 10000; i++ {
-		s.Put(fmt.Sprintf("10.0.%d.%d", i%256, i/256), map[string]float64{"x": float64(i)})
+	for i := 0; i < rows; i++ {
+		attrs[names[i%width]] = float64(i)
+		s.Put(fmt.Sprintf("10.%d.%d.%d", i>>16, i>>8&0xff, i&0xff), attrs)
 	}
-	schema, err := NewSchema("x")
-	if err != nil {
-		b.Fatal(err)
+	reversed := make([]string, width)
+	for j, name := range names {
+		reversed[width-1-j] = name
 	}
-	dst := schema.NewVector()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.AttributesVector(dst, schema, "10.0.7.9", time.Time{})
+	for _, bc := range []struct {
+		name  string
+		names []string
+	}{{"identity", names}, {"reordered", reversed}} {
+		b.Run(bc.name, func(b *testing.B) {
+			schema, err := NewSchema(bc.names...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dst := schema.NewVector()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = s.AttributesVector(dst, schema, "10.0.7.9", time.Time{})
+			}
+		})
 	}
 }
 

@@ -3,6 +3,8 @@ package features
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -18,7 +20,7 @@ const MaxSchemaAttrs = 64
 //
 // A Schema is typically owned by the scorer (its canonical attribute
 // order) and shared by reference with every source that fills vectors for
-// it; sources key their per-schema caches on the pointer identity.
+// it; sources key their per-schema layouts on the pointer identity.
 type Schema struct {
 	names []string
 	index map[string]int
@@ -76,6 +78,89 @@ func (s *Schema) Index(name string) (int, bool) {
 // FullMask is the coverage bitmask with every slot set; a VectorSource
 // that returns it from AttributesVector produced every attribute.
 func (s *Schema) FullMask() uint64 { return s.full }
+
+// layout maps a source's columns onto one schema's slots: slots[c] is
+// column c's slot, -1 where the schema lacks the column, and mask holds
+// the slots some column fills. identity marks a non-empty schema whose
+// slot j is column j for every slot, so a row's prefix fills it as is.
+type layout struct {
+	schema   *Schema
+	slots    []int
+	mask     uint64
+	identity bool
+}
+
+func newLayout(schema *Schema, columns []string) *layout {
+	n := len(schema.names)
+	l := &layout{schema: schema, slots: make([]int, len(columns)), identity: n > 0 && n <= len(columns)}
+	for c, name := range columns {
+		l.slots[c] = -1
+		if j, ok := schema.index[name]; ok {
+			l.slots[c], l.mask = j, l.mask|1<<j
+		}
+		l.identity = l.identity && (c >= n || l.slots[c] == c)
+	}
+	return l
+}
+
+// scatter writes each column of row into dst at its slot.
+func (l *layout) scatter(dst, row []float64) {
+	for c, j := range l.slots {
+		if j >= 0 {
+			dst[j] = row[c]
+		}
+	}
+}
+
+// layoutCache holds a source's layout for each schema it serves, keyed
+// by schema pointer identity. The published slice is immutable, so a
+// lookup is one atomic load and a scan of at most maxLayouts entries; mu
+// serializes the copy-on-write path that adds a schema seen for the
+// first time, which evicts the oldest layout once the cache is full. The
+// bound keeps a source that outlives many retrained scorers (each
+// publishing a fresh schema) from accreting dead layouts; an evicted live
+// schema just resolves again.
+type layoutCache struct {
+	mu   sync.Mutex
+	list atomic.Value // []*layout
+}
+
+// maxLayouts bounds one source's layout cache, well above any realistic
+// count of pipelines with distinct scorer schemas on one source.
+const maxLayouts = 16
+
+// get returns schema's layout over columns, resolving it the first time
+// schema is seen. A source whose columns change resets the cache.
+func (c *layoutCache) get(schema *Schema, columns []string) *layout {
+	if l := c.find(schema); l != nil {
+		return l
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if l := c.find(schema); l != nil { // lost the race to another resolver
+		return l
+	}
+	list, _ := c.list.Load().([]*layout)
+	// Full slice expression: the append copies, never writing the
+	// published array.
+	list = append(list[max(0, len(list)-maxLayouts+1):len(list):len(list)], newLayout(schema, columns))
+	c.list.Store(list)
+	return list[len(list)-1]
+}
+
+func (c *layoutCache) find(schema *Schema) *layout {
+	list, _ := c.list.Load().([]*layout)
+	for _, l := range list {
+		if l.schema == schema {
+			return l
+		}
+	}
+	return nil
+}
+
+// reset drops every cached layout. The caller must exclude concurrent
+// gets, whose layouts the reset invalidates.
+func (c *layoutCache) reset() { c.list.Store([]*layout(nil)) }
 
 // NewVector allocates a zeroed vector with one slot per attribute.
 func (s *Schema) NewVector() []float64 { return make([]float64, len(s.names)) }

@@ -100,7 +100,7 @@ func TestMapStoreAttributesVector(t *testing.T) {
 		t.Fatalf("fallback vector = %v, want [1 2]", dst)
 	}
 
-	// Put invalidates the interned cache.
+	// Put replaces the row.
 	store.Put("1.2.3.4", map[string]float64{"a": 99, "b": 100})
 	store.AttributesVector(dst, schema, "1.2.3.4", time.Time{})
 	if dst[0] != 99 {
@@ -240,7 +240,7 @@ func TestTrackerShardClamp(t *testing.T) {
 }
 
 // TestMapStoreMultiSchema asserts one store can serve two schemas (e.g.
-// two frameworks sharing a feed) without the caches evicting each other.
+// two frameworks sharing a feed) without the layouts evicting each other.
 func TestMapStoreMultiSchema(t *testing.T) {
 	store, err := NewMapStore(map[string]float64{"a": 1, "b": 2})
 	if err != nil {
@@ -255,7 +255,7 @@ func TestMapStoreMultiSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	d1, d2 := s1.NewVector(), s2.NewVector()
-	for i := 0; i < 3; i++ { // alternate; both caches must persist
+	for i := 0; i < 3; i++ { // alternate; both layouts must persist
 		if mask := store.AttributesVector(d1, s1, "8.8.8.8", time.Time{}); mask != s1.FullMask() {
 			t.Fatalf("schema1 mask = %b", mask)
 		}
@@ -266,7 +266,7 @@ func TestMapStoreMultiSchema(t *testing.T) {
 	if d1[0] != 1 || d1[1] != 2 || d2[0] != 2 {
 		t.Fatalf("vectors = %v / %v, want [1 2] / [2]", d1, d2)
 	}
-	// Incremental Put maintains both caches.
+	// A Put reaches both schemas.
 	store.Put("7.7.7.7", map[string]float64{"a": 5, "b": 6})
 	store.AttributesVector(d1, s1, "7.7.7.7", time.Time{})
 	store.AttributesVector(d2, s2, "7.7.7.7", time.Time{})

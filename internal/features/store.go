@@ -2,53 +2,40 @@ package features
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 )
 
-// MapStore is a static attribute source backed by an in-memory map — the
-// shape of a Talos-style feed snapshot. IPs absent from the feed fall back
-// to a configurable default profile.
+// MapStore is a static attribute source — the shape of a Talos-style feed
+// snapshot — with a fallback profile for IPs absent from the feed. It is
+// one row-major table: a map from IP to row, every row's values in one
+// []float64 with the columns in attribute-name order, a presence bitset
+// per row, and the fallback profile as row 0. A row of w attributes costs
+// 8w bytes of values, 8⌈w/64⌉ bytes of presence bits, and its IP's map
+// entry and key: about 150 B for a 10-attribute feed.
+//
+// A read for a schema goes through a small cached layout from columns to
+// slots. A schema over the sorted attribute names (the reputation
+// model's) maps column j to slot j, so its fill is one copy and the row's
+// presence bits.
 //
 // MapStore is safe for concurrent use.
 type MapStore struct {
-	mu       sync.RWMutex
-	byIP     map[string]map[string]float64
+	mu      sync.RWMutex
+	rows    map[string]int32 // IP → row
+	names   []string         // the columns, sorted
+	vals    []float64        // row r at vals[r*len(names):], 0 where absent
+	present []uint64         // row r's presence bits at present[r*words:]
+	words   int              // presence words per row, ⌈len(names)/64⌉
+
+	// fallback is the fallback profile as a map, shared by Attributes.
 	fallback map[string]float64
 
-	// vecBySchema holds the interned vector form of every profile, one
-	// cache per schema served (keyed by schema pointer identity, guarded
-	// by mu like the maps). A cache is built once, the first time its
-	// schema is seen; Put then maintains all caches incrementally, so the
-	// request path never rebuilds and feed refreshes cost O(schemas), not
-	// O(store). The cache count is bounded at maxSchemaCaches, evicting
-	// oldest-built first (vecOrder), so a store outliving many retrained
-	// scorers (each with a fresh schema pointer) cannot accrete dead
-	// O(store) caches, and a retrain that replaces an old schema retires
-	// the old cache before the live one.
-	vecBySchema map[*Schema]*storeVectors
-	vecOrder    []*Schema
-}
-
-// maxSchemaCaches bounds how many schemas' interned caches one store
-// retains. A live schema evicted by churn simply rebuilds on next use.
-const maxSchemaCaches = 4
-
-var _ VectorSource = (*MapStore)(nil)
-
-// storeVectors is the interned form of the store's maps for one schema:
-// every profile pre-resolved to a flat vector plus its coverage mask, so
-// the per-request cost is one map lookup and one copy.
-type storeVectors struct {
-	byIP     map[string]storeVec
-	fallback storeVec
-}
-
-// storeVec is one interned profile: values in schema order and the bitmask
-// of schema slots the profile actually covers.
-type storeVec struct {
-	v    []float64
-	mask uint64
+	// layouts is reset whenever a Put adds a column, under the write
+	// lock, so a layout read under the read lock matches the columns.
+	layouts layoutCache
 }
 
 // NewMapStore returns a store with the given fallback profile for unknown
@@ -58,21 +45,71 @@ func NewMapStore(fallback map[string]float64) (*MapStore, error) {
 	if fallback == nil {
 		return nil, fmt.Errorf("features: map store requires a fallback profile")
 	}
-	return &MapStore{
-		byIP:     make(map[string]map[string]float64),
-		fallback: cloneAttrs(fallback),
-	}, nil
+	s := &MapStore{rows: make(map[string]int32), fallback: maps.Clone(fallback)}
+	s.setRow(0, fallback)
+	return s, nil
 }
 
-// Put registers (or replaces) the attributes for ip, updating the interned
-// vector caches in place.
+// Put registers (or wholly replaces) the attributes for ip. An attribute
+// name the store has not seen adds a column, which re-lays out the table.
 func (s *MapStore) Put(ip string, attrs map[string]float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.byIP[ip] = cloneAttrs(attrs)
-	for schema, vecs := range s.vecBySchema {
-		vecs.byIP[ip] = vectorize(attrs, schema)
+	r, ok := s.rows[ip]
+	if !ok {
+		r = int32(len(s.rows) + 1)
+		s.rows[ip] = r
+		s.vals = append(s.vals, make([]float64, len(s.names))...)
+		s.present = append(s.present, make([]uint64, s.words)...)
 	}
+	s.setRow(int(r), attrs)
+}
+
+// setRow replaces row r with attrs, first adding a column for every name
+// of attrs the table lacks.
+func (s *MapStore) setRow(r int, attrs map[string]float64) {
+	s.addColumns(attrs)
+	clear(s.vals[r*len(s.names) : (r+1)*len(s.names)])
+	clear(s.present[r*s.words : (r+1)*s.words])
+	for name, v := range attrs {
+		c, _ := slices.BinarySearch(s.names, name)
+		s.set(r, c, v)
+	}
+}
+
+// addColumns copies every row into a table with a column for each name
+// of attrs the table lacks.
+func (s *MapStore) addColumns(attrs map[string]float64) {
+	var added []string
+	for name := range attrs {
+		if _, ok := slices.BinarySearch(s.names, name); !ok {
+			added = append(added, name)
+		}
+	}
+	if len(added) == 0 {
+		return
+	}
+	names := slices.Concat(s.names, added)
+	slices.Sort(names)
+	old, oldVals, oldPresent, oldWords := s.names, s.vals, s.present, s.words
+	n := len(s.rows) + 1
+	s.names, s.words = names, (len(names)+63)/64
+	s.vals, s.present = make([]float64, n*len(names)), make([]uint64, n*s.words)
+	for c, name := range old {
+		to, _ := slices.BinarySearch(names, name)
+		for r := 0; r < n; r++ {
+			if oldPresent[r*oldWords+c>>6]&(1<<(c&63)) != 0 {
+				s.set(r, to, oldVals[r*len(old)+c])
+			}
+		}
+	}
+	s.layouts.reset()
+}
+
+// set stores v at row r, column c.
+func (s *MapStore) set(r, c int, v float64) {
+	s.vals[r*len(s.names)+c] = v
+	s.present[r*s.words+c>>6] |= 1 << (c & 63)
 }
 
 // Attributes looks up the attribute map registered for ip (the offline
@@ -82,79 +119,42 @@ func (s *MapStore) Put(ip string, attrs map[string]float64) {
 func (s *MapStore) Attributes(ip string, _ time.Time) map[string]float64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if attrs, ok := s.byIP[ip]; ok {
-		return cloneAttrs(attrs)
+	r, ok := s.rows[ip]
+	if !ok {
+		return s.fallback
 	}
-	return s.fallback
+	out := make(map[string]float64, len(s.names))
+	for c, name := range s.names {
+		if s.present[int(r)*s.words+c>>6]&(1<<(c&63)) != 0 {
+			out[name] = s.vals[int(r)*len(s.names)+c]
+		}
+	}
+	return out
 }
 
-// AttributesVector implements VectorSource: one lookup in the interned
-// cache and one copy under the read lock, with zero allocations after the
-// schema's cache is built (a one-time O(store) pass the first time each
-// schema is seen).
+// AttributesVector implements VectorSource: one row lookup and one fill
+// under the read lock, allocating nothing once the schema's layout is
+// cached.
 func (s *MapStore) AttributesVector(dst []float64, schema *Schema, ip string, _ time.Time) uint64 {
 	s.mu.RLock()
-	vecs, ok := s.vecBySchema[schema]
-	if !ok {
-		s.mu.RUnlock()
-		vecs = s.buildVectors(schema)
-		s.mu.RLock()
-	}
-	e, ok := vecs.byIP[ip]
-	if !ok {
-		e = vecs.fallback
-	}
-	copy(dst, e.v)
-	mask := e.mask
-	s.mu.RUnlock()
-	return mask
+	defer s.mu.RUnlock()
+	return s.fill(dst, s.layouts.get(schema, s.names), int(s.rows[ip]))
 }
 
-// buildVectors interns every profile for a schema seen for the first time.
-// Under the write lock, so concurrent first-seers do the pass once each at
-// worst and Put cannot interleave.
-func (s *MapStore) buildVectors(schema *Schema) *storeVectors {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if vecs, ok := s.vecBySchema[schema]; ok {
-		return vecs
+// fill writes row r (the fallback row 0 for an unknown IP) into dst
+// through l and returns the coverage mask.
+func (s *MapStore) fill(dst []float64, l *layout, r int) uint64 {
+	vals := s.vals[r*len(s.names) : (r+1)*len(s.names)]
+	present := s.present[r*s.words : (r+1)*s.words]
+	if l.identity {
+		copy(dst, vals[:len(l.schema.names)])
+		return present[0] & l.schema.full
 	}
-	vecs := &storeVectors{
-		byIP:     make(map[string]storeVec, len(s.byIP)),
-		fallback: vectorize(s.fallback, schema),
-	}
-	for ip, attrs := range s.byIP {
-		vecs.byIP[ip] = vectorize(attrs, schema)
-	}
-	if s.vecBySchema == nil {
-		s.vecBySchema = make(map[*Schema]*storeVectors, 1)
-	}
-	for len(s.vecBySchema) >= maxSchemaCaches {
-		oldest := s.vecOrder[0]
-		s.vecOrder = s.vecOrder[1:]
-		delete(s.vecBySchema, oldest)
-	}
-	s.vecBySchema[schema] = vecs
-	s.vecOrder = append(s.vecOrder, schema)
-	return vecs
-}
-
-// vectorize lays attrs out in schema order, recording which slots the
-// profile covers.
-func vectorize(attrs map[string]float64, schema *Schema) storeVec {
-	e := storeVec{v: make([]float64, len(schema.names))}
-	e.mask = fillFromMap(e.v, attrs, schema)
-	return e
-}
-
-// fillFromMap writes the schema attributes attrs carries into dst and
-// returns their coverage mask.
-func fillFromMap(dst []float64, attrs map[string]float64, schema *Schema) uint64 {
 	var mask uint64
-	for j, name := range schema.names {
-		if val, ok := attrs[name]; ok {
-			dst[j] = val
-			mask |= 1 << uint(j)
+	for c, j := range l.slots {
+		if j >= 0 { // an absent cell holds 0, which dst already does
+			dst[j] = vals[c]
+			mask |= present[c>>6] >> (c & 63) & 1 << j
 		}
 	}
 	return mask
@@ -164,7 +164,7 @@ func fillFromMap(dst []float64, attrs map[string]float64, schema *Schema) uint64
 func (s *MapStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.byIP)
+	return len(s.rows)
 }
 
 // Combined merges a static source with live tracker behavior: static
@@ -175,8 +175,6 @@ type Combined struct {
 	static  VectorSource
 	tracker *Tracker
 }
-
-var _ VectorSource = (*Combined)(nil)
 
 // NewCombined builds the merged source. Both parts are required; use the
 // parts directly when only one is wanted.
@@ -192,12 +190,4 @@ func NewCombined(static VectorSource, tracker *Tracker) (*Combined, error) {
 func (c *Combined) AttributesVector(dst []float64, schema *Schema, ip string, now time.Time) uint64 {
 	mask := c.static.AttributesVector(dst, schema, ip, now)
 	return mask | c.tracker.AttributesVector(dst, schema, ip, now)
-}
-
-func cloneAttrs(in map[string]float64) map[string]float64 {
-	out := make(map[string]float64, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
 }

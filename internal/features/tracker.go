@@ -158,26 +158,11 @@ type Tracker struct {
 	// stripe, same index as shards), used by the *Buffered record paths.
 	wb []wbShard
 
-	// layouts caches the behavioral attrs' slots per schema seen (keyed
-	// by schema pointer identity). The slice is
-	// immutable once published — lookups are one atomic load plus a scan
-	// of at most maxTrackerLayouts entries — and layoutMu serializes the
-	// copy-on-write slow path that appends a newly resolved schema. This
-	// is what lets multiple pipelines (each with its own scorer schema)
-	// share one tracker without rebuilding layouts on the request path.
-	layouts  atomic.Pointer[[]*trackerLayout]
-	layoutMu sync.Mutex
+	// layouts caches the behavioral attrs' slots per schema seen, so
+	// pipelines with distinct scorer schemas share one tracker without
+	// resolving layouts on the request path.
+	layouts layoutCache
 }
-
-// maxTrackerLayouts bounds how many schemas' layouts one tracker retains
-// (oldest evicted first), so a tracker outliving many retrained scorers
-// (each publishing a fresh schema pointer) cannot accrete dead layouts.
-// It is sized well above any realistic count of concurrently-live
-// schemas on one tracker: a deployment would need more than this many
-// pipelines with *distinct* scorer schemas before the FIFO starts
-// evicting a live schema (which degrades to a per-request mutex+rebuild
-// on the overflowing schemas, not an error).
-const maxTrackerLayouts = 16
 
 // trackerShard is one lock stripe, padded so neighboring shards' mutexes
 // do not share a cache line under contention.
@@ -200,15 +185,6 @@ type trackerShard struct {
 	dirtyLimit int
 	dirtyLost  uint64
 	_          [32]byte
-}
-
-// trackerLayout maps the tracker's behavioral attributes onto one schema's
-// slots: idx[i] is the slot of behaviorAttrNames[i] (-1 when absent), and
-// mask is the coverage the tracker contributes.
-type trackerLayout struct {
-	schema *Schema
-	idx    [behaviorAttrCount]int
-	mask   uint64
 }
 
 // pathSpillEnt is one spilled per-path counter (beyond the inline table).
@@ -761,19 +737,6 @@ func decayCreditNS(credit float64, fromNS, nowNS int64, halfLife time.Duration) 
 // behaviorAttrNames order.
 type behaviorSummary [behaviorAttrCount]float64
 
-// summarize computes an IP's behavioral attributes under its shard lock
-// (all-zero for an unknown IP).
-func (t *Tracker) summarize(ip string, now time.Time) behaviorSummary {
-	sh := t.shard(ip)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	idx, ok := sh.index[ip]
-	if !ok {
-		return behaviorSummary{}
-	}
-	return t.summarizeLocked(&sh.slots[idx], now)
-}
-
 // summarizeLocked computes the behavior summary for a slot at now.
 // Callers hold the shard lock.
 func (t *Tracker) summarizeLocked(e *entrySlot, now time.Time) behaviorSummary {
@@ -801,64 +764,19 @@ func (t *Tracker) summarizeLocked(e *entrySlot, now time.Time) behaviorSummary {
 // read all-zero — no observed behavior, no suspicion from this source —
 // at full behavioral coverage.
 func (t *Tracker) AttributesVector(dst []float64, schema *Schema, ip string, now time.Time) uint64 {
-	l := t.layoutFor(schema)
+	l := t.layouts.get(schema, behaviorAttrNames[:])
 	if l.mask == 0 {
 		return 0
 	}
-	s := t.summarize(ip, now)
-	for i, j := range l.idx {
-		if j >= 0 {
-			dst[j] = s[i]
-		}
+	var s behaviorSummary
+	sh := t.shard(ip)
+	sh.mu.Lock()
+	if idx, ok := sh.index[ip]; ok {
+		s = t.summarizeLocked(&sh.slots[idx], now)
 	}
+	sh.mu.Unlock()
+	l.scatter(dst, s[:])
 	return l.mask
-}
-
-var _ VectorSource = (*Tracker)(nil)
-
-// layoutFor resolves (and caches) the behavioral attributes' slots in
-// schema. The fast path is one atomic load and a pointer scan; a schema
-// seen for the first time takes the mutex, re-checks, and publishes a new
-// bounded slice copy-on-write, so trackers shared by several pipelines
-// (one schema each) never rebuild layouts on the request path.
-func (t *Tracker) layoutFor(schema *Schema) *trackerLayout {
-	if ls := t.layouts.Load(); ls != nil {
-		for _, l := range *ls {
-			if l.schema == schema {
-				return l
-			}
-		}
-	}
-	t.layoutMu.Lock()
-	defer t.layoutMu.Unlock()
-	cur := t.layouts.Load()
-	var prev []*trackerLayout
-	if cur != nil {
-		prev = *cur
-		for _, l := range prev {
-			if l.schema == schema { // lost the race to another resolver
-				return l
-			}
-		}
-	}
-	l := &trackerLayout{schema: schema}
-	for i, name := range behaviorAttrNames {
-		j, ok := schema.Index(name)
-		if !ok {
-			l.idx[i] = -1
-			continue
-		}
-		l.idx[i] = j
-		l.mask |= 1 << uint(j)
-	}
-	for len(prev) >= maxTrackerLayouts {
-		prev = prev[1:] // FIFO: evict the oldest-resolved schema
-	}
-	next := make([]*trackerLayout, 0, len(prev)+1)
-	next = append(next, prev...)
-	next = append(next, l)
-	t.layouts.Store(&next)
-	return l
 }
 
 // pathEntropy is the Shannon entropy (bits) of the per-path hit

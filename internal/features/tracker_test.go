@@ -487,20 +487,20 @@ func TestTrackerLayoutCacheMultiSchema(t *testing.T) {
 			}
 		}
 	}
-	if ls := tr.layouts.Load(); ls == nil || len(*ls) != len(schemas) {
-		t.Fatalf("layout cache holds %d entries, want %d", len(*ls), len(schemas))
+	if ls, _ := tr.layouts.list.Load().([]*layout); len(ls) != len(schemas) {
+		t.Fatalf("layout cache holds %d entries, want %d", len(ls), len(schemas))
 	}
 
 	// Fill the cache to its bound with churned (retrained-scorer-style)
 	// schemas, then one more: the oldest is evicted, the cache stays
 	// bounded, and the evicted schema still answers correctly (it just
 	// re-resolves).
-	for i := len(schemas); i < maxTrackerLayouts+1; i++ {
+	for i := len(schemas); i < maxLayouts+1; i++ {
 		s := mk(fmt.Sprintf("churn_%d", i), AttrFailRatio)
 		_ = tr.AttributesVector(s.NewVector(), s, "a", at(3))
 	}
-	if ls := tr.layouts.Load(); len(*ls) != maxTrackerLayouts {
-		t.Fatalf("layout cache holds %d entries after churn, want bound %d", len(*ls), maxTrackerLayouts)
+	if ls, _ := tr.layouts.list.Load().([]*layout); len(ls) != maxLayouts {
+		t.Fatalf("layout cache holds %d entries after churn, want bound %d", len(ls), maxLayouts)
 	}
 	dst := schemas[0].NewVector()
 	if mask := tr.AttributesVector(dst, schemas[0], "a", at(4)); mask == 0 {
@@ -516,7 +516,7 @@ func TestTrackerLayoutCacheConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var schemas []*Schema
-	for i := 0; i < maxTrackerLayouts; i++ {
+	for i := 0; i < maxLayouts; i++ {
 		s, err := NewSchema(fmt.Sprintf("static_%d", i), AttrRequestRate, AttrTotalRequests)
 		if err != nil {
 			t.Fatal(err)
@@ -540,7 +540,7 @@ func TestTrackerLayoutCacheConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if ls := tr.layouts.Load(); len(*ls) != len(schemas) {
-		t.Fatalf("layout cache holds %d entries, want %d", len(*ls), len(schemas))
+	if ls, _ := tr.layouts.list.Load().([]*layout); len(ls) != len(schemas) {
+		t.Fatalf("layout cache holds %d entries, want %d", len(ls), len(schemas))
 	}
 }

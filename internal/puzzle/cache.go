@@ -19,8 +19,10 @@ import (
 // neither holds a pointer for the garbage collector to scan. A full cache
 // of 65 536 seeds holds at most 96 B per seed, whatever order the claims
 // arrive in: the heap holds the live seeds plus the few stale entries the
-// sweep has not reached yet. Neither the map nor the heap shrinks when
-// its seeds expire. A claim costs O(log n).
+// sweep has not reached yet. When a sweep leaves fewer than a quarter of
+// the set's peak count live, the live seeds move to a fresh map and heap,
+// so memory a flood filled is given back once its seeds expire. A claim
+// costs O(log n), amortized over the moves.
 //
 // ReplayCache is safe for concurrent use.
 type ReplayCache struct {
@@ -31,6 +33,9 @@ type ReplayCache struct {
 	order expiryHeap
 	max   int
 	now   func() time.Time
+	// peak is the most seeds held since the map and heap were last
+	// allocated.
+	peak int
 }
 
 // NewReplayCache returns a cache holding at most max seeds. The now
@@ -79,6 +84,7 @@ func (c *ReplayCache) rememberAt(seed [SeedSize]byte, expires, now time.Time) bo
 	}
 	c.entries[seed] = exp
 	c.order.push(expiryEntry{seed: seed, exp: exp})
+	c.peak = max(c.peak, len(c.entries))
 	return true
 }
 
@@ -143,6 +149,32 @@ func (c *ReplayCache) sweepLocked(now int64, limit int) {
 	for n := 0; n < limit && len(c.order) > 0 && now > c.order[0].exp; n++ {
 		c.dropLocked(c.order.pop())
 	}
+	if c.peak >= minShrinkPeak && len(c.entries) < c.peak/4 {
+		c.shrinkLocked()
+	}
+}
+
+// minShrinkPeak is the smallest peak count a replay set shrinks from;
+// below it the memory a shrink could give back is not worth the copy.
+const minShrinkPeak = 1024
+
+// shrinkLocked moves the live seeds into a fresh map and heap sized for
+// them, dropping the heap's stale entries on the way.
+func (c *ReplayCache) shrinkLocked() {
+	entries := make(map[[SeedSize]byte]int64, len(c.entries))
+	order := make(expiryHeap, 0, len(c.entries))
+	for _, e := range c.order {
+		if until, ok := c.entries[e.seed]; ok && until == e.exp {
+			entries[e.seed] = e.exp
+			order = append(order, e)
+		}
+	}
+	// The filtered array is no longer a heap in general: rebuild it
+	// bottom-up, in O(n).
+	for i := len(order)/2 - 1; i >= 0; i-- {
+		order.down(i)
+	}
+	c.entries, c.order, c.peak = entries, order, len(entries)
 }
 
 // evictSoonestLocked removes the live entry closest to expiring.
@@ -196,21 +228,26 @@ func (h *expiryHeap) pop() expiryEntry {
 	n := len(q) - 1
 	top := q[0]
 	q[0] = q[n]
-	q = q[:n]
-	for i := 0; ; {
+	*h = q[:n]
+	h.down(0)
+	return top
+}
+
+// down moves the entry at i toward the leaves until neither child
+// expires sooner.
+func (h expiryHeap) down(i int) {
+	for n := len(h); ; {
 		least, l, r := i, 2*i+1, 2*i+2
-		if l < n && q.less(l, least) {
+		if l < n && h.less(l, least) {
 			least = l
 		}
-		if r < n && q.less(r, least) {
+		if r < n && h.less(r, least) {
 			least = r
 		}
 		if least == i {
-			break
+			return
 		}
-		q[i], q[least] = q[least], q[i]
+		h[i], h[least] = h[least], h[i]
 		i = least
 	}
-	*h = q
-	return top
 }

@@ -333,4 +333,27 @@ func TestReplayCacheMemoryBudget(t *testing.T) {
 			runtime.KeepAlive(c)
 		})
 	}
+
+	// Once every seed of a full set has expired, a sweep gives the
+	// memory back.
+	t.Run("expired", func(t *testing.T) {
+		before := heapInUse()
+		now := start
+		c := NewReplayCache(capacity, func() time.Time { return now })
+		var s [SeedSize]byte
+		for i := 0; i < capacity; i++ {
+			binary.LittleEndian.PutUint64(s[:], uint64(i))
+			c.Remember(s, start.Add(time.Hour+time.Duration(i)*time.Millisecond))
+		}
+		now = start.Add(2 * time.Hour)
+		if n := c.Len(); n != 0 {
+			t.Fatalf("Len() = %d after every expiry, want 0", n)
+		}
+		held := int64(heapInUse()) - int64(before)
+		t.Logf("%d B held", held)
+		if held > 64<<10 {
+			t.Errorf("an expired set holds %d B, over its 64 KiB budget", held)
+		}
+		runtime.KeepAlive(c)
+	})
 }
