@@ -100,12 +100,13 @@ const tracedRatioLimit = 1.05
 const scalingRatioLimit = 1.3
 
 // bytesPerIPCeiling is the absolute memory gate at 1M tracked IPs. The
-// slab layout measures ~461 B/IP (a 392 B record + index map overhead +
+// slab layout measures ~349 B/IP (a 280 B record + index map overhead +
 // the IP string); the ceiling is that plus 15 %, rounded up to 10 B, so
-// it fails any growth of the record by more than ~80 B as well as any
-// return of per-entry heap structures (the old pointer-based layout
-// measured ~1237 B/IP).
-const bytesPerIPCeiling = 540.0
+// it fails any growth of the record by more than ~50 B (the 392 B record
+// before the window ring kept one head epoch measured ~461 B/IP) as well
+// as any return of per-entry heap structures (the old pointer-based
+// layout measured ~1237 B/IP).
+const bytesPerIPCeiling = 400.0
 
 // deltaFrameRatioLimit bounds the delta frame's build+encode cost
 // relative to a full frame at 1% dirty rows: shipping 1% of the rows

@@ -95,9 +95,26 @@ func TestGate(t *testing.T) {
 			want: "exceeds ceiling",
 		},
 		{
+			// What BENCH_hotpath.json held for the 584-byte record, gated
+			// against a baseline from the same layout.
 			name: "committed pre-slimming bytes/IP",
-			cur:  func(d *dump) { d.Capacity.BytesPerIP = loadDump(t).Capacity.BytesPerIP },
+			base: func(d *dump) { d.Capacity.BytesPerIP = 653.3 },
+			cur:  func(d *dump) { d.Capacity.BytesPerIP = 653.3 },
 			want: "exceeds ceiling",
+		},
+		{
+			// Measured with entrySlot padded back to 392 B (one epoch
+			// stamp per window bucket and the path spill on the record),
+			// gated against a baseline from the same layout.
+			name: "392-byte record bytes/IP",
+			base: func(d *dump) { d.Capacity.BytesPerIP = 461.4 },
+			cur:  func(d *dump) { d.Capacity.BytesPerIP = 461.4 },
+			want: "exceeds ceiling",
+		},
+		{
+			name: "committed bytes/IP",
+			cur:  func(d *dump) { d.Capacity.BytesPerIP = loadDump(t).Capacity.BytesPerIP },
+			want: "",
 		},
 		{
 			name: "bytes/IP over baseline",

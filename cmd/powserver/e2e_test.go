@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -68,32 +69,24 @@ func binary(t *testing.T, name string) string {
 // node is one powserver child process.
 type node struct {
 	cmd    *exec.Cmd
-	url    string // public listener
-	admin  string // admin listener
+	url    string            // public listener
+	admin  string            // admin listener
+	bound  map[string]string // the ready line's listener addresses
 	stderr bytes.Buffer
 	done   chan struct{} // closed once the child has been reaped
 }
 
-// freeAddr asks the kernel for an unused loopback port.
-func freeAddr(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	return l.Addr().String()
-}
-
-// startNode spawns powserver with an admin listener plus args and waits
-// until /healthz answers. The child is stopped when the test ends; its
-// stderr is logged if the test failed.
+// startNode spawns powserver with its public and admin listeners on port
+// 0 plus args, and waits for the ready line that names the ports it
+// bound. The child is stopped when the test ends; its stderr is logged if
+// the test failed.
 func startNode(t *testing.T, args ...string) *node {
 	t.Helper()
-	addr, admin := freeAddr(t), freeAddr(t)
-	n := &node{url: "http://" + addr, admin: "http://" + admin, done: make(chan struct{})}
-	n.cmd = exec.Command(binary(t, "powserver"), append([]string{"-addr", addr, "-admin", admin}, args...)...)
+	n := &node{done: make(chan struct{})}
+	n.cmd = exec.Command(binary(t, "powserver"), append([]string{"-addr", "127.0.0.1:0", "-admin", "127.0.0.1:0"}, args...)...)
 	n.cmd.Stderr = &n.stderr
+	stdout, w := io.Pipe()
+	n.cmd.Stdout = w
 	// If the test binary dies without running cleanups, the kernel still
 	// takes the child down.
 	n.cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
@@ -102,7 +95,16 @@ func startNode(t *testing.T, args ...string) *node {
 	}
 	go func() {
 		_ = n.cmd.Wait()
+		w.Close()
 		close(n.done)
+	}()
+	ready := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(stdout)
+		if sc.Scan() {
+			ready <- sc.Text()
+		}
+		_, _ = io.Copy(io.Discard, stdout)
 	}()
 	t.Cleanup(func() {
 		_ = n.cmd.Process.Signal(syscall.SIGTERM)
@@ -116,20 +118,56 @@ func startNode(t *testing.T, args ...string) *node {
 			t.Logf("powserver stderr:\n%s", n.stderr.String())
 		}
 	})
-	waitFor(t, "powserver to answer /healthz", 30*time.Second, 50*time.Millisecond, func() bool {
-		select {
-		case <-n.done:
-			t.Fatalf("powserver exited during start-up:\n%s", n.stderr.String())
-		default:
-		}
-		resp, err := http.Get(n.url + "/healthz")
-		if err != nil {
-			return false
-		}
-		resp.Body.Close()
-		return resp.StatusCode == http.StatusOK
-	})
+	var line string
+	select {
+	case line = <-ready:
+	case <-n.done:
+		t.Fatalf("powserver exited during start-up:\n%s", n.stderr.String())
+	case <-time.After(30 * time.Second):
+		t.Fatal("timed out after 30s waiting for powserver's ready line")
+	}
+	n.bound = make(map[string]string)
+	fields := strings.Fields(line)
+	if len(fields) != 4 || fields[0] != "ready" {
+		t.Fatalf("ready line %q, want ready public=… admin=… cluster=…", line)
+	}
+	for _, f := range fields[1:] {
+		name, addr, _ := strings.Cut(f, "=")
+		n.bound[name] = addr
+	}
+	n.url, n.admin = "http://"+n.bound["public"], "http://"+n.bound["admin"]
 	return n
+}
+
+// TestReadyLineNamesHeldPorts boots powserver with all three listeners on
+// port 0: the ready line names each bound address, the child holds every
+// one of them (binding it again fails), and the public one serves.
+func TestReadyLineNamesHeldPorts(t *testing.T) {
+	skipUnderRace(t)
+	t.Parallel()
+	n := startNode(t, "-cluster-listen", "127.0.0.1:0")
+	for _, name := range []string{"public", "admin", "cluster"} {
+		addr := n.bound[name]
+		if _, port, err := net.SplitHostPort(addr); err != nil || port == "0" {
+			t.Fatalf("ready line names %s=%q, want a bound host:port", name, addr)
+		}
+		ln, err := net.Listen("tcp", addr)
+		if err == nil {
+			ln.Close()
+			t.Fatalf("bound %s address %s again: the child does not hold it", name, addr)
+		}
+		if !errors.Is(err, syscall.EADDRINUSE) {
+			t.Fatalf("binding %s address %s again: %v, want address already in use", name, addr, err)
+		}
+	}
+	resp, err := http.Get(n.url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz = %d, want 200", resp.StatusCode)
+	}
 }
 
 // waitFor polls cond every interval until it holds, failing the test after

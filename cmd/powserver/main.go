@@ -60,9 +60,17 @@
 // "feed" (static store), "tracker" (live behavior), "combined" (both).
 //
 // Endpoints: every path is protected; GET /healthz is exempt.
+//
+// Once the feed, the model and the deployment are loaded, powserver binds
+// every listener and writes one ready line to stdout with the bound
+// addresses ("-" for a listener that is off), so a caller can pass port 0
+// and read back the ports it got:
+//
+//	ready public=127.0.0.1:41873 admin=127.0.0.1:40211 cluster=-
 package main
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/hex"
@@ -71,6 +79,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -163,19 +172,28 @@ func main() {
 	if *specPath != "" {
 		reloadOnSIGHUP(gk, *specPath)
 	}
+	var admin *http.ServeMux
 	if *adminAddr != "" {
 		proxyAuth, err := aipow.NewProxyAuth(aipow.DeriveProxyAuthKey(key))
 		if err != nil {
 			log.Fatalf("powserver: %v", err)
 		}
-		admin, err := newAdminMux(*adminToken, proxyAuth, gk, origin, events, *pprofFlag)
-		if err != nil {
+		if admin, err = newAdminMux(*adminToken, proxyAuth, gk, origin, events, *pprofFlag); err != nil {
 			log.Fatalf("powserver: %v", err)
 		}
-		go serveAdmin(*adminAddr, admin)
 	}
-	if *clusterListen != "" {
-		go serveCluster(*clusterListen, gk)
+
+	// Bind every listener before serving any, so the ready line names
+	// ports this process holds.
+	publicLn := listen(cmp.Or(*addr, ":http"))
+	adminLn, clusterLn := listen(*adminAddr), listen(*clusterListen)
+	if adminLn != nil {
+		log.Printf("powserver: control plane on %s (POST /apply, POST /rollback, POST /batch, GET /spec, GET /spec/history, GET /stats, GET /metrics, GET /trace, GET /events)", adminLn.Addr())
+		go serve(adminLn, admin)
+	}
+	if clusterLn != nil {
+		log.Printf("powserver: cluster exchange on %s (GET /cluster/<pipeline>)", clusterLn.Addr())
+		go serve(clusterLn, clusterMux(gk))
 	}
 	if *adapt {
 		go runAdaptLoop(gk)
@@ -192,9 +210,37 @@ func main() {
 		os.Exit(0)
 	}()
 
-	log.Printf("powserver: pipelines %v, %d feed IPs, listening on %s", gk.Names(), store.Len(), *addr)
-	server := &http.Server{Addr: *addr, Handler: root, ReadHeaderTimeout: 5 * time.Second}
-	log.Fatal(server.ListenAndServe())
+	log.Printf("powserver: pipelines %v, %d feed IPs, listening on %s", gk.Names(), store.Len(), publicLn.Addr())
+	fmt.Printf("ready public=%s admin=%s cluster=%s\n", boundAddr(publicLn), boundAddr(adminLn), boundAddr(clusterLn))
+	serve(publicLn, root)
+}
+
+// listen binds a TCP listener on addr, nil for an empty addr (the
+// listener is off).
+func listen(addr string) net.Listener {
+	if addr == "" {
+		return nil
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("powserver: %v", err)
+	}
+	return ln
+}
+
+// boundAddr is the ready line's address for ln: its bound address, "-"
+// when the listener is off.
+func boundAddr(ln net.Listener) string {
+	if ln == nil {
+		return "-"
+	}
+	return ln.Addr().String()
+}
+
+// serve answers HTTP on ln until the process exits.
+func serve(ln net.Listener, h http.Handler) {
+	server := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
+	log.Fatal(server.Serve(ln))
 }
 
 // buildRegistry assembles the component registry the spec's names resolve
@@ -338,14 +384,14 @@ func requireBearerOrProxy(token string, auth *aipow.ProxyAuth, next http.Handler
 	}
 }
 
-// serveCluster runs the peer-exchange listener: GET /cluster/<pipeline>
+// clusterMux is the peer-exchange handler: GET /cluster/<pipeline>
 // serves the named pipeline's current state frame (Bloom filter over
 // redeemed tags, reputation digest, serving counters) for fleet peers
 // to absorb. Frames are HMAC-signed with the pipeline's key, so the
 // listener leaks nothing actionable to an unkeyed reader — but bind it
 // privately anyway. Pipelines are resolved per request, so hot-swapped
 // deployments serve their current generation's node.
-func serveCluster(addr string, gk *aipow.Gatekeeper) {
+func clusterMux(gk *aipow.Gatekeeper) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /cluster/{pipeline}", func(w http.ResponseWriter, r *http.Request) {
 		p, ok := gk.Pipeline(r.PathValue("pipeline"))
@@ -360,9 +406,7 @@ func serveCluster(addr string, gk *aipow.Gatekeeper) {
 		}
 		node.Handler().ServeHTTP(w, r)
 	})
-	log.Printf("powserver: cluster exchange on %s (GET /cluster/<pipeline>)", addr)
-	server := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	log.Fatal(server.ListenAndServe())
+	return mux
 }
 
 // newAdminMux assembles the control-plane handler: POST /apply (spec
@@ -475,13 +519,6 @@ func newAdminMux(token string, proxyAuth *aipow.ProxyAuth, gk *aipow.Gatekeeper,
 // metricsContentType is the Prometheus text exposition format version the
 // /metrics endpoint emits.
 const metricsContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// serveAdmin runs the control-plane listener built by newAdminMux.
-func serveAdmin(addr string, mux http.Handler) {
-	log.Printf("powserver: control plane on %s (POST /apply, POST /rollback, POST /batch, GET /spec, GET /spec/history, GET /stats, GET /metrics, GET /trace, GET /events)", addr)
-	server := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	log.Fatal(server.ListenAndServe())
-}
 
 // resolveKey decodes the hex key or generates a demo key.
 func resolveKey(keyHex string) ([]byte, error) {

@@ -318,22 +318,26 @@
 // per-shard slab arenas: each entry is one fixed-size record in a
 // []entrySlot backing array, addressed by uint32 index. The sliding
 // window is an inline ring of float32 request and failure counts under
-// one bucket-epoch stamp each (the tracker only ever adds 1, exact in
-// float32 far beyond any per-bucket count), the
-// LRU is intrusive prev/next indices threaded through the records, the
-// first four distinct paths sit in an inline open-addressed table, and
-// evicted slots recycle through an intrusive freelist. The only
-// per-entry heap allocation left is the IP string itself, shared with
-// the shard index map's key.
+// one head epoch for the whole ring, the newest bucket written (the
+// tracker only ever adds 1, exact in float32 far beyond any per-bucket
+// count); a request stamped a full window or more behind the head counts
+// in the entry's totals but in no bucket. The LRU is intrusive prev/next
+// indices threaded through the records, the first four distinct paths
+// sit in an inline open-addressed table (the rare further ones in a
+// per-shard spill map keyed by slot index), and evicted slots recycle
+// through an intrusive freelist. The only per-entry heap allocation left
+// is the IP string itself, shared with the shard index map's key.
 //
 // Measured at one million tracked IPs (the capacity section of
 // `go run ./cmd/benchdump`, go1.24, linux/amd64): the slab layout
-// holds 461 bytes (a 392-byte record) and 1.0 GC-visible heap objects
-// per tracked IP, down from 1237 bytes and 11.0 objects per IP for the
-// previous pointer-per-entry layout — 63% less memory and 11× fewer
-// objects for the garbage collector to trace on every cycle.
+// holds 349 bytes (a 280-byte record) and 1.0 GC-visible heap objects
+// per tracked IP, down from 461 bytes (a 392-byte record with one epoch
+// stamp per bucket and the path spill on the record) and from 1237 bytes
+// and 11.0 objects per IP for the pointer-per-entry layout before it —
+// 72% less memory and 11× fewer objects for the garbage collector to
+// trace on every cycle.
 // cmd/benchdump measures this on every run and its -compare gate fails
-// CI when bytes/IP exceeds a fixed ceiling (540) or regresses against
+// CI when bytes/IP exceeds a fixed ceiling (400) or regresses against
 // the baseline dump; eviction churn at full capacity and the
 // delta-versus-full frame-encode ratio (see the distributed defense
 // plane) are gated the same way.

@@ -377,7 +377,8 @@ func (gk *Gatekeeper) Spec() *DeploymentSpec {
 // counters when tracing is on, and — where the spec declares them — the
 // adapt controller's level/signal gauges and swap counters, the behavior
 // tracker's occupancy gauges (entries, capacity, slab utilization,
-// evictions), and the cluster plane's exchange and frame counters. node,
+// evictions), the replay cache's evictions of unexpired seeds, and the
+// cluster plane's exchange and frame counters. node,
 // when non-empty, labels every series with the fleet member's name.
 func (gk *Gatekeeper) ExpositionInto(e *metrics.Exposition, node string) {
 	st := gk.state.Load()
@@ -415,6 +416,9 @@ func (gk *Gatekeeper) ExpositionInto(e *metrics.Exposition, node string) {
 			e.Add(metrics.TypeGauge, "aipow_tracker_slab_utilization", "live entries per allocated slab slot", ts.Utilization(), labels...)
 			e.Add(metrics.TypeCounter, "aipow_tracker_evictions", "LRU evictions of tracked IPs", float64(ts.Evictions), labels...)
 		}
+		if rc := fw.ReplayCache(); rc != nil {
+			e.Add(metrics.TypeCounter, "aipow_replay_evictions", "replay-cache evictions of unexpired seeds (each reopens a redeemed token)", float64(rc.LiveEvictions()), labels...)
+		}
 		if n := p.ClusterNode(); n != nil {
 			cs := n.Stats()
 			e.Add(metrics.TypeGauge, "aipow_cluster_peers", "known fleet peers", float64(cs.Peers), labels...)
@@ -446,7 +450,8 @@ func (gk *Gatekeeper) TraceSnapshots() map[string][]obs.TraceSample {
 // StatsInto adds every pipeline's counters — and, for pipelines with an
 // adapt section, the controller's level, swap counts, and live signal
 // estimates under "<pipeline>.adapt.*", plus tracker occupancy under
-// "<pipeline>.tracker.*" and cluster counters under
+// "<pipeline>.tracker.*", the replay cache's evictions of unexpired
+// seeds under "<pipeline>.replay.evictions", and cluster counters under
 // "<pipeline>.cluster.*" — into dst under namespaced keys.
 // Reusing dst across polls means no maps are allocated per scrape; the
 // namespaced key strings still allocate (this is the admin scrape path,
@@ -465,6 +470,9 @@ func (gk *Gatekeeper) StatsInto(dst map[string]float64) {
 			dst[name+".tracker.slab_slots"] = float64(ts.Slots)
 			dst[name+".tracker.slab_utilization"] = ts.Utilization()
 			dst[name+".tracker.evictions"] = float64(ts.Evictions)
+		}
+		if rc := p.Framework().ReplayCache(); rc != nil {
+			dst[name+".replay.evictions"] = float64(rc.LiveEvictions())
 		}
 		if node := p.ClusterNode(); node != nil {
 			cs := node.Stats()

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"aipow/internal/core"
 	"aipow/internal/metrics"
 	"aipow/internal/obs"
+	"aipow/internal/puzzle"
 )
 
 func TestParseDeploymentObserveText(t *testing.T) {
@@ -278,5 +280,61 @@ func TestGatekeeperExposition(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
 		}
+	}
+}
+
+// TestGatekeeperReplayEvictions overfills a pipeline's 2-seed replay
+// cache with five redemptions and reads the three live evictions back
+// from both the stats map and the exposition; a pipeline without a
+// replay cache reports neither.
+func TestGatekeeperReplayEvictions(t *testing.T) {
+	spec := gkSpec()
+	spec.Pipelines[0].ReplayCache = 2
+	spec.Pipelines[1].ReplayCache = -1
+	gk, err := NewGatekeeper(newTestRegistry(t), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gk.Close()
+	web := gk.Route("/", "")
+	for i := 0; i < 5; i++ {
+		dec, err := web.Decide(core.RequestContext{IP: "10.0.0.9"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, _, err := puzzle.NewSolver().Solve(context.Background(), dec.Challenge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := web.Verify(sol, "10.0.0.9"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stats := make(map[string]float64)
+	gk.StatsInto(stats)
+	if got := stats["web.replay.evictions"]; got != 3 {
+		t.Errorf("web.replay.evictions = %v, want 3", got)
+	}
+	if _, ok := stats["api.replay.evictions"]; ok {
+		t.Error("api.replay.evictions reported without a replay cache")
+	}
+	e := metrics.NewExposition()
+	gk.ExpositionInto(e, "")
+	var b strings.Builder
+	if _, err := e.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		`# TYPE aipow_replay_evictions counter`,
+		`aipow_replay_evictions{pipeline="web"} 3`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, `aipow_replay_evictions{pipeline="api"}`) {
+		t.Error("exposition reports replay evictions for a pipeline without a replay cache")
 	}
 }

@@ -851,6 +851,10 @@ func (f *Framework) Observe(req features.RequestInfo) error {
 	return f.tracker.Observe(req)
 }
 
+// ReplayCache returns the verifier's replay cache, nil when replay
+// protection is off.
+func (f *Framework) ReplayCache() *puzzle.ReplayCache { return f.verifier.ReplayCache() }
+
 // PolicyName reports the active policy's name for logs and tables.
 func (f *Framework) PolicyName() string { return f.snap.Load().pol.Name() }
 

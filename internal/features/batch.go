@@ -140,7 +140,7 @@ func (t *Tracker) AttributesVectorBatch(dst []float64, stride int, schema *Schem
 		if !ok {
 			return // unknown IP: all-zero behavior, coverage still granted
 		}
-		s := t.summarizeLocked(&sh.slots[idx], now)
+		s := t.summarizeLocked(sh, idx, now)
 		l.scatter(dst[int(i)*stride:], s[:])
 	})
 }

@@ -100,8 +100,9 @@ const (
 
 	// inlinePaths is the open-addressed per-path table inlined in a slot.
 	// An IP's first inlinePaths distinct paths are tracked inline; further
-	// distinct paths (up to maxPaths) spill to a small per-entry slice —
-	// rare in practice, since most clients touch a handful of endpoints.
+	// distinct paths (up to maxPaths) spill to a small slice in the shard's
+	// spill map — rare in practice, since most clients touch a handful of
+	// endpoints.
 	inlinePaths = 4
 
 	// noSlot is the nil slab index (freelist end, empty LRU list).
@@ -121,12 +122,14 @@ const (
 // total never exceeds capacity — though eviction order is per-shard LRU,
 // not global.
 //
-// Entries are fixed-size records (entrySlot) in a per-shard []entrySlot
-// slab addressed by uint32 index: the window ring is inlined in the
-// record, the LRU is intrusive prev/next indices, and evicted slots recycle
-// through a freelist. The only per-entry heap allocation is the IP string
-// (shared with the index map key), which is what keeps a million tracked
-// clients at ~1 GC-visible object each instead of ~11.
+// Entries are fixed-size 280-byte records (entrySlot) in a per-shard
+// []entrySlot slab addressed by uint32 index: the window ring is inlined in
+// the record under one head epoch, the LRU is intrusive prev/next indices,
+// and evicted slots recycle through a freelist. The only per-entry heap
+// allocation is the IP string (shared with the index map key), which is
+// what keeps a million tracked clients at ~1 GC-visible object each
+// instead of ~11. The rare IP with more than inlinePaths distinct paths
+// keeps the rest in its shard's spill map, off the record.
 //
 // Tracker is safe for concurrent use.
 type Tracker struct {
@@ -175,6 +178,11 @@ type trackerShard struct {
 	cap              int               // this shard's share of the tracker capacity
 	evictions        uint64            // lifetime LRU evictions (occupancy gauge)
 
+	// spill holds the per-path counters beyond a slot's inline table,
+	// keyed by slab index, for slots with pathCount > inlinePaths only
+	// (nil until the first spill).
+	spill map[uint32][]pathSpillEnt
+
 	// dirty is the shard's delta-export log: the slab indices whose
 	// exported evidence fields changed, deduplicated via entrySlot.dirtyPos
 	// (each live slot appears at most once; evicted slots leave a noSlot
@@ -197,8 +205,8 @@ type pathSpillEnt struct {
 // fixed-size slab record. Window counts are float32 — the tracker only
 // ever adds 1 per request, and float32 holds integers exactly below 2^24,
 // far beyond any per-bucket request count — and every timestamp is an
-// int64 unix-nanosecond (0 = unset), so the record holds no pointers
-// except the IP string and the rare path-spill slice.
+// int64 unix-nanosecond (0 = unset), so the record holds no pointer
+// except the IP string.
 type entrySlot struct {
 	ip string
 
@@ -206,23 +214,25 @@ type entrySlot struct {
 	// chain while the slot is free.
 	lruPrev, lruNext uint32
 
-	// Sliding window, inlined: ring bucket i holds the request and failure
-	// counts of bucket epoch stamps[i] (atNS / bucketNS). The tracker's
-	// bucket count uses a prefix of the fixed arrays.
+	// Sliding window, inlined: winHead is the newest bucket epoch
+	// (atNS / bucketNS) written, and the ring holds the request and
+	// failure counts of the n epochs (winHead-n, winHead], epoch e at ring
+	// bucket e mod n. The tracker's bucket count n uses a prefix of the
+	// fixed arrays.
 	reqCounts  [maxSlotBuckets]float32
 	failCounts [maxSlotBuckets]float32
-	stamps     [maxSlotBuckets]int64
+	winHead    int64
 
 	// Per-path hit counts keyed by 64-bit FNV-1a path hash: the first
 	// inlinePaths distinct paths inline (hits==0 marks a vacant cell; a
 	// tracked path always has at least one hit), later distinct paths in
-	// the insertion-ordered spill slice. Hashing merges colliding paths
-	// into one counter — at ≤ maxPaths (default 64) distinct paths per IP
-	// the 64-bit collision odds are ~1e-16, far below any behavioral
-	// signal. overflowHits pools hits beyond the maxPaths cap.
+	// the insertion-ordered slice at the shard's spill[idx]. Hashing
+	// merges colliding paths into one counter — at ≤ maxPaths (default
+	// 64) distinct paths per IP the 64-bit collision odds are ~1e-16, far
+	// below any behavioral signal. overflowHits pools hits beyond the
+	// maxPaths cap.
 	pathHash     [inlinePaths]uint64
 	pathHits     [inlinePaths]uint64
-	pathSpill    []pathSpillEnt
 	pathCount    int32 // distinct paths tracked (inline + spill)
 	seen         bool  // at least one Observe folded in (gates the EWMA gap)
 	overflowHits uint64
@@ -453,33 +463,77 @@ func (t *Tracker) Observe(req RequestInfo) error {
 	return nil
 }
 
+// ringIndex is epoch's bucket in an n-bucket ring (epoch mod n, also for
+// negative epochs).
+func ringIndex(epoch int64, n int) int {
+	i := int(epoch % int64(n))
+	if i < 0 {
+		i += n
+	}
+	return i
+}
+
 // winAdd records one request in a slot's inline window ring: n is the
 // live bucket count (a prefix of the fixed arrays), bucketNS the epoch
-// unit. A ring bucket that still holds an older epoch is reset first —
-// requests and failures together, so a failure never outlives the
-// request bucket it was counted in.
+// unit. The slot's first request sets the head (winAdd runs before the
+// slot is marked seen). After that, an epoch past the head zeroes the
+// buckets it skips (all of them after a gap of n or more) and becomes the
+// head; an epoch in (head-n, head] adds to its bucket; an older one is
+// outside the window and counted nowhere in the ring. Requests and
+// failures share a bucket, so a failure never outlives the request it was
+// counted with.
 func winAdd(e *entrySlot, n int, bucketNS, atNS int64, failed bool) {
 	epoch := atNS / bucketNS
-	slot := int(((epoch % int64(n)) + int64(n)) % int64(n))
-	if e.stamps[slot] != epoch {
-		e.reqCounts[slot], e.failCounts[slot] = 0, 0
-		e.stamps[slot] = epoch
+	switch {
+	case !e.seen:
+		e.winHead = epoch
+	case epoch > e.winHead:
+		// The unsigned difference is exact for any pair of int64 epochs.
+		gap := min(uint64(epoch-e.winHead), uint64(n))
+		for i := ringIndex(e.winHead, n); gap > 0; gap-- {
+			if i++; i == n {
+				i = 0
+			}
+			e.reqCounts[i], e.failCounts[i] = 0, 0
+		}
+		e.winHead = epoch
+	case uint64(e.winHead-epoch) >= uint64(n):
+		return
 	}
-	e.reqCounts[slot]++
+	i := ringIndex(epoch, n)
+	e.reqCounts[i]++
 	if failed {
-		e.failCounts[slot]++
+		e.failCounts[i]++
 	}
 }
 
-// winSum totals the requests and failures in the ring buckets inside the
-// window ending at nowNS.
+// winSum totals the requests and failures of the window ending at nowNS:
+// the epochs [max(now-n+1, head-n+1), min(now, head)], which number
+// k = n - |now - head| when the two windows overlap. When now is the
+// head's epoch, k = n and the sum is the whole ring.
 func winSum(e *entrySlot, n int, bucketNS, nowNS int64) (reqs, fails float64) {
-	newest := nowNS / bucketNS
-	oldest := newest - int64(n) + 1
-	for i := 0; i < n; i++ {
-		if ep := e.stamps[i]; ep >= oldest && ep <= newest {
-			reqs += float64(e.reqCounts[i])
-			fails += float64(e.failCounts[i])
+	now, hi := nowNS/bucketNS, e.winHead
+	var dist uint64
+	if now < hi {
+		dist, hi = uint64(hi-now), now
+	} else {
+		dist = uint64(now - hi)
+	}
+	if dist >= uint64(n) {
+		return 0, 0
+	}
+	k, i := n-int(dist), 0
+	if k < n {
+		// Start at the oldest epoch summed, hi-k+1.
+		if i = ringIndex(hi, n) - k + 1; i < 0 {
+			i += n
+		}
+	}
+	for ; k > 0; k-- {
+		reqs += float64(e.reqCounts[i])
+		fails += float64(e.failCounts[i])
+		if i++; i == n {
+			i = 0
 		}
 	}
 	return reqs, fails
@@ -541,6 +595,7 @@ func (t *Tracker) observeLocked(sh *trackerShard, idx uint32, path string, at ti
 	atNS := at.UnixNano()
 	t.markDirtyLocked(sh, idx) // total (and maybe totalFailed) change below
 	e := &sh.slots[idx]
+	winAdd(e, t.buckets, t.bucketNS, atNS, failed)
 	if e.seen {
 		gapMS := float64(atNS-e.lastSeenNS) / float64(time.Millisecond)
 		if gapMS < 0 {
@@ -556,17 +611,27 @@ func (t *Tracker) observeLocked(sh *trackerShard, idx uint32, path string, at ti
 	e.seen = true
 	e.lastSeenNS = atNS
 	e.total++
-	winAdd(e, t.buckets, t.bucketNS, atNS, failed)
 	if failed {
 		e.totalFailed++
 	}
-	t.pathHitLocked(e, path)
+	t.pathHitLocked(sh, idx, path)
 }
 
-// pathHitLocked counts one hit on path: known paths increment, new paths
-// enter the inline table (or the spill slice) until maxPaths distinct
-// paths are tracked, and hits beyond the cap pool into overflowHits.
-func (t *Tracker) pathHitLocked(e *entrySlot, path string) {
+// spillOf returns the slot's spilled path counters: nil unless it tracks
+// more than inlinePaths distinct paths. Callers hold sh.mu.
+func (sh *trackerShard) spillOf(e *entrySlot, idx uint32) []pathSpillEnt {
+	if e.pathCount <= inlinePaths {
+		return nil
+	}
+	return sh.spill[idx]
+}
+
+// pathHitLocked counts one hit on path for the slot at idx: known paths
+// increment, new paths enter the inline table (then the shard's spill
+// map) until maxPaths distinct paths are tracked, and hits beyond the cap
+// pool into overflowHits. Callers hold sh.mu.
+func (t *Tracker) pathHitLocked(sh *trackerShard, idx uint32, path string) {
+	e := &sh.slots[idx]
 	h := pathHash64(path)
 	for i := 0; i < inlinePaths; i++ {
 		if e.pathHits[i] != 0 && e.pathHash[i] == h {
@@ -574,9 +639,10 @@ func (t *Tracker) pathHitLocked(e *entrySlot, path string) {
 			return
 		}
 	}
-	for i := range e.pathSpill {
-		if e.pathSpill[i].hash == h {
-			e.pathSpill[i].hits++
+	spill := sh.spillOf(e, idx)
+	for i := range spill {
+		if spill[i].hash == h {
+			spill[i].hits++
 			return
 		}
 	}
@@ -591,7 +657,10 @@ func (t *Tracker) pathHitLocked(e *entrySlot, path string) {
 			return
 		}
 	}
-	e.pathSpill = append(e.pathSpill, pathSpillEnt{hash: h, hits: 1})
+	if sh.spill == nil {
+		sh.spill = make(map[uint32][]pathSpillEnt)
+	}
+	sh.spill[idx] = append(spill, pathSpillEnt{hash: h, hits: 1})
 }
 
 // entryLocked returns the slab index of the shard's entry for ip, creating
@@ -737,9 +806,10 @@ func decayCreditNS(credit float64, fromNS, nowNS int64, halfLife time.Duration) 
 // behaviorAttrNames order.
 type behaviorSummary [behaviorAttrCount]float64
 
-// summarizeLocked computes the behavior summary for a slot at now.
-// Callers hold the shard lock.
-func (t *Tracker) summarizeLocked(e *entrySlot, now time.Time) behaviorSummary {
+// summarizeLocked computes the behavior summary for the slot at idx at
+// now. Callers hold the shard lock.
+func (t *Tracker) summarizeLocked(sh *trackerShard, idx uint32, now time.Time) behaviorSummary {
+	e := &sh.slots[idx]
 	nowNS := now.UnixNano()
 	var s behaviorSummary
 	reqs, fails := winSum(e, t.buckets, t.bucketNS, nowNS)
@@ -748,7 +818,7 @@ func (t *Tracker) summarizeLocked(e *entrySlot, now time.Time) behaviorSummary {
 		s[1] = fails / reqs
 	}
 	s[2] = float64(e.pathCount)
-	s[3] = e.pathEntropy()
+	s[3] = e.pathEntropy(sh.spillOf(e, idx))
 	s[4] = e.interArrival
 	s[5] = float64(e.total)
 	s[6] = decayCreditNS(e.solveCredit, e.creditAtNS, nowNS, t.halfLife)
@@ -772,7 +842,7 @@ func (t *Tracker) AttributesVector(dst []float64, schema *Schema, ip string, now
 	sh := t.shard(ip)
 	sh.mu.Lock()
 	if idx, ok := sh.index[ip]; ok {
-		s = t.summarizeLocked(&sh.slots[idx], now)
+		s = t.summarizeLocked(sh, idx, now)
 	}
 	sh.mu.Unlock()
 	l.scatter(dst, s[:])
@@ -781,17 +851,17 @@ func (t *Tracker) AttributesVector(dst []float64, schema *Schema, ip string, now
 
 // pathEntropy is the Shannon entropy (bits) of the per-path hit
 // distribution: near 0 for single-endpoint hammering, high for crawlers
-// spraying across many paths. Overflow hits pool into one pseudo-path, so
-// the cap cannot be abused to zero the signal. Accumulation runs in fixed
-// order (inline table, spill slice, overflow), so the value is
-// deterministic for a given event trace.
-func (e *entrySlot) pathEntropy() float64 {
+// spraying across many paths; spill is the slot's spilled counters.
+// Overflow hits pool into one pseudo-path, so the cap cannot be abused to
+// zero the signal. Accumulation runs in fixed order (inline table, spill
+// slice, overflow), so the value is deterministic for a given event trace.
+func (e *entrySlot) pathEntropy(spill []pathSpillEnt) float64 {
 	total := e.overflowHits
 	for i := 0; i < inlinePaths; i++ {
 		total += e.pathHits[i]
 	}
-	for i := range e.pathSpill {
-		total += e.pathSpill[i].hits
+	for i := range spill {
+		total += spill[i].hits
 	}
 	if total == 0 {
 		return 0
@@ -807,8 +877,8 @@ func (e *entrySlot) pathEntropy() float64 {
 	for i := 0; i < inlinePaths; i++ {
 		acc(e.pathHits[i])
 	}
-	for i := range e.pathSpill {
-		acc(e.pathSpill[i].hits)
+	for i := range spill {
+		acc(spill[i].hits)
 	}
 	acc(e.overflowHits)
 	return h
@@ -871,7 +941,10 @@ func (sh *trackerShard) evictLocked() {
 		// hearing about it (the CRDT state they already merged stands).
 		sh.dirty[s.dirtyPos-1] = noSlot
 	}
-	*s = entrySlot{} // clear state and drop the ip string / spill slice
+	if s.pathCount > inlinePaths {
+		delete(sh.spill, idx)
+	}
+	*s = entrySlot{} // clear state and drop the ip string
 	s.lruNext = sh.free
 	sh.free = idx
 	sh.evictions++

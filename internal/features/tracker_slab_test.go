@@ -15,8 +15,9 @@ import (
 // freelist is acyclic, in range, and disjoint from live slots (a freelist
 // that double-assigned a slot would show up here as a live slot on the
 // free chain or two IPs on one slot); every allocated slot is either live
-// or free; and the LRU list is a consistent doubly-linked walk of exactly
-// the live slots.
+// or free; the LRU list is a consistent doubly-linked walk of exactly the
+// live slots; and the spill map holds exactly the live slots past their
+// inline path table, each with its spilled path count.
 func checkSlabInvariants(t *testing.T, tr *Tracker) {
 	t.Helper()
 	for si := range tr.shards {
@@ -74,6 +75,18 @@ func checkSlabInvariants(t *testing.T, tr *Tracker) {
 			t.Fatalf("shard %d: LRU walk saw %d of %d live slots (tail %d, want %d)",
 				si, lruCount, len(sh.index), sh.lruTail, prev)
 		}
+		spilled := 0
+		for idx := range live {
+			if n := int(sh.slots[idx].pathCount) - inlinePaths; n > 0 {
+				spilled++
+				if got := len(sh.spill[idx]); got != n {
+					t.Fatalf("shard %d: slot %d spills %d paths, pathCount says %d", si, idx, got, n)
+				}
+			}
+		}
+		if len(sh.spill) != spilled {
+			t.Fatalf("shard %d: spill map holds %d slots, %d live slots spill", si, len(sh.spill), spilled)
+		}
 		sh.mu.Unlock()
 	}
 }
@@ -112,12 +125,42 @@ func TestTrackerSlabFreelistChurn(t *testing.T) {
 	}
 }
 
+// TestTrackerSpillDiesWithEntry pins that an evicted slot's spilled path
+// counters leave the shard's spill map with it, so a recycled slot starts
+// with no paths.
+func TestTrackerSpillDiesWithEntry(t *testing.T) {
+	tr, err := NewTracker(WithCapacity(1), withMaxPaths(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < inlinePaths+3; i++ {
+		if err := tr.Observe(RequestInfo{IP: "a", Path: fmt.Sprintf("/p%d", i), At: at(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkSlabInvariants(t, tr)
+	if got := attrsOf(tr, "a", at(9))[AttrDistinctPaths]; got != inlinePaths+3 {
+		t.Fatalf("%s = %v before eviction, want %d", AttrDistinctPaths, got, inlinePaths+3)
+	}
+	for _, ip := range []string{"b", "a"} { // b evicts a, a evicts b into the same slot
+		if err := tr.Observe(RequestInfo{IP: ip, Path: "/", At: at(10)}); err != nil {
+			t.Fatal(err)
+		}
+		checkSlabInvariants(t, tr)
+	}
+	attrs := attrsOf(tr, "a", at(10))
+	if attrs[AttrDistinctPaths] != 1 || attrs[AttrPathEntropy] != 0 {
+		t.Fatalf("re-admitted IP: %v distinct paths, entropy %v, want 1 and 0",
+			attrs[AttrDistinctPaths], attrs[AttrPathEntropy])
+	}
+}
+
 // TestTrackerSlabHammer hammers one small tracker from several goroutines —
 // observes, verifications, summaries, exports, and stats — so the race
 // detector sees eviction, slot recycling, and slab growth under real
 // contention; the slab invariants are checked once the dust settles.
 func TestTrackerSlabHammer(t *testing.T) {
-	tr, err := NewTracker(WithCapacity(256), WithShards(4), withMaxPaths(4))
+	tr, err := NewTracker(WithCapacity(256), WithShards(4), withMaxPaths(5)) // spill, then overflow
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +204,9 @@ func TestTrackerSlabHammer(t *testing.T) {
 
 // refTrackerModel is a straight-line reference implementation of the
 // tracker's per-IP semantics — plain maps, insertion-ordered path slices,
-// float64 windows, no slabs, no caches, no eviction — mirroring the
-// arithmetic of the pre-slab layout expression for expression so results
-// must match bit for bit.
+// float64 windows keyed by epoch, no slabs, no rings, no caches, no
+// eviction — mirroring the arithmetic of the pre-slab layout expression
+// for expression so results must match bit for bit.
 type refTrackerModel struct {
 	span     time.Duration
 	buckets  int
@@ -174,17 +217,19 @@ type refTrackerModel struct {
 }
 
 type refTrackerEntry struct {
-	reqCounts, failCounts [maxSlotBuckets]float64
-	reqStamps, failStamps [maxSlotBuckets]int64
-	paths                 []pathSpillEnt // insertion-ordered, matching slab order
-	overflow              uint64
-	seen                  bool
-	lastSeenNS            int64
-	interArrival          float64
-	total, totalFailed    uint64
-	solveCredit           float64
-	creditAtNS            int64
-	failStreak            uint64
+	// head is the newest window epoch observed; reqs and fails count the
+	// requests of each epoch in (head-n, head].
+	head               int64
+	reqs, fails        map[int64]float64
+	paths              []pathSpillEnt // insertion-ordered, matching slab order
+	overflow           uint64
+	seen               bool
+	lastSeenNS         int64
+	interArrival       float64
+	total, totalFailed uint64
+	solveCredit        float64
+	creditAtNS         int64
+	failStreak         uint64
 }
 
 func (m *refTrackerModel) entry(ip string) *refTrackerEntry {
@@ -196,24 +241,40 @@ func (m *refTrackerModel) entry(ip string) *refTrackerEntry {
 	return e
 }
 
-func refWinAdd(counts *[maxSlotBuckets]float64, stamps *[maxSlotBuckets]int64, n int, bucketNS, atNS int64) {
+// refWinAdd is the window rule: the newest epoch seen is the head, the
+// window keeps the n epochs (head-n, head], and a request stamped at or
+// before head-n is counted in no window epoch.
+func refWinAdd(e *refTrackerEntry, n int, bucketNS, atNS int64, first, failed bool) {
 	epoch := atNS / bucketNS
-	slot := int(((epoch % int64(n)) + int64(n)) % int64(n))
-	if stamps[slot] != epoch {
-		counts[slot] = 0
-		stamps[slot] = epoch
+	if first || epoch > e.head {
+		e.head = epoch
 	}
-	counts[slot]++
+	for ep := range e.reqs {
+		if ep <= e.head-int64(n) {
+			delete(e.reqs, ep)
+			delete(e.fails, ep)
+		}
+	}
+	if epoch <= e.head-int64(n) {
+		return
+	}
+	if e.reqs == nil {
+		e.reqs, e.fails = make(map[int64]float64), make(map[int64]float64)
+	}
+	e.reqs[epoch]++
+	if failed {
+		e.fails[epoch]++
+	}
 }
 
-func refWinSum(counts *[maxSlotBuckets]float64, stamps *[maxSlotBuckets]int64, n int, bucketNS, nowNS int64) float64 {
-	newest := nowNS / bucketNS
-	oldest := newest - int64(n) + 1
+// refWinSum totals counts over the epochs in both the window ending at
+// nowNS and the window ending at the head.
+func refWinSum(counts map[int64]float64, head int64, n int, bucketNS, nowNS int64) float64 {
+	now := nowNS / bucketNS
+	lo, hi := max(now, head)-int64(n)+1, min(now, head)
 	var total float64
-	for i := 0; i < n; i++ {
-		if e := stamps[i]; e >= oldest && e <= newest {
-			total += counts[i]
-		}
+	for ep := lo; ep <= hi; ep++ {
+		total += counts[ep]
 	}
 	return total
 }
@@ -233,12 +294,11 @@ func (m *refTrackerModel) observe(ip, path string, at time.Time, failed bool) {
 			e.interArrival = alpha*gapMS + (1-alpha)*e.interArrival
 		}
 	}
+	refWinAdd(e, m.buckets, m.bucketNS, atNS, !e.seen, failed)
 	e.seen = true
 	e.lastSeenNS = atNS
 	e.total++
-	refWinAdd(&e.reqCounts, &e.reqStamps, m.buckets, m.bucketNS, atNS)
 	if failed {
-		refWinAdd(&e.failCounts, &e.failStamps, m.buckets, m.bucketNS, atNS)
 		e.totalFailed++
 	}
 	h := pathHash64(path)
@@ -274,10 +334,10 @@ func (m *refTrackerModel) summarize(ip string, now time.Time) [behaviorAttrCount
 		return s
 	}
 	nowNS := now.UnixNano()
-	reqs := refWinSum(&e.reqCounts, &e.reqStamps, m.buckets, m.bucketNS, nowNS)
+	reqs := refWinSum(e.reqs, e.head, m.buckets, m.bucketNS, nowNS)
 	s[0] = reqs / m.span.Seconds()
 	if reqs > 0 {
-		s[1] = refWinSum(&e.failCounts, &e.failStamps, m.buckets, m.bucketNS, nowNS) / reqs
+		s[1] = refWinSum(e.fails, e.head, m.buckets, m.bucketNS, nowNS) / reqs
 	}
 	s[2] = float64(len(e.paths))
 	total := e.overflow
@@ -385,6 +445,141 @@ func TestTrackerSlabTraceEquivalence(t *testing.T) {
 	if !spilled || !overflowed {
 		t.Fatalf("trace too tame: spill=%v overflow=%v, want both", spilled, overflowed)
 	}
+}
+
+// newRefModel returns an empty reference model with tr's parameters.
+func newRefModel(tr *Tracker) *refTrackerModel {
+	return &refTrackerModel{
+		span:     tr.span,
+		buckets:  tr.buckets,
+		bucketNS: tr.bucketNS,
+		maxPaths: tr.maxPaths,
+		halfLife: tr.halfLife,
+		entries:  make(map[string]*refTrackerEntry),
+	}
+}
+
+// checkMatchesModel requires every behavioral attribute of ip at now to
+// match the model bit for bit.
+func checkMatchesModel(t *testing.T, tr *Tracker, model *refTrackerModel, step int, ip string, now time.Time) {
+	t.Helper()
+	got := attrsOf(tr, ip, now)
+	want := model.summarize(ip, now)
+	for i, name := range behaviorAttrNames {
+		if got[name] != want[i] {
+			t.Fatalf("step %d, ip %s: %s = %v, want %v", step, ip, name, got[name], want[i])
+		}
+	}
+}
+
+// TestTrackerSlabTraceEquivalenceJitter is TestTrackerSlabTraceEquivalence
+// with out-of-order stamps: every event and query is stamped up to n-1
+// buckets before the trace clock, as requests that sat in a buffer or a
+// proxy queue arrive. Bucket writes then land behind the head, inside the
+// window, and the slab must still match the model bit for bit.
+func TestTrackerSlabTraceEquivalenceJitter(t *testing.T) {
+	tr, err := NewTracker(withMaxPaths(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := newRefModel(tr)
+	ips := make([]string, 48)
+	for i := range ips {
+		ips[i] = fmt.Sprintf("10.7.%d.%d", i/16, i%16)
+	}
+	maxJitter := int64(tr.buckets-1) * tr.bucketNS
+	rng := rand.New(rand.NewSource(43))
+	clock := time.Unix(1_700_000_000, 0)
+	stamp := func() time.Time { return clock.Add(-time.Duration(rng.Int63n(maxJitter))) }
+	for step := 0; step < 10_000; step++ {
+		clock = clock.Add(time.Duration(rng.Intn(500_000)) * time.Microsecond)
+		ip, at := ips[rng.Intn(len(ips))], stamp()
+		if rng.Intn(5) == 0 {
+			diff, ok := rng.Intn(20)+1, rng.Intn(5) < 3
+			tr.RecordVerify(ip, diff, ok, at)
+			model.recordVerify(ip, diff, ok, at)
+		} else {
+			path, failed := fmt.Sprintf("/api/v%d", rng.Intn(10)), rng.Intn(4) == 0
+			if err := tr.Observe(RequestInfo{IP: ip, Path: path, At: at, Failed: failed}); err != nil {
+				t.Fatal(err)
+			}
+			model.observe(ip, path, at, failed)
+		}
+		if rng.Intn(10) == 0 {
+			checkMatchesModel(t, tr, model, step, ips[rng.Intn(len(ips))], stamp())
+		}
+	}
+	for _, ip := range ips {
+		checkMatchesModel(t, tr, model, 10_000, ip, clock)
+	}
+	checkSlabInvariants(t, tr)
+}
+
+// checkTrackerOps decodes data into tracker ops, three bytes each (op,
+// arg, clock step), and holds the tracker to the reference model after
+// every read and at the end. The window is 4 s over 4 buckets and the
+// clock steps up to 16 s either way, so writes land past the head, inside
+// the window behind it, and at or before head-n; 8 IPs and 8 paths with a
+// 6-path cap reach the inline table, the spill map and the overflow pool.
+//
+//	op&3 = 0, 1  Observe ips[arg&7] on paths[arg>>3&7], failed when op&4
+//	op&3 = 2     RecordVerify ips[arg&7] at difficulty op>>4 + 1, ok unless op&4
+//	op&3 = 3     read ips[arg&7] at the clock and compare
+func checkTrackerOps(t *testing.T, data []byte) {
+	tr, err := NewTracker(WithWindow(4*time.Second, 4), withMaxPaths(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := newRefModel(tr)
+	var ips, paths [8]string
+	for i := range ips {
+		ips[i], paths[i] = fmt.Sprintf("10.6.0.%d", i), fmt.Sprintf("/p%d", i)
+	}
+	clock := time.Unix(1_700_000_000, 0)
+	for step := 0; len(data) >= 3; step, data = step+1, data[3:] {
+		op, arg := data[0], data[1]
+		clock = clock.Add(time.Duration(int8(data[2])) * 125 * time.Millisecond)
+		ip := ips[arg&7]
+		switch op & 3 {
+		case 0, 1:
+			path, failed := paths[arg>>3&7], op&4 != 0
+			if err := tr.Observe(RequestInfo{IP: ip, Path: path, At: clock, Failed: failed}); err != nil {
+				t.Fatal(err)
+			}
+			model.observe(ip, path, clock, failed)
+		case 2:
+			diff, ok := int(op>>4)+1, op&4 == 0
+			tr.RecordVerify(ip, diff, ok, clock)
+			model.recordVerify(ip, diff, ok, clock)
+		case 3:
+			checkMatchesModel(t, tr, model, step, ip, clock)
+		}
+	}
+	for _, ip := range ips {
+		checkMatchesModel(t, tr, model, -1, ip, clock)
+	}
+	checkSlabInvariants(t, tr)
+}
+
+func FuzzTrackerMatchesModel(f *testing.F) {
+	// Three requests a bucket apart, one 2 s back, one a window back
+	// (stale: counted in totals only), a read; then a verify and a jump
+	// past the whole window.
+	f.Add([]byte{0, 0, 8, 4, 8, 8, 0, 16, 8, 0, 0, 240, 4, 8, 224, 3, 0, 0,
+		2, 0, 4, 0, 0, 100, 3, 0, 0})
+	// Eight distinct paths on one IP: inline, spill, overflow.
+	paths := []byte{}
+	for p := byte(0); p < 8; p++ {
+		paths = append(paths, 0, p<<3|1, 1)
+	}
+	f.Add(append(paths, 3, 1, 0, 3, 1, 200))
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 16; i++ {
+		random := make([]byte, 3*400)
+		rng.Read(random)
+		f.Add(random)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkTrackerOps(t, data) })
 }
 
 // TestTrackerDeltaExportReplay pins the delta-export contract under churn

@@ -160,6 +160,61 @@ func TestWindowBackwardStepFailRatio(t *testing.T) {
 	}
 }
 
+// TestWindowStaleRequestKeepsNewerBuckets pins the window rule for a
+// request stamped n or more buckets behind the slot's newest bucket (the
+// head): it is counted in the entry's lifetime totals but in no window
+// bucket, and it never resets a newer bucket that shares its ring index.
+func TestWindowStaleRequestKeepsNewerBuckets(t *testing.T) {
+	type step struct {
+		e      int64
+		failed bool
+	}
+	cases := []struct {
+		name       string
+		steps      []step
+		now        int64
+		reqs, fail float64 // window counts at now
+	}{
+		{"exactly n behind, same bucket", []step{{15, false}, {15, false}, {5, false}}, 15, 2, 0},
+		{"2n behind, same bucket", []step{{25, true}, {5, false}}, 25, 1, 1},
+		{"stale failure keeps the ratio", []step{{15, true}, {5, true}, {5, false}}, 15, 1, 1},
+		{"n behind, then the head moves on", []step{{15, false}, {5, false}, {16, false}}, 16, 2, 0},
+		{"n behind, other bucket", []step{{15, false}, {3, true}}, 15, 1, 0},
+		{"n-1 behind is in the window", []step{{15, false}, {6, true}}, 15, 2, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr, err := NewTracker() // 30 s over 10 buckets
+			if err != nil {
+				t.Fatal(err)
+			}
+			epoch := func(e int64) time.Time { return time.Unix(0, e*tr.bucketNS) }
+			var failed float64
+			for _, s := range c.steps {
+				if err := tr.Observe(RequestInfo{IP: "a", Path: "/", At: epoch(s.e), Failed: s.failed}); err != nil {
+					t.Fatal(err)
+				}
+				if s.failed {
+					failed++
+				}
+			}
+			attrs := attrsOf(tr, "a", epoch(c.now))
+			if got, want := attrs[AttrRequestRate], c.reqs/30; got != want {
+				t.Errorf("%s = %v, want %v", AttrRequestRate, got, want)
+			}
+			if got, want := attrs[AttrFailRatio], c.fail/c.reqs; got != want {
+				t.Errorf("%s = %v, want %v", AttrFailRatio, got, want)
+			}
+			if got, want := attrs[AttrTotalRequests], float64(len(c.steps)); got != want {
+				t.Errorf("%s = %v, want %v", AttrTotalRequests, got, want)
+			}
+			if got, want := attrs[AttrFailRatioTotal], failed/float64(len(c.steps)); got != want {
+				t.Errorf("%s = %v, want %v", AttrFailRatioTotal, got, want)
+			}
+		})
+	}
+}
+
 // TestWindowReset pins that a window's counts die with its entry: a slot
 // recycled through the freelist starts with an empty ring.
 func TestWindowReset(t *testing.T) {
@@ -215,9 +270,8 @@ func TestWindowConservationProperty(t *testing.T) {
 //	ip string                                  16
 //	lruPrev, lruNext                            8
 //	reqCounts, failCounts (2 × 12 float32)     96
-//	stamps (12 int64 epochs)                   96
+//	winHead (one int64 epoch)                   8
 //	pathHash, pathHits (2 × 4 uint64)          64
-//	pathSpill slice header                     24
 //	pathCount, seen (+ padding)                 8
 //	overflowHits, lastSeenNS, interArrival,
 //	total, totalFailed, solveCredit,
@@ -225,10 +279,13 @@ func TestWindowConservationProperty(t *testing.T) {
 //	expSeq                                      8
 //	dirtyPos (+ padding)                        8
 //	                                          ---
-//	                                          392
+//	                                          280
+//
+// Spilled path counters (past inlinePaths distinct paths) live in the
+// shard's spill map, not here.
 func TestEntrySlotSizeBudget(t *testing.T) {
-	if got := unsafe.Sizeof(entrySlot{}); got > 392 {
-		t.Fatalf("entrySlot is %d B, over its 392 B budget", got)
+	if got := unsafe.Sizeof(entrySlot{}); got > 280 {
+		t.Fatalf("entrySlot is %d B, over its 280 B budget", got)
 	}
 }
 

@@ -36,6 +36,9 @@ type ReplayCache struct {
 	// peak is the most seeds held since the map and heap were last
 	// allocated.
 	peak int
+	// liveEvictions counts seeds evicted before their expiry: each one
+	// is a redeemed token that verifies again.
+	liveEvictions uint64
 }
 
 // NewReplayCache returns a cache holding at most max seeds. The now
@@ -80,7 +83,9 @@ func (c *ReplayCache) rememberAt(seed [SeedSize]byte, expires, now time.Time) bo
 		return false
 	}
 	for len(c.entries) >= c.max {
-		c.evictSoonestLocked()
+		if exp := c.evictSoonestLocked(); at <= exp {
+			c.liveEvictions++
+		}
 	}
 	c.entries[seed] = exp
 	c.order.push(expiryEntry{seed: seed, exp: exp})
@@ -104,6 +109,15 @@ func (c *ReplayCache) Len() int {
 	defer c.mu.Unlock()
 	c.sweepLocked(at, len(c.order))
 	return len(c.entries)
+}
+
+// LiveEvictions reports how many seeds the cache has evicted while they
+// were still unexpired, to make room for a new claim. Each reopened a
+// redeemed token for the rest of its lifetime.
+func (c *ReplayCache) LiveEvictions() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.liveEvictions
 }
 
 // maxSweepPerOp bounds how many expired entries one Remember call drops,
@@ -177,19 +191,21 @@ func (c *ReplayCache) shrinkLocked() {
 	c.entries, c.order, c.peak = entries, order, len(entries)
 }
 
-// evictSoonestLocked removes the live entry closest to expiring.
-func (c *ReplayCache) evictSoonestLocked() {
+// evictSoonestLocked removes the entry closest to expiring and returns
+// its expiry.
+func (c *ReplayCache) evictSoonestLocked() int64 {
 	for len(c.order) > 0 {
-		if c.dropLocked(c.order.pop()) {
-			return
+		if e := c.order.pop(); c.dropLocked(e) {
+			return e.exp
 		}
 	}
 	// Heap drained but map non-empty cannot happen: every map entry has a
 	// corresponding heap entry. Guard anyway to keep the invariant local.
-	for k := range c.entries {
+	for k, exp := range c.entries {
 		delete(c.entries, k)
-		return
+		return exp
 	}
+	return math.MinInt64
 }
 
 // expiryEntry orders seeds by expiry, in Unix nanoseconds. It holds no

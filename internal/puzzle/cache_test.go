@@ -69,6 +69,37 @@ func TestReplayCacheCapacityEvictsSoonest(t *testing.T) {
 	}
 }
 
+// TestReplayCacheCountsLiveEvictions overfills a small set: every claim
+// past its capacity evicts a seed that has not expired, and each is
+// counted. Seeds the sweep drops at expiry are not evictions.
+func TestReplayCacheCountsLiveEvictions(t *testing.T) {
+	now := time.Unix(0, 0)
+	c := NewReplayCache(4, func() time.Time { return now })
+	for i := byte(0); i < 10; i++ {
+		if !c.Remember(seed(i), now.Add(time.Minute+time.Duration(i)*time.Second)) {
+			t.Fatalf("seed %d reported as replay", i)
+		}
+	}
+	if got := c.LiveEvictions(); got != 6 {
+		t.Fatalf("LiveEvictions() = %d after 10 claims on a 4-seed set, want 6", got)
+	}
+	// The evicted seeds verify again: the hole the counter makes visible.
+	if !c.Remember(seed(0), now.Add(time.Minute)) {
+		t.Fatal("evicted seed still claimed")
+	}
+	if got := c.LiveEvictions(); got != 7 {
+		t.Fatalf("LiveEvictions() = %d, want 7", got)
+	}
+
+	now = now.Add(time.Hour) // every seed has expired
+	for i := byte(10); i < 14; i++ {
+		c.Remember(seed(i), now.Add(time.Minute))
+	}
+	if got := c.LiveEvictions(); got != 7 {
+		t.Fatalf("LiveEvictions() = %d after claims that only displace expired seeds, want 7", got)
+	}
+}
+
 func TestReplayCacheMinCapacityOne(t *testing.T) {
 	c := NewReplayCache(0, nil) // clamped to 1
 	exp := time.Now().Add(time.Minute)

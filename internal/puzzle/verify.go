@@ -37,6 +37,9 @@ func WithReplayCache(c *ReplayCache) VerifierOption {
 	return func(v *Verifier) { v.replay = c }
 }
 
+// ReplayCache returns the verifier's replay cache, nil without one.
+func (v *Verifier) ReplayCache() *ReplayCache { return v.replay }
+
 // WithClockSkew sets the tolerated clock skew between issuer and verifier
 // (relevant when they are separate processes). Defaults to 2 s.
 func WithClockSkew(skew time.Duration) VerifierOption {
